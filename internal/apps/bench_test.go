@@ -90,3 +90,51 @@ func BenchmarkAppsVideoSession(b *testing.B) {
 		}
 	}
 }
+
+// benchScheduler is the foveal class's scheduler over its profiled
+// database — 12 candidates on a bandwidth × CPU lattice, three preferences
+// — and a resource point inside the lattice, as a contended session's
+// retune sees it.
+func benchScheduler(b *testing.B) (*scheduler.Scheduler, resource.Vector) {
+	b.Helper()
+	foveal := NewFoveal()
+	db, err := foveal.DB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := scheduler.New(foveal.Spec(), db, foveal.Preferences())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := resource.Vector{resource.Bandwidth: 150e3, resource.CPU: 0.12}
+	if _, err := s.Select(res); err != nil { // compile the lattices
+		b.Fatal(err)
+	}
+	return s, res
+}
+
+// BenchmarkSchedulerSelect measures one scheduling decision, validity
+// ranges included — what every session pays per retune period.
+func BenchmarkSchedulerSelect(b *testing.B) {
+	s, res := benchScheduler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Select(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSchedulerSelectDerated measures the decision as the harness
+// makes it while classes contend: planned against 80% of the estimate.
+func BenchmarkSchedulerSelectDerated(b *testing.B) {
+	s, res := benchScheduler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SelectDerated(res, 0.2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -166,12 +166,15 @@ func (db *DB) SensitivityAnalysis(threshold float64) []Suggestion {
 	var out []Suggestion
 	for _, cfg := range db.Configs() {
 		p := db.profiles[cfg.Key()]
-		g := p.grid()
-		for _, ax := range g.Axes {
+		l, err := db.Lattice(cfg.Key())
+		if err != nil {
+			continue
+		}
+		for _, ax := range l.Axes() {
 			for i := 0; i+1 < len(ax.Points); i++ {
 				lo, hi := ax.Points[i], ax.Points[i+1]
 				// Compare records matching on all other dimensions.
-				for _, ra := range db.Records(cfg) {
+				for _, ra := range l.Records() {
 					if v, ok := ra.Resources[ax.Kind]; !ok || v != lo {
 						continue
 					}

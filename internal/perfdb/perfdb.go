@@ -12,8 +12,8 @@ package perfdb
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
+	"sync/atomic"
 
 	"tunable/internal/resource"
 	"tunable/internal/spec"
@@ -40,6 +40,13 @@ type Model interface {
 	// Predict estimates the metrics cfg would achieve under res. A
 	// configuration with no profile reports an error wrapping ErrNoProfile.
 	Predict(cfg spec.Config, res resource.Vector) (spec.Metrics, error)
+	// Lattice returns the compiled profile of the configuration with
+	// canonical key configKey, as it stands now: a caller evaluating one
+	// configuration at many resource points (the scheduler) resolves it
+	// once and queries the lattice, without building a key or a result map
+	// per point. A configuration with no profile reports an error wrapping
+	// ErrNoProfile.
+	Lattice(configKey string) (*Lattice, error)
 }
 
 // Record is one profiled sample: the quality metrics a configuration
@@ -78,6 +85,11 @@ type configProfile struct {
 	config  spec.Config
 	records map[string]*Record // keyed by resource vector Key
 	dims    map[resource.Kind]bool
+
+	// compiled is the read form of records, built by the first query after
+	// a change. Concurrent readers may race to build it; each builds a
+	// complete lattice from the same records and the first published wins.
+	compiled atomic.Pointer[Lattice]
 }
 
 var _ Model = (*DB)(nil)
@@ -91,13 +103,20 @@ func New(app *spec.App) *DB {
 func (db *DB) App() *spec.App { return db.app }
 
 // SetMode selects the prediction strategy (default Interpolate).
-func (db *DB) SetMode(m PredictMode) { db.mode = m }
+func (db *DB) SetMode(m PredictMode) {
+	db.mode = m
+	for _, p := range db.profiles {
+		p.compiled.Store(nil)
+	}
+}
 
 // Mode returns the current prediction strategy.
 func (db *DB) Mode() PredictMode { return db.mode }
 
 // Add inserts a sample. Repeated samples at the same (config, resources)
-// point are averaged, mirroring the driver's repeated executions.
+// point are averaged, mirroring the driver's repeated executions. Add (like
+// SetMode) must not run concurrently with queries; queries may run
+// concurrently with each other.
 func (db *DB) Add(cfg spec.Config, res resource.Vector, m spec.Metrics) error {
 	if err := db.app.ValidateConfig(cfg); err != nil {
 		return err
@@ -117,6 +136,7 @@ func (db *DB) Add(cfg spec.Config, res resource.Vector, m spec.Metrics) error {
 		}
 		db.profiles[key] = p
 	}
+	p.compiled.Store(nil)
 	for k := range res {
 		p.dims[k] = true
 	}
@@ -155,21 +175,13 @@ func (db *DB) Configs() []spec.Config {
 }
 
 // Records returns all records for a configuration in deterministic order.
+// The slice is shared with the compiled profile; do not modify it.
 func (db *DB) Records(cfg spec.Config) []*Record {
-	p, ok := db.profiles[cfg.Key()]
-	if !ok {
+	l, err := db.lattice(cfg)
+	if err != nil {
 		return nil
 	}
-	keys := make([]string, 0, len(p.records))
-	for k := range p.records {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Record, len(keys))
-	for i, k := range keys {
-		out[i] = p.records[k]
-	}
-	return out
+	return l.Records()
 }
 
 // Len returns the total number of records.
@@ -191,65 +203,42 @@ func (db *DB) Lookup(cfg spec.Config, res resource.Vector) (*Record, bool) {
 	return rec, ok
 }
 
-// grid reconstructs the sample lattice for a configuration: the sorted
-// unique values observed along each resource dimension.
-func (p *configProfile) grid() *resource.Grid {
-	kinds := make([]resource.Kind, 0, len(p.dims))
-	for k := range p.dims {
-		kinds = append(kinds, k)
+// Lattice implements Model: the profile's compiled read form, built on
+// the first query after the profile (or the mode) last changed.
+func (db *DB) Lattice(configKey string) (*Lattice, error) {
+	if p, ok := db.profiles[configKey]; ok && len(p.records) > 0 {
+		return p.lattice(db.mode), nil
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	axes := make([]resource.Axis, 0, len(kinds))
-	for _, k := range kinds {
-		var pts []float64
-		for _, rec := range p.records {
-			if v, ok := rec.Resources[k]; ok {
-				pts = append(pts, v)
-			}
-		}
-		axes = append(axes, resource.Axis{Kind: k, Points: pts})
-	}
-	return resource.NewGrid(axes...)
+	return nil, fmt.Errorf("%w: %s", ErrNoProfile, configKey)
 }
 
-// scale returns a normalization vector (axis spans) for distance
-// computations.
-func (p *configProfile) scale() resource.Vector {
-	g := p.grid()
-	s := resource.Vector{}
-	for _, ax := range g.Axes {
-		if len(ax.Points) == 0 {
-			continue
-		}
-		span := ax.Points[len(ax.Points)-1] - ax.Points[0]
-		if span <= 0 {
-			span = math.Abs(ax.Points[0])
-			if span == 0 {
-				span = 1
-			}
-		}
-		s[ax.Kind] = span
+// lattice is Lattice by configuration, with the key built on the stack.
+func (db *DB) lattice(cfg spec.Config) (*Lattice, error) {
+	var buf [96]byte
+	key := cfg.AppendKey(buf[:0])
+	if p, ok := db.profiles[string(key)]; ok && len(p.records) > 0 {
+		return p.lattice(db.mode), nil
 	}
-	return s
+	return nil, fmt.Errorf("%w: %s", ErrNoProfile, string(key))
+}
+
+// lattice returns the profile's compiled form, compiling it if no reader
+// has since the last change.
+func (p *configProfile) lattice(mode PredictMode) *Lattice {
+	if l := p.compiled.Load(); l != nil {
+		return l
+	}
+	p.compiled.CompareAndSwap(nil, p.compile(mode))
+	return p.compiled.Load()
 }
 
 // Nearest returns the record whose resource point is closest to res.
 func (db *DB) Nearest(cfg spec.Config, res resource.Vector) (*Record, bool) {
-	p, ok := db.profiles[cfg.Key()]
-	if !ok || len(p.records) == 0 {
+	l, err := db.lattice(cfg)
+	if err != nil {
 		return nil, false
 	}
-	scale := p.scale()
-	var best *Record
-	bestD := math.Inf(1)
-	for _, rec := range db.Records(cfg) {
-		d := rec.Resources.Distance(res, scale)
-		if d < bestD {
-			bestD = d
-			best = rec
-		}
-	}
-	return best, best != nil
+	return l.Nearest(res)
 }
 
 // Predict estimates the metrics cfg would achieve under resource
@@ -258,73 +247,9 @@ func (db *DB) Nearest(cfg spec.Config, res resource.Vector) (*Record, bool) {
 // which extrapolates by nearest edge); where lattice corners are missing,
 // or in NearestOnly mode, it falls back to the nearest sampled point.
 func (db *DB) Predict(cfg spec.Config, res resource.Vector) (spec.Metrics, error) {
-	p, ok := db.profiles[cfg.Key()]
-	if !ok || len(p.records) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoProfile, cfg.Key())
-	}
-	if db.mode == NearestOnly {
-		rec, _ := db.Nearest(cfg, res)
-		return rec.Metrics.Clone(), nil
-	}
-	m, err := db.interpolate(p, res)
-	if err != nil {
-		rec, _ := db.Nearest(cfg, res)
-		return rec.Metrics.Clone(), nil
-	}
-	return m, nil
-}
-
-// interpolate performs multilinear interpolation at res over the profile's
-// lattice. It fails if any required lattice corner has no record.
-func (db *DB) interpolate(p *configProfile, res resource.Vector) (spec.Metrics, error) {
-	g := p.grid()
-	if len(g.Axes) == 0 {
-		return nil, fmt.Errorf("perfdb: profile has no resource dimensions")
-	}
-	lo, hi, err := g.Neighbors(res)
+	l, err := db.lattice(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Determine the varying dimensions and interpolation weights.
-	type dim struct {
-		kind resource.Kind
-		lo   float64
-		hi   float64
-		w    float64 // weight of the hi end
-	}
-	var dims []dim
-	base := resource.Vector{}
-	for _, ax := range g.Axes {
-		l, h := lo[ax.Kind], hi[ax.Kind]
-		if l == h {
-			base[ax.Kind] = l
-			continue
-		}
-		w := (res[ax.Kind] - l) / (h - l)
-		dims = append(dims, dim{kind: ax.Kind, lo: l, hi: h, w: w})
-	}
-	// Accumulate the 2^d corner records.
-	out := spec.Metrics{}
-	var walk func(i int, pt resource.Vector, weight float64) error
-	walk = func(i int, pt resource.Vector, weight float64) error {
-		if i == len(dims) {
-			rec, ok := p.records[pt.Key()]
-			if !ok {
-				return fmt.Errorf("perfdb: lattice corner %s missing", pt.Key())
-			}
-			for name, v := range rec.Metrics {
-				out[name] += weight * v
-			}
-			return nil
-		}
-		d := dims[i]
-		if err := walk(i+1, pt.With(d.kind, d.lo), weight*(1-d.w)); err != nil {
-			return err
-		}
-		return walk(i+1, pt.With(d.kind, d.hi), weight*d.w)
-	}
-	if err := walk(0, base, 1.0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return l.Predict(res)
 }

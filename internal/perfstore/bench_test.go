@@ -27,6 +27,24 @@ func benchStore(b *testing.B) *PerfStore {
 	return s
 }
 
+// BenchmarkPerfdbPredict measures the lookup underneath every store read:
+// one interpolated prediction from the static profiled database, compiled
+// lattice warm.
+func BenchmarkPerfdbPredict(b *testing.B) {
+	db := testPrior(b, testApp(b))
+	cfg := cfgOf("lzw", 1)
+	res := resource.Vector{resource.Bandwidth: 120e3}
+	if _, err := db.Predict(cfg, res); err != nil { // compile the lattice
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Predict(cfg, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPerfstoreCachedPredict measures the hot read path: a warm
 // cache entry serving Predict through the materialized mini-database.
 func BenchmarkPerfstoreCachedPredict(b *testing.B) {

@@ -10,8 +10,8 @@ import (
 )
 
 // cacheEntry is one materialized live profile: the refined overlay loaded
-// from the Store plus a mini perfdb.DB holding prior-merged records, ready
-// to answer Predict with the full interpolation machinery. Entries load
+// from the Store plus the compiled lattice of the prior-merged records,
+// ready to answer Predict with the full interpolation machinery. Entries load
 // single-flight (the once) and are updated in place by folds; the profile
 // version gate in apply makes loader/fold races converge on the newest
 // state regardless of completion order.
@@ -22,21 +22,21 @@ type cacheEntry struct {
 	mu   sync.RWMutex
 	err  error           // terminal load error (bad config key, backend failure)
 	prof *Profile        // refined overlay (empty profile when store has none)
-	db   *perfdb.DB      // prior ∪ overlay, overlay winning at shared points
+	lat  *perfdb.Lattice // prior ∪ overlay, overlay winning at shared points; nil when neither has records
 }
 
-// apply installs (overlay, materialized DB) unless the entry already holds
+// apply installs (overlay, materialized lattice) unless the entry already holds
 // a newer version. Profile versions increase monotonically under the fold
 // stripe locks, so "newest version wins" resolves the race between an
 // in-flight backend load returning stale state and a fold that has already
 // pushed past it.
-func (e *cacheEntry) apply(p *Profile, db *perfdb.DB) {
+func (e *cacheEntry) apply(p *Profile, lat *perfdb.Lattice) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.prof != nil && p.Version < e.prof.Version {
 		return
 	}
-	e.prof, e.db, e.err = p, db, nil
+	e.prof, e.lat, e.err = p, lat, nil
 }
 
 // profileCache is the read-through cache in front of the Store: an
@@ -62,7 +62,7 @@ func newProfileCache(maxEntries int, ttl time.Duration, now func() time.Duration
 
 // get returns the entry for configKey, loading it single-flight via load
 // on a miss. The returned entry is fully loaded (its once has completed).
-func (c *profileCache) get(configKey string, load func(string) (*Profile, *perfdb.DB, error)) *cacheEntry {
+func (c *profileCache) get(configKey string, load func(string) (*Profile, *perfdb.Lattice, error)) *cacheEntry {
 	c.mu.Lock()
 	e, ok := c.pol.Get(configKey)
 	if !ok {
@@ -75,7 +75,7 @@ func (c *profileCache) get(configKey string, load func(string) (*Profile, *perfd
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		p, db, err := load(configKey)
+		p, lat, err := load(configKey)
 		if err != nil {
 			e.mu.Lock()
 			e.err = err
@@ -89,7 +89,7 @@ func (c *profileCache) get(configKey string, load func(string) (*Profile, *perfd
 			c.mu.Unlock()
 			return
 		}
-		e.apply(p, db)
+		e.apply(p, lat)
 	})
 	return e
 }

@@ -226,26 +226,28 @@ func (s *PerfStore) entry(configKey string) *cacheEntry {
 
 // loadAndMaterialize is the cache's backend loader: fetch the refined
 // overlay (absent ⇒ empty profile) and materialize the merged model.
-func (s *PerfStore) loadAndMaterialize(configKey string) (*Profile, *perfdb.DB, error) {
+func (s *PerfStore) loadAndMaterialize(configKey string) (*Profile, *perfdb.Lattice, error) {
 	p, err := s.store.Load(configKey)
 	if err == ErrNotFound {
 		p = &Profile{ConfigKey: configKey}
 	} else if err != nil {
 		return nil, nil, err
 	}
-	db, err := s.materialize(configKey, p)
+	lat, err := s.materialize(configKey, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, db, nil
+	return p, lat, nil
 }
 
-// materialize builds the mini perfdb.DB answering queries for one
+// materialize compiles the lattice answering queries for one
 // configuration: the prior's records wherever the overlay is silent, the
 // overlay's records where it speaks (override, not average), giving
 // Predict the full interpolation/nearest machinery over the merged
-// lattice.
-func (s *PerfStore) materialize(configKey string, overlay *Profile) (*perfdb.DB, error) {
+// lattice. Compiling here, once per load or fold, keeps the warm read path
+// to a cache lookup plus the lattice query, and hands concurrent readers a
+// finished, immutable lattice. It is nil when there are no records at all.
+func (s *PerfStore) materialize(configKey string, overlay *Profile) (*perfdb.Lattice, error) {
 	cfg, err := s.app.ParseConfigKey(configKey)
 	if err != nil {
 		return nil, fmt.Errorf("perfstore: materialize: %w", err)
@@ -274,18 +276,19 @@ func (s *PerfStore) materialize(configKey string, overlay *Profile) (*perfdb.DB,
 			return nil, err
 		}
 	}
-	return db, nil
+	if db.Len() == 0 {
+		return nil, nil
+	}
+	return db.Lattice(cfg.Key())
 }
 
 // Records implements perfdb.Model over the merged (prior ∪ overlay) view.
 func (s *PerfStore) Records(cfg spec.Config) []*perfdb.Record {
-	e := s.entry(cfg.Key())
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.db == nil {
+	l, err := s.Lattice(cfg.Key())
+	if err != nil {
 		return nil
 	}
-	return e.db.Records(cfg)
+	return l.Records()
 }
 
 // Predict implements perfdb.Model: serve from the materialized cache,
@@ -293,16 +296,27 @@ func (s *PerfStore) Records(cfg spec.Config) []*perfdb.Record {
 // configuration with neither prior nor refined records reports
 // perfdb.ErrNoProfile.
 func (s *PerfStore) Predict(cfg spec.Config, res resource.Vector) (spec.Metrics, error) {
-	e := s.entry(cfg.Key())
+	l, err := s.Lattice(cfg.Key())
+	if err != nil {
+		return nil, err
+	}
+	return l.Predict(res)
+}
+
+// Lattice implements perfdb.Model: the configuration's merged lattice as
+// of the newest fold. Later folds publish new lattices; one already
+// returned is never modified.
+func (s *PerfStore) Lattice(configKey string) (*perfdb.Lattice, error) {
+	e := s.entry(configKey)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.err != nil {
 		return nil, e.err
 	}
-	if e.db == nil || e.db.Len() == 0 {
-		return nil, fmt.Errorf("%w: %s", perfdb.ErrNoProfile, cfg.Key())
+	if e.lat == nil {
+		return nil, fmt.Errorf("%w: %s", perfdb.ErrNoProfile, configKey)
 	}
-	return e.db.Predict(cfg, res)
+	return e.lat, nil
 }
 
 // Offer queues one telemetry sample, flushing the batch once BatchSize
@@ -394,9 +408,9 @@ func (s *PerfStore) fold(sample *Sample) error {
 	// Reconcile a warm cache entry in place; apply's version gate makes
 	// this safe against a concurrent loader completing with stale state.
 	if e, ok := s.cache.peek(key); ok {
-		db, err := s.materialize(key, p)
+		lat, err := s.materialize(key, p)
 		if err == nil {
-			e.apply(p, db)
+			e.apply(p, lat)
 		} else {
 			s.cache.remove(key)
 		}

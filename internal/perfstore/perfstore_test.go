@@ -424,3 +424,36 @@ func TestSnapshotByteStable(t *testing.T) {
 		t.Fatalf("snapshot not byte-stable across reopen:\n%s\nvs\n%s", before.Bytes(), after.Bytes())
 	}
 }
+
+// TestWarmPredictAllocations gates the hot read path: a prediction from a
+// warm cache entry allocates the configuration key its cache lookup needs
+// and the result map — not a second key, a grid or a vector per corner.
+func TestWarmPredictAllocations(t *testing.T) {
+	app := testApp(t)
+	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1})
+	cfg := cfgOf("lzw", 1)
+	s.Offer(Sample{Config: cfg, Resources: resource.Vector{resource.Bandwidth: 100e3},
+		Observed: spec.Metrics{"time": 60, "quality": 0.8}})
+	var sink spec.Metrics
+	mapOnly := testing.AllocsPerRun(200, func() {
+		m := make(spec.Metrics, 2)
+		m["time"], m["quality"] = 1, 2
+		sink = m
+	})
+	for name, res := range map[string]resource.Vector{
+		"inside":     {resource.Bandwidth: 120e3},
+		"on-lattice": {resource.Bandwidth: 100e3},
+		"fallback":   {resource.CPU: 0.5},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			m, err := s.Predict(cfg, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink = m
+		}); n > mapOnly+1 {
+			t.Errorf("%s: warm Predict allocates %v times, want at most the key and the result map (%v)", name, n, mapOnly+1)
+		}
+	}
+	_ = sink
+}

@@ -158,3 +158,88 @@ func TestSingleFlightLoad(t *testing.T) {
 		t.Fatalf("cold config issued %d backend loads, want 1 (single-flight)", got)
 	}
 }
+
+// TestPredictStableWhileFolding reads a warm store from many goroutines
+// while a writer keeps folding samples into one lattice point of one
+// configuration, so the readers' cache entry is re-materialized — a new
+// compiled lattice published — under them (run under -race). Predictions
+// at the lattice points the writer never touches, and of the configuration
+// it never touches, must not move by a bit; the folded point must have
+// moved by the end.
+func TestPredictStableWhileFolding(t *testing.T) {
+	app := testApp(t)
+	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1})
+	folded := resource.Vector{resource.Bandwidth: 100e3}
+	type probe struct {
+		cfg  spec.Config
+		res  resource.Vector
+		want spec.Metrics
+	}
+	probes := []*probe{
+		{cfg: cfgOf("lzw", 1), res: resource.Vector{resource.Bandwidth: 50e3}},
+		{cfg: cfgOf("lzw", 1), res: resource.Vector{resource.Bandwidth: 200e3}},
+		{cfg: cfgOf("lzw", 1), res: resource.Vector{resource.Bandwidth: 400e3}}, // clamps to the 200e3 edge
+		{cfg: cfgOf("bzw", 1), res: resource.Vector{resource.Bandwidth: 100e3}},
+		{cfg: cfgOf("bzw", 1), res: resource.Vector{resource.Bandwidth: 140e3}},
+	}
+	for _, p := range probes {
+		m, err := s.Predict(p.cfg, p.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.want = m
+	}
+	before, err := s.Predict(cfgOf("lzw", 1), folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const readers, folds = 6, 300
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p := probes[(i+r)%len(probes)]
+				got, err := s.Predict(p.cfg, p.res)
+				if err != nil {
+					t.Errorf("Predict %s at %s: %v", p.cfg.Key(), p.res, err)
+					return
+				}
+				for name, w := range p.want {
+					if g, ok := got[name]; !ok || math.Float64bits(g) != math.Float64bits(w) || len(got) != len(p.want) {
+						t.Errorf("Predict %s at %s moved while another point was folded: %v, was %v", p.cfg.Key(), p.res, got, p.want)
+						return
+					}
+				}
+				if l, err := s.Lattice(p.cfg.Key()); err != nil || len(l.Records()) != 3 {
+					t.Errorf("Lattice %s: %v", p.cfg.Key(), err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < folds; i++ {
+		s.Offer(Sample{
+			Config:    cfgOf("lzw", 1),
+			Resources: folded,
+			Observed:  spec.Metrics{"time": 60 + float64(i%5), "quality": 0.8},
+		})
+	}
+	close(done)
+	wg.Wait()
+	after, err := s.Predict(cfgOf("lzw", 1), folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after["time"] == before["time"] {
+		t.Fatalf("the folded point never moved (time %v): the writer did not re-materialize", after["time"])
+	}
+}

@@ -126,28 +126,31 @@ func (g *Grid) Neighbors(q Vector) (lo, hi Vector, err error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("resource: query missing dimension %s", ax.Kind)
 		}
-		l, h := bracket(ax.Points, x)
-		lo[ax.Kind], hi[ax.Kind] = l, h
+		lo[ax.Kind], hi[ax.Kind] = x, x
+		if len(ax.Points) > 0 {
+			l, h := ax.Bracket(x)
+			lo[ax.Kind], hi[ax.Kind] = ax.Points[l], ax.Points[h]
+		}
 	}
 	return lo, hi, nil
 }
 
-// bracket returns the nearest lattice values below and above x (clamped to
-// the ends of the axis).
-func bracket(pts []float64, x float64) (lo, hi float64) {
-	if len(pts) == 0 {
-		return x, x
-	}
+// Bracket returns the indices of the nearest lattice values below and
+// above x (clamped to the ends of the axis, equal when x sits on a lattice
+// point). The axis must be non-empty with its points sorted ascending, as
+// NewGrid leaves them.
+func (ax Axis) Bracket(x float64) (lo, hi int) {
+	pts := ax.Points
 	i := sort.SearchFloat64s(pts, x)
 	switch {
 	case i == 0:
-		return pts[0], pts[0]
+		return 0, 0
 	case i == len(pts):
-		return pts[len(pts)-1], pts[len(pts)-1]
+		return i - 1, i - 1
 	case approxEqual(pts[i], x):
-		return pts[i], pts[i]
+		return i, i
 	default:
-		return pts[i-1], pts[i]
+		return i - 1, i
 	}
 }
 

@@ -6,9 +6,11 @@
 package resource
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -56,11 +58,16 @@ func (v Vector) With(k Kind, x float64) Vector {
 
 // Kinds returns the dimensions present in v, sorted canonically.
 func (v Vector) Kinds() []Kind {
-	ks := make([]Kind, 0, len(v))
+	return v.appendKinds(make([]Kind, 0, len(v)))
+}
+
+// appendKinds appends v's dimensions to ks, which callers with a buffer
+// keep on their stack, and sorts the whole of ks canonically.
+func (v Vector) appendKinds(ks []Kind) []Kind {
 	for k := range v {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }
 
@@ -113,17 +120,20 @@ func (v Vector) Dominates(w Vector) bool {
 
 // Distance returns a normalized Euclidean distance between v and w over the
 // union of their dimensions, using scale to normalize each dimension (zero
-// or absent scales default to the larger magnitude of the two values).
+// or absent scales default to the larger magnitude of the two values). The
+// squares are summed in canonical kind order, so the result does not
+// depend on map iteration order.
 func (v Vector) Distance(w Vector, scale Vector) float64 {
-	dims := map[Kind]bool{}
-	for k := range v {
-		dims[k] = true
-	}
+	var buf [8]Kind
+	dims := buf[:0]
 	for k := range w {
-		dims[k] = true
+		if _, shared := v[k]; !shared {
+			dims = append(dims, k)
+		}
 	}
+	dims = v.appendKinds(dims)
 	var sum float64
-	for k := range dims {
+	for _, k := range dims {
 		a, b := v[k], w[k]
 		s := scale.Get(k, math.Max(math.Abs(a), math.Abs(b)))
 		if s == 0 {
@@ -145,13 +155,45 @@ func (v Vector) String() string {
 }
 
 // Key renders a canonical map key for the vector, quantizing values to
-// avoid float jitter splitting identical sample points.
+// six significant digits to avoid float jitter splitting identical sample
+// points: "bandwidth=512000,cpu=0.4". Performance-database files, WAL
+// snapshots and overlay records are all keyed on this exact string.
 func (v Vector) Key() string {
-	parts := make([]string, 0, len(v))
-	for _, k := range v.Kinds() {
-		parts = append(parts, fmt.Sprintf("%s=%.6g", k, v[k]))
+	var buf [96]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's rendering of v to b.
+func (v Vector) AppendKey(b []byte) []byte {
+	var buf [4]Kind
+	for i, k := range v.appendKinds(buf[:0]) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, k...)
+		b = append(b, '=')
+		b = appendKeyValue(b, v[k])
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+// appendKeyValue is the value half of a Key entry: fmt's %.6g.
+func appendKeyValue(b []byte, x float64) []byte {
+	return strconv.AppendFloat(b, x, 'g', 6, 64)
+}
+
+// KeyEqual reports whether Key renders the values x and y identically,
+// i.e. whether vectors differing only by x versus y in one dimension share
+// a key.
+func KeyEqual(x, y float64) bool {
+	// Values agreeing to six significant digits lie within one unit of the
+	// sixth digit, a relative distance of at most 1e-5; anything clearly
+	// further apart is told apart without formatting.
+	if math.Abs(x-y) > 2e-5*math.Max(math.Abs(x), math.Abs(y)) {
+		return false
+	}
+	var bx, by [32]byte
+	return bytes.Equal(appendKeyValue(bx[:0], x), appendKeyValue(by[:0], y))
 }
 
 // Request is a desired allocation of resources on a named host or link,

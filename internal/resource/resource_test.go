@@ -1,7 +1,9 @@
 package resource
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -248,6 +250,90 @@ func TestGridPointsBracketThemselves(t *testing.T) {
 			if !approxEqual(lo[k], p[k]) || !approxEqual(hi[k], p[k]) {
 				t.Fatalf("point %v brackets to %v..%v on %s", p, lo, hi, k)
 			}
+		}
+	}
+}
+
+// legacyKey is the fmt rendering Key had before it appended with strconv:
+// files, WAL snapshots and overlay records written by it must keep
+// matching.
+func legacyKey(v Vector) string {
+	parts := make([]string, 0, len(v))
+	for _, k := range v.Kinds() {
+		parts = append(parts, fmt.Sprintf("%s=%.6g", k, v[k]))
+	}
+	return strings.Join(parts, ",")
+}
+
+func TestKeyByteIdenticalToFmt(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.4, 512000, 0.1 + 0.2, 123456.5, 1234567, 999999.5,
+		100000, 1e-5, 1e21, 1e20, 1.5e-7, 5e-324, 2.2250738585072014e-308, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.12345649999999, 0.1234565000001,
+	}
+	for _, x := range values {
+		for _, v := range []Vector{
+			{CPU: x},
+			{Bandwidth: x, CPU: 0.4},
+			{Latency: 0.01, Memory: x, CPU: 1, Bandwidth: 25e3},
+			{"zeta": x, "alpha": -x, CPU: x, Memory: 1, Latency: 2, Bandwidth: 3}, // more kinds than the stack buffers hold
+		} {
+			if got, want := v.Key(), legacyKey(v); got != want {
+				t.Errorf("Key() = %q, fmt form %q", got, want)
+			}
+			if got := string(v.AppendKey([]byte("x:"))); got != "x:"+legacyKey(v) {
+				t.Errorf("AppendKey = %q", got)
+			}
+		}
+	}
+	if got := (Vector{}).Key(); got != "" {
+		t.Errorf("empty Key() = %q", got)
+	}
+}
+
+func TestKeyEqualMatchesRendering(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 1, 1 + 1e-12, 1 + 3e-8, 1 + 9e-6, 1 + 1.1e-5, 0.999995, 0.9999949,
+		123456.4, 123456.5, 123457.4, 5e-324, 1e-323, 1e21, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, x := range values {
+		for _, y := range values {
+			want := fmt.Sprintf("%.6g", x) == fmt.Sprintf("%.6g", y)
+			if got := KeyEqual(x, y); got != want {
+				t.Errorf("KeyEqual(%v, %v) = %v, renderings %.6g / %.6g", x, y, got, x, y)
+			}
+		}
+	}
+}
+
+func TestDistanceOrderIndependent(t *testing.T) {
+	// Three and more dimensions: the sum of squares must not depend on map
+	// iteration order, and a dimension only one side carries counts.
+	a := Vector{CPU: 0.3, Bandwidth: 1e5, Memory: 7e6, "zeta": 3}
+	b := Vector{CPU: 0.7, Bandwidth: 3e5, Latency: 0.02}
+	scale := Vector{CPU: 0.9, Bandwidth: 7e5, Memory: 1e7}
+	want := a.Distance(b, scale)
+	for i := 0; i < 200; i++ {
+		if got := a.Clone().Distance(b.Clone(), scale); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("distance %v then %v", want, got)
+		}
+	}
+	if math.Float64bits(want) != math.Float64bits(b.Distance(a, scale)) {
+		t.Fatal("distance not symmetric")
+	}
+}
+
+func TestAxisBracket(t *testing.T) {
+	ax := Axis{Kind: CPU, Points: []float64{0.2, 0.4, 0.8}}
+	for _, c := range []struct {
+		x      float64
+		lo, hi int
+	}{
+		{0.05, 0, 0}, {0.2, 0, 0}, {0.3, 0, 1}, {0.4, 1, 1}, {0.4 * (1 - 1e-12), 1, 1},
+		{0.4 * (1 + 1e-12), 1, 2}, {0.5, 1, 2}, {0.8, 2, 2}, {2, 2, 2}, {math.NaN(), 2, 2},
+	} {
+		if lo, hi := ax.Bracket(c.x); lo != c.lo || hi != c.hi {
+			t.Errorf("Bracket(%v) = %d,%d, want %d,%d", c.x, lo, hi, c.lo, c.hi)
 		}
 	}
 }

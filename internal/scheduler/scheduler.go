@@ -76,7 +76,7 @@ type Scheduler struct {
 	app   *spec.App
 	db    perfdb.Model
 	prefs []Preference
-	cands []spec.Config
+	cands []candidate // in canonical key order
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	mDecisionLatency *metrics.Histogram
@@ -107,6 +107,13 @@ func (s *Scheduler) EnableMetrics(reg *metrics.Registry) {
 	s.mCandidates.Set(float64(len(s.cands)))
 }
 
+// candidate is one configuration the scheduler may pick, with the
+// canonical key it is looked up and tie-broken by.
+type candidate struct {
+	cfg spec.Config
+	key string
+}
+
 // New creates a scheduler over any performance model. Candidates default
 // to the configurations present in the model that pass all task guards.
 func New(app *spec.App, db perfdb.Model, prefs []Preference) (*Scheduler, error) {
@@ -129,17 +136,20 @@ func New(app *spec.App, db perfdb.Model, prefs []Preference) (*Scheduler, error)
 		runnable[cfg.Key()] = true
 	}
 	for _, cfg := range db.Configs() {
-		if runnable[cfg.Key()] {
-			s.cands = append(s.cands, cfg)
+		if key := cfg.Key(); runnable[key] {
+			s.cands = append(s.cands, candidate{cfg, key})
 		}
 	}
+	sort.Slice(s.cands, func(i, j int) bool { return s.cands[i].key < s.cands[j].key })
 	return s, nil
 }
 
 // Candidates returns the candidate configurations in canonical order.
 func (s *Scheduler) Candidates() []spec.Config {
 	out := make([]spec.Config, len(s.cands))
-	copy(out, s.cands)
+	for i, c := range s.cands {
+		out[i] = c.cfg
+	}
 	return out
 }
 
@@ -147,23 +157,25 @@ func (s *Scheduler) Candidates() []spec.Config {
 func (s *Scheduler) Preferences() []Preference { return s.prefs }
 
 // Select picks the configuration best satisfying the highest-priority
-// feasible preference under resource conditions res.
+// feasible preference under resource conditions res. It is safe for
+// concurrent use.
 func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
 	start := time.Now()
 	s.mSelects.Inc()
+	ev := s.newEvaluation()
 	for pi, pref := range s.prefs {
-		best, bestM, pruned, found := s.selectForPref(pref, res)
+		best, pruned := ev.best(pref, res)
 		s.mPruned.Add(float64(pruned))
-		if !found {
+		if best < 0 {
 			continue
 		}
 		d := Decision{
-			Config:      best,
-			Predicted:   bestM,
-			Preference:  pi,
-			PrefName:    pref.Name,
-			ValidRanges: s.validRanges(best, pref, res),
+			Config:     s.cands[best].cfg,
+			Predicted:  ev.bestM.Clone(),
+			Preference: pi,
+			PrefName:   pref.Name,
 		}
+		d.ValidRanges = ev.validRanges(best, pref, res)
 		s.mDecisionLatency.Observe(time.Since(start).Seconds())
 		return d, nil
 	}
@@ -193,81 +205,104 @@ func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision
 	return s.Select(derated)
 }
 
-// selectForPref evaluates one preference: prune by constraints, optimize
-// the objective, break ties deterministically by configuration key. It
-// also reports how many candidates the constraint pruning rejected.
-func (s *Scheduler) selectForPref(pref Preference, res resource.Vector) (spec.Config, spec.Metrics, int, bool) {
-	type scored struct {
-		cfg spec.Config
-		m   spec.Metrics
-		obj float64
+// evaluation is the working state of one Select: each candidate's compiled
+// profile, resolved from the model once, and the metric maps the candidate
+// predictions are written into, so the many evaluations of one decision —
+// one per preference plus one per lattice step of the validity ranges —
+// allocate nothing.
+type evaluation struct {
+	s         *Scheduler
+	lats      []*perfdb.Lattice // per candidate; nil where the model has no profile
+	noProfile int               // how many of those the model typed ErrNoProfile
+	m, bestM  spec.Metrics      // prediction under evaluation; the best one of the last call to best
+	probe     resource.Vector   // res with one kind moved along its lattice axis
+}
+
+func (s *Scheduler) newEvaluation() *evaluation {
+	ev := &evaluation{
+		s:     s,
+		lats:  make([]*perfdb.Lattice, len(s.cands)),
+		m:     spec.Metrics{},
+		bestM: spec.Metrics{},
 	}
-	var feasible []scored
-	for _, cfg := range s.cands {
-		m, err := s.db.Predict(cfg, res)
+	for i, c := range s.cands {
+		l, err := s.db.Lattice(c.key)
 		if err != nil {
 			// A candidate the model cannot speak for (typed ErrNoProfile —
 			// e.g. a live store still cold for it) is skipped, not fatal:
 			// the decision degrades to the profiled candidates.
 			if errors.Is(err, perfdb.ErrNoProfile) {
-				s.mNoProfile.Inc()
+				ev.noProfile++
 			}
 			continue
 		}
-		ok := true
+		ev.lats[i] = l
+	}
+	return ev
+}
+
+// best evaluates one preference at res: prune by constraints, optimize the
+// objective, break ties deterministically by configuration key. It returns
+// the winning candidate's index (-1 if none is feasible), leaving its
+// predicted metrics in ev.bestM, and how many candidates were pruned.
+func (ev *evaluation) best(pref Preference, res resource.Vector) (best, pruned int) {
+	s := ev.s
+	s.mNoProfile.Add(float64(ev.noProfile))
+	higher := s.app.Metric(pref.Objective).Better == spec.HigherIsBetter
+	best = -1
+	var bestObj float64
+	feasible := 0
+candidates:
+	for i, l := range ev.lats {
+		if l == nil || l.PredictInto(res, ev.m) != nil {
+			continue
+		}
 		for _, c := range pref.Constraints {
-			v, has := m[c.Metric]
-			if !has || !c.Satisfied(v) {
-				ok = false
-				break
+			if v, has := ev.m[c.Metric]; !has || !c.Satisfied(v) {
+				continue candidates
 			}
 		}
-		if !ok {
-			continue
-		}
-		obj, has := m[pref.Objective]
+		obj, has := ev.m[pref.Objective]
 		if !has {
 			continue
 		}
-		feasible = append(feasible, scored{cfg: cfg, m: m, obj: obj})
-	}
-	pruned := len(s.cands) - len(feasible)
-	if len(feasible) == 0 {
-		return nil, nil, pruned, false
-	}
-	higher := s.app.Metric(pref.Objective).Better == spec.HigherIsBetter
-	sort.Slice(feasible, func(i, j int) bool {
-		if feasible[i].obj != feasible[j].obj {
-			if higher {
-				return feasible[i].obj > feasible[j].obj
-			}
-			return feasible[i].obj < feasible[j].obj
+		feasible++
+		// Candidates are visited in key order, so on equal objectives the
+		// earlier one keeps the lead.
+		better := obj < bestObj
+		if higher {
+			better = obj > bestObj
 		}
-		return feasible[i].cfg.Key() < feasible[j].cfg.Key()
-	})
-	return feasible[0].cfg, feasible[0].m, pruned, true
+		if best < 0 || better {
+			best, bestObj = i, obj
+			ev.m, ev.bestM = ev.bestM, ev.m
+		}
+	}
+	return best, len(ev.lats) - feasible
 }
 
 // validRanges derives, per resource kind in res, the contiguous band of
-// values (holding other kinds fixed) within which cfg remains the
-// scheduler's selection — i.e. it both keeps satisfying the preference's
-// constraints and stays ahead of every alternative. Leaving the band in
-// either direction therefore warrants a trigger: downward because the
-// configuration fails, upward because a better configuration has become
-// feasible. Bands are computed on the profile lattice; a band touching
-// the lattice edge is left open in that direction (±Inf) since the
-// database has no evidence of change beyond it.
-func (s *Scheduler) validRanges(cfg spec.Config, pref Preference, res resource.Vector) map[resource.Kind][2]float64 {
+// values (holding other kinds fixed) within which the chosen candidate
+// remains the scheduler's selection — i.e. it both keeps satisfying the
+// preference's constraints and stays ahead of every alternative. Leaving
+// the band in either direction therefore warrants a trigger: downward
+// because the configuration fails, upward because a better configuration
+// has become feasible. Bands are computed on the chosen profile's sample
+// lattice; a band touching the lattice edge is left open in that direction
+// (±Inf) since the database has no evidence of change beyond it.
+func (ev *evaluation) validRanges(chosen int, pref Preference, res resource.Vector) map[resource.Kind][2]float64 {
 	out := map[resource.Kind][2]float64{}
-	axes := s.latticeAxes(cfg)
-	for kind, pts := range axes {
+	ev.probe = res.Clone()
+	for _, ax := range ev.lats[chosen].Axes() {
+		kind, pts := ax.Kind, ax.Points
 		cur, ok := res[kind]
-		if !ok || len(pts) == 0 {
+		if !ok {
 			continue
 		}
 		satisfies := func(v float64) bool {
-			chosen, _, _, found := s.selectForPref(pref, res.With(kind, v))
-			return found && chosen.Equal(cfg)
+			ev.probe[kind] = v
+			best, _ := ev.best(pref, ev.probe)
+			return best == chosen
 		}
 		// Index of the lattice point nearest the current value.
 		idx := 0
@@ -283,6 +318,7 @@ func (s *Scheduler) validRanges(cfg spec.Config, pref Preference, res resource.V
 		for hi+1 < len(pts) && satisfies(pts[hi+1]) {
 			hi++
 		}
+		ev.probe[kind] = cur
 		band := [2]float64{pts[lo], pts[hi]}
 		if lo == 0 {
 			band[0] = math.Inf(-1)
@@ -291,29 +327,6 @@ func (s *Scheduler) validRanges(cfg spec.Config, pref Preference, res resource.V
 			band[1] = math.Inf(1)
 		}
 		out[kind] = band
-	}
-	return out
-}
-
-// latticeAxes reconstructs the per-kind sorted sample values for cfg.
-func (s *Scheduler) latticeAxes(cfg spec.Config) map[resource.Kind][]float64 {
-	axes := map[resource.Kind]map[float64]bool{}
-	for _, rec := range s.db.Records(cfg) {
-		for k, v := range rec.Resources {
-			if axes[k] == nil {
-				axes[k] = map[float64]bool{}
-			}
-			axes[k][v] = true
-		}
-	}
-	out := map[resource.Kind][]float64{}
-	for k, set := range axes {
-		pts := make([]float64, 0, len(set))
-		for v := range set {
-			pts = append(pts, v)
-		}
-		sort.Float64s(pts)
-		out[k] = pts
 	}
 	return out
 }

@@ -310,6 +310,13 @@ func (g *gappyModel) Records(cfg spec.Config) []*perfdb.Record {
 	return g.Model.Records(cfg)
 }
 
+func (g *gappyModel) Lattice(configKey string) (*perfdb.Lattice, error) {
+	if g.missing[configKey] {
+		return nil, perfdb.ErrNoProfile
+	}
+	return g.Model.Lattice(configKey)
+}
+
 // TestSelectSkipsNoProfileCandidates proves the scheduler degrades
 // gracefully over a model with profile gaps: candidates reporting the
 // typed perfdb.ErrNoProfile are skipped (not fatal), and the decision
@@ -365,5 +372,122 @@ func TestSelectSkipsNoProfileCandidates(t *testing.T) {
 	}
 	if _, err := empty.Select(resource.Vector{resource.Bandwidth: 500e3}); err != ErrNoFeasible {
 		t.Fatalf("fully cold model: got %v, want ErrNoFeasible", err)
+	}
+}
+
+// sweepDB profiles the codec app's four configurations at n bandwidth
+// values × two CPU shares; lzw l=4 is the fastest level-4 configuration
+// everywhere, so a decision's validity walk crosses the whole lattice.
+func sweepDB(t testing.TB, app *spec.App, n int) *perfdb.DB {
+	t.Helper()
+	db := perfdb.New(app)
+	for _, c := range []string{"lzw", "bzw"} {
+		for _, l := range []int{3, 4} {
+			for _, bw := range resource.Logspace(10e3, 1000e3, n) {
+				for _, cpu := range []float64{0.5, 1} {
+					tt := float64(l) * 1e5 / bw / cpu
+					if c == "bzw" {
+						tt *= 2
+					}
+					cfg := spec.Config{"c": spec.Enum(c), "l": spec.Int(l)}
+					err := db.Add(cfg, resource.Vector{resource.Bandwidth: bw, resource.CPU: cpu},
+						spec.Metrics{"transmit_time": tt, "resolution": float64(l)})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	return db
+}
+
+// TestSelectAllocationsIndependentOfLattice gates the decision path: a
+// Select allocates its working state and its result — a constant — however
+// many lattice points the candidates were profiled at and the validity
+// walk visits.
+func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
+	app := codecApp()
+	prefs := []Preference{
+		{Name: "sharp", Constraints: []Constraint{AtLeast("resolution", 4)}, Objective: "transmit_time"},
+		{Name: "fast", Objective: "transmit_time"},
+	}
+	res := resource.Vector{resource.Bandwidth: 300e3, resource.CPU: 0.7}
+	var perSize []float64
+	for _, n := range []int{4, 40, 400} {
+		s, err := New(app, sweepDB(t, app, n), prefs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Select(res) // compiles the lattices
+		if err != nil {
+			t.Fatal(err)
+		}
+		if band := d.ValidRanges[resource.Bandwidth]; !math.IsInf(band[0], -1) || !math.IsInf(band[1], 1) {
+			t.Fatalf("%d points: band %v — the walk was meant to cross the whole axis", n, band)
+		}
+		perSize = append(perSize, testing.AllocsPerRun(50, func() {
+			if _, err := s.Select(res); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if derated := testing.AllocsPerRun(50, func() {
+			if _, err := s.SelectDerated(res, 0.2); err != nil {
+				t.Fatal(err)
+			}
+		}); derated > perSize[len(perSize)-1]+2 {
+			t.Errorf("%d points: SelectDerated allocates %v times, Select %v: more than the derated vector", n, derated, perSize[len(perSize)-1])
+		}
+	}
+	if perSize[0] != perSize[1] || perSize[1] != perSize[2] {
+		t.Errorf("Select allocations grow with the lattice: %v at 4, 40, 400 bandwidth points", perSize)
+	}
+	if perSize[0] > 16 {
+		t.Errorf("Select allocates %v times per decision, want a small constant", perSize[0])
+	}
+}
+
+// TestValidRangeStepsOverNearDuplicateSamples: two samples 1e-12 apart
+// along a kind are one lattice point to the model, so the validity walk
+// must not treat them as two — a band edge between them would be a
+// zero-width step the monitor can never sit inside.
+func TestValidRangeStepsOverNearDuplicateSamples(t *testing.T) {
+	app := codecApp()
+	db := perfdb.New(app)
+	lzw := spec.Config{"c": spec.Enum("lzw"), "l": spec.Int(4)}
+	bzw := spec.Config{"c": spec.Enum("bzw"), "l": spec.Int(4)}
+	near := 0.5 * (1 + 1e-12)
+	for _, bw := range []float64{100e3, 200e3} {
+		for _, cpu := range []float64{0.2, 0.5, 0.8} {
+			if cpu == 0.5 && bw == 200e3 {
+				cpu = near
+			}
+			res := resource.Vector{resource.Bandwidth: bw, resource.CPU: cpu}
+			// lzw is faster only around cpu 0.5.
+			lt, bt := 10.0, 5.0
+			if cpu != 0.2 && cpu != 0.8 {
+				lt = 1
+			}
+			if err := db.Add(lzw, res, spec.Metrics{"transmit_time": lt, "resolution": 4}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Add(bzw, res, spec.Metrics{"transmit_time": bt, "resolution": 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := New(app, db, []Preference{{Name: "fast", Objective: "transmit_time"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Select(resource.Vector{resource.Bandwidth: 150e3, resource.CPU: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Config.Equal(lzw) {
+		t.Fatalf("chose %s, want lzw at cpu 0.5", d.Config.Key())
+	}
+	if band := d.ValidRanges[resource.CPU]; band != [2]float64{0.5, 0.5} {
+		t.Fatalf("cpu band %v, want the single lattice point [0.5 0.5] (not an edge at %v)", band, near)
 	}
 }

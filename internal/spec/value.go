@@ -8,7 +8,7 @@ package spec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,16 +106,32 @@ func (c Config) Equal(d Config) bool {
 // "c=lzw,dR=320,l=4"; it is used as the database key and as the task
 // instantiation handle (the paper's module[l][dR][c] name-value notation).
 func (c Config) Key() string {
-	names := make([]string, 0, len(c))
+	var buf [96]byte
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's rendering of c to b, so a caller holding a
+// buffer can look a configuration up without allocating the key.
+func (c Config) AppendKey(b []byte) []byte {
+	var buf [8]string
+	names := buf[:0]
 	for k := range c {
 		names = append(names, k)
 	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
+	slices.Sort(names)
 	for i, n := range names {
-		parts[i] = n + "=" + c[n].String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, n...)
+		b = append(b, '=')
+		if v := c[n]; v.Kind == IntValue {
+			b = strconv.AppendInt(b, int64(v.I), 10)
+		} else {
+			b = append(b, v.S...)
+		}
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // ParseConfigKey parses a Key back into a Config, resolving each

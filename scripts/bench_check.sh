@@ -8,12 +8,12 @@
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
 # the counter-commit harness; its trailing "swarm" block is informational
 # and ignored here), the live performance store (BENCH_perfstore.json —
-# cached vs uncached profile lookup and sample ingest), the wire
-# protocol (BENCH_wire.json — v1/v2 framing and schema-vs-JSON control
-# bodies), and the workload layer (BENCH_apps.json — the mixed
-# video+foveal harness, arbiter acquire/release, and a single video
-# session; only ns/op is gated, the sessions/sec and p95-QoS fields are
-# informational).
+# cached vs uncached profile lookup, the perfdb lookup under them and
+# sample ingest), the wire protocol (BENCH_wire.json — v1/v2 framing and
+# schema-vs-JSON control bodies), and the workload layer (BENCH_apps.json
+# — the mixed video+foveal harness, arbiter acquire/release, a single
+# video session, and one scheduler decision plain and derated; only ns/op
+# is gated, the sessions/sec and p95-QoS fields are informational).
 #
 #   scripts/bench_check.sh                        # compare at +20%
 #   BENCH_TOLERANCE=0.60 scripts/bench_check.sh   # looser, for noisy CI
@@ -72,6 +72,6 @@ check_one BENCH_kernels.json \
 	.
 check_one BENCH_edge.json 'BenchmarkEdge' ./internal/edge
 check_one BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
-check_one BENCH_perfstore.json 'BenchmarkPerfstore' ./internal/perfstore
+check_one BENCH_perfstore.json 'BenchmarkPerfstore|BenchmarkPerfdb' ./internal/perfstore
 check_one BENCH_wire.json 'BenchmarkWire' ./internal/wire
-check_one BENCH_apps.json 'BenchmarkApps' ./internal/apps
+check_one BENCH_apps.json 'BenchmarkApps|BenchmarkScheduler' ./internal/apps

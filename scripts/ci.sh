@@ -43,6 +43,12 @@ run_unit() {
 	echo "== go test -race ./internal/cluster ./internal/avis ./internal/edge ./internal/perfstore ./internal/apps (quick gate)"
 	go test -race -timeout 10m ./internal/cluster ./internal/avis ./internal/edge ./internal/perfstore ./internal/apps
 
+	# The arbiter and admission tests are schedule-dependent: one green
+	# run proves little (the churn test once landed green and failed 16
+	# of 20 runs afterwards), so repeat them under the race detector.
+	echo "== go test -race -count=20 $* ./internal/scheduler (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler
+
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
 	# wall-clock cost is still dominated by internal/expt (skippable with
