@@ -61,7 +61,6 @@ func main() {
 	failoverBackoff := flag.Duration("failover-backoff", 100*time.Millisecond, "base of the jittered exponential backoff between failover attempts (with -coord)")
 	retryBudget := flag.Int("retry-budget", 0, "total retry tokens for the session, 0 = unlimited (with -coord)")
 	retryBudgetRate := flag.Float64("retry-budget-rate", 0, "retry tokens refilled per second (with -retry-budget)")
-	wireV1 := flag.Bool("wirev1", false, "speak v1 framing and JSON control bodies, as a pre-v2 build would (mixed-version rollouts)")
 	dump := flag.String("dump", "", "append each reconstructed image's pixels (float64 LE) to this file (implies client-side reconstruction)")
 	flag.Parse()
 
@@ -80,7 +79,6 @@ func main() {
 	var client fetcher
 	if *coord != "" {
 		resolver := cluster.NewResolver(*coord, 0)
-		resolver.SetWireV1(*wireV1)
 		defer resolver.Close()
 		opts := []cluster.FailoverOption{
 			cluster.WithBandwidth(*bw),
@@ -117,7 +115,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("avis-client: %v", err)
 		}
-		rc.SetWireV1(*wireV1)
 		rc.SetIOTimeout(*ioTimeout)
 		if reg != nil {
 			rc.EnableMetrics(reg)

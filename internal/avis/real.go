@@ -1,7 +1,6 @@
 package avis
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -24,11 +23,6 @@ import (
 // no sandbox metering applies; optional token-bucket shaping (package
 // netem) stands in for constrained links. Used by cmd/avis-server and
 // cmd/avis-client.
-
-// frameLimit bounds a single protocol frame (a frame carries at most one
-// reply segment plus headers). It equals wire.FrameLimit: both framings
-// share one bound.
-const frameLimit = wire.FrameLimit
 
 // ErrIOTimeout is the sentinel matched by errors.Is for frame I/O that
 // missed its deadline; the concrete error is always a *TimeoutError.
@@ -53,9 +47,11 @@ func (e *TimeoutError) Timeout() bool { return true }
 // Is matches ErrIOTimeout.
 func (e *TimeoutError) Is(target error) bool { return target == ErrIOTimeout }
 
-// wrapTimeout converts a deadline-exceeded network error into a
-// *TimeoutError; other errors (including nil) pass through.
-func wrapTimeout(op string, after time.Duration, err error) error {
+// WrapTimeout converts a deadline-exceeded network error into a typed
+// *TimeoutError (matching ErrIOTimeout under errors.Is); other errors,
+// including nil, pass through unchanged. The cluster control plane shares
+// the data plane's failure vocabulary through it.
+func WrapTimeout(op string, after time.Duration, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -64,68 +60,6 @@ func wrapTimeout(op string, after time.Duration, err error) error {
 		return &TimeoutError{Op: op, After: after}
 	}
 	return err
-}
-
-// deadlineRW adapts a net.Conn so every underlying read and write first
-// arms a fresh deadline: the connection must keep making progress at
-// timeout granularity, but an arbitrarily large transfer never trips the
-// limit as long as bytes keep flowing. A zero timeout disables arming.
-type deadlineRW struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (d *deadlineRW) Read(p []byte) (int, error) {
-	if d.timeout > 0 {
-		if err := d.conn.SetReadDeadline(time.Now().Add(d.timeout)); err != nil {
-			return 0, fmt.Errorf("avis: arm read deadline: %w", err)
-		}
-	}
-	return d.conn.Read(p)
-}
-
-func (d *deadlineRW) Write(p []byte) (int, error) {
-	if d.timeout > 0 {
-		if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
-			return 0, fmt.Errorf("avis: arm write deadline: %w", err)
-		}
-	}
-	return d.conn.Write(p)
-}
-
-// writeFrame sends one length-prefixed protocol message. The frame is
-// emitted as a single Write — header and body coalesced — so two
-// goroutines sharing an unbuffered conn can never interleave a header
-// into another writer's body. Oversize messages fail before any byte
-// escapes, with a *wire.FrameSizeError matching wire.ErrFrameTooLarge
-// (the uint32 length field would otherwise silently truncate them).
-func writeFrame(w io.Writer, msg []byte) error {
-	if len(msg) > frameLimit {
-		return &wire.FrameSizeError{N: len(msg), Limit: frameLimit}
-	}
-	buf := bufpool.Get(4 + len(msg))
-	binary.LittleEndian.PutUint32(buf, uint32(len(msg)))
-	copy(buf[4:], msg)
-	_, err := w.Write(buf)
-	bufpool.Put(buf)
-	return err
-}
-
-// readFrame receives one length-prefixed protocol message.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > frameLimit {
-		return nil, fmt.Errorf("avis: frame of %d bytes exceeds limit", n)
-	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
 }
 
 // codecInstruments carries the per-codec data-plane telemetry of one
@@ -172,7 +106,6 @@ type RealServer struct {
 	store     *ImageStore
 	segBytes  int
 	ioTimeout time.Duration
-	wireV1    bool
 
 	// connection accounting for load reporting and graceful drain; conns
 	// and listeners are guarded by connMu, active is read lock-free by
@@ -205,12 +138,6 @@ type RealServer struct {
 // *TimeoutError (0, the default, waits forever). It applies to
 // connections accepted after the call.
 func (s *RealServer) SetIOTimeout(d time.Duration) { s.ioTimeout = d }
-
-// SetWireV1 pins the server to v1 framing: negotiation probes get the
-// old server's "unknown message" refusal, so clients fall back. Used to
-// stand in for a pre-v2 build in mixed-version conformance tests and
-// staged rollouts.
-func (s *RealServer) SetWireV1(v bool) { s.wireV1 = v }
 
 // EnableMetrics instruments the server. Metric families:
 // avis_connections_total, avis_requests_total, avis_request_seconds
@@ -345,25 +272,18 @@ func (s *RealServer) handle(conn net.Conn) error {
 			if err == io.EOF {
 				return nil
 			}
-			err = wrapTimeout("read", s.ioTimeout, err)
+			err = WrapTimeout("read", s.ioTimeout, err)
 			if errors.Is(err, ErrIOTimeout) {
 				s.mIOTimeouts.Inc()
 			}
 			return err
 		}
-		if len(msg) == 0 {
-			bufpool.Put(msg)
-			continue
-		}
-		if wire.IsNegotiate(msg) && !s.wireV1 {
-			// A v2 client probes before anything else; answer and upgrade.
-			// When pinned to v1 (SetWireV1) the probe instead falls into the
-			// default arm below — the exact refusal an old build sends, which
-			// is what the client's fallback path keys on.
+		if wire.IsNegotiate(msg) {
+			// A client opens with the wire handshake; answer in kind.
 			err := wc.AcceptV2(msg, 0)
 			bufpool.Put(msg)
 			if err != nil {
-				return wrapTimeout("write", s.ioTimeout, err)
+				return WrapTimeout("write", s.ioTimeout, err)
 			}
 			continue
 		}
@@ -411,7 +331,7 @@ func (s *RealServer) handle(conn net.Conn) error {
 		}
 		bufpool.Put(msg)
 		if werr != nil {
-			werr = wrapTimeout("write", s.ioTimeout, werr)
+			werr = WrapTimeout("write", s.ioTimeout, werr)
 			if errors.Is(werr, ErrIOTimeout) {
 				s.mIOTimeouts.Inc()
 			}
@@ -450,7 +370,7 @@ func (s *RealServer) serveReal(wc *wire.Conn, codec compress.Codec, req Request)
 		s.mSentBytes.Add(float64(wireBytes))
 	})
 	if err != nil {
-		return wrapTimeout("write", s.ioTimeout, err)
+		return WrapTimeout("write", s.ioTimeout, err)
 	}
 	s.mReqSeconds.Observe(time.Since(start).Seconds())
 	return nil
@@ -461,7 +381,6 @@ type RealClient struct {
 	conn      net.Conn
 	wc        *wire.Conn
 	ioTimeout time.Duration
-	wireV1    bool
 	geom      Geometry
 	params    Params
 	codec     compress.Codec
@@ -503,14 +422,6 @@ func (c *RealClient) SetIOTimeout(d time.Duration) {
 	c.wc.SetTimeout(d)
 }
 
-// SetWireV1 pins the client to v1 framing: Connect skips the version
-// probe entirely, speaking to the server exactly as a pre-v2 build
-// would. Used by mixed-version conformance tests and staged rollouts.
-func (c *RealClient) SetWireV1(v bool) { c.wireV1 = v }
-
-// WireVersion reports the framing version negotiated by Connect.
-func (c *RealClient) WireVersion() int { return int(c.wc.Version()) }
-
 // EnableMetrics instruments the client. Metric families: avis_fetch_seconds
 // (per-image download latency), avis_round_seconds (per-round response
 // time), avis_raw_bytes_total, avis_wire_bytes_total, avis_rounds_total,
@@ -533,7 +444,7 @@ func (c *RealClient) EnableMetrics(reg *metrics.Registry) {
 // bufpool.Put), converting a missed deadline into a typed *TimeoutError.
 func (c *RealClient) readFrameT() ([]byte, error) {
 	msg, err := c.wc.ReadMsg()
-	err = wrapTimeout("read", c.ioTimeout, err)
+	err = WrapTimeout("read", c.ioTimeout, err)
 	if errors.Is(err, ErrIOTimeout) {
 		c.mIOTimeouts.Inc()
 	}
@@ -543,24 +454,23 @@ func (c *RealClient) readFrameT() ([]byte, error) {
 // writeFrameT writes one frame, converting a missed deadline into a typed
 // *TimeoutError.
 func (c *RealClient) writeFrameT(msg []byte) error {
-	err := wrapTimeout("write", c.ioTimeout, c.wc.WriteMsg(msg))
+	err := WrapTimeout("write", c.ioTimeout, c.wc.WriteMsg(msg))
 	if errors.Is(err, ErrIOTimeout) {
 		c.mIOTimeouts.Inc()
 	}
 	return err
 }
 
-// Connect negotiates the wire version, then performs the handshake and
-// codec announcement. Against an old server the version probe is answered
-// with a refusal and the session proceeds in v1 framing.
+// Connect runs the wire handshake, then the hello/geometry exchange and
+// the codec announcement. A server that does not complete the handshake
+// is refused: a *wire.HandshakeError, or a *TimeoutError when it says
+// nothing within the I/O timeout.
 func (c *RealClient) Connect() error {
-	if !c.wireV1 {
-		if err := wrapTimeout("negotiate", c.ioTimeout, c.wc.StartClient(0)); err != nil {
-			if errors.Is(err, ErrIOTimeout) {
-				c.mIOTimeouts.Inc()
-			}
-			return err
+	if err := WrapTimeout("negotiate", c.ioTimeout, c.wc.StartClient(0)); err != nil {
+		if errors.Is(err, ErrIOTimeout) {
+			c.mIOTimeouts.Inc()
 		}
+		return err
 	}
 	if err := c.writeFrameT(encodeHello()); err != nil {
 		return err

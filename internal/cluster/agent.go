@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tunable/internal/bufpool"
 	"tunable/internal/metrics"
 )
 
@@ -22,8 +21,8 @@ const hbJitter = 0.10
 // the coordinator and renews it with periodic flushes of the node's
 // coalesced load delta (a one-entry binary delta batch — the liveness
 // signal is the frame itself, the payload is the net session change since
-// the last accepted flush, so an idle node's heartbeat costs no JSON and
-// no allocation on either side). It survives coordinator restarts — a
+// the last accepted flush, so an idle node's heartbeat allocates nothing
+// on the coordinator). It survives coordinator restarts — a
 // flush answered with its own ID in ack.Unknown (or a broken connection)
 // triggers re-registration on the next beat.
 type Agent struct {
@@ -77,16 +76,13 @@ func NewAgent(coordAddr string, node NodeInfo, interval time.Duration, load func
 }
 
 // EnableMetrics instruments the agent: cluster_ctrl_retries_total
-// (role="agent") counts transparently retried control calls,
+// (role="agent") counts transparently retried control calls, the wire_*
+// families cover its control connections,
 // cluster_heartbeat_failures_total counts beats that failed after
 // retries, and cluster_rejoins_total counts re-registrations after the
 // coordinator forgot (or declared dead) this node.
 func (a *Agent) EnableMetrics(reg *metrics.Registry) {
-	a.cl.mu.Lock()
-	a.cl.mRetries = reg.Counter("cluster_ctrl_retries_total",
-		"Control-plane calls transparently retried after a transport failure.",
-		metrics.L("role", "agent"))
-	a.cl.mu.Unlock()
+	a.cl.enableMetrics(reg, "agent")
 	a.mBeatFailures = reg.Counter("cluster_heartbeat_failures_total",
 		"Heartbeats that failed even after retries.")
 	a.mRejoins = reg.Counter("cluster_rejoins_total",
@@ -103,10 +99,6 @@ func (a *Agent) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
 // SetDialer interposes on control-plane dials (fault injection).
 func (a *Agent) SetDialer(dial DialFunc) { a.cl.setDialer(dial) }
 
-// SetWireV1 pins the agent's control connections to v1 framing and JSON
-// bodies, as a pre-v2 build would speak (mixed-version rollouts, tests).
-func (a *Agent) SetWireV1(v bool) { a.cl.setWireV1(v) }
-
 // MissedBeats reports the current run of consecutive failed heartbeats.
 func (a *Agent) MissedBeats() int { return int(a.missed.Load()) }
 
@@ -122,10 +114,7 @@ func (a *Agent) Start() error {
 }
 
 func (a *Agent) register() error {
-	_, err := a.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagRegister, a.node) },
-		v2: func(buf []byte) ([]byte, error) { return encodeRegisterV2(buf, a.node) },
-	})
+	_, err := a.cl.call(func(buf []byte) ([]byte, error) { return encodeRegister(buf, a.node) })
 	return err
 }
 
@@ -154,13 +143,9 @@ func (a *Agent) run() {
 // flush sends one delta frame and handles the rejoin protocol.
 func (a *Agent) flush() {
 	cur := a.load().ActiveSessions
-	frame, err := EncodeDeltaBatch([]DeltaEntry{{ID: a.node.ID, Sessions: int32(cur - a.lastSent)}})
-	if err != nil {
-		log.Printf("cluster: agent %s: encode delta: %v", a.node.ID, err)
-		return
-	}
-	ack, err := a.cl.call(ctrlReq{raw: frame}) // binary in both wire modes
-	bufpool.Put(frame)
+	ack, err := a.cl.call(func(buf []byte) ([]byte, error) {
+		return appendDeltaBatch(buf, []DeltaEntry{{ID: a.node.ID, Sessions: int32(cur - a.lastSent)}})
+	})
 	if err != nil {
 		// The call layer already retried with backoff; a failure here
 		// means the coordinator is unreachable (partition, crash). Keep
@@ -199,9 +184,8 @@ func (a *Agent) Close(deregister bool) {
 		close(a.stop)
 		<-a.done
 		if deregister {
-			if _, err := a.cl.call(ctrlReq{
-				js: func() []byte { return encodeCtrl(ctagDeregister, nodeIDMsg{ID: a.node.ID}) },
-				v2: func(buf []byte) ([]byte, error) { return encodeNodeIDV2(buf, ctagDeregister, a.node.ID) },
+			if _, err := a.cl.call(func(buf []byte) ([]byte, error) {
+				return encodeStrMsg(buf, ctagDeregister, schNodeID, "id", a.node.ID)
 			}); err != nil {
 				log.Printf("cluster: agent %s: deregister: %v", a.node.ID, err)
 			}

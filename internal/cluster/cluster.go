@@ -8,8 +8,9 @@
 // admission control lifted from one host to a node pool — the shape of
 // Dearle et al.'s constraint-based deployment framework).
 //
-// Four roles speak one wire discipline (the avis frame codec plus the
-// same progress-deadline timeout semantics):
+// Four roles speak one wire discipline (internal/wire framing and
+// handshake, schema-coded bodies, and the data plane's progress-deadline
+// timeout semantics):
 //
 //   - Coordinator (cmd/avis-coord): owns the registry, detector, and
 //     placement; exposes cluster_* metric families.
@@ -38,31 +39,31 @@ const (
 
 // NodeInfo is what a server announces at registration.
 type NodeInfo struct {
-	ID   string `json:"id"`   // cluster-unique node name
-	Addr string `json:"addr"` // data-plane address clients dial
+	ID   string // cluster-unique node name
+	Addr string // data-plane address clients dial
 
 	// Role places the node in the delivery tier (RoleOrigin or RoleEdge).
 	// Edge nodes are only eligible for placements that ask for them
 	// (ResolveRequest.Coarse) and are preferred for those.
-	Role string `json:"role,omitempty"`
+	Role string
 
 	// Declared resource capacity for session admission: CPU is the
 	// reservable share in (0, 1]; MemBytes the physical memory
 	// (0 defaults to 512 MiB).
-	CPU      float64 `json:"cpu"`
-	MemBytes int64   `json:"mem"`
+	CPU      float64
+	MemBytes int64
 
 	// Image-store contents. Failover replays a session onto a replacement
 	// server, so placement only considers nodes serving identical stores.
-	Side   int     `json:"side"`
-	Levels int     `json:"levels"`
-	Seeds  []int64 `json:"seeds"`
+	Side   int
+	Levels int
+	Seeds  []int64
 
 	// Sig, when non-empty, overrides the computed store signature. Edge
 	// nodes front a store they do not own (they never see its seeds), so
 	// they announce the origin's signature verbatim: a session pinned to
 	// the origin's store can then land on any edge caching that store.
-	Sig string `json:"sig,omitempty"`
+	Sig string
 }
 
 // StoreSig fingerprints the node's image-store contents; sessions are
@@ -81,7 +82,7 @@ func (n NodeInfo) StoreSig() string {
 
 // Load is the node-side utilization report carried by each heartbeat.
 type Load struct {
-	ActiveSessions int `json:"active"` // currently open data-plane connections
+	ActiveSessions int // currently open data-plane connections
 }
 
 // NodeState is the failure detector's verdict on a node.
@@ -108,16 +109,16 @@ func (s NodeState) String() string {
 
 // NodeStatus is one row of the coordinator's registry view.
 type NodeStatus struct {
-	ID          string  `json:"id"`
-	Addr        string  `json:"addr"`
-	Role        string  `json:"role,omitempty"`
-	State       string  `json:"state"`
-	Sig         string  `json:"sig"`
-	Load        Load    `json:"load"`
-	CPU         float64 `json:"cpu"`
-	ReservedCPU float64 `json:"reserved_cpu"`
-	Sessions    int     `json:"sessions"`
-	Incarnation uint64  `json:"incarnation"`
+	ID          string
+	Addr        string
+	Role        string
+	State       string
+	Sig         string
+	Load        Load
+	CPU         float64
+	ReservedCPU float64
+	Sessions    int
+	Incarnation uint64
 }
 
 // Control-plane defaults; cmd flags override all of them.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -38,11 +39,6 @@ type Config struct {
 	// with its own lock, failure-detector timer wheel, and admission
 	// state, so control-plane ops on different shards never contend.
 	Shards int
-	// WireV1 pins the control plane to v1 framing and JSON bodies:
-	// version probes get the refusal a pre-v2 build sends, so every
-	// caller falls back. For mixed-version conformance tests and staged
-	// rollouts.
-	WireV1 bool
 }
 
 const (
@@ -957,10 +953,7 @@ func (c *Coordinator) Serve(l net.Listener) error {
 }
 
 // handle services one control connection: a loop of request frames, each
-// answered with an ack frame. A version probe upgrades the connection to
-// v2 framing with schema-coded bodies (unless Config.WireV1 pins it, in
-// which case the probe falls into dispatch's unknown-tag refusal — the
-// pre-v2 behavior callers key their fallback on).
+// answered with an ack frame. A handshake probe is answered in kind.
 func (c *Coordinator) handle(conn net.Conn) {
 	wc := wire.NewConn(conn, c.cfg.IOTimeout)
 	wc.SetInstruments(c.wInst)
@@ -969,146 +962,58 @@ func (c *Coordinator) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if wire.IsNegotiate(msg) && !c.cfg.WireV1 {
-			err := wc.AcceptV2(msg, wire.CapSchemaCtrl)
+		if wire.IsNegotiate(msg) {
+			err := wc.AcceptV2(msg, 0)
 			bufpool.Put(msg)
 			if err != nil {
 				return
 			}
 			continue
 		}
-		schema := wc.Caps()&wire.CapSchemaCtrl != 0
-		var ack ackMsg
-		if schema {
-			ack = c.dispatchV2(msg)
-		} else {
-			ack = c.dispatch(msg)
-		}
+		ack := c.dispatch(msg)
 		bufpool.Put(msg)
-		var reply []byte
-		if schema {
-			reply, err = encodeAckV2(bufpool.Get(512)[:0], &ack)
-			if err != nil {
-				bufpool.Put(reply)
-				return
-			}
-		} else {
-			reply = encodeCtrl(ctagAck, ack)
-		}
-		werr := wc.WriteMsg(reply)
-		if schema {
-			bufpool.Put(reply)
-		}
-		if werr != nil {
+		if writeAck(wc, &ack) != nil {
 			return
 		}
 	}
 }
 
-// dispatchV2 is dispatch for schema-coded bodies: the same tag switch
-// and registry calls, decoding with the runtime-interpreted schemas.
-// The binary delta batch is shared between modes.
-func (c *Coordinator) dispatchV2(msg []byte) ackMsg {
-	refuse := func(err error) ackMsg { return ackMsg{Err: err.Error()} }
-	if len(msg) == 0 {
-		return refuse(fmt.Errorf("empty frame"))
+// writeAck answers one request. An ack too large to frame (a Nodes
+// listing past wire.FrameLimit) is replaced by a refusal naming the size:
+// dropping the connection instead would read as a transport failure, and
+// the caller's retry loop would replay the identical request.
+func writeAck(wc *wire.Conn, ack *ackMsg) error {
+	err := sendAck(wc, ack)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		err = sendAck(wc, &ackMsg{Err: fmt.Sprintf("reply cannot be framed: %v", err)})
 	}
-	body := msg[1:]
-	switch msg[0] {
-	case ctagRegister:
-		info, err := decodeRegisterV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		if err := c.Register(info); err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true}
-	case ctagHeartbeat:
-		hb, err := decodeHeartbeatV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Known: c.Heartbeat(hb.ID, hb.Load)}
-	case ctagDelta:
-		ack, err := c.applyDeltaFrame(msg)
-		if err != nil {
-			return refuse(err)
-		}
-		return ack
-	case ctagDeregister:
-		m, err := decodeNodeIDV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		c.Deregister(m.ID)
-		return ackMsg{OK: true}
-	case ctagResolve:
-		req, err := decodeResolveV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		grant, err := c.Resolve(req)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Grant: grant}
-	case ctagEndSession:
-		m, err := decodeSessionV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		c.EndSession(m.SID)
-		return ackMsg{OK: true}
-	case ctagNodes:
-		return ackMsg{OK: true, Nodes: c.Nodes()}
-	case ctagPerfIngest:
-		m, err := decodePerfIngestV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		n, err := c.IngestSamples(m.Samples)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Accepted: n}
-	case ctagPerfProfile:
-		m, err := decodePerfProfileV2(body)
-		if err != nil {
-			return refuse(err)
-		}
-		p, err := c.PerfProfile(m.ConfigKey)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Profile: p}
-	default:
-		return refuse(fmt.Errorf("unknown control tag %q", msg[0]))
+	return err
+}
+
+func sendAck(wc *wire.Conn, ack *ackMsg) error {
+	reply, err := encodeAck(bufpool.Get(512)[:0], ack)
+	if err != nil {
+		return err
 	}
+	err = wc.WriteMsg(reply)
+	bufpool.Put(reply)
+	return err
 }
 
 // dispatch decodes one request and applies it to the registry core.
 func (c *Coordinator) dispatch(msg []byte) ackMsg {
 	refuse := func(err error) ackMsg { return ackMsg{Err: err.Error()} }
-	if len(msg) == 0 {
-		return refuse(fmt.Errorf("empty frame"))
-	}
+	body := msg[1:]
 	switch msg[0] {
 	case ctagRegister:
-		var info NodeInfo
-		if err := decodeCtrl(msg, &info); err != nil {
+		info, err := decodeRegister(body)
+		if err != nil {
 			return refuse(err)
 		}
 		if err := c.Register(info); err != nil {
 			return refuse(err)
 		}
 		return ackMsg{OK: true}
-	case ctagHeartbeat:
-		var hb heartbeatMsg
-		if err := decodeCtrl(msg, &hb); err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Known: c.Heartbeat(hb.ID, hb.Load)}
 	case ctagDelta:
 		ack, err := c.applyDeltaFrame(msg)
 		if err != nil {
@@ -1116,15 +1021,15 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 		}
 		return ack
 	case ctagDeregister:
-		var m nodeIDMsg
-		if err := decodeCtrl(msg, &m); err != nil {
+		id, err := decodeStrMsg(schNodeID, "id", body)
+		if err != nil {
 			return refuse(err)
 		}
-		c.Deregister(m.ID)
+		c.Deregister(id)
 		return ackMsg{OK: true}
 	case ctagResolve:
-		var req ResolveRequest
-		if err := decodeCtrl(msg, &req); err != nil {
+		req, err := decodeResolve(body)
+		if err != nil {
 			return refuse(err)
 		}
 		grant, err := c.Resolve(req)
@@ -1133,30 +1038,30 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 		}
 		return ackMsg{OK: true, Grant: grant}
 	case ctagEndSession:
-		var m sessionMsg
-		if err := decodeCtrl(msg, &m); err != nil {
+		sid, err := decodeStrMsg(schSession, "sid", body)
+		if err != nil {
 			return refuse(err)
 		}
-		c.EndSession(m.SID)
+		c.EndSession(sid)
 		return ackMsg{OK: true}
 	case ctagNodes:
 		return ackMsg{OK: true, Nodes: c.Nodes()}
 	case ctagPerfIngest:
-		var m perfIngestMsg
-		if err := decodeCtrl(msg, &m); err != nil {
+		samples, err := decodePerfIngest(body)
+		if err != nil {
 			return refuse(err)
 		}
-		n, err := c.IngestSamples(m.Samples)
+		n, err := c.IngestSamples(samples)
 		if err != nil {
 			return refuse(err)
 		}
 		return ackMsg{OK: true, Accepted: n}
 	case ctagPerfProfile:
-		var m perfProfileMsg
-		if err := decodeCtrl(msg, &m); err != nil {
+		key, err := decodeStrMsg(schPerfProfile, "config", body)
+		if err != nil {
 			return refuse(err)
 		}
-		p, err := c.PerfProfile(m.ConfigKey)
+		p, err := c.PerfProfile(key)
 		if err != nil {
 			return refuse(err)
 		}

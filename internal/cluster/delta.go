@@ -7,8 +7,8 @@ import (
 	"tunable/internal/bufpool"
 )
 
-// Batched heartbeat deltas. The per-node JSON heartbeat costs one marshal
-// and one unmarshal per node per interval — at fleet scale the coordinator
+// Batched heartbeat deltas. A per-node heartbeat message costs one encode
+// and one decode per node per interval — at fleet scale the coordinator
 // spends its time in the codec, not the registry. A delta frame instead
 // carries a batch of (node ID, net session delta) pairs in a hand-packed
 // binary body that decodes with zero allocations, and one frame renews
@@ -43,28 +43,29 @@ type DeltaEntry struct {
 // written. Node IDs longer than 255 bytes or batches beyond 65535 entries
 // are rejected (both are far outside the protocol's envelope).
 func EncodeDeltaBatch(entries []DeltaEntry) ([]byte, error) {
+	max := 4
+	for _, e := range entries {
+		max += 1 + len(e.ID) + binary.MaxVarintLen32
+	}
+	return appendDeltaBatch(bufpool.Get(max)[:0], entries)
+}
+
+// appendDeltaBatch renders the delta frame for entries, appending to buf.
+func appendDeltaBatch(buf []byte, entries []DeltaEntry) ([]byte, error) {
 	if len(entries) >= maxDeltaEntries {
 		return nil, fmt.Errorf("cluster: delta batch of %d entries exceeds %d", len(entries), maxDeltaEntries-1)
 	}
-	max := 4
+	buf = append(buf, ctagDelta, deltaVersion)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(entries)))
 	for _, e := range entries {
 		if len(e.ID) == 0 || len(e.ID) > 255 {
 			return nil, fmt.Errorf("cluster: delta entry id %q has invalid length", e.ID)
 		}
-		max += 1 + len(e.ID) + binary.MaxVarintLen32
+		buf = append(buf, byte(len(e.ID)))
+		buf = append(buf, e.ID...)
+		buf = binary.AppendUvarint(buf, uint64(zigzag32(e.Sessions)))
 	}
-	buf := bufpool.Get(max)
-	buf[0] = ctagDelta
-	buf[1] = deltaVersion
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(entries)))
-	off := 4
-	for _, e := range entries {
-		buf[off] = byte(len(e.ID))
-		off++
-		off += copy(buf[off:], e.ID)
-		off += binary.PutUvarint(buf[off:], uint64(zigzag32(e.Sessions)))
-	}
-	return buf[:off], nil
+	return buf, nil
 }
 
 // forEachDelta walks a delta frame without allocating: fn receives the ID

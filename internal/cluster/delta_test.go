@@ -90,7 +90,7 @@ func TestDeltaDecodeRejectsMalformed(t *testing.T) {
 	if err := forEachDelta(nil, nop); err == nil {
 		t.Fatal("nil frame accepted")
 	}
-	if err := forEachDelta([]byte{ctagHeartbeat, 1, 0, 0}, nop); err == nil {
+	if err := forEachDelta([]byte{ctagRegister, 1, 0, 0}, nop); err == nil {
 		t.Fatal("wrong tag accepted")
 	}
 	bad := append([]byte(nil), frame...)

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -14,174 +14,93 @@ import (
 	"tunable/internal/wire"
 )
 
-// Control-plane wire protocol: each message is one avis frame whose first
-// byte is a type tag and whose remainder is JSON. The control plane runs
-// at heartbeat rate, not data rate, so self-describing bodies win over
-// hand-packed binary; the framing and timeout discipline stay shared with
-// the data plane (a wedged coordinator surfaces as avis.ErrIOTimeout).
+// Control-plane wire protocol: each message is one internal/wire frame
+// whose tag byte names the request and whose body is a schema-coded
+// message (schema.go) — except the heartbeat delta batch, which is
+// hand-packed (delta.go). The framing, handshake and timeout discipline
+// are shared with the data plane (a wedged coordinator surfaces as
+// avis.ErrIOTimeout).
 const (
 	ctagRegister    = 'g' // agent → coord: NodeInfo
-	ctagHeartbeat   = 'b' // agent → coord: heartbeatMsg
 	ctagDelta       = 'D' // agent → coord: binary delta batch (see delta.go)
-	ctagDeregister  = 'd' // agent → coord: nodeIDMsg (clean leave)
+	ctagDeregister  = 'd' // agent → coord: node ID (clean leave)
 	ctagResolve     = 'v' // client → coord: ResolveRequest
-	ctagEndSession  = 'e' // client → coord: sessionMsg
+	ctagEndSession  = 'e' // client → coord: session ID
 	ctagNodes       = 'n' // anyone → coord: registry listing
-	ctagPerfIngest  = 'p' // agent/server → coord: perfIngestMsg (telemetry samples)
-	ctagPerfProfile = 'q' // anyone → coord: perfProfileMsg (refined profile fetch)
+	ctagPerfIngest  = 'p' // agent/server → coord: telemetry samples
+	ctagPerfProfile = 'q' // anyone → coord: refined profile fetch, by config key
 	ctagAck         = 'a' // coord → caller: ackMsg
 )
 
-type heartbeatMsg struct {
-	ID   string `json:"id"`
-	Load Load   `json:"load"`
-}
-
-type nodeIDMsg struct {
-	ID string `json:"id"`
-}
-
-type sessionMsg struct {
-	SID string `json:"sid"`
-}
-
-// perfIngestMsg carries a batch of live telemetry samples from a node to
-// the coordinator's shared performance store.
-type perfIngestMsg struct {
-	Samples []perfstore.WireSample `json:"samples"`
-}
-
-// perfProfileMsg asks for the refined overlay of one configuration.
-type perfProfileMsg struct {
-	ConfigKey string `json:"config"`
-}
-
 // ResolveRequest asks the coordinator to place (or re-place) a session.
 type ResolveRequest struct {
-	SID     string   `json:"sid"`
-	Exclude []string `json:"exclude,omitempty"` // nodes the client saw fail
+	SID     string
+	Exclude []string // nodes the client saw fail
 	// Per-session resource demand for admission control; CPU ≤ 0 takes
 	// DefaultSessionShare, MemBytes 0 reserves no explicit memory.
-	CPU      float64 `json:"cpu,omitempty"`
-	MemBytes int64   `json:"mem,omitempty"`
+	CPU      float64
+	MemBytes int64
 	// Sig pins the session to nodes serving this image store ("" = any).
-	Sig string `json:"sig,omitempty"`
+	Sig string
 	// Coarse marks a session that mostly fetches coarse pyramid levels —
 	// the cache-friendly traffic class. Edge nodes become eligible and are
 	// preferred; without it only origin servers are considered.
-	Coarse bool `json:"coarse,omitempty"`
+	Coarse bool
 }
 
 // ResolveGrant is the coordinator's placement answer.
 type ResolveGrant struct {
-	NodeID   string `json:"node"`
-	Addr     string `json:"addr"`
-	Sig      string `json:"sig"`
-	Failover bool   `json:"failover"` // true when this re-placed an existing session
+	NodeID   string
+	Addr     string
+	Sig      string
+	Failover bool // true when this re-placed an existing session
 }
 
 // ackMsg is the single coordinator reply shape; fields beyond OK/Err are
 // populated per request type.
 type ackMsg struct {
-	OK    bool         `json:"ok"`
-	Err   string       `json:"err,omitempty"`
-	Known bool         `json:"known,omitempty"` // heartbeat: node is registered and not dead
-	Grant ResolveGrant `json:"grant,omitempty"`
-	Nodes []NodeStatus `json:"nodes,omitempty"`
+	OK    bool
+	Err   string
+	Grant ResolveGrant
+	Nodes []NodeStatus
 	// Unknown echoes the delta-batch entries the coordinator refused
 	// (unknown or dead nodes); the agent re-registers them.
-	Unknown []string `json:"unknown,omitempty"`
+	Unknown []string
 	// Accepted is how many samples of a perf-ingest batch parsed and were
 	// queued (the outlier filter runs later, at fold time).
-	Accepted int `json:"accepted,omitempty"`
+	Accepted int
 	// Profile is the refined overlay answering a perf-profile fetch.
-	Profile *perfstore.Profile `json:"profile,omitempty"`
+	Profile *perfstore.Profile
 }
 
-// encodeCtrl renders tag + JSON body. Marshalling these closed types
-// cannot fail; a panic here is a programming error, not a runtime case.
-func encodeCtrl(tag byte, v any) []byte {
-	body, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: encode %c: %v", tag, err))
-	}
-	return append([]byte{tag}, body...)
-}
-
-// decodeCtrl unmarshals a frame body (everything after the tag).
-func decodeCtrl(msg []byte, v any) error {
-	if len(msg) < 1 {
-		return fmt.Errorf("cluster: empty control frame")
-	}
-	if err := json.Unmarshal(msg[1:], v); err != nil {
-		return fmt.Errorf("cluster: malformed %c frame: %w", msg[0], err)
-	}
-	return nil
-}
-
-// ctrlReq describes one control request in both wire encodings, so the
-// frame is rendered only after a connection — with its negotiated
-// capability set — is in hand: raw is a pre-rendered frame valid in
-// either mode (the binary delta batch); otherwise js renders the JSON
-// form and v2 the schema form (appending to a pooled buffer).
-type ctrlReq struct {
-	raw []byte
-	js  func() []byte
-	v2  func(buf []byte) ([]byte, error)
-}
+// ctrlReq renders one control request — tag byte plus body — appending to
+// buf (a pooled buffer sliced to [:0]).
+type ctrlReq func(buf []byte) ([]byte, error)
 
 // ctrlConn is one request/reply control-plane connection. Calls are
-// serialized; both the agent and the resolver keep one alive and redial
-// lazily on failure. schema records whether version negotiation granted
-// wire.CapSchemaCtrl — the body encoding both sides will use.
+// serialized; both the agent and the resolver keep a pool alive and
+// redial lazily on failure.
 type ctrlConn struct {
-	conn   net.Conn
-	wc     *wire.Conn
-	schema bool
+	conn net.Conn
+	wc   *wire.Conn
 }
 
-// newCtrlConn wraps a dialed connection and negotiates the wire version
-// (unless pinned to v1). An old coordinator answers the probe with a
-// JSON refusal ack; the probe logic consumes it and stays on v1+JSON.
-func newCtrlConn(conn net.Conn, timeout time.Duration, wireV1 bool) (*ctrlConn, error) {
+// newCtrlConn wraps a dialed connection and runs the wire handshake; a
+// coordinator that does not complete it is refused (*wire.HandshakeError,
+// or a timeout when it says nothing).
+func newCtrlConn(conn net.Conn, timeout time.Duration, inst wire.Instruments) (*ctrlConn, error) {
 	cc := &ctrlConn{conn: conn, wc: wire.NewConn(conn, timeout)}
-	if !wireV1 {
-		if err := cc.wc.StartClient(wire.CapSchemaCtrl); err != nil {
-			_ = conn.Close()
-			return nil, avis.WrapTimeout("negotiate", timeout, err)
-		}
-		cc.schema = cc.wc.Caps()&wire.CapSchemaCtrl != 0
+	cc.wc.SetInstruments(inst)
+	if err := cc.wc.StartClient(0); err != nil {
+		_ = conn.Close()
+		return nil, avis.WrapTimeout("negotiate", timeout, err)
 	}
 	return cc, nil
 }
 
-// dialCtrl connects to the coordinator. timeout bounds the dial and, when
-// positive, becomes the per-frame progress deadline of every later call.
-func dialCtrl(addr string, timeout time.Duration, wireV1 bool) (*ctrlConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", addr, err)
-	}
-	return newCtrlConn(conn, timeout, wireV1)
-}
-
-// call renders the request in this connection's negotiated encoding,
-// sends it, and decodes the coordinator's ack. An ack with OK=false is
-// returned as an error.
-func (c *ctrlConn) call(req ctrlReq, timeout time.Duration) (ackMsg, error) {
-	frame := req.raw
-	if frame == nil {
-		if c.schema {
-			var err error
-			frame, err = req.v2(bufpool.Get(256)[:0])
-			if err != nil {
-				return ackMsg{}, err
-			}
-			defer bufpool.Put(frame)
-		} else {
-			frame = req.js()
-		}
-	}
+// call sends one rendered request frame and decodes the coordinator's
+// ack. An ack with OK=false is returned as an error.
+func (c *ctrlConn) call(frame []byte, timeout time.Duration) (ackMsg, error) {
 	if err := c.wc.WriteMsg(frame); err != nil {
 		return ackMsg{}, avis.WrapTimeout("write", timeout, err)
 	}
@@ -190,15 +109,11 @@ func (c *ctrlConn) call(req ctrlReq, timeout time.Duration) (ackMsg, error) {
 		return ackMsg{}, avis.WrapTimeout("read", timeout, err)
 	}
 	defer bufpool.Put(msg)
-	if len(msg) < 1 || msg[0] != ctagAck {
+	if msg[0] != ctagAck {
 		return ackMsg{}, fmt.Errorf("cluster: unexpected reply frame")
 	}
-	var ack ackMsg
-	if c.schema {
-		if ack, err = decodeAckV2(msg[1:]); err != nil {
-			return ackMsg{}, err
-		}
-	} else if err := decodeCtrl(msg, &ack); err != nil {
+	ack, err := decodeAck(msg[1:])
+	if err != nil {
 		return ackMsg{}, err
 	}
 	if !ack.OK {
@@ -239,11 +154,13 @@ type client struct {
 	idle     []*ctrlConn
 	closed   bool
 	dial     DialFunc
-	wireV1   bool // pin new connections to v1 framing + JSON bodies
-	attempts int  // per-call cap, including the first try
+	attempts int // per-call cap, including the first try
 	backoff  Backoff
 	budget   *RetryBudget
+
+	// telemetry instruments; zero (no-op) unless enableMetrics ran
 	mRetries *metrics.Counter
+	wInst    wire.Instruments
 }
 
 func newClient(addr string, timeout time.Duration) *client {
@@ -271,24 +188,27 @@ func (c *client) setRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
 	c.budget = budget
 }
 
+// enableMetrics instruments the client: cluster_ctrl_retries_total
+// labeled with the caller's role, and the wire_* families of its control
+// connections.
+func (c *client) enableMetrics(reg *metrics.Registry, role string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.mRetries = reg.Counter("cluster_ctrl_retries_total",
+		"Control-plane calls transparently retried after a transport failure.",
+		metrics.L("role", role))
+	c.wInst = wire.NewInstruments(reg)
+}
+
 func (c *client) setDialer(dial DialFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dial = dial
 }
 
-// setWireV1 pins every future connection to v1 framing and JSON bodies
-// (no version probe on dial), speaking as a pre-v2 build would. Existing
-// pooled connections are left as negotiated.
-func (c *client) setWireV1(v bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.wireV1 = v
-}
-
 // acquire checks a connection out of the idle pool, dialing a fresh one
 // when the pool is empty. The dial runs outside mu.
-func (c *client) acquire(dial DialFunc, wireV1 bool) (*ctrlConn, error) {
+func (c *client) acquire() (*ctrlConn, error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
 		cc := c.idle[n-1]
@@ -296,15 +216,16 @@ func (c *client) acquire(dial DialFunc, wireV1 bool) (*ctrlConn, error) {
 		c.mu.Unlock()
 		return cc, nil
 	}
+	dial, inst := c.dial, c.wInst
 	c.mu.Unlock()
 	if dial == nil {
-		return dialCtrl(c.addr, c.timeout, wireV1)
+		dial = net.DialTimeout
 	}
 	conn, err := dial("tcp", c.addr, c.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", c.addr, err)
 	}
-	return newCtrlConn(conn, c.timeout, wireV1)
+	return newCtrlConn(conn, c.timeout, inst)
 }
 
 // release returns a healthy connection to the pool (or closes it when the
@@ -324,35 +245,37 @@ func (c *client) release(cc *ctrlConn) {
 // connections, failed dials, timed-out frames) under the retry policy.
 // Each attempt already carries its own deadline (the dial timeout plus
 // the per-frame progress deadline), so the whole call is bounded by
-// attempts·(timeout+backoff).
+// attempts·(timeout+backoff). Deterministic failures are returned at
+// once, costing neither a healthy connection nor retry budget: a request
+// that does not encode, a frame past wire.FrameLimit (rejected before any
+// byte is written), and a peer that refuses the wire handshake would all
+// fail identically on every attempt.
 func (c *client) call(req ctrlReq) (ackMsg, error) {
+	frame, err := req(bufpool.Get(256)[:0])
+	if err != nil {
+		return ackMsg{}, err
+	}
+	defer bufpool.Put(frame)
 	c.mu.Lock()
 	attempts, backoff, budget := c.attempts, c.backoff, c.budget
-	retries, dial, wireV1 := c.mRetries, c.dial, c.wireV1
+	retries := c.mRetries
 	c.mu.Unlock()
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		cc, err := c.acquire(dial, wireV1)
+		cc, err := c.acquire()
 		if err == nil {
 			var ack ackMsg
-			ack, err = cc.call(req, c.timeout)
-			if err == nil {
-				c.release(cc)
-				return ack, nil
-			}
-			if ack.Err != "" {
-				// The coordinator refused; the connection is fine.
+			ack, err = cc.call(frame, c.timeout)
+			if err == nil || ack.Err != "" || errors.Is(err, wire.ErrFrameTooLarge) {
+				// Granted, refused by the coordinator, or never sent: the
+				// connection is fine either way.
 				c.release(cc)
 				return ack, err
 			}
 			cc.close()
 		}
-		lastErr = err
-		if attempt+1 >= attempts {
-			return ackMsg{}, lastErr
-		}
-		if !budget.Allow() {
-			return ackMsg{}, lastErr
+		var refused *wire.HandshakeError
+		if errors.As(err, &refused) || attempt+1 >= attempts || !budget.Allow() {
+			return ackMsg{}, err
 		}
 		retries.Inc()
 		time.Sleep(backoff.Delay(attempt))

@@ -23,14 +23,9 @@ func NewResolver(addr string, timeout time.Duration) *Resolver {
 }
 
 // EnableMetrics instruments the resolver: cluster_ctrl_retries_total
-// (role="resolver") counts transparently retried control calls.
-func (r *Resolver) EnableMetrics(reg *metrics.Registry) {
-	r.cl.mu.Lock()
-	defer r.cl.mu.Unlock()
-	r.cl.mRetries = reg.Counter("cluster_ctrl_retries_total",
-		"Control-plane calls transparently retried after a transport failure.",
-		metrics.L("role", "resolver"))
-}
+// (role="resolver") counts transparently retried control calls, and the
+// wire_* families cover its control connections.
+func (r *Resolver) EnableMetrics(reg *metrics.Registry) { r.cl.enableMetrics(reg, "resolver") }
 
 // SetRetryPolicy bounds the transparent retries under each control call.
 func (r *Resolver) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
@@ -40,17 +35,9 @@ func (r *Resolver) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) 
 // SetDialer interposes on control-plane dials (fault injection).
 func (r *Resolver) SetDialer(dial DialFunc) { r.cl.setDialer(dial) }
 
-// SetWireV1 pins the resolver's control connections to v1 framing and
-// JSON bodies, as a pre-v2 build would speak (mixed-version rollouts,
-// tests).
-func (r *Resolver) SetWireV1(v bool) { r.cl.setWireV1(v) }
-
 // Resolve asks the coordinator to place the session.
 func (r *Resolver) Resolve(req ResolveRequest) (ResolveGrant, error) {
-	ack, err := r.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagResolve, req) },
-		v2: func(buf []byte) ([]byte, error) { return encodeResolveV2(buf, req) },
-	})
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) { return encodeResolve(buf, req) })
 	if err != nil {
 		return ResolveGrant{}, err
 	}
@@ -59,9 +46,8 @@ func (r *Resolver) Resolve(req ResolveRequest) (ResolveGrant, error) {
 
 // EndSession releases the session's reservation on the coordinator.
 func (r *Resolver) EndSession(sid string) error {
-	_, err := r.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagEndSession, sessionMsg{SID: sid}) },
-		v2: func(buf []byte) ([]byte, error) { return encodeSessionV2(buf, sid) },
+	_, err := r.cl.call(func(buf []byte) ([]byte, error) {
+		return encodeStrMsg(buf, ctagEndSession, schSession, "sid", sid)
 	})
 	return err
 }
@@ -69,10 +55,7 @@ func (r *Resolver) EndSession(sid string) error {
 // PublishSamples pushes telemetry samples into the coordinator's shared
 // performance store, returning how many were accepted for ingest.
 func (r *Resolver) PublishSamples(samples []perfstore.WireSample) (int, error) {
-	ack, err := r.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagPerfIngest, perfIngestMsg{Samples: samples}) },
-		v2: func(buf []byte) ([]byte, error) { return encodePerfIngestV2(buf, samples) },
-	})
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) { return encodePerfIngest(buf, samples) })
 	if err != nil {
 		return 0, err
 	}
@@ -82,9 +65,8 @@ func (r *Resolver) PublishSamples(samples []perfstore.WireSample) (int, error) {
 // FetchProfile retrieves the refined overlay for a configuration key from
 // the coordinator's shared performance store.
 func (r *Resolver) FetchProfile(configKey string) (*perfstore.Profile, error) {
-	ack, err := r.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagPerfProfile, perfProfileMsg{ConfigKey: configKey}) },
-		v2: func(buf []byte) ([]byte, error) { return encodePerfProfileV2(buf, configKey) },
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
+		return encodeStrMsg(buf, ctagPerfProfile, schPerfProfile, "config", configKey)
 	})
 	if err != nil {
 		return nil, err
@@ -94,10 +76,8 @@ func (r *Resolver) FetchProfile(configKey string) (*perfstore.Profile, error) {
 
 // Nodes fetches the coordinator's registry view.
 func (r *Resolver) Nodes() ([]NodeStatus, error) {
-	ack, err := r.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagNodes, struct{}{}) },
-		v2: encodeNodesV2,
-	})
+	// A node-listing request has no body fields (yet).
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) { return append(buf, ctagNodes), nil })
 	if err != nil {
 		return nil, err
 	}

@@ -7,14 +7,12 @@ import (
 	"tunable/internal/wire"
 )
 
-// Schema-coded control messages: the wire.CapSchemaCtrl encoding of every
-// control-plane body. Each message keeps its ctag* tag byte; only the
-// body changes from JSON to the runtime-interpreted binary schemas below.
-// Field tags are append-only — a new field gets the next tag and old
-// decoders skip it by wire type — which is the forward-compatibility
-// contract that lets mixed-version control planes talk during rolling
-// upgrades (the same property JSON gave us, at a fraction of the cost:
-// see BENCH_wire.json).
+// Schema-coded control messages: the body of every control-plane frame
+// (bar the delta batch) is rendered against the runtime-interpreted
+// binary schemas below, behind its ctag* tag byte. Field tags are
+// append-only — a new field gets the next tag and old decoders skip it by
+// wire type — which is the forward-compatibility contract between builds
+// of different age. The golden fixtures under testdata/ pin the bytes.
 //
 // Maps (sample resources/metrics) are encoded as repeated {k, v}
 // sub-messages with keys sorted, so equal messages encode to equal bytes.
@@ -35,11 +33,6 @@ var (
 		wire.Field{Name: "levels", Tag: 7, Kind: wire.Uint},
 		wire.Field{Name: "seed", Tag: 8, Kind: wire.Sint}, // repeated
 		wire.Field{Name: "sig", Tag: 9, Kind: wire.String},
-	)
-
-	schHeartbeat = wire.NewSchema("heartbeat",
-		wire.Field{Name: "id", Tag: 1, Kind: wire.String, Required: true},
-		wire.Field{Name: "active", Tag: 2, Kind: wire.Uint},
 	)
 
 	schNodeID = wire.NewSchema("node_id",
@@ -111,7 +104,7 @@ var (
 	schAck = wire.NewSchema("ack",
 		wire.Field{Name: "ok", Tag: 1, Kind: wire.Bool},
 		wire.Field{Name: "err", Tag: 2, Kind: wire.String},
-		wire.Field{Name: "known", Tag: 3, Kind: wire.Bool},
+		// tag 3 is reserved: older builds sent a bool there; do not reuse it
 		wire.Field{Name: "grant", Tag: 4, Kind: wire.Msg},
 		wire.Field{Name: "node", Tag: 5, Kind: wire.Msg},       // repeated NodeStatus
 		wire.Field{Name: "unknown", Tag: 6, Kind: wire.String}, // repeated
@@ -172,11 +165,11 @@ func decMapField(d *wire.Decoder, m map[string]float64) (map[string]float64, err
 	return m, nil
 }
 
-// Every encodeXV2 appends tag + schema body to buf (usually a pooled
-// buffer sliced to [:0]) and returns it; every decodeXV2 parses a body
-// (the frame after its tag byte).
+// Every encodeX appends tag + schema body to buf (usually a pooled buffer
+// sliced to [:0]) and returns it; every decodeX parses a body (the frame
+// after its tag byte).
 
-func encodeRegisterV2(buf []byte, info NodeInfo) ([]byte, error) {
+func encodeRegister(buf []byte, info NodeInfo) ([]byte, error) {
 	var e wire.Encoder
 	e.Init(schNodeInfo, append(buf, ctagRegister))
 	e.Str("id", info.ID)
@@ -197,7 +190,7 @@ func encodeRegisterV2(buf []byte, info NodeInfo) ([]byte, error) {
 	return e.Finish()
 }
 
-func decodeRegisterV2(body []byte) (NodeInfo, error) {
+func decodeRegister(body []byte) (NodeInfo, error) {
 	var d wire.Decoder
 	d.Init(schNodeInfo, body)
 	var info NodeInfo
@@ -226,68 +219,30 @@ func decodeRegisterV2(body []byte) (NodeInfo, error) {
 	return info, d.Err()
 }
 
-func encodeHeartbeatV2(buf []byte, hb heartbeatMsg) ([]byte, error) {
+// encodeStrMsg renders a message whose body is one string field — the
+// deregister (node ID), end-session (session ID) and perf-profile (config
+// key) requests.
+func encodeStrMsg(buf []byte, tag byte, s *wire.Schema, field, v string) ([]byte, error) {
 	var e wire.Encoder
-	e.Init(schHeartbeat, append(buf, ctagHeartbeat))
-	e.Str("id", hb.ID)
-	e.Uint("active", uint64(hb.Load.ActiveSessions))
+	e.Init(s, append(buf, tag))
+	e.Str(field, v)
 	return e.Finish()
 }
 
-func decodeHeartbeatV2(body []byte) (heartbeatMsg, error) {
+// decodeStrMsg parses the body encodeStrMsg rendered.
+func decodeStrMsg(s *wire.Schema, field string, body []byte) (string, error) {
 	var d wire.Decoder
-	d.Init(schHeartbeat, body)
-	var hb heartbeatMsg
+	d.Init(s, body)
+	var v string
 	for d.Next() {
-		switch d.Field().Name {
-		case "id":
-			hb.ID = d.Str()
-		case "active":
-			hb.Load.ActiveSessions = int(d.Uint())
+		if d.Field().Name == field {
+			v = d.Str()
 		}
 	}
-	return hb, d.Err()
+	return v, d.Err()
 }
 
-func encodeNodeIDV2(buf []byte, tag byte, id string) ([]byte, error) {
-	var e wire.Encoder
-	e.Init(schNodeID, append(buf, tag))
-	e.Str("id", id)
-	return e.Finish()
-}
-
-func decodeNodeIDV2(body []byte) (nodeIDMsg, error) {
-	var d wire.Decoder
-	d.Init(schNodeID, body)
-	var m nodeIDMsg
-	for d.Next() {
-		if d.Field().Name == "id" {
-			m.ID = d.Str()
-		}
-	}
-	return m, d.Err()
-}
-
-func encodeSessionV2(buf []byte, sid string) ([]byte, error) {
-	var e wire.Encoder
-	e.Init(schSession, append(buf, ctagEndSession))
-	e.Str("sid", sid)
-	return e.Finish()
-}
-
-func decodeSessionV2(body []byte) (sessionMsg, error) {
-	var d wire.Decoder
-	d.Init(schSession, body)
-	var m sessionMsg
-	for d.Next() {
-		if d.Field().Name == "sid" {
-			m.SID = d.Str()
-		}
-	}
-	return m, d.Err()
-}
-
-func encodeResolveV2(buf []byte, req ResolveRequest) ([]byte, error) {
+func encodeResolve(buf []byte, req ResolveRequest) ([]byte, error) {
 	var e wire.Encoder
 	e.Init(schResolve, append(buf, ctagResolve))
 	e.Str("sid", req.SID)
@@ -309,7 +264,7 @@ func encodeResolveV2(buf []byte, req ResolveRequest) ([]byte, error) {
 	return e.Finish()
 }
 
-func decodeResolveV2(body []byte) (ResolveRequest, error) {
+func decodeResolve(body []byte) (ResolveRequest, error) {
 	var d wire.Decoder
 	d.Init(schResolve, body)
 	var req ResolveRequest
@@ -332,11 +287,6 @@ func decodeResolveV2(body []byte) (ResolveRequest, error) {
 	return req, d.Err()
 }
 
-func encodeNodesV2(buf []byte) ([]byte, error) {
-	// A node-listing request has no body fields (yet).
-	return append(buf, ctagNodes), nil
-}
-
 func encodeSampleBody(e *wire.Encoder, s *perfstore.WireSample) error {
 	e.Str("config", s.Config)
 	if err := encMap(e, "resource", s.Resources); err != nil {
@@ -354,7 +304,7 @@ func encodeSampleBody(e *wire.Encoder, s *perfstore.WireSample) error {
 	return nil
 }
 
-func decodeSampleV2(body []byte) (perfstore.WireSample, error) {
+func decodeSample(body []byte) (perfstore.WireSample, error) {
 	var d wire.Decoder
 	d.Init(schSample, body)
 	var s perfstore.WireSample
@@ -380,7 +330,7 @@ func decodeSampleV2(body []byte) (perfstore.WireSample, error) {
 	return s, d.Err()
 }
 
-func encodePerfIngestV2(buf []byte, samples []perfstore.WireSample) ([]byte, error) {
+func encodePerfIngest(buf []byte, samples []perfstore.WireSample) ([]byte, error) {
 	var e wire.Encoder
 	e.Init(schPerfIngest, append(buf, ctagPerfIngest))
 	for i := range samples {
@@ -397,39 +347,20 @@ func encodePerfIngestV2(buf []byte, samples []perfstore.WireSample) ([]byte, err
 	return e.Finish()
 }
 
-func decodePerfIngestV2(body []byte) (perfIngestMsg, error) {
+func decodePerfIngest(body []byte) ([]perfstore.WireSample, error) {
 	var d wire.Decoder
 	d.Init(schPerfIngest, body)
-	var m perfIngestMsg
+	var samples []perfstore.WireSample
 	for d.Next() {
 		if d.Field().Name == "sample" {
-			s, err := decodeSampleV2(d.MsgBytes())
+			s, err := decodeSample(d.MsgBytes())
 			if err != nil {
-				return m, err
+				return samples, err
 			}
-			m.Samples = append(m.Samples, s)
+			samples = append(samples, s)
 		}
 	}
-	return m, d.Err()
-}
-
-func encodePerfProfileV2(buf []byte, configKey string) ([]byte, error) {
-	var e wire.Encoder
-	e.Init(schPerfProfile, append(buf, ctagPerfProfile))
-	e.Str("config", configKey)
-	return e.Finish()
-}
-
-func decodePerfProfileV2(body []byte) (perfProfileMsg, error) {
-	var d wire.Decoder
-	d.Init(schPerfProfile, body)
-	var m perfProfileMsg
-	for d.Next() {
-		if d.Field().Name == "config" {
-			m.ConfigKey = d.Str()
-		}
-	}
-	return m, d.Err()
+	return samples, d.Err()
 }
 
 func encodeGrantBody(e *wire.Encoder, g ResolveGrant) {
@@ -447,7 +378,7 @@ func encodeGrantBody(e *wire.Encoder, g ResolveGrant) {
 	}
 }
 
-func decodeGrantV2(body []byte) (ResolveGrant, error) {
+func decodeGrant(body []byte) (ResolveGrant, error) {
 	var d wire.Decoder
 	d.Init(schGrant, body)
 	var g ResolveGrant
@@ -481,7 +412,7 @@ func encodeNodeStatusBody(e *wire.Encoder, n *NodeStatus) {
 	e.Uint("incarnation", n.Incarnation)
 }
 
-func decodeNodeStatusV2(body []byte) (NodeStatus, error) {
+func decodeNodeStatus(body []byte) (NodeStatus, error) {
 	var d wire.Decoder
 	d.Init(schNodeStatus, body)
 	var n NodeStatus
@@ -524,7 +455,7 @@ func encodeRecordBody(e *wire.Encoder, r *perfstore.ProfileRecord) error {
 	return nil
 }
 
-func decodeRecordV2(body []byte) (perfstore.ProfileRecord, error) {
+func decodeRecord(body []byte) (perfstore.ProfileRecord, error) {
 	var d wire.Decoder
 	d.Init(schRecord, body)
 	var r perfstore.ProfileRecord
@@ -565,7 +496,7 @@ func encodeProfileBody(e *wire.Encoder, p *perfstore.Profile) error {
 	return nil
 }
 
-func decodeProfileV2(body []byte) (*perfstore.Profile, error) {
+func decodeProfile(body []byte) (*perfstore.Profile, error) {
 	var d wire.Decoder
 	d.Init(schProfile, body)
 	p := &perfstore.Profile{}
@@ -576,7 +507,7 @@ func decodeProfileV2(body []byte) (*perfstore.Profile, error) {
 		case "version":
 			p.Version = d.Uint()
 		case "record":
-			r, err := decodeRecordV2(d.MsgBytes())
+			r, err := decodeRecord(d.MsgBytes())
 			if err != nil {
 				return nil, err
 			}
@@ -586,17 +517,14 @@ func decodeProfileV2(body []byte) (*perfstore.Profile, error) {
 	return p, d.Err()
 }
 
-// encodeAckV2 renders the coordinator's reply in schema form (tag +
-// body), appending to buf.
-func encodeAckV2(buf []byte, ack *ackMsg) ([]byte, error) {
+// encodeAck renders the coordinator's reply (tag + body), appending to
+// buf.
+func encodeAck(buf []byte, ack *ackMsg) ([]byte, error) {
 	var e wire.Encoder
 	e.Init(schAck, append(buf, ctagAck))
 	e.Bool("ok", ack.OK)
 	if ack.Err != "" {
 		e.Str("err", ack.Err)
-	}
-	if ack.Known {
-		e.Bool("known", true)
 	}
 	if ack.Grant != (ResolveGrant{}) {
 		g := ack.Grant
@@ -634,8 +562,8 @@ func encodeAckV2(buf []byte, ack *ackMsg) ([]byte, error) {
 	return e.Finish()
 }
 
-// decodeAckV2 parses a schema-coded ack body.
-func decodeAckV2(body []byte) (ackMsg, error) {
+// decodeAck parses an ack body.
+func decodeAck(body []byte) (ackMsg, error) {
 	var d wire.Decoder
 	d.Init(schAck, body)
 	var ack ackMsg
@@ -645,16 +573,14 @@ func decodeAckV2(body []byte) (ackMsg, error) {
 			ack.OK = d.Bool()
 		case "err":
 			ack.Err = d.Str()
-		case "known":
-			ack.Known = d.Bool()
 		case "grant":
-			g, err := decodeGrantV2(d.MsgBytes())
+			g, err := decodeGrant(d.MsgBytes())
 			if err != nil {
 				return ack, err
 			}
 			ack.Grant = g
 		case "node":
-			n, err := decodeNodeStatusV2(d.MsgBytes())
+			n, err := decodeNodeStatus(d.MsgBytes())
 			if err != nil {
 				return ack, err
 			}
@@ -664,7 +590,7 @@ func decodeAckV2(body []byte) (ackMsg, error) {
 		case "accepted":
 			ack.Accepted = int(d.Uint())
 		case "profile":
-			p, err := decodeProfileV2(d.MsgBytes())
+			p, err := decodeProfile(d.MsgBytes())
 			if err != nil {
 				return ack, err
 			}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"testing"
 
@@ -11,10 +10,8 @@ import (
 
 // The BenchmarkWire* suite is recorded as BENCH_wire.json
 // (scripts/bench_wire.sh) and gated by scripts/bench_check.sh: frame
-// write/read under both framing versions, and the schema codec against
-// the JSON bodies it replaced on the control plane, on two
-// representative messages (the steady-state heartbeat and the
-// placement-time resolve).
+// write/read, and the schema codec on two representative control
+// messages (a small node report and the placement-time resolve).
 
 // loopReader serves the same encoded frame forever, so read benchmarks
 // measure decoding, not buffer refills.
@@ -33,12 +30,11 @@ func (l *loopReader) Write(p []byte) (int, error) { return len(p), nil }
 
 var benchMsg = append([]byte{'S'}, bytes.Repeat([]byte{0xA5}, 256)...)
 
-func benchWriteFrame(b *testing.B, ver Version) {
+func BenchmarkWireWriteFrame(b *testing.B) {
 	c := NewStream(struct {
 		io.Reader
 		io.Writer
 	}{nil, io.Discard})
-	c.ver = ver
 	b.SetBytes(int64(len(benchMsg)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,18 +45,13 @@ func benchWriteFrame(b *testing.B, ver Version) {
 	}
 }
 
-func BenchmarkWireWriteFrameV1(b *testing.B) { benchWriteFrame(b, V1) }
-func BenchmarkWireWriteFrameV2(b *testing.B) { benchWriteFrame(b, V2) }
-
-func benchReadFrame(b *testing.B, ver Version) {
+func BenchmarkWireReadFrame(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-	w.ver = ver
 	if err := w.WriteMsg(benchMsg); err != nil {
 		b.Fatal(err)
 	}
 	c := NewStream(&loopReader{frame: buf.Bytes()})
-	c.ver = ver
 	b.SetBytes(int64(len(benchMsg)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,22 +64,14 @@ func benchReadFrame(b *testing.B, ver Version) {
 	}
 }
 
-func BenchmarkWireReadFrameV1(b *testing.B) { benchReadFrame(b, V1) }
-func BenchmarkWireReadFrameV2(b *testing.B) { benchReadFrame(b, V2) }
-
-// Mirrors of the control plane's heartbeat and resolve bodies, in both
-// codecs, so the suite captures the JSON→schema delta without importing
+// Mirrors of two control-plane bodies — a two-field node report and the
+// resolve request — so the suite times the schema codec without importing
 // internal/cluster (which would cycle).
 
 var benchHeartbeatSchema = NewSchema("heartbeat",
 	Field{Name: "id", Tag: 1, Kind: String, Required: true},
 	Field{Name: "active", Tag: 2, Kind: Uint},
 )
-
-type benchHeartbeatJSON struct {
-	ID     string `json:"id"`
-	Active int    `json:"active,omitempty"`
-}
 
 var benchResolveSchema = NewSchema("resolve",
 	Field{Name: "sid", Tag: 1, Kind: String, Required: true},
@@ -98,15 +81,6 @@ var benchResolveSchema = NewSchema("resolve",
 	Field{Name: "sig", Tag: 5, Kind: String},
 	Field{Name: "coarse", Tag: 6, Kind: Bool},
 )
-
-type benchResolveJSON struct {
-	SID     string   `json:"sid"`
-	Exclude []string `json:"exclude,omitempty"`
-	CPU     float64  `json:"cpu,omitempty"`
-	Mem     int64    `json:"mem,omitempty"`
-	Sig     string   `json:"sig,omitempty"`
-	Coarse  bool     `json:"coarse,omitempty"`
-}
 
 func encodeBenchHeartbeat(e *Encoder, buf []byte) []byte {
 	e.Init(benchHeartbeatSchema, buf)
@@ -145,16 +119,6 @@ func BenchmarkWireEncodeHeartbeatSchema(b *testing.B) {
 	_ = buf
 }
 
-func BenchmarkWireEncodeHeartbeatJSON(b *testing.B) {
-	m := benchHeartbeatJSON{ID: "node-0042", Active: 17}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireEncodeResolveSchema(b *testing.B) {
 	var e Encoder
 	buf := make([]byte, 0, 128)
@@ -163,23 +127,6 @@ func BenchmarkWireEncodeResolveSchema(b *testing.B) {
 		buf = encodeBenchResolve(&e, buf[:0])
 	}
 	_ = buf
-}
-
-func BenchmarkWireEncodeResolveJSON(b *testing.B) {
-	m := benchResolveJSON{
-		SID:     "session-123456",
-		Exclude: []string{"node-0007", "node-0019"},
-		CPU:     1.5,
-		Mem:     512 << 20,
-		Sig:     "lzw/4+fovea",
-		Coarse:  true,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkWireDecodeHeartbeatSchema(b *testing.B) {
@@ -203,23 +150,6 @@ func BenchmarkWireDecodeHeartbeatSchema(b *testing.B) {
 			b.Fatal(err)
 		}
 		if id == "" || active != 17 {
-			b.Fatal("bad decode")
-		}
-	}
-}
-
-func BenchmarkWireDecodeHeartbeatJSON(b *testing.B) {
-	body, err := json.Marshal(benchHeartbeatJSON{ID: "node-0042", Active: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var m benchHeartbeatJSON
-		if err := json.Unmarshal(body, &m); err != nil {
-			b.Fatal(err)
-		}
-		if m.ID == "" || m.Active != 17 {
 			b.Fatal("bad decode")
 		}
 	}
@@ -256,30 +186,6 @@ func BenchmarkWireDecodeResolveSchema(b *testing.B) {
 			b.Fatal(err)
 		}
 		if fields != 7 || excl != 2 {
-			b.Fatal("bad decode")
-		}
-	}
-}
-
-func BenchmarkWireDecodeResolveJSON(b *testing.B) {
-	body, err := json.Marshal(benchResolveJSON{
-		SID:     "session-123456",
-		Exclude: []string{"node-0007", "node-0019"},
-		CPU:     1.5,
-		Mem:     512 << 20,
-		Sig:     "lzw/4+fovea",
-		Coarse:  true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var m benchResolveJSON
-		if err := json.Unmarshal(body, &m); err != nil {
-			b.Fatal(err)
-		}
-		if m.SID == "" || len(m.Exclude) != 2 {
 			b.Fatal("bad decode")
 		}
 	}

@@ -15,26 +15,22 @@ import (
 // Instruments carries the per-connection wire telemetry. All fields are
 // nil-safe, so uninstrumented deployments pay nothing.
 type Instruments struct {
-	FramesV1 *metrics.Counter // wire_frames_total{version="1"}
 	FramesV2 *metrics.Counter // wire_frames_total{version="2"}
 
 	NegotiatedV2 *metrics.Counter // wire_negotiations_total{outcome="v2"}
-	FallbackV1   *metrics.Counter // wire_negotiations_total{outcome="fallback_v1"}
 	NegotiateErr *metrics.Counter // wire_negotiations_total{outcome="error"}
 }
 
 // NewInstruments registers (or finds) the standard wire metric families
-// in reg: wire_frames_total labeled by framing version, and
+// in reg: wire_frames_total labeled by protocol version, and
 // wire_negotiations_total labeled by outcome. Registration is idempotent,
 // so every component sharing a registry shares the counters.
 func NewInstruments(reg *metrics.Registry) Instruments {
-	const framesHelp = "Protocol frames read or written, by framing version."
-	const negHelp = "Version negotiations, by outcome (v2, fallback_v1, error)."
+	const negHelp = "Version handshakes, by outcome (v2, error)."
 	return Instruments{
-		FramesV1:     reg.Counter("wire_frames_total", framesHelp, metrics.L("version", "1")),
-		FramesV2:     reg.Counter("wire_frames_total", framesHelp, metrics.L("version", "2")),
+		FramesV2: reg.Counter("wire_frames_total",
+			"Protocol frames read or written, by protocol version.", metrics.L("version", "2")),
 		NegotiatedV2: reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "v2")),
-		FallbackV1:   reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "fallback_v1")),
 		NegotiateErr: reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "error")),
 	}
 }
@@ -52,16 +48,19 @@ func vectoredConn(c net.Conn) bool {
 	return false
 }
 
+// hdrLen is the frame header size: length(4) + type(1) + flags(1).
+const hdrLen = 6
+
 // pendingFrame is one queued frame: its header lives in the Conn's header
 // arena (by offset, since the arena may grow), its payload in up to two
 // caller-owned slices that must stay valid until the next flush.
 type pendingFrame struct {
-	hdrOff, hdrLen int
-	p1, p2         []byte
+	hdrOff int
+	p1, p2 []byte
 }
 
-// Conn frames messages over one stream. It owns the framing version and
-// capability set (fixed by negotiation), arms progress deadlines on the
+// Conn frames messages over one stream. It owns the version and
+// capability set the handshake agreed on, arms progress deadlines on the
 // underlying net.Conn — surfacing arming failures instead of proceeding
 // with an unarmed deadline on a half-closed socket — and guarantees that
 // concurrently written frames never interleave on the wire: every flush
@@ -73,9 +72,9 @@ type pendingFrame struct {
 // concurrency-safe — one goroutine owns the read side, as with any
 // stream — but any number of goroutines may call WriteMsg.
 //
-// In both framings a message is its v1 byte shape: the first byte is the
-// tag, the rest the body. V2 carries the tag in the frame header and
-// splices it back on read, so consumers never see the difference.
+// A message is its tag byte followed by the body. The tag travels in the
+// frame header and is spliced back on read, so consumers handle one
+// contiguous tag-prefixed slice.
 type Conn struct {
 	nc       net.Conn // nil when constructed over a plain stream
 	rw       io.ReadWriter
@@ -97,10 +96,9 @@ const readBufSize = 64 << 10
 // NewConn frames messages over a network connection. timeout, when
 // positive, is the per-operation progress deadline armed before every
 // underlying read and write (the same discipline as avis frame I/O); 0
-// waits forever. The connection starts in v1 framing until negotiation
-// upgrades it.
+// waits forever.
 func NewConn(c net.Conn, timeout time.Duration) *Conn {
-	w := &Conn{nc: c, rw: c, timeout: timeout, ver: V1, vectored: vectoredConn(c)}
+	w := &Conn{nc: c, rw: c, timeout: timeout, vectored: vectoredConn(c)}
 	w.br = bufio.NewReaderSize(readerFunc(w.read), readBufSize)
 	return w
 }
@@ -108,7 +106,7 @@ func NewConn(c net.Conn, timeout time.Duration) *Conn {
 // NewStream frames messages over an arbitrary stream (tests, in-memory
 // pipes). No deadlines are armed.
 func NewStream(rw io.ReadWriter) *Conn {
-	w := &Conn{rw: rw, ver: V1}
+	w := &Conn{rw: rw}
 	w.br = bufio.NewReaderSize(readerFunc(w.read), readBufSize)
 	return w
 }
@@ -135,60 +133,24 @@ func (c *Conn) SetTimeout(d time.Duration) { c.timeout = d }
 // SetInstruments installs telemetry counters (zero value = none).
 func (c *Conn) SetInstruments(i Instruments) { c.inst = i }
 
-// Version reports the framing version in force (V1 until negotiated up).
+// Version reports the protocol version the handshake agreed on (0 before
+// the handshake).
 func (c *Conn) Version() Version { return c.ver }
 
-// Caps reports the negotiated capability set (0 until negotiated).
+// Caps reports the capability set the handshake agreed on.
 func (c *Conn) Caps() Caps { return c.caps }
 
-// countFrames bumps the per-version frame counter by n.
-func (c *Conn) countFrames(n int) {
-	if c.ver >= V2 {
-		c.inst.FramesV2.Add(float64(n))
-	} else {
-		c.inst.FramesV1.Add(float64(n))
-	}
-}
-
 // ReadMsg reads one message into a pooled buffer. The returned slice is
-// tag-prefixed regardless of framing version; the caller owns it and may
-// recycle it with bufpool.Put after decoding.
+// tag-prefixed; the caller owns it and may recycle it with bufpool.Put
+// after decoding.
 func (c *Conn) ReadMsg() ([]byte, error) {
-	if c.ver >= V2 {
-		return c.readMsgV2()
-	}
-	return c.readMsgV1()
-}
-
-func (c *Conn) readMsgV1() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary4(hdr[:])
-	if n > FrameLimit {
-		return nil, fmt.Errorf("wire: v1 frame of %d bytes exceeds limit", n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("wire: v1 frame has no tag byte")
-	}
-	msg := bufpool.Get(int(n))
-	if _, err := io.ReadFull(c.br, msg); err != nil {
-		bufpool.Put(msg)
-		return nil, err
-	}
-	c.countFrames(1)
-	return msg, nil
-}
-
-func (c *Conn) readMsgV2() ([]byte, error) {
-	var hdr [6]byte
+	var hdr [hdrLen]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary4(hdr[:4])
 	if n > FrameLimit {
-		return nil, fmt.Errorf("wire: v2 frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	// hdr[5] is the flags byte: reserved, tolerated, ignored — a future
 	// sender may set bits an old reader skips, like schema fields.
@@ -198,7 +160,7 @@ func (c *Conn) readMsgV2() ([]byte, error) {
 		bufpool.Put(msg)
 		return nil, err
 	}
-	c.countFrames(1)
+	c.inst.FramesV2.Inc()
 	return msg, nil
 }
 
@@ -216,23 +178,14 @@ func (c *Conn) appendLocked(head, payload []byte) error {
 	if len(head) == 0 {
 		return fmt.Errorf("wire: empty message (no tag byte)")
 	}
-	size := len(head) + len(payload) // v1 payload size; v2 is one less
-	if c.ver >= V2 {
-		size--
-	}
+	size := len(head) + len(payload) - 1 // the tag byte rides in the header
 	if size > FrameLimit {
 		return &FrameSizeError{N: size, Limit: FrameLimit}
 	}
 	off := len(c.hdrs)
-	if c.ver >= V2 {
-		c.hdrs = append(c.hdrs, 0, 0, 0, 0, head[0], 0)
-		put4(c.hdrs[off:], uint32(size))
-		c.frames = append(c.frames, pendingFrame{hdrOff: off, hdrLen: 6, p1: head[1:], p2: payload})
-	} else {
-		c.hdrs = append(c.hdrs, 0, 0, 0, 0)
-		put4(c.hdrs[off:], uint32(size))
-		c.frames = append(c.frames, pendingFrame{hdrOff: off, hdrLen: 4, p1: head, p2: payload})
-	}
+	c.hdrs = append(c.hdrs, 0, 0, 0, 0, head[0], 0)
+	put4(c.hdrs[off:], uint32(size))
+	c.frames = append(c.frames, pendingFrame{hdrOff: off, p1: head[1:], p2: payload})
 	return nil
 }
 
@@ -256,7 +209,7 @@ func (c *Conn) flushLocked() error {
 	if c.vectored {
 		c.bufs = c.bufs[:0]
 		for _, f := range c.frames {
-			c.bufs = append(c.bufs, c.hdrs[f.hdrOff:f.hdrOff+f.hdrLen])
+			c.bufs = append(c.bufs, c.hdrs[f.hdrOff:f.hdrOff+hdrLen])
 			if len(f.p1) > 0 {
 				c.bufs = append(c.bufs, f.p1)
 			}
@@ -269,12 +222,12 @@ func (c *Conn) flushLocked() error {
 	} else {
 		total := 0
 		for _, f := range c.frames {
-			total += f.hdrLen + len(f.p1) + len(f.p2)
+			total += hdrLen + len(f.p1) + len(f.p2)
 		}
 		buf := bufpool.Get(total)
 		off := 0
 		for _, f := range c.frames {
-			off += copy(buf[off:], c.hdrs[f.hdrOff:f.hdrOff+f.hdrLen])
+			off += copy(buf[off:], c.hdrs[f.hdrOff:f.hdrOff+hdrLen])
 			off += copy(buf[off:], f.p1)
 			off += copy(buf[off:], f.p2)
 		}
@@ -282,7 +235,7 @@ func (c *Conn) flushLocked() error {
 		bufpool.Put(buf)
 	}
 	if err == nil {
-		c.countFrames(n)
+		c.inst.FramesV2.Add(float64(n))
 	}
 	return err
 }
@@ -326,68 +279,50 @@ func (c *Conn) Flush() error {
 	return c.flushLocked()
 }
 
-// StartClient performs client-side version negotiation: it sends a probe
-// advertising MaxVersion and want, reads exactly one reply, and either
-// upgrades the connection (v2 peer) or falls back to v1 framing (old
-// peer, which answered the probe from its unknown-message path; that
-// reply is consumed here so the application stream stays aligned).
+// StartClient performs the client side of the handshake: it sends a probe
+// advertising MaxVersion and want, reads exactly one reply, and adopts
+// the agreed version and capability set. A peer that answers with
+// anything but a handshake of version ≥ 2 is refused with a
+// *HandshakeError; the connection is never downgraded.
 func (c *Conn) StartClient(want Caps) error {
-	var probe [negotiateLen]byte
-	if err := c.WriteMsg(appendNegotiate(probe[:0], MaxVersion, want)); err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
+	var (
+		probe [negotiateLen]byte
+		ver   Version
+		caps  Caps
+	)
+	err := c.WriteMsg(appendNegotiate(probe[:0], MaxVersion, want))
+	if err == nil {
+		var reply []byte
+		if reply, err = c.ReadMsg(); err == nil {
+			ver, caps, err = parseNegotiate(reply)
+			bufpool.Put(reply)
+		}
 	}
-	reply, err := c.readMsgV1()
-	if err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
-	}
-	if !IsNegotiate(reply) {
-		// An old peer refused the probe in its own vocabulary; discard the
-		// refusal and keep speaking v1.
-		bufpool.Put(reply)
-		c.inst.FallbackV1.Inc()
-		return nil
-	}
-	ver, caps, err := parseNegotiate(reply)
-	bufpool.Put(reply)
-	if err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
-	}
-	if v := minVersion(MaxVersion, ver); v >= V2 {
-		c.ver = v
-		c.caps = want & caps
-		c.inst.NegotiatedV2.Inc()
-	} else {
-		c.inst.FallbackV1.Inc()
-	}
-	return nil
+	return c.settle(ver, want&caps, err)
 }
 
-// AcceptV2 performs server-side negotiation for a probe the application
-// loop just read (checked with IsNegotiate): it answers with this build's
-// version and offer, then upgrades the connection to the agreed version
-// and capability set. Subsequent ReadMsg/WriteMsg calls use the new
-// framing; the reply itself travels in v1 framing, which the client
-// expects.
+// AcceptV2 performs the server side of the handshake for a probe the
+// application loop just read (checked with IsNegotiate): it answers with
+// this build's version and offer, then adopts the agreed version and
+// capability set. A probe announcing a version below 2 is refused with a
+// *HandshakeError and gets no reply.
 func (c *Conn) AcceptV2(probe []byte, offer Caps) error {
 	ver, caps, err := parseNegotiate(probe)
+	if err == nil {
+		var reply [negotiateLen]byte
+		err = c.WriteMsg(appendNegotiate(reply[:0], MaxVersion, offer))
+	}
+	return c.settle(ver, offer&caps, err)
+}
+
+// settle records a handshake's outcome: on success the connection runs
+// the lower of the two versions with the ANDed capability set.
+func (c *Conn) settle(peer Version, caps Caps, err error) error {
 	if err != nil {
 		c.inst.NegotiateErr.Inc()
 		return err
 	}
-	var reply [negotiateLen]byte
-	if err := c.WriteMsg(appendNegotiate(reply[:0], MaxVersion, offer)); err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
-	}
-	if v := minVersion(MaxVersion, ver); v >= V2 {
-		c.ver = v
-		c.caps = offer & caps
-		c.inst.NegotiatedV2.Inc()
-	} else {
-		c.inst.FallbackV1.Inc()
-	}
+	c.ver, c.caps = min(peer, MaxVersion), caps
+	c.inst.NegotiatedV2.Inc()
 	return nil
 }

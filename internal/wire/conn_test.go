@@ -3,10 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -24,42 +25,35 @@ type duplex struct {
 func (d *duplex) Read(p []byte) (int, error)  { return d.in.Read(p) }
 func (d *duplex) Write(p []byte) (int, error) { return d.out.Write(p) }
 
-func TestFrameRoundTripBothVersions(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
-			var buf bytes.Buffer
-			w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-			w.ver = ver
-			msgs := [][]byte{
-				{'H'},
-				append([]byte{'S'}, bytes.Repeat([]byte{0xAB}, 300)...),
-				{'N', 1, 2, 3},
-			}
-			for _, m := range msgs {
-				if err := w.WriteMsg(m); err != nil {
-					t.Fatalf("WriteMsg: %v", err)
-				}
-			}
-			r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
-			r.ver = ver
-			for i, want := range msgs {
-				got, err := r.ReadMsg()
-				if err != nil {
-					t.Fatalf("ReadMsg %d: %v", i, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("msg %d: got %x want %x", i, got, want)
-				}
-				bufpool.Put(got)
-			}
-		})
+func TestFrameRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
+	msgs := [][]byte{
+		{'H'},
+		append([]byte{'S'}, bytes.Repeat([]byte{0xAB}, 300)...),
+		{'N', 1, 2, 3},
+	}
+	for _, m := range msgs {
+		if err := w.WriteMsg(m); err != nil {
+			t.Fatalf("WriteMsg: %v", err)
+		}
+	}
+	r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
+	for i, want := range msgs {
+		got, err := r.ReadMsg()
+		if err != nil {
+			t.Fatalf("ReadMsg %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("msg %d: got %x want %x", i, got, want)
+		}
+		bufpool.Put(got)
 	}
 }
 
 func TestV2FrameLayout(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-	w.ver = V2
 	if err := w.WriteMsg([]byte{'R', 9, 8, 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,43 +76,39 @@ func TestV2FrameLayout(t *testing.T) {
 }
 
 func TestAppendFrame2GathersOneMessage(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		var buf bytes.Buffer
-		w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-		w.ver = ver
-		head := []byte{'S', 0, 1}
-		payload := bytes.Repeat([]byte{7}, 50)
-		if err := w.AppendFrame2(head, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AppendFrame([]byte{'E', 42}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
-		r.ver = ver
-		m1, err := r.ReadMsg()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m1, append(append([]byte{}, head...), payload...)) {
-			t.Fatalf("v%d: gathered frame mismatch (%d bytes)", ver, len(m1))
-		}
-		m2, err := r.ReadMsg()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m2, []byte{'E', 42}) {
-			t.Fatalf("v%d: second frame %x", ver, m2)
-		}
+	var buf bytes.Buffer
+	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
+	head := []byte{'S', 0, 1}
+	payload := bytes.Repeat([]byte{7}, 50)
+	if err := w.AppendFrame2(head, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendFrame([]byte{'E', 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
+	m1, err := r.ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m1, append(append([]byte{}, head...), payload...)) {
+		t.Fatalf("gathered frame mismatch (%d bytes)", len(m1))
+	}
+	m2, err := r.ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m2, []byte{'E', 42}) {
+		t.Fatalf("second frame %x", m2)
 	}
 }
 
 func TestFrameSizeErrorOnSend(t *testing.T) {
 	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &bytes.Buffer{}})
-	big := make([]byte, FrameLimit+2)
+	big := make([]byte, FrameLimit+2) // tag + one payload byte too many
 	big[0] = 'S'
 	err := w.WriteMsg(big)
 	if err == nil {
@@ -131,17 +121,18 @@ func TestFrameSizeErrorOnSend(t *testing.T) {
 	if !errors.As(err, &fse) {
 		t.Fatalf("error %T is not *FrameSizeError", err)
 	}
-	if fse.N != FrameLimit+2 || fse.Limit != FrameLimit {
+	if fse.N != FrameLimit+1 || fse.Limit != FrameLimit {
 		t.Fatalf("FrameSizeError = %+v", fse)
 	}
-	// In v2 the tag byte rides in the header, so a message exactly one
-	// byte over the v1 limit still fits.
-	w2 := NewStream(&duplex{in: &bytes.Buffer{}, out: &bytes.Buffer{}})
-	w2.ver = V2
-	if err := w2.WriteMsg(big[:FrameLimit+1]); err != nil {
-		t.Fatalf("v2 frame of limit+tag bytes rejected: %v", err)
+	// The tag byte rides in the header, so a message of limit+1 bytes is
+	// exactly a full frame.
+	if err := w.WriteMsg(big[:FrameLimit+1]); err != nil {
+		t.Fatalf("frame of limit+tag bytes rejected: %v", err)
 	}
 }
+
+// capTest stands in for a capability bit; none is assigned yet.
+const capTest Caps = 1
 
 func TestNegotiateV2BothSides(t *testing.T) {
 	reg := metrics.New()
@@ -163,23 +154,23 @@ func TestNegotiateV2BothSides(t *testing.T) {
 			done <- fmt.Errorf("first message %x is not a probe", msg)
 			return
 		}
-		err = srv.AcceptV2(msg, CapSchemaCtrl)
+		err = srv.AcceptV2(msg, capTest)
 		bufpool.Put(msg)
 		done <- err
 	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
+	if err := cli.StartClient(capTest); err != nil {
 		t.Fatalf("StartClient: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("AcceptV2: %v", err)
 	}
 	if cli.Version() != V2 || srv.Version() != V2 {
-		t.Fatalf("versions cli=%d srv=%d, want v2/v2", cli.Version(), srv.Version())
+		t.Fatalf("versions cli=%d srv=%d, want 2/2", cli.Version(), srv.Version())
 	}
-	if cli.Caps() != CapSchemaCtrl || srv.Caps() != CapSchemaCtrl {
+	if cli.Caps() != capTest || srv.Caps() != capTest {
 		t.Fatalf("caps cli=%x srv=%x", cli.Caps(), srv.Caps())
 	}
-	// Post-negotiation traffic flows in v2 frames.
+	// Application traffic follows on the same connection.
 	go func() { done <- cli.WriteMsg([]byte{'H', 1}) }()
 	msg, err := srv.ReadMsg()
 	if err != nil {
@@ -206,7 +197,7 @@ func TestNegotiateCapsAreANDed(t *testing.T) {
 		}
 		done <- srv.AcceptV2(msg, 0) // server offers nothing
 	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
+	if err := cli.StartClient(capTest); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -220,46 +211,132 @@ func TestNegotiateCapsAreANDed(t *testing.T) {
 	}
 }
 
-// TestNegotiateFallbackOldServer simulates an old peer: it answers the
-// probe with a v1-framed error message, as the shipped avis server does
-// for unknown tags. The client must discard the reply and stay on v1.
-func TestNegotiateFallbackOldServer(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	cli := NewConn(cliConn, time.Second)
-	done := make(chan error, 1)
-	go func() {
-		// Old peer: read the probe frame, reply "unknown message".
-		var hdr [4]byte
-		if _, err := io.ReadFull(srvConn, hdr[:]); err != nil {
-			done <- err
-			return
-		}
-		probe := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(srvConn, probe); err != nil {
-			done <- err
-			return
-		}
-		reply := append([]byte{'E'}, "unknown message"...)
-		var out bytes.Buffer
-		var lh [4]byte
-		binary.LittleEndian.PutUint32(lh[:], uint32(len(reply)))
-		out.Write(lh[:])
-		out.Write(reply)
-		_, err := srvConn.Write(out.Bytes())
-		done <- err
-	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
-		t.Fatalf("StartClient against old peer: %v", err)
+// TestStartClientRefusesBadHandshake is the no-downgrade contract: a peer
+// that answers the probe with some other frame, with a version-1
+// handshake, or with nothing at all fails StartClient with a typed error
+// within the I/O timeout, counted as outcome="error" — the connection
+// never settles on a version.
+func TestStartClientRefusesBadHandshake(t *testing.T) {
+	cases := []struct {
+		name  string
+		reply []byte // nil: read the probe, then stay silent
+		typed bool   // expect a *HandshakeError (else a timeout)
+	}{
+		{"non-handshake frame", append([]byte{'E'}, "unknown message"...), true},
+		{"version 1", appendNegotiate(nil, 1, 0), true},
+		{"silence", nil, false},
 	}
-	if err := <-done; err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := NewInstruments(metrics.New())
+			cliConn, srvConn := net.Pipe()
+			defer cliConn.Close()
+			defer srvConn.Close()
+			cli := NewConn(cliConn, 200*time.Millisecond)
+			cli.SetInstruments(inst)
+			go func() {
+				srv := NewConn(srvConn, 0)
+				if probe, err := srv.ReadMsg(); err != nil || !IsNegotiate(probe) {
+					t.Errorf("stub: probe %x, err %v", probe, err)
+					return
+				}
+				if tc.reply != nil {
+					_ = srv.WriteMsg(tc.reply)
+				}
+			}()
+			start := time.Now()
+			err := cli.StartClient(0)
+			if err == nil {
+				t.Fatal("StartClient succeeded against a peer that never shook hands")
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("StartClient took %v to fail", took)
+			}
+			var he *HandshakeError
+			if errors.As(err, &he) != tc.typed {
+				t.Fatalf("error %v (%T): *HandshakeError = %v, want %v", err, err, !tc.typed, tc.typed)
+			}
+			var ne net.Error
+			if !tc.typed && !(errors.As(err, &ne) && ne.Timeout()) {
+				t.Fatalf("silent peer: error %v is not a timeout", err)
+			}
+			if cli.Version() != 0 || cli.Caps() != 0 {
+				t.Fatalf("refused handshake settled on v%d caps %x", cli.Version(), cli.Caps())
+			}
+			if v := inst.NegotiateErr.Value(); v != 1 {
+				t.Fatalf("negotiations{outcome=error} = %v, want 1", v)
+			}
+			if v := inst.NegotiatedV2.Value(); v != 0 {
+				t.Fatalf("negotiations{outcome=v2} = %v, want 0", v)
+			}
+		})
+	}
+}
+
+// TestAcceptV2RefusesVersion1: the server side refuses the same way and
+// sends no reply.
+func TestAcceptV2RefusesVersion1(t *testing.T) {
+	inst := NewInstruments(metrics.New())
+	var out bytes.Buffer
+	srv := NewStream(&duplex{in: &bytes.Buffer{}, out: &out})
+	srv.SetInstruments(inst)
+	err := srv.AcceptV2(appendNegotiate(nil, 1, 0), 0)
+	var he *HandshakeError
+	if !errors.As(err, &he) {
+		t.Fatalf("AcceptV2(version 1) = %v, want *HandshakeError", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused probe was answered with %x", out.Bytes())
+	}
+	if inst.NegotiateErr.Value() != 1 || srv.Version() != 0 {
+		t.Fatalf("error count %v, version %d", inst.NegotiateErr.Value(), srv.Version())
+	}
+}
+
+// TestHandshakeGolden pins the handshake's bytes on the wire: probe and
+// reply are the same 16 bytes (frame header, magic, version, capability
+// bitmap), framed like every other message.
+func TestHandshakeGolden(t *testing.T) {
+	want := readHex(t, "testdata/handshake.hex")
+	var probe, reply bytes.Buffer
+	cli := NewStream(&duplex{in: bytes.NewBuffer(want), out: &probe})
+	if err := cli.StartClient(0); err != nil {
+		t.Fatalf("StartClient against the golden reply: %v", err)
+	}
+	if !bytes.Equal(probe.Bytes(), want) {
+		t.Errorf("probe on the wire:\n got %x\nwant %x", probe.Bytes(), want)
+	}
+	srv := NewStream(&duplex{in: &probe, out: &reply})
+	msg, err := srv.ReadMsg()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cli.Version() != V1 {
-		t.Fatalf("version %d, want fallback to v1", cli.Version())
+	if err := srv.AcceptV2(msg, 0); err != nil {
+		t.Fatalf("AcceptV2 of the golden probe: %v", err)
 	}
-	if cli.Caps() != 0 {
-		t.Fatalf("caps %x, want 0", cli.Caps())
+	if !bytes.Equal(reply.Bytes(), want) {
+		t.Errorf("reply on the wire:\n got %x\nwant %x", reply.Bytes(), want)
 	}
+}
+
+// readHex loads a golden fixture: hex bytes, with whitespace and
+// #-comments ignored.
+func readHex(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digits []byte
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		line, _, _ = bytes.Cut(line, []byte("#"))
+		digits = append(digits, bytes.Join(bytes.Fields(line), nil)...)
+	}
+	out, err := hex.DecodeString(string(digits))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return out
 }
 
 // TestConcurrentWritersNeverInterleave is the regression test for the
@@ -326,20 +403,11 @@ func TestConcurrentWritersNeverInterleave(t *testing.T) {
 }
 
 func TestReadMsgRejectsOversizeHeader(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		var in bytes.Buffer
-		var hdr [6]byte
-		binary.LittleEndian.PutUint32(hdr[:4], FrameLimit+1)
-		if ver == V1 {
-			in.Write(hdr[:4])
-		} else {
-			in.Write(hdr[:6])
-		}
-		r := NewStream(&duplex{in: &in, out: &bytes.Buffer{}})
-		r.ver = ver
-		if _, err := r.ReadMsg(); err == nil {
-			t.Fatalf("v%d: oversize header accepted", ver)
-		}
+	var hdr [6]byte
+	binary.LittleEndian.PutUint32(hdr[:4], FrameLimit+1)
+	r := NewStream(&duplex{in: bytes.NewBuffer(hdr[:]), out: &bytes.Buffer{}})
+	if _, err := r.ReadMsg(); err == nil {
+		t.Fatal("oversize header accepted")
 	}
 }
 
@@ -401,10 +469,8 @@ func TestInstrumentsCountFramesAndOutcomes(t *testing.T) {
 	if v := inst.NegotiatedV2.Value(); v != 2 { // both ends count
 		t.Fatalf("negotiated_v2 = %v, want 2", v)
 	}
-	if v := inst.FramesV2.Value(); v != 2 { // one write + one read
-		t.Fatalf("frames v2 = %v, want 2", v)
-	}
-	if v := inst.FramesV1.Value(); v == 0 { // negotiation itself is v1-framed
-		t.Fatal("frames v1 = 0, want negotiation frames counted")
+	// probe and reply, each written once and read once, then one message
+	if v := inst.FramesV2.Value(); v != 6 {
+		t.Fatalf("frames = %v, want 6", v)
 	}
 }

@@ -1,35 +1,29 @@
-// Package wire is the versioned frame protocol under every avis
-// connection — the data plane (internal/avis, internal/edge) and the
-// cluster control plane (internal/cluster) both speak it.
+// Package wire is the frame protocol under every avis connection — the
+// data plane (internal/avis, internal/edge) and the cluster control plane
+// (internal/cluster) both speak it.
 //
-// Two framings coexist on one port:
+// There is one framing, in force from the first byte: a fixed 6-byte
+// header — little-endian uint32 payload length, message type, reserved
+// flags byte — followed by the payload, so a frame is read with exactly
+// two ReadFull calls into a pooled buffer and written as one vectored
+// write (header and payload gathered into a single writev; a multi-frame
+// reply batch is also a single writev). Consumers see a message as its
+// tag byte followed by the body; the tag travels in the header.
 //
-//   - v1 is the original length-prefixed framing: a little-endian uint32
-//     payload length followed by the payload, whose first byte is the
-//     message tag. Every peer ever shipped understands it.
-//   - v2 moves the tag (and a reserved flags byte) into a fixed 6-byte
-//     header — length, type, flags — so a frame is read with exactly two
-//     ReadFull calls into a pooled buffer and written as one vectored
-//     write (header and payload gathered into a single writev; a
-//     multi-frame reply batch is also a single writev).
+// Every client opens with a handshake in that same framing: a message
+// carrying a magic number, the highest version the sender speaks, and a
+// capability bitmap, which the peer answers with its own. Both sides then
+// run min(version) with the AND of the capability sets. The handshake is
+// an input check, not a compatibility switch: a peer that answers the
+// probe with anything else, or announces a version below 2, is refused
+// with a *HandshakeError — never silently downgraded. The older
+// length-prefixed v1 framing (tag inside the payload) is not a supported
+// contract; the golden fixtures under testdata/ pin the only protocol
+// there is.
 //
-// Version 2 is negotiated, never assumed. A v2 client opens with a
-// negotiation probe — a v1-framed message carrying a magic number, the
-// highest version the sender speaks, and a capability bitmap — and a v2
-// peer answers with its own. Both sides then run min(version) with the
-// AND of the capability sets. A v1 peer instead answers the probe with
-// whatever it says to an unknown message (the avis server sends a tagged
-// error frame, the coordinator a refusal ack); the client treats any
-// non-negotiation reply as "old peer", discards it, and continues in v1.
-// Mixed-version clusters therefore interoperate in both directions during
-// rolling upgrades, at the cost of one extra round trip per connection
-// and one "unknown message" count on the old side.
-//
-// Capabilities gate encodings above the framing: CapSchemaCtrl switches
-// the cluster's control-message bodies from JSON to the runtime-
-// interpreted binary schemas of schema.go. The data plane negotiates no
-// capabilities — its message payloads stay bit-identical across versions;
-// only the framing around them changes.
+// No capability bits are assigned yet; the bitmap is reserved for
+// encodings a future build may gate. Control-plane bodies are always the
+// runtime-interpreted binary schemas of schema.go.
 package wire
 
 import (
@@ -38,44 +32,45 @@ import (
 	"fmt"
 )
 
-// Version is a wire-protocol framing version.
+// Version is a wire-protocol version, as announced in the handshake.
 type Version uint8
 
 const (
-	// V1 is the legacy length-prefixed framing (tag inside the payload).
-	V1 Version = 1
-	// V2 is the negotiated framing with a 6-byte length/type/flags header.
+	// V2 is the framing with the 6-byte length/type/flags header — the
+	// lowest version a peer may announce.
 	V2 Version = 2
 	// MaxVersion is the highest version this build speaks.
 	MaxVersion = V2
 )
 
-// Caps is the negotiated capability bitmap. The effective capability set
+// Caps is the handshake's capability bitmap. The effective capability set
 // of a connection is the AND of what both ends advertised.
 type Caps uint32
 
-const (
-	// CapSchemaCtrl encodes control-plane message bodies with the
-	// runtime-interpreted binary schemas instead of JSON.
-	CapSchemaCtrl Caps = 1 << iota
-)
-
-// TagNegotiate is the message tag of the version-negotiation probe and
-// reply. It is deliberately a printable byte outside every existing tag
-// map so old peers fall into their unknown-message path.
+// TagNegotiate is the message tag of the handshake probe and reply: a
+// printable byte outside every application tag map.
 const TagNegotiate = 'V'
 
-// Magic guards the negotiation payload against a stray frame that merely
+// Magic guards the handshake payload against a stray frame that merely
 // starts with 'V' ("AVW2" little-endian).
 const Magic uint32 = 0x32575641
 
-// negotiateLen is the exact negotiation message length:
+// negotiateLen is the exact handshake message length:
 // tag(1) + magic(4) + version(1) + caps(4).
 const negotiateLen = 10
 
-// FrameLimit bounds a single protocol frame in either framing (a frame
-// carries at most one reply segment plus headers). Writers enforce it on
-// send (see FrameSizeError); readers enforce it before allocating.
+// HandshakeError reports a peer that did not complete the version
+// handshake: it answered the probe with some other message, or announced
+// a version this build does not speak. The connection is unusable.
+type HandshakeError struct {
+	Reason string
+}
+
+func (e *HandshakeError) Error() string { return "wire: handshake refused: " + e.Reason }
+
+// FrameLimit bounds a single frame's payload (a frame carries at most one
+// reply segment plus headers). Writers enforce it on send (see
+// FrameSizeError); readers enforce it before allocating.
 const FrameLimit = 1 << 22
 
 // ErrFrameTooLarge is the sentinel matched by errors.Is for frames
@@ -99,14 +94,14 @@ func (e *FrameSizeError) Error() string {
 // Is matches ErrFrameTooLarge.
 func (e *FrameSizeError) Is(target error) bool { return target == ErrFrameTooLarge }
 
-// IsNegotiate reports whether msg is a well-formed version-negotiation
-// message (probe or reply).
+// IsNegotiate reports whether msg is a well-formed handshake message
+// (probe or reply).
 func IsNegotiate(msg []byte) bool {
 	return len(msg) == negotiateLen && msg[0] == TagNegotiate &&
 		binary.LittleEndian.Uint32(msg[1:]) == Magic
 }
 
-// appendNegotiate renders a negotiation probe/reply into buf.
+// appendNegotiate renders a handshake probe/reply into buf.
 func appendNegotiate(buf []byte, ver Version, caps Caps) []byte {
 	var b [negotiateLen]byte
 	b[0] = TagNegotiate
@@ -116,24 +111,17 @@ func appendNegotiate(buf []byte, ver Version, caps Caps) []byte {
 	return append(buf, b[:]...)
 }
 
-// parseNegotiate decodes a negotiation message. Versions above MaxVersion
-// are legal (the peer is newer; the caller runs min), versions below V1
-// are not.
+// parseNegotiate decodes a handshake message. Versions above MaxVersion
+// are legal (the peer is newer; the caller runs the lower of the two),
+// versions below V2 are refused.
 func parseNegotiate(msg []byte) (Version, Caps, error) {
 	if !IsNegotiate(msg) {
-		return 0, 0, fmt.Errorf("wire: malformed negotiation message (%d bytes)", len(msg))
+		return 0, 0, &HandshakeError{Reason: fmt.Sprintf("peer sent a %d-byte message tagged %q, not a handshake",
+			len(msg), msg[:min(1, len(msg))])}
 	}
 	ver := Version(msg[5])
-	if ver < V1 {
-		return 0, 0, fmt.Errorf("wire: negotiation announces version %d", ver)
+	if ver < V2 {
+		return 0, 0, &HandshakeError{Reason: fmt.Sprintf("peer announces version %d, below the supported %d", ver, V2)}
 	}
 	return ver, Caps(binary.LittleEndian.Uint32(msg[6:])), nil
-}
-
-// minVersion returns the lower of two versions.
-func minVersion(a, b Version) Version {
-	if a < b {
-		return a
-	}
-	return b
 }

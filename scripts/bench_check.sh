@@ -3,15 +3,18 @@
 # regression: re-run each committed benchmark suite and compare ns/op
 # against its baseline JSON. Any benchmark more than BENCH_TOLERANCE
 # (default 0.20 = 20%) slower than its baseline fails the check with a
-# nonzero exit. Six suites are gated: the data-plane kernels
+# nonzero exit, and so does a name present on only one side — a baseline
+# entry nothing measures any more, or a new benchmark with no baseline —
+# so a rename or a deletion cannot slip through as "not compared". Six
+# suites are gated: the data-plane kernels
 # (BENCH_kernels.json), the edge cache tier (BENCH_edge.json), the
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
 # the counter-commit harness; its trailing "swarm" block is informational
 # and ignored here), the live performance store (BENCH_perfstore.json —
 # cached vs uncached profile lookup, the perfdb lookup under them and
-# sample ingest), the wire protocol (BENCH_wire.json — v1/v2 framing and
-# schema-vs-JSON control bodies), and the workload layer (BENCH_apps.json
-# — the mixed video+foveal harness, arbiter acquire/release, a single
+# sample ingest), the wire protocol (BENCH_wire.json — frame write/read
+# and the schema codec on control bodies), and the workload layer
+# (BENCH_apps.json — the mixed video+foveal harness, arbiter acquire/release, a single
 # video session, and one scheduler decision plain and derated; only ns/op
 # is gated, the sessions/sec and p95-QoS fields are informational).
 #
@@ -19,8 +22,10 @@
 #   BENCH_TOLERANCE=0.60 scripts/bench_check.sh   # looser, for noisy CI
 #   BENCHTIME=2s scripts/bench_check.sh           # steadier measurement
 #
-# Refresh a baseline after an intentional perf change with
-# scripts/bench.sh / scripts/bench_edge.sh (run on a quiet machine).
+# Refresh a baseline after an intentional perf change (or after adding,
+# renaming or deleting a benchmark) with the suite's own script —
+# scripts/bench.sh, bench_edge.sh, bench_control.sh, bench_perfstore.sh,
+# bench_wire.sh, bench_apps.sh — on a quiet machine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,7 +56,10 @@ check_one() {
 	extract "$baseline" >"$CUR.base"
 	extract "$CUR" >"$CUR.now"
 
-	join "$CUR.base" "$CUR.now" | awk -v tol="$TOL" '
+	# Full outer join: a name on one side only shows "-" on the other.
+	join -a 1 -a 2 -e - -o 0,1.2,2.2 "$CUR.base" "$CUR.now" | awk -v tol="$TOL" '
+	$2 == "-" { printf "%-28s measured but has no baseline entry   UNMATCHED\n", $1; lone++; next }
+	$3 == "-" { printf "%-28s in the baseline but not measured    UNMATCHED\n", $1; lone++; next }
 	{
 		name = $1; base = $2; now = $3
 		limit = base * (1 + tol)
@@ -61,7 +69,9 @@ check_one() {
 	}
 	END {
 		if (NR == 0) { print "bench_check: no comparable benchmarks found"; exit 2 }
-		if (bad > 0) { printf "bench_check: %d benchmark(s) regressed beyond +%.0f%%\n", bad, tol * 100; exit 1 }
+		if (lone > 0) { printf "bench_check: %d benchmark name(s) on one side only; refresh the baseline with its script\n", lone }
+		if (bad > 0) { printf "bench_check: %d benchmark(s) regressed beyond +%.0f%%\n", bad, tol * 100 }
+		if (lone > 0 || bad > 0) exit 1
 		printf "bench_check: %d benchmark(s) within +%.0f%% of baseline\n", NR, tol * 100
 	}'
 	rm -f "$CUR" "$CUR.base" "$CUR.now"

@@ -2,10 +2,9 @@
 # bench_control.sh — refresh the control-plane baseline, BENCH_control.json.
 # Two parts land in one file:
 #
-#   - the micro-benchmarks from internal/cluster: the JSON-vs-delta
-#     heartbeat pair (whose ns/op ratio is the registry ops/sec speedup
-#     over the single-mutex baseline), the placement decision at 10k
-#     nodes, and the three-way volatile-counter harness
+#   - the micro-benchmarks from internal/cluster: the delta-batch
+#     heartbeat path (ns/op per logical heartbeat), the placement
+#     decision at 10k nodes, and the three-way volatile-counter harness
 #     (atomic / batch / vsa);
 #   - a "swarm" block from an avis-load run — 100k virtual-time client
 #     sessions against 10k nodes — recording end-to-end registry ops/sec

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # bench_wire.sh — run the wire-protocol micro-benchmarks (frame
-# write/read under v1 and v2 framing, schema vs JSON control bodies for
-# the heartbeat and resolve messages) and record BENCH_wire.json at the
-# repo root. A thin retargeting of scripts/bench.sh; extra go-test flags
-# pass through.
+# write/read, and the schema codec on a small node report and the
+# resolve message) and record BENCH_wire.json at the repo root. A thin
+# retargeting of scripts/bench.sh; extra go-test flags pass through.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -66,11 +66,10 @@ run_smoke() {
 	echo "== avis-load smoke (1k virtual sessions)"
 	go run ./cmd/avis-load -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 
-	# Mixed-version wire conformance: every v1/v2 pairing of server,
-	# client, coordinator, and agent must negotiate (or fall back)
-	# cleanly and produce byte-identical session output — the
-	# rolling-upgrade guarantee.
-	echo "== scripts/wire_conformance.sh (mixed-version matrix)"
+	# Wire conformance: the three binaries as real processes — a direct
+	# session and a coordinator-placed one must both complete (handshake
+	# on every connection) and dump byte-identical pixels.
+	echo "== scripts/wire_conformance.sh (direct + coordinator-placed)"
 	./scripts/wire_conformance.sh
 
 	# Mixed-workload smoke: a seeded video+foveal mix under a replayed
