@@ -206,19 +206,10 @@ func (f *Foveal) Run(p *vtime.Proc, env *SessionEnv) (spec.Metrics, error) {
 		return nil, err
 	}
 	cl.AttachSteering(env.Steer)
-	if err := cl.Connect(p); err != nil {
+	stats, err := cl.Session(p, f.images())
+	if err != nil {
 		return nil, err
 	}
-	var stats []avis.ImageStat
-	for i := 0; i < f.images(); i++ {
-		st, err := cl.FetchImage(p, i%len(f.seeds()))
-		if err != nil {
-			cl.Close(p)
-			return nil, err
-		}
-		stats = append(stats, st)
-	}
-	cl.Close(p)
 	if srvErr, ok := srvDone.Recv(p); ok && srvErr != nil {
 		return nil, fmt.Errorf("apps: foveal server: %w", srvErr)
 	}

@@ -7,6 +7,13 @@
 // wavelet and compression code; processor demand is charged to the
 // sandboxes through a calibrated cost model so the virtual-time
 // experiments reproduce the time scales of the paper's figures.
+//
+// The session itself is written once: session.go is the client half
+// (Figure 2's annotated loop), serve.go the server half, and both run over
+// the env interface of env.go, which has two implementations — the
+// virtual-time testbed and a TCP connection. Client/Server and
+// RealClient/RealServer are constructors binding the core to one of them,
+// so the program the figures measure is the program that ships.
 package avis
 
 import (

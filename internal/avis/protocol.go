@@ -3,6 +3,9 @@ package avis
 import (
 	"encoding/binary"
 	"fmt"
+
+	"tunable/internal/bufpool"
+	"tunable/internal/wire"
 )
 
 // Wire protocol. Each link message carries exactly one protocol message;
@@ -85,7 +88,8 @@ func decodeNotify(b []byte) (string, error) {
 	return string(b[2:]), nil
 }
 
-func encodeRequest(r Request) []byte {
+// EncodeRequest renders a foveal increment request.
+func EncodeRequest(r Request) []byte {
 	out := make([]byte, 26)
 	out[0] = tagRequest
 	binary.LittleEndian.PutUint32(out[1:], uint32(r.Image))
@@ -98,7 +102,8 @@ func encodeRequest(r Request) []byte {
 	return out
 }
 
-func decodeRequest(b []byte) (Request, error) {
+// DecodeRequest parses a foveal increment request.
+func DecodeRequest(b []byte) (Request, error) {
 	if len(b) != 26 || b[0] != tagRequest {
 		return Request{}, fmt.Errorf("avis: malformed request message")
 	}
@@ -137,7 +142,8 @@ func encodeSegment(s Segment) []byte {
 	return append(out, s.Payload...)
 }
 
-func decodeSegment(b []byte) (Segment, error) {
+// DecodeSegment parses one reply segment; Payload aliases b.
+func DecodeSegment(b []byte) (Segment, error) {
 	if len(b) < 14 || b[0] != tagSegment {
 		return Segment{}, fmt.Errorf("avis: malformed segment message")
 	}
@@ -155,3 +161,51 @@ func encodeError(msg string) []byte {
 }
 
 func encodeClose() []byte { return []byte{tagClose} }
+
+// WriteSegmentsWire slices one encoded reply into pipelined segment
+// frames — the server side of a round. rawLen is the reply's
+// pre-compression size; each segment is charged a proportional share of
+// it so the client's decode/display cost model stays exact under any
+// segmentation. An empty reply still produces one (empty, Last) segment
+// so the round always terminates. onSeg, when non-nil, observes each
+// segment's payload size (the telemetry hook). segBytes ≤ 0 takes
+// DefaultSegmentBytes. Every segment header is rendered into one pooled
+// arena and gathered with its payload slice by scatter-gather framing, so
+// the whole reply — all segments, headers and payloads — goes out in a
+// single vectored write with zero payload copies.
+func WriteSegmentsWire(c *wire.Conn, image, seq, rawLen int, enc []byte, segBytes int, onSeg func(wireBytes int)) error {
+	if segBytes <= 0 {
+		segBytes = DefaultSegmentBytes
+	}
+	total := len(enc)
+	nseg := (total + segBytes - 1) / segBytes
+	if nseg == 0 {
+		nseg = 1
+	}
+	// One arena for every header; capacity is reserved up front so the
+	// slices handed to AppendFrame2 stay valid until the flush.
+	heads := bufpool.Get(nseg * segmentHeadLen)[:0]
+	defer bufpool.Put(heads)
+	for off := 0; off < total || off == 0; off += segBytes {
+		end := off + segBytes
+		if end > total {
+			end = total
+		}
+		rawShare := rawLen
+		if total > 0 {
+			rawShare = rawLen * (end - off) / total
+		}
+		hstart := len(heads)
+		heads = appendSegmentHead(heads, Segment{Image: image, Seq: seq, Raw: rawShare, Last: end == total})
+		if err := c.AppendFrame2(heads[hstart:], enc[off:end]); err != nil {
+			return err
+		}
+		if onSeg != nil {
+			onSeg(end - off)
+		}
+		if end == total {
+			break
+		}
+	}
+	return c.Flush()
+}

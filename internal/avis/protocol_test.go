@@ -46,13 +46,13 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			Image: int(img), X: int(x), Y: int(y),
 			R: int(r), PrevR: int(prev), Level: int(level % 8),
 		}
-		got, err := decodeRequest(encodeRequest(req))
+		got, err := DecodeRequest(EncodeRequest(req))
 		return err == nil && got == req
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeRequest([]byte{tagRequest, 0}); err == nil {
+	if _, err := DecodeRequest([]byte{tagRequest, 0}); err == nil {
 		t.Fatal("short request accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 func TestSegmentRoundTripProperty(t *testing.T) {
 	f := func(img uint16, raw uint16, last bool, payload []byte) bool {
 		seg := Segment{Image: int(img), Raw: int(raw), Last: last, Payload: payload}
-		got, err := decodeSegment(encodeSegment(seg))
+		got, err := DecodeSegment(encodeSegment(seg))
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestSegmentRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeSegment([]byte{tagSegment}); err == nil {
+	if _, err := DecodeSegment([]byte{tagSegment}); err == nil {
 		t.Fatal("short segment accepted")
 	}
 }
@@ -83,8 +83,8 @@ func TestDecodersRejectFuzz(t *testing.T) {
 		// None of these may panic; errors are expected.
 		decodeGeom(data)
 		decodeNotify(data)
-		decodeRequest(data)
-		decodeSegment(data)
+		DecodeRequest(data)
+		DecodeSegment(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

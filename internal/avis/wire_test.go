@@ -28,7 +28,7 @@ func TestDataPlaneGolden(t *testing.T) {
 	goldenReply := readHex(t, "testdata/reply_two_segments.hex")
 	var out bytes.Buffer
 	wc := wire.NewStream(rw{nil, &out})
-	if err := wc.WriteMsg(encodeRequest(req)); err != nil {
+	if err := wc.WriteMsg(EncodeRequest(req)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), goldenReq) {
@@ -46,7 +46,7 @@ func TestDataPlaneGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeRequest(msg); err != nil || got != req {
+	if got, err := DecodeRequest(msg); err != nil || got != req {
 		t.Errorf("request fixture decodes to %+v (err %v), want %+v", got, err, req)
 	}
 	rc := wire.NewStream(rw{bytes.NewReader(goldenReply), nil})
@@ -57,7 +57,7 @@ func TestDataPlaneGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
-		seg, err := decodeSegment(msg)
+		seg, err := DecodeSegment(msg)
 		if err != nil || seg.Image != req.Image || seg.Seq != req.Seq || seg.Last != wantLast {
 			t.Fatalf("segment %d decodes to %+v (err %v)", i, seg, err)
 		}

@@ -141,19 +141,7 @@ func (w *World) RunSequence(n int) ([]ImageStat, error) {
 	var stats []ImageStat
 	var ferr error
 	w.Sim.Spawn("avis-client", func(p *vtime.Proc) {
-		if err := w.Client.Connect(p); err != nil {
-			ferr = err
-			return
-		}
-		for i := 0; i < n; i++ {
-			st, err := w.Client.FetchImage(p, i%len(w.Cfg.Seeds))
-			if err != nil {
-				ferr = err
-				break
-			}
-			stats = append(stats, st)
-		}
-		w.Client.Close(p)
+		stats, ferr = w.Client.Session(p, n)
 	})
 	if err := w.Sim.Run(); err != nil {
 		return stats, err

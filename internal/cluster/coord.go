@@ -151,11 +151,7 @@ type Coordinator struct {
 	nSessions atomic.Int64 // session count across shards
 	rot       atomic.Uint32
 
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
-	listeners []net.Listener
-	closed    bool
-	wg        sync.WaitGroup
+	accept wire.Acceptor // control connections
 
 	// perfMu guards perf, the optional shared performance store nodes feed
 	// telemetry into and clients fetch refined profiles from.
@@ -244,7 +240,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		nshards: make([]*nodeShard, n),
 		sshards: make([]*sessionShard, n),
 		sim:     vtime.NewSim(),
-		conns:   make(map[net.Conn]struct{}),
 	}
 	for i := range c.nshards {
 		c.nshards[i] = &nodeShard{
@@ -918,57 +913,16 @@ func (c *Coordinator) PerfProfile(configKey string) (*perfstore.Profile, error) 
 // Serve accepts control connections until the listener closes, handling
 // each in its own goroutine. After Shutdown it returns net.ErrClosed.
 func (c *Coordinator) Serve(l net.Listener) error {
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return net.ErrClosed
-	}
-	c.listeners = append(c.listeners, l)
-	c.connMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		c.connMu.Lock()
-		if c.closed {
-			c.connMu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.connMu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				c.connMu.Lock()
-				delete(c.conns, conn)
-				c.connMu.Unlock()
-				c.wg.Done()
-			}()
-			c.handle(conn)
-		}()
-	}
+	return c.accept.Serve(l, c.cfg.IOTimeout, c.wInst, c.handle)
 }
 
 // handle services one control connection: a loop of request frames, each
-// answered with an ack frame. A handshake probe is answered in kind.
-func (c *Coordinator) handle(conn net.Conn) {
-	wc := wire.NewConn(conn, c.cfg.IOTimeout)
-	wc.SetInstruments(c.wInst)
+// answered with an ack frame.
+func (c *Coordinator) handle(wc *wire.Conn) {
 	for {
 		msg, err := wc.ReadMsg()
 		if err != nil {
 			return
-		}
-		if wire.IsNegotiate(msg) {
-			err := wc.AcceptV2(msg, 0)
-			bufpool.Put(msg)
-			if err != nil {
-				return
-			}
-			continue
 		}
 		ack := c.dispatch(msg)
 		bufpool.Put(msg)
@@ -1072,26 +1026,8 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 }
 
 // Shutdown stops the control plane: it closes every listener passed to
-// Serve and every open control connection, then waits up to timeout for
-// the handlers to unwind.
-func (c *Coordinator) Shutdown(timeout time.Duration) {
-	c.connMu.Lock()
-	c.closed = true
-	for _, l := range c.listeners {
-		_ = l.Close()
-	}
-	c.listeners = nil
-	for conn := range c.conns {
-		_ = conn.Close()
-	}
-	c.connMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-	}
-}
+// Serve and every open control connection — agents hold theirs open
+// between heartbeats, so there is no idle state to drain to — and returns
+// once the handlers have unwound. The argument is unused; a handler
+// blocked on I/O returns as soon as its connection closes.
+func (c *Coordinator) Shutdown(time.Duration) { c.accept.Shutdown(0) }

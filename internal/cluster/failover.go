@@ -3,9 +3,7 @@ package cluster
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -16,11 +14,11 @@ import (
 
 // FailoverClient is a cluster-aware avis client: it resolves its server
 // through the coordinator and, when the server dies mid-session, dials a
-// replacement and replays the session state — the codec announcement
-// travels with the reconnect handshake, and the fovea state needs no
-// re-transfer because a failed round applies nothing to the canvas, so
-// the interrupted round's request is simply re-issued (with a bumped Seq)
-// against the new server. Delivered increments are never re-fetched.
+// replacement and moves the avis session onto it (RealClient.Reconnect
+// replays the protocol state; the interrupted round is re-issued and
+// delivered increments are never re-fetched). The session loop is
+// avis's; what lives here is the policy around it — which failures are
+// worth a failover, how many, how fast, and where to.
 type FailoverClient struct {
 	resolver *Resolver
 	params   avis.Params
@@ -38,15 +36,12 @@ type FailoverClient struct {
 	dial        func(nodeID, addr string, timeout time.Duration) (net.Conn, error)
 	roundHook   func(img, round int)
 
-	cur     *avis.RealClient
+	cur     *avis.RealClient // one session for life; failover swaps its connection
 	nodeID  string
 	sig     string
 	failed  []string
-	epoch   time.Time
-	stats   []avis.ImageStat
 	retries int64
 
-	reg        *metrics.Registry
 	mFailovers *metrics.Counter
 	mRetries   *metrics.Counter
 }
@@ -128,7 +123,6 @@ func DialFailover(r *Resolver, params avis.Params, opts ...FailoverOption) (*Fai
 		dialTimeout: 5 * time.Second,
 		maxFail:     3,
 		backoff:     DefaultBackoff(),
-		epoch:       time.Now(),
 	}
 	for _, o := range opts {
 		o(f)
@@ -139,21 +133,17 @@ func DialFailover(r *Resolver, params avis.Params, opts ...FailoverOption) (*Fai
 	return f, nil
 }
 
-// EnableMetrics instruments the client: avis_failovers_total on top of
-// the usual avis_* client families (re-bound to each replacement
-// connection).
+// EnableMetrics instruments the client: avis_failovers_total and
+// avis_round_retries_total on top of the usual avis_* client families.
 func (f *FailoverClient) EnableMetrics(reg *metrics.Registry) {
-	f.reg = reg
 	f.mFailovers = reg.Counter("avis_failovers_total",
 		"Sessions re-established on a replacement server after a node failure.")
 	f.mRetries = reg.Counter("avis_round_retries_total",
 		"Interrupted rounds replayed after a connection failure.")
-	if f.cur != nil {
-		f.cur.EnableMetrics(reg)
-	}
+	f.cur.EnableMetrics(reg)
 }
 
-// connect resolves and dials the session's current server.
+// connect resolves and dials a server and puts the session on it.
 func (f *FailoverClient) connect() error {
 	grant, err := f.resolver.Resolve(ResolveRequest{
 		SID:      f.sid,
@@ -175,22 +165,25 @@ func (f *FailoverClient) connect() error {
 	if err != nil {
 		return fmt.Errorf("cluster: dial node %s (%s): %w", grant.NodeID, grant.Addr, err)
 	}
-	c, err := avis.NewRealClient(avis.Shape(conn, f.bw), f.params)
+	// Either way the handshake puts the session's protocol state on the
+	// server: hello, then the codec announcement.
+	if f.cur != nil {
+		err = f.cur.Reconnect(avis.Shape(conn, f.bw))
+	} else {
+		var c *avis.RealClient
+		if c, err = avis.NewRealClient(avis.Shape(conn, f.bw), f.params); err == nil {
+			c.SetIOTimeout(f.ioTimeout)
+			if err = c.Connect(); err == nil {
+				f.cur = c
+			}
+		}
+		if err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
-		conn.Close()
 		return err
 	}
-	c.SetIOTimeout(f.ioTimeout)
-	if f.reg != nil {
-		c.EnableMetrics(f.reg)
-	}
-	// Connect replays the session's protocol state onto the new server:
-	// the hello handshake plus the codec announcement from params.
-	if err := c.Connect(); err != nil {
-		conn.Close()
-		return err
-	}
-	f.cur = c
 	f.nodeID = grant.NodeID
 	if f.sig == "" {
 		// Pin the session to this image store so every failover target can
@@ -203,32 +196,12 @@ func (f *FailoverClient) connect() error {
 // failover marks the current node failed and reconnects elsewhere.
 func (f *FailoverClient) failover() error {
 	f.failed = append(f.failed, f.nodeID)
-	if f.cur != nil {
-		_ = f.cur.Close() // best effort on a dead connection
-		f.cur = nil
-	}
+	_ = f.cur.Close() // best effort on a dead connection
 	if err := f.connect(); err != nil {
 		return err
 	}
 	f.mFailovers.Inc()
 	return nil
-}
-
-// connFailure distinguishes a dead or unreachable peer (worth a failover)
-// from an application-level refusal (not retried: the replacement server
-// would refuse identically).
-func connFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, avis.ErrIOTimeout) ||
-		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
 }
 
 // Geometry returns the current server's announced geometry.
@@ -244,84 +217,44 @@ func (f *FailoverClient) Failovers() int { return len(f.failed) }
 func (f *FailoverClient) Retries() int { return int(f.retries) }
 
 // Stats returns per-image statistics.
-func (f *FailoverClient) Stats() []avis.ImageStat { return f.stats }
+func (f *FailoverClient) Stats() []avis.ImageStat { return f.cur.Stats() }
 
 // SetParams updates dR, codec, and level for subsequent fetches.
-func (f *FailoverClient) SetParams(p avis.Params) error {
-	if err := f.cur.SetParams(p); err != nil {
-		return err
-	}
-	f.params = p
-	return nil
-}
+func (f *FailoverClient) SetParams(p avis.Params) error { return f.cur.SetParams(p) }
 
 // FetchImage downloads one image progressively, surviving up to
 // WithMaxFailovers node deaths: an interrupted round is replayed on a
 // replacement server and the transmission continues where it stopped.
 func (f *FailoverClient) FetchImage(img int, canvas *wavelet.Canvas) (avis.ImageStat, error) {
-	geom := f.cur.Geometry()
-	plan := avis.PlanRounds(geom, f.params, img, 0)
-	stat := avis.ImageStat{
-		Image: img, Level: f.params.Level, Codec: f.params.Codec, DR: f.params.DR,
-		Start: time.Since(f.epoch),
-	}
-	start := time.Now()
-	var respSum time.Duration
 	attempts := 0
-	for i := 0; i < len(plan); {
-		req := plan[i]
-		req.Seq = attempts
-		if f.roundHook != nil {
-			f.roundHook(img, i)
+	return f.cur.FetchImageWith(img, canvas, f.roundHook, func(err error) error {
+		// A refusal is not retried: the replacement would refuse identically.
+		if !avis.IsTransportError(err) {
+			return err
 		}
-		t0 := time.Now()
-		raw, wire, err := f.cur.FetchRound(req, canvas)
-		if err != nil {
-			if !connFailure(err) {
-				return stat, err
-			}
-			attempts++
-			if attempts > f.maxFail {
-				return stat, fmt.Errorf("cluster: image %d: giving up after %d failovers: %w", img, f.maxFail, err)
-			}
-			if !f.budget.Allow() {
-				return stat, fmt.Errorf("cluster: image %d: retry budget exhausted: %w", img, err)
-			}
-			f.retries++
-			f.mRetries.Inc()
-			// Jittered backoff before re-resolving: every session the dead
-			// node carried is doing this at once.
-			time.Sleep(f.backoff.Delay(attempts - 1))
-			if ferr := f.failover(); ferr != nil {
-				return stat, fmt.Errorf("cluster: failover after %v: %w", err, ferr)
-			}
-			if g := f.cur.Geometry(); g != geom {
-				return stat, fmt.Errorf("cluster: replacement node geometry %+v differs from %+v", g, geom)
-			}
-			continue // replay the interrupted round on the new server
+		attempts++
+		if attempts > f.maxFail {
+			return fmt.Errorf("cluster: image %d: giving up after %d failovers: %w", img, f.maxFail, err)
 		}
-		stat.RawBytes += int64(raw)
-		stat.WireBytes += int64(wire)
-		stat.Rounds++
-		respSum += time.Since(t0)
-		i++
-	}
-	stat.TransmitTime = time.Since(start)
-	if stat.Rounds > 0 {
-		stat.AvgResponse = respSum / time.Duration(stat.Rounds)
-	}
-	f.stats = append(f.stats, stat)
-	return stat, nil
+		if !f.budget.Allow() {
+			return fmt.Errorf("cluster: image %d: retry budget exhausted: %w", img, err)
+		}
+		f.retries++
+		f.mRetries.Inc()
+		// Jittered backoff before re-resolving: every session the dead
+		// node carried is doing this at once.
+		time.Sleep(f.backoff.Delay(attempts - 1))
+		if ferr := f.failover(); ferr != nil {
+			return fmt.Errorf("cluster: failover after %v: %w", err, ferr)
+		}
+		return nil
+	})
 }
 
 // Close ends the session on both planes: the data connection and the
 // coordinator's reservation.
 func (f *FailoverClient) Close() error {
-	var err error
-	if f.cur != nil {
-		err = f.cur.Close()
-		f.cur = nil
-	}
+	err := f.cur.Close()
 	if eerr := f.resolver.EndSession(f.sid); eerr != nil && err == nil {
 		err = eerr
 	}

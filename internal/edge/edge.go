@@ -3,14 +3,11 @@ package edge
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tunable/internal/avis"
-	"tunable/internal/bufpool"
 	"tunable/internal/compress"
 	"tunable/internal/metrics"
 	"tunable/internal/wire"
@@ -101,13 +98,7 @@ type Proxy struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	// client-facing connection accounting, mirroring RealServer
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
-	listeners []net.Listener
-	draining  bool
-	wg        sync.WaitGroup
-	active    atomic.Int64
+	accept wire.Acceptor // client-facing connections
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	mConns         *metrics.Counter
@@ -149,12 +140,13 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	if cfg.OriginRetries == 0 {
 		cfg.OriginRetries = DefaultOriginRetries
+	} else if cfg.OriginRetries < 0 {
+		cfg.OriginRetries = 0 // one attempt, no retry
 	}
 	p := &Proxy{
 		cfg:     cfg,
 		cache:   newChunkCache(max0(cfg.CacheEntries), int64(max0(int(cfg.CacheBytes))), cfg.TTL),
 		flights: make(map[string]*flight),
-		conns:   make(map[net.Conn]struct{}),
 	}
 	p.origins = &originPool{
 		dial:      cfg.OriginDial,
@@ -229,76 +221,23 @@ func (p *Proxy) Stats() CacheStats { return p.cache.stats() }
 
 // ActiveSessions reports the client connections currently being served;
 // node agents feed it into cluster heartbeats as the load signal.
-func (p *Proxy) ActiveSessions() int { return int(p.active.Load()) }
+func (p *Proxy) ActiveSessions() int { return p.accept.Active() }
 
-// Serve accepts client connections until the listener closes, handling
-// each in its own goroutine. After Shutdown it returns net.ErrClosed.
+// Serve accepts client connections until the listener closes, running the
+// server half of the avis session on each in its own goroutine. After
+// Shutdown it returns net.ErrClosed.
 func (p *Proxy) Serve(l net.Listener) error {
-	p.connMu.Lock()
-	if p.draining {
-		p.connMu.Unlock()
-		return net.ErrClosed
-	}
-	p.listeners = append(p.listeners, l)
-	p.connMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		p.connMu.Lock()
-		if p.draining {
-			p.connMu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		p.conns[conn] = struct{}{}
-		p.active.Add(1)
-		p.wg.Add(1)
-		p.connMu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				p.connMu.Lock()
-				delete(p.conns, conn)
-				p.connMu.Unlock()
-				p.active.Add(-1)
-				p.wg.Done()
-			}()
-			_ = p.handle(conn)
-		}()
-	}
+	return p.accept.Serve(l, p.cfg.IOTimeout, p.wInst, func(wc *wire.Conn) {
+		p.mConns.Inc()
+		_ = avis.ServeConn(wc, p.geom, p.cfg.SegBytes, &clientLeg{p: p, track: p.newTracker()})
+	})
 }
 
 // Shutdown drains the proxy: stop accepting, wait up to timeout for
 // in-flight sessions, force-close stragglers, then stop the prewarmer and
 // close the origin leg. Returns the number of force-closed connections.
 func (p *Proxy) Shutdown(timeout time.Duration) int {
-	p.connMu.Lock()
-	p.draining = true
-	for _, l := range p.listeners {
-		_ = l.Close()
-	}
-	p.listeners = nil
-	p.connMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	forced := 0
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		p.connMu.Lock()
-		forced = len(p.conns)
-		for conn := range p.conns {
-			_ = conn.Close()
-		}
-		p.connMu.Unlock()
-		<-done
-	}
+	forced := p.accept.Shutdown(timeout)
 	if p.pw != nil {
 		p.pw.stop()
 	}
@@ -306,132 +245,50 @@ func (p *Proxy) Shutdown(timeout time.Duration) int {
 	return forced
 }
 
-// handle services one client connection, mirroring RealServer's loop.
-// Origin transport failures (after retries) return without a tagError
-// frame, dropping the connection so a cluster FailoverClient re-places
+// clientLeg is one client connection's avis.Handler: coarse levels consult
+// the cache (and coalesce misses through single-flight), fine levels
+// stream through. The session loop re-encodes the payload with the
+// client's codec, so the bytes a client receives are identical whether
+// they crossed the cache or not. An origin transport failure (after
+// retries) comes back from Payload as such, which drops the client
+// connection without an error frame so a cluster FailoverClient re-places
 // the session — typically straight onto the origin.
-func (p *Proxy) handle(conn net.Conn) error {
-	p.mConns.Inc()
-	wc := wire.NewConn(conn, p.cfg.IOTimeout)
-	wc.SetInstruments(p.wInst)
-	codec, _ := compress.Lookup("raw")
-	track := p.newTracker()
-	for {
-		msg, err := wc.ReadMsg()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return avis.WrapTimeout("read", p.cfg.IOTimeout, err)
-		}
-		if len(msg) == 0 {
-			bufpool.Put(msg)
-			continue
-		}
-		if wire.IsNegotiate(msg) {
-			err := wc.AcceptV2(msg, 0)
-			bufpool.Put(msg)
-			if err != nil {
-				return avis.WrapTimeout("write", p.cfg.IOTimeout, err)
-			}
-			continue
-		}
-		werr := error(nil)
-		switch msg[0] {
-		case avis.TagHello:
-			werr = wc.WriteMsg(avis.EncodeGeom(p.geom))
-		case avis.TagNotify:
-			name, err := avis.DecodeNotify(msg)
-			var c compress.Codec
-			if err == nil {
-				c, err = compress.Lookup(name)
-			}
-			if err != nil {
-				p.mErrors.Inc()
-				werr = wc.WriteMsg(avis.EncodeError(err.Error()))
-				break
-			}
-			codec = c
-		case avis.TagRequest:
-			req, err := avis.DecodeRequest(msg)
-			if err == nil {
-				err = p.serve(wc, codec, req, track)
-			}
-			if err != nil {
-				if transportError(err) {
-					// The origin leg is down (or this client's pipe broke):
-					// nothing truthful can be sent, so drop the connection
-					// and let client-side failover take over.
-					bufpool.Put(msg)
-					return err
-				}
-				p.mErrors.Inc()
-				werr = wc.WriteMsg(avis.EncodeError(err.Error()))
-			}
-		case avis.TagClose:
-			bufpool.Put(msg)
-			return nil
-		default:
-			p.mErrors.Inc()
-			werr = wc.WriteMsg(avis.EncodeError("unknown message"))
-		}
-		bufpool.Put(msg)
-		if werr != nil {
-			return avis.WrapTimeout("write", p.cfg.IOTimeout, werr)
-		}
-	}
+type clientLeg struct {
+	p     *Proxy
+	track *foveaTracker
+	hit   bool // the request being answered was a cache hit
 }
 
-// serve answers one region request: coarse levels consult the cache (and
-// coalesce misses through single-flight), fine levels stream through. The
-// payload is re-encoded with the client's codec, so the bytes a client
-// receives are identical whether they crossed the cache or not.
-func (p *Proxy) serve(wc *wire.Conn, codec compress.Codec, req avis.Request, track *foveaTracker) error {
-	start := time.Now()
+func (c *clientLeg) Payload(req avis.Request) (data []byte, pooled bool, err error) {
+	p := c.p
 	p.mRequests.Inc()
+	c.hit = false
 	if req.Image < 0 || req.Image >= p.geom.NumImages {
-		return fmt.Errorf("image %d out of range", req.Image)
+		return nil, false, fmt.Errorf("image %d out of range", req.Image)
 	}
-	coarse := p.cfg.CoarseMax >= 0 && req.Level <= p.cfg.CoarseMax
-	var (
-		data   []byte
-		pooled bool // data is ours to return to the bufpool after encoding
-		hit    bool
-	)
-	if coarse {
-		key := cacheKey(p.cfg.Sig, req)
-		if d, ok := p.cache.lookup(key); ok {
-			data, hit = d, true
-		} else {
-			d, err := p.fetchShared(key, req, false)
-			if err != nil {
-				return err
-			}
-			data = d
+	if p.cfg.CoarseMax < 0 || req.Level > p.cfg.CoarseMax {
+		data, err = p.fetchOrigin(req)
+		return data, true, err
+	}
+	key := cacheKey(p.cfg.Sig, req)
+	if data, c.hit = p.cache.lookup(key); !c.hit {
+		if data, err = p.fetchShared(key, req, false); err != nil {
+			return nil, false, err
 		}
-		track.observe(req)
-	} else {
-		d, err := p.fetchOrigin(req)
-		if err != nil {
-			return err
-		}
-		data, pooled = d, true
 	}
-	enc := codec.Encode(data)
-	if pooled {
-		bufpool.Put(data)
+	c.track.observe(req)
+	return data, false, nil
+}
+
+func (c *clientLeg) Replied(took time.Duration, err error) {
+	switch {
+	case err != nil:
+		c.p.mErrors.Inc()
+	case c.hit:
+		c.p.mServeCache.Observe(took.Seconds())
+	default:
+		c.p.mServeOrigin.Observe(took.Seconds())
 	}
-	err := avis.WriteSegmentsWire(wc, req.Image, req.Seq, len(data), enc, p.cfg.SegBytes, nil)
-	bufpool.Put(enc)
-	if err != nil {
-		return avis.WrapTimeout("write", p.cfg.IOTimeout, err)
-	}
-	if hit {
-		p.mServeCache.Observe(time.Since(start).Seconds())
-	} else {
-		p.mServeOrigin.Observe(time.Since(start).Seconds())
-	}
-	return nil
 }
 
 // fetchShared coalesces concurrent origin fetches for one cache key: the
@@ -463,7 +320,11 @@ func (p *Proxy) fetchShared(key string, req avis.Request, prewarmed bool) ([]byt
 
 // fetchOrigin performs one origin round, retrying transport failures on a
 // fresh connection. Application-level refusals are returned immediately —
-// the origin would refuse a replay identically.
+// the origin would refuse a replay identically. A connection goes back to
+// the idle pool only after a round that ended cleanly (a complete reply or
+// the origin's error frame); after anything else — a malformed segment
+// mid-reply, say — unread bytes of the failed reply may still be in
+// flight, so it is discarded.
 func (p *Proxy) fetchOrigin(req avis.Request) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.OriginRetries; attempt++ {
@@ -482,36 +343,24 @@ func (p *Proxy) fetchOrigin(req avis.Request) ([]byte, error) {
 			p.origins.put(c)
 			return data, nil
 		}
-		lastErr = err
-		if !transportError(err) {
+		var refused *avis.RefusedError
+		if errors.As(err, &refused) {
 			p.origins.put(c)
 			return nil, err
 		}
-		p.origins.discard(c)
+		_ = c.Close()
+		if !avis.IsTransportError(err) {
+			return nil, err
+		}
+		lastErr = err
 	}
 	return nil, lastErr
 }
 
-// transportError reports whether err means the peer is dead, wedged, or
-// unreachable — the retry/failover class — as opposed to an
-// application-level refusal. Mirrors cluster's connFailure.
-func transportError(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, avis.ErrIOTimeout) ||
-		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
 // originPool recycles connected origin-leg clients across rounds: an idle
 // client is reused, a missing one is dialed and handshaken on demand, and
-// a client whose round failed at the transport level is discarded.
+// a client whose round did not end cleanly is closed by the caller instead
+// of being put back.
 type originPool struct {
 	dial      func() (net.Conn, error)
 	codec     string
@@ -558,8 +407,6 @@ func (op *originPool) put(c *avis.RealClient) {
 	op.idle = append(op.idle, c)
 	op.mu.Unlock()
 }
-
-func (op *originPool) discard(c *avis.RealClient) { _ = c.Close() }
 
 func (op *originPool) closeAll() {
 	op.mu.Lock()

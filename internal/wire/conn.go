@@ -83,6 +83,7 @@ type Conn struct {
 	ver      Version
 	caps     Caps
 	vectored bool
+	accepted bool // handed out by an Acceptor: ReadMsg answers handshake probes
 	inst     Instruments
 
 	wmu    sync.Mutex
@@ -130,6 +131,9 @@ func (c *Conn) read(p []byte) (int, error) {
 // Call it before concurrent use begins.
 func (c *Conn) SetTimeout(d time.Duration) { c.timeout = d }
 
+// Timeout reports the per-operation progress deadline (0 = none).
+func (c *Conn) Timeout() time.Duration { return c.timeout }
+
 // SetInstruments installs telemetry counters (zero value = none).
 func (c *Conn) SetInstruments(i Instruments) { c.inst = i }
 
@@ -142,7 +146,8 @@ func (c *Conn) Caps() Caps { return c.caps }
 
 // ReadMsg reads one message into a pooled buffer. The returned slice is
 // tag-prefixed; the caller owns it and may recycle it with bufpool.Put
-// after decoding.
+// after decoding. On a connection an Acceptor handed out, a handshake
+// probe is answered in kind and the next message is returned instead.
 func (c *Conn) ReadMsg() ([]byte, error) {
 	var hdr [hdrLen]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -161,6 +166,14 @@ func (c *Conn) ReadMsg() ([]byte, error) {
 		return nil, err
 	}
 	c.inst.FramesV2.Inc()
+	if c.accepted && IsNegotiate(msg) {
+		err := c.AcceptV2(msg, 0)
+		bufpool.Put(msg)
+		if err != nil {
+			return nil, err
+		}
+		return c.ReadMsg()
+	}
 	return msg, nil
 }
 

@@ -21,6 +21,10 @@
 // contract; the golden fixtures under testdata/ pin the only protocol
 // there is.
 //
+// The accept side of every component is an Acceptor: the accept loop, the
+// live-connection set, the handshake answer and the drain-then-force
+// shutdown, once.
+//
 // No capability bits are assigned yet; the bitmap is reserved for
 // encodings a future build may gate. Control-plane bodies are always the
 // runtime-interpreted binary schemas of schema.go.

@@ -7,7 +7,7 @@
 #   scripts/ci.sh            # full gate (lint, unit, smoke, bench)
 #   scripts/ci.sh lint       # build + vet + staticcheck
 #   scripts/ci.sh unit       # race-detector test suite (quick gate first)
-#   scripts/ci.sh smoke      # chaos, conformance, swarm, and mix smokes
+#   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, and figure-golden smokes
 #   scripts/ci.sh bench      # bench smoke + perf gate vs baselines
 #   scripts/ci.sh -short     # full gate, skipping slow real-time tests
 #
@@ -85,6 +85,14 @@ run_smoke() {
 		exit 1
 	}
 	rm -f "$MIX_A" "$MIX_B"
+
+	# Figure goldens: every paper figure and every adaptation experiment
+	# is a deterministic function of the virtual-time session code, so
+	# their printed output must not move by a byte unless a change means
+	# it to (then regenerate the fixture in the same commit and say why).
+	echo "== avis-figures / avis-adapt -exp all vs scripts/golden (byte-identical)"
+	go run ./cmd/avis-figures | cmp - scripts/golden/avis-figures.txt
+	go run ./cmd/avis-adapt -exp all | cmp - scripts/golden/avis-adapt-all.txt
 }
 
 run_bench() {
