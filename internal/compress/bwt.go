@@ -5,182 +5,54 @@ import (
 	"sync"
 )
 
-// Suffix-array scratch: the prefix-doubling sort needs five integer arrays
-// of length n+1 (plus a counting array). BZW calls it once per 64 KiB
-// block, so the arrays are recycled through a sync.Pool instead of being
-// reallocated for every block.
-type saScratch struct {
-	sa, rank, tmp, tmp2 []int32
-	cnt                 []int32
-}
+// saPool recycles the suffix sorter's working memory, one int32 array per
+// sort: BZW sorts once per 64 KiB block.
+var saPool = sync.Pool{New: func() any { return new([]int32) }}
 
-var saPool = sync.Pool{New: func() any { return &saScratch{} }}
-
-func (s *saScratch) grow(n int) {
-	if cap(s.sa) < n {
-		s.sa = make([]int32, n)
-		s.rank = make([]int32, n)
-		s.tmp = make([]int32, n)
-		s.tmp2 = make([]int32, n)
-	}
-	s.sa = s.sa[:n]
-	s.rank = s.rank[:n]
-	s.tmp = s.tmp[:n]
-	s.tmp2 = s.tmp2[:n]
-	// The counting array must cover the initial alphabet (257 symbols plus
-	// the sentinel rank 0) and every later rank value (< n).
-	cn := n + 1
-	if cn < 258 {
-		cn = 258
-	}
-	if cap(s.cnt) < cn {
-		s.cnt = make([]int32, cn)
-	}
-	s.cnt = s.cnt[:cn]
-}
-
-// suffixArray computes the suffix array of data plus a virtual sentinel
-// smaller than every byte, using radix-sort prefix doubling (O(n log n):
-// each round is two linear passes — a bucket placement by the second key
-// and a stable counting sort by the first). The returned array has length
-// len(data)+1 and its first entry is always the sentinel suffix. The
-// caller must copy the result if it outlives the next call; here it is
-// consumed immediately by bwtForward.
-func suffixArray(data []byte) []int32 {
-	sc := saPool.Get().(*saScratch)
-	defer saPool.Put(sc)
-	sa := suffixArrayInto(sc, data)
-	out := make([]int32, len(sa))
-	copy(out, sa)
-	return out
-}
-
-// suffixArrayInto computes the suffix array into sc.sa and returns it. The
-// slice is only valid until sc is reused.
-func suffixArrayInto(sc *saScratch, data []byte) []int32 {
-	n := len(data) + 1
-	sc.grow(n)
-	sa, rank, tmp, newRank, cnt := sc.sa, sc.rank, sc.tmp, sc.tmp2, sc.cnt
-
-	// Initial ranks: byte value + 1, sentinel 0. Counting sort by rank.
-	for i := 0; i < n-1; i++ {
-		rank[i] = int32(data[i]) + 1
-	}
-	rank[n-1] = 0
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		cnt[rank[i]]++
-	}
-	for i := 1; i < 258; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		cnt[rank[i]]--
-		sa[cnt[rank[i]]] = int32(i)
-	}
-
-	for k := 1; ; k *= 2 {
-		// Order by the second key (rank[i+k], absent = smallest): suffixes
-		// whose second half starts past the end come first, in index order;
-		// the rest inherit the previous round's order shifted by k.
-		p := 0
-		for i := n - k; i < n; i++ {
-			tmp[p] = int32(i)
-			p++
-		}
-		for i := 0; i < n; i++ {
-			if int(sa[i]) >= k {
-				tmp[p] = sa[i] - int32(k)
-				p++
-			}
-		}
-		// Stable counting sort by the first key (rank). Rank values are in
-		// [0, n); reuse cnt (only the first maxRank+1 entries matter, but
-		// clearing n+1 is a linear pass either way).
-		for i := 0; i <= n; i++ {
-			cnt[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			cnt[rank[i]]++
-		}
-		for i := 1; i <= n; i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for i := n - 1; i >= 0; i-- {
-			s := tmp[i]
-			cnt[rank[s]]--
-			sa[cnt[rank[s]]] = s
-		}
-		// Re-rank: adjacent suffixes get the same rank iff both halves
-		// match.
-		newRank[sa[0]] = 0
-		maxRank := int32(0)
-		for i := 1; i < n; i++ {
-			cur, prev := sa[i], sa[i-1]
-			r := newRank[prev]
-			if rank[cur] != rank[prev] {
-				r++
-			} else {
-				c2, p2 := int32(-1), int32(-1)
-				if int(cur)+k < n {
-					c2 = rank[int(cur)+k]
-				}
-				if int(prev)+k < n {
-					p2 = rank[int(prev)+k]
-				}
-				if c2 != p2 {
-					r++
-				}
-			}
-			newRank[cur] = r
-			maxRank = r
-		}
-		rank, newRank = newRank, rank
-		if maxRank == int32(n-1) {
-			break
-		}
-	}
-	sc.rank, sc.tmp2 = rank, newRank
-	return sa
-}
-
-// bwtForward computes the Burrows–Wheeler transform of data with an
-// implicit sentinel, appending the output (same length as the input) to
-// dst. primary is the row at which the (omitted) sentinel character sits.
-func bwtForward(data []byte) (out []byte, primary int) {
-	return bwtAppendForward(nil, data)
-}
-
+// bwtAppendForward appends the Burrows–Wheeler transform of data with an
+// implicit sentinel (same length as the input) to dst. primary is the row
+// at which the (omitted) sentinel character sits.
 func bwtAppendForward(dst, data []byte) (out []byte, primary int) {
-	sc := saPool.Get().(*saScratch)
-	defer saPool.Put(sc)
-	sa := suffixArrayInto(sc, data)
-	out = dst
+	n := len(data)
+	if n == 0 {
+		return dst, 0
+	}
+	// The sorter's bucket space (see sais), then the suffix array. A suffix
+	// that is a proper prefix of another sorts first: their order against
+	// a virtual sentinel below every byte, whose own suffix (always row 0)
+	// is not stored.
+	buf := saPool.Get().(*[]int32)
+	defer saPool.Put(buf)
+	tmpLen := 2*256 + n
+	if cap(*buf) < tmpLen+n {
+		*buf = make([]int32, tmpLen+n)
+	}
+	tmp, sa := (*buf)[:tmpLen], (*buf)[tmpLen:tmpLen+n]
+	clear(sa)
+	sais(data, 256, sa, tmp)
+	base := len(dst)
+	dst = growBytes(dst, n)
+	out = dst[base:]
+	// Row 0, the sentinel's, is preceded by the last byte; row i+1 is
+	// suffix sa[i], preceded by data[sa[i]-1] — except the whole text's
+	// row, which the sentinel precedes: skipped, and remembered as primary.
+	out[0] = data[n-1]
+	k := 1
 	for i, p := range sa {
 		if p == 0 {
-			primary = i
+			primary = i + 1
 			continue
 		}
-		out = append(out, data[p-1])
+		out[k] = data[p-1]
+		k++
 	}
-	return out, primary
+	return dst, primary
 }
 
-// bwtInverse scratch: the LF-mapping array.
-type bwtInvScratch struct {
-	lf []int32
-}
+// bwtInvPool recycles the inverse transform's LF-mapping array.
+var bwtInvPool = sync.Pool{New: func() any { return new([]int32) }}
 
-var bwtInvPool = sync.Pool{New: func() any { return &bwtInvScratch{} }}
-
-// bwtInverse inverts bwtForward.
-func bwtInverse(bwt []byte, primary int) ([]byte, error) {
-	return bwtAppendInverse(nil, bwt, primary)
-}
-
-// bwtAppendInverse appends the inverse transform to dst.
+// bwtAppendInverse inverts bwtAppendForward.
 func bwtAppendInverse(dst, bwt []byte, primary int) ([]byte, error) {
 	n := len(bwt)
 	if n == 0 {
@@ -205,12 +77,12 @@ func bwtAppendInverse(dst, bwt []byte, primary int) ([]byte, error) {
 		s += cnt[b]
 	}
 	// LF mapping over the n+1 rows (sentinel row maps to row 0).
-	sc := bwtInvPool.Get().(*bwtInvScratch)
-	defer bwtInvPool.Put(sc)
-	if cap(sc.lf) < n+1 {
-		sc.lf = make([]int32, n+1)
+	buf := bwtInvPool.Get().(*[]int32)
+	defer bwtInvPool.Put(buf)
+	if cap(*buf) < n+1 {
+		*buf = make([]int32, n+1)
 	}
-	lf := sc.lf[:n+1]
+	lf := (*buf)[:n+1]
 	var occ [256]int32
 	for i := 0; i < primary; i++ {
 		b := bwt[i]

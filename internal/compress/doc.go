@@ -15,13 +15,13 @@
 // allocation; the wire formats are pinned bit-for-bit by the golden tests
 // in golden_test.go, so every rewrite below is observable only as speed.
 //
-// Suffix sorting (bwt.go): the Burrows–Wheeler transform sorts the
-// rotations of each 64 KiB block via a suffix array built by radix-sort
-// prefix doubling. Each doubling round is two linear passes — a bucket
-// placement ordering suffixes by their second key (the rank k positions
-// ahead), then a stable counting sort by first key — so the sort is
-// O(n log n) with no comparator calls. The five working arrays live in a
-// pooled saScratch and are reused across blocks.
+// Suffix sorting (bwt.go, sais.go): the Burrows–Wheeler transform of each
+// 64 KiB block reads off a suffix array built by induced sorting (SA-IS):
+// linear time whatever the block holds — the client picks the region, so
+// the content is hostile — in one pooled int32 array. Suffixes are ordered
+// "a proper prefix sorts first", which is their order against a virtual
+// sentinel below every byte, so the emitted bytes and primary index are
+// those of the prefix-doubling sort this replaced (kept in oracle_test.go).
 //
 // LZW dictionary (lzw.go): the encoder dictionary is a flat array of
 // lzwMaxCodes×256 slots indexed by (prefix code << 8 | next byte), each
@@ -33,16 +33,16 @@
 // buffer, so neither direction allocates per code.
 //
 // Huffman coding (huffman.go): code lengths come from a pooled builder
-// whose node arena and index min-heap are plain slices (the heap is
-// hand-rolled so no element is boxed through an interface). Codes are
-// canonical, assigned by a counting pass per length; the decoder is
-// table-driven — per length it stores the first canonical code, symbol
-// count, and an offset into a (length, symbol)-sorted symbol array, so
-// each decoded symbol costs one compare per code bit instead of a map
-// lookup.
+// whose node arena and index min-heap are plain slices. Codes are
+// canonical, assigned by a counting pass per length. The decoder looks the
+// next 11 stream bits up in a table of (symbol, length) filled by ascending
+// length, never overwriting, so a shorter code keeps precedence even in a
+// table that is not prefix-free; longer codes and the last bits of the
+// stream take the one-compare-per-bit canonical walk. DESIGN.md §5.1 has
+// the per-stage figures (BenchmarkBZWStages).
 //
-// Buffer discipline: every stage has an append-style variant
-// (xxxAppendEncode/Decode) writing into caller-supplied buffers; the BZW
+// Buffer discipline: every stage is append-style (xxxAppendEncode/Decode),
+// writing into caller-supplied buffers; the BZW
 // chain rotates three pooled scratch buffers through its five stages, and
 // codec entry points draw their output from the size-classed
 // internal/bufpool, which callers may return with bufpool.Put when the

@@ -2,24 +2,64 @@ package compress
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"tunable/internal/imagery"
+	"tunable/internal/wavelet"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
+
+// realChunk is the payload the direct-bulk benchmark workload moves most:
+// the middle ring of a DR:208, level-4 fetch of image seed 1 (the third
+// request of PlanRounds), 216,758 bytes of serialized wavelet chunk — four
+// BZW blocks of real coefficient data.
+var realChunk = sync.OnceValue(func() []byte {
+	pyr, err := wavelet.Decompose(imagery.Generate(1024, 1), 4)
+	if err != nil {
+		panic(err)
+	}
+	ch, err := pyr.ExtractRegion(4, 512, 512, 312, 208)
+	if err != nil {
+		panic(err)
+	}
+	return ch.AppendEncode(nil)
+})
+
+// coeffTexture is the quantized-coefficient texture of the golden inputs:
+// mostly zeros, occasional small signed values, deterministic.
+func coeffTexture(n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		if h := uint64(i) * 0x9E3779B97F4A7C15; h>>61 == 0 {
+			out[i] = byte(int8(h >> 33 & 0x1F))
+		}
+	}
+	return out
+}
+
+// goldenInput is one pinned payload. Small inputs pin the encoded stream as
+// hex; digest inputs (multi-block, ~100 KB encoded) pin its length and
+// SHA-256 instead.
+type goldenInput struct {
+	name   string
+	data   []byte
+	digest bool
+}
 
 // goldenInputs are fixed, deterministic payloads with the character of the
 // wavelet coefficient streams the codecs carry in production: zero runs,
 // small signed values, repetitive structure, and noise. The encoded bytes
 // for each (codec, input) pair are pinned in testdata/ so kernel rewrites
 // cannot drift the wire format.
-func goldenInputs() []struct {
-	name string
-	data []byte
-} {
+func goldenInputs() []goldenInput {
 	mk := func(n int, f func(i int) byte) []byte {
 		out := make([]byte, n)
 		for i := range out {
@@ -27,29 +67,23 @@ func goldenInputs() []struct {
 		}
 		return out
 	}
-	return []struct {
-		name string
-		data []byte
-	}{
-		{"empty", []byte{}},
-		{"one", []byte{42}},
-		{"zeros4k", make([]byte, 4096)},
-		{"ramp", mk(2048, func(i int) byte { return byte(i) })},
-		{"coeffs", mk(6000, func(i int) byte {
-			// Quantized-coefficient texture: mostly zeros, occasional
-			// small signed values, deterministic.
-			h := uint64(i) * 0x9E3779B97F4A7C15
-			if h>>61 != 0 {
-				return 0
-			}
-			return byte(int8(h >> 33 & 0x1F))
-		})},
-		{"text", bytes.Repeat([]byte("wavelets all the way down. "), 80)},
-		{"noise", mk(5000, func(i int) byte {
+	return []goldenInput{
+		{name: "empty", data: []byte{}},
+		{name: "one", data: []byte{42}},
+		{name: "zeros4k", data: make([]byte, 4096)},
+		{name: "ramp", data: mk(2048, func(i int) byte { return byte(i) })},
+		{name: "coeffs", data: coeffTexture(6000)},
+		{name: "text", data: bytes.Repeat([]byte("wavelets all the way down. "), 80)},
+		{name: "noise", data: mk(5000, func(i int) byte {
 			h := uint64(i)*6364136223846793005 + 1442695040888963407
 			return byte(h >> 57)
 		})},
-		{"lzwblocks", mk(3*lzwBlock+17, func(i int) byte { return byte(i % 23) })},
+		{name: "lzwblocks", data: mk(3*lzwBlock+17, func(i int) byte { return byte(i % 23) })},
+		// Multi-block BZW framing (per-block primary and payload length, the
+		// cut at 65,536 input bytes): three blocks of texture, four of real
+		// chunk.
+		{name: "coeffs150k", data: coeffTexture(150001), digest: true},
+		{name: "chunk", data: realChunk(), digest: true},
 	}
 }
 
@@ -63,9 +97,16 @@ func TestGoldenEncodedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, in := range goldenInputs() {
-			path := filepath.Join("testdata", "golden_"+name+"_"+in.name+".hex")
+			ext := ".hex"
+			if in.digest {
+				ext = ".sha256"
+			}
+			path := filepath.Join("testdata", "golden_"+name+"_"+in.name+ext)
 			enc := codec.Encode(in.data)
 			got := hex.EncodeToString(enc)
+			if in.digest {
+				got = fmt.Sprintf("%d %x", len(enc), sha256.Sum256(enc))
+			}
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -85,10 +126,13 @@ func TestGoldenEncodedBytes(t *testing.T) {
 				t.Errorf("%s/%s: encoded bytes differ from golden (wire format changed)",
 					name, in.name)
 			}
-			// The pinned old-format bytes must still decode to the input.
-			wantBytes, err := hex.DecodeString(want)
-			if err != nil {
-				t.Fatal(err)
+			// The pinned old-format bytes must still decode to the input
+			// (a digest pin that matched is the stream just encoded).
+			wantBytes := enc
+			if !in.digest {
+				if wantBytes, err = hex.DecodeString(want); err != nil {
+					t.Fatal(err)
+				}
 			}
 			dec, err := codec.Decode(wantBytes)
 			if err != nil {

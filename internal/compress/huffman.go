@@ -1,7 +1,10 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -169,15 +172,11 @@ func canonicalCodes(lengths [256]byte) [256]uint32 {
 	return codes
 }
 
-// huffMaxLen bounds the code length: lengths are produced by a Huffman
-// tree over ≤256 symbols whose total frequency is a block of ≤64 KiB plus
-// headroom, which caps depth well below 64; the wire format stores a byte.
-const huffMaxLen = 255
-
-// huffEncode compresses src.
-func huffEncode(src []byte) []byte {
-	return huffAppendEncode(nil, src)
-}
+// huffMaxLen bounds the code length: codes are built in a uint32, and the
+// decoder refuses a table that names a longer one. The encoder stays far
+// below it — a leaf at depth d needs total frequency ≥ Fib(d+2), and a
+// block's ZRLE stream is ≤ 160 KiB, so no code exceeds 24 bits.
+const huffMaxLen = 32
 
 // huffAppendEncode appends the encoded form of src to dst.
 func huffAppendEncode(dst, src []byte) []byte {
@@ -193,45 +192,64 @@ func huffAppendEncode(dst, src []byte) []byte {
 	dst = append(dst, lengths[:]...)
 	dst = append(dst,
 		byte(len(src)), byte(len(src)>>8), byte(len(src)>>16), byte(len(src)>>24))
-	// Canonical codes are MSB-first by construction, while the bit writer
-	// packs LSB-first; emitting the bit-reversed code in one call produces
-	// the same bit sequence as the old per-bit loop.
+	// Canonical codes are MSB-first by construction and the stream is
+	// packed LSB-first, so each code is emitted bit-reversed, in one piece.
 	var rev [256]uint32
-	for s := 0; s < 256; s++ {
-		if l := lengths[s]; l > 0 {
-			c := codes[s]
-			var r uint32
-			for i := byte(0); i < l; i++ {
-				r = r<<1 | c&1
-				c >>= 1
-			}
-			rev[s] = r
+	for s, l := range lengths {
+		rev[s] = bits.Reverse32(codes[s]) >> (32 - l) // 0 for an unused symbol
+	}
+	// The payload's size is known exactly: pack through a 64-bit
+	// accumulator straight into place, four bytes at a time, with slack
+	// for the last partial word to be stored whole.
+	nbits := 0
+	for s, f := range freq {
+		nbits += f * int(lengths[s])
+	}
+	base := len(dst)
+	dst = growBytes(dst, (nbits+7)/8+4)
+	out := dst[base:]
+	var acc uint64
+	var n uint
+	pos := 0
+	for _, b := range src {
+		acc |= uint64(rev[b]) << n
+		n += uint(lengths[b])
+		if n >= 32 {
+			binary.LittleEndian.PutUint32(out[pos:], uint32(acc))
+			pos += 4
+			acc >>= 32
+			n -= 32
 		}
 	}
-	w := bitWriter{buf: dst}
-	for _, b := range src {
-		w.write(rev[b], uint(lengths[b]))
-	}
-	w.flush()
-	return w.buf
+	binary.LittleEndian.PutUint32(out[pos:], uint32(acc))
+	return dst[:base+(nbits+7)/8]
 }
 
-// huffDecode decompresses data produced by huffEncode.
-func huffDecode(src []byte) ([]byte, error) {
-	return huffAppendDecode(nil, src)
+// huffTableBits is the width of the decoder's primary lookup table. Longer
+// codes (symbols of probability below 2^-11) take the bit-by-bit walk.
+const huffTableBits = 11
+
+// huffLengthError reports a table naming a code longer than huffMaxLen.
+type huffLengthError struct{ sym, length int }
+
+func (e *huffLengthError) Error() string {
+	return fmt.Sprintf("compress: huffman code length %d for symbol %d exceeds %d", e.length, e.sym, huffMaxLen)
 }
 
-// huffAppendDecode appends the decoded payload to dst. The decoder is
-// table-driven: per code length it holds the first canonical code, the
-// symbol count, and an offset into a symbol array sorted by (length,
-// symbol); one compare per bit replaces the old (length, code) map.
+// huffAppendDecode appends the decoded payload to dst. Per code length the
+// decoder holds the first canonical code, the symbol count, and an offset
+// into a symbol array sorted by (length, symbol). From those it fills the
+// primary table: a code of length l occupies the low l bits of the
+// lookahead, bit-reversed, and owns every table index ending in them.
+// Lengths are filled in ascending order and a taken entry is never
+// overwritten, so on a table that is not prefix-free (only a hostile peer
+// sends one) the shortest matching code wins, exactly as in the walk.
 func huffAppendDecode(dst, src []byte) ([]byte, error) {
 	if len(src) < 260 {
 		return nil, fmt.Errorf("compress: huffman header truncated")
 	}
-	var lengths [256]byte
-	copy(lengths[:], src[:256])
-	n := int(src[256]) | int(src[257])<<8 | int(src[258])<<16 | int(src[259])<<24
+	lengths := src[:256]
+	n := int(binary.LittleEndian.Uint32(src[256:]))
 	if n == 0 {
 		if dst == nil {
 			return []byte{}, nil
@@ -240,18 +258,23 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 	}
 	var count [huffMaxLen + 1]int32
 	maxLen := 0
-	nsyms := 0
-	for _, l := range lengths {
+	for s, l := range lengths {
+		if l > huffMaxLen {
+			return nil, &huffLengthError{sym: s, length: int(l)}
+		}
 		if l > 0 {
 			count[l]++
-			nsyms++
-			if int(l) > maxLen {
-				maxLen = int(l)
-			}
+			maxLen = max(maxLen, int(l))
 		}
 	}
 	if maxLen == 0 {
 		return nil, fmt.Errorf("compress: huffman table empty with %d symbols expected", n)
+	}
+	data := src[260:]
+	if n > 8*len(data) {
+		// Every symbol takes at least one bit; refuse before sizing the
+		// output from a hostile count.
+		return nil, errHuffTruncated
 	}
 	// first[l]: first canonical code of length l; offset[l]: index of its
 	// first symbol in syms (symbols in canonical (length, symbol) order).
@@ -267,40 +290,77 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 			code = (code + uint32(count[l])) << 1
 			off += count[l]
 		}
-		var next [huffMaxLen + 1]int32
-		copy(next[:], offset[:huffMaxLen+1])
-		for s := 0; s < 256; s++ {
-			if l := lengths[s]; l > 0 {
+		next := offset
+		for s, l := range lengths {
+			if l > 0 {
 				syms[next[l]] = byte(s)
 				next[l]++
 			}
 		}
 	}
+	// Primary table, entry = length<<8 | symbol, 0 = no code this short.
+	// An over-subscribed table assigns codes too wide for their length;
+	// the walk can never match those, so they get no entry.
+	tableBits := min(maxLen, huffTableBits)
+	var table [1 << huffTableBits]uint16
+	for l := 1; l <= tableBits; l++ {
+		for k := int32(0); k < count[l] && first[l]+uint32(k) < 1<<l; k++ {
+			entry := uint16(l)<<8 | uint16(syms[offset[l]+k])
+			rev := bits.Reverse16(uint16(first[l]+uint32(k))) >> (16 - l)
+			for idx := int(rev); idx < 1<<tableBits; idx += 1 << l {
+				if table[idx] == 0 {
+					table[idx] = entry
+				}
+			}
+		}
+	}
+	mask := uint64(1)<<tableBits - 1
+
 	base := len(dst)
 	dst = growBytes(dst, n)
 	out := dst[base:]
-	// Local bit-reader state: bits are consumed LSB-first from the stream
-	// and accumulated MSB-first into the running code.
-	data := src[260:]
+	// Bit-reader state: acc holds the next nbits stream bits, LSB first.
+	// (After a wide refill acc also carries later stream bits above nbits;
+	// the next refill ORs the same bits over them.)
 	pos := 0
 	var acc uint64
-	var bits uint
-	for i := 0; i < n; i++ {
+	var nbits uint
+	for i := range out {
+		if nbits < huffTableBits {
+			if pos+8 <= len(data) {
+				acc |= binary.LittleEndian.Uint64(data[pos:]) << nbits
+				adv := (63 - nbits) >> 3
+				pos += int(adv)
+				nbits += adv * 8
+			} else {
+				for ; nbits <= 56 && pos < len(data); pos++ {
+					acc |= uint64(data[pos]) << nbits
+					nbits += 8
+				}
+			}
+		}
+		if e := table[acc&mask]; e != 0 && uint(e>>8) <= nbits {
+			out[i] = byte(e)
+			acc >>= e >> 8
+			nbits -= uint(e >> 8)
+			continue
+		}
+		// Slow path — a code longer than the table is wide, or the last
+		// bits of the stream: accumulate the code MSB-first one bit at a
+		// time, one compare per bit.
 		var code uint32
-		l := 0
-		for {
-			if bits == 0 {
+		for l := 1; ; l++ {
+			if nbits == 0 {
 				if pos >= len(data) {
-					return nil, fmt.Errorf("compress: lzw stream truncated")
+					return nil, errHuffTruncated
 				}
 				acc = uint64(data[pos])
 				pos++
-				bits = 8
+				nbits = 8
 			}
 			code = code<<1 | uint32(acc&1)
 			acc >>= 1
-			bits--
-			l++
+			nbits--
 			if l > maxLen {
 				return nil, fmt.Errorf("compress: huffman bad code")
 			}
@@ -312,3 +372,5 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+var errHuffTruncated = errors.New("compress: huffman stream truncated")

@@ -2,98 +2,96 @@ package compress
 
 import "fmt"
 
-// rle1Encode performs the Bzip2-style pre-transform run-length encoding:
-// runs of 4–259 equal bytes become the four bytes followed by a count
-// byte (run length − 4). It bounds the cost of the suffix sort on highly
-// repetitive input.
-func rle1Encode(src []byte) []byte {
-	return rle1AppendEncode(make([]byte, 0, len(src)+len(src)/4), src)
-}
-
+// rle1AppendEncode appends the Bzip2-style pre-transform run-length
+// encoding of src: runs of 4–259 equal bytes become the four bytes followed
+// by a count byte (run length − 4). It bounds the cost of the suffix sort
+// on highly repetitive input. Literal stretches are copied whole.
 func rle1AppendEncode(dst, src []byte) []byte {
-	i := 0
-	for i < len(src) {
+	lit := 0 // start of the literal stretch not yet copied
+	for i := 0; i+3 < len(src); {
+		// Every four-byte window starting at i, i+1 or i+2 covers i+2 and
+		// i+3: if those differ, none of the three starts a run.
+		if src[i+3] != src[i+2] {
+			i += 3
+			continue
+		}
 		b := src[i]
-		run := 1
+		if src[i+1] != b || src[i+2] != b {
+			i++
+			continue
+		}
+		run := 4
 		for i+run < len(src) && src[i+run] == b && run < 259 {
 			run++
 		}
-		if run >= 4 {
-			dst = append(dst, b, b, b, b, byte(run-4))
-		} else {
-			for k := 0; k < run; k++ {
-				dst = append(dst, b)
-			}
-		}
+		dst = append(dst, src[lit:i]...)
+		dst = append(dst, b, b, b, b, byte(run-4))
 		i += run
+		lit = i
 	}
-	return dst
+	return append(dst, src[lit:]...)
 }
 
-// rle1Decode inverts rle1Encode.
-func rle1Decode(src []byte) ([]byte, error) {
-	return rle1AppendDecode(make([]byte, 0, len(src)*2), src)
-}
-
+// rle1AppendDecode inverts rle1AppendEncode.
 func rle1AppendDecode(dst, src []byte) ([]byte, error) {
-	i := 0
-	for i < len(src) {
-		b := src[i]
-		run := 1
-		for run < 4 && i+run < len(src) && src[i+run] == b {
-			run++
-		}
-		if run == 4 {
-			if i+4 >= len(src) {
-				return nil, fmt.Errorf("compress: rle1 truncated run")
-			}
-			extra := int(src[i+4])
-			base := len(dst)
-			dst = growBytes(dst, 4+extra)
-			fill := dst[base:]
-			for k := range fill {
-				fill[k] = b
-			}
-			i += 5
+	lit := 0
+	for i := 0; i+3 < len(src); {
+		// The same scan as the encoder's: the leftmost four equal bytes
+		// are a run head, whatever follows is its count.
+		if src[i+3] != src[i+2] {
+			i += 3
 			continue
 		}
-		for k := 0; k < run; k++ {
-			dst = append(dst, b)
+		b := src[i]
+		if src[i+1] != b || src[i+2] != b {
+			i++
+			continue
 		}
-		i += run
+		if i+4 >= len(src) {
+			return nil, fmt.Errorf("compress: rle1 truncated run")
+		}
+		dst = append(dst, src[lit:i+4]...)
+		base := len(dst)
+		dst = growBytes(dst, int(src[i+4]))
+		fill := dst[base:]
+		for k := range fill {
+			fill[k] = b
+		}
+		i += 5
+		lit = i
 	}
-	return dst, nil
+	return append(dst, src[lit:]...), nil
 }
 
-// mtfEncode applies the move-to-front transform.
-func mtfEncode(src []byte) []byte {
-	out := make([]byte, len(src))
-	mtfEncodeInto(out, src)
-	return out
-}
-
-// mtfEncodeInto writes the transform of src into dst (len(dst) ≥ len(src)).
+// mtfEncodeInto writes the move-to-front transform of src into dst
+// (len(dst) ≥ len(src)).
 func mtfEncodeInto(dst, src []byte) {
 	var table [256]byte
 	for i := range table {
 		table[i] = byte(i)
 	}
 	for i, b := range src {
-		var j int
-		for table[j] != b {
-			j++
+		// Search and shift in one pass: each entry passed over moves down
+		// one slot as it is compared, so there is no second walk (and no
+		// memmove call) once b is found. Rank 0, the common case after a
+		// BWT, touches nothing.
+		prev := table[0]
+		if prev == b {
+			dst[i] = 0
+			continue
 		}
-		dst[i] = byte(j)
-		copy(table[1:j+1], table[:j])
 		table[0] = b
+		j := uint8(1) // b is in the table, so j cannot wrap
+		for ; ; j++ {
+			cur := table[j]
+			table[j] = prev
+			if cur == b {
+				break
+			}
+			prev = cur
+		}
+		dst[i] = j
 	}
-}
-
-// mtfDecode inverts mtfEncode.
-func mtfDecode(src []byte) []byte {
-	out := make([]byte, len(src))
-	mtfDecodeInto(out, src)
-	return out
 }
 
 // mtfDecodeInto writes the inverse transform of src into dst.
@@ -110,13 +108,9 @@ func mtfDecodeInto(dst, src []byte) {
 	}
 }
 
-// zrleEncode run-length-codes the zero bytes that dominate MTF output:
-// each zero run becomes a 0x00 marker followed by length bytes (255 means
-// "255 and continue"). Non-zero bytes pass through.
-func zrleEncode(src []byte) []byte {
-	return zrleAppendEncode(make([]byte, 0, len(src)), src)
-}
-
+// zrleAppendEncode run-length-codes the zero bytes that dominate MTF
+// output: each zero run becomes a 0x00 marker followed by length bytes (255
+// means "255 and continue"). Non-zero bytes pass through.
 func zrleAppendEncode(dst, src []byte) []byte {
 	i := 0
 	for i < len(src) {
@@ -140,11 +134,7 @@ func zrleAppendEncode(dst, src []byte) []byte {
 	return dst
 }
 
-// zrleDecode inverts zrleEncode.
-func zrleDecode(src []byte) ([]byte, error) {
-	return zrleAppendDecode(make([]byte, 0, len(src)*2), src)
-}
-
+// zrleAppendDecode inverts zrleAppendEncode.
 func zrleAppendDecode(dst, src []byte) ([]byte, error) {
 	i := 0
 	for i < len(src) {

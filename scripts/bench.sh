@@ -1,9 +1,12 @@
 #!/usr/bin/env sh
 # bench.sh — run a micro-benchmark suite and record the results as JSON
 # at the repo root. With no overrides it measures the data-plane kernels
-# into BENCH_kernels.json; BENCH_FILTER/BENCH_PKG/BENCH_OUT retarget it
-# at another suite (see scripts/bench_edge.sh). Pass extra go-test flags
-# through, e.g. `scripts/bench.sh -benchtime 5s`.
+# (the codecs and wavelet kernels in the root package, and the BZW stage
+# profile in internal/compress) into BENCH_kernels.json;
+# BENCH_FILTER/BENCH_PKG/BENCH_OUT retarget it at another suite (see
+# scripts/bench_edge.sh) — BENCH_PKG may list several packages, separated
+# by spaces. Pass extra go-test flags through, e.g.
+# `scripts/bench.sh -benchtime 5s`.
 #
 # The JSON maps each benchmark to its ns/op, MB/s (when reported),
 # B/op, and allocs/op, so successive runs can be diffed for regressions.
@@ -14,12 +17,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCHES="${BENCH_FILTER:-BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose}"
-PKG="${BENCH_PKG:-.}"
+BENCHES="${BENCH_FILTER:-BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages}"
+PKG="${BENCH_PKG:-. ./internal/compress}"
 OUT="${BENCH_OUT:-BENCH_kernels.json}"
 
-echo "== go test -bench '$BENCHES' -benchmem $* $PKG"
-go test -run '^$' -bench "$BENCHES" -benchmem -benchtime "${BENCHTIME:-2s}" "$@" "$PKG" |
+echo "== go test -p 1 -bench '$BENCHES' -benchmem $* $PKG"
+# $PKG is split on purpose: it is a list of packages (-p 1: one package's
+# benchmarks at a time, or they would time each other).
+# shellcheck disable=SC2086
+go test -p 1 -run '^$' -bench "$BENCHES" -benchmem -benchtime "${BENCHTIME:-2s}" "$@" $PKG |
 	tee /dev/stderr |
 	awk '
 	/^Benchmark/ {

@@ -7,7 +7,8 @@
 # entry nothing measures any more, or a new benchmark with no baseline —
 # so a rename or a deletion cannot slip through as "not compared". Six
 # suites are gated: the data-plane kernels
-# (BENCH_kernels.json), the edge cache tier (BENCH_edge.json), the
+# (BENCH_kernels.json — root-package codec and wavelet kernels plus the
+# per-stage BZW profile of internal/compress), the edge cache tier (BENCH_edge.json), the
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
 # the counter-commit harness; its trailing "swarm" block is informational
 # and ignored here), the live performance store (BENCH_perfstore.json —
@@ -58,13 +59,13 @@ check_one() {
 
 	# Full outer join: a name on one side only shows "-" on the other.
 	join -a 1 -a 2 -e - -o 0,1.2,2.2 "$CUR.base" "$CUR.now" | awk -v tol="$TOL" '
-	$2 == "-" { printf "%-28s measured but has no baseline entry   UNMATCHED\n", $1; lone++; next }
-	$3 == "-" { printf "%-28s in the baseline but not measured    UNMATCHED\n", $1; lone++; next }
+	$2 == "-" { printf "%-50s measured but has no baseline entry   UNMATCHED\n", $1; lone++; next }
+	$3 == "-" { printf "%-50s in the baseline but not measured    UNMATCHED\n", $1; lone++; next }
 	{
 		name = $1; base = $2; now = $3
 		limit = base * (1 + tol)
 		bad += (now > limit)
-		printf "%-28s base %10.1f ns/op   now %10.1f ns/op   limit %10.1f   %s\n", \
+		printf "%-50s base %10.1f ns/op   now %10.1f ns/op   limit %10.1f   %s\n", \
 			name, base, now, limit, (now > limit ? "REGRESSION" : "ok")
 	}
 	END {
@@ -78,8 +79,8 @@ check_one() {
 }
 
 check_one BENCH_kernels.json \
-	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose' \
-	.
+	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages' \
+	'. ./internal/compress'
 check_one BENCH_edge.json 'BenchmarkEdge' ./internal/edge
 check_one BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
 check_one BENCH_perfstore.json 'BenchmarkPerfstore|BenchmarkPerfdb' ./internal/perfstore

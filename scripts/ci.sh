@@ -7,7 +7,8 @@
 #   scripts/ci.sh            # full gate (lint, unit, smoke, bench)
 #   scripts/ci.sh lint       # build + vet + staticcheck
 #   scripts/ci.sh unit       # race-detector test suite (quick gate first)
-#   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, and figure-golden smokes
+#   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, figure-golden and fuzz smokes
+#   scripts/ci.sh fuzz       # just the fuzz smoke (FUZZTIME=5m for the nightly pass)
 #   scripts/ci.sh bench      # bench smoke + perf gate vs baselines
 #   scripts/ci.sh -short     # full gate, skipping slow real-time tests
 #
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 STAGE=all
 case "${1:-}" in
-lint | unit | smoke | bench | all)
+lint | unit | smoke | fuzz | bench | all)
 	STAGE=$1
 	shift
 	;;
@@ -93,6 +94,21 @@ run_smoke() {
 	echo "== avis-figures / avis-adapt -exp all vs scripts/golden (byte-identical)"
 	go run ./cmd/avis-figures | cmp - scripts/golden/avis-figures.txt
 	go run ./cmd/avis-adapt -exp all | cmp - scripts/golden/avis-adapt-all.txt
+
+	run_fuzz
+}
+
+run_fuzz() {
+	# Fuzz smoke: plain `go test` only replays each target's seed corpus,
+	# so give every internal/compress fuzz target (codec round trips, and
+	# the BWT and Huffman-decoder differentials against their oracles)
+	# FUZZTIME of real mutation — one target per invocation, as the
+	# toolchain requires. Offline: the module has no dependencies. A
+	# failing input lands in internal/compress/testdata/fuzz/<target>/.
+	for target in $(go test ./internal/compress -list '^Fuzz' | grep '^Fuzz'); do
+		echo "== go test ./internal/compress -fuzz '^$target\$' -fuzztime ${FUZZTIME:-10s}"
+		go test ./internal/compress -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-10s}"
+	done
 }
 
 run_bench() {
@@ -121,6 +137,7 @@ case "$STAGE" in
 lint) run_lint ;;
 unit) run_unit "$@" ;;
 smoke) run_smoke ;;
+fuzz) run_fuzz ;;
 bench) run_bench ;;
 all)
 	run_lint
