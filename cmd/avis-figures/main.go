@@ -10,6 +10,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 
@@ -103,4 +104,5 @@ func main() {
 			log.Fatalf("avis-figures: render %s: %v", id, err)
 		}
 	}
+	fmt.Fprintln(os.Stderr, "avis-figures:", expt.EncodedStats())
 }

@@ -110,4 +110,5 @@ func main() {
 		fmt.Printf("merged sweep into %s: %d configurations, %d records refined, %d added\n",
 			*merge, stats.Configs, stats.Merged, stats.Added)
 	}
+	fmt.Fprintln(os.Stderr, "avis-profile:", expt.EncodedStats())
 }

@@ -41,15 +41,18 @@ func (s *RealServer) SetIOTimeout(d time.Duration) { s.ioTimeout = d }
 // avis_connections_total, avis_requests_total, avis_request_seconds
 // (per-request serve latency), avis_sent_bytes_total (compressed bytes
 // written), avis_segments_total, avis_codec_switches_total,
-// avis_errors_total, avis_io_timeouts_total, and — labeled per codec —
-// avis_codec_encode_seconds, avis_codec_encode_in_bytes_total, and
-// avis_codec_encode_out_bytes_total.
+// avis_errors_total, avis_io_timeouts_total, the encoded-reply cache's
+// avis_encoded_cache_hits_total, avis_encoded_cache_misses_total,
+// avis_encoded_cache_bytes and avis_encoded_cache_evictions_total, and —
+// labeled per codec, observed only for replies that were really encoded,
+// i.e. the misses — avis_codec_encode_seconds,
+// avis_codec_encode_in_bytes_total, and avis_codec_encode_out_bytes_total.
 func (s *RealServer) EnableMetrics(reg *metrics.Registry) {
 	tel := s.pyr.tel
 	s.mConns = reg.Counter("avis_connections_total", "Client connections accepted.")
 	tel.mRequests = reg.Counter("avis_requests_total", "Foveal region requests served.")
 	tel.mReqSeconds = reg.Histogram("avis_request_seconds",
-		"Wall-clock latency of serving one region request (extract, encode, write).")
+		"Wall-clock latency of serving one region request (cache lookup or extract and encode, write).")
 	sentBytes := reg.Counter("avis_sent_bytes_total", "Compressed reply bytes written.")
 	segments := reg.Counter("avis_segments_total", "Reply segments written.")
 	s.onSegment = func(wireBytes int) {
@@ -60,6 +63,9 @@ func (s *RealServer) EnableMetrics(reg *metrics.Registry) {
 	tel.mErrors = reg.Counter("avis_errors_total", "Protocol or serve errors returned to clients.")
 	s.mIOTimeouts = reg.Counter("avis_io_timeouts_total", "Connections dropped on frame I/O timeout.")
 	tel.mCodec = newCodecInstruments(reg, "encode")
+	tel.mEncodedHits = reg.Counter("avis_encoded_cache_hits_total", "Requests answered with an already encoded reply.")
+	tel.mEncodedMisses = reg.Counter("avis_encoded_cache_misses_total", "Requests whose reply had to be extracted and compressed.")
+	s.pyr.store.enableMetrics(reg)
 	s.wInst = wire.NewInstruments(reg)
 }
 
@@ -195,9 +201,10 @@ func (c *RealClient) Close() error {
 // FetchRoundRaw performs one request/reply round and returns the decoded
 // (pre-compression) chunk payload instead of applying it to a canvas —
 // the shape the edge proxy's origin leg needs, where the payload is
-// cached and re-encoded per client rather than rendered. req.Seq is
-// assigned by the session. The returned buffer is drawn from the shared
-// bufpool; callers that are done with it may return it with bufpool.Put.
+// compressed once under a client's codec and cached in that form rather
+// than rendered. req.Seq is assigned by the session. The returned buffer
+// is drawn from the shared bufpool; callers that are done with it may
+// return it with bufpool.Put.
 // wireN is the round's on-the-wire byte count. An error other than a
 // *RefusedError leaves the connection out of step with the server.
 func (c *RealClient) FetchRoundRaw(req Request) (data []byte, wireN int, err error) {

@@ -304,4 +304,19 @@ func TestRealTCPMetrics(t *testing.T) {
 	if got := sreg.Histogram("avis_request_seconds", "").Count(); got == 0 {
 		t.Error("server avis_request_seconds histogram empty")
 	}
+	// Every request is a hit or a miss of the encoded-reply cache, the
+	// codec timer runs for the misses only, and the occupancy gauge is the
+	// store's own figure.
+	hits := sreg.Counter("avis_encoded_cache_hits_total", "").Value()
+	misses := sreg.Counter("avis_encoded_cache_misses_total", "").Value()
+	stats := srv.Stats()
+	if hits+misses != float64(stats.Requests) || hits != float64(stats.EncodedCacheHits) || misses != float64(stats.EncodeCalls) {
+		t.Errorf("encoded cache: %g hits + %g misses, server stats %+v", hits, misses, stats)
+	}
+	if got := sreg.Histogram("avis_codec_encode_seconds", "", metrics.L("codec", "lzw")).Count(); float64(got) != misses {
+		t.Errorf("avis_codec_encode_seconds observed %d times for %g encodes", got, misses)
+	}
+	if got, want := sreg.Gauge("avis_encoded_cache_bytes", "").Value(), float64(testStore.EncodedStats().Bytes); got != want || want == 0 {
+		t.Errorf("avis_encoded_cache_bytes = %g, store holds %g", got, want)
+	}
 }

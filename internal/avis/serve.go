@@ -21,16 +21,21 @@ import (
 const DefaultSegmentBytes = 8 << 10
 
 // Handler is what one server differs from another in behind the shared
-// dispatch loop: where a request's raw chunk bytes come from — pyramid
-// extraction on an origin, cache → single-flight → origin on an edge — and
-// who is told how the request went.
+// dispatch loop: where a request's finished reply comes from — the image
+// store's encoded-reply cache on an origin, the chunk cache → single-flight
+// → origin leg on an edge — and who is told how the request went. The loop
+// itself never compresses: whoever made the bytes may have made them for
+// an earlier request, and only the handler can know.
 type Handler interface {
-	// Payload returns the pre-compression chunk bytes answering req.
-	// pooled reports that data came from bufpool and is the loop's to
-	// recycle once encoded; otherwise it is only read. An error matching
+	// Reply returns the reply body answering req: the chunk bytes already
+	// compressed with codec (the one the client last announced), and
+	// rawLen, their pre-compression length, which the segment headers and
+	// the testbed's cost model are computed from. pooled reports that enc
+	// came from bufpool and is the loop's to recycle once written;
+	// otherwise it is shared and only read. An error matching
 	// IsTransportError drops the connection; any other is sent to the
 	// client as an error frame.
-	Payload(req Request) (data []byte, pooled bool, err error)
+	Reply(req Request, codec compress.Codec) (enc []byte, rawLen int, pooled bool, err error)
 	// Replied observes one answered message: a request whose reply went
 	// out in full (err nil; took spans decode to the last byte handed to
 	// the link), or any message answered with an error frame carrying err.
@@ -39,9 +44,9 @@ type Handler interface {
 
 // ServeConn runs the server half of the protocol on one accepted
 // connection until the client closes it: geometry handshake, codec
-// announcements, and region requests answered from h, compressed with the
-// codec the client last announced and segmented at segBytes (0 = the
-// protocol default) exactly as an origin server would.
+// announcements, and region requests answered by h under the codec the
+// client last announced, segmented at segBytes (0 = the protocol default)
+// exactly as an origin server would.
 func ServeConn(wc *wire.Conn, geom Geometry, segBytes int, h Handler) error {
 	s := newServerSession(geom, h, nil)
 	return s.run(&tcpEnv{wc: wc, epoch: time.Now(), segBytes: segBytes})
@@ -67,7 +72,7 @@ func newServerSession(geom Geometry, h Handler, tel *serverTelemetry) serverSess
 var errUnknownMessage = errors.New("unknown message")
 
 // run services the session over e until the client closes it: hello →
-// geometry, notify → codec switch, request → Payload, encode, reply.
+// geometry, notify → codec switch, request → Reply, segments.
 // Anything malformed or unknown is answered with an error frame and the
 // session continues.
 func (s *serverSession) run(e serverEnv) error {
@@ -125,21 +130,17 @@ func (s *serverSession) run(e serverEnv) error {
 	}
 }
 
-// answer serves one region request: payload, encode, reply.
+// answer serves one region request: the handler's finished bytes, put on
+// the link.
 func (s *serverSession) answer(e serverEnv, req Request) error {
-	data, pooled, err := s.h.Payload(req)
+	enc, rawLen, pooled, err := s.h.Reply(req, s.codec)
 	if err != nil {
 		return err
 	}
-	rawLen := len(data)
-	t0 := e.now()
-	enc := s.codec.Encode(data)
-	s.tel.encoded(s.codec.Name(), (e.now() - t0).Seconds(), rawLen, len(enc))
-	if pooled {
-		bufpool.Put(data)
-	}
 	err = e.reply(req, rawLen, enc, s.cost.EncodeCyclesPerByte*s.codec.EncodeCost())
-	bufpool.Put(enc)
+	if pooled {
+		bufpool.Put(enc)
+	}
 	return err
 }
 
@@ -150,6 +151,12 @@ type ServerStats struct {
 	CompressedBytes int64
 	Notifies        int64
 	Errors          int64
+	// EncodeCalls counts the replies this server had to extract and
+	// compress; EncodedCacheHits the ones the store already held (or was
+	// already making for another session). Their sum is the requests
+	// answered with data.
+	EncodeCalls      int64
+	EncodedCacheHits int64
 }
 
 // serverTelemetry is the live form of ServerStats plus the origin
@@ -164,12 +171,17 @@ type serverTelemetry struct {
 	compressedBytes atomic.Int64
 	notifies        atomic.Int64
 	errors          atomic.Int64
+	encodeCalls     atomic.Int64
+	encodedHits     atomic.Int64
 
 	mRequests    *metrics.Counter
 	mReqSeconds  *metrics.Histogram
 	mErrors      *metrics.Counter
 	mCodecSwitch *metrics.Counter
-	mCodec       map[string]*codecInstruments
+	mCodec       map[string]*codecInstruments // observed when an encode really ran
+
+	mEncodedHits   *metrics.Counter
+	mEncodedMisses *metrics.Counter
 }
 
 func (t *serverTelemetry) snapshot() ServerStats {
@@ -179,6 +191,9 @@ func (t *serverTelemetry) snapshot() ServerStats {
 		CompressedBytes: t.compressedBytes.Load(),
 		Notifies:        t.notifies.Load(),
 		Errors:          t.errors.Load(),
+
+		EncodeCalls:      t.encodeCalls.Load(),
+		EncodedCacheHits: t.encodedHits.Load(),
 	}
 }
 
@@ -190,18 +205,13 @@ func (t *serverTelemetry) notified() {
 	t.mCodecSwitch.Inc()
 }
 
-func (t *serverTelemetry) encoded(codec string, sec float64, in, out int) {
-	if t == nil {
-		return
-	}
-	t.compressedBytes.Add(int64(out))
-	t.mCodec[codec].observe(sec, in, out)
-}
-
-// pyramids is the origin's Handler: region requests are answered by
-// extraction from the image set's wavelet pyramids, with the testbed's
-// per-request and per-coefficient costs charged to env. On TCP that is a
-// no-op, so a RealServer's connections all share one handler.
+// pyramids is the origin's Handler: region requests are answered from the
+// image store — its encoded-reply cache, or on a miss by extraction from
+// the image set's wavelet pyramids and compression — with the testbed's
+// per-request and per-coefficient costs charged to env whichever it was:
+// virtual time models the paper's server, which has no such cache, so a
+// hit saves wall time only. On TCP the charges are no-ops, so a
+// RealServer's connections all share one handler.
 type pyramids struct {
 	geom  Geometry
 	seeds []int64
@@ -211,29 +221,38 @@ type pyramids struct {
 	env   env
 }
 
-func (h *pyramids) Payload(req Request) ([]byte, bool, error) {
-	h.tel.requests.Add(1)
-	h.tel.mRequests.Inc()
+func (h *pyramids) Reply(req Request, codec compress.Codec) ([]byte, int, bool, error) {
+	tel := h.tel
+	tel.requests.Add(1)
+	tel.mRequests.Inc()
 	if req.Image < 0 || req.Image >= len(h.seeds) {
-		return nil, false, fmt.Errorf("image %d out of range", req.Image)
+		return nil, 0, false, fmt.Errorf("image %d out of range", req.Image)
 	}
 	if req.Level < 0 || req.Level > h.geom.Levels {
-		return nil, false, fmt.Errorf("level %d out of range", req.Level)
-	}
-	pyr, err := h.store.Pyramid(h.geom.Side, h.geom.Levels, h.seeds[req.Image])
-	if err != nil {
-		return nil, false, err
+		return nil, 0, false, fmt.Errorf("level %d out of range", req.Level)
 	}
 	h.env.compute(h.cost.RequestOverheadCycles)
-	chunk, err := pyr.ExtractRegion(req.Level, req.X, req.Y, req.R, req.PrevR)
+	name := codec.Name()
+	r, encoded, took, err := h.store.reply(encodedKey{
+		pyramidKey: pyramidKey{h.geom.Side, h.geom.Levels, h.seeds[req.Image]},
+		level:      req.Level, x: req.X, y: req.Y, r: req.R, prevR: req.PrevR,
+		codec: name,
+	}, codec)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	raw := chunk.AppendEncode(bufpool.Get(chunk.Size())[:0])
-	chunk.Release()
-	h.env.compute(h.cost.ExtractCyclesPerCoeff * float64(len(raw)))
-	h.tel.rawBytes.Add(int64(len(raw)))
-	return raw, true, nil
+	h.env.compute(h.cost.ExtractCyclesPerCoeff * float64(r.rawLen))
+	tel.rawBytes.Add(int64(r.rawLen))
+	tel.compressedBytes.Add(int64(len(r.enc)))
+	if encoded {
+		tel.encodeCalls.Add(1)
+		tel.mEncodedMisses.Inc()
+		tel.mCodec[name].observe(took.Seconds(), r.rawLen, len(r.enc))
+	} else {
+		tel.encodedHits.Add(1)
+		tel.mEncodedHits.Inc()
+	}
+	return r.enc, r.rawLen, false, nil
 }
 
 func (h *pyramids) Replied(took time.Duration, err error) {

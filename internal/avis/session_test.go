@@ -1,6 +1,7 @@
 package avis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -164,6 +165,237 @@ func TestSessionDifferential(t *testing.T) {
 	if !reflect.DeepEqual(sim.pix, tcp.pix) {
 		t.Error("reconstructed canvases differ bit-wise")
 	}
+
+	// The same two environments against the uncached reference, reply by
+	// reply, for every codec (each switching to a neighbour and back).
+	for _, pair := range [][2]string{{"raw", "lzw"}, {"lzw", "bzw"}, {"bzw", "raw"}} {
+		t.Run("replies/"+pair[0], func(t *testing.T) { testReplyDifferential(t, pair[0], pair[1]) })
+	}
+}
+
+// replyTap keeps the compressed bytes of every reply a session receives,
+// as the server cut them: segment payloads, concatenated per round.
+type replyTap struct {
+	env
+	cur     []byte
+	replies [][]byte
+}
+
+func (t *replyTap) recv(stall time.Duration) ([]byte, error) {
+	msg, err := t.env.recv(stall)
+	if err == nil && msg[0] == tagSegment {
+		seg, _ := DecodeSegment(msg)
+		t.cur = append(t.cur, seg.Payload...)
+		if seg.Last {
+			t.replies = append(t.replies, t.cur)
+			t.cur = nil
+		}
+	}
+	return msg, err
+}
+
+// replyStep is one step of the reply-differential script: announce a
+// codec, or make a request.
+type replyStep struct {
+	notify string
+	req    Request
+}
+
+// replyScript exercises everything the encoded-reply cache keys on and
+// everything it must not hold: repeats of a region, a ring (PrevR > 0), a
+// region clipped at the image border, a codec switch and back with the
+// same regions under each, and — between valid requests — an image, a
+// level and a radius pair the server refuses.
+func replyScript(codec, other string) []replyStep {
+	centre := Request{Image: 0, X: 128, Y: 128, R: 64, Level: 4}
+	ring := Request{Image: 0, X: 128, Y: 128, R: 128, PrevR: 64, Level: 4}
+	clipped := Request{Image: 1, X: 10, Y: 250, R: 64, Level: 3}
+	return []replyStep{
+		{req: centre}, {req: centre}, {req: ring},
+		{req: Request{Image: 9, X: 128, Y: 128, R: 64, Level: 4}},
+		{req: centre},
+		{notify: other},
+		{req: centre}, {req: clipped},
+		{req: Request{Image: 0, X: 128, Y: 128, R: 64, Level: 9}},
+		{req: ring},
+		{notify: codec},
+		{req: centre}, {req: ring}, {req: clipped},
+		{req: Request{Image: 0, X: 128, Y: 128, R: 32, PrevR: 64, Level: 4}},
+		{req: clipped},
+	}
+}
+
+// driveReplies runs script on a connected-to-be session and returns the
+// compressed reply of every request step, nil where the server refused.
+func driveReplies(s *session, script []replyStep) ([][]byte, error) {
+	tap := &replyTap{env: s.env}
+	s.env = tap
+	if err := s.connect(); err != nil {
+		return nil, err
+	}
+	var got [][]byte
+	for i, st := range script {
+		if st.notify != "" {
+			if err := s.setCodec(st.notify); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		n := len(tap.replies)
+		data, _, err := s.exchange(st.req)
+		var refused *RefusedError
+		switch {
+		case errors.As(err, &refused):
+			got = append(got, nil)
+		case err != nil:
+			return nil, fmt.Errorf("step %d: %w", i, err)
+		case len(tap.replies) != n+1:
+			return nil, fmt.Errorf("step %d: %d replies tapped, want 1", i, len(tap.replies)-n)
+		default:
+			bufpool.Put(data)
+			got = append(got, tap.replies[n])
+		}
+	}
+	return got, nil
+}
+
+// testReplyDifferential drives replyScript through the testbed and through
+// loopback TCP, each on a cold store of its own, and requires every reply
+// to be byte-for-byte what the uncached pipeline — ExtractRegion,
+// AppendEncode, Codec.Encode — makes of the request, the counters to be
+// those of a server that ran that pipeline for every request, refused
+// requests to leave nothing in the cache, and a second testbed session on
+// the now-warm store to take exactly the virtual time the cold one took.
+func testReplyDifferential(t *testing.T, codecName, otherName string) {
+	const side, levels = 256, 4
+	seeds := []int64{1, 2}
+	script := replyScript(codecName, otherName)
+
+	// The uncached reference, and the counters an uncached server ends on.
+	var want [][]byte
+	wantStats := ServerStats{Notifies: 1} // connect announces the first codec
+	distinct := map[string]int{}          // reply bytes resident, by key
+	codec, _ := compress.Lookup(codecName)
+	for _, st := range script {
+		if st.notify != "" {
+			codec, _ = compress.Lookup(st.notify)
+			wantStats.Notifies++
+			continue
+		}
+		wantStats.Requests++
+		var enc []byte
+		if st.req.Image < len(seeds) && st.req.Level <= levels {
+			pyr, err := testStore.Pyramid(side, levels, seeds[st.req.Image])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunk, err := pyr.ExtractRegion(st.req.Level, st.req.X, st.req.Y, st.req.R, st.req.PrevR); err == nil {
+				raw := chunk.AppendEncode(nil)
+				chunk.Release()
+				enc = append([]byte{}, codec.Encode(raw)...)
+				wantStats.RawBytes += int64(len(raw))
+				wantStats.CompressedBytes += int64(len(enc))
+				distinct[fmt.Sprint(codec.Name(), st.req)] = len(enc)
+			}
+		}
+		if enc == nil {
+			wantStats.Errors++
+		}
+		want = append(want, enc)
+	}
+	if wantStats.Errors != 3 || len(distinct) != 6 {
+		t.Fatalf("script has %d refusals and %d distinct replies, want 3 and 6", wantStats.Errors, len(distinct))
+	}
+	wantStats.EncodeCalls = int64(len(distinct))
+	wantStats.EncodedCacheHits = wantStats.Requests - wantStats.Errors - wantStats.EncodeCalls
+	var wantResident int64
+	for _, n := range distinct {
+		wantResident += int64(n)
+	}
+
+	check := func(t *testing.T, got [][]byte, stats ServerStats, store *ImageStore) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%d replies, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("request %d: reply is %d bytes, differs from the uncached reference's %d", i, len(got[i]), len(want[i]))
+			}
+		}
+		if stats != wantStats {
+			t.Errorf("server stats %+v\n                want %+v", stats, wantStats)
+		}
+		if es := store.EncodedStats(); es.Entries != len(distinct) || es.Bytes != wantResident || es.Encodes != wantStats.EncodeCalls {
+			t.Errorf("store holds %+v, want %d entries / %d bytes from %d encodes: refused requests must leave nothing", es, len(distinct), wantResident, wantStats.EncodeCalls)
+		}
+	}
+
+	simStore := NewImageStore()
+	runSim := func() ([][]byte, ServerStats, time.Duration) {
+		w, err := NewWorld(WorldConfig{Params: Params{DR: 64, Codec: codecName, Level: 4}, Side: side, Levels: levels, Seeds: seeds, Store: simStore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		var simErr error
+		w.Sim.Spawn("avis-client", func(p *vtime.Proc) {
+			w.Client.venv.p = p
+			got, simErr = driveReplies(&w.Client.session, script)
+			w.Client.Close(p)
+		})
+		if err := w.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if simErr != nil {
+			t.Fatalf("vtime: %v", simErr)
+		}
+		return got, w.Server.Stats(), w.Sim.Now()
+	}
+	got, stats, cold := runSim()
+	check(t, got, stats, simStore)
+	got, stats, warm := runSim()
+	if warm != cold {
+		t.Errorf("session on a warm store took %v of virtual time, on a cold one %v: a hit must be charged like a miss", warm, cold)
+	}
+	wantWarm := wantStats
+	wantWarm.EncodeCalls, wantWarm.EncodedCacheHits = 0, wantStats.EncodeCalls+wantStats.EncodedCacheHits
+	if stats != wantWarm {
+		t.Errorf("warm-store server stats %+v\n                           want %+v", stats, wantWarm)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("warm store, request %d: reply differs from the uncached reference", i)
+		}
+	}
+
+	tcpStore := NewImageStore()
+	srv, err := NewRealServer(side, levels, seeds, tcpStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Shutdown(time.Second)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewRealClient(conn, Params{DR: 64, Codec: codecName, Level: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.tenv.negotiate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = driveReplies(&c.session, script); err != nil {
+		t.Fatalf("tcp: %v", err)
+	}
+	check(t, got, srv.Stats(), tcpStore)
 }
 
 // transports runs a scripted server and a client body over each of the

@@ -1,11 +1,11 @@
 package edge
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"tunable/internal/avis"
+	"tunable/internal/compress"
 	"tunable/internal/monitor"
 )
 
@@ -18,21 +18,24 @@ func benchReq(i int) avis.Request {
 	return avis.Request{Image: i & 7, X: (i * 13) & 127, Y: (i * 7) & 127, R: 32, PrevR: 16, Level: 2}
 }
 
+// keySink keeps the compiler from discarding BenchmarkEdgeCacheKey's work.
+var keySink chunkKey
+
 func BenchmarkEdgeCacheKey(b *testing.B) {
 	req := benchReq(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = cacheKey("256-4-0123456789abcdef", req)
+		keySink = cacheKey("256-4-0123456789abcdef", req, "lzw")
 	}
 }
 
 func BenchmarkEdgeCacheHit(b *testing.B) {
 	c := newChunkCache(1024, 64<<20, time.Hour)
 	payload := make([]byte, 4096)
-	keys := make([]string, 256)
+	keys := make([]chunkKey, 256)
 	for i := range keys {
-		keys[i] = cacheKey("sig", benchReq(i))
-		c.insert(keys[i], payload, false)
+		keys[i] = cacheKey("sig", benchReq(i), "lzw")
+		c.insert(keys[i], cacheEntry{enc: payload, rawLen: 2 * len(payload)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,7 +54,7 @@ func BenchmarkEdgeCacheChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.insert(fmt.Sprintf("sig/%d/2/0/0/32/16", i), payload, false)
+		c.insert(cacheKey("sig", avis.Request{Image: i, R: 32, PrevR: 16, Level: 2}, "lzw"), cacheEntry{enc: payload})
 	}
 }
 
@@ -61,12 +64,13 @@ func BenchmarkEdgeTrackerObserve(b *testing.B) {
 	pw := &prewarmer{
 		window:   monitor.DefaultTrajectoryWindow,
 		teleport: 1 << 20, // never reset: keep the predict path hot
-		tasks:    make(chan avis.Request, 1),
+		tasks:    make(chan prewarmTask, 1),
 	}
 	tr := &foveaTracker{pw: pw, byImage: make(map[int]*imageTrack)}
+	lzw, _ := compress.Lookup("lzw")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.observe(avis.Request{Image: 0, X: i & 1023, Y: (i * 3) & 1023, R: 32, PrevR: 16, Level: 2})
+		tr.observe(avis.Request{Image: 0, X: i & 1023, Y: (i * 3) & 1023, R: 32, PrevR: 16, Level: 2}, lzw)
 	}
 }

@@ -4,15 +4,16 @@
 // and serves coarse pyramid levels out of a bounded LRU+TTL chunk cache
 // while fine levels stream through from origin. Chunks are
 // content-addressed — the cache key is (store signature, image, level,
-// region), the same signature cluster failover already pins sessions on —
-// so any edge fronting the same origin store serves byte-identical
-// payloads. Concurrent misses for one key collapse into a single origin
-// round (single-flight), and a fovea-trajectory prewarmer fetches the
-// predicted next region's coarse chunks before the client asks.
+// region, codec), the same signature cluster failover already pins
+// sessions on — and held in the form they leave in, compressed for the
+// client's codec, so a hit is a lookup and a vectored write and any edge
+// fronting the same origin store serves byte-identical replies. Concurrent
+// misses for one key collapse into a single origin round (single-flight),
+// and a fovea-trajectory prewarmer fetches the predicted next region's
+// coarse chunks before the client asks.
 package edge
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,19 +23,29 @@ import (
 	"tunable/internal/metrics"
 )
 
-// cacheKey renders the content address of one reply payload. Every field
-// that shapes the payload bytes participates; the codec does not, because
-// the cache stores pre-compression chunk encodings and re-encodes per
-// client.
-func cacheKey(sig string, req avis.Request) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%d/%d/%d", sig, req.Image, req.Level, req.X, req.Y, req.R, req.PrevR)
+// chunkKey is the content address of one cached reply. Every field that
+// shapes the reply bytes participates: the origin's store signature, the
+// region (a request with its Seq zeroed), and the codec the bytes are
+// compressed with — the cache holds what goes on the wire, so two clients
+// that announced different codecs do not share an entry.
+type chunkKey struct {
+	sig   string
+	req   avis.Request
+	codec string
 }
 
-// cacheEntry is one cached reply payload: the raw (decoded,
-// pre-compression) chunk encoding, read-only once inserted, plus whether
+func cacheKey(sig string, req avis.Request, codec string) chunkKey {
+	req.Seq = 0
+	return chunkKey{sig: sig, req: req, codec: codec}
+}
+
+// cacheEntry is one cached reply: the chunk encoding compressed under the
+// key's codec, exactly sized and read-only once inserted, its
+// pre-compression length (what the segment headers carry), and whether
 // the prewarmer fetched it (so hits on prewarmed entries are countable).
 type cacheEntry struct {
-	data      []byte
+	enc       []byte
+	rawLen    int
 	prewarmed bool
 }
 
@@ -44,7 +55,7 @@ type cacheEntry struct {
 // replacement order.
 type chunkCache struct {
 	mu  sync.Mutex
-	pol *lru.Policy[string, cacheEntry]
+	pol *lru.Policy[chunkKey, cacheEntry]
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -63,11 +74,11 @@ type chunkCache struct {
 
 func newChunkCache(maxEntries int, maxBytes int64, ttl time.Duration) *chunkCache {
 	c := &chunkCache{}
-	c.pol = lru.New[string, cacheEntry](lru.Config{
+	c.pol = lru.New[chunkKey, cacheEntry](lru.Config{
 		MaxEntries: maxEntries,
 		MaxCost:    maxBytes,
 		TTL:        ttl,
-	}, func(_ string, _ cacheEntry, why lru.Reason) {
+	}, func(_ chunkKey, _ cacheEntry, why lru.Reason) {
 		switch why {
 		case lru.Capacity:
 			c.mEvCapacity.Inc()
@@ -91,7 +102,7 @@ func (c *chunkCache) enableMetrics(reg *metrics.Registry) {
 		"Cached chunks evicted, by reason.", metrics.L("reason", "expired"))
 	c.mHitRatio = reg.Gauge("edge_cache_hit_ratio", "Lifetime cache hit ratio on coarse-level requests.")
 	c.mEntries = reg.Gauge("edge_cache_entries", "Cached chunks currently live.")
-	c.mBytes = reg.Gauge("edge_cache_bytes", "Summed payload bytes of live cached chunks.")
+	c.mBytes = reg.Gauge("edge_cache_bytes", "Summed compressed bytes of live cached chunks.")
 }
 
 // updateGauges refreshes the occupancy and ratio gauges; callers hold mu.
@@ -106,7 +117,7 @@ func (c *chunkCache) updateGauges() {
 
 // lookup is the serving-path read: it bumps recency and the hit/miss
 // stats, and flags hits on prewarmed entries.
-func (c *chunkCache) lookup(key string) (data []byte, ok bool) {
+func (c *chunkCache) lookup(key chunkKey) (cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.pol.Get(key)
 	if ok {
@@ -122,22 +133,22 @@ func (c *chunkCache) lookup(key string) (data []byte, ok bool) {
 	}
 	c.updateGauges()
 	c.mu.Unlock()
-	return e.data, ok
+	return e, ok
 }
 
 // contains is the prewarmer's probe: no stats, no recency bump.
-func (c *chunkCache) contains(key string) bool {
+func (c *chunkCache) contains(key chunkKey) bool {
 	c.mu.Lock()
 	_, ok := c.pol.Peek(key)
 	c.mu.Unlock()
 	return ok
 }
 
-// insert stores one payload. The cache owns data from here on; it must
-// not be pooled or mutated by the caller.
-func (c *chunkCache) insert(key string, data []byte, prewarmed bool) {
+// insert stores one reply. The cache owns e.enc from here on; it must not
+// be pooled or mutated by the caller.
+func (c *chunkCache) insert(key chunkKey, e cacheEntry) {
 	c.mu.Lock()
-	c.pol.Put(key, cacheEntry{data: data, prewarmed: prewarmed}, int64(len(data)))
+	c.pol.Put(key, e, int64(len(e.enc)))
 	c.updateGauges()
 	c.mu.Unlock()
 }

@@ -8,15 +8,17 @@ import (
 	"time"
 
 	"tunable/internal/avis"
+	"tunable/internal/bufpool"
 	"tunable/internal/compress"
 	"tunable/internal/metrics"
 	"tunable/internal/wire"
 )
 
 // DefaultOriginCodec compresses the origin leg. The edge decodes every
-// origin reply back to raw chunk bytes before caching, so the origin-leg
-// codec only trades origin bandwidth against edge CPU; lzw is the
-// strongest codec the repertoire has.
+// origin reply back to raw chunk bytes and compresses them once under the
+// asking client's codec — that form is what it caches — so the origin-leg
+// codec only trades origin bandwidth against edge CPU on a miss; lzw is
+// the cheapest codec the repertoire has that compresses at all.
 const DefaultOriginCodec = "lzw"
 
 // Defaults for Config zero values.
@@ -44,7 +46,8 @@ type Config struct {
 	// restarted against a different image set can never serve stale bytes.
 	Sig string
 
-	// Cache bounds: entry count, summed payload bytes, and per-entry TTL.
+	// Cache bounds: entry count, summed bytes of the cached (compressed)
+	// replies, and per-entry TTL.
 	// Zero values take the Default* constants; a negative CacheEntries or
 	// CacheBytes lifts that bound.
 	CacheEntries int
@@ -80,9 +83,9 @@ type Config struct {
 // flight is one in-progress origin fetch that concurrent cache misses for
 // the same key coalesce onto.
 type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done  chan struct{}
+	entry cacheEntry
+	err   error
 }
 
 // Proxy is one edge node: it terminates the avis protocol toward clients
@@ -96,7 +99,7 @@ type Proxy struct {
 	pw      *prewarmer
 
 	flightMu sync.Mutex
-	flights  map[string]*flight
+	flights  map[chunkKey]*flight
 
 	accept wire.Acceptor // client-facing connections
 
@@ -146,7 +149,7 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:     cfg,
 		cache:   newChunkCache(max0(cfg.CacheEntries), int64(max0(int(cfg.CacheBytes))), cfg.TTL),
-		flights: make(map[string]*flight),
+		flights: make(map[chunkKey]*flight),
 	}
 	p.origins = &originPool{
 		dial:      cfg.OriginDial,
@@ -247,37 +250,39 @@ func (p *Proxy) Shutdown(timeout time.Duration) int {
 
 // clientLeg is one client connection's avis.Handler: coarse levels consult
 // the cache (and coalesce misses through single-flight), fine levels
-// stream through. The session loop re-encodes the payload with the
-// client's codec, so the bytes a client receives are identical whether
-// they crossed the cache or not. An origin transport failure (after
-// retries) comes back from Payload as such, which drops the client
-// connection without an error frame so a cluster FailoverClient re-places
-// the session — typically straight onto the origin.
+// stream through. Cached or not, a reply is the origin's raw chunk bytes
+// compressed with the client's codec, so the bytes a client receives are
+// identical whether they crossed the cache or not; the cache just keeps
+// them in that form, and a hit compresses nothing. An origin transport
+// failure (after retries) comes back from Reply as such, which drops the
+// client connection without an error frame so a cluster FailoverClient
+// re-places the session — typically straight onto the origin.
 type clientLeg struct {
 	p     *Proxy
 	track *foveaTracker
 	hit   bool // the request being answered was a cache hit
 }
 
-func (c *clientLeg) Payload(req avis.Request) (data []byte, pooled bool, err error) {
+func (c *clientLeg) Reply(req avis.Request, codec compress.Codec) (enc []byte, rawLen int, pooled bool, err error) {
 	p := c.p
 	p.mRequests.Inc()
 	c.hit = false
 	if req.Image < 0 || req.Image >= p.geom.NumImages {
-		return nil, false, fmt.Errorf("image %d out of range", req.Image)
+		return nil, 0, false, fmt.Errorf("image %d out of range", req.Image)
 	}
 	if p.cfg.CoarseMax < 0 || req.Level > p.cfg.CoarseMax {
-		data, err = p.fetchOrigin(req)
-		return data, true, err
+		enc, rawLen, err = p.encodeFromOrigin(req, codec)
+		return enc, rawLen, true, err
 	}
-	key := cacheKey(p.cfg.Sig, req)
-	if data, c.hit = p.cache.lookup(key); !c.hit {
-		if data, err = p.fetchShared(key, req, false); err != nil {
-			return nil, false, err
+	key := cacheKey(p.cfg.Sig, req, codec.Name())
+	var e cacheEntry
+	if e, c.hit = p.cache.lookup(key); !c.hit {
+		if e, err = p.fetchShared(key, codec, false); err != nil {
+			return nil, 0, false, err
 		}
 	}
-	c.track.observe(req)
-	return data, false, nil
+	c.track.observe(req, codec)
+	return e.enc, e.rawLen, false, nil
 }
 
 func (c *clientLeg) Replied(took time.Duration, err error) {
@@ -291,31 +296,48 @@ func (c *clientLeg) Replied(took time.Duration, err error) {
 	}
 }
 
-// fetchShared coalesces concurrent origin fetches for one cache key: the
-// first caller performs the round and inserts the payload; everyone else
-// waits on its flight. The returned buffer is owned by the cache (never
-// returned to the bufpool) — callers treat it as read-only.
-func (p *Proxy) fetchShared(key string, req avis.Request, prewarmed bool) ([]byte, error) {
+// fetchShared coalesces concurrent misses on one cache key: the first
+// caller performs the origin round, compresses the payload with codec
+// (the one key names) and inserts the result, copied out of the pooled
+// buffer into an exactly sized slice the cache owns; everyone else waits
+// on its flight. Callers treat the entry's bytes as read-only.
+func (p *Proxy) fetchShared(key chunkKey, codec compress.Codec, prewarmed bool) (cacheEntry, error) {
 	p.flightMu.Lock()
 	if f, ok := p.flights[key]; ok {
 		p.flightMu.Unlock()
 		<-f.done
-		return f.data, f.err
+		return f.entry, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	p.flights[key] = f
 	p.flightMu.Unlock()
 
-	data, err := p.fetchOrigin(req)
+	enc, rawLen, err := p.encodeFromOrigin(key.req, codec)
 	if err == nil {
-		p.cache.insert(key, data, prewarmed)
+		f.entry = cacheEntry{enc: append(make([]byte, 0, len(enc)), enc...), rawLen: rawLen, prewarmed: prewarmed}
+		bufpool.Put(enc)
+		p.cache.insert(key, f.entry)
 	}
-	f.data, f.err = data, err
+	f.err = err
 	p.flightMu.Lock()
 	delete(p.flights, key)
 	p.flightMu.Unlock()
 	close(f.done)
-	return data, err
+	return f.entry, err
+}
+
+// encodeFromOrigin is the edge's one compression site: an origin round for
+// the raw chunk bytes, compressed with the client's codec into a pooled
+// buffer the caller recycles. Cache misses keep a copy; fine levels, which
+// are never cached, hand the buffer to the session loop as it is.
+func (p *Proxy) encodeFromOrigin(req avis.Request, codec compress.Codec) (enc []byte, rawLen int, err error) {
+	raw, err := p.fetchOrigin(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	enc = codec.Encode(raw)
+	bufpool.Put(raw)
+	return enc, len(raw), nil
 }
 
 // fetchOrigin performs one origin round, retrying transport failures on a

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -135,9 +134,8 @@ func TestEdgeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The three coarse fetches above (lzw and bzw at the same level plus a
-	// re-fetch below) share cache keys regardless of codec; a repeat fetch
-	// must be served from cache.
+	// Cache keys include the codec: the repeat of the first coarse fetch,
+	// same level and same codec, must be served from cache.
 	before := p.Stats()
 	params := avis.Params{DR: 32, Codec: "lzw", Level: testLevels - 1}
 	_ = fetchPix(t, dialClient(t, edgeLn.Addr().String(), params, bw), 0, testLevels-1)
@@ -158,31 +156,75 @@ func TestEdgeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEdgeCodecIndependentCache verifies the cache is keyed on content,
-// not wire encoding: a chunk cached for an lzw client serves a raw client
-// the identical payload bytes.
-func TestEdgeCodecIndependentCache(t *testing.T) {
+// wireTap is a net.Conn that keeps everything read from it: the frames a
+// server sent, as sent.
+type wireTap struct {
+	net.Conn
+	got bytes.Buffer
+}
+
+func (w *wireTap) Read(p []byte) (int, error) {
+	n, err := w.Conn.Read(p)
+	w.got.Write(p[:n])
+	return n, err
+}
+
+// roundWire performs req on a fresh session at addr under codec and returns
+// the reply as it crossed the wire — every segment frame, headers and
+// compressed payload — and the decoded chunk bytes.
+func roundWire(t *testing.T, addr, codec string, req avis.Request) (wireBytes, data []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &wireTap{Conn: conn}
+	c, err := avis.NewRealClient(tap, avis.Params{DR: 32, Codec: codec, Level: req.Level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIOTimeout(5 * time.Second)
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	tap.got.Reset() // drop the handshake and geometry
+	data, _, err = c.FetchRoundRaw(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), tap.got.Bytes()...), data
+}
+
+// TestEdgeCachePerCodec: the cache holds replies in the form they leave
+// in, so clients that announced different codecs each get an entry of
+// their own — and each receives, frame for frame, exactly what the origin
+// answers a client of that codec directly, on the miss and on the hit.
+// Hits and misses are counted as ever: one lookup per coarse request.
+func TestEdgeCachePerCodec(t *testing.T) {
 	_, originLn := startOrigin(t)
 	p, edgeLn := startEdge(t, originLn.Addr().String(), nil, nil)
+	req := avis.PlanRounds(p.Geometry(), avis.Params{DR: 32, Level: testLevels - 1}, 0, 0)[0]
 
-	geom := p.Geometry()
-	req := avis.PlanRounds(geom, avis.Params{DR: 32, Level: testLevels - 1}, 0, 0)[0]
-
-	lzw := dialClient(t, edgeLn.Addr().String(), avis.Params{DR: 32, Codec: "lzw", Level: testLevels - 1}, 0)
-	d1, _, err := lzw.FetchRoundRaw(req)
-	if err != nil {
-		t.Fatal(err)
+	var decoded [][]byte
+	for i, codec := range []string{"lzw", "raw", "bzw"} {
+		direct, want := roundWire(t, originLn.Addr().String(), codec, req)
+		miss, d1 := roundWire(t, edgeLn.Addr().String(), codec, req)
+		hit, d2 := roundWire(t, edgeLn.Addr().String(), codec, req)
+		if !bytes.Equal(miss, direct) || !bytes.Equal(hit, direct) {
+			t.Errorf("%s: edge reply differs on the wire from the origin's (direct %d B, miss %d B, hit %d B)",
+				codec, len(direct), len(miss), len(hit))
+		}
+		if !bytes.Equal(d1, want) || !bytes.Equal(d2, want) {
+			t.Errorf("%s: decoded chunk differs from the origin's", codec)
+		}
+		decoded = append(decoded, want)
+		if st := p.Stats(); st.Misses != int64(i+1) || st.Hits != int64(i+1) || st.Entries != i+1 {
+			t.Errorf("after %s: %+v, want %d misses, hits and entries", codec, st, i+1)
+		}
 	}
-	raw := dialClient(t, edgeLn.Addr().String(), avis.Params{DR: 32, Codec: "raw", Level: testLevels - 1}, 0)
-	d2, _, err := raw.FetchRoundRaw(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("cached payload differs across client codecs")
-	}
-	if st := p.Stats(); st.Hits == 0 {
-		t.Fatalf("second fetch of the same chunk missed: %+v", st)
+	if !bytes.Equal(decoded[0], decoded[1]) || !bytes.Equal(decoded[0], decoded[2]) {
+		t.Error("the chunk itself differs across codecs")
 	}
 }
 
@@ -288,7 +330,7 @@ func runTrace(t *testing.T, prewarm bool) CacheStats {
 	if prewarm {
 		warm = func(next []avis.Request) bool {
 			for _, req := range next {
-				if !p.cache.contains(cacheKey(testSig, req)) {
+				if !p.cache.contains(cacheKey(testSig, req, "lzw")) {
 					return false
 				}
 			}
@@ -434,7 +476,7 @@ func TestEdgeChaosByteIdentical(t *testing.T) {
 func TestEdgeCacheEvictionBounds(t *testing.T) {
 	c := newChunkCache(4, 1<<20, time.Minute)
 	for i := 0; i < 10; i++ {
-		c.insert(fmt.Sprintf("k%d", i), make([]byte, 100), false)
+		c.insert(cacheKey("k", avis.Request{Image: i}, "raw"), cacheEntry{enc: make([]byte, 100), rawLen: 100})
 	}
 	st := c.stats()
 	if st.Entries > 4 {
@@ -443,10 +485,10 @@ func TestEdgeCacheEvictionBounds(t *testing.T) {
 	if st.Evictions != 6 {
 		t.Fatalf("evictions = %d, want 6", st.Evictions)
 	}
-	if _, ok := c.lookup("k9"); !ok {
+	if _, ok := c.lookup(cacheKey("k", avis.Request{Image: 9}, "raw")); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := c.lookup("k0"); ok {
+	if _, ok := c.lookup(cacheKey("k", avis.Request{Image: 0}, "raw")); ok {
 		t.Fatal("oldest entry survived past the bound")
 	}
 }

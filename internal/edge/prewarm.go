@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"tunable/internal/avis"
+	"tunable/internal/compress"
 	"tunable/internal/metrics"
 	"tunable/internal/monitor"
 )
@@ -45,11 +46,12 @@ func (p *Proxy) newTracker() *foveaTracker {
 	return &foveaTracker{pw: p.pw, byImage: make(map[int]*imageTrack)}
 }
 
-// observe feeds one served coarse request into the tracker. A center
-// change is one fovea step: the trajectory absorbs it, and if the window
-// supports a prediction, the previous fixation's round shapes are
-// enqueued at the predicted next center.
-func (t *foveaTracker) observe(req avis.Request) {
+// observe feeds one served coarse request into the tracker, with the codec
+// the session is being served under. A center change is one fovea step:
+// the trajectory absorbs it, and if the window supports a prediction, the
+// previous fixation's round shapes are enqueued at the predicted next
+// center — under that codec, the form the session will ask for them in.
+func (t *foveaTracker) observe(req avis.Request, codec compress.Codec) {
 	if t == nil {
 		return
 	}
@@ -68,10 +70,10 @@ func (t *foveaTracker) observe(req avis.Request) {
 		it.traj.Observe(req.X, req.Y)
 		if px, py, ok := it.traj.Predict(); ok {
 			for _, sh := range shapes {
-				t.pw.enqueue(avis.Request{
+				t.pw.enqueue(prewarmTask{codec: codec, req: avis.Request{
 					Image: req.Image, X: px, Y: py,
 					R: sh.r, PrevR: sh.prevR, Level: sh.level,
-				})
+				}})
 			}
 		}
 	}
@@ -88,7 +90,7 @@ type prewarmer struct {
 	p        *Proxy
 	window   int
 	teleport float64
-	tasks    chan avis.Request
+	tasks    chan prewarmTask
 	quit     chan struct{}
 	wg       sync.WaitGroup
 
@@ -98,13 +100,19 @@ type prewarmer struct {
 	mErrors  *metrics.Counter
 }
 
+// prewarmTask is one predicted request and the codec to cache it under.
+type prewarmTask struct {
+	req   avis.Request
+	codec compress.Codec
+}
+
 func newPrewarmer(p *Proxy, queue int) *prewarmer {
 	if queue <= 0 {
 		queue = DefaultPrewarmQueue
 	}
 	return &prewarmer{
 		p:     p,
-		tasks: make(chan avis.Request, queue),
+		tasks: make(chan prewarmTask, queue),
 		quit:  make(chan struct{}),
 	}
 }
@@ -136,9 +144,9 @@ func (pw *prewarmer) stop() {
 }
 
 // enqueue offers one speculative fetch; never blocks.
-func (pw *prewarmer) enqueue(req avis.Request) {
+func (pw *prewarmer) enqueue(task prewarmTask) {
 	select {
-	case pw.tasks <- req:
+	case pw.tasks <- task:
 	default:
 		pw.mDropped.Inc()
 	}
@@ -150,13 +158,13 @@ func (pw *prewarmer) run() {
 		select {
 		case <-pw.quit:
 			return
-		case req := <-pw.tasks:
-			key := cacheKey(pw.p.cfg.Sig, req)
+		case task := <-pw.tasks:
+			key := cacheKey(pw.p.cfg.Sig, task.req, task.codec.Name())
 			if pw.p.cache.contains(key) {
 				continue
 			}
 			pw.mFetches.Inc()
-			if _, err := pw.p.fetchShared(key, req, true); err != nil {
+			if _, err := pw.p.fetchShared(key, task.codec, true); err != nil {
 				pw.mErrors.Inc()
 			}
 		}

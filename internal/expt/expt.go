@@ -56,8 +56,15 @@ const (
 // Seeds for the experiment image set (three distinct images cycled).
 var expSeeds = []int64{1, 2, 3}
 
-// store caches pyramids across all experiments in the process.
+// store caches pyramids, and the encoded replies cut from them, across all
+// experiments in the process.
 var store = avis.NewImageStore()
+
+// EncodedStats reports how many region requests the experiments' simulated
+// servers have answered in this process and how many replies had to be
+// extracted and compressed for them — the rest were already encoded for an
+// earlier world of a sweep.
+func EncodedStats() avis.EncodedStats { return store.EncodedStats() }
 
 // FigResult is one reproduced figure.
 type FigResult struct {
