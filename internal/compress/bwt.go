@@ -49,10 +49,17 @@ func bwtAppendForward(dst, data []byte) (out []byte, primary int) {
 	return dst, primary
 }
 
-// bwtInvPool recycles the inverse transform's LF-mapping array.
-var bwtInvPool = sync.Pool{New: func() any { return new([]int32) }}
+// bwtInvPool recycles the inverse transform's row table.
+var bwtInvPool = sync.Pool{New: func() any { return new([]uint32) }}
 
-// bwtAppendInverse inverts bwtAppendForward.
+// bwtAppendInverse inverts bwtAppendForward. The n+1 sorted rows (row
+// primary ends in the sentinel) are walked from row 0 through one packed
+// table, rows[r] = LF(r)<<8 | L[r]: a byte out per load. A walk that
+// reaches the sentinel row early must be refused, and as LF(primary) is
+// row 0 it can be back on primary after exactly n steps (whenever row 0's
+// cycle length divides n+1), so where it ends proves nothing. The sentinel
+// row therefore leads to a trap row that leads to itself, and the walk ends
+// on primary only if it got there on its last step.
 func bwtAppendInverse(dst, bwt []byte, primary int) ([]byte, error) {
 	n := len(bwt)
 	if n == 0 {
@@ -64,55 +71,52 @@ func bwtAppendInverse(dst, bwt []byte, primary int) ([]byte, error) {
 	if primary < 1 || primary > n {
 		return nil, fmt.Errorf("compress: bwt primary index %d out of range", primary)
 	}
+	if n > bzwMaxSyms {
+		return nil, &bzwBlockSizeError{n}
+	}
 	// F-column starts: row 0 is the sentinel; byte b's rows start after all
-	// smaller bytes.
-	var cnt [256]int32
+	// smaller bytes. next[b] is the row the next b in L maps to.
+	var next [256]uint32
 	for _, b := range bwt {
-		cnt[b]++
+		next[b]++
 	}
-	var start [256]int32
-	s := int32(1)
-	for b := 0; b < 256; b++ {
-		start[b] = s
-		s += cnt[b]
+	s := uint32(1)
+	for b, c := range next {
+		next[b] = s
+		s += c
 	}
-	// LF mapping over the n+1 rows (sentinel row maps to row 0).
-	buf := bwtInvPool.Get().(*[]int32)
+	buf := bwtInvPool.Get().(*[]uint32)
 	defer bwtInvPool.Put(buf)
-	if cap(*buf) < n+1 {
-		*buf = make([]int32, n+1)
+	if cap(*buf) < n+2 {
+		*buf = make([]uint32, n+2)
 	}
-	lf := (*buf)[:n+1]
-	var occ [256]int32
-	for i := 0; i < primary; i++ {
-		b := bwt[i]
-		lf[i] = start[b] + occ[b]
-		occ[b]++
+	rows := (*buf)[:n+2]
+	trap := uint32(n + 1)
+	for r, b := range bwt[:primary] {
+		rows[r] = next[b]<<8 | uint32(b)
+		next[b]++
 	}
-	lf[primary] = 0
-	for i := primary + 1; i <= n; i++ {
-		b := bwt[i-1]
-		lf[i] = start[b] + occ[b]
-		occ[b]++
+	rows[primary] = trap << 8
+	for r, b := range bwt[primary:] {
+		rows[primary+1+r] = next[b]<<8 | uint32(b)
+		next[b]++
 	}
+	rows[trap] = trap << 8
 	// Row 0 is the sentinel-only suffix; L[0] = last byte of the text.
 	base := len(dst)
 	dst = growBytes(dst, n)
 	out := dst[base:]
-	r := 0
+	r := uint32(0)
 	for k := n - 1; k >= 0; k-- {
-		if r == primary {
-			return nil, fmt.Errorf("compress: bwt cycle hit sentinel early")
-		}
-		j := r
-		if r > primary {
-			j = r - 1
-		}
-		out[k] = bwt[j]
-		r = int(lf[r])
+		e := rows[r]
+		out[k] = byte(e)
+		r = e >> 8
 	}
-	if r != primary {
-		return nil, fmt.Errorf("compress: bwt cycle did not close")
+	switch r {
+	case uint32(primary):
+		return dst, nil
+	case trap:
+		return nil, fmt.Errorf("compress: bwt cycle hit sentinel early")
 	}
-	return dst, nil
+	return nil, fmt.Errorf("compress: bwt cycle did not close")
 }

@@ -242,13 +242,7 @@ func TestSuffixArraySorted(t *testing.T) {
 
 func TestLZWDictionaryResetPath(t *testing.T) {
 	// Enough distinct digraphs to overflow 16-bit codes and force a reset.
-	n := 1 << 21
-	data := make([]byte, n)
-	h := uint64(1)
-	for i := range data {
-		h = h*6364136223846793005 + 1442695040888963407
-		data[i] = byte(h >> 57)
-	}
+	data := noise(1 << 21)
 	lzw, _ := Lookup("lzw")
 	enc := lzw.Encode(data)
 	dec, err := lzw.Decode(enc)

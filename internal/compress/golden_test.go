@@ -21,17 +21,29 @@ var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
 // the middle ring of a DR:208, level-4 fetch of image seed 1 (the third
 // request of PlanRounds), 216,758 bytes of serialized wavelet chunk — four
 // BZW blocks of real coefficient data.
-var realChunk = sync.OnceValue(func() []byte {
+var realChunk = sync.OnceValue(func() []byte { return ringChunk(312, 208) })
+
+// smallChunk is the direct-small workload's median payload: the middle ring
+// (the 32nd of 64) of a DR:16, level-4 fetch of the same image.
+var smallChunk = sync.OnceValue(func() []byte { return ringChunk(256, 248) })
+
+var chunkPyramid = sync.OnceValue(func() *wavelet.Pyramid {
 	pyr, err := wavelet.Decompose(imagery.Generate(1024, 1), 4)
 	if err != nil {
 		panic(err)
 	}
-	ch, err := pyr.ExtractRegion(4, 512, 512, 312, 208)
+	return pyr
+})
+
+// ringChunk is the serialized level-4 ring between two radii about the
+// image centre.
+func ringChunk(r, prevR int) []byte {
+	ch, err := chunkPyramid().ExtractRegion(4, 512, 512, r, prevR)
 	if err != nil {
 		panic(err)
 	}
 	return ch.AppendEncode(nil)
-})
+}
 
 // coeffTexture is the quantized-coefficient texture of the golden inputs:
 // mostly zeros, occasional small signed values, deterministic.

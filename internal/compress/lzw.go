@@ -63,27 +63,30 @@ func (w *bitWriter) flush() {
 	}
 }
 
-// bitReader unpacks codes LSB-first.
+// bitReader unpacks codes LSB-first: acc holds the next nbits stream bits
+// (and, after a wide refill, later stream bits above them, which the next
+// refill ORs the same bits over).
 type bitReader struct {
-	data []byte
-	pos  int
-	acc  uint64
-	bits uint
+	data  []byte
+	pos   int
+	acc   uint64
+	nbits uint
 }
 
-func (r *bitReader) read(width uint) (uint32, error) {
-	for r.bits < width {
-		if r.pos >= len(r.data) {
-			return 0, fmt.Errorf("compress: lzw stream truncated")
-		}
-		r.acc |= uint64(r.data[r.pos]) << r.bits
-		r.pos++
-		r.bits += 8
+// refill tops the accumulator up to at least 56 bits, eight bytes at a time
+// while the data lasts and byte-wise over its tail.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.data) {
+		r.acc |= binary.LittleEndian.Uint64(r.data[r.pos:]) << r.nbits
+		adv := (63 - r.nbits) >> 3
+		r.pos += int(adv)
+		r.nbits += adv * 8
+		return
 	}
-	code := uint32(r.acc & ((1 << width) - 1))
-	r.acc >>= width
-	r.bits -= width
-	return code, nil
+	for ; r.nbits <= 56 && r.pos < len(r.data); r.pos++ {
+		r.acc |= uint64(r.data[r.pos]) << r.nbits
+		r.nbits += 8
+	}
 }
 
 // lzwEncTable is the encoder dictionary: a flat array indexed by
@@ -116,7 +119,7 @@ func (t *lzwEncTable) reset() {
 // Encode implements Codec. The returned buffer is drawn from the shared
 // bufpool; callers that are done with it may bufpool.Put it back.
 func (LZW) Encode(src []byte) []byte {
-	return lzwAppendEncode(bufpool.Get(4+len(src)+len(src)/2+16)[:0], src)
+	return lzwAppendEncode(bufpool.Get(4 + len(src) + len(src)/2 + 16)[:0], src)
 }
 
 // lzwAppendEncode appends the encoded form of src to dst.
@@ -193,15 +196,11 @@ func lzwAppendEncode(dst, src []byte) []byte {
 	return w.buf
 }
 
-// lzwDecTable is the decoder dictionary in parent/suffix form: entry c
-// (≥ lzwFirstCode) is the string of entry prefix[c] followed by byte
-// suffix[c]; strLen[c] caches its expanded length so output space can be
-// reserved up front and the string materialized back-to-front in place.
-type lzwDecTable struct {
-	prefix [lzwMaxCodes]uint16
-	suffix [lzwMaxCodes]byte
-	strLen [lzwMaxCodes]uint16
-}
+// lzwDecTable is the decoder dictionary. Every string in it already sits
+// in the output: code c is the previous code's string plus the first byte
+// of the next, and that is where the two were written. Entry c is that
+// place, start<<16 | length; expanding a code is a forward copy.
+type lzwDecTable [lzwMaxCodes]uint64
 
 var lzwDecPool = sync.Pool{New: func() any { return new(lzwDecTable) }}
 
@@ -214,11 +213,6 @@ func (LZW) Decode(src []byte) ([]byte, error) {
 	if n == 0 {
 		return []byte{}, nil
 	}
-	r := bitReader{data: src[4:]}
-	t := lzwDecPool.Get().(*lzwDecTable)
-	defer lzwDecPool.Put(t)
-	next := uint32(lzwFirstCode)
-	width := uint(lzwMinWidth)
 	// Cap the speculative preallocation: a malformed header can claim an
 	// absurd length, but a genuine LZW stream expands each code (≥ 9 bits)
 	// to at most ~4 KiB of output, so anything beyond that bound grows on
@@ -227,78 +221,74 @@ func (LZW) Decode(src []byte) ([]byte, error) {
 	if limit := 4096 * (len(src) - 4) * 8 / lzwMinWidth; pre > limit+64 {
 		pre = limit + 64
 	}
-	out := bufpool.Get(pre)[:0]
-	prevValid := false
-	var prevCode uint32
-	for len(out) < n {
-		code, err := r.read(width)
-		if err != nil {
-			return nil, err
+	out := bufpool.Get(pre)
+	out, err := lzwDecodeInto(out[:cap(out)], src[4:], n)
+	if err != nil {
+		bufpool.Put(out)
+		return nil, err
+	}
+	return out[:n], nil
+}
+
+// lzwDecodeInto decodes n bytes from src into the front of out, growing it
+// if an overstated n left it short. out comes back on error too.
+func lzwDecodeInto(out, src []byte, n int) ([]byte, error) {
+	r := bitReader{data: src}
+	t := lzwDecPool.Get().(*lzwDecTable)
+	defer lzwDecPool.Put(t)
+	next := uint32(lzwFirstCode)
+	width := uint(lzwMinWidth)
+	w := 0                  // bytes written
+	prevAt, prevLen := 0, 0 // the previous code's string; prevLen 0 after a clear
+	for w < n {
+		if r.nbits < width {
+			if r.refill(); r.nbits < width {
+				return out, fmt.Errorf("compress: lzw stream truncated")
+			}
 		}
+		code := uint32(r.acc) & (1<<width - 1)
+		r.acc >>= width
+		r.nbits -= width
 		if code == lzwClearCode {
 			next = lzwFirstCode
 			width = lzwMinWidth
-			prevValid = false
+			prevLen = 0
 			continue
 		}
-		// Expand the code's string directly into out. The string length is
-		// known (1 for literals, cached for dictionary entries), so the
-		// bytes are written back-to-front following the prefix chain.
-		var sLen int
-		start := len(out)
-		switch {
-		case code < 256:
-			sLen = 1
-			out = append(out, byte(code))
-		case code < next:
-			sLen = int(t.strLen[code])
-			out = growBytes(out, sLen)
-			c := code
-			for i := start + sLen - 1; i >= start; i-- {
-				if c < 256 {
-					out[i] = byte(c)
-					continue
-				}
-				out[i] = t.suffix[c]
-				c = uint32(t.prefix[c])
-			}
-		case code == next && prevValid:
-			// The KwKwK case: prev + first byte of prev.
-			var pLen int
-			if prevCode < 256 {
-				pLen = 1
-			} else {
-				pLen = int(t.strLen[prevCode])
-			}
-			sLen = pLen + 1
-			out = growBytes(out, sLen)
-			c := prevCode
-			for i := start + pLen - 1; i >= start; i-- {
-				if c < 256 {
-					out[i] = byte(c)
-					continue
-				}
-				out[i] = t.suffix[c]
-				c = uint32(t.prefix[c])
-			}
-			out[start+sLen-1] = out[start]
-		default:
-			return nil, fmt.Errorf("compress: lzw bad code %d", code)
-		}
-		if prevValid && next < lzwMaxCodes {
-			t.prefix[next] = uint16(prevCode)
-			t.suffix[next] = out[start]
-			var pLen uint16
-			if prevCode < 256 {
-				pLen = 1
-			} else {
-				pLen = t.strLen[prevCode]
-			}
-			t.strLen[next] = pLen + 1
+		// Define the entry this code completes before expanding it: the
+		// KwKwK case (the code being defined right now) is then an
+		// ordinary entry whose last byte is about to be written.
+		if prevLen > 0 && next < lzwMaxCodes {
+			t[next] = uint64(prevAt)<<16 | uint64(prevLen+1)
 			next++
 		}
-		prevCode = code
-		prevValid = true
+		if code >= next {
+			return out, fmt.Errorf("compress: lzw bad code %d", code)
+		}
+		at, l := 0, 1 // a literal is its own one-byte string
+		if code >= lzwFirstCode {
+			at, l = int(t[code]>>16), int(t[code]&0xFFFF)
+		}
+		if w+l > len(out) {
+			out = growBytes(out, w+l-len(out))
+			out = out[:cap(out)]
+		}
+		switch {
+		case code < 256:
+			out[w] = byte(code)
+		case l <= 8 && w+8 <= len(out):
+			// One eight-byte move; what it writes past l is overwritten by
+			// the codes that follow or lies beyond n.
+			binary.LittleEndian.PutUint64(out[w:], binary.LittleEndian.Uint64(out[at:]))
+		default:
+			copy(out[w:w+l], out[at:at+l])
+		}
+		if at+l > w {
+			// KwKwK: the string runs one byte into itself — its first.
+			out[w+l-1] = out[w]
+		}
+		prevAt, prevLen = w, l
+		w += l
 		// Width growth must track the encoder: the encoder widens after
 		// assigning code (1<<width)-1, which the decoder observes one step
 		// later (it has one fewer entry at the same point in the stream).
@@ -306,8 +296,8 @@ func (LZW) Decode(src []byte) ([]byte, error) {
 			width++
 		}
 	}
-	if len(out) != n {
-		return nil, fmt.Errorf("compress: lzw length mismatch %d != %d", len(out), n)
+	if w != n {
+		return out, fmt.Errorf("compress: lzw length mismatch %d != %d", w, n)
 	}
 	return out, nil
 }

@@ -94,20 +94,6 @@ func mtfEncodeInto(dst, src []byte) {
 	}
 }
 
-// mtfDecodeInto writes the inverse transform of src into dst.
-func mtfDecodeInto(dst, src []byte) {
-	var table [256]byte
-	for i := range table {
-		table[i] = byte(i)
-	}
-	for i, j := range src {
-		b := table[j]
-		dst[i] = b
-		copy(table[1:int(j)+1], table[:j])
-		table[0] = b
-	}
-}
-
 // zrleAppendEncode run-length-codes the zero bytes that dominate MTF
 // output: each zero run becomes a 0x00 marker followed by length bytes (255
 // means "255 and continue"). Non-zero bytes pass through.
@@ -134,33 +120,45 @@ func zrleAppendEncode(dst, src []byte) []byte {
 	return dst
 }
 
-// zrleAppendDecode inverts zrleAppendEncode.
-func zrleAppendDecode(dst, src []byte) ([]byte, error) {
-	i := 0
-	for i < len(src) {
-		b := src[i]
+// zrleMTFAppendDecode inverts zrleAppendEncode and mtfEncodeInto in one
+// pass: src is a ZRLE stream of move-to-front ranks, the bytes they stand
+// for are appended to dst. A zero run is a fill with the front of the list
+// and leaves the list alone; no rank buffer sits between the two stages.
+// A run that takes the output past bzwMaxSyms bytes is refused before it is
+// made (the rest of the output is no longer than src).
+func zrleMTFAppendDecode(dst, src []byte) ([]byte, error) {
+	var table [256]byte
+	for i := range table {
+		table[i] = byte(i)
+	}
+	base := len(dst)
+	for i := 0; i < len(src); {
+		j := src[i]
 		i++
-		if b != 0 {
+		if j != 0 {
+			b := table[j]
+			copy(table[1:int(j)+1], table[:j])
+			table[0] = b
 			dst = append(dst, b)
 			continue
 		}
 		run := 0
-		for {
-			if i >= len(src) {
-				return nil, fmt.Errorf("compress: zrle truncated run length")
-			}
-			c := src[i]
-			i++
-			run += int(c)
-			if c != 255 {
-				break
-			}
+		for ; i < len(src) && src[i] == 255; i++ {
+			run += 255
 		}
-		base := len(dst)
+		if i >= len(src) {
+			return nil, fmt.Errorf("compress: zrle truncated run length")
+		}
+		run += int(src[i])
+		i++
+		at := len(dst)
+		if at-base+run > bzwMaxSyms {
+			return nil, &bzwBlockSizeError{at - base + run}
+		}
 		dst = growBytes(dst, run)
-		zero := dst[base:]
-		for k := range zero {
-			zero[k] = 0
+		fill, front := dst[at:], table[0]
+		for k := range fill {
+			fill[k] = front
 		}
 	}
 	return dst, nil

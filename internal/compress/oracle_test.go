@@ -1,6 +1,9 @@
 package compress
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // The kernels this package shipped before the induced-sorting BWT and the
 // table-driven Huffman decoder, kept verbatim as differential oracles: the
@@ -237,4 +240,300 @@ func oracleHuffDecode(dst, src []byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// The decode kernels this package shipped before the single-load inverse
+// BWT, the copy-from-output LZW decoder and the fused ZRLE+MTF pass, kept
+// verbatim (minus their pools) as differential oracles.
+
+// oracleBWTInverse inverts bwtAppendForward.
+func oracleBWTInverse(dst, bwt []byte, primary int) ([]byte, error) {
+	n := len(bwt)
+	if n == 0 {
+		if dst == nil {
+			return []byte{}, nil
+		}
+		return dst, nil
+	}
+	if primary < 1 || primary > n {
+		return nil, fmt.Errorf("compress: bwt primary index %d out of range", primary)
+	}
+	// F-column starts: row 0 is the sentinel; byte b's rows start after all
+	// smaller bytes.
+	var cnt [256]int32
+	for _, b := range bwt {
+		cnt[b]++
+	}
+	var start [256]int32
+	s := int32(1)
+	for b := 0; b < 256; b++ {
+		start[b] = s
+		s += cnt[b]
+	}
+	// LF mapping over the n+1 rows (sentinel row maps to row 0).
+	lf := make([]int32, n+1)
+	var occ [256]int32
+	for i := 0; i < primary; i++ {
+		b := bwt[i]
+		lf[i] = start[b] + occ[b]
+		occ[b]++
+	}
+	lf[primary] = 0
+	for i := primary + 1; i <= n; i++ {
+		b := bwt[i-1]
+		lf[i] = start[b] + occ[b]
+		occ[b]++
+	}
+	// Row 0 is the sentinel-only suffix; L[0] = last byte of the text.
+	base := len(dst)
+	dst = growBytes(dst, n)
+	out := dst[base:]
+	r := 0
+	for k := n - 1; k >= 0; k-- {
+		if r == primary {
+			return nil, fmt.Errorf("compress: bwt cycle hit sentinel early")
+		}
+		j := r
+		if r > primary {
+			j = r - 1
+		}
+		out[k] = bwt[j]
+		r = int(lf[r])
+	}
+	if r != primary {
+		return nil, fmt.Errorf("compress: bwt cycle did not close")
+	}
+	return dst, nil
+}
+
+// oracleBitReader unpacks codes LSB-first.
+type oracleBitReader struct {
+	data []byte
+	pos  int
+	acc  uint64
+	bits uint
+}
+
+func (r *oracleBitReader) read(width uint) (uint32, error) {
+	for r.bits < width {
+		if r.pos >= len(r.data) {
+			return 0, fmt.Errorf("compress: lzw stream truncated")
+		}
+		r.acc |= uint64(r.data[r.pos]) << r.bits
+		r.pos++
+		r.bits += 8
+	}
+	code := uint32(r.acc & ((1 << width) - 1))
+	r.acc >>= width
+	r.bits -= width
+	return code, nil
+}
+
+// oracleLZWDecTable is the decoder dictionary in parent/suffix form: entry c
+// (≥ lzwFirstCode) is the string of entry prefix[c] followed by byte
+// suffix[c]; strLen[c] caches its expanded length so output space can be
+// reserved up front and the string materialized back-to-front in place.
+type oracleLZWDecTable struct {
+	prefix [lzwMaxCodes]uint16
+	suffix [lzwMaxCodes]byte
+	strLen [lzwMaxCodes]uint16
+}
+
+// oracleLZWDecode is the chain-walking LZW.Decode.
+func oracleLZWDecode(src []byte) ([]byte, error) {
+	if len(src) < 4 {
+		return nil, fmt.Errorf("compress: lzw header truncated")
+	}
+	n := int(binary.LittleEndian.Uint32(src))
+	if n == 0 {
+		return []byte{}, nil
+	}
+	r := oracleBitReader{data: src[4:]}
+	t := new(oracleLZWDecTable)
+	next := uint32(lzwFirstCode)
+	width := uint(lzwMinWidth)
+	// Cap the speculative preallocation: a malformed header can claim an
+	// absurd length, but a genuine LZW stream expands each code (≥ 9 bits)
+	// to at most ~4 KiB of output, so anything beyond that bound grows on
+	// demand and the length check below rejects the stream.
+	pre := n
+	if limit := 4096 * (len(src) - 4) * 8 / lzwMinWidth; pre > limit+64 {
+		pre = limit + 64
+	}
+	out := make([]byte, 0, pre)
+	prevValid := false
+	var prevCode uint32
+	for len(out) < n {
+		code, err := r.read(width)
+		if err != nil {
+			return nil, err
+		}
+		if code == lzwClearCode {
+			next = lzwFirstCode
+			width = lzwMinWidth
+			prevValid = false
+			continue
+		}
+		// Expand the code's string directly into out. The string length is
+		// known (1 for literals, cached for dictionary entries), so the
+		// bytes are written back-to-front following the prefix chain.
+		var sLen int
+		start := len(out)
+		switch {
+		case code < 256:
+			sLen = 1
+			out = append(out, byte(code))
+		case code < next:
+			sLen = int(t.strLen[code])
+			out = growBytes(out, sLen)
+			c := code
+			for i := start + sLen - 1; i >= start; i-- {
+				if c < 256 {
+					out[i] = byte(c)
+					continue
+				}
+				out[i] = t.suffix[c]
+				c = uint32(t.prefix[c])
+			}
+		case code == next && prevValid:
+			// The KwKwK case: prev + first byte of prev.
+			var pLen int
+			if prevCode < 256 {
+				pLen = 1
+			} else {
+				pLen = int(t.strLen[prevCode])
+			}
+			sLen = pLen + 1
+			out = growBytes(out, sLen)
+			c := prevCode
+			for i := start + pLen - 1; i >= start; i-- {
+				if c < 256 {
+					out[i] = byte(c)
+					continue
+				}
+				out[i] = t.suffix[c]
+				c = uint32(t.prefix[c])
+			}
+			out[start+sLen-1] = out[start]
+		default:
+			return nil, fmt.Errorf("compress: lzw bad code %d", code)
+		}
+		if prevValid && next < lzwMaxCodes {
+			t.prefix[next] = uint16(prevCode)
+			t.suffix[next] = out[start]
+			var pLen uint16
+			if prevCode < 256 {
+				pLen = 1
+			} else {
+				pLen = t.strLen[prevCode]
+			}
+			t.strLen[next] = pLen + 1
+			next++
+		}
+		prevCode = code
+		prevValid = true
+		// Width growth must track the encoder: the encoder widens after
+		// assigning code (1<<width)-1, which the decoder observes one step
+		// later (it has one fewer entry at the same point in the stream).
+		if next == 1<<width-1 && width < lzwMaxWidth {
+			width++
+		}
+	}
+	if len(out) != n {
+		return nil, fmt.Errorf("compress: lzw length mismatch %d != %d", len(out), n)
+	}
+	return out, nil
+}
+
+// oracleMTFDecodeInto writes the inverse transform of src into dst.
+func oracleMTFDecodeInto(dst, src []byte) {
+	var table [256]byte
+	for i := range table {
+		table[i] = byte(i)
+	}
+	for i, j := range src {
+		b := table[j]
+		dst[i] = b
+		copy(table[1:int(j)+1], table[:j])
+		table[0] = b
+	}
+}
+
+// oracleZRLEDecode inverts zrleAppendEncode.
+func oracleZRLEDecode(dst, src []byte) ([]byte, error) {
+	i := 0
+	for i < len(src) {
+		b := src[i]
+		i++
+		if b != 0 {
+			dst = append(dst, b)
+			continue
+		}
+		run := 0
+		for {
+			if i >= len(src) {
+				return nil, fmt.Errorf("compress: zrle truncated run length")
+			}
+			c := src[i]
+			i++
+			run += int(c)
+			if c != 255 {
+				break
+			}
+		}
+		base := len(dst)
+		dst = growBytes(dst, run)
+		zero := dst[base:]
+		for k := range zero {
+			zero[k] = 0
+		}
+	}
+	return dst, nil
+}
+
+// oracleBZWDecode is the one-block-at-a-time BZW.Decode over the oracle
+// kernels (and the current Huffman decoder, which this change leaves alone).
+func oracleBZWDecode(src []byte) ([]byte, error) {
+	if len(src) < 4 {
+		return nil, fmt.Errorf("compress: bzw header truncated")
+	}
+	total := int(binary.LittleEndian.Uint32(src))
+	var out []byte
+	off := 4
+	for len(out) < total {
+		if off+8 > len(src) {
+			return nil, fmt.Errorf("compress: bzw block header truncated")
+		}
+		primary := int(binary.LittleEndian.Uint32(src[off:]))
+		plen := int(binary.LittleEndian.Uint32(src[off+4:]))
+		off += 8
+		if plen < 0 || off+plen > len(src) {
+			return nil, fmt.Errorf("compress: bzw block payload truncated")
+		}
+		zr, err := huffAppendDecode(nil, src[off:off+plen])
+		if err != nil {
+			return nil, err
+		}
+		off += plen
+		mtf, err := oracleZRLEDecode(nil, zr)
+		if err != nil {
+			return nil, err
+		}
+		bwt := make([]byte, len(mtf))
+		oracleMTFDecodeInto(bwt, mtf)
+		r1, err := oracleBWTInverse(nil, bwt, primary)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = rle1AppendDecode(out, r1); err != nil {
+			return nil, err
+		}
+	}
+	if len(out) != total {
+		return nil, fmt.Errorf("compress: bzw length mismatch %d != %d", len(out), total)
+	}
+	if off != len(src) {
+		return nil, fmt.Errorf("compress: bzw trailing bytes")
+	}
+	return out, nil
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"tunable/internal/bufpool"
@@ -60,8 +61,9 @@ func benchStage(b *testing.B, in [][]byte, fn func(blk int, scratch []byte) []by
 }
 
 // BenchmarkBZWStages is the format-stable stage profile of the BZW chain on
-// the real direct-bulk chunk: one row per stage and direction, each per
-// byte of the stage's decoded-side buffer (for huff that is per symbol),
+// the real direct-bulk chunk: one row per stage and direction (ZRLE and MTF
+// decode are one fused pass, so one row), each per byte of the stage's
+// decoded-side buffer (for huff that is per symbol),
 // plus two adversarial rows for the suffix sorter so its worst case is a
 // number next to the typical one.
 func BenchmarkBZWStages(b *testing.B) {
@@ -89,22 +91,22 @@ func BenchmarkBZWStages(b *testing.B) {
 				dst = growBytes(dst, len(d.bwt[k]))
 				mtfEncodeInto(dst, d.bwt[k])
 				return dst
-			},
-			func(k int, dst []byte) []byte {
-				dst = growBytes(dst, len(d.mtf[k]))
-				mtfDecodeInto(dst, d.mtf[k])
-				return dst
-			}},
+			}, nil},
 		{"zrle", d.mtf,
-			func(k int, dst []byte) []byte { return zrleAppendEncode(dst, d.mtf[k]) },
-			func(k int, dst []byte) []byte { return must(zrleAppendDecode(dst, d.zr[k])) }},
+			func(k int, dst []byte) []byte { return zrleAppendEncode(dst, d.mtf[k]) }, nil},
+		{"zrle+mtf", d.bwt, nil,
+			func(k int, dst []byte) []byte { return must(zrleMTFAppendDecode(dst, d.zr[k])) }},
 		{"huff", d.zr,
 			func(k int, dst []byte) []byte { return huffAppendEncode(dst, d.zr[k]) },
 			func(k int, dst []byte) []byte { return must(huffAppendDecode(dst, d.huff[k])) }},
 	}
 	for _, s := range stages {
-		b.Run(s.name+"/encode", func(b *testing.B) { benchStage(b, s.in, s.encode) })
-		b.Run(s.name+"/decode", func(b *testing.B) { benchStage(b, s.in, s.decode) })
+		if s.encode != nil {
+			b.Run(s.name+"/encode", func(b *testing.B) { benchStage(b, s.in, s.encode) })
+		}
+		if s.decode != nil {
+			b.Run(s.name+"/decode", func(b *testing.B) { benchStage(b, s.in, s.decode) })
+		}
 	}
 	// The whole codec over the same payload, for the stages to add up to.
 	chunk := [][]byte{realChunk()}
@@ -112,12 +114,16 @@ func BenchmarkBZWStages(b *testing.B) {
 	b.Run("chain/encode", func(b *testing.B) {
 		benchStage(b, chunk, func(_ int, dst []byte) []byte { return bzwAppendEncode(dst, chunk[0]) })
 	})
-	b.Run("chain/decode", func(b *testing.B) {
-		benchStage(b, chunk, func(int, []byte) []byte {
-			out := must(BZW{}.Decode(enc))
-			bufpool.Put(out)
-			return nil
-		})
+	decode := func(int, []byte) []byte {
+		bufpool.Put(must(BZW{}.Decode(enc)))
+		return nil
+	}
+	b.Run("chain/decode", func(b *testing.B) { benchStage(b, chunk, decode) })
+	// One block at a time on the caller's goroutine: what the kernels give
+	// without the block waves.
+	b.Run("chain/decode/1proc", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		benchStage(b, chunk, decode)
 	})
 	// Sorter worst cases: maximal LCPs. "ab"×40,000 has one long periodic
 	// run; the second is what RLE1 makes of a zero band (a zero run becomes
@@ -136,12 +142,36 @@ func BenchmarkBZWStages(b *testing.B) {
 	}
 }
 
-// One-shot forms of the stages, for the tests.
+// BenchmarkLZWStages is the LZW decoder over the chunks the direct-small
+// and direct-bulk workloads move most.
+func BenchmarkLZWStages(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"direct-small", smallChunk()}, {"direct-bulk", realChunk()}} {
+		in := [][]byte{c.data}
+		enc := LZW{}.Encode(c.data)
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			benchStage(b, in, func(int, []byte) []byte {
+				out, err := LZW{}.Decode(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bufpool.Put(out)
+				return nil
+			})
+		})
+	}
+}
+
+// One-shot forms of the stages, for the tests. ZRLE and MTF decode exist
+// apart only as the oracles; the round-trip properties of the two encoders
+// are checked against those.
 
 func rle1Encode(src []byte) []byte          { return rle1AppendEncode(nil, src) }
 func rle1Decode(src []byte) ([]byte, error) { return rle1AppendDecode(nil, src) }
 func zrleEncode(src []byte) []byte          { return zrleAppendEncode(nil, src) }
-func zrleDecode(src []byte) ([]byte, error) { return zrleAppendDecode(nil, src) }
+func zrleDecode(src []byte) ([]byte, error) { return oracleZRLEDecode(nil, src) }
 func huffEncode(src []byte) []byte          { return huffAppendEncode(nil, src) }
 func huffDecode(src []byte) ([]byte, error) { return huffAppendDecode(nil, src) }
 
@@ -156,6 +186,6 @@ func mtfEncode(src []byte) []byte {
 
 func mtfDecode(src []byte) []byte {
 	out := make([]byte, len(src))
-	mtfDecodeInto(out, src)
+	oracleMTFDecodeInto(out, src)
 	return out
 }

@@ -305,17 +305,11 @@ func withFaultSchedule(s faults.Schedule) adaptOpt {
 	return func(c *adaptCfg) { c.faultSched = &s }
 }
 
-// runAdaptive executes n image downloads under the full adaptation
+// runAdaptiveOpts executes n image downloads under the full adaptation
 // framework: monitoring agent (CPU probe on the client sandbox, bandwidth
 // probe on the server's sending side), resource scheduler over db with the
-// given preferences, and steering agent attached to the client.
-func runAdaptive(label string, db *perfdb.DB, prefs []scheduler.Preference,
-	base avis.WorldConfig, n int, initRes resource.Vector, perturb func(*avis.World)) (RunResult, error) {
-	return runAdaptiveOpts(label, db, prefs, base, n, initRes, perturb, false)
-}
-
-// runAdaptiveOpts additionally supports the distributed-monitoring
-// deployment: a separate agent in the server instance observes the
+// given preferences, and steering agent attached to the client. With
+// distributed set, a separate agent in the server instance observes the
 // network and pushes its estimates to the client's agent, as the paper's
 // inter-monitor communication does, instead of one agent probing both
 // components directly. db is any perfdb.Model — the offline database or a

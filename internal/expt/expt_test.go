@@ -3,7 +3,9 @@ package expt
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -396,5 +398,73 @@ func TestExperiment1Distributed(t *testing.T) {
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Fatalf("distributed total %v vs single %v (ratio %.2f)",
 			e.Adaptive.Total, single.Adaptive.Total, ratio)
+	}
+}
+
+// oneAfterAnother is runWorlds without the goroutines.
+func oneAfterAnother(adaptive, staticA, staticB worldRun) (*ExperimentResult, error) {
+	var e ExperimentResult
+	var err error
+	for _, w := range []struct {
+		run  worldRun
+		into *RunResult
+	}{{adaptive, &e.Adaptive}, {staticA, &e.StaticA}, {staticB, &e.StaticB}} {
+		if *w.into, err = w.run(); err != nil {
+			return nil, err
+		}
+	}
+	return &e, nil
+}
+
+// An experiment's three worlds run concurrently; nothing a world computes
+// may depend on that. Each experiment must return exactly what running the
+// same three closures one after another returns: events, per-image stats,
+// totals, and the figure as rendered.
+func TestExperimentsEqualSequentialRuns(t *testing.T) {
+	for _, x := range []struct {
+		name       string
+		concurrent func() (*ExperimentResult, error)
+		with       func(worldsRunner) (*ExperimentResult, error)
+	}{
+		{"Experiment1", Experiment1, experiment1},
+		{"Experiment2", Experiment2, experiment2},
+		{"Experiment3", Experiment3, experiment3},
+	} {
+		got, err := x.concurrent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := x.with(oneAfterAnother)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			name      string
+			got, want RunResult
+		}{
+			{"adaptive", got.Adaptive, want.Adaptive},
+			{"static A", got.StaticA, want.StaticA},
+			{"static B", got.StaticB, want.StaticB},
+		} {
+			if len(r.got.Stats) != NumImages {
+				t.Errorf("%s %s: %d images, want %d", x.name, r.name, len(r.got.Stats), NumImages)
+			}
+			if !reflect.DeepEqual(r.got, r.want) {
+				t.Errorf("%s %s: concurrent run differs from the sequential one:\n%+v\n%+v", x.name, r.name, r.got, r.want)
+			}
+		}
+		var gotFig, wantFig strings.Builder
+		if err := got.Fig.Render(&gotFig); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Fig.Render(&wantFig); err != nil {
+			t.Fatal(err)
+		}
+		if gotFig.String() != wantFig.String() || gotFig.Len() == 0 {
+			t.Errorf("%s: figure differs:\n%s\n%s", x.name, gotFig.String(), wantFig.String())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results differ outside the runs and the rendered figure", x.name)
+		}
 	}
 }

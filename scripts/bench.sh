@@ -2,7 +2,7 @@
 # bench.sh — run a micro-benchmark suite and record the results as JSON
 # at the repo root. With no overrides it measures the data-plane kernels
 # (the codecs and wavelet kernels in the root package, and the BZW stage
-# profile in internal/compress) into BENCH_kernels.json;
+# profile and LZW decode rows in internal/compress) into BENCH_kernels.json;
 # BENCH_FILTER/BENCH_PKG/BENCH_OUT retarget it at another suite (see
 # scripts/bench_edge.sh) — BENCH_PKG may list several packages, separated
 # by spaces. Pass extra go-test flags through, e.g.
@@ -17,7 +17,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCHES="${BENCH_FILTER:-BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages}"
+BENCHES="${BENCH_FILTER:-BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages|BenchmarkLZWStages}"
 PKG="${BENCH_PKG:-. ./internal/compress}"
 OUT="${BENCH_OUT:-BENCH_kernels.json}"
 

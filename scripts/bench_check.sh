@@ -8,7 +8,7 @@
 # so a rename or a deletion cannot slip through as "not compared". Six
 # suites are gated: the data-plane kernels
 # (BENCH_kernels.json — root-package codec and wavelet kernels plus the
-# per-stage BZW profile of internal/compress), the edge cache tier (BENCH_edge.json), the
+# per-stage BZW profile and LZW decode rows of internal/compress), the edge cache tier (BENCH_edge.json), the
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
 # the counter-commit harness; its trailing "swarm" block is informational
 # and ignored here), the live performance store (BENCH_perfstore.json —
@@ -79,7 +79,7 @@ check_one() {
 }
 
 check_one BENCH_kernels.json \
-	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages' \
+	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages|BenchmarkLZWStages' \
 	'. ./internal/compress'
 check_one BENCH_edge.json 'BenchmarkEdge' ./internal/edge
 check_one BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
