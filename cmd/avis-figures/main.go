@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"tunable/internal/avis"
 	"tunable/internal/expt"
 )
 
@@ -104,5 +105,5 @@ func main() {
 			log.Fatalf("avis-figures: render %s: %v", id, err)
 		}
 	}
-	fmt.Fprintln(os.Stderr, "avis-figures:", expt.EncodedStats())
+	fmt.Fprintf(os.Stderr, "avis-figures: %v; %v\n", expt.EncodedStats(), avis.ClientDecodeStats())
 }

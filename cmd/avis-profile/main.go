@@ -22,6 +22,7 @@ import (
 	"log"
 	"os"
 
+	"tunable/internal/avis"
 	"tunable/internal/expt"
 	"tunable/internal/perfdb"
 	"tunable/internal/perfstore"
@@ -110,5 +111,5 @@ func main() {
 		fmt.Printf("merged sweep into %s: %d configurations, %d records refined, %d added\n",
 			*merge, stats.Configs, stats.Merged, stats.Added)
 	}
-	fmt.Fprintln(os.Stderr, "avis-profile:", expt.EncodedStats())
+	fmt.Fprintf(os.Stderr, "avis-profile: %v; %v\n", expt.EncodedStats(), avis.ClientDecodeStats())
 }

@@ -28,9 +28,10 @@ type ClientOption func(*Client)
 func WithClientCost(c CostModel) ClientOption { return func(cl *Client) { cl.cost = c } }
 
 // WithVerification enables canvas reconstruction and PSNR measurement
-// against the source images (costly in real time; off by default).
+// against the source images (costly in real time; off by default). A
+// verifying client reads every chunk, so it decodes every reply.
 func WithVerification(store *ImageStore, seeds []int64) ClientOption {
-	return func(cl *Client) { cl.store, cl.seeds = store, seeds }
+	return func(cl *Client) { cl.store, cl.seeds, cl.memo = store, seeds, nil }
 }
 
 // WithInteraction installs a fovea-movement model.
@@ -57,7 +58,7 @@ func NewClient(sb *sandbox.Sandbox, ep *netem.Endpoint, params Params, opts ...C
 		return nil, err
 	}
 	c := &Client{venv: vtimeEnv{ep: ep, sb: sb, out: ep}}
-	c.session = session{env: &c.venv, cost: DefaultCostModel(), params: params, codec: codec}
+	c.session = session{env: &c.venv, cost: DefaultCostModel(), params: params, codec: codec, memo: sharedMemo}
 	for _, o := range opts {
 		o(c)
 	}

@@ -208,7 +208,8 @@ func (c *RealClient) Close() error {
 // wireN is the round's on-the-wire byte count. An error other than a
 // *RefusedError leaves the connection out of step with the server.
 func (c *RealClient) FetchRoundRaw(req Request) (data []byte, wireN int, err error) {
-	return c.fetchRoundRaw(req)
+	data, _, wireN, err = c.fetchRoundRaw(req, true)
+	return data, wireN, err
 }
 
 // FetchRound performs one request/reply round: it sends req, gathers the

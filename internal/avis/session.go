@@ -161,6 +161,7 @@ type session struct {
 	// reconstructed and its PSNR against the source recorded.
 	store *ImageStore
 	seeds []int64
+	memo  *decodeMemo // answers the length of a reply nobody reads; nil on TCP
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	mFetchSeconds *metrics.Histogram
@@ -317,8 +318,11 @@ func (s *session) gather(img, seq int) ([]byte, error) {
 // exchange is one request/reply round: it sends req under a fresh
 // sequence number, gathers the reply, retransmits when the reply stalls
 // (up to maxRetries times), and returns the decoded — pre-compression —
-// chunk payload in a pooled buffer with the round's on-the-wire size.
-func (s *session) exchange(req Request) (data []byte, wireN int, err error) {
+// chunk payload in a pooled buffer with its length and the round's
+// on-the-wire size. keep says the caller reads the payload; without it,
+// data may be nil (the caller still hands it to bufpool.Put) and a
+// session with a memo takes rawN from it when it holds the reply.
+func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int, err error) {
 	var compressed []byte
 	for attempt := 0; ; attempt++ {
 		s.seq++
@@ -330,40 +334,58 @@ func (s *session) exchange(req Request) (data []byte, wireN int, err error) {
 			break
 		}
 		if !errors.Is(err, errRoundStalled) || attempt >= s.maxRetries {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		s.retries++
 		s.mRetransmits.Inc()
 	}
-	// Real decompression (its simulated cost was charged per segment).
-	t0 := s.env.now()
-	data, err = s.codec.Decode(compressed)
+	// Real decompression (its simulated cost was charged per segment),
+	// unless nobody reads the payload and the memo holds these bytes.
+	clientReplies.Add(1)
 	wireN = len(compressed)
+	if keep || s.memo == nil {
+		data, err = s.decode(compressed)
+		rawN = len(data)
+	} else {
+		rawN, err = s.memo.rawLen(s.codec.Name(), compressed, s.decode)
+	}
 	bufpool.Put(compressed)
 	if err != nil {
-		return nil, 0, fmt.Errorf("avis: decode: %w", err)
+		return nil, 0, 0, err
 	}
-	s.mCodec[s.codec.Name()].observe((s.env.now() - t0).Seconds(), wireN, len(data))
-	return data, wireN, nil
+	return data, rawN, wireN, nil
+}
+
+// decode decompresses one reply with the session's codec into a pooled
+// buffer, counted and observed by the decode instruments.
+func (s *session) decode(compressed []byte) ([]byte, error) {
+	clientDecodes.Add(1)
+	t0 := s.env.now()
+	data, err := s.codec.Decode(compressed)
+	if err != nil {
+		return nil, fmt.Errorf("avis: decode: %w", err)
+	}
+	s.mCodec[s.codec.Name()].observe((s.env.now() - t0).Seconds(), len(compressed), len(data))
+	return data, nil
 }
 
 // fetchRoundRaw is one trip of Figure 2's loop body between its
 // QoS_monitor marks, short of rendering: the exchange, the per-round
-// client overhead, and the round instruments.
-func (s *session) fetchRoundRaw(req Request) (data []byte, wireN int, err error) {
+// client overhead, and the round instruments. keep is exchange's.
+func (s *session) fetchRoundRaw(req Request, keep bool) (data []byte, rawN, wireN int, err error) {
 	if s.geom.Side == 0 {
-		return nil, 0, fmt.Errorf("avis: not connected")
+		return nil, 0, 0, fmt.Errorf("avis: not connected")
 	}
 	t0 := s.env.now()
-	if data, wireN, err = s.exchange(req); err != nil {
-		return nil, 0, err
+	if data, rawN, wireN, err = s.exchange(req, keep); err != nil {
+		return nil, 0, 0, err
 	}
 	s.env.compute(s.cost.RoundOverheadCycles) // check_for_user_interaction
 	s.mRoundSeconds.Observe((s.env.now() - t0).Seconds())
 	s.mRounds.Inc()
-	s.mRawBytes.Add(float64(len(data)))
+	s.mRawBytes.Add(float64(rawN))
 	s.mWireBytes.Add(float64(wireN))
-	return data, wireN, nil
+	return data, rawN, wireN, nil
 }
 
 // fetchRound is fetchRoundRaw plus rendering: when canvas is non-nil the
@@ -372,7 +394,7 @@ func (s *session) fetchRoundRaw(req Request) (data []byte, wireN int, err error)
 // replayed verbatim — against the same server after a stall, or a
 // replacement after a failover.
 func (s *session) fetchRound(req Request, canvas *wavelet.Canvas) (rawN, wireN int, err error) {
-	data, wireN, err := s.fetchRoundRaw(req)
+	data, rawN, wireN, err := s.fetchRoundRaw(req, canvas != nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -383,7 +405,6 @@ func (s *session) fetchRound(req Request, canvas *wavelet.Canvas) (rawN, wireN i
 			chunk.Release()
 		}
 	}
-	rawN = len(data)
 	bufpool.Put(data)
 	if err != nil {
 		return 0, 0, err

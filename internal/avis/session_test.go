@@ -242,7 +242,7 @@ func driveReplies(s *session, script []replyStep) ([][]byte, error) {
 			continue
 		}
 		n := len(tap.replies)
-		data, _, err := s.exchange(st.req)
+		data, _, _, err := s.exchange(st.req, true)
 		var refused *RefusedError
 		switch {
 		case errors.As(err, &refused):
@@ -496,7 +496,7 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 				{Image: r.Image, Seq: r.Seq, Raw: 3, Last: true, Payload: []byte("new")},
 			}
 		}), func(t *testing.T, s *session) {
-			data, _, err := s.fetchRoundRaw(req)
+			data, _, _, err := s.fetchRoundRaw(req, true)
 			if err != nil || string(data) != "new" {
 				t.Errorf("round returned %q, err %v; want the current attempt's payload", data, err)
 			}
@@ -505,7 +505,7 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 		{"wrong Image segment is an error", script(func(r Request) []Segment {
 			return []Segment{{Image: r.Image + 1, Seq: r.Seq, Raw: 3, Last: true, Payload: []byte("???")}}
 		}), func(t *testing.T, s *session) {
-			if _, _, err := s.fetchRoundRaw(req); err == nil {
+			if _, _, _, err := s.fetchRoundRaw(req, true); err == nil {
 				t.Error("a segment for another image was accepted")
 			}
 		}},
@@ -518,7 +518,7 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 			}
 			s.env.release(msg)
 			var refused *RefusedError
-			if _, _, err := s.fetchRoundRaw(Request{Image: 9, R: 32, Level: 4}); !errors.As(err, &refused) {
+			if _, _, _, err := s.fetchRoundRaw(Request{Image: 9, R: 32, Level: 4}, true); !errors.As(err, &refused) {
 				t.Errorf("out-of-range image: err %v, want the server's refusal", err)
 			}
 			if rawN, _, err := s.fetchRound(req, nil); err != nil || rawN == 0 {

@@ -1,7 +1,9 @@
 package avis
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,8 +188,8 @@ func (s *ImageStore) EncodedStats() EncodedStats {
 
 // String is the one-line summary the profiling tools close with.
 func (e EncodedStats) String() string {
-	return fmt.Sprintf("encoded-reply cache: %d requests served, %d encodes run, %d entries / %d bytes resident",
-		e.Hits+e.Encodes, e.Encodes, e.Entries, e.Bytes)
+	return fmt.Sprintf("encoded-reply cache of %d entries / %d bytes: %d requests served, %d encodes run",
+		e.Entries, e.Bytes, e.Hits+e.Encodes, e.Encodes)
 }
 
 // reply returns the finished reply for key — the region extracted from
@@ -249,6 +251,100 @@ func (s *ImageStore) encode(key encodedKey, codec compress.Codec) (encodedReply,
 	bufpool.Put(raw)
 	bufpool.Put(enc)
 	return r, took, nil
+}
+
+// decodeMemo is the client-side mirror of the encoded-reply cache. It maps
+// a compressed reply — codec name and bytes — to its decoded length, for
+// testbed clients that read nothing but that length (DESIGN §5.3). A key
+// match is only a candidate: the memo answers only when its copy of the
+// bytes equals the reply. Only successful decodes are recorded, and misses
+// are single-flight per key.
+type decodeMemo struct {
+	seed    maphash.Seed
+	mu      sync.Mutex
+	done    *lru.Policy[memoKey, encodedReply] // cost = len(enc)
+	flights map[memoKey]*encodedFlight
+}
+
+// memoKey is a candidate identity of one compressed reply.
+type memoKey struct {
+	codec string
+	sum   uint64
+}
+
+func newDecodeMemo(budget int64) *decodeMemo {
+	return &decodeMemo{
+		seed:    maphash.MakeSeed(),
+		done:    lru.New[memoKey, encodedReply](lru.Config{MaxCost: budget}, nil),
+		flights: make(map[memoKey]*encodedFlight),
+	}
+}
+
+// sharedMemo serves every testbed client that does not verify; nil turns
+// the memo off. clientReplies and clientDecodes count, process-wide, the
+// replies client sessions gathered and the decodes they really ran.
+var (
+	sharedMemo                   = newDecodeMemo(encodedBudget)
+	clientReplies, clientDecodes atomic.Int64
+)
+
+// rawLen returns the decoded length of enc under the named codec: from the
+// memo when it holds these exact bytes, else by running decode — once for
+// however many callers miss on the key together — and recording a success.
+// After a failed flight or a hash collision the caller decodes its own
+// bytes and nothing is recorded, so a bad reply fails every time.
+func (m *decodeMemo) rawLen(codec string, enc []byte, decode func([]byte) ([]byte, error)) (int, error) {
+	key := memoKey{codec, maphash.Bytes(m.seed, enc)}
+	m.mu.Lock()
+	r, ok := m.done.Get(key)
+	f, lead := m.flights[key], false
+	if !ok && f == nil {
+		f, lead = &encodedFlight{done: make(chan struct{}), reply: encodedReply{enc: bytes.Clone(enc)}}, true
+		m.flights[key] = f
+	}
+	m.mu.Unlock()
+	if lead { // decode the copy: it is what the followers compare against
+		data, err := decode(f.reply.enc)
+		f.reply.rawLen, f.err = len(data), err
+		bufpool.Put(data)
+		m.mu.Lock()
+		if err == nil {
+			m.done.Put(key, f.reply, int64(len(f.reply.enc)))
+		}
+		delete(m.flights, key)
+		m.mu.Unlock()
+		close(f.done)
+		return f.reply.rawLen, err
+	}
+	if !ok {
+		<-f.done
+		r, ok = f.reply, f.err == nil
+	}
+	if ok && bytes.Equal(r.enc, enc) {
+		return r.rawLen, nil
+	}
+	data, err := decode(enc)
+	bufpool.Put(data)
+	return len(data), err
+}
+
+// DecodeStats counts, process-wide, the replies client sessions received
+// and the decompressions run for them.
+type DecodeStats struct {
+	Replies int64
+	Decodes int64
+}
+
+// ClientDecodeStats reports the process's client-side decode counters.
+// Over TCP and in verifying testbed clients every reply is decoded, so
+// there Decodes grows with Replies; elsewhere the gap is the memo working.
+func ClientDecodeStats() DecodeStats {
+	return DecodeStats{Replies: clientReplies.Load(), Decodes: clientDecodes.Load()}
+}
+
+// String is the clause the profiling tools close their summary with.
+func (d DecodeStats) String() string {
+	return fmt.Sprintf("%d replies decoded by %d decodes", d.Replies, d.Decodes)
 }
 
 // Image regenerates the source image for verification (PSNR checks).

@@ -100,14 +100,18 @@ run_smoke() {
 
 run_fuzz() {
 	# Fuzz smoke: plain `go test` only replays each target's seed corpus,
-	# so give every internal/compress fuzz target (codec round trips, and
-	# the BWT and Huffman-decoder differentials against their oracles)
-	# FUZZTIME of real mutation — one target per invocation, as the
-	# toolchain requires. Offline: the module has no dependencies. A
-	# failing input lands in internal/compress/testdata/fuzz/<target>/.
-	for target in $(go test ./internal/compress -list '^Fuzz' | grep '^Fuzz'); do
-		echo "== go test ./internal/compress -fuzz '^$target\$' -fuzztime ${FUZZTIME:-10s}"
-		go test ./internal/compress -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-10s}"
+	# so give every fuzz target in the module (codec round trips and
+	# decoder differentials, chunk, frame, handshake and schema decoders,
+	# the perf-DB loader) FUZZTIME of real mutation — one target per
+	# invocation, as the toolchain requires. Targets are discovered per
+	# package, so a new one runs without an edit here. Offline: the module
+	# has no dependencies. A failing input lands in
+	# <package>/testdata/fuzz/<target>/.
+	for pkg in $(go list ./...); do
+		for target in $(go test "$pkg" -list '^Fuzz' | grep '^Fuzz'); do
+			echo "== go test $pkg -fuzz '^$target\$' -fuzztime ${FUZZTIME:-10s}"
+			go test "$pkg" -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-10s}"
+		done
 	done
 }
 
