@@ -107,7 +107,7 @@ type Agent struct {
 	degradeFactor float64
 	degradeFloor  float64
 
-	probes    []Probe
+	probes    []keyedProbe
 	history   map[string][]sample
 	ewma      map[string]float64
 	estimates map[string]resource.Vector // component → smoothed estimates
@@ -277,8 +277,16 @@ func (a *Agent) estimateGauge(key string) *metrics.Gauge {
 // Name returns the agent name.
 func (a *Agent) Name() string { return a.name }
 
+// keyedProbe is a probe with its "component.kind" key, built once.
+type keyedProbe struct {
+	Probe
+	key string
+}
+
 // AddProbe registers a probe. Probes are sampled in registration order.
-func (a *Agent) AddProbe(p Probe) { a.probes = append(a.probes, p) }
+func (a *Agent) AddProbe(p Probe) {
+	a.probes = append(a.probes, keyedProbe{p, p.Component() + "." + string(p.Kind())})
+}
 
 // Triggers returns the channel on which out-of-range notifications are
 // delivered.
@@ -369,10 +377,10 @@ func (a *Agent) round(now time.Duration) {
 	a.samples++
 	a.mSamples.Inc()
 	for _, pr := range a.probes {
-		key := pr.Component() + "." + string(pr.Kind())
+		key := pr.key
 		v, ok := pr.Sample(now)
 		if !ok {
-			a.maybeDegrade(now, pr, key)
+			a.maybeDegrade(now, pr.Probe, key)
 			continue
 		}
 		a.lastSeen[key] = now
@@ -395,7 +403,7 @@ func (a *Agent) round(now time.Duration) {
 			for cut < len(h) && h[cut].at < now-a.window {
 				cut++
 			}
-			h = h[cut:]
+			h = append(h[:0], h[cut:]...) // in place, so the window's array is reused
 			a.history[key] = h
 			// Windowed mean is the smoothed estimate.
 			var sum float64
@@ -411,7 +419,7 @@ func (a *Agent) round(now time.Duration) {
 		a.estimates[comp][pr.Kind()] = est
 		a.lastGood[key] = est
 		a.estimateGauge(key).Set(est)
-		a.checkRange(now, comp, pr.Kind(), est)
+		a.checkRange(now, key, comp, pr.Kind(), est)
 	}
 	if a.onRound != nil {
 		a.onRound(now, a.Snapshot())
@@ -455,15 +463,14 @@ func (a *Agent) maybeDegrade(now time.Duration, pr Probe, key string) {
 		a.ewma[key] = est
 	}
 	a.estimateGauge(key).Set(est)
-	a.checkRange(now, comp, pr.Kind(), est)
+	a.checkRange(now, key, comp, pr.Kind(), est)
 }
 
 // Degraded reports whether any probe is currently in degraded
 // (stale-sample) mode, and how many.
 func (a *Agent) Degraded() int { return len(a.degraded) }
 
-func (a *Agent) checkRange(now time.Duration, comp string, kind resource.Kind, est float64) {
-	key := comp + "." + string(kind)
+func (a *Agent) checkRange(now time.Duration, key, comp string, kind resource.Kind, est float64) {
 	r, ok := a.ranges[key]
 	if !ok {
 		return
@@ -521,7 +528,7 @@ func (a *Agent) drainInbox(now time.Duration) {
 			// checks, so a peer's observation of a degraded resource can
 			// trigger this agent's scheduler.
 			for kind, est := range v {
-				a.checkRange(now, comp, kind, est)
+				a.checkRange(now, comp+"."+string(kind), comp, kind, est)
 			}
 		}
 	}

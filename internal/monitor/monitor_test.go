@@ -380,3 +380,24 @@ func TestRecvBandwidthProbe(t *testing.T) {
 		t.Fatalf("estimated bandwidth %.0f", est)
 	}
 }
+
+// A sampling round allocates nothing per probe: the probe's key is built
+// once in AddProbe, and the windowed history is compacted in place.
+func TestRoundAllocatesNothingPerProbe(t *testing.T) {
+	a := New(vtime.NewSim(), "m")
+	for _, k := range []resource.Kind{resource.CPU, resource.Bandwidth} {
+		a.AddProbe(&OracleProbe{Comp: "client", K: k, Fn: func(time.Duration) (float64, bool) { return 0.5, true }})
+		a.SetValidRange("client", k, 0, 1)
+	}
+	now := time.Duration(0)
+	round := func() {
+		now += DefaultPeriod
+		a.RunOnce(now)
+	}
+	for i := 0; i < 100; i++ { // fill the window, so the history stops growing
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocations per round, want 0", n)
+	}
+}

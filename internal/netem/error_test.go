@@ -41,6 +41,27 @@ func TestSendToClosedLinkDropsInFlight(t *testing.T) {
 	}
 }
 
+// When the last process exits, Run returns without firing pending
+// callbacks: a delivery still in flight is neither delivered nor dropped.
+func TestLastExitLeavesDeliveriesInFlight(t *testing.T) {
+	sim := vtime.NewSim()
+	l := NewLink(sim, "lan", 1e6, WithLatency(10*time.Millisecond))
+	sim.Spawn("sender", func(p *vtime.Proc) {
+		l.A().Send(p, make([]byte, 1000))
+		l.A().Close()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	out := l.A().OutCounters()
+	if out.MsgsSent != 1 || out.MsgsDropped != 0 || out.BytesDropped != 0 {
+		t.Fatalf("counters %+v, want one message sent and none dropped", out)
+	}
+	if sim.Now() != time.Millisecond {
+		t.Fatalf("clock %v, want the 1 ms serialization time", sim.Now())
+	}
+}
+
 func TestSendAfterCloseNeverDelivers(t *testing.T) {
 	sim := vtime.NewSim()
 	l := NewLink(sim, "lan", 1e6, WithLatency(time.Millisecond))

@@ -73,9 +73,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	// Block until a receiver drains us.
 	w := &chanWaiter[T]{p: p, val: v}
 	c.sendq = append(c.sendq, w)
-	p.blockedOn = "send " + c.name
-	p.yield()
-	p.blockedOn = ""
+	p.yield("send ", c.name)
 	if !w.done {
 		panic("vtime: sender woken without completion on " + c.name)
 	}
@@ -112,9 +110,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 	}
 	w := &chanWaiter[T]{p: p}
 	c.recvq = append(c.recvq, w)
-	p.blockedOn = "recv " + c.name
-	p.yield()
-	p.blockedOn = ""
+	p.yield("recv ", c.name)
 	return w.val, w.ok
 }
 
@@ -184,9 +180,7 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, ready boo
 		w.expired = true
 		p.sim.makeRunnable(p)
 	}
-	p.blockedOn = "recv-timeout " + c.name
-	p.yield()
-	p.blockedOn = ""
+	p.yield("recv-timeout ", c.name)
 	if w.done {
 		t.stopped = true
 		return w.val, w.ok, true
@@ -255,9 +249,7 @@ func (e *Event) Wait(p *Proc) {
 		return
 	}
 	e.waiters = append(e.waiters, p)
-	p.blockedOn = "event " + e.name
-	p.yield()
-	p.blockedOn = ""
+	p.yield("event ", e.name)
 }
 
 // WaitGroup counts outstanding work items in virtual time.
@@ -293,7 +285,5 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	wg.waiters = append(wg.waiters, p)
-	p.blockedOn = "waitgroup"
-	p.yield()
-	p.blockedOn = ""
+	p.yield("waitgroup", "")
 }

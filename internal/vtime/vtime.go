@@ -14,11 +14,22 @@
 // advances the clock to the earliest pending timer. Ties at the same
 // timestamp are broken by ascending sequence number, so a given program
 // always produces the same schedule.
+//
+// The scheduler has no goroutine of its own: it runs on whichever
+// goroutine holds the execution token. A blocking process picks its
+// successor itself and hands the token over with one channel send; when
+// the pick is the process itself (a lone sleeper, Sleep(0) on an empty run
+// queue) the switch costs no channel operation at all. An exiting process
+// hands the token on the same way. Run and RunUntil take the first step
+// and then wait for the outcome. Timer callbacks therefore run inside the
+// blocking call of some process, on its goroutine (or on Run's caller, in
+// the first step).
 package vtime
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -36,26 +47,21 @@ var ErrStopped = errors.New("vtime: simulation stopped")
 type Sim struct {
 	now     time.Duration
 	seq     uint64
-	runq    []*Proc
+	runq    []*Proc // runq[head:] is the FIFO run queue
+	head    int
 	timers  timerHeap
 	procs   map[int64]*Proc
 	nextID  int64
-	sched   chan schedMsg // processes hand the execution token back here
+	done    chan error // the scheduler hands Run's outcome back here
 	stopped bool
-	limit   time.Duration // 0 means no limit
-	cur     *Proc
-}
-
-type schedMsg struct {
-	p      *Proc
-	exited bool
+	limit   time.Duration // horizon of the current Run/RunUntil
 }
 
 // NewSim returns a fresh simulation whose clock starts at zero.
 func NewSim() *Sim {
 	return &Sim{
 		procs: make(map[int64]*Proc),
-		sched: make(chan schedMsg),
+		done:  make(chan error, 1),
 	}
 }
 
@@ -72,13 +78,9 @@ type Proc struct {
 	id     int64
 	name   string
 	resume chan struct{}
-	// wake bookkeeping for channel operations
-	waitSlot   any  // value delivered directly to a blocked receiver
-	waitOK     bool // whether the delivered value is valid (vs channel closed)
-	timer      *timer
-	blockedOn  string
-	exited     bool
-	interrupts []func()
+	sleep  timer // Sleep's wake-up; sleep timers are never cancelled, so one per process suffices
+	// what the process last blocked on, formatted only for deadlock reports
+	waitOp, waitOn string
 }
 
 // ID returns the process's unique id (assigned in spawn order).
@@ -105,12 +107,17 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan struct{}),
 	}
 	s.procs[p.id] = p
-	s.runq = append(s.runq, p)
+	s.makeRunnable(p)
 	go func() {
 		<-p.resume // wait until first scheduled
 		fn(p)
-		p.exited = true
-		s.sched <- schedMsg{p: p, exited: true}
+		delete(s.procs, p.id)
+		// Pending callbacks stay unfired once the last process is gone.
+		if len(s.procs) == 0 {
+			s.done <- nil
+		} else if q := s.schedule(); q != nil {
+			q.resume <- struct{}{}
+		}
 	}()
 	return p
 }
@@ -125,7 +132,6 @@ type timer struct {
 	at      time.Duration
 	seq     uint64
 	p       *Proc
-	fired   bool
 	stopped bool
 	fn      func() // if non-nil, a callback timer rather than a proc wake
 }
@@ -190,74 +196,52 @@ func (s *Sim) addTimer(p *Proc, at time.Duration, fn func()) *timer {
 	return t
 }
 
-// Run executes the simulation until every process has exited, the optional
-// limit set by RunUntil is reached, or no progress is possible. It returns
-// nil on normal completion, ErrDeadlock if live processes remain blocked
-// forever, and ErrStopped after Stop.
-func (s *Sim) Run() error {
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		if len(s.runq) == 0 {
-			// Advance the clock to the next timer batch.
-			if !s.advance() {
-				if len(s.procs) == 0 {
-					return nil
-				}
-				return fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummary())
-			}
-			continue
-		}
-		p := s.runq[0]
-		copy(s.runq, s.runq[1:])
-		s.runq = s.runq[:len(s.runq)-1]
-		s.cur = p
-		p.resume <- struct{}{}
-		msg := <-s.sched
-		s.cur = nil
-		if msg.exited {
-			delete(s.procs, msg.p.id)
-		}
-		if len(s.procs) == 0 && len(s.runq) == 0 {
-			return nil
-		}
-	}
-}
+// Run executes the simulation until every process has exited, or no
+// progress is possible. It returns nil on normal completion, ErrDeadlock if
+// live processes remain blocked forever, and ErrStopped after Stop.
+func (s *Sim) Run() error { return s.run(math.MaxInt64) }
 
 // RunUntil runs the simulation but stops (successfully) once virtual time
 // would pass t. Processes still alive at that point remain suspended; Run
 // or RunUntil may be invoked again to continue.
-func (s *Sim) RunUntil(t time.Duration) error {
-	s.limit = t
-	defer func() { s.limit = 0 }()
+func (s *Sim) RunUntil(t time.Duration) error { return s.run(t) }
+
+func (s *Sim) run(limit time.Duration) error {
+	s.limit = limit
+	if p := s.schedule(); p != nil {
+		p.resume <- struct{}{}
+	}
+	return <-s.done
+}
+
+// schedule is the one scheduling step, run by whichever goroutine holds
+// the token: it returns the next runnable process, advancing the clock
+// through timer batches as needed, or nil after handing the outcome of the
+// current Run to done.
+func (s *Sim) schedule() *Proc {
 	for {
 		if s.stopped {
-			return ErrStopped
+			s.done <- ErrStopped
+			return nil
 		}
-		if len(s.runq) == 0 {
-			if len(s.timers) > 0 && s.nextTimerAt() > t {
-				return nil // reached the horizon
+		if s.head < len(s.runq) {
+			p := s.runq[s.head]
+			s.runq[s.head] = nil
+			if s.head++; s.head == len(s.runq) {
+				s.runq, s.head = s.runq[:0], 0
 			}
-			if !s.advance() {
-				if len(s.procs) == 0 {
-					return nil
-				}
-				return fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummary())
+			return p
+		}
+		if len(s.timers) > 0 && s.nextTimerAt() > s.limit {
+			s.done <- nil // reached the horizon
+			return nil
+		}
+		if !s.advance() {
+			if len(s.procs) == 0 {
+				s.done <- nil
+			} else {
+				s.done <- fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummary())
 			}
-			continue
-		}
-		p := s.runq[0]
-		copy(s.runq, s.runq[1:])
-		s.runq = s.runq[:len(s.runq)-1]
-		s.cur = p
-		p.resume <- struct{}{}
-		msg := <-s.sched
-		s.cur = nil
-		if msg.exited {
-			delete(s.procs, msg.p.id)
-		}
-		if len(s.procs) == 0 && len(s.runq) == 0 {
 			return nil
 		}
 	}
@@ -296,12 +280,11 @@ func (s *Sim) advance() bool {
 			break
 		}
 		s.timers.pop()
-		top.fired = true
 		if top.fn != nil {
 			top.fn()
 			continue
 		}
-		s.runq = append(s.runq, top.p)
+		s.makeRunnable(top.p)
 	}
 	return true
 }
@@ -314,7 +297,7 @@ func (s *Sim) Stop() { s.stopped = true }
 func (s *Sim) blockedSummary() string {
 	var names []string
 	for _, p := range s.procs {
-		names = append(names, fmt.Sprintf("%s(%s)", p.name, p.blockedOn))
+		names = append(names, p.name+"("+p.waitOp+p.waitOn+")")
 	}
 	sort.Strings(names)
 	if len(names) > 8 {
@@ -323,33 +306,50 @@ func (s *Sim) blockedSummary() string {
 	return fmt.Sprint(names)
 }
 
-// yield hands the execution token back to the kernel and waits to be
-// resumed. The caller must already have arranged its wake-up condition
-// (timer or channel waiter registration).
-func (p *Proc) yield() {
-	p.sim.sched <- schedMsg{p: p}
+// yield blocks p until its wake-up condition, which the caller must
+// already have arranged (timer or waiter registration). op and on say what
+// p waits for; they are joined only if a deadlock report needs them. The
+// calling goroutine runs the scheduler itself: if the pick is p, yield
+// returns with no channel operation; otherwise it resumes the pick with one
+// send (or hands Run its outcome) and parks until some later pick resumes p.
+func (p *Proc) yield(op, on string) {
+	p.waitOp, p.waitOn = op, on
+	q := p.sim.schedule()
+	if q == p {
+		return
+	}
+	if q != nil {
+		q.resume <- struct{}{}
+	}
 	<-p.resume
 }
 
-// makeRunnable appends q to the run queue.
-func (s *Sim) makeRunnable(q *Proc) { s.runq = append(s.runq, q) }
+// makeRunnable appends q to the run queue, compacting the consumed front
+// away once it is at least half the backing array.
+func (s *Sim) makeRunnable(q *Proc) {
+	if len(s.runq) == cap(s.runq) && s.head > 0 && s.head >= len(s.runq)/2 {
+		n := copy(s.runq, s.runq[s.head:])
+		clear(s.runq[n:])
+		s.runq, s.head = s.runq[:n], 0
+	}
+	s.runq = append(s.runq, q)
+}
 
 // Sleep suspends the calling process for d of virtual time. Negative or
 // zero durations yield the processor without advancing time (the process
-// is re-queued behind currently runnable processes).
+// is re-queued behind currently runnable processes). The wake-up reuses the
+// timer embedded in p, so Sleep allocates nothing.
 func (p *Proc) Sleep(d time.Duration) {
+	s := p.sim
 	if d <= 0 {
-		p.blockedOn = "yield"
-		p.sim.makeRunnable(p)
-		p.yield()
-		p.blockedOn = ""
+		s.makeRunnable(p)
+		p.yield("yield", "")
 		return
 	}
-	p.blockedOn = "sleep"
-	p.timer = p.sim.addTimer(p, p.sim.now+d, nil)
-	p.yield()
-	p.timer = nil
-	p.blockedOn = ""
+	s.seq++
+	p.sleep = timer{at: s.now + d, seq: s.seq, p: p}
+	s.timers.push(&p.sleep)
+	p.yield("sleep", "")
 }
 
 // SleepUntil suspends the calling process until absolute virtual time t.
@@ -361,9 +361,12 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.Sleep(t - p.sim.now)
 }
 
-// After schedules fn to run at now+d in kernel context (not as a process).
-// fn must not block; it may spawn processes, send on channels with waiting
-// receivers, or adjust state. It returns a cancel function.
+// After schedules fn to run at now+d in kernel context: not as a process of
+// its own, but inside the scheduling step of whichever goroutine holds the
+// token when the clock reaches the timer — a blocking process's, or Run's
+// caller's in the first step. fn must not block; it
+// may spawn processes, send on channels with waiting receivers, or adjust
+// state. It returns a cancel function.
 func (s *Sim) After(d time.Duration, fn func()) (cancel func()) {
 	t := s.addTimer(nil, s.now+d, fn)
 	return func() { t.stopped = true }

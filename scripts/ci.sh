@@ -47,8 +47,12 @@ run_unit() {
 	# The arbiter and admission tests are schedule-dependent: one green
 	# run proves little (the churn test once landed green and failed 16
 	# of 20 runs afterwards), so repeat them under the race detector.
-	echo "== go test -race -count=20 $* ./internal/scheduler (repeat gate)"
-	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler
+	# The virtual-time kernel's correctness rests on channel handoffs
+	# between process goroutines (no scheduler goroutine orders them), so
+	# the kernel and its closest users repeat here too; under -race they
+	# take about 1-2 s each per count.
+	echo "== go test -race -count=20 $* ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults
 
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
