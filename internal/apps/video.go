@@ -203,11 +203,11 @@ func (v *Video) stream(p *vtime.Proc, link *netem.Link, csb, ssb *sandbox.Sandbo
 	p.Spawn("video-recv", func(p *vtime.Proc) {
 		defer done.TrySend(struct{}{})
 		for {
-			payload, ok := link.B().Recv(p)
+			msg, ok := link.B().Recv(p)
 			if !ok {
 				return
 			}
-			csb.Compute(p, float64(len(payload))*videoDecodeCyclesByte+videoDisplayCycles)
+			csb.Compute(p, float64(msg.Len())*videoDecodeCyclesByte+videoDisplayCycles)
 			delivered++
 			lastDone = p.Now() - start
 		}

@@ -1,6 +1,7 @@
 package avis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -328,11 +329,11 @@ func TestServerStatsAndProtocolErrors(t *testing.T) {
 		// Malformed request → server replies with an error message.
 		w.Link.A().Send(p, []byte{tagRequest, 1, 2})
 		raw, ok := w.Link.A().Recv(p)
-		gotErr = ok && len(raw) > 0 && raw[0] == tagError
+		gotErr = ok && len(raw.Payload) > 0 && raw.Payload[0] == tagError
 		// Unknown codec notify → error.
 		w.Link.A().Send(p, encodeNotify("zip9000"))
 		raw, ok = w.Link.A().Recv(p)
-		gotErr = gotErr && ok && raw[0] == tagError
+		gotErr = gotErr && ok && raw.Payload[0] == tagError
 		w.Client.Close(p)
 	})
 	if err := w.Sim.Run(); err != nil {
@@ -450,6 +451,46 @@ func TestLossyLinkRecovery(t *testing.T) {
 	}
 	if w.Client.Retries() == 0 {
 		t.Fatalf("3%% loss produced zero retries — loss not exercised")
+	}
+}
+
+// A segment lost from the middle of a reply — its Last segment still
+// arriving — must stall the round and retransmit it, not complete it
+// short: the download ends with every raw byte of the loss-free run.
+func TestLossyLinkRecoveryLostSegment(t *testing.T) {
+	for _, codec := range []string{"raw", "lzw"} {
+		for _, verify := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/verify=%v", codec, verify), func(t *testing.T) {
+				run := func(loss float64) ([]ImageStat, *World) {
+					w, err := NewWorld(WorldConfig{
+						Params: Params{DR: 320, Codec: codec, Level: 4},
+						Verify: verify,
+						Store:  testStore,
+						Loss:   loss,
+					}, WithRetry(2*time.Second, 20))
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats, err := w.RunSequence(1)
+					if err != nil {
+						t.Fatalf("loss %v: %v", loss, err)
+					}
+					return stats, w
+				}
+				clean, _ := run(0)
+				lossy, w := run(0.03)
+				if dropped := w.Link.B().OutCounters().MsgsDropped; dropped == 0 || w.Client.Retries() == 0 {
+					t.Errorf("%d retries for %d reply messages dropped; want the lost segments retransmitted",
+						w.Client.Retries(), dropped)
+				}
+				if lossy[0].RawBytes != clean[0].RawBytes {
+					t.Errorf("lossy run delivered %d raw bytes, loss-free %d", lossy[0].RawBytes, clean[0].RawBytes)
+				}
+				if verify && lossy[0].PSNR < 30 {
+					t.Errorf("PSNR %.1f under loss", lossy[0].PSNR)
+				}
+			})
+		}
 	}
 }
 

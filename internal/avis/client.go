@@ -57,7 +57,7 @@ func NewClient(sb *sandbox.Sandbox, ep *netem.Endpoint, params Params, opts ...C
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{venv: vtimeEnv{ep: ep, sb: sb, out: ep}}
+	c := &Client{venv: vtimeEnv{ep: ep, sb: sb, out: ep.SendMsg}}
 	c.session = session{env: &c.venv, cost: DefaultCostModel(), params: params, codec: codec, memo: sharedMemo}
 	for _, o := range opts {
 		o(c)

@@ -22,14 +22,16 @@ import (
 type env interface {
 	// send puts one protocol message on the link.
 	send(msg []byte) error
-	// recv returns the next message. A positive stall bounds the wait and
+	// recv returns the next message, and the window the testbed carried by
+	// reference after it (none on TCP). A positive stall bounds the wait and
 	// yields errRoundStalled when it expires — the retransmission trigger
 	// on a lossy simulated link. TCP ignores it: there the wire.Conn's
 	// progress deadline is the only watchdog, and it surfaces as a
 	// *TimeoutError that is never retried in place. A link the peer closed
 	// yields an error matching io.EOF.
-	recv(stall time.Duration) ([]byte, error)
-	// release hands a received message back once nothing aliases it.
+	recv(stall time.Duration) ([]byte, window, error)
+	// release hands a received message back once nothing aliases it; a
+	// window is never handed back.
 	release(msg []byte)
 	// now reads the clock QoS is measured on.
 	now() time.Duration
@@ -37,14 +39,22 @@ type env interface {
 	compute(cycles float64)
 }
 
+// window is a segment payload the testbed carried by reference: b, a slice
+// of the server's immutable shared reply, starts at offset at in it.
+type window struct {
+	b  []byte
+	at int
+}
+
 // serverEnv adds the one server duty that is not transport-agnostic:
 // putting a finished reply on the link. The testbed charges encodeCycles
-// per raw byte slice by slice into a pipelined sender; TCP issues a single
-// vectored write. The two share no arithmetic on purpose — the figures
-// pin the first formula and testdata/reply_two_segments.hex the second.
+// per raw byte slice by slice into a pipelined sender, and hands shared
+// bytes over by reference; TCP issues a single vectored write. The two
+// share no arithmetic on purpose — the figures pin the first formula and
+// testdata/reply_two_segments.hex the second. pooled is the Handler's.
 type serverEnv interface {
 	env
-	reply(req Request, rawLen int, enc []byte, encodeCycles float64) error
+	reply(req Request, rawLen int, enc []byte, pooled bool, encodeCycles float64) error
 }
 
 // errRoundStalled reports a reply that stopped arriving within the retry
@@ -62,36 +72,34 @@ type vtimeEnv struct {
 	p  *vtime.Proc
 	ep *netem.Endpoint
 	sb *sandbox.Sandbox
-	// out is where sends go: the endpoint itself for a client, the queue
-	// feeding the sender process for a server (so compressing slice k+1
-	// overlaps transmitting slice k).
-	out interface {
-		Send(p *vtime.Proc, msg []byte)
-	}
+	// out is where sends go: the endpoint's SendMsg for a client, the
+	// queue feeding the sender process for a server (so compressing slice
+	// k+1 overlaps transmitting slice k).
+	out func(*vtime.Proc, netem.Message)
 }
 
 func (e *vtimeEnv) send(msg []byte) error {
-	e.out.Send(e.p, msg)
+	e.out(e.p, netem.Message{Payload: msg})
 	return nil
 }
 
-func (e *vtimeEnv) recv(stall time.Duration) ([]byte, error) {
+func (e *vtimeEnv) recv(stall time.Duration) ([]byte, window, error) {
 	for {
-		var msg []byte
+		var m netem.Message
 		ok := false
 		if stall > 0 {
 			var ready bool
-			if msg, ok, ready = e.ep.RecvTimeout(e.p, stall); !ready {
-				return nil, errRoundStalled
+			if m, ok, ready = e.ep.RecvTimeout(e.p, stall); !ready {
+				return nil, window{}, errRoundStalled
 			}
 		} else {
-			msg, ok = e.ep.Recv(e.p)
+			m, ok = e.ep.Recv(e.p)
 		}
 		if !ok {
-			return nil, errLinkClosed
+			return nil, window{}, errLinkClosed
 		}
-		if len(msg) > 0 { // a link message may be empty; a frame never is
-			return msg, nil
+		if len(m.Payload) > 0 { // a link message may be empty; a frame never is
+			return m.Payload, window{m.Ref, m.RefAt}, nil
 		}
 	}
 }
@@ -102,7 +110,10 @@ func (e *vtimeEnv) compute(cycles float64) { e.sb.Compute(e.p, cycles) }
 
 // reply streams the compressed bytes in slices, charging the compression
 // cost slice by slice so the sender process can overlap transmission.
-func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, encodeCycles float64) error {
+// A slice of shared bytes goes out as its header with the window
+// enc[off:end] by reference; pooled bytes are recycled while the sender
+// is still transmitting, so their slices are copied.
+func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, pooled bool, encodeCycles float64) error {
 	total := len(enc)
 	for off := 0; ; off += DefaultSegmentBytes {
 		end := min(off+DefaultSegmentBytes, total)
@@ -111,14 +122,13 @@ func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, encodeCycles float
 			rawShare = float64(rawLen) * float64(end-off) / float64(total)
 		}
 		e.compute(encodeCycles * rawShare)
-		// encodeSegment copies the payload, so enc can be recycled.
-		_ = e.send(encodeSegment(Segment{
-			Image:   req.Image,
-			Seq:     req.Seq,
-			Raw:     int(rawShare + 0.5),
-			Last:    end == total,
-			Payload: enc[off:end],
-		}))
+		seg := Segment{Image: req.Image, Seq: req.Seq, Raw: int(rawShare + 0.5), Last: end == total}
+		if pooled {
+			seg.Payload = enc[off:end]
+			e.out(e.p, netem.Message{Payload: encodeSegment(seg)})
+		} else {
+			e.out(e.p, netem.Message{Payload: appendSegmentHead(nil, seg), Ref: enc[off:end], RefAt: off})
+		}
 		if end == total {
 			return nil
 		}
@@ -138,9 +148,9 @@ type tcpEnv struct {
 
 func (e *tcpEnv) send(msg []byte) error { return e.mapErr("write", e.wc.WriteMsg(msg)) }
 
-func (e *tcpEnv) recv(time.Duration) ([]byte, error) {
+func (e *tcpEnv) recv(time.Duration) ([]byte, window, error) {
 	msg, err := e.wc.ReadMsg()
-	return msg, e.mapErr("read", err)
+	return msg, window{}, e.mapErr("read", err)
 }
 
 func (e *tcpEnv) release(msg []byte) { bufpool.Put(msg) }
@@ -148,7 +158,7 @@ func (e *tcpEnv) now() time.Duration { return time.Since(e.epoch) }
 func (e *tcpEnv) compute(float64)    {}
 func (e *tcpEnv) negotiate() error   { return e.mapErr("negotiate", e.wc.StartClient(0)) }
 
-func (e *tcpEnv) reply(req Request, rawLen int, enc []byte, _ float64) error {
+func (e *tcpEnv) reply(req Request, rawLen int, enc []byte, _ bool, _ float64) error {
 	return e.mapErr("write", WriteSegmentsWire(e.wc, req.Image, req.Seq, rawLen, enc, e.segBytes, e.onSeg))
 }
 

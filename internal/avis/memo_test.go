@@ -3,7 +3,6 @@ package avis
 import (
 	"bytes"
 	"hash/maphash"
-	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -67,7 +66,7 @@ func TestDecodeMemoAnswersOnlyEqualBytes(t *testing.T) {
 	b := bytes.Clone(a)
 	b[len(b)/2] ^= 0xFF
 	for i, enc := range [][]byte{a, b, a, b} {
-		if n, err := m.rawLen("raw", enc, raw.decode); err != nil || n != len(enc) {
+		if n, err := m.rawLen("raw", enc, false, raw.decode); err != nil || n != len(enc) {
 			t.Fatalf("call %d: %d, %v; want %d", i, n, err, len(enc))
 		}
 	}
@@ -78,7 +77,7 @@ func TestDecodeMemoAnswersOnlyEqualBytes(t *testing.T) {
 	m.mu.Lock()
 	m.done.Put(memoKey{"raw", maphash.Bytes(m.seed, b)}, encodedReply{enc: bytes.Clone(a), rawLen: 1}, int64(len(a)))
 	m.mu.Unlock()
-	if n, err := m.rawLen("raw", b, raw.decode); err != nil || n != len(b) || raw.calls.Load() != 3 {
+	if n, err := m.rawLen("raw", b, false, raw.decode); err != nil || n != len(b) || raw.calls.Load() != 3 {
 		t.Errorf("a key holding other bytes answered %d (err %v) after %d decodes; want a real decode to %d",
 			n, err, raw.calls.Load(), len(b))
 	}
@@ -91,10 +90,10 @@ func TestDecodeMemoKeysOnCodec(t *testing.T) {
 	lzw, raw := newCountingDecoder(t, "lzw"), newCountingDecoder(t, "raw")
 	payload, enc := encoded(t, "lzw", 8192)
 	for round := 0; round < 2; round++ {
-		if n, err := m.rawLen("lzw", enc, lzw.decode); err != nil || n != len(payload) {
+		if n, err := m.rawLen("lzw", enc, false, lzw.decode); err != nil || n != len(payload) {
 			t.Fatalf("round %d, lzw: %d, %v; want %d", round, n, err, len(payload))
 		}
-		if n, err := m.rawLen("raw", enc, raw.decode); err != nil || n != len(enc) {
+		if n, err := m.rawLen("raw", enc, false, raw.decode); err != nil || n != len(enc) {
 			t.Fatalf("round %d, raw: %d, %v; want %d", round, n, err, len(enc))
 		}
 	}
@@ -115,7 +114,7 @@ func TestDecodeMemoNeverRecordsFailure(t *testing.T) {
 		t.Fatal("the truncated reply decodes; the test needs a corrupt one")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.rawLen("bzw", bad, bzw.decode); err == nil {
+		if _, err := m.rawLen("bzw", bad, false, bzw.decode); err == nil {
 			t.Fatalf("attempt %d of a corrupt reply succeeded", i)
 		}
 	}
@@ -133,7 +132,7 @@ func TestDecodeMemoNeverRecordsFailure(t *testing.T) {
 		go func() {
 			defer done.Done()
 			started.Done()
-			if _, err := m.rawLen("bzw", bad, held); err != nil {
+			if _, err := m.rawLen("bzw", bad, false, held); err != nil {
 				failed.Add(1)
 			}
 		}()
@@ -152,7 +151,7 @@ func TestDecodeMemoNeverRecordsFailure(t *testing.T) {
 	if m.done.Len() != 0 || len(m.flights) != 0 {
 		t.Errorf("failures left %d entries and %d flights behind", m.done.Len(), len(m.flights))
 	}
-	if n, err := m.rawLen("bzw", enc, bzw.decode); err != nil || n != len(payload) || m.done.Len() != 1 {
+	if n, err := m.rawLen("bzw", enc, false, bzw.decode); err != nil || n != len(payload) || m.done.Len() != 1 {
 		t.Errorf("the intact reply: %d, %v, %d entries; want %d recorded", n, err, m.done.Len(), len(payload))
 	}
 }
@@ -178,7 +177,7 @@ func TestDecodeMemoSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			lens[i], errs[i] = m.rawLen("lzw", enc, held)
+			lens[i], errs[i] = m.rawLen("lzw", enc, false, held)
 		}(i)
 	}
 	started.Wait()
@@ -318,14 +317,79 @@ func TestMemoHitHandsOutNoBuffer(t *testing.T) {
 	if !ok {
 		t.Fatal("the reply was not recorded")
 	}
-	class := 1 << (bits.Len(uint(cap(e.enc))) - 1)
-	for i := 0; i < 256; i++ {
-		b := bufpool.Get(class)
-		for j := range b {
-			b[j] = 0xA5
-		}
-	}
+	overwritePool(cap(e.enc))
 	if !bytes.Equal(e.enc, enc) || e.rawLen != rawNs[0] {
 		t.Error("the memo's copy of the reply was handed out and overwritten")
 	}
+}
+
+// TestDecodeMemoIdentityIndex: shared replies are answered by (codec,
+// address, length) once one has decoded, and only those. A pooled buffer
+// reused at one address with other bytes is another reply; a failed
+// decode records no identity; the same address under another codec is
+// another reply; equal bytes at another address are found by content and
+// not decoded again; and the memo keeps the shared bytes, not a copy.
+func TestDecodeMemoIdentityIndex(t *testing.T) {
+	t.Run("reused pooled buffer", func(t *testing.T) {
+		m := newDecodeMemo(encodedBudget)
+		raw := newCountingDecoder(t, "raw")
+		buf := bufpool.Get(4096)
+		for i, fill := range []byte{1, 2} {
+			for j := range buf {
+				buf[j] = fill ^ byte(j)
+			}
+			if n, err := m.rawLen("raw", buf, false, raw.decode); err != nil || n != len(buf) {
+				t.Fatalf("fill %d: %d, %v", i, n, err)
+			}
+		}
+		if raw.calls.Load() != 2 || m.byRef.Len() != 0 {
+			t.Errorf("%d decodes, %d identities for one copied buffer holding two replies in turn; want 2 and none",
+				raw.calls.Load(), m.byRef.Len())
+		}
+		bufpool.Put(buf)
+	})
+	t.Run("failed decode", func(t *testing.T) {
+		m := newDecodeMemo(encodedBudget)
+		bzw := newCountingDecoder(t, "bzw")
+		_, enc := encoded(t, "bzw", 20000)
+		bad := enc[:len(enc)-5]
+		for i := 0; i < 2; i++ {
+			if _, err := m.rawLen("bzw", bad, true, bzw.decode); err == nil {
+				t.Fatalf("attempt %d of a corrupt shared reply succeeded", i)
+			}
+		}
+		if bzw.calls.Load() != 2 || m.byRef.Len() != 0 || m.done.Len() != 0 {
+			t.Errorf("%d decodes, %d identities, %d entries; want a decode per attempt and nothing recorded",
+				bzw.calls.Load(), m.byRef.Len(), m.done.Len())
+		}
+	})
+	t.Run("codec and address", func(t *testing.T) {
+		m := newDecodeMemo(encodedBudget)
+		lzw, raw := newCountingDecoder(t, "lzw"), newCountingDecoder(t, "raw")
+		payload, enc := encoded(t, "lzw", 8192)
+		same := bytes.Clone(enc)
+		for round := 0; round < 2; round++ {
+			for _, b := range [][]byte{enc, same} {
+				if n, err := m.rawLen("lzw", b, true, lzw.decode); err != nil || n != len(payload) {
+					t.Fatalf("round %d, lzw: %d, %v; want %d", round, n, err, len(payload))
+				}
+			}
+			if n, err := m.rawLen("raw", enc, true, raw.decode); err != nil || n != len(enc) {
+				t.Fatalf("round %d, raw: %d, %v; want %d", round, n, err, len(enc))
+			}
+		}
+		if lzw.calls.Load() != 1 || raw.calls.Load() != 1 || m.byRef.Len() != 3 {
+			t.Errorf("decodes lzw %d, raw %d, %d identities; want one decode per codec and three identities",
+				lzw.calls.Load(), raw.calls.Load(), m.byRef.Len())
+		}
+		e, ok := m.done.Peek(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
+		if !ok || &e.enc[0] != &enc[0] {
+			t.Error("the memo keeps a copy of a shared reply")
+		}
+		// An identity answers without the content entry.
+		m.done.Remove(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
+		if n, err := m.rawLen("lzw", enc, true, lzw.decode); err != nil || n != len(payload) || lzw.calls.Load() != 1 {
+			t.Errorf("identity lookup: %d, %v after %d decodes", n, err, lzw.calls.Load())
+		}
+	})
 }

@@ -104,7 +104,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 		} {
 			w.Link.A().Send(p, msg)
 			reply, ok := w.Link.A().Recv(p)
-			if !ok || len(reply) == 0 || reply[0] != tagError {
+			if !ok || len(reply.Payload) == 0 || reply.Payload[0] != tagError {
 				t.Errorf("message %v: reply %v %v", msg, reply, ok)
 			}
 		}

@@ -77,7 +77,7 @@ var errUnknownMessage = errors.New("unknown message")
 // session continues.
 func (s *serverSession) run(e serverEnv) error {
 	for {
-		msg, err := e.recv(0)
+		msg, _, err := e.recv(0)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -137,7 +137,7 @@ func (s *serverSession) answer(e serverEnv, req Request) error {
 	if err != nil {
 		return err
 	}
-	err = e.reply(req, rawLen, enc, s.cost.EncodeCyclesPerByte*s.codec.EncodeCost())
+	err = e.reply(req, rawLen, enc, pooled, s.cost.EncodeCyclesPerByte*s.codec.EncodeCost())
 	if pooled {
 		bufpool.Put(enc)
 	}

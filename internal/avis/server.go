@@ -57,7 +57,7 @@ func (s *Server) Codec() string { return s.codec.Name() }
 // dedicated sender process so compression of slice k+1 overlaps
 // transmission of slice k.
 func (s *Server) Run(p *vtime.Proc) error {
-	sendQ := vtime.NewNamedChan[[]byte](p.Sim(), 4, "avis.server.sendq")
+	sendQ := vtime.NewNamedChan[netem.Message](p.Sim(), 4, "avis.server.sendq")
 	senderDone := vtime.NewEvent(p.Sim(), "avis.server.sender.done")
 	p.Spawn("avis-server-sender", func(sp *vtime.Proc) {
 		for {
@@ -65,7 +65,7 @@ func (s *Server) Run(p *vtime.Proc) error {
 			if !ok {
 				break
 			}
-			s.venv.ep.Send(sp, msg)
+			s.venv.ep.SendMsg(sp, msg)
 		}
 		senderDone.Set()
 	})
@@ -73,6 +73,6 @@ func (s *Server) Run(p *vtime.Proc) error {
 		sendQ.Close()
 		senderDone.Wait(p)
 	}()
-	s.venv.p, s.venv.out = p, sendQ
+	s.venv.p, s.venv.out = p, sendQ.Send
 	return s.run(&s.venv)
 }

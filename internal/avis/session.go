@@ -212,7 +212,7 @@ func (s *session) connect() error {
 	if err := s.env.send(encodeHello()); err != nil {
 		return err
 	}
-	msg, err := s.env.recv(0)
+	msg, _, err := s.env.recv(0)
 	if err != nil {
 		return err
 	}
@@ -278,41 +278,76 @@ func (s *session) steer() {
 // gather drains the reply to attempt seq of a request for image img until
 // its final segment, charging decode and display cost per segment (so
 // client computation overlaps the arrival of later segments), and returns
-// the compressed bytes in a pooled buffer. Segments echoing another
-// sequence number are leftovers of an aborted attempt and are dropped.
-func (s *session) gather(img, seq int) ([]byte, error) {
-	compressed := bufpool.Get(1 << 12)[:0]
+// the compressed bytes. Segments echoing another sequence number are
+// leftovers of an aborted attempt and are dropped. borrowed reports that
+// the bytes are the server's immutable shared reply itself, which never
+// goes to bufpool; otherwise they are a pooled copy. A window that does
+// not start where the bytes gathered so far end means a segment of the
+// reply was lost: the round is stalled.
+func (s *session) gather(img, seq int) (reply []byte, borrowed bool, err error) {
 	decCost := s.cost.DecodeCyclesPerByte * s.codec.DecodeCost()
 	for {
-		msg, err := s.env.recv(s.retryTimeout)
-		if err != nil {
-			bufpool.Put(compressed)
-			return nil, err
-		}
+		msg, w, err := s.env.recv(s.retryTimeout)
 		var seg Segment
-		if msg[0] == tagError {
+		switch {
+		case err != nil:
+		case msg[0] == tagError:
 			err = &RefusedError{Msg: string(msg[1:])}
-		} else if seg, err = DecodeSegment(msg); err == nil && seg.Seq == seq && seg.Image != img {
-			err = fmt.Errorf("avis: segment for image %d during image %d", seg.Image, img)
+		default:
+			if seg, err = DecodeSegment(msg); err != nil || seg.Seq != seq {
+				break
+			}
+			if seg.Image != img {
+				err = fmt.Errorf("avis: segment for image %d during image %d", seg.Image, img)
+			} else if w.b != nil && w.at != len(reply) {
+				err = errRoundStalled
+			}
 		}
 		if err != nil {
 			s.env.release(msg)
-			bufpool.Put(compressed)
-			return nil, err
+			if !borrowed {
+				bufpool.Put(reply)
+			}
+			return nil, false, err
 		}
 		last := false
 		if seg.Seq == seq {
 			// decompress(c, &data); update_display(...) — cost charged per
 			// segment.
 			s.env.compute(decCost*float64(seg.Raw) + s.cost.DisplayCyclesPerPixel*float64(seg.Raw))
-			compressed = append(compressed, seg.Payload...)
+			reply, borrowed = appendSegment(reply, borrowed, seg.Payload, w.b)
 			last = seg.Last
 		}
 		s.env.release(msg)
 		if last {
-			return compressed, nil
+			return reply, borrowed, nil
 		}
 	}
+}
+
+// appendSegment adds one segment's bytes — p, then the window w — to
+// reply. It borrows w where w starts the reply, and where w is adjacent in
+// memory to a borrowed reply extends it in place; anything else — TCP, a
+// pooled reply, a window that is not adjacent — is copied into a pooled
+// buffer twice the size of the bytes gathered so far.
+func appendSegment(reply []byte, borrowed bool, p, w []byte) ([]byte, bool) {
+	n := len(reply)
+	switch {
+	case len(p)+len(w) == 0:
+		return reply, borrowed
+	case len(p) == 0 && reply == nil:
+		return w, true
+	case len(p) == 0 && borrowed && cap(reply)-n >= len(w) && &reply[:n+1][n] == &w[0]:
+		return reply[:n+len(w)], true
+	}
+	if need := n + len(p) + len(w); borrowed || need > cap(reply) {
+		grown := append(bufpool.Get(2 * need)[:0], reply...)
+		if !borrowed && reply != nil { // Put allocates even for nil
+			bufpool.Put(reply)
+		}
+		reply = grown
+	}
+	return append(append(reply, p...), w...), false
 }
 
 // exchange is one request/reply round: it sends req under a fresh
@@ -324,11 +359,12 @@ func (s *session) gather(img, seq int) ([]byte, error) {
 // session with a memo takes rawN from it when it holds the reply.
 func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int, err error) {
 	var compressed []byte
+	var borrowed bool
 	for attempt := 0; ; attempt++ {
 		s.seq++
 		req.Seq = s.seq
 		if err = s.env.send(EncodeRequest(req)); err == nil {
-			compressed, err = s.gather(req.Image, req.Seq)
+			compressed, borrowed, err = s.gather(req.Image, req.Seq)
 		}
 		if err == nil {
 			break
@@ -347,9 +383,11 @@ func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int
 		data, err = s.decode(compressed)
 		rawN = len(data)
 	} else {
-		rawN, err = s.memo.rawLen(s.codec.Name(), compressed, s.decode)
+		rawN, err = s.memo.rawLen(s.codec.Name(), compressed, borrowed, s.decode)
 	}
-	bufpool.Put(compressed)
+	if !borrowed {
+		bufpool.Put(compressed)
+	}
 	if err != nil {
 		return nil, 0, 0, err
 	}

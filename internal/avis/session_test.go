@@ -174,24 +174,25 @@ func TestSessionDifferential(t *testing.T) {
 }
 
 // replyTap keeps the compressed bytes of every reply a session receives,
-// as the server cut them: segment payloads, concatenated per round.
+// as the server cut them: segment payloads and the windows carried by
+// reference after them, copied and concatenated per round.
 type replyTap struct {
 	env
 	cur     []byte
 	replies [][]byte
 }
 
-func (t *replyTap) recv(stall time.Duration) ([]byte, error) {
-	msg, err := t.env.recv(stall)
+func (t *replyTap) recv(stall time.Duration) ([]byte, window, error) {
+	msg, w, err := t.env.recv(stall)
 	if err == nil && msg[0] == tagSegment {
 		seg, _ := DecodeSegment(msg)
-		t.cur = append(t.cur, seg.Payload...)
+		t.cur = append(append(t.cur, seg.Payload...), w.b...)
 		if seg.Last {
 			t.replies = append(t.replies, t.cur)
 			t.cur = nil
 		}
 	}
-	return msg, err
+	return msg, w, err
 }
 
 // replyStep is one step of the reply-differential script: announce a
@@ -259,6 +260,20 @@ func driveReplies(s *session, script []replyStep) ([][]byte, error) {
 	return got, nil
 }
 
+// overwritePool takes buffers from every bufpool size class up to n bytes
+// and overwrites them whole, as the pool's next users would.
+func overwritePool(n int) {
+	for class := 64; class <= n; class *= 2 {
+		for i := 0; i < 256; i++ {
+			b := bufpool.Get(class)
+			b = b[:cap(b)]
+			for j := range b {
+				b[j] = 0xA5
+			}
+		}
+	}
+}
+
 // testReplyDifferential drives replyScript through the testbed and through
 // loopback TCP, each on a cold store of its own, and requires every reply
 // to be byte-for-byte what the uncached pipeline — ExtractRegion,
@@ -274,7 +289,8 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 	// The uncached reference, and the counters an uncached server ends on.
 	var want [][]byte
 	wantStats := ServerStats{Notifies: 1} // connect announces the first codec
-	distinct := map[string]int{}          // reply bytes resident, by key
+	entries := map[encodedKey][]byte{}    // the distinct replies: what each cache entry must hold
+	largest := 0
 	codec, _ := compress.Lookup(codecName)
 	for _, st := range script {
 		if st.notify != "" {
@@ -295,7 +311,9 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 				enc = append([]byte{}, codec.Encode(raw)...)
 				wantStats.RawBytes += int64(len(raw))
 				wantStats.CompressedBytes += int64(len(enc))
-				distinct[fmt.Sprint(codec.Name(), st.req)] = len(enc)
+				entries[encodedKey{pyramidKey{side, levels, seeds[st.req.Image]},
+					st.req.Level, st.req.X, st.req.Y, st.req.R, st.req.PrevR, codec.Name()}] = enc
+				largest = max(largest, len(enc))
 			}
 		}
 		if enc == nil {
@@ -303,14 +321,14 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 		}
 		want = append(want, enc)
 	}
-	if wantStats.Errors != 3 || len(distinct) != 6 {
-		t.Fatalf("script has %d refusals and %d distinct replies, want 3 and 6", wantStats.Errors, len(distinct))
+	if wantStats.Errors != 3 || len(entries) != 6 {
+		t.Fatalf("script has %d refusals and %d distinct replies, want 3 and 6", wantStats.Errors, len(entries))
 	}
-	wantStats.EncodeCalls = int64(len(distinct))
+	wantStats.EncodeCalls = int64(len(entries))
 	wantStats.EncodedCacheHits = wantStats.Requests - wantStats.Errors - wantStats.EncodeCalls
 	var wantResident int64
-	for _, n := range distinct {
-		wantResident += int64(n)
+	for _, enc := range entries {
+		wantResident += int64(len(enc))
 	}
 
 	check := func(t *testing.T, got [][]byte, stats ServerStats, store *ImageStore) {
@@ -326,8 +344,8 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 		if stats != wantStats {
 			t.Errorf("server stats %+v\n                want %+v", stats, wantStats)
 		}
-		if es := store.EncodedStats(); es.Entries != len(distinct) || es.Bytes != wantResident || es.Encodes != wantStats.EncodeCalls {
-			t.Errorf("store holds %+v, want %d entries / %d bytes from %d encodes: refused requests must leave nothing", es, len(distinct), wantResident, wantStats.EncodeCalls)
+		if es := store.EncodedStats(); es.Entries != len(entries) || es.Bytes != wantResident || es.Encodes != wantStats.EncodeCalls {
+			t.Errorf("store holds %+v, want %d entries / %d bytes from %d encodes: refused requests must leave nothing", es, len(entries), wantResident, wantStats.EncodeCalls)
 		}
 	}
 
@@ -366,6 +384,15 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("warm store, request %d: reply differs from the uncached reference", i)
+		}
+	}
+	// The testbed hands the entries over by reference: none may have
+	// reached bufpool, so overwriting every buffer it hands out leaves
+	// each entry the reference's bytes.
+	overwritePool(largest)
+	for key, enc := range entries {
+		if r, ok := simStore.encoded.Peek(key); !ok || !bytes.Equal(r.enc, enc) {
+			t.Errorf("encoded-cache entry %+v no longer holds its reply", key)
 		}
 	}
 
@@ -414,7 +441,7 @@ var transports = []struct {
 				t.Fatal(err)
 			}
 			sim.Spawn(name, func(p *vtime.Proc) {
-				body(&vtimeEnv{p: p, ep: ep, sb: sb, out: ep})
+				body(&vtimeEnv{p: p, ep: ep, sb: sb, out: ep.SendMsg})
 				ep.Close()
 			})
 		}
@@ -464,7 +491,7 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 	script := func(segs func(Request) []Segment) func(serverEnv) {
 		return func(e serverEnv) {
 			for {
-				msg, err := e.recv(0)
+				msg, _, err := e.recv(0)
 				if err != nil {
 					return
 				}
@@ -511,7 +538,7 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 		}},
 		{"unknown tag gets an error reply and the session continues", origin, func(t *testing.T, s *session) {
 			_ = s.env.send([]byte{'?', 1, 2, 3})
-			msg, err := s.env.recv(0)
+			msg, _, err := s.env.recv(0)
 			if err != nil || msg[0] != tagError {
 				t.Errorf("garbage answered with %q, err %v; want an error frame", msg, err)
 				return
@@ -538,4 +565,74 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 			})
 		}
 	}
+}
+
+// scribbler is an origin whose replies are pooled copies, overwritten the
+// moment the server loop has recycled them — as the pool's next user
+// would — so a transport still reading one after answer returns delivers
+// garbage.
+type scribbler struct {
+	pyramids
+	last []byte
+}
+
+func (h *scribbler) Reply(req Request, codec compress.Codec) ([]byte, int, bool, error) {
+	enc, rawLen, _, err := h.pyramids.Reply(req, codec)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	h.last = append(bufpool.Get(len(enc))[:0], enc...)
+	return h.last, rawLen, true, nil
+}
+
+func (h *scribbler) Replied(took time.Duration, err error) {
+	for i := range h.last {
+		h.last[i] = 0xA5
+	}
+	h.last = nil
+	h.pyramids.Replied(took, err)
+}
+
+// TestPooledRepliesCopiedOnTestbed: on the testbed env pair, a handler's
+// pooled reply is recycled while the sender process is still transmitting
+// it, so its segments must travel as copies — the client receives the
+// origin's bytes, one segment or several. (Over TCP the write completes
+// before the buffer is recycled; scribbling it there would race with the
+// client's own use of the pool.)
+func TestPooledRepliesCopiedOnTestbed(t *testing.T) {
+	geom := Geometry{Side: 256, Levels: 4, NumImages: 2}
+	seeds := []int64{1, 2}
+	raw, _ := compress.Lookup("raw")
+	reqs := []Request{
+		{Image: 1, X: 128, Y: 128, R: 16, Level: 4},
+		{Image: 1, X: 128, Y: 128, R: 128, Level: 4},
+		{Image: 0, X: 128, Y: 128, R: 128, PrevR: 16, Level: 4},
+	}
+	transports[0].run(t, func(e serverEnv) {
+		h := &scribbler{pyramids: pyramids{geom: geom, seeds: seeds, store: testStore, tel: &serverTelemetry{}, env: e}}
+		session := newServerSession(geom, h, h.tel)
+		if err := session.run(e); err != nil {
+			t.Error(err)
+		}
+	}, func(e env) {
+		s := &session{env: e, params: Params{DR: 64, Codec: "raw", Level: 4}, codec: raw, geom: geom}
+		segments := 0
+		for _, req := range reqs {
+			want, _, _, err := testStore.reply(encodedKey{pyramidKey{geom.Side, geom.Levels, seeds[req.Image]},
+				req.Level, req.X, req.Y, req.R, req.PrevR, "raw"}, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segments += (len(want.enc) + DefaultSegmentBytes - 1) / DefaultSegmentBytes
+			data, _, _, err := s.fetchRoundRaw(req, true)
+			if err != nil || !bytes.Equal(data, want.enc) {
+				t.Errorf("request %+v: %d bytes, err %v; want the origin's %d bytes", req, len(data), err, len(want.enc))
+			}
+			bufpool.Put(data)
+		}
+		if segments <= len(reqs) {
+			t.Errorf("%d segments for %d replies; the test needs multi-segment ones", segments, len(reqs))
+		}
+		s.close()
+	})
 }

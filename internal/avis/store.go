@@ -259,10 +259,14 @@ func (s *ImageStore) encode(key encodedKey, codec compress.Codec) (encodedReply,
 // match is only a candidate: the memo answers only when its copy of the
 // bytes equals the reply. Only successful decodes are recorded, and misses
 // are single-flight per key.
+// A shared reply — the server's immutable entry, borrowed by gather — is
+// answered first by identity (byRef): while the memo holds a reference to
+// them, the same codec, address and length are the same bytes.
 type decodeMemo struct {
 	seed    maphash.Seed
 	mu      sync.Mutex
 	done    *lru.Policy[memoKey, encodedReply] // cost = len(enc)
+	byRef   *lru.Policy[refKey, encodedReply]  // cost = len(enc)
 	flights map[memoKey]*encodedFlight
 }
 
@@ -272,10 +276,18 @@ type memoKey struct {
 	sum   uint64
 }
 
+// refKey is the identity of one shared reply.
+type refKey struct {
+	codec string
+	at    *byte
+	n     int
+}
+
 func newDecodeMemo(budget int64) *decodeMemo {
 	return &decodeMemo{
 		seed:    maphash.MakeSeed(),
 		done:    lru.New[memoKey, encodedReply](lru.Config{MaxCost: budget}, nil),
+		byRef:   lru.New[refKey, encodedReply](lru.Config{MaxCost: budget}, nil),
 		flights: make(map[memoKey]*encodedFlight),
 	}
 }
@@ -288,22 +300,43 @@ var (
 	clientReplies, clientDecodes atomic.Int64
 )
 
-// rawLen returns the decoded length of enc under the named codec: from the
-// memo when it holds these exact bytes, else by running decode — once for
-// however many callers miss on the key together — and recording a success.
-// After a failed flight or a hash collision the caller decodes its own
-// bytes and nothing is recorded, so a bad reply fails every time.
-func (m *decodeMemo) rawLen(codec string, enc []byte, decode func([]byte) ([]byte, error)) (int, error) {
+// rawLen returns the decoded length of enc under the named codec: by
+// identity when enc is shared (immutable), else from the memo when it
+// holds these exact bytes, else by running decode — once for however many
+// callers miss on the key together — and recording a success. After a
+// failed flight or a hash collision the caller decodes its own bytes and
+// nothing is recorded, so a bad reply fails every time.
+func (m *decodeMemo) rawLen(codec string, enc []byte, shared bool, decode func([]byte) ([]byte, error)) (n int, err error) {
+	if shared = shared && len(enc) > 0; shared {
+		id := refKey{codec, &enc[0], len(enc)}
+		m.mu.Lock()
+		r, ok := m.byRef.Get(id)
+		m.mu.Unlock()
+		if ok {
+			return r.rawLen, nil
+		}
+		defer func() {
+			if err == nil {
+				m.mu.Lock()
+				m.byRef.Put(id, encodedReply{enc: enc, rawLen: n}, int64(len(enc)))
+				m.mu.Unlock()
+			}
+		}()
+	}
 	key := memoKey{codec, maphash.Bytes(m.seed, enc)}
 	m.mu.Lock()
 	r, ok := m.done.Get(key)
 	f, lead := m.flights[key], false
 	if !ok && f == nil {
-		f, lead = &encodedFlight{done: make(chan struct{}), reply: encodedReply{enc: bytes.Clone(enc)}}, true
+		kept := enc // shared bytes are kept as they are, others copied
+		if !shared {
+			kept = bytes.Clone(enc)
+		}
+		f, lead = &encodedFlight{done: make(chan struct{}), reply: encodedReply{enc: kept}}, true
 		m.flights[key] = f
 	}
 	m.mu.Unlock()
-	if lead { // decode the copy: it is what the followers compare against
+	if lead { // decode the kept bytes: they are what the followers compare against
 		data, err := decode(f.reply.enc)
 		f.reply.rawLen, f.err = len(data), err
 		bufpool.Put(data)

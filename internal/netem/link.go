@@ -25,11 +25,19 @@ import (
 // changes apply from the next frame boundary.
 const FrameSize = 4096
 
-// Message is a unit of delivery on a simulated link.
+// Message is a unit of delivery on a simulated link: Payload, then Ref, a
+// second part carried by reference. The link charges, counts, drops and
+// delivers the pair exactly as one message of Len() bytes, and hands the
+// receiver the sender's own slices.
 type Message struct {
 	Payload []byte
+	Ref     []byte
+	RefAt   int           // where Ref starts in the sender's buffer; out of band, not charged
 	SentAt  time.Duration // virtual time the last frame left the sender
 }
+
+// Len is the message's size on the wire.
+func (m Message) Len() int { return len(m.Payload) + len(m.Ref) }
 
 // Counters accumulates per-direction traffic statistics; the monitoring
 // agent derives observed bandwidth from them.
@@ -212,16 +220,19 @@ type Endpoint struct {
 // Link returns the underlying link.
 func (e *Endpoint) Link() *Link { return e.link }
 
-// Send transmits payload, blocking the calling process for the
-// serialization time (len/bandwidth) plus any queueing behind earlier
-// messages in the same direction; delivery into the peer's inbox happens
-// one latency later. Lost messages still consume serialization time (the
-// bits were sent) but never arrive.
-func (e *Endpoint) Send(p *vtime.Proc, payload []byte) {
+// Send transmits a one-part message; see SendMsg.
+func (e *Endpoint) Send(p *vtime.Proc, payload []byte) { e.SendMsg(p, Message{Payload: payload}) }
+
+// SendMsg transmits msg, blocking the calling process for the
+// serialization time (msg.Len()/bandwidth) plus any queueing behind
+// earlier messages in the same direction; delivery into the peer's inbox
+// happens one latency later. Lost messages still consume serialization
+// time (the bits were sent) but never arrive.
+func (e *Endpoint) SendMsg(p *vtime.Proc, msg Message) {
 	d := e.out
 	start := p.Now()
-	remaining := len(payload)
-	for remaining > 0 {
+	n := msg.Len()
+	for remaining := n; remaining > 0; {
 		frame := remaining
 		if frame > FrameSize {
 			frame = FrameSize
@@ -236,26 +247,20 @@ func (e *Endpoint) Send(p *vtime.Proc, payload []byte) {
 		remaining -= frame
 	}
 	d.ctr.SendBusy += p.Now() - start
-	d.ctr.BytesSent += int64(len(payload))
+	d.ctr.BytesSent += int64(n)
 	d.ctr.MsgsSent++
-	d.mBytesShaped.Add(float64(len(payload)))
+	d.mBytesShaped.Add(float64(n))
 	d.mQueueDelay.Observe((p.Now() - start).Seconds())
 	if d.lossRate > 0 && d.rng.float64() < d.lossRate {
-		d.ctr.BytesDropped += int64(len(payload))
-		d.ctr.MsgsDropped++
-		d.mBytesDropped.Add(float64(len(payload)))
-		d.mMsgsDropped.Inc()
+		d.drop(n)
 		return
 	}
-	msg := Message{Payload: payload, SentAt: p.Now()}
+	msg.SentAt = p.Now()
 	deliver := func() {
 		// Frames still in flight when the connection closes are dropped,
 		// as on a real network.
 		if d.inbox.Closed() {
-			d.ctr.BytesDropped += int64(len(msg.Payload))
-			d.ctr.MsgsDropped++
-			d.mBytesDropped.Add(float64(len(msg.Payload)))
-			d.mMsgsDropped.Inc()
+			d.drop(n)
 			return
 		}
 		if !d.inbox.TrySend(msg) {
@@ -270,28 +275,37 @@ func (e *Endpoint) Send(p *vtime.Proc, payload []byte) {
 	d.sim.After(lat, deliver)
 }
 
-// Recv blocks until a message arrives and returns its payload.
-func (e *Endpoint) Recv(p *vtime.Proc) ([]byte, bool) {
+// drop counts one lost message of n bytes.
+func (d *direction) drop(n int) {
+	d.ctr.BytesDropped += int64(n)
+	d.ctr.MsgsDropped++
+	d.mBytesDropped.Add(float64(n))
+	d.mMsgsDropped.Inc()
+}
+
+// Recv blocks until a message arrives and returns it.
+func (e *Endpoint) Recv(p *vtime.Proc) (Message, bool) {
 	start := p.Now()
 	msg, ok := e.in.inbox.Recv(p)
-	e.in.ctr.RecvWait += p.Now() - start
-	if ok {
-		e.in.ctr.BytesReceived += int64(len(msg.Payload))
-		e.in.ctr.MsgsReceived++
-	}
-	return msg.Payload, ok
+	e.received(p, start, msg, ok)
+	return msg, ok
 }
 
 // RecvTimeout is Recv with a deadline; ready=false on timeout.
-func (e *Endpoint) RecvTimeout(p *vtime.Proc, d time.Duration) (payload []byte, ok, ready bool) {
+func (e *Endpoint) RecvTimeout(p *vtime.Proc, d time.Duration) (msg Message, ok, ready bool) {
 	start := p.Now()
-	msg, ok, ready := e.in.inbox.RecvTimeout(p, d)
+	msg, ok, ready = e.in.inbox.RecvTimeout(p, d)
+	e.received(p, start, msg, ready && ok)
+	return msg, ok, ready
+}
+
+// received counts one receive that waited since start and got msg if got.
+func (e *Endpoint) received(p *vtime.Proc, start time.Duration, msg Message, got bool) {
 	e.in.ctr.RecvWait += p.Now() - start
-	if ready && ok {
-		e.in.ctr.BytesReceived += int64(len(msg.Payload))
+	if got {
+		e.in.ctr.BytesReceived += int64(msg.Len())
 		e.in.ctr.MsgsReceived++
 	}
-	return msg.Payload, ok, ready
 }
 
 // Close closes the incoming direction's inbox, waking blocked receivers on

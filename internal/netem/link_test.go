@@ -2,7 +2,9 @@ package netem
 
 import (
 	"math"
+	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -333,7 +335,7 @@ func TestSmallMessagesNotBatched(t *testing.T) {
 	sim.Spawn("receiver", func(p *vtime.Proc) {
 		for i := 0; i < n; i++ {
 			msg, ok := l.B().Recv(p)
-			if !ok || len(msg) != 1 || msg[0] != byte(i) {
+			if !ok || len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
 				t.Errorf("message %d: %v %v", i, msg, ok)
 				return
 			}
@@ -345,5 +347,100 @@ func TestSmallMessagesNotBatched(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("received %d of %d", got, n)
+	}
+}
+
+// TestTwoPartMessageEqualsOnePart: over seeded sizes, splits, bandwidths,
+// latencies, loss rates and a mid-flight Close, a stream of two-part
+// messages and the same stream with each message's parts concatenated
+// arrive at the same instants with the same bytes and leave every
+// counter on both ends equal — and the delivered parts of a two-part
+// message are the sender's slices themselves.
+func TestTwoPartMessageEqualsOnePart(t *testing.T) {
+	type arrival struct {
+		at    time.Duration
+		index int
+		bytes string
+	}
+	type outcome struct {
+		arrivals []arrival
+		out, in  Counters
+	}
+	var lost, closedDrops int // cases that exercised each kind of drop
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bw := 1e4 + rng.Float64()*1e7
+		lat := time.Duration(rng.Intn(5000)) * time.Microsecond
+		loss := []float64{0, 0.1, 0.5}[rng.Intn(3)]
+		var msgs []Message
+		total := 0
+		for i := rng.Intn(12) + 1; i > 0; i-- {
+			b := make([]byte, rng.Intn(3*FrameSize))
+			rng.Read(b)
+			cut := rng.Intn(len(b) + 1)
+			msgs = append(msgs, Message{Payload: b[:cut], Ref: b[cut:], RefAt: len(msgs)})
+			total += len(b)
+		}
+		closeAt := time.Duration(-1) // or somewhere in the transfer
+		if rng.Intn(2) == 0 {
+			closeAt = time.Duration(rng.Float64() * (float64(total)/bw*float64(time.Second) + float64(lat)))
+		}
+		run := func(twoPart bool) outcome {
+			sim := vtime.NewSim()
+			l := NewLink(sim, "pair", bw, WithLatency(lat), WithLoss(loss))
+			if closeAt >= 0 {
+				sim.After(closeAt, l.A().Close)
+			}
+			var o outcome
+			sim.Spawn("sender", func(p *vtime.Proc) {
+				for _, m := range msgs {
+					if !twoPart {
+						m = Message{Payload: append(append([]byte{}, m.Payload...), m.Ref...), RefAt: m.RefAt}
+					}
+					l.A().SendMsg(p, m)
+				}
+				p.Sleep(lat + time.Millisecond)
+				l.A().Close()
+			})
+			sim.Spawn("receiver", func(p *vtime.Proc) {
+				for {
+					m, ok := l.B().Recv(p)
+					if !ok {
+						return
+					}
+					sent := msgs[m.RefAt]
+					if twoPart && (len(m.Payload) > 0 && &m.Payload[0] != &sent.Payload[0] ||
+						len(m.Ref) > 0 && &m.Ref[0] != &sent.Ref[0]) {
+						t.Errorf("seed %d: message %d was delivered as a copy", seed, m.RefAt)
+					}
+					o.arrivals = append(o.arrivals, arrival{p.Now(), m.RefAt, string(m.Payload) + string(m.Ref)})
+				}
+			})
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			o.out, o.in = l.A().OutCounters(), l.B().InCounters()
+			return o
+		}
+		one, two := run(false), run(true)
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("seed %d (bw %.0f, latency %v, loss %v, close at %v): %d arrivals one-part, %d two-part\none-part out %+v in %+v\ntwo-part out %+v in %+v",
+				seed, bw, lat, loss, closeAt, len(one.arrivals), len(two.arrivals), one.out, one.in, two.out, two.in)
+			for i := range min(len(one.arrivals), len(two.arrivals)) {
+				if a, b := one.arrivals[i], two.arrivals[i]; a != b {
+					t.Errorf("arrival %d: message %d at %v one-part, message %d at %v two-part (bytes equal: %v)",
+						i, a.index, a.at, b.index, b.at, a.bytes == b.bytes)
+					break
+				}
+			}
+		}
+		if one.out.MsgsDropped > 0 && loss == 0 {
+			closedDrops++
+		} else if one.out.MsgsDropped > 0 {
+			lost++
+		}
+	}
+	if lost == 0 || closedDrops == 0 {
+		t.Errorf("%d cases dropped to loss and %d only at a closed inbox; the seeds must exercise both", lost, closedDrops)
 	}
 }

@@ -54,6 +54,16 @@ run_unit() {
 	echo "== go test -race -count=20 $* ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults (repeat gate)"
 	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults
 
+	# The testbed hands the image store's reply entries to clients by
+	# reference, and the three concurrent worlds of an experiment share
+	# those entries and the decode memo's identity index, so the
+	# by-reference, memo and lossy-link tests repeat too (about 5 s per
+	# count under -race).
+	echo "== go test -race -count=20 $* -run <by-reference, memo, lossy> ./internal/avis (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" \
+		-run '^(TestDecodeMemo|TestUnverifiedWorldDecodesOncePerReply|TestMemoHitHandsOutNoBuffer|TestPooledRepliesCopiedOnTestbed|TestLossyLinkRecovery|TestSessionDifferential)' \
+		./internal/avis
+
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
 	# wall-clock cost is still dominated by internal/expt (skippable with
