@@ -7,6 +7,7 @@ import (
 
 	"tunable/internal/faults"
 	"tunable/internal/netem"
+	"tunable/internal/prng"
 	"tunable/internal/resource"
 	"tunable/internal/sandbox"
 	"tunable/internal/scheduler"
@@ -213,7 +214,7 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 	// its events over a static label set, then spawn the sessions.
 	links := map[string]*netem.Link{}
 	for _, cr := range h.classes {
-		rng := newMixRNG(cfg.Seed, cr.cfg.App.Class())
+		rng := prng.New(cfg.Seed ^ prng.Hash(cr.cfg.App.Class()))
 		var arrive time.Duration
 		for i := 0; i < cr.cfg.Sessions; i++ {
 			id := fmt.Sprintf("%s:s-%04d", cr.cfg.App.Class(), i)
@@ -225,8 +226,8 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 			// Seeded jitter on top of the nominal gap keeps arrivals from
 			// phase-locking while staying a pure function of the seed.
 			gap := cr.cfg.ArrivalEvery
-			arrive += gap/2 + time.Duration(rng.float64()*float64(gap))
-			at, seed := arrive, rng.next()
+			arrive += gap/2 + time.Duration(rng.Float64()*float64(gap))
+			at, seed := arrive, rng.Next()
 			h.sim.Spawn(id, func(p *vtime.Proc) { h.runSession(p, s, at, seed) })
 		}
 	}
@@ -500,26 +501,3 @@ func mean(vs []float64) float64 {
 	}
 	return sum / float64(len(vs))
 }
-
-// mixRNG is the harness's deterministic stream (splitmix64 seeded per
-// class), used for arrival jitter and per-session seeds.
-type mixRNG struct{ state uint64 }
-
-func newMixRNG(seed uint64, label string) *mixRNG {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	return &mixRNG{state: seed ^ h}
-}
-
-func (r *mixRNG) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *mixRNG) float64() float64 { return float64(r.next()>>11) / float64(1<<53) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tunable/internal/prng"
 	"tunable/internal/spec"
 	"tunable/internal/steering"
 	"tunable/internal/vtime"
@@ -227,7 +228,7 @@ func TestLevelChangeAppliesAtNextImage(t *testing.T) {
 func TestInteractionResetsFovea(t *testing.T) {
 	moved := false
 	w := testWorld(t, WorldConfig{Params: Params{DR: 64, Codec: "raw", Level: 4}},
-		WithInteraction(func(img, round int) (int, int, bool) {
+		withInteraction(func(img, round int) (int, int, bool) {
 			if round == 1 && !moved {
 				moved = true
 				return 40, 40, true
@@ -433,7 +434,7 @@ func TestLossyLinkRecovery(t *testing.T) {
 		Store:  testStore,
 		Side:   256,
 		Loss:   0.03, // 3% message loss in both directions
-	}, WithRetry(2*time.Second, 20))
+	}, withRetry(2*time.Second, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestLossyLinkRecoveryLostSegment(t *testing.T) {
 						Verify: verify,
 						Store:  testStore,
 						Loss:   loss,
-					}, WithRetry(2*time.Second, 20))
+					}, withRetry(2*time.Second, 20))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -503,7 +504,7 @@ func TestLossyLinkStallSurfacesError(t *testing.T) {
 		Store:  testStore,
 		Side:   256,
 		Loss:   0.2,
-	}, WithRetry(time.Second, 0))
+	}, withRetry(time.Second, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestRandomInteractionWorkload(t *testing.T) {
 		Seeds:  []int64{6},
 		Store:  testStore,
 		Side:   256,
-	}, WithInteraction(RandomInteraction(4, 256, 80)))
+	}, withInteraction(randomInteraction(4, 256, 80)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +543,7 @@ func TestRandomInteractionWorkload(t *testing.T) {
 		Seeds:  []int64{6},
 		Store:  testStore,
 		Side:   256,
-	}, WithInteraction(RandomInteraction(4, 256, 80)))
+	}, withInteraction(randomInteraction(4, 256, 80)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,5 +619,25 @@ func TestWireBytesReflectCodec(t *testing.T) {
 	}
 	if wire[1] >= wire[0] {
 		t.Fatalf("bzw wire %d not smaller than lzw %d", wire[1], wire[0])
+	}
+}
+
+// randomInteraction builds a deterministic user-interaction model for the
+// client: at each round, with probability prob (in 1/256ths), the fovea
+// jumps to a pseudo-random position in the image, restarting the
+// progressive transmission there — the check_for_user_interaction effect
+// of Figure 2. side is the full-resolution image side.
+func randomInteraction(seed int64, side int, prob256 int) func(img, round int) (int, int, bool) {
+	rng := prng.New(uint64(seed)*0x9E3779B97F4A7C15 + 0xD6E8FEB86659FD93)
+	return func(img, round int) (int, int, bool) {
+		h := rng.Next()
+		if int(h&0xFF) >= prob256 {
+			return 0, 0, false
+		}
+		margin := side / 8
+		span := uint64(side - 2*margin)
+		x := margin + int((h>>8)%span)
+		y := margin + int((h>>32)%span)
+		return x, y, true
 	}
 }

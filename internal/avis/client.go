@@ -34,16 +34,17 @@ func WithVerification(store *ImageStore, seeds []int64) ClientOption {
 	return func(cl *Client) { cl.store, cl.seeds, cl.memo = store, seeds, nil }
 }
 
-// WithInteraction installs a fovea-movement model.
-func WithInteraction(fn func(img, round int) (int, int, bool)) ClientOption {
+// withInteraction installs a fovea-movement model (Figure 2's
+// check_for_user_interaction).
+func withInteraction(fn func(img, round int) (int, int, bool)) ClientOption {
 	return func(cl *Client) { cl.interaction = fn }
 }
 
-// WithRetry enables loss recovery: a round whose reply stalls for longer
+// withRetry enables loss recovery: a round whose reply stalls for longer
 // than timeout is retransmitted (up to maxRetries times per round), with
 // per-attempt sequence numbers so stale segments from the aborted attempt
 // are discarded.
-func WithRetry(timeout time.Duration, maxRetries int) ClientOption {
+func withRetry(timeout time.Duration, maxRetries int) ClientOption {
 	return func(cl *Client) {
 		cl.retryTimeout = timeout
 		cl.maxRetries = maxRetries

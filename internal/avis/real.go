@@ -184,9 +184,6 @@ func (c *RealClient) Reconnect(conn net.Conn) error {
 // SetCodec switches the compression method (the notify_server action).
 func (c *RealClient) SetCodec(name string) error { return c.setCodec(name) }
 
-// SetParams updates dR and level for subsequent fetches.
-func (c *RealClient) SetParams(p Params) error { return c.setParams(p) }
-
 // Close ends the session. Closing twice is harmless.
 func (c *RealClient) Close() error {
 	if c.conn == nil {

@@ -102,7 +102,7 @@ func TestRealTCPCodecSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetParams(Params{DR: 128, Codec: "bzw", Level: 3}); err != nil {
+	if err := c.setParams(Params{DR: 128, Codec: "bzw", Level: 3}); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := c.FetchImage(0, nil)

@@ -342,7 +342,7 @@ func appendSegment(reply []byte, borrowed bool, p, w []byte) ([]byte, bool) {
 	}
 	if need := n + len(p) + len(w); borrowed || need > cap(reply) {
 		grown := append(bufpool.Get(2 * need)[:0], reply...)
-		if !borrowed && reply != nil { // Put allocates even for nil
+		if !borrowed {
 			bufpool.Put(reply)
 		}
 		reply = grown
@@ -355,8 +355,9 @@ func appendSegment(reply []byte, borrowed bool, p, w []byte) ([]byte, bool) {
 // (up to maxRetries times), and returns the decoded — pre-compression —
 // chunk payload in a pooled buffer with its length and the round's
 // on-the-wire size. keep says the caller reads the payload; without it,
-// data may be nil (the caller still hands it to bufpool.Put) and a
-// session with a memo takes rawN from it when it holds the reply.
+// a session with a memo takes rawN from the memo when it holds the reply
+// and returns nil data, which the caller may still hand to bufpool.Put at
+// no cost.
 func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int, err error) {
 	var compressed []byte
 	var borrowed bool

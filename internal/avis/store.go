@@ -384,30 +384,3 @@ func (d DecodeStats) String() string {
 func (s *ImageStore) Image(side int, seed int64) *imagery.Image {
 	return imagery.Generate(side, seed)
 }
-
-// RandomInteraction builds a deterministic user-interaction model for the
-// client: at each round, with probability prob (in 1/256ths), the fovea
-// jumps to a pseudo-random position in the image, restarting the
-// progressive transmission there — the check_for_user_interaction effect
-// of Figure 2. side is the full-resolution image side.
-func RandomInteraction(seed int64, side int, prob256 int) func(img, round int) (int, int, bool) {
-	state := uint64(seed)*0x9E3779B97F4A7C15 + 0xD6E8FEB86659FD93
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	return func(img, round int) (int, int, bool) {
-		h := next()
-		if int(h&0xFF) >= prob256 {
-			return 0, 0, false
-		}
-		margin := side / 8
-		span := uint64(side - 2*margin)
-		x := margin + int((h>>8)%span)
-		y := margin + int((h>>32)%span)
-		return x, y, true
-	}
-}

@@ -59,14 +59,10 @@ func Put(b []byte) {
 	if c < 1<<minShift || c > 1<<maxShift {
 		return
 	}
-	// File the buffer under the largest class it can fully satisfy.
-	cl := bits.Len(uint(c)) - 1 - minShift
-	if cl < 0 {
-		return
-	}
-	if cl > maxShift-minShift {
-		cl = maxShift - minShift
-	}
-	b = b[:cap(b)]
-	classes[cl].Put(&b)
+	// File the buffer under the largest class it can fully satisfy. The
+	// pool's box is allocated here, after the size checks: taking &b would
+	// move b to the heap on entry, so a dropped buffer would allocate too.
+	box := new([]byte)
+	*box = b[:c]
+	classes[bits.Len(uint(c))-1-minShift].Put(box)
 }

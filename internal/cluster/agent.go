@@ -41,7 +41,6 @@ type Agent struct {
 	lastSent int
 
 	// consecutive heartbeat failures; reset on the first beat that lands.
-	// Read by tests through MissedBeats.
 	missed atomic.Int64
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
@@ -98,9 +97,6 @@ func (a *Agent) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
 
 // SetDialer interposes on control-plane dials (fault injection).
 func (a *Agent) SetDialer(dial DialFunc) { a.cl.setDialer(dial) }
-
-// MissedBeats reports the current run of consecutive failed heartbeats.
-func (a *Agent) MissedBeats() int { return int(a.missed.Load()) }
 
 // Start registers the node synchronously — failing fast if the
 // coordinator is unreachable or refuses the registration — then begins
@@ -193,9 +189,6 @@ func (a *Agent) Close(deregister bool) {
 		a.cl.close()
 	})
 }
-
-// ID returns the agent's node ID.
-func (a *Agent) ID() string { return a.node.ID }
 
 // String implements fmt.Stringer for log lines.
 func (a *Agent) String() string {

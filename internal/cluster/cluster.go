@@ -29,22 +29,20 @@ import (
 	"time"
 )
 
-// Node roles in the delivery tier. An origin node (the zero value) serves
-// from its own image store; an edge node fronts an origin through a chunk
-// cache, serving coarse pyramid levels from cache and relaying the rest.
-const (
-	RoleOrigin = ""     // default: a full avis server
-	RoleEdge   = "edge" // a caching proxy (internal/edge)
-)
+// RoleEdge is the delivery-tier role of an edge node: a caching proxy
+// (internal/edge) that fronts an origin through a chunk cache, serving
+// coarse pyramid levels from cache and relaying the rest. An origin node,
+// a full avis server with its own image store, has the empty role.
+const RoleEdge = "edge"
 
 // NodeInfo is what a server announces at registration.
 type NodeInfo struct {
 	ID   string // cluster-unique node name
 	Addr string // data-plane address clients dial
 
-	// Role places the node in the delivery tier (RoleOrigin or RoleEdge).
-	// Edge nodes are only eligible for placements that ask for them
-	// (ResolveRequest.Coarse) and are preferred for those.
+	// Role places the node in the delivery tier: "" for an origin, or
+	// RoleEdge. Edge nodes are only eligible for placements that ask for
+	// them (ResolveRequest.Coarse) and are preferred for those.
 	Role string
 
 	// Declared resource capacity for session admission: CPU is the

@@ -216,12 +216,6 @@ func (f *FailoverClient) Failovers() int { return len(f.failed) }
 // Retries returns how many interrupted rounds the session has replayed.
 func (f *FailoverClient) Retries() int { return int(f.retries) }
 
-// Stats returns per-image statistics.
-func (f *FailoverClient) Stats() []avis.ImageStat { return f.cur.Stats() }
-
-// SetParams updates dR, codec, and level for subsequent fetches.
-func (f *FailoverClient) SetParams(p avis.Params) error { return f.cur.SetParams(p) }
-
 // FetchImage downloads one image progressively, surviving up to
 // WithMaxFailovers node deaths: an interrupted round is replayed on a
 // replacement server and the transmission continues where it stopped.

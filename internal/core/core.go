@@ -107,10 +107,6 @@ func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
 	return f, nil
 }
 
-// Scheduler exposes the underlying resource scheduler (for initial
-// configuration queries).
-func (f *Framework) Scheduler() *scheduler.Scheduler { return f.sched }
-
 // Events returns the decision log.
 func (f *Framework) Events() []Event { return append([]Event(nil), f.log...) }
 

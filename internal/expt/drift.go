@@ -157,14 +157,9 @@ func DeadlineHits(r RunResult) (hits, post int) {
 	return hits, post
 }
 
-// Drift runs both variants over an in-memory backend and renders the
-// comparison figure.
-func Drift(seed uint64) (*FigResult, RunResult, RunResult, error) {
-	return DriftWith(seed, perfstore.NewMemStore())
-}
-
-// DriftWith is Drift over a caller-supplied persistence backend (the CLI
-// passes a WAL store so the refined model survives the process).
+// DriftWith runs both variants, the online one over a caller-supplied
+// persistence backend (the CLI passes a WAL store so the refined model
+// survives the process), and renders the comparison figure.
 func DriftWith(seed uint64, backend perfstore.Store) (*FigResult, RunResult, RunResult, error) {
 	offline, err := RunDriftOffline(seed)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestDriftOnlineRecoversOfflineStuck(t *testing.T) {
 
 // TestDriftFigure smoke-tests the rendered comparison figure.
 func TestDriftFigure(t *testing.T) {
-	fig, offline, online, err := Drift(7)
+	fig, offline, online, err := DriftWith(7, perfstore.NewMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}

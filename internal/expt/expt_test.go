@@ -379,7 +379,7 @@ func TestExperiment1Distributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow virtual-time experiment; run without -short for the full gate")
 	}
-	e, err := Experiment1Distributed()
+	e, err := experiment1Distributed()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,12 +223,12 @@ func violations(r RunResult, deadlineSeconds float64) int {
 	return n
 }
 
-// Experiment1Distributed repeats Experiment 1 with genuinely distributed
+// experiment1Distributed repeats Experiment 1 with genuinely distributed
 // monitoring: the bandwidth is observed by an agent in the server
 // instance, whose out-of-range estimates travel to the client's agent as
 // peer messages before triggering the scheduler — the deployment shape
 // Section 6.1 describes.
-func Experiment1Distributed() (*ExperimentResult, error) {
+func experiment1Distributed() (*ExperimentResult, error) {
 	db, err := Fig6aDB()
 	if err != nil {
 		return nil, err

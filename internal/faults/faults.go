@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"tunable/internal/prng"
 )
 
 // Kind names one class of injected fault; the value doubles as the metric
@@ -175,11 +177,6 @@ type GenProfile struct {
 	Pauses     int           // pause windows
 }
 
-// DefaultGenProfile is a moderate chaos mix.
-func DefaultGenProfile() GenProfile {
-	return GenProfile{Drops: 2, Latencies: 2, Dips: 1, Resets: 1, Partitions: 1, Pauses: 1}
-}
-
 // Generate builds a reproducible random schedule: the same (seed, horizon,
 // targets, profile) always yields the same events. Targets scope the
 // events; an empty list scripts everything against the match-all target.
@@ -196,22 +193,22 @@ func Generate(seed uint64, horizon time.Duration, targets []string, prof GenProf
 	if prof.DipFloor <= 0 {
 		prof.DipFloor = 64 << 10
 	}
-	rng := newSplitmix(seed)
-	pick := func() string { return targets[int(rng.next()%uint64(len(targets)))] }
-	at := func() time.Duration { return time.Duration(rng.float64() * float64(horizon) * 0.8) }
+	rng := prng.New(seed)
+	pick := func() string { return targets[int(rng.Next()%uint64(len(targets)))] }
+	at := func() time.Duration { return time.Duration(rng.Float64() * float64(horizon) * 0.8) }
 	dur := func() time.Duration {
-		return time.Duration((0.05 + 0.15*rng.float64()) * float64(horizon))
+		return time.Duration((0.05 + 0.15*rng.Float64()) * float64(horizon))
 	}
 	var evs []Event
 	for i := 0; i < prof.Drops; i++ {
 		evs = append(evs, Event{At: at(), Duration: dur(), Kind: Drop, Target: pick(), Rate: prof.DropRate})
 	}
 	for i := 0; i < prof.Latencies; i++ {
-		d := time.Duration(rng.float64() * float64(prof.MaxDelay))
+		d := time.Duration(rng.Float64() * float64(prof.MaxDelay))
 		evs = append(evs, Event{At: at(), Duration: dur(), Kind: Latency, Target: pick(), Delay: d, Jitter: d / 2})
 	}
 	for i := 0; i < prof.Dips; i++ {
-		bw := prof.DipFloor * (1 + 3*rng.float64())
+		bw := prof.DipFloor * (1 + 3*rng.Float64())
 		evs = append(evs, Event{At: at(), Duration: dur(), Kind: Bandwidth, Target: pick(), Rate: bw})
 	}
 	for i := 0; i < prof.Resets; i++ {
@@ -237,31 +234,4 @@ type Injected struct {
 
 func (i Injected) String() string {
 	return fmt.Sprintf("%v %s(%s) %s", i.At, i.Kind, i.Target, i.Detail)
-}
-
-// splitmix is the deterministic PRNG seeding every decision stream
-// (splitmix64; the same generator netem uses for link loss).
-type splitmix struct{ state uint64 }
-
-func newSplitmix(seed uint64) *splitmix { return &splitmix{state: seed} }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix) float64() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
-// hash64 is FNV-1a, used to derive per-label decision streams from the
-// schedule seed.
-func hash64(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -31,7 +31,7 @@ func (f *fakeClock) set(d time.Duration) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	prof := DefaultGenProfile()
+	prof := GenProfile{Drops: 2, Latencies: 2, Dips: 1, Resets: 1, Partitions: 1, Pauses: 1}
 	targets := []string{"data:node-a", "data:node-b", "ctrl:"}
 	a := Generate(42, 10*time.Second, targets, prof)
 	b := Generate(42, 10*time.Second, targets, prof)
@@ -106,10 +106,11 @@ func TestInjectorDropBlackholesConn(t *testing.T) {
 	clk := &fakeClock{}
 	sched := NewSchedule(7, Event{Duration: time.Minute, Kind: Drop, Target: "data:", Rate: 1})
 	reg := metrics.New()
-	in, err := New(sched, WithClock(clk.now))
+	in, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.now = clk.now
 	in.EnableMetrics(reg)
 	clk.set(time.Second) // inside the drop window
 
@@ -144,10 +145,11 @@ func TestInjectorDropBlackholesConn(t *testing.T) {
 func TestInjectorLatencyDelaysRead(t *testing.T) {
 	clk := &fakeClock{}
 	sched := NewSchedule(7, Event{Duration: time.Minute, Kind: Latency, Delay: 30 * time.Millisecond})
-	in, err := New(sched, WithClock(clk.now))
+	in, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.now = clk.now
 	clk.set(time.Second)
 
 	conn, peer := pipePair(t, in, "data:node-a")
@@ -164,10 +166,11 @@ func TestInjectorLatencyDelaysRead(t *testing.T) {
 func TestInjectorDialRefusedDuringPartition(t *testing.T) {
 	clk := &fakeClock{}
 	sched := NewSchedule(7, Event{Duration: time.Minute, Kind: Partition, Target: "ctrl:node-b"})
-	in, err := New(sched, WithClock(clk.now))
+	in, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.now = clk.now
 	clk.set(time.Second)
 
 	if !in.Partitioned("ctrl:node-b") {
@@ -189,10 +192,11 @@ func TestInjectorDialRefusedDuringPartition(t *testing.T) {
 func TestInjectorResetClosesConn(t *testing.T) {
 	clk := &fakeClock{}
 	sched := NewSchedule(7, Event{At: 10 * time.Millisecond, Kind: Reset, Target: "data:"})
-	in, err := New(sched, WithClock(clk.now))
+	in, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.now = clk.now
 	conn, _ := pipePair(t, in, "data:node-a") // opened at elapsed 0
 	clk.set(20 * time.Millisecond)            // reset instant has passed
 
@@ -213,10 +217,11 @@ func TestInjectorResetClosesConn(t *testing.T) {
 func TestInjectorPauseReleases(t *testing.T) {
 	clk := &fakeClock{}
 	sched := NewSchedule(7, Event{Duration: 50 * time.Millisecond, Kind: Pause})
-	in, err := New(sched, WithClock(clk.now))
+	in, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.now = clk.now
 	clk.set(time.Millisecond) // inside the pause window
 	conn, peer := pipePair(t, in, "data:node-a")
 	go peer.Write([]byte("later"))
@@ -238,10 +243,11 @@ func TestInjectorSameSeedSameFaultSequence(t *testing.T) {
 	run := func() (reads int, log []Injected) {
 		clk := &fakeClock{}
 		sched := NewSchedule(99, Event{Duration: time.Minute, Kind: Drop, Target: "data:", Rate: 0.3})
-		in, err := New(sched, WithClock(clk.now))
+		in, err := New(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
+		in.now = clk.now
 		clk.set(time.Second)
 		conn, peer := pipePair(t, in, "data:node-a")
 		go func() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
+	"tunable/internal/prng"
 )
 
 // pollSlice is the granularity at which stalled connections re-check
@@ -42,7 +43,7 @@ func (e *Error) Temporary() bool { return true }
 // seed always produces one fault sequence.
 type Injector struct {
 	sched Schedule
-	now   func() time.Duration // elapsed time since Start; injectable for tests
+	now   func() time.Duration // elapsed time since Start; tests set it to a fake clock
 
 	mu      sync.Mutex
 	started bool
@@ -54,25 +55,12 @@ type Injector struct {
 	mInjected map[Kind]*metrics.Counter
 }
 
-// InjectorOption customizes an Injector.
-type InjectorOption func(*Injector)
-
-// WithClock replaces the wall clock with an elapsed-time function (tests
-// use this to make real-plane fault state deterministic).
-func WithClock(fn func() time.Duration) InjectorOption {
-	return func(in *Injector) { in.now = fn }
-}
-
 // New creates an injector for the schedule. The schedule must validate.
-func New(sched Schedule, opts ...InjectorOption) (*Injector, error) {
+func New(sched Schedule) (*Injector, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
-	in := &Injector{sched: sched, connSeq: make(map[string]uint64)}
-	for _, o := range opts {
-		o(in)
-	}
-	return in, nil
+	return &Injector{sched: sched, connSeq: make(map[string]uint64)}, nil
 }
 
 // EnableMetrics instruments the injector: faults_injected_total, labelled
@@ -124,9 +112,6 @@ func (in *Injector) Log() []Injected {
 	defer in.mu.Unlock()
 	return append([]Injected(nil), in.log...)
 }
-
-// Schedule returns the injector's schedule.
-func (in *Injector) Schedule() Schedule { return in.sched }
 
 // record appends one entry to the fault log and bumps the counter.
 func (in *Injector) record(kind Kind, target, detail string, at time.Duration) {
@@ -225,7 +210,7 @@ func (in *Injector) Conn(label string, c net.Conn) net.Conn {
 		Conn:     c,
 		in:       in,
 		label:    label,
-		rng:      newSplitmix(in.sched.Seed ^ hash64(label) ^ (seq * 0x9E3779B97F4A7C15)),
+		rng:      prng.New(in.sched.Seed ^ prng.Hash(label) ^ (seq * 0x9E3779B97F4A7C15)),
 		openedAt: in.elapsed(),
 		resets:   make(map[int]bool),
 	}
@@ -257,7 +242,7 @@ type faultConn struct {
 	openedAt time.Duration
 
 	mu         sync.Mutex
-	rng        *splitmix
+	rng        *prng.Splitmix
 	blackholed bool
 	closed     bool
 	resets     map[int]bool
@@ -370,14 +355,14 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		}
 		if cond.delay > 0 || cond.jitter > 0 {
 			c.mu.Lock()
-			j := time.Duration(c.rng.float64() * float64(cond.jitter))
+			j := time.Duration(c.rng.Float64() * float64(cond.jitter))
 			c.mu.Unlock()
 			time.Sleep(cond.delay + j)
 		}
 		n, err := c.Conn.Read(p)
 		if n > 0 && cond.dropRate > 0 {
 			c.mu.Lock()
-			hit := c.rng.float64() < cond.dropRate
+			hit := c.rng.Float64() < cond.dropRate
 			if hit {
 				c.blackholed = true
 			}

@@ -10,6 +10,8 @@ package imagery
 import (
 	"fmt"
 	"math"
+
+	"tunable/internal/prng"
 )
 
 // Image is a square grayscale image with float64 samples nominally in
@@ -113,7 +115,7 @@ func (im *Image) Downsample(k int) *Image {
 // can emulate the paper's ten-image download experiments.
 func Generate(side int, seed int64) *Image {
 	im := New(side)
-	rng := newSplitmix(uint64(seed)*2654435761 + 12345)
+	rng := prng.New(uint64(seed)*2654435761 + 12345)
 	// Smooth diagonal gradient base.
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
@@ -121,12 +123,12 @@ func Generate(side int, seed int64) *Image {
 		}
 	}
 	// Gaussian blobs.
-	nBlobs := 4 + int(rng.next()%5)
+	nBlobs := 4 + int(rng.Next()%5)
 	for b := 0; b < nBlobs; b++ {
-		cx := float64(rng.next() % uint64(side))
-		cy := float64(rng.next() % uint64(side))
-		amp := 30 + 60*rng.float64()
-		sigma := float64(side) * (0.03 + 0.12*rng.float64())
+		cx := float64(rng.Next() % uint64(side))
+		cy := float64(rng.Next() % uint64(side))
+		amp := 30 + 60*rng.Float64()
+		sigma := float64(side) * (0.03 + 0.12*rng.Float64())
 		inv := 1 / (2 * sigma * sigma)
 		// Only touch a bounded window around the blob.
 		r := int(3 * sigma)
@@ -213,17 +215,3 @@ func clampInt(v, lo, hi int) int {
 	}
 	return v
 }
-
-type splitmix struct{ state uint64 }
-
-func newSplitmix(seed uint64) *splitmix { return &splitmix{state: seed} }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix) float64() float64 { return float64(r.next()>>11) / float64(1<<53) }

@@ -1,9 +1,8 @@
 // Package metrics is the live telemetry layer of the adaptation stack: a
 // metric registry holding sharded lock-free counters, gauges, and
 // log-bucketed latency histograms, with snapshot/export in Prometheus text
-// exposition format and JSON, an HTTP /metrics + /healthz endpoint for
-// real-network deployments, and a bridge that down-converts snapshots into
-// trace.Series so the existing figure tooling keeps working.
+// exposition format and JSON, and an HTTP /metrics + /healthz endpoint for
+// real-network deployments.
 //
 // The package is clock-agnostic: a Registry carries an injected
 // now() time.Duration source instead of reading time.Now directly, so the
@@ -163,14 +162,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Name returns the metric name (without labels).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.d.name
 }
 
 // metric is the union of registered instrument kinds.

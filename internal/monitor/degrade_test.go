@@ -32,7 +32,7 @@ func TestStaleProbeDecaysEstimateAndTriggers(t *testing.T) {
 	a := New(sim, "mon",
 		WithPeriod(10*time.Millisecond), WithWindow(50*time.Millisecond),
 		WithHysteresis(1),
-		WithStaleAfter(50*time.Millisecond), WithDegrade(0.8, 0.25))
+		withStaleAfter(50*time.Millisecond), withDegrade(0.8, 0.25))
 	a.AddProbe(&silencingProbe{val: 0.9, silentAt: 100 * time.Millisecond})
 	a.SetValidRange("client", resource.CPU, 0.7, 1.0)
 	a.Start()
@@ -89,7 +89,7 @@ func TestDegradedModeRecoversOnFreshSamples(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon",
 		WithPeriod(10*time.Millisecond), WithWindow(50*time.Millisecond),
-		WithStaleAfter(30*time.Millisecond), WithDegrade(0.8, 0.1))
+		withStaleAfter(30*time.Millisecond), withDegrade(0.8, 0.1))
 	a.AddProbe(&silencingProbe{val: 0.9, silentAt: 100 * time.Millisecond, resumeAt: 400 * time.Millisecond})
 	a.Start()
 	var duringOutage float64

@@ -24,6 +24,10 @@ const DefaultPeriod = 10 * time.Millisecond
 // DefaultWindow is the history window over which raw samples are averaged.
 const DefaultWindow = 500 * time.Millisecond
 
+// tolerance is the relative slack applied to validity-range edges:
+// estimates within it of a band edge count as inside the band.
+const tolerance = 0.02
+
 // DefaultHysteresis is the number of consecutive out-of-range windowed
 // estimates required before a trigger fires; it suppresses the useless
 // reconfigurations Section 7.5 warns about.
@@ -95,11 +99,10 @@ type Agent struct {
 	period     time.Duration
 	window     time.Duration
 	hysteresis int
-	tolerance  float64
 	smoothing  Smoothing
 	alpha      float64
 
-	// stale-sample degradation (disabled unless WithStaleAfter ran): when a
+	// stale-sample degradation (disabled unless withStaleAfter ran): when a
 	// probe stops producing samples — the fault layer's partitions and
 	// paused nodes do exactly this — the agent must not stall on, or keep
 	// trusting, its last optimistic estimate forever.
@@ -123,7 +126,6 @@ type Agent struct {
 
 	stop    *vtime.Event
 	samples int64
-	onRound func(now time.Duration, est resource.Vector)
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	reg         *metrics.Registry
@@ -144,17 +146,6 @@ func WithPeriod(d time.Duration) Option { return func(a *Agent) { a.period = d }
 // WithWindow overrides the history window.
 func WithWindow(d time.Duration) Option { return func(a *Agent) { a.window = d } }
 
-// WithTolerance sets the relative slack applied to validity-range edges
-// (default 0.02): estimates within tolerance of a band edge are treated as
-// inside it.
-func WithTolerance(f float64) Option {
-	return func(a *Agent) {
-		if f >= 0 {
-			a.tolerance = f
-		}
-	}
-}
-
 // WithSmoothing selects the estimator; alpha is the EWMA weight of the
 // newest sample (ignored for WindowMean).
 func WithSmoothing(mode Smoothing, alpha float64) Option {
@@ -166,19 +157,19 @@ func WithSmoothing(mode Smoothing, alpha float64) Option {
 	}
 }
 
-// WithStaleAfter enables degraded mode: when a probe produces no sample
+// withStaleAfter enables degraded mode: when a probe produces no sample
 // for longer than d, its estimate is decayed conservatively each round
 // (assume the silent resource is short, not fine) instead of being
 // trusted indefinitely, and validity-range checks keep running against
 // the decayed value so the scheduler still reacts. Zero disables.
-func WithStaleAfter(d time.Duration) Option {
+func withStaleAfter(d time.Duration) Option {
 	return func(a *Agent) { a.staleAfter = d }
 }
 
-// WithDegrade tunes degraded mode: each stale round multiplies the
+// withDegrade tunes degraded mode: each stale round multiplies the
 // estimate by factor (default 0.9), never dropping below floor × the last
 // sample-backed estimate (default 0.25).
-func WithDegrade(factor, floor float64) Option {
+func withDegrade(factor, floor float64) Option {
 	return func(a *Agent) {
 		if factor > 0 && factor < 1 {
 			a.degradeFactor = factor
@@ -187,14 +178,6 @@ func WithDegrade(factor, floor float64) Option {
 			a.degradeFloor = floor
 		}
 	}
-}
-
-// WithOnRound registers a hook invoked at the end of every sampling round
-// with the round's flattened resource snapshot. The live performance
-// store's ingest path hangs off this: the application pairs the snapshot
-// with its achieved metrics to emit telemetry samples.
-func WithOnRound(fn func(now time.Duration, est resource.Vector)) Option {
-	return func(a *Agent) { a.onRound = fn }
 }
 
 // WithHysteresis overrides the consecutive-violation count needed to fire
@@ -218,7 +201,6 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 		period:        DefaultPeriod,
 		window:        DefaultWindow,
 		hysteresis:    DefaultHysteresis,
-		tolerance:     0.02,
 		alpha:         0.1,
 		degradeFactor: 0.9,
 		degradeFloor:  0.25,
@@ -273,9 +255,6 @@ func (a *Agent) estimateGauge(key string) *metrics.Gauge {
 	a.mEstimates[key] = g
 	return g
 }
-
-// Name returns the agent name.
-func (a *Agent) Name() string { return a.name }
 
 // keyedProbe is a probe with its "component.kind" key, built once.
 type keyedProbe struct {
@@ -421,9 +400,6 @@ func (a *Agent) round(now time.Duration) {
 		a.estimateGauge(key).Set(est)
 		a.checkRange(now, key, comp, pr.Kind(), est)
 	}
-	if a.onRound != nil {
-		a.onRound(now, a.Snapshot())
-	}
 }
 
 // maybeDegrade handles a probe that produced no sample this round. With
@@ -477,7 +453,7 @@ func (a *Agent) checkRange(now time.Duration, key, comp string, kind resource.Ki
 	}
 	// A small relative tolerance keeps estimates sitting exactly on a
 	// band edge (within measurement noise) from producing trigger storms.
-	slack := a.tolerance * math.Max(math.Abs(est), 1e-12)
+	slack := tolerance * math.Max(math.Abs(est), 1e-12)
 	if est >= r.lo-slack && est <= r.hi+slack {
 		r.count = 0
 		return

@@ -72,7 +72,7 @@ func TestMemoryProbe(t *testing.T) {
 	sim := vtime.NewSim()
 	h := sandbox.NewHost(sim, "h", 100e6)
 	sb, _ := h.NewSandbox("app", 0.4, 10<<20)
-	probe := NewMemoryProbe("client", sb)
+	probe := newMemoryProbe("client", sb)
 	v, ok := probe.Sample(0)
 	if !ok || v != float64(10<<20) {
 		t.Fatalf("free %v %v", v, ok)
@@ -235,26 +235,6 @@ func TestPeerEstimatePropagation(t *testing.T) {
 	}
 }
 
-func TestSystemMonitor(t *testing.T) {
-	sim := vtime.NewSim()
-	h := sandbox.NewHost(sim, "client", 450e6)
-	m := NewSystemMonitor()
-	m.RegisterHost(h)
-	c, ok := m.Capacity("client")
-	if !ok || c.Limits[resource.CPU] != 1.0 {
-		t.Fatalf("capacity %+v %v", c, ok)
-	}
-	if c.Limits[resource.Memory] != float64(128<<20) {
-		t.Fatalf("memory capacity %v", c.Limits[resource.Memory])
-	}
-	if _, ok := m.Capacity("nowhere"); ok {
-		t.Fatal("phantom capacity")
-	}
-	if len(m.Components()) != 1 {
-		t.Fatal("components")
-	}
-}
-
 func TestTriggerString(t *testing.T) {
 	tr := Trigger{At: time.Second, Component: "client", Kind: resource.CPU, Value: 0.3, Lo: 0.7, Hi: 1.0}
 	if tr.String() == "" {
@@ -348,36 +328,6 @@ func TestSmoothingModesConvergeEqually(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestRecvBandwidthProbe(t *testing.T) {
-	sim := vtime.NewSim()
-	l := netem.NewLink(sim, "lan", 100_000, netem.WithLatency(0))
-	probe := NewRecvBandwidthProbe("client", l.A())
-	// First sample only initializes.
-	if _, ok := probe.Sample(0); ok {
-		t.Fatal("first sample should not be ready")
-	}
-	var est float64
-	var ok bool
-	sim.Spawn("sender", func(p *vtime.Proc) {
-		l.B().Send(p, make([]byte, 100_000)) // 1 s at 100 KB/s
-	})
-	sim.Spawn("receiver", func(p *vtime.Proc) {
-		l.A().Recv(p)
-		est, ok = probe.Sample(p.Now())
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no observation")
-	}
-	// Receiver-side estimate conflates elapsed time; expect the right
-	// magnitude, not precision.
-	if est < 50_000 || est > 200_000 {
-		t.Fatalf("estimated bandwidth %.0f", est)
 	}
 }
 

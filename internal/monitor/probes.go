@@ -8,48 +8,6 @@ import (
 	"tunable/internal/sandbox"
 )
 
-// SystemMonitor is the system-wide monitor of Section 6.1: it reports the
-// maximum capacities of system resources (CPU speed, physical memory,
-// nominal network bandwidth) that agents normalize their observations
-// against.
-type SystemMonitor struct {
-	caps map[string]resource.Capacity
-}
-
-// NewSystemMonitor creates an empty capacity registry.
-func NewSystemMonitor() *SystemMonitor {
-	return &SystemMonitor{caps: make(map[string]resource.Capacity)}
-}
-
-// Register records the capacities of a component.
-func (m *SystemMonitor) Register(c resource.Capacity) { m.caps[c.Component] = c }
-
-// RegisterHost records a sandbox host's capacities.
-func (m *SystemMonitor) RegisterHost(h *sandbox.Host) {
-	m.Register(resource.Capacity{
-		Component: h.Name(),
-		Limits: resource.Vector{
-			resource.CPU:    1.0,
-			resource.Memory: float64(h.MemTotal()),
-		},
-	})
-}
-
-// Capacity returns the registered capacity of a component.
-func (m *SystemMonitor) Capacity(component string) (resource.Capacity, bool) {
-	c, ok := m.caps[component]
-	return c, ok
-}
-
-// Components lists registered component names.
-func (m *SystemMonitor) Components() []string {
-	out := make([]string, 0, len(m.caps))
-	for k := range m.caps {
-		out = append(out, k)
-	}
-	return out
-}
-
 // CPUProbe estimates the CPU share a sandboxed application actually
 // receives by comparing allotted CPU time against wall-clock time,
 // factoring out periods where the application was blocked — exactly the
@@ -119,46 +77,6 @@ func (p *BandwidthProbe) Sample(time.Duration) (float64, bool) {
 	return float64(dBytes) / dBusy.Seconds(), true
 }
 
-// RecvBandwidthProbe estimates bandwidth from the receiving side: bytes
-// delivered per unit of elapsed time while waiting. It is noisier than the
-// sender-side probe (it conflates sender think-time with link time) and
-// exists mainly for components that only consume data.
-type RecvBandwidthProbe struct {
-	component string
-	ep        *netem.Endpoint
-	lastBytes int64
-	lastAt    time.Duration
-	started   bool
-}
-
-// NewRecvBandwidthProbe creates a receiver-side bandwidth probe.
-func NewRecvBandwidthProbe(component string, ep *netem.Endpoint) *RecvBandwidthProbe {
-	return &RecvBandwidthProbe{component: component, ep: ep}
-}
-
-// Component implements Probe.
-func (p *RecvBandwidthProbe) Component() string { return p.component }
-
-// Kind implements Probe.
-func (p *RecvBandwidthProbe) Kind() resource.Kind { return resource.Bandwidth }
-
-// Sample implements Probe.
-func (p *RecvBandwidthProbe) Sample(now time.Duration) (float64, bool) {
-	c := p.ep.InCounters()
-	if !p.started {
-		p.started = true
-		p.lastBytes, p.lastAt = c.BytesReceived, now
-		return 0, false
-	}
-	dBytes := c.BytesReceived - p.lastBytes
-	dT := now - p.lastAt
-	if dBytes <= 0 || dT <= 0 {
-		return 0, false
-	}
-	p.lastBytes, p.lastAt = c.BytesReceived, now
-	return float64(dBytes) / dT.Seconds(), true
-}
-
 // MemoryProbe reports the memory headroom of a sandbox: physical limit
 // minus resident set (compare "physical memory usage with virtual memory
 // size").
@@ -167,8 +85,8 @@ type MemoryProbe struct {
 	sb        *sandbox.Sandbox
 }
 
-// NewMemoryProbe creates a memory probe.
-func NewMemoryProbe(component string, sb *sandbox.Sandbox) *MemoryProbe {
+// newMemoryProbe creates a memory probe.
+func newMemoryProbe(component string, sb *sandbox.Sandbox) *MemoryProbe {
 	return &MemoryProbe{component: component, sb: sb}
 }
 
@@ -208,7 +126,6 @@ func (p *OracleProbe) Sample(now time.Duration) (float64, bool) { return p.Fn(no
 var (
 	_ Probe = (*CPUProbe)(nil)
 	_ Probe = (*BandwidthProbe)(nil)
-	_ Probe = (*RecvBandwidthProbe)(nil)
 	_ Probe = (*MemoryProbe)(nil)
 	_ Probe = (*OracleProbe)(nil)
 )

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
+	"tunable/internal/prng"
 	"tunable/internal/vtime"
 )
 
@@ -59,7 +60,7 @@ type direction struct {
 	bandwidth float64 // bytes per second
 	latency   time.Duration
 	lossRate  float64
-	rng       *splitmix
+	rng       *prng.Splitmix
 	busyUntil time.Duration
 	inbox     *vtime.Chan[Message]
 	ctr       Counters
@@ -74,9 +75,8 @@ type direction struct {
 
 // Link is a duplex point-to-point link between two endpoints, A and B.
 type Link struct {
-	name string
-	ab   *direction // A→B
-	ba   *direction // B→A
+	ab *direction // A→B
+	ba *direction // B→A
 }
 
 // LinkOption customizes link construction.
@@ -107,11 +107,11 @@ func NewLink(sim *vtime.Sim, name string, bandwidth float64, opts ...LinkOption)
 			name:      name + "/" + dir,
 			bandwidth: bandwidth,
 			latency:   500 * time.Microsecond,
-			rng:       newSplitmix(hash64(name + dir)),
+			rng:       prng.New(prng.Hash(name + dir)),
 			inbox:     vtime.NewNamedChan[Message](sim, 1<<20, name+"/"+dir),
 		}
 	}
-	l := &Link{name: name, ab: mk("ab"), ba: mk("ba")}
+	l := &Link{ab: mk("ab"), ba: mk("ba")}
 	for _, o := range opts {
 		o(l)
 	}
@@ -141,14 +141,11 @@ func (l *Link) EnableMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Name returns the link name.
-func (l *Link) Name() string { return l.name }
-
 // A returns the endpoint on the A side (sends A→B, receives B→A).
-func (l *Link) A() *Endpoint { return &Endpoint{out: l.ab, in: l.ba, link: l} }
+func (l *Link) A() *Endpoint { return &Endpoint{out: l.ab, in: l.ba} }
 
 // B returns the endpoint on the B side.
-func (l *Link) B() *Endpoint { return &Endpoint{out: l.ba, in: l.ab, link: l} }
+func (l *Link) B() *Endpoint { return &Endpoint{out: l.ba, in: l.ab} }
 
 // SetBandwidth reconfigures both directions; it takes effect at the next
 // frame boundary.
@@ -187,9 +184,9 @@ func (l *Link) SetLoss(p float64) error {
 	return nil
 }
 
-// SetLossAtoB reconfigures loss for the A→B direction only; together with
-// SetLossBtoA it expresses asymmetric partitions (A's messages vanish
-// while B's still arrive).
+// SetLossAtoB reconfigures loss for the A→B direction only, which
+// expresses an asymmetric partition (A's messages vanish while B's still
+// arrive).
 func (l *Link) SetLossAtoB(p float64) error {
 	if p < 0 || p > 1 {
 		return fmt.Errorf("netem: invalid loss rate %g", p)
@@ -198,27 +195,14 @@ func (l *Link) SetLossAtoB(p float64) error {
 	return nil
 }
 
-// SetLossBtoA reconfigures loss for the B→A direction only.
-func (l *Link) SetLossBtoA(p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("netem: invalid loss rate %g", p)
-	}
-	l.ba.lossRate = p
-	return nil
-}
-
 // Loss returns the current A→B loss probability.
 func (l *Link) Loss() float64 { return l.ab.lossRate }
 
 // Endpoint is one side of a duplex link.
 type Endpoint struct {
-	link *Link
-	out  *direction
-	in   *direction
+	out *direction
+	in  *direction
 }
-
-// Link returns the underlying link.
-func (e *Endpoint) Link() *Link { return e.link }
 
 // Send transmits a one-part message; see SendMsg.
 func (e *Endpoint) Send(p *vtime.Proc, payload []byte) { e.SendMsg(p, Message{Payload: payload}) }
@@ -251,7 +235,7 @@ func (e *Endpoint) SendMsg(p *vtime.Proc, msg Message) {
 	d.ctr.MsgsSent++
 	d.mBytesShaped.Add(float64(n))
 	d.mQueueDelay.Observe((p.Now() - start).Seconds())
-	if d.lossRate > 0 && d.rng.float64() < d.lossRate {
+	if d.lossRate > 0 && d.rng.Float64() < d.lossRate {
 		d.drop(n)
 		return
 	}
@@ -317,27 +301,3 @@ func (e *Endpoint) OutCounters() Counters { return e.out.ctr }
 
 // InCounters returns a snapshot of the incoming direction's counters.
 func (e *Endpoint) InCounters() Counters { return e.in.ctr }
-
-// splitmix is a deterministic PRNG for loss decisions.
-type splitmix struct{ state uint64 }
-
-func newSplitmix(seed uint64) *splitmix { return &splitmix{state: seed} }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix) float64() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
-func hash64(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -31,10 +31,11 @@ type Driver struct {
 	run     RunFunc
 	grid    *resource.Grid
 	configs []spec.Config
-	reps    int
 	workers int
 
-	// Progress, if set, is called after each completed sample.
+	// Progress, if set, is called after each completed sample, one call at
+	// a time and in order of done, on the goroutine that called Populate or
+	// Refine.
 	Progress func(done, total int)
 }
 
@@ -47,18 +48,8 @@ func WithConfigs(cfgs []spec.Config) Option {
 	return func(d *Driver) { d.configs = cfgs }
 }
 
-// WithRepetitions sets how many times each sample point is executed
-// (repeated runs are averaged by the database).
-func WithRepetitions(n int) Option {
-	return func(d *Driver) {
-		if n > 0 {
-			d.reps = n
-		}
-	}
-}
-
-// WithWorkers sets the worker-pool size (default GOMAXPROCS).
-func WithWorkers(n int) Option {
+// withWorkers sets the worker-pool size (default GOMAXPROCS).
+func withWorkers(n int) Option {
 	return func(d *Driver) {
 		if n > 0 {
 			d.workers = n
@@ -76,7 +67,6 @@ func New(db *perfdb.DB, grid *resource.Grid, run RunFunc, opts ...Option) (*Driv
 		db:      db,
 		run:     run,
 		grid:    grid,
-		reps:    1,
 		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -101,16 +91,15 @@ type result struct {
 	err error
 }
 
-// Populate sweeps every configuration across every grid point, reps times
-// each, and inserts the measurements into the database. The first
-// execution error aborts the sweep (after in-flight samples drain).
+// Populate sweeps every configuration across every grid point and inserts
+// the measurements into the database; a repeated sweep adds samples the
+// database averages in. The first execution error aborts the sweep (after
+// in-flight samples drain).
 func (d *Driver) Populate() error {
-	jobs := make([]job, 0, len(d.configs)*d.grid.Size()*d.reps)
+	jobs := make([]job, 0, len(d.configs)*d.grid.Size())
 	for _, cfg := range d.configs {
 		for _, pt := range d.grid.Points() {
-			for r := 0; r < d.reps; r++ {
-				jobs = append(jobs, job{cfg: cfg, res: pt})
-			}
+			jobs = append(jobs, job{cfg: cfg, res: pt})
 		}
 	}
 	return d.runJobs(jobs)
@@ -137,8 +126,7 @@ func (d *Driver) runJobs(jobs []job) error {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	var doneMu sync.Mutex
-	done := 0
+	finished := make(chan struct{}, len(jobs)) // one send per job
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -146,15 +134,17 @@ func (d *Driver) runJobs(jobs []job) error {
 			for item := range jobCh {
 				m, err := d.run(item.r.job.cfg, item.r.job.res)
 				out[item.i] = result{job: item.r.job, m: m, err: err}
-				if d.Progress != nil {
-					doneMu.Lock()
-					done++
-					n := done
-					doneMu.Unlock()
-					d.Progress(n, len(jobs))
-				}
+				finished <- struct{}{}
 			}
 		}()
+	}
+	// Progress runs here, on the caller's goroutine, so its calls arrive
+	// one at a time and in order of done.
+	for done := 1; done <= len(jobs); done++ {
+		<-finished
+		if d.Progress != nil {
+			d.Progress(done, len(jobs))
+		}
 	}
 	wg.Wait()
 	// Insert in job order so the database contents are deterministic.

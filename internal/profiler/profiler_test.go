@@ -57,7 +57,7 @@ func TestPopulateParallelMatchesSerial(t *testing.T) {
 	grid := resource.NewGrid(resource.Axis{Kind: resource.CPU, Points: resource.Linspace(0.1, 1.0, 12)})
 	build := func(workers int) *perfdb.DB {
 		db := perfdb.New(testApp())
-		d, err := New(db, grid, analyticRun, WithWorkers(workers))
+		d, err := New(db, grid, analyticRun, withWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,6 +77,7 @@ func TestPopulateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// Repeated sweeps over the same points are averaged by the database.
 func TestRepetitionsAveraged(t *testing.T) {
 	var calls atomic.Int64
 	run := func(cfg spec.Config, res resource.Vector) (spec.Metrics, error) {
@@ -85,9 +86,11 @@ func TestRepetitionsAveraged(t *testing.T) {
 	}
 	db := perfdb.New(testApp())
 	grid := resource.NewGrid(resource.Axis{Kind: resource.CPU, Points: []float64{0.5}})
-	d, _ := New(db, grid, run, WithRepetitions(3), WithConfigs([]spec.Config{{"n": spec.Int(1)}}))
-	if err := d.Populate(); err != nil {
-		t.Fatal(err)
+	d, _ := New(db, grid, run, WithConfigs([]spec.Config{{"n": spec.Int(1)}}))
+	for i := 0; i < 3; i++ {
+		if err := d.Populate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("%d calls", calls.Load())

@@ -2,7 +2,6 @@ package resource
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -25,27 +24,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	step := (hi - lo) / float64(n-1)
 	for i := range pts {
 		pts[i] = lo + float64(i)*step
-	}
-	return pts
-}
-
-// Logspace returns n logarithmically spaced points in [lo, hi] inclusive.
-// lo and hi must be positive.
-func Logspace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= 0 {
-		panic("resource: Logspace requires positive bounds")
-	}
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	pts := make([]float64, n)
-	llo, lhi := math.Log(lo), math.Log(hi)
-	step := (lhi - llo) / float64(n-1)
-	for i := range pts {
-		pts[i] = math.Exp(llo + float64(i)*step)
 	}
 	return pts
 }

@@ -25,9 +25,6 @@ const (
 	Latency   Kind = "latency"   // one-way network latency, seconds
 )
 
-// AllKinds lists the defined dimensions in canonical order.
-var AllKinds = []Kind{CPU, Bandwidth, Memory, Latency}
-
 // Vector is a point in resource space: a value for each dimension that
 // matters to the component using it. Missing dimensions mean "don't care".
 type Vector map[Kind]float64
@@ -194,26 +191,4 @@ func KeyEqual(x, y float64) bool {
 	}
 	var bx, by [32]byte
 	return bytes.Equal(appendKeyValue(bx[:0], x), appendKeyValue(by[:0], y))
-}
-
-// Request is a desired allocation of resources on a named host or link,
-// used by the scheduler's admission control (Section 6.2).
-type Request struct {
-	Component string // host or link name from the execution environment
-	Wants     Vector
-}
-
-// Capacity describes the maximum resources a system component offers, as
-// reported by the system-wide monitor (Section 6.1).
-type Capacity struct {
-	Component string
-	Limits    Vector
-}
-
-// Fits reports whether the request fits within the capacity.
-func (c Capacity) Fits(r Request) bool {
-	if r.Component != c.Component {
-		return false
-	}
-	return c.Limits.Dominates(r.Wants)
 }

@@ -108,22 +108,6 @@ func TestLinspace(t *testing.T) {
 	}
 }
 
-func TestLogspace(t *testing.T) {
-	pts := Logspace(10, 1000, 3)
-	want := []float64{10, 100, 1000}
-	for i := range want {
-		if math.Abs(pts[i]-want[i])/want[i] > 1e-9 {
-			t.Fatalf("pts %v", pts)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on nonpositive bound")
-		}
-	}()
-	Logspace(0, 1, 3)
-}
-
 func TestGridPointsOrderAndSize(t *testing.T) {
 	g := NewGrid(
 		Axis{Kind: CPU, Points: []float64{0.5, 0.1, 0.9}},
@@ -196,19 +180,6 @@ func TestGridContains(t *testing.T) {
 	}
 }
 
-func TestCapacityFits(t *testing.T) {
-	c := Capacity{Component: "client", Limits: Vector{CPU: 1.0, Memory: 128 << 20}}
-	if !c.Fits(Request{Component: "client", Wants: Vector{CPU: 0.4}}) {
-		t.Fatal("fitting request rejected")
-	}
-	if c.Fits(Request{Component: "server", Wants: Vector{CPU: 0.4}}) {
-		t.Fatal("wrong component accepted")
-	}
-	if c.Fits(Request{Component: "client", Wants: Vector{CPU: 1.5}}) {
-		t.Fatal("oversized request accepted")
-	}
-}
-
 // Property: domination is reflexive and antisymmetric-ish over positive kinds.
 func TestDominatesProperties(t *testing.T) {
 	f := func(a, b uint8) bool {
@@ -236,7 +207,7 @@ func TestDominatesProperties(t *testing.T) {
 func TestGridPointsBracketThemselves(t *testing.T) {
 	g := NewGrid(
 		Axis{Kind: CPU, Points: Linspace(0.1, 1, 7)},
-		Axis{Kind: Bandwidth, Points: Logspace(1e4, 1e6, 5)},
+		Axis{Kind: Bandwidth, Points: []float64{1e4, 3.16e4, 1e5, 3.16e5, 1e6}},
 	)
 	for _, p := range g.Points() {
 		if !g.Contains(p) {

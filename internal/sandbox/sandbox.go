@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
+	"tunable/internal/prng"
 	"tunable/internal/vtime"
 )
 
@@ -44,7 +45,7 @@ type Host struct {
 	reserved float64
 	memResv  int64
 	boxes    map[string]*Sandbox
-	rng      *prng
+	rng      *prng.Splitmix
 
 	reg           *metrics.Registry
 	reservedGauge *metrics.Gauge
@@ -70,7 +71,7 @@ func NewHost(sim *vtime.Sim, name string, speedHz float64, opts ...HostOption) *
 		osLoad:   0.03,
 		memTotal: 128 << 20,
 		boxes:    make(map[string]*Sandbox),
-		rng:      newPRNG(hashString(name)),
+		rng:      prng.New(prng.Hash(name)),
 	}
 	for _, o := range opts {
 		o(h)
@@ -191,7 +192,6 @@ type Sandbox struct {
 	cpuTime    time.Duration // CPU-seconds actually received (scaled by share)
 	activeTime time.Duration // virtual time spent inside Compute
 	faults     int64         // page faults simulated
-	computeOps int64
 
 	// telemetry instruments; nil (no-op) unless Host.EnableMetrics ran
 	// before this sandbox was created
@@ -263,7 +263,7 @@ func (sb *Sandbox) effectiveRate() float64 {
 		share = avail
 	}
 	// ±0.5% deterministic jitter.
-	jitter := 1.0 + (sb.host.rng.float64()-0.5)*0.01
+	jitter := 1.0 + (sb.host.rng.Float64()-0.5)*0.01
 	return sb.host.speed * share * jitter
 }
 
@@ -301,7 +301,6 @@ func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 		sb.cpuTime += cpu
 		sb.mCPUSeconds.Add(cpu.Seconds())
 	}
-	sb.computeOps++
 	sb.mComputeOps.Inc()
 }
 
@@ -311,9 +310,6 @@ func (sb *Sandbox) CPUTime() time.Duration { return sb.cpuTime }
 
 // ActiveTime returns cumulative virtual time spent computing (not blocked).
 func (sb *Sandbox) ActiveTime() time.Duration { return sb.activeTime }
-
-// ComputeOps returns the number of completed Compute calls.
-func (sb *Sandbox) ComputeOps() int64 { return sb.computeOps }
 
 // Faults returns the number of simulated page faults.
 func (sb *Sandbox) Faults() int64 { return sb.faults }
@@ -365,31 +361,4 @@ func (sb *Sandbox) Touch(p *vtime.Proc, n int64) {
 	sb.faults += faulting
 	sb.mFaults.Add(float64(faulting))
 	sb.Compute(p, float64(faulting)*faultCycles)
-}
-
-// prng is a tiny deterministic splitmix64 generator so jitter is
-// reproducible run to run.
-type prng struct{ state uint64 }
-
-func newPRNG(seed uint64) *prng { return &prng{state: seed} }
-
-func (r *prng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *prng) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -119,13 +119,6 @@ func (a *Arbiter) EnableMetrics(reg *metrics.Registry) {
 // Classes returns the declared class names in sorted order.
 func (a *Arbiter) Classes() []string { return append([]string(nil), a.order...) }
 
-// Pool returns the total capacity pools.
-func (a *Arbiter) Pool() resource.Vector {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pool.Clone()
-}
-
 // Guarantee returns the class's guaranteed share of every pool.
 func (a *Arbiter) Guarantee(class string) (resource.Vector, error) {
 	a.mu.Lock()
@@ -195,12 +188,6 @@ type ClassGrant struct {
 	want     resource.Vector
 	released bool
 }
-
-// Class returns the class the grant was issued to.
-func (g *ClassGrant) Class() string { return g.class }
-
-// Want returns the granted resources.
-func (g *ClassGrant) Want() resource.Vector { return g.want.Clone() }
 
 // Acquire admits one session's demand against the class's share of the
 // pools. The rule is guarantee-protecting borrowing: the grant is admitted

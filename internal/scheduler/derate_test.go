@@ -11,7 +11,7 @@ func TestSelectDeratedPlansAgainstReducedResources(t *testing.T) {
 	db := buildDB(t, app)
 	s, err := New(app, db, []Preference{{
 		Name:        "fast",
-		Constraints: []Constraint{AtLeast("resolution", 4)},
+		Constraints: []Constraint{atLeast4},
 		Objective:   "transmit_time",
 	}})
 	if err != nil {

@@ -204,7 +204,10 @@ func TestSelectMatchesReference(t *testing.T) {
 		{"foveal", foveal.DB, foveal.Preferences()},
 	}
 	shares := append(resource.Linspace(0.02, 1.2, 9), 0.05, 0.1, 0.2, 0.4, 1.0)
-	bws := append(resource.Logspace(8e3, 2e6, 9), 24e3, 96e3, 200e3, 384e3, 500e3)
+	bws := []float64{24e3, 96e3, 200e3, 384e3, 500e3}
+	for i := 0; i < 9; i++ { // log-spaced from 8e3 to 2e6
+		bws = append(bws, 8e3*math.Pow(2e6/8e3, float64(i)/8))
+	}
 	for _, sub := range subjects {
 		db, err := sub.db()
 		if err != nil {

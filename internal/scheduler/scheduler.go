@@ -42,11 +42,6 @@ func AtMost(metric string, hi float64) Constraint {
 	return Constraint{Metric: metric, Lo: math.Inf(-1), Hi: hi}
 }
 
-// AtLeast bounds a metric from below.
-func AtLeast(metric string, lo float64) Constraint {
-	return Constraint{Metric: metric, Lo: lo, Hi: math.Inf(1)}
-}
-
 // Preference is one user preference: constraints plus a single-metric
 // objective (the paper assumes "a relatively restricted form of this
 // function: maximizing or minimizing a single quality metric"; the
@@ -153,9 +148,6 @@ func (s *Scheduler) Candidates() []spec.Config {
 	return out
 }
 
-// Preferences returns the preference list.
-func (s *Scheduler) Preferences() []Preference { return s.prefs }
-
 // Select picks the configuration best satisfying the highest-priority
 // feasible preference under resource conditions res. It is safe for
 // concurrent use.
@@ -184,13 +176,13 @@ func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
 	return Decision{}, ErrNoFeasible
 }
 
-// SelectDerated is the degraded-mode entry point: it derates every
-// resource estimate by margin (0.2 plans against 80% of each estimate)
-// before selecting. The monitoring agent calls this instead of Select
-// while probes are stale — the estimates feeding it are then guesses,
-// and the conservative failure mode is a configuration that underuses
-// real resources, not one that overcommits imaginary ones. margin is
-// clamped to [0, 1).
+// SelectDerated derates every resource estimate by margin (0.2 plans
+// against 80% of each estimate) before selecting. The mix harness
+// (internal/apps) calls it instead of Select while classes contend for
+// the arbiter's pools, when a session's estimate is a share other classes
+// may claim: the conservative failure mode is a configuration that
+// underuses real resources, not one that overcommits imaginary ones. No
+// monitoring agent calls it. margin is clamped to [0, 1).
 func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision, error) {
 	if margin < 0 {
 		margin = 0

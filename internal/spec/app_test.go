@@ -32,10 +32,10 @@ func avisApp() *App {
 				{Component: "client", Kind: resource.Bandwidth},
 			},
 			Yields: []string{"transmit_time", "response_time", "resolution"},
-			Guard:  MustParseExpr("l >= 2"),
+			Guard:  mustParseExpr("l >= 2"),
 		}},
 		Transitions: []Transition{{
-			Guard:  MustParseExpr("new.c != cur.c"),
+			Guard:  mustParseExpr("new.c != cur.c"),
 			Action: "notify_server",
 		}},
 	}
@@ -63,9 +63,9 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown task param", func(a *App) { a.Tasks[0].Params = []string{"nope"} }},
 		{"unknown component", func(a *App) { a.Tasks[0].Uses[0].Component = "mars" }},
 		{"unknown metric", func(a *App) { a.Tasks[0].Yields = []string{"nope"} }},
-		{"bad task guard ident", func(a *App) { a.Tasks[0].Guard = MustParseExpr("zz > 1") }},
-		{"cur in task guard", func(a *App) { a.Tasks[0].Guard = MustParseExpr("cur.l > 1") }},
-		{"bad transition ident", func(a *App) { a.Transitions[0].Guard = MustParseExpr("new.zz != 1") }},
+		{"bad task guard ident", func(a *App) { a.Tasks[0].Guard = mustParseExpr("zz > 1") }},
+		{"cur in task guard", func(a *App) { a.Tasks[0].Guard = mustParseExpr("cur.l > 1") }},
+		{"bad transition ident", func(a *App) { a.Transitions[0].Guard = mustParseExpr("new.zz != 1") }},
 	}
 	for _, m := range mutations {
 		a := avisApp()
@@ -105,7 +105,7 @@ func TestEnumerate(t *testing.T) {
 
 func TestRunnableConfigsFiltersGuards(t *testing.T) {
 	a := avisApp()
-	a.Tasks[0].Guard = MustParseExpr("l >= 3")
+	a.Tasks[0].Guard = mustParseExpr("l >= 3")
 	got := a.RunnableConfigs()
 	if len(got) != 3*2*2 {
 		t.Fatalf("runnable %d, want 12", len(got))

@@ -395,16 +395,6 @@ func ParseExpr(src string) (*Expr, error) {
 	return &Expr{root: n, src: src}, nil
 }
 
-// MustParseExpr is ParseExpr that panics on error, for declaring guards in
-// code.
-func MustParseExpr(src string) *Expr {
-	e, err := ParseExpr(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func (p *exprParser) parseOr() (node, error) {
 	l, err := p.parseAnd()
 	if err != nil {

@@ -66,7 +66,7 @@ func TestFormatMinimal(t *testing.T) {
 }
 
 func TestFormatNormalizedGuard(t *testing.T) {
-	app := avisApp() // programmatic: guards built by MustParseExpr have sources
+	app := avisApp() // programmatic: guards built by mustParseExpr have sources
 	out := app.Format()
 	if !strings.Contains(out, "guard ( l >= 2 )") {
 		t.Fatalf("guard source lost:\n%s", out)

@@ -8,10 +8,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -21,59 +18,26 @@ type Point struct {
 	V float64
 }
 
-// Series is a named sequence of samples in time order. All methods are
-// safe for concurrent use: the metrics→trace bridge appends points from a
-// wall-clock scrape goroutine while experiment code reads summaries.
-// Points is exported for figure tooling that ranges over raw samples; such
-// readers must either finish recording first (the experiment drivers all
-// do) or take a stable copy via Samples.
+// Series is a named sequence of samples in time order. A figure builds its
+// series from finished runs on one goroutine (the concurrent worlds of an
+// experiment each return a RunResult first), so a Series is not safe for
+// concurrent use.
 type Series struct {
-	Name string
-	Unit string
-
-	mu     sync.Mutex
+	Name   string
+	Unit   string
 	Points []Point
 }
 
 // Add appends a sample.
 func (s *Series) Add(t time.Duration, v float64) {
-	s.mu.Lock()
 	s.Points = append(s.Points, Point{T: t, V: v})
-	s.mu.Unlock()
-}
-
-// Samples returns a stable copy of the recorded points.
-func (s *Series) Samples() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Point(nil), s.Points...)
 }
 
 // Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.Points)
-}
-
-// Last returns the most recent sample.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
-}
+func (s *Series) Len() int { return len(s.Points) }
 
 // Sum returns the sum of all values.
 func (s *Series) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sumLocked()
-}
-
-func (s *Series) sumLocked() float64 {
 	var sum float64
 	for _, p := range s.Points {
 		sum += p.V
@@ -83,43 +47,15 @@ func (s *Series) sumLocked() float64 {
 
 // Mean returns the mean value, or 0 for an empty series.
 func (s *Series) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.Points) == 0 {
 		return 0
 	}
-	return s.sumLocked() / float64(len(s.Points))
+	return s.Sum() / float64(len(s.Points))
 }
 
-// Max returns the maximum value, or -Inf for an empty series.
-func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	max := math.Inf(-1)
-	for _, p := range s.Points {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	return max
-}
-
-// Min returns the minimum value, or +Inf for an empty series.
-func (s *Series) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	min := math.Inf(1)
-	for _, p := range s.Points {
-		if p.V < min {
-			min = p.V
-		}
-	}
-	return min
-}
-
-// Recorder collects named series. Safe for concurrent use.
+// Recorder collects named series. Like Series, it is not safe for
+// concurrent use.
 type Recorder struct {
-	mu     sync.Mutex
 	series map[string]*Series
 	order  []string
 }
@@ -131,8 +67,6 @@ func NewRecorder() *Recorder {
 
 // Series returns (creating if needed) the series with the given name.
 func (r *Recorder) Series(name, unit string) *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s, ok := r.series[name]; ok {
 		return s
 	}
@@ -144,16 +78,12 @@ func (r *Recorder) Series(name, unit string) *Series {
 
 // Get returns an existing series.
 func (r *Recorder) Get(name string) (*Series, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s, ok := r.series[name]
 	return s, ok
 }
 
 // Names returns series names in creation order.
 func (r *Recorder) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]string(nil), r.order...)
 }
 
@@ -166,17 +96,13 @@ func (r *Recorder) WriteTable(w io.Writer) error {
 		return nil
 	}
 	cols := make([]*Series, len(names))
-	pts := make([][]Point, len(names))
 	rows := 0
 	for i, n := range names {
 		cols[i], _ = r.Get(n)
-		pts[i] = cols[i].Samples()
-		if len(pts[i]) > rows {
-			rows = len(pts[i])
-		}
+		rows = max(rows, cols[i].Len())
 	}
 	// Header.
-	header := make([]string, 0, 2*len(names))
+	header := make([]string, 0, 2*len(cols))
 	for _, c := range cols {
 		unit := c.Unit
 		if unit == "" {
@@ -189,37 +115,15 @@ func (r *Recorder) WriteTable(w io.Writer) error {
 	}
 	for i := 0; i < rows; i++ {
 		fields := make([]string, 0, 2*len(cols))
-		for _, col := range pts {
-			if i < len(col) {
-				p := col[i]
+		for _, col := range cols {
+			if i < col.Len() {
+				p := col.Points[i]
 				fields = append(fields, fmt.Sprintf("%.3f", p.T.Seconds()), fmt.Sprintf("%.4g", p.V))
 			} else {
 				fields = append(fields, "", "")
 			}
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(fields, "\t")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSummary renders one line per series with count/mean/min/max/sum.
-func (r *Recorder) WriteSummary(w io.Writer) error {
-	names := r.Names()
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		s, _ := r.Get(n)
-		if s.Len() == 0 {
-			if _, err := fmt.Fprintf(w, "%-40s empty\n", n); err != nil {
-				return err
-			}
-			continue
-		}
-		_, err := fmt.Fprintf(w, "%-40s n=%-4d mean=%-10.4g min=%-10.4g max=%-10.4g sum=%-10.4g\n",
-			n, s.Len(), s.Mean(), s.Min(), s.Max(), s.Sum())
-		if err != nil {
 			return err
 		}
 	}

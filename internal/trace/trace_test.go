@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,9 +9,6 @@ import (
 
 func TestSeriesStats(t *testing.T) {
 	s := &Series{Name: "x"}
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty")
-	}
 	if s.Mean() != 0 {
 		t.Fatal("Mean on empty")
 	}
@@ -22,15 +18,8 @@ func TestSeriesStats(t *testing.T) {
 	if s.Len() != 3 || s.Sum() != 6 || s.Mean() != 2 {
 		t.Fatalf("stats %v %v %v", s.Len(), s.Sum(), s.Mean())
 	}
-	if s.Max() != 3 || s.Min() != 1 {
-		t.Fatalf("minmax %v %v", s.Min(), s.Max())
-	}
-	last, ok := s.Last()
-	if !ok || last.V != 2 || last.T != 3*time.Second {
+	if last := s.Points[2]; last.V != 2 || last.T != 3*time.Second {
 		t.Fatalf("last %+v", last)
-	}
-	if !math.IsInf((&Series{}).Max(), -1) {
-		t.Fatal("empty Max")
 	}
 }
 
@@ -85,23 +74,5 @@ func TestWriteTable(t *testing.T) {
 	var empty bytes.Buffer
 	if err := NewRecorder().WriteTable(&empty); err != nil || empty.Len() != 0 {
 		t.Fatal("empty recorder")
-	}
-}
-
-func TestWriteSummary(t *testing.T) {
-	r := NewRecorder()
-	r.Series("z", "s").Add(0, 5)
-	r.Series("a", "s")
-	var buf bytes.Buffer
-	if err := r.WriteSummary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "empty") {
-		t.Fatalf("summary missing empty marker:\n%s", out)
-	}
-	// Sorted: "a" line before "z".
-	if strings.Index(out, "a ") > strings.Index(out, "z ") {
-		t.Fatalf("summary not sorted:\n%s", out)
 	}
 }

@@ -259,8 +259,8 @@ type WaitGroup struct {
 	waiters []*Proc
 }
 
-// NewWaitGroup creates an empty wait group.
-func NewWaitGroup(s *Sim) *WaitGroup { return &WaitGroup{sim: s} }
+// newWaitGroup creates an empty wait group.
+func newWaitGroup(s *Sim) *WaitGroup { return &WaitGroup{sim: s} }
 
 // Add increments the counter by delta.
 func (wg *WaitGroup) Add(delta int) {

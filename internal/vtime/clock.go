@@ -1,47 +1,9 @@
 package vtime
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Clock abstracts the passage of time so components (monitors, shapers,
-// transports) can run identically on the simulation kernel and on the real
-// system clock. Virtual-time code paths use *Proc directly; Clock exists
-// for the real-TCP deployment mode of the tools in cmd/.
-type Clock interface {
-	// Now reports elapsed time since the clock's epoch.
-	Now() time.Duration
-	// Sleep suspends the caller for d.
-	Sleep(d time.Duration)
-}
-
-// RealClock is a Clock over the operating-system clock.
-type RealClock struct {
-	epoch time.Time
-}
-
-// NewRealClock returns a RealClock whose epoch is the moment of the call.
-func NewRealClock() *RealClock { return &RealClock{epoch: time.Now()} }
-
-// Now reports wall-clock time since the epoch.
-func (c *RealClock) Now() time.Duration { return time.Since(c.epoch) }
-
-// Sleep suspends the calling goroutine for d of wall-clock time.
-func (c *RealClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// ProcClock adapts a simulation process to the Clock interface. It must
-// only be used by that process.
-type ProcClock struct {
-	P *Proc
-}
-
-// Now reports current virtual time.
-func (c ProcClock) Now() time.Duration { return c.P.Now() }
-
-// Sleep suspends the process for d of virtual time.
-func (c ProcClock) Sleep(d time.Duration) { c.P.Sleep(d) }
 
 // SharedClock is a manually-advanced virtual clock safe for concurrent
 // use: any number of goroutines may read Now while a driver advances it.
@@ -51,44 +13,14 @@ func (c ProcClock) Sleep(d time.Duration) { c.P.Sleep(d) }
 // is ready at epoch 0.
 type SharedClock struct {
 	now atomic.Int64 // nanoseconds since epoch
-
-	mu      sync.Mutex
-	sleeper *sync.Cond
 }
 
 // Now reports the current virtual time.
 func (c *SharedClock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
-// Advance moves the clock forward by d (never backward; d ≤ 0 is a no-op)
-// and wakes sleepers whose deadline has passed.
+// Advance moves the clock forward by d (never backward; d ≤ 0 is a no-op).
 func (c *SharedClock) Advance(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.now.Add(int64(d))
 	}
-	c.now.Add(int64(d))
-	c.mu.Lock()
-	if c.sleeper != nil {
-		c.sleeper.Broadcast()
-	}
-	c.mu.Unlock()
 }
-
-// Sleep suspends the caller until another goroutine advances the clock
-// past now+d.
-func (c *SharedClock) Sleep(d time.Duration) {
-	deadline := c.Now() + d
-	c.mu.Lock()
-	if c.sleeper == nil {
-		c.sleeper = sync.NewCond(&c.mu)
-	}
-	for c.Now() < deadline {
-		c.sleeper.Wait()
-	}
-	c.mu.Unlock()
-}
-
-var (
-	_ Clock = (*RealClock)(nil)
-	_ Clock = ProcClock{}
-	_ Clock = (*SharedClock)(nil)
-)

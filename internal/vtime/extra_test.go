@@ -167,7 +167,7 @@ func TestEventResetRearm(t *testing.T) {
 
 func TestWaitGroupNegativePanics(t *testing.T) {
 	s := NewSim()
-	wg := NewWaitGroup(s)
+	wg := newWaitGroup(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative counter did not panic")

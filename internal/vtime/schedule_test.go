@@ -108,7 +108,7 @@ func (w *schedWorld) callback(k int) {
 
 func (w *schedWorld) program(p *Proc) {
 	id := p.ID()
-	kids := NewWaitGroup(w.s)
+	kids := newWaitGroup(w.s)
 	for n := 4 + w.rng.Intn(24); n > 0 && w.budget > 0; n-- {
 		w.budget--
 		c := w.chans[w.rng.Intn(len(w.chans))]

@@ -388,7 +388,7 @@ func TestEventBroadcast(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	s := NewSim()
-	wg := NewWaitGroup(s)
+	wg := newWaitGroup(s)
 	var doneAt time.Duration
 	for i := 1; i <= 3; i++ {
 		wg.Add(1)

@@ -123,9 +123,6 @@ func NewSchema(name string, fields ...Field) *Schema {
 	return s
 }
 
-// Name returns the schema's declared name (diagnostics only).
-func (s *Schema) Name() string { return s.name }
-
 // field resolves a field by name. Linear scan: schemas are small and the
 // result is used on hot paths where a map hit would cost as much.
 func (s *Schema) field(name string) (int, *Field) {

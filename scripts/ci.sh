@@ -5,7 +5,7 @@
 # pipeline across jobs:
 #
 #   scripts/ci.sh            # full gate (lint, unit, smoke, bench)
-#   scripts/ci.sh lint       # build + vet + staticcheck
+#   scripts/ci.sh lint       # build + vet + staticcheck + surface ratchet
 #   scripts/ci.sh unit       # race-detector test suite (quick gate first)
 #   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, figure-golden and fuzz smokes
 #   scripts/ci.sh fuzz       # just the fuzz smoke (FUZZTIME=5m for the nightly pass)
@@ -31,6 +31,12 @@ run_lint() {
 
 	echo "== make lint (vet + staticcheck when installed)"
 	make lint
+
+	# Surface ratchet: exported names no other package uses, names and
+	# methods only tests reach, and settable knobs may fall but never
+	# rise, and every test-only name is kept for a stated reason.
+	echo "== surface ratchet (scripts/surface.txt)"
+	go run ./scripts/internal/surface -check scripts/surface.txt
 }
 
 run_unit() {
