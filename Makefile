@@ -19,9 +19,14 @@ bin:
 vet:
 	$(GO) vet ./...
 
-# vet plus staticcheck when installed; CI always installs it, local runs
-# degrade gracefully so the gate never needs network access.
+# gofmt and vet, plus staticcheck when installed; CI always installs it,
+# local runs degrade gracefully so the gate never needs network access.
 lint: vet
+	@echo "== gofmt -l ."; \
+	unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "== staticcheck ./..."; \
 		staticcheck ./...; \

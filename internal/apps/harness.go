@@ -234,7 +234,7 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 
 	var drv *faults.Driver
 	if cfg.Chaos != nil {
-		drv, err = faults.NewDriver(h.sim, links, *cfg.Chaos)
+		drv, err = faults.NewDriver(h.sim, links, nil, *cfg.Chaos)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"tunable/internal/faults"
 	"tunable/internal/perfstore"
 	"tunable/internal/resource"
-	"tunable/internal/scheduler"
 	"tunable/internal/spec"
 	"tunable/internal/trace"
 )
@@ -49,46 +48,29 @@ const (
 // long bandwidth dip on the data link, opening at driftDipAt and lasting
 // through the rest of the run.
 func DriftSchedule(seed uint64) faults.Schedule {
-	return faults.NewSchedule(seed, faults.Event{
-		At:       driftDipAt,
-		Duration: time.Hour,
-		Kind:     faults.Bandwidth,
-		Target:   "data",
-		Rate:     driftDipBW,
-	})
+	return step(seed, driftDipAt, faults.Bandwidth, "data", driftDipBW)
 }
 
-func driftPrefs() []scheduler.Preference {
-	return []scheduler.Preference{
-		{
-			Name:        "deadline-10s",
-			Constraints: []scheduler.Constraint{scheduler.AtMost("transmit_time", DriftDeadline)},
-			Objective:   "resolution",
-		},
-		{
-			Name:      "fastest",
-			Objective: "transmit_time",
-		},
+// drift is the drift experiment's scenario under the given seed; it has
+// no static baselines.
+func drift(seed uint64) scenario {
+	return scenario{
+		db:    Fig6bDB,
+		prefs: deadline(DriftDeadline),
+		base:  avis.WorldConfig{Bandwidth: driftBaseBW, ClientShare: driftShare},
+		sched: DriftSchedule(seed),
 	}
-}
-
-func driftBase() avis.WorldConfig {
-	return avis.WorldConfig{Bandwidth: driftBaseBW, ClientShare: driftShare}
-}
-
-func driftInitRes() resource.Vector {
-	return resource.Vector{resource.CPU: driftShare, resource.Bandwidth: driftBaseBW}
 }
 
 // RunDriftOffline runs the drift scenario with the adaptation loop
 // reading the stale offline database only.
 func RunDriftOffline(seed uint64) (RunResult, error) {
-	db, err := Fig6bDB()
+	sc := drift(seed)
+	db, err := sc.db()
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runAdaptiveOpts("offline", db, driftPrefs(), driftBase(), DriftImages,
-		driftInitRes(), nil, false, withFaultSchedule(DriftSchedule(seed)))
+	return runAdaptive("offline", db, sc, DriftImages)
 }
 
 // RunDriftOnline runs the same scenario with the adaptation loop reading
@@ -99,7 +81,8 @@ func RunDriftOffline(seed uint64) (RunResult, error) {
 // model. The store is flushed but left open (the caller owns the backend
 // and inspects or closes it).
 func RunDriftOnline(seed uint64, backend perfstore.Store) (RunResult, *perfstore.PerfStore, error) {
-	db, err := Fig6bDB()
+	sc := drift(seed)
+	db, err := sc.db()
 	if err != nil {
 		return RunResult{}, nil, err
 	}
@@ -111,7 +94,7 @@ func RunDriftOnline(seed uint64, backend perfstore.Store) (RunResult, *perfstore
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	// raise is bound inside runAdaptiveOpts once the monitor and steering
+	// raise is bound inside runAdaptive once the monitor and steering
 	// agent exist; until then refinements cannot trigger (and none occur,
 	// since ingest starts with the run). The 5% threshold matters: EW
 	// refinement converges geometrically, so the fold that finally moves a
@@ -123,20 +106,17 @@ func RunDriftOnline(seed uint64, backend perfstore.Store) (RunResult, *perfstore
 			raise(configKey)
 		}
 	})
-	r, err := runAdaptiveOpts("online", ps, driftPrefs(), driftBase(), DriftImages,
-		driftInitRes(), nil, false,
-		withFaultSchedule(DriftSchedule(seed)),
-		withOnStat(func(stat avis.ImageStat, res resource.Vector, cfg spec.Config) {
-			ps.Offer(perfstore.Sample{
-				Config:    cfg,
-				Resources: res,
-				Observed:  stat.Metrics(),
-				At:        stat.Start + stat.TransmitTime,
-				Source:    "avis-client",
-			})
-		}),
-		withModelTrigger(&raise),
-	)
+	sc.modelTrigger = &raise
+	sc.onStat = func(stat avis.ImageStat, res resource.Vector, cfg spec.Config) {
+		ps.Offer(perfstore.Sample{
+			Config:    cfg,
+			Resources: res,
+			Observed:  stat.Metrics(),
+			At:        stat.Start + stat.TransmitTime,
+			Source:    "avis-client",
+		})
+	}
+	r, err := runAdaptive("online", ps, sc, DriftImages)
 	ps.Flush()
 	return r, ps, err
 }
@@ -190,12 +170,4 @@ func DriftWith(seed uint64, backend perfstore.Store) (*FigResult, RunResult, Run
 		},
 	}
 	return fig, offline, online, nil
-}
-
-// withModelTrigger installs the model-drift trigger path: *raise is bound
-// (once the world exists) to a function that, when the refined
-// configuration is the active one, injects a synthetic trigger into the
-// monitoring agent's channel so the control loop reconsiders.
-func withModelTrigger(raise *func(configKey string)) adaptOpt {
-	return func(c *adaptCfg) { c.modelTrigger = raise }
 }

@@ -33,6 +33,7 @@ import (
 	"tunable/internal/perfdb"
 	"tunable/internal/profiler"
 	"tunable/internal/resource"
+	"tunable/internal/sandbox"
 	"tunable/internal/scheduler"
 	"tunable/internal/spec"
 	"tunable/internal/steering"
@@ -159,71 +160,54 @@ func cfg(dr int, codec string, level int) spec.Config {
 	return avis.Params{DR: dr, Codec: codec, Level: level}.Config()
 }
 
-// Shared per-figure databases, built on first use.
-var (
-	fig5Once sync.Once
-	fig5DB   *perfdb.DB
-	fig5Err  error
-
-	fig6aOnce sync.Once
-	fig6aDB   *perfdb.DB
-	fig6aErr  error
-
-	fig6bOnce sync.Once
-	fig6bDB   *perfdb.DB
-	fig6bErr  error
-)
-
 // CPU-share and bandwidth sample points.
 var (
 	shareAxis = resource.Linspace(0.1, 1.0, 10)
 	bwAxis    = []float64{25e3, 50e3, 100e3, 200e3, 350e3, 500e3, 750e3, 1000e3}
 )
 
-// Fig5DB: fovea sizes {80,160,320}, lzw level 4, CPU swept, bandwidth
-// fixed at 500 KB/s (the Experiment 3 regime).
-func Fig5DB() (*perfdb.DB, error) {
-	fig5Once.Do(func() {
+// Shared per-figure databases, each built on first use.
+var (
+	fig5DB = sync.OnceValues(func() (*perfdb.DB, error) {
 		grid := resource.NewGrid(
 			resource.Axis{Kind: resource.CPU, Points: shareAxis},
 			resource.Axis{Kind: resource.Bandwidth, Points: []float64{500e3}},
 		)
-		fig5DB, fig5Err = buildDB([]spec.Config{
+		return buildDB([]spec.Config{
 			cfg(80, "lzw", 4), cfg(160, "lzw", 4), cfg(320, "lzw", 4),
 		}, grid, 500e3)
 	})
-	return fig5DB, fig5Err
-}
-
-// Fig6aDB: codecs {lzw,bzw} at dR 320 level 4, bandwidth swept, CPU fixed
-// at 1.0 (the Experiment 1 regime).
-func Fig6aDB() (*perfdb.DB, error) {
-	fig6aOnce.Do(func() {
+	fig6aDB = sync.OnceValues(func() (*perfdb.DB, error) {
 		grid := resource.NewGrid(
 			resource.Axis{Kind: resource.CPU, Points: []float64{1.0}},
 			resource.Axis{Kind: resource.Bandwidth, Points: bwAxis},
 		)
-		fig6aDB, fig6aErr = buildDB([]spec.Config{
+		return buildDB([]spec.Config{
 			cfg(320, "lzw", 4), cfg(320, "bzw", 4),
 		}, grid, 500e3)
 	})
-	return fig6aDB, fig6aErr
-}
-
-// Fig6bDB: resolution levels {2,3,4} with bzw at dR 320, CPU swept,
-// bandwidth fixed at 200 KB/s (the Experiment 2 regime).
-func Fig6bDB() (*perfdb.DB, error) {
-	fig6bOnce.Do(func() {
+	fig6bDB = sync.OnceValues(func() (*perfdb.DB, error) {
 		grid := resource.NewGrid(
 			resource.Axis{Kind: resource.CPU, Points: shareAxis},
 			resource.Axis{Kind: resource.Bandwidth, Points: []float64{200e3}},
 		)
-		fig6bDB, fig6bErr = buildDB([]spec.Config{
+		return buildDB([]spec.Config{
 			cfg(320, "bzw", 2), cfg(320, "bzw", 3), cfg(320, "bzw", 4),
 		}, grid, 200e3)
 	})
-	return fig6bDB, fig6bErr
-}
+)
+
+// Fig5DB: fovea sizes {80,160,320}, lzw level 4, CPU swept, bandwidth
+// fixed at 500 KB/s (the Experiment 3 regime).
+func Fig5DB() (*perfdb.DB, error) { return fig5DB() }
+
+// Fig6aDB: codecs {lzw,bzw} at dR 320 level 4, bandwidth swept, CPU fixed
+// at 1.0 (the Experiment 1 regime).
+func Fig6aDB() (*perfdb.DB, error) { return fig6aDB() }
+
+// Fig6bDB: resolution levels {2,3,4} with bzw at dR 320, CPU swept,
+// bandwidth fixed at 200 KB/s (the Experiment 2 regime).
+func Fig6bDB() (*perfdb.DB, error) { return fig6bDB() }
 
 // RunResult is the outcome of one timeline run (adaptive or static).
 type RunResult struct {
@@ -249,41 +233,27 @@ func (r RunResult) completionSeries(rec *trace.Recorder, metric string) {
 	}
 }
 
-// runStatic executes n image downloads under fixed parameters; perturb may
-// install timers that change resources mid-run.
-func runStatic(label string, base avis.WorldConfig, n int, perturb func(*avis.World)) (RunResult, error) {
-	base.Store = store
-	base.Side = ImageSide
-	base.Levels = Levels
-	base.Seeds = expSeeds
-	w, err := avis.NewWorld(base)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if perturb != nil {
-		perturb(w)
-	}
-	stats, err := w.RunSequence(n)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{Label: label, Stats: stats, Final: w.Client.Params().Config()}
-	if len(stats) > 0 {
-		last := stats[len(stats)-1]
-		res.Total = last.Start + last.TransmitTime
-	}
-	return res, nil
-}
-
-// adaptCfg carries the optional knobs of an adaptive run.
-type adaptCfg struct {
+// scenario is one run-time experiment as data: the world it starts in,
+// the schedule that perturbs it mid-run, the model and preferences the
+// adaptive run schedules with, and the configurations its two static
+// baselines hold.
+type scenario struct {
+	db    func() (*perfdb.DB, error)
+	prefs []scheduler.Preference
+	// base carries the starting resources (Bandwidth, ClientShare); the
+	// adaptive run's initial selection is made for exactly these.
+	base    avis.WorldConfig
+	sched   faults.Schedule
+	statics [2]baseline
+	// distributed moves the bandwidth probe into a separate agent in the
+	// server instance that pushes its estimates to the client's agent, as
+	// the paper's inter-monitor communication does, instead of one agent
+	// probing both components directly.
+	distributed bool
 	// onStat receives every completed image download together with the
 	// monitor's resource snapshot and the configuration it ran under —
 	// the live-telemetry ingest point (perfstore.Offer hangs off it).
 	onStat func(stat avis.ImageStat, res resource.Vector, cfg spec.Config)
-	// faultSched, when non-nil, is installed on the world's data link
-	// through the seeded fault driver before the run starts.
-	faultSched *faults.Schedule
 	// modelTrigger, when non-nil, is bound (once monitor and steering
 	// exist) to a function that raises a synthetic monitoring trigger if
 	// the named configuration is the active one — the model-drift path:
@@ -292,41 +262,76 @@ type adaptCfg struct {
 	modelTrigger *func(configKey string)
 }
 
-// adaptOpt customizes runAdaptiveOpts.
-type adaptOpt func(*adaptCfg)
-
-// withOnStat registers the per-image telemetry hook.
-func withOnStat(fn func(avis.ImageStat, resource.Vector, spec.Config)) adaptOpt {
-	return func(c *adaptCfg) { c.onStat = fn }
+// baseline is a static run: one configuration held throughout.
+type baseline struct {
+	label  string
+	params avis.Params
 }
 
-// withFaultSchedule arms a seeded fault schedule on the data link.
-func withFaultSchedule(s faults.Schedule) adaptOpt {
-	return func(c *adaptCfg) { c.faultSched = &s }
+// loopMonitor is the monitoring agents' setting in every adaptive run.
+var loopMonitor = []monitor.Option{
+	monitor.WithPeriod(10 * time.Millisecond),
+	monitor.WithWindow(500 * time.Millisecond),
+	monitor.WithHysteresis(5),
 }
 
-// runAdaptiveOpts executes n image downloads under the full adaptation
-// framework: monitoring agent (CPU probe on the client sandbox, bandwidth
-// probe on the server's sending side), resource scheduler over db with the
-// given preferences, and steering agent attached to the client. With
-// distributed set, a separate agent in the server instance observes the
-// network and pushes its estimates to the client's agent, as the paper's
-// inter-monitor communication does, instead of one agent probing both
-// components directly. db is any perfdb.Model — the offline database or a
-// live perfstore.
-func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference,
-	base avis.WorldConfig, n int, initRes resource.Vector, perturb func(*avis.World),
-	distributed bool, opts ...adaptOpt) (RunResult, error) {
-
-	var ac adaptCfg
-	for _, o := range opts {
-		o(&ac)
+// newWorld builds an experiment world from base and arms sched on it: link
+// events on the data link, CPU events on the client sandbox.
+func newWorld(base avis.WorldConfig, sched faults.Schedule) (*avis.World, error) {
+	base.Store = store
+	base.Side = ImageSide
+	base.Levels = Levels
+	base.Seeds = expSeeds
+	w, err := avis.NewWorld(base)
+	if err != nil {
+		return nil, err
 	}
+	drv, err := faults.NewDriver(w.Sim, map[string]*netem.Link{"data:avis": w.Link},
+		map[string]*sandbox.Sandbox{"client": w.ClientSB}, sched)
+	if err != nil {
+		return nil, err
+	}
+	drv.Install()
+	return w, nil
+}
 
+// runStatic executes n image downloads of the scenario holding b's
+// configuration throughout.
+func runStatic(sc scenario, b baseline, n int) (RunResult, error) {
+	base := sc.base
+	base.Params = b.params
+	w, err := newWorld(base, sc.sched)
+	if err != nil {
+		return RunResult{}, err
+	}
+	stats, err := w.RunSequence(n)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return RunResult{Label: b.label, Stats: stats, Total: finish(stats), Final: w.Client.Params().Config()}, nil
+}
+
+// finish is the instant the last of stats completed.
+func finish(stats []avis.ImageStat) time.Duration {
+	if len(stats) == 0 {
+		return 0
+	}
+	last := stats[len(stats)-1]
+	return last.Start + last.TransmitTime
+}
+
+// runAdaptive executes n image downloads of the scenario under the full
+// adaptation framework: monitoring agent (CPU probe on the client sandbox,
+// bandwidth probe on the server's sending side), resource scheduler over
+// db with the scenario's preferences, and steering agent attached to the
+// client. db is any perfdb.Model — the offline database or a live
+// perfstore.
+func runAdaptive(label string, db perfdb.Model, sc scenario, n int) (RunResult, error) {
 	app := db.App()
+	initRes := resource.Vector{resource.CPU: sc.base.ClientShare, resource.Bandwidth: sc.base.Bandwidth}
 	// Provisional scheduler pass to learn the initial configuration the
 	// framework will select, so the world starts in it.
-	sched0, err := scheduler.New(app, db, prefs)
+	sched0, err := scheduler.New(app, db, sc.prefs)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -334,30 +339,19 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 	if err != nil {
 		return RunResult{}, err
 	}
-	params, err := avis.ParamsFromConfig(d0.Config)
+	base := sc.base
+	if base.Params, err = avis.ParamsFromConfig(d0.Config); err != nil {
+		return RunResult{}, err
+	}
+	w, err := newWorld(base, sc.sched)
 	if err != nil {
 		return RunResult{}, err
 	}
-	base.Store = store
-	base.Side = ImageSide
-	base.Levels = Levels
-	base.Seeds = expSeeds
-	base.Params = params
-	w, err := avis.NewWorld(base)
-	if err != nil {
-		return RunResult{}, err
-	}
-	mon := monitor.New(w.Sim, "client-monitor",
-		monitor.WithPeriod(10*time.Millisecond),
-		monitor.WithWindow(500*time.Millisecond),
-		monitor.WithHysteresis(5))
+	mon := monitor.New(w.Sim, "client-monitor", loopMonitor...)
 	mon.AddProbe(monitor.NewCPUProbe("client", w.ClientSB))
 	var remotes []*monitor.Agent
-	if distributed {
-		srvMon := monitor.New(w.Sim, "server-monitor",
-			monitor.WithPeriod(10*time.Millisecond),
-			monitor.WithWindow(500*time.Millisecond),
-			monitor.WithHysteresis(5))
+	if sc.distributed {
+		srvMon := monitor.New(w.Sim, "server-monitor", loopMonitor...)
 		srvMon.AddProbe(monitor.NewBandwidthProbe("net", w.Link.B()))
 		srvMon.AddPeer(mon.Inbox())
 		remotes = append(remotes, srvMon)
@@ -369,9 +363,9 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 		return RunResult{}, err
 	}
 	w.Client.AttachSteering(steer)
-	if ac.modelTrigger != nil {
+	if sc.modelTrigger != nil {
 		sim := w.Sim
-		*ac.modelTrigger = func(configKey string) {
+		*sc.modelTrigger = func(configKey string) {
 			if steer.Current().Key() != configKey {
 				return
 			}
@@ -385,7 +379,7 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 	fw, err := core.New(w.Sim, core.Config{
 		App:          app,
 		DB:           db,
-		Preferences:  prefs,
+		Preferences:  sc.prefs,
 		Monitor:      mon,
 		Steering:     steer,
 		Components:   core.Components{resource.CPU: "client", resource.Bandwidth: "net"},
@@ -396,16 +390,6 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 	}
 	if _, err := fw.SelectInitial(initRes); err != nil {
 		return RunResult{}, err
-	}
-	if perturb != nil {
-		perturb(w)
-	}
-	if ac.faultSched != nil {
-		drv, err := faults.NewDriver(w.Sim, map[string]*netem.Link{"data:avis": w.Link}, *ac.faultSched)
-		if err != nil {
-			return RunResult{}, err
-		}
-		drv.Install()
 	}
 	fw.Start()
 	mon.Start()
@@ -432,8 +416,8 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 				return
 			}
 			stats = append(stats, st)
-			if ac.onStat != nil {
-				ac.onStat(st, mon.Snapshot(), steer.Current())
+			if sc.onStat != nil {
+				sc.onStat(st, mon.Snapshot(), steer.Current())
 			}
 		}
 		w.Client.Close(p)
@@ -444,18 +428,14 @@ func runAdaptiveOpts(label string, db perfdb.Model, prefs []scheduler.Preference
 	if ferr != nil {
 		return RunResult{}, ferr
 	}
-	res := RunResult{
+	return RunResult{
 		Label:    label,
 		Stats:    stats,
+		Total:    finish(stats),
 		Switches: steer.Switches(),
 		Events:   fw.Events(),
 		Final:    steer.Current(),
-	}
-	if len(stats) > 0 {
-		last := stats[len(stats)-1]
-		res.Total = last.Start + last.TransmitTime
-	}
-	return res, nil
+	}, nil
 }
 
 func seconds(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }

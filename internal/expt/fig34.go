@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tunable/internal/avis"
+	"tunable/internal/faults"
 	"tunable/internal/monitor"
 	"tunable/internal/sandbox"
 	"tunable/internal/trace"
@@ -28,8 +29,13 @@ func Figure3a() (*FigResult, error) {
 		// A tight compute loop, far more work than the run needs.
 		sb.Compute(p, 1e12)
 	})
-	sim.After(20*time.Second, func() { _ = sb.SetCPUShare(0.4) })
-	sim.After(50*time.Second, func() { _ = sb.SetCPUShare(0.6) })
+	drv, err := faults.NewDriver(sim, nil, map[string]*sandbox.Sandbox{"toy": sb}, faults.NewSchedule(0,
+		faults.Event{At: 20 * time.Second, Duration: 30 * time.Second, Kind: faults.CPU, Rate: 0.4},
+		faults.Event{At: 50 * time.Second, Duration: time.Hour, Kind: faults.CPU, Rate: 0.6}))
+	if err != nil {
+		return nil, err
+	}
+	drv.Install()
 	rec := trace.NewRecorder()
 	series := rec.Series("achieved-share", "")
 	probe := monitor.NewCPUProbe("toy", sb)

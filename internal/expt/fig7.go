@@ -6,8 +6,7 @@ import (
 	"time"
 
 	"tunable/internal/avis"
-	"tunable/internal/perfdb"
-	"tunable/internal/resource"
+	"tunable/internal/faults"
 	"tunable/internal/scheduler"
 	"tunable/internal/trace"
 )
@@ -64,19 +63,88 @@ func runWorlds(adaptive, staticA, staticB worldRun) (*ExperimentResult, error) {
 	return &e, nil
 }
 
-// adaptiveWorld is the run under the full framework, one monitoring agent.
-func adaptiveWorld(db *perfdb.DB, prefs []scheduler.Preference, base avis.WorldConfig,
-	initRes resource.Vector, perturb func(*avis.World)) worldRun {
-	return func() (RunResult, error) {
-		return runAdaptiveOpts("adaptive", db, prefs, base, NumImages, initRes, perturb, false)
+// experiment runs the scenario's adaptive world over its database and
+// its two static baselines with run, and plots the outcome with figure.
+func (sc scenario) experiment(run worldsRunner, figure func(*ExperimentResult) *FigResult) (*ExperimentResult, error) {
+	db, err := sc.db()
+	if err != nil {
+		return nil, err
+	}
+	static := func(b baseline) worldRun {
+		return func() (RunResult, error) { return runStatic(sc, b, NumImages) }
+	}
+	e, err := run(
+		func() (RunResult, error) { return runAdaptive("adaptive", db, sc, NumImages) },
+		static(sc.statics[0]), static(sc.statics[1]))
+	if err != nil {
+		return nil, err
+	}
+	e.Fig = figure(e)
+	return e, nil
+}
+
+// step is a schedule that sets one resource of the targets to rate at the
+// instant at and holds it for the rest of the run.
+func step(seed uint64, at time.Duration, kind faults.Kind, target string, rate float64) faults.Schedule {
+	return faults.NewSchedule(seed, faults.Event{At: at, Duration: time.Hour, Kind: kind, Target: target, Rate: rate})
+}
+
+// deadline maximizes resolution subject to a transmission-time bound in
+// seconds, delivering fastest when nothing meets it.
+func deadline(bound float64) []scheduler.Preference {
+	return []scheduler.Preference{
+		{
+			Name:        fmt.Sprintf("deadline-%gs", bound),
+			Constraints: []scheduler.Constraint{scheduler.AtMost("transmit_time", bound)},
+			Objective:   "resolution",
+		},
+		fastest,
 	}
 }
 
-// staticWorld is the baseline that holds p throughout.
-func staticWorld(label string, base avis.WorldConfig, p avis.Params, perturb func(*avis.World)) worldRun {
-	base.Params = p
-	return func() (RunResult, error) { return runStatic(label, base, NumImages, perturb) }
-}
+// fastest is the fallback preference when nothing meets a constraint.
+var fastest = scheduler.Preference{Name: "fastest", Objective: "transmit_time"}
+
+// The scenarios of Experiment1, Experiment2 and Experiment3.
+var (
+	exp1 = scenario{
+		db:    Fig6aDB,
+		prefs: []scheduler.Preference{{Name: "min-transmit", Objective: "transmit_time"}},
+		base:  avis.WorldConfig{Bandwidth: 500e3, ClientShare: 1.0},
+		sched: step(0, exp1DropAt, faults.Bandwidth, "data", 50e3),
+		statics: [2]baseline{
+			{"lzw-only", avis.Params{DR: 320, Codec: "lzw", Level: 4}},
+			{"bzw-only", avis.Params{DR: 320, Codec: "bzw", Level: 4}},
+		},
+	}
+	exp2 = scenario{
+		db:    Fig6bDB,
+		prefs: deadline(10),
+		base:  avis.WorldConfig{Bandwidth: 200e3, ClientShare: 0.9},
+		sched: step(0, exp2DropAt, faults.CPU, "client", 0.4),
+		statics: [2]baseline{
+			{"level4-only", avis.Params{DR: 320, Codec: "bzw", Level: 4}},
+			{"level3-only", avis.Params{DR: 320, Codec: "bzw", Level: 3}},
+		},
+	}
+	exp3 = scenario{
+		db: Fig5DB,
+		prefs: []scheduler.Preference{
+			{
+				Name:        "responsive",
+				Constraints: []scheduler.Constraint{scheduler.AtMost("response_time", 1.0)},
+				Objective:   "transmit_time",
+			},
+			fastest,
+		},
+		base:  avis.WorldConfig{Bandwidth: 500e3, ClientShare: 0.9},
+		sched: step(0, exp3DropAt, faults.CPU, "client", 0.4),
+		statics: [2]baseline{
+			{"fovea320-only", avis.Params{DR: 320, Codec: "lzw", Level: 4}},
+			{"fovea80-only", avis.Params{DR: 80, Codec: "lzw", Level: 4}},
+		},
+	}
+)
 
 // figure plots the three runs' per-image metric against completion time.
 func (e *ExperimentResult) figure(id, title, metric string, notes ...string) *FigResult {
@@ -94,32 +162,13 @@ func (e *ExperimentResult) figure(id, title, metric string, notes ...string) *Fi
 func Experiment1() (*ExperimentResult, error) { return experiment1(runWorlds) }
 
 func experiment1(run worldsRunner) (*ExperimentResult, error) {
-	db, err := Fig6aDB()
-	if err != nil {
-		return nil, err
-	}
-	prefs := []scheduler.Preference{{
-		Name:      "min-transmit",
-		Objective: "transmit_time",
-	}}
-	base := avis.WorldConfig{Bandwidth: 500e3, ClientShare: 1.0}
-	perturb := func(w *avis.World) {
-		w.Sim.After(exp1DropAt, func() { _ = w.Link.SetBandwidth(50e3) })
-	}
-	initRes := resource.Vector{resource.CPU: 1.0, resource.Bandwidth: 500e3}
-	e, err := run(
-		adaptiveWorld(db, prefs, base, initRes, perturb),
-		staticWorld("lzw-only", base, avis.Params{DR: 320, Codec: "lzw", Level: 4}, perturb),
-		staticWorld("bzw-only", base, avis.Params{DR: 320, Codec: "bzw", Level: 4}, perturb))
-	if err != nil {
-		return nil, err
-	}
-	e.Fig = e.figure("fig7a", "Experiment 1: adapting the compression method to a bandwidth drop", "transmit_time",
-		fmt.Sprintf("bandwidth 500 KB/s -> 50 KB/s at t=%s", exp1DropAt),
-		fmt.Sprintf("totals: adaptive %s, lzw-only %s, bzw-only %s",
-			seconds(e.Adaptive.Total), seconds(e.StaticA.Total), seconds(e.StaticB.Total)),
-		fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()))
-	return e, nil
+	return exp1.experiment(run, func(e *ExperimentResult) *FigResult {
+		return e.figure("fig7a", "Experiment 1: adapting the compression method to a bandwidth drop", "transmit_time",
+			fmt.Sprintf("bandwidth 500 KB/s -> 50 KB/s at t=%s", exp1DropAt),
+			fmt.Sprintf("totals: adaptive %s, lzw-only %s, bzw-only %s",
+				seconds(e.Adaptive.Total), seconds(e.StaticA.Total), seconds(e.StaticB.Total)),
+			fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()))
+	})
 }
 
 // Experiment2 reproduces Section 7.3: image transmission must finish
@@ -129,40 +178,13 @@ func experiment1(run worldsRunner) (*ExperimentResult, error) {
 func Experiment2() (*ExperimentResult, error) { return experiment2(runWorlds) }
 
 func experiment2(run worldsRunner) (*ExperimentResult, error) {
-	db, err := Fig6bDB()
-	if err != nil {
-		return nil, err
-	}
-	prefs := []scheduler.Preference{
-		{
-			Name:        "deadline-10s",
-			Constraints: []scheduler.Constraint{scheduler.AtMost("transmit_time", 10)},
-			Objective:   "resolution",
-		},
-		{
-			// Fallback when nothing meets the deadline: deliver fastest.
-			Name:      "fastest",
-			Objective: "transmit_time",
-		},
-	}
-	base := avis.WorldConfig{Bandwidth: 200e3, ClientShare: 0.9}
-	perturb := func(w *avis.World) {
-		w.Sim.After(exp2DropAt, func() { _ = w.ClientSB.SetCPUShare(0.4) })
-	}
-	initRes := resource.Vector{resource.CPU: 0.9, resource.Bandwidth: 200e3}
-	e, err := run(
-		adaptiveWorld(db, prefs, base, initRes, perturb),
-		staticWorld("level4-only", base, avis.Params{DR: 320, Codec: "bzw", Level: 4}, perturb),
-		staticWorld("level3-only", base, avis.Params{DR: 320, Codec: "bzw", Level: 3}, perturb))
-	if err != nil {
-		return nil, err
-	}
-	e.Fig = e.figure("fig7b", "Experiment 2: degrading image resolution as the CPU share drops", "transmit_time",
-		fmt.Sprintf("client CPU share 0.9 -> 0.4 at t=%s; deadline 10 s; maximize resolution", exp2DropAt),
-		fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()),
-		fmt.Sprintf("deadline violations: adaptive %d, level4-only %d, level3-only %d",
-			violations(e.Adaptive, 10), violations(e.StaticA, 10), violations(e.StaticB, 10)))
-	return e, nil
+	return exp2.experiment(run, func(e *ExperimentResult) *FigResult {
+		return e.figure("fig7b", "Experiment 2: degrading image resolution as the CPU share drops", "transmit_time",
+			fmt.Sprintf("client CPU share 0.9 -> 0.4 at t=%s; deadline 10 s; maximize resolution", exp2DropAt),
+			fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()),
+			fmt.Sprintf("deadline violations: adaptive %d, level4-only %d, level3-only %d",
+				violations(e.Adaptive, 10), violations(e.StaticA, 10), violations(e.StaticB, 10)))
+	})
 }
 
 // Experiment3 reproduces Section 7.4: round response time must stay below
@@ -172,37 +194,11 @@ func experiment2(run worldsRunner) (*ExperimentResult, error) {
 func Experiment3() (*ExperimentResult, error) { return experiment3(runWorlds) }
 
 func experiment3(run worldsRunner) (*ExperimentResult, error) {
-	db, err := Fig5DB()
-	if err != nil {
-		return nil, err
-	}
-	prefs := []scheduler.Preference{
-		{
-			Name:        "responsive",
-			Constraints: []scheduler.Constraint{scheduler.AtMost("response_time", 1.0)},
-			Objective:   "transmit_time",
-		},
-		{
-			Name:      "fastest",
-			Objective: "transmit_time",
-		},
-	}
-	base := avis.WorldConfig{Bandwidth: 500e3, ClientShare: 0.9}
-	perturb := func(w *avis.World) {
-		w.Sim.After(exp3DropAt, func() { _ = w.ClientSB.SetCPUShare(0.4) })
-	}
-	initRes := resource.Vector{resource.CPU: 0.9, resource.Bandwidth: 500e3}
-	e, err := run(
-		adaptiveWorld(db, prefs, base, initRes, perturb),
-		staticWorld("fovea320-only", base, avis.Params{DR: 320, Codec: "lzw", Level: 4}, perturb),
-		staticWorld("fovea80-only", base, avis.Params{DR: 80, Codec: "lzw", Level: 4}, perturb))
-	if err != nil {
-		return nil, err
-	}
-	e.Fig = e.figure("fig7c", "Experiment 3: changing the fovea size as the CPU share drops (response time)", "response_time",
-		fmt.Sprintf("client CPU share 0.9 -> 0.4 at t=%s; response bound 1 s; minimize transmit time", exp3DropAt),
-		fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()))
-	return e, nil
+	return exp3.experiment(run, func(e *ExperimentResult) *FigResult {
+		return e.figure("fig7c", "Experiment 3: changing the fovea size as the CPU share drops (response time)", "response_time",
+			fmt.Sprintf("client CPU share 0.9 -> 0.4 at t=%s; response bound 1 s; minimize transmit time", exp3DropAt),
+			fmt.Sprintf("adaptive switches: %d, final config %s", e.Adaptive.Switches, e.Adaptive.Final.Key()))
+	})
 }
 
 // Figure7d renders the transmission-time view of Experiment 3.
@@ -229,21 +225,13 @@ func violations(r RunResult, deadlineSeconds float64) int {
 // peer messages before triggering the scheduler — the deployment shape
 // Section 6.1 describes.
 func experiment1Distributed() (*ExperimentResult, error) {
-	db, err := Fig6aDB()
+	db, err := exp1.db()
 	if err != nil {
 		return nil, err
 	}
-	prefs := []scheduler.Preference{{
-		Name:      "min-transmit",
-		Objective: "transmit_time",
-	}}
-	base := avis.WorldConfig{Bandwidth: 500e3, ClientShare: 1.0}
-	perturb := func(w *avis.World) {
-		w.Sim.After(exp1DropAt, func() { _ = w.Link.SetBandwidth(50e3) })
-	}
-	initRes := resource.Vector{resource.CPU: 1.0, resource.Bandwidth: 500e3}
-	adaptive, err := runAdaptiveOpts("adaptive-distributed", db, prefs, base,
-		NumImages, initRes, perturb, true)
+	sc := exp1
+	sc.distributed = true
+	adaptive, err := runAdaptive("adaptive-distributed", db, sc, NumImages)
 	if err != nil {
 		return nil, err
 	}

@@ -7,48 +7,55 @@ import (
 
 	"tunable/internal/metrics"
 	"tunable/internal/netem"
+	"tunable/internal/sandbox"
 	"tunable/internal/vtime"
 )
 
-// Driver applies a Schedule to simulated netem.Links in virtual time.
+// Driver applies a Schedule in virtual time to simulated netem.Links and
+// sandbox.Sandboxes, each under a label the events' targets match.
 // Because the vtime kernel is deterministic, the same schedule against the
 // same simulation replays the exact same fault sequence — virtual
 // timestamps included.
 //
 // Supported kinds: Drop (link loss rate), Latency (added one-way delay),
 // Bandwidth (link rate dip), Partition (loss 1.0 — every frame serialized
-// then dropped). Reset and Pause have no simulated-link analogue and are
-// skipped.
+// then dropped) on links, and CPU (share step) on sandboxes. Reset and
+// Pause have no simulated analogue and are skipped.
 type Driver struct {
-	sim   *vtime.Sim
-	links map[string]*netem.Link
-	sched Schedule
-	log   []Injected
+	sim       *vtime.Sim
+	links     map[string]*netem.Link
+	sandboxes map[string]*sandbox.Sandbox
+	sched     Schedule
+	log       []Injected
 
 	// baselines captured at Install time; refresh folds active windows on
 	// top of these at every event boundary.
-	baseBW   map[string]float64
-	baseLat  map[string]time.Duration
-	baseLoss map[string]float64
+	baseBW    map[string]float64
+	baseLat   map[string]time.Duration
+	baseLoss  map[string]float64
+	baseShare map[string]float64
 
 	reg       *metrics.Registry
 	mInjected map[Kind]*metrics.Counter
 }
 
-// NewDriver prepares a driver over the given labelled links. The schedule
-// must validate. Call Install to arm the events on the simulation clock
-// (offsets are relative to the simulation's current time).
-func NewDriver(sim *vtime.Sim, links map[string]*netem.Link, sched Schedule) (*Driver, error) {
+// NewDriver prepares a driver over the given labelled links and sandboxes
+// (either map may be nil). The schedule must validate. Call Install to arm
+// the events on the simulation clock (offsets are relative to the
+// simulation's current time).
+func NewDriver(sim *vtime.Sim, links map[string]*netem.Link, sandboxes map[string]*sandbox.Sandbox, sched Schedule) (*Driver, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
 	return &Driver{
-		sim:      sim,
-		links:    links,
-		sched:    sched,
-		baseBW:   make(map[string]float64),
-		baseLat:  make(map[string]time.Duration),
-		baseLoss: make(map[string]float64),
+		sim:       sim,
+		links:     links,
+		sandboxes: sandboxes,
+		sched:     sched,
+		baseBW:    make(map[string]float64),
+		baseLat:   make(map[string]time.Duration),
+		baseLoss:  make(map[string]float64),
+		baseShare: make(map[string]float64),
 	}, nil
 }
 
@@ -80,36 +87,54 @@ func (d *Driver) record(kind Kind, target, detail string) {
 // whole schedule at each boundary, so overlapping windows of one kind
 // compose correctly (worst value wins while both are open).
 func (d *Driver) Install() {
-	labels := make([]string, 0, len(d.links))
+	links := make([]string, 0, len(d.links))
 	for label, l := range d.links {
 		d.baseBW[label] = l.Bandwidth()
 		d.baseLat[label] = l.Latency()
 		d.baseLoss[label] = l.Loss()
-		labels = append(labels, label)
+		links = append(links, label)
 	}
-	sort.Strings(labels) // deterministic arming order
+	sandboxes := make([]string, 0, len(d.sandboxes))
+	for label, sb := range d.sandboxes {
+		d.baseShare[label] = sb.CPUShare()
+		sandboxes = append(sandboxes, label)
+	}
+	sort.Strings(links) // deterministic arming order
+	sort.Strings(sandboxes)
 	for _, ev := range d.sched.Events {
-		ev := ev
+		labels, refresh := links, d.refreshLink
+		var detail string // the fault log entry of each opening
 		switch ev.Kind {
-		case Drop, Latency, Bandwidth, Partition:
+		case Drop:
+			detail = fmt.Sprintf("loss=%.2f", ev.Rate)
+		case Partition:
+			detail = "loss=1.00"
+		case Latency:
+			detail = fmt.Sprintf("+%v", ev.Delay)
+		case Bandwidth:
+			detail = fmt.Sprintf("%.0fB/s", ev.Rate)
+		case CPU:
+			labels, refresh = sandboxes, d.refreshSandbox
+			detail = fmt.Sprintf("share=%.2f", ev.Rate)
 		default:
-			continue // no simulated-link analogue
+			continue // no simulated analogue
 		}
 		for _, label := range labels {
 			if !ev.Matches(label) {
 				continue
 			}
-			label := label
-			d.sim.After(ev.At, func() { d.refresh(label, &ev) })
-			d.sim.After(ev.At+ev.Duration, func() { d.refresh(label, nil) })
+			d.sim.After(ev.At, func() {
+				refresh(label)
+				d.record(ev.Kind, label, detail)
+			})
+			d.sim.After(ev.At+ev.Duration, func() { refresh(label) })
 		}
 	}
 }
 
-// refresh folds every window active at the current virtual instant onto
-// the label's baseline and drives the link knobs to match. opening, when
-// non-nil, is the event whose window just opened (it is logged).
-func (d *Driver) refresh(label string, opening *Event) {
+// refreshLink folds every link window active at the current virtual
+// instant onto the label's baseline and drives the link knobs to match.
+func (d *Driver) refreshLink(label string) {
 	l := d.links[label]
 	now := d.sim.Now()
 	loss := d.baseLoss[label]
@@ -137,16 +162,19 @@ func (d *Driver) refresh(label string, opening *Event) {
 	_ = l.SetLoss(loss)
 	l.SetLatency(lat)
 	_ = l.SetBandwidth(bw)
-	if opening != nil {
-		switch opening.Kind {
-		case Drop:
-			d.record(Drop, label, fmt.Sprintf("loss=%.2f", opening.Rate))
-		case Partition:
-			d.record(Partition, label, "loss=1.00")
-		case Latency:
-			d.record(Latency, label, fmt.Sprintf("+%v", opening.Delay))
-		case Bandwidth:
-			d.record(Bandwidth, label, fmt.Sprintf("%.0fB/s", opening.Rate))
+}
+
+// refreshSandbox is refreshLink for a sandbox: the lowest share of the
+// open CPU windows wins, and the baseline share returns when the last one
+// closes. The share never rises above its baseline, so the host's
+// admission bound cannot refuse it.
+func (d *Driver) refreshSandbox(label string) {
+	now := d.sim.Now()
+	share := d.baseShare[label]
+	for _, e := range d.sched.Events {
+		if e.Kind == CPU && e.Matches(label) && e.ActiveAt(now) && e.Rate < share {
+			share = e.Rate
 		}
 	}
+	_ = d.sandboxes[label].SetCPUShare(share)
 }

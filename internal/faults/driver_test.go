@@ -7,6 +7,7 @@ import (
 
 	"tunable/internal/metrics"
 	"tunable/internal/netem"
+	"tunable/internal/sandbox"
 	"tunable/internal/vtime"
 )
 
@@ -19,7 +20,7 @@ func TestDriverAppliesAndRevertsLinkFaults(t *testing.T) {
 		Event{At: 50 * time.Millisecond, Duration: 10 * time.Millisecond, Kind: Partition},
 		Event{At: 70 * time.Millisecond, Duration: 10 * time.Millisecond, Kind: Latency, Delay: 5 * time.Millisecond},
 	)
-	d, err := NewDriver(sim, map[string]*netem.Link{"link:client-server": link}, sched)
+	d, err := NewDriver(sim, map[string]*netem.Link{"link:client-server": link}, nil, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDriverDeterministicAcrossRuns(t *testing.T) {
 			"link:a": netem.NewLink(sim, "a", 1e6),
 			"link:b": netem.NewLink(sim, "b", 1e6),
 		}
-		d, err := NewDriver(sim, links, sched)
+		d, err := NewDriver(sim, links, nil, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestDriverSkipsKindsWithoutSimAnalogue(t *testing.T) {
 		Event{At: time.Millisecond, Kind: Reset},
 		Event{At: time.Millisecond, Duration: time.Millisecond, Kind: Pause},
 	)
-	d, err := NewDriver(sim, map[string]*netem.Link{"link:l": link}, sched)
+	d, err := NewDriver(sim, map[string]*netem.Link{"link:l": link}, nil, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +116,69 @@ func TestDriverSkipsKindsWithoutSimAnalogue(t *testing.T) {
 	}
 	if n := len(d.Log()); n != 0 {
 		t.Fatalf("Reset/Pause should be skipped on the sim plane, logged %v", d.Log())
+	}
+}
+
+// A CPU window steps a sandbox's share and the baseline returns when the
+// last window closes; overlapping windows leave the lowest share in force.
+// CPU events never touch a link and link events never touch a sandbox,
+// even when an empty target matches both labels.
+func TestDriverStepsSandboxShare(t *testing.T) {
+	sim := vtime.NewSim()
+	link := netem.NewLink(sim, "l", 1e6, netem.WithLatency(time.Millisecond))
+	sb, err := sandbox.NewHost(sim, "h", 450e6).NewSandbox("client", 0.9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewSchedule(3,
+		Event{At: 5 * time.Millisecond, Duration: 10 * time.Millisecond, Kind: Bandwidth, Rate: 1e3},
+		Event{At: 20 * time.Millisecond, Duration: 30 * time.Millisecond, Kind: CPU, Rate: 0.4},
+		Event{At: 30 * time.Millisecond, Duration: 40 * time.Millisecond, Kind: CPU, Target: "client", Rate: 0.6},
+	)
+	d, err := NewDriver(sim, map[string]*netem.Link{"data:l": link},
+		map[string]*sandbox.Sandbox{"client": sb}, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Install()
+
+	linkAtBase := func(at string) {
+		if bw, loss, lat := link.Bandwidth(), link.Loss(), link.Latency(); bw != 1e6 || loss != 0 || lat != time.Millisecond {
+			t.Errorf("t=%s link bw=%v loss=%v lat=%v, want baselines", at, bw, loss, lat)
+		}
+	}
+	for _, c := range []struct {
+		at     time.Duration
+		share  float64
+		linkBW float64
+	}{
+		{10 * time.Millisecond, 0.9, 1e3}, // bandwidth dip only
+		{25 * time.Millisecond, 0.4, 1e6}, // first CPU window
+		{35 * time.Millisecond, 0.4, 1e6}, // overlap: the lower share wins
+		{55 * time.Millisecond, 0.6, 1e6}, // the first closed, the second still open
+		{75 * time.Millisecond, 0.9, 1e6}, // both closed: baseline
+	} {
+		c := c
+		sim.At(c.at, func() {
+			if got := sb.CPUShare(); got != c.share {
+				t.Errorf("t=%v share %v, want %v", c.at, got, c.share)
+			}
+			if c.linkBW == 1e6 {
+				linkAtBase(c.at.String())
+			} else if got := link.Bandwidth(); got != c.linkBW {
+				t.Errorf("t=%v link bandwidth %v, want %v", c.at, got, c.linkBW)
+			}
+		})
+	}
+	if err := sim.RunUntil(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	want := []Injected{
+		{At: 5 * time.Millisecond, Kind: Bandwidth, Target: "data:l", Detail: "1000B/s"},
+		{At: 20 * time.Millisecond, Kind: CPU, Target: "client", Detail: "share=0.40"},
+		{At: 30 * time.Millisecond, Kind: CPU, Target: "client", Detail: "share=0.60"},
+	}
+	if got := d.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fault log:\n got %v\nwant %v", got, want)
 	}
 }

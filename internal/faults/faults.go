@@ -2,8 +2,9 @@
 // adaptation framework's two deployment planes:
 //
 //   - the simulated plane, where a Driver applies a scripted Schedule to
-//     netem.Links in virtual time (loss, latency spikes, bandwidth dips,
-//     partitions) so chaos experiments replay exactly;
+//     netem.Links and sandbox.Sandboxes in virtual time (loss, latency
+//     spikes, bandwidth dips, partitions, CPU-share steps) so chaos runs
+//     and the paper's run-time experiments replay exactly;
 //   - the real-TCP plane, where an Injector wraps net.Conn connections and
 //     dial calls (drop-to-blackhole, latency, bandwidth dips, connection
 //     resets, partitions, paused/slow nodes) so the cluster control plane
@@ -53,21 +54,27 @@ const (
 	// releases it — a paused (SIGSTOP'd or GC-wedged) node. Recovery needs
 	// no reconnect, unlike Drop.
 	Pause Kind = "pause"
+	// CPU caps matching sandboxes' CPU share at Rate, in (0, 1], for the
+	// event's duration — the client CPU drop of the paper's Sections 7.3
+	// and 7.4. Only the simulated plane has sandboxes; the Injector
+	// ignores it.
+	CPU Kind = "cpu"
 )
 
 // Event is one scripted fault: a window [At, At+Duration) during which the
 // fault is active on targets matching Target.
 type Event struct {
 	At       time.Duration // offset from schedule start
-	Duration time.Duration // 0 for instantaneous kinds (Reset)
+	Duration time.Duration // window length; 0 only for the instantaneous Reset
 	Kind     Kind
 	// Target selects which labels the event applies to: a connection or
 	// link whose label contains Target as a substring matches; the empty
 	// string matches everything. Labels follow a "plane:node" convention
 	// ("data:node-b", "ctrl:node-a"), so "node-b" hits both planes of one
-	// node and "ctrl:" hits the whole control plane.
+	// node and "ctrl:" hits the whole control plane. CPU events match
+	// sandbox labels ("client") the same way.
 	Target string
-	Rate   float64       // Drop: loss probability; Bandwidth: bytes/second
+	Rate   float64       // Drop: loss probability; Bandwidth: bytes/second; CPU: share
 	Delay  time.Duration // Latency: fixed added delay
 	Jitter time.Duration // Latency: max extra deterministic jitter per delivery
 }
@@ -102,6 +109,8 @@ func (e Event) String() string {
 		return fmt.Sprintf("%v+%v partition(%s)", e.At, e.Duration, tgt)
 	case Pause:
 		return fmt.Sprintf("%v+%v pause(%s)", e.At, e.Duration, tgt)
+	case CPU:
+		return fmt.Sprintf("%v+%v cpu(%s) share=%.2f", e.At, e.Duration, tgt, e.Rate)
 	}
 	return fmt.Sprintf("%v+%v %s(%s)", e.At, e.Duration, e.Kind, tgt)
 }
@@ -121,11 +130,15 @@ func NewSchedule(seed uint64, events ...Event) Schedule {
 	return s
 }
 
-// Validate rejects malformed events (negative times, out-of-range rates).
+// Validate rejects malformed events: negative times, out-of-range rates,
+// and windows of zero length, which no plane would ever apply.
 func (s Schedule) Validate() error {
 	for i, e := range s.Events {
 		if e.At < 0 || e.Duration < 0 || e.Delay < 0 || e.Jitter < 0 {
 			return fmt.Errorf("faults: event %d (%s): negative time", i, e)
+		}
+		if e.Kind != Reset && e.Duration == 0 {
+			return fmt.Errorf("faults: event %d (%s): zero-length window", i, e)
 		}
 		switch e.Kind {
 		case Drop:
@@ -135,6 +148,10 @@ func (s Schedule) Validate() error {
 		case Bandwidth:
 			if e.Rate <= 0 {
 				return fmt.Errorf("faults: event %d: bandwidth %g must be > 0", i, e.Rate)
+			}
+		case CPU:
+			if e.Rate <= 0 || e.Rate > 1 {
+				return fmt.Errorf("faults: event %d: CPU share %g outside (0,1]", i, e.Rate)
 			}
 		case Latency, Reset, Partition, Pause:
 		default:

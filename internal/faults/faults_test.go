@@ -52,10 +52,19 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestScheduleValidate(t *testing.T) {
 	bad := []Schedule{
-		NewSchedule(1, Event{At: -time.Second, Kind: Drop, Rate: 0.1}),
-		NewSchedule(1, Event{Kind: Drop, Rate: 1.5}),
-		NewSchedule(1, Event{Kind: Bandwidth, Rate: 0}),
-		NewSchedule(1, Event{Kind: Kind("meteor")}),
+		NewSchedule(1, Event{At: -time.Second, Duration: time.Second, Kind: Drop, Rate: 0.1}),
+		NewSchedule(1, Event{Duration: time.Second, Kind: Drop, Rate: 1.5}),
+		NewSchedule(1, Event{Duration: time.Second, Kind: Bandwidth, Rate: 0}),
+		NewSchedule(1, Event{Duration: time.Second, Kind: Kind("meteor")}),
+		NewSchedule(1, Event{Duration: time.Second, Kind: CPU, Rate: 0}),
+		NewSchedule(1, Event{Duration: time.Second, Kind: CPU, Rate: 1.5}),
+		// Zero-length windows: the fault would be logged but never applied.
+		NewSchedule(1, Event{At: time.Second, Kind: Drop, Rate: 0.5}),
+		NewSchedule(1, Event{At: time.Second, Kind: Bandwidth, Rate: 1e3}),
+		NewSchedule(1, Event{At: time.Second, Kind: Latency, Delay: time.Millisecond}),
+		NewSchedule(1, Event{At: time.Second, Kind: Partition}),
+		NewSchedule(1, Event{At: time.Second, Kind: Pause}),
+		NewSchedule(1, Event{At: time.Second, Kind: CPU, Rate: 0.4}),
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -64,6 +73,7 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	ok := NewSchedule(1,
 		Event{At: time.Second, Duration: time.Second, Kind: Drop, Rate: 0.5},
+		Event{At: time.Second, Duration: time.Second, Kind: CPU, Target: "client", Rate: 1},
 		Event{Kind: Reset, Target: "ctrl:"},
 	)
 	if err := ok.Validate(); err != nil {
@@ -91,6 +101,21 @@ func TestScheduleHorizonAndMatching(t *testing.T) {
 	}
 	if e.ActiveAt(999*time.Millisecond) || !e.ActiveAt(time.Second) || e.ActiveAt(3*time.Second) {
 		t.Fatalf("window arithmetic wrong for %s", e)
+	}
+}
+
+func TestEventString(t *testing.T) {
+	for _, c := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{At: time.Second, Duration: 2 * time.Second, Kind: CPU, Target: "client", Rate: 0.4}, "1s+2s cpu(client) share=0.40"},
+		{Event{At: time.Second, Duration: time.Second, Kind: Bandwidth, Rate: 5e4}, "1s+1s bandwidth(*) 50000B/s"},
+		{Event{At: time.Second, Kind: Reset, Target: "data:"}, "1s reset(data:)"},
+	} {
+		if got := c.e.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }
 

@@ -40,7 +40,8 @@ func (e *Error) Temporary() bool { return true }
 // the clock. Fault state is a pure function of elapsed time and the
 // schedule; per-message drop decisions come from per-connection splitmix
 // streams seeded by (schedule seed, label, connection ordinal), so one
-// seed always produces one fault sequence.
+// seed always produces one fault sequence. CPU events have no sandbox to
+// act on here and are ignored.
 type Injector struct {
 	sched Schedule
 	now   func() time.Duration // elapsed time since Start; tests set it to a fake clock

@@ -14,6 +14,8 @@
 //
 //	ingest  →  refine  →  Store (pluggable persistence)  →  read-through cache
 //
+// The last two stages are the storage:
+//
 //   - Store is the pluggable persistence seam: MemStore keeps refined
 //     profiles in memory; WALStore appends every refinement to segmented
 //     write-ahead logs with CRC framing, compacts them into versioned,

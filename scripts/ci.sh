@@ -5,7 +5,7 @@
 # pipeline across jobs:
 #
 #   scripts/ci.sh            # full gate (lint, unit, smoke, bench)
-#   scripts/ci.sh lint       # build + vet + staticcheck + surface ratchet
+#   scripts/ci.sh lint       # build + vet + gofmt + staticcheck + surface ratchet
 #   scripts/ci.sh unit       # race-detector test suite (quick gate first)
 #   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, figure-golden and fuzz smokes
 #   scripts/ci.sh fuzz       # just the fuzz smoke (FUZZTIME=5m for the nightly pass)
@@ -29,7 +29,7 @@ run_lint() {
 	echo "== go build ./..."
 	go build ./...
 
-	echo "== make lint (vet + staticcheck when installed)"
+	echo "== make lint (vet + gofmt + staticcheck when installed)"
 	make lint
 
 	# Surface ratchet: exported names no other package uses, names and
