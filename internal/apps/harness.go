@@ -35,8 +35,6 @@ type HarnessConfig struct {
 	Seed uint64
 	// Hosts is the number of sandbox hosts in the pool (default 4).
 	Hosts int
-	// HostSpeed is each host's clock in cycles/s (default 450e6).
-	HostSpeed float64
 	// LinkPool is the total link bandwidth (bytes/s) the arbiter divides
 	// between classes (default 1.5e6).
 	LinkPool float64
@@ -47,26 +45,24 @@ type HarnessConfig struct {
 	// RetunePeriod is how often the per-class tuning agents re-plan active
 	// sessions (default 500ms).
 	RetunePeriod time.Duration
-	// DeratedMargin is the planning margin applied while classes contend
-	// (default 0.2).
-	DeratedMargin float64
 }
+
+const (
+	// hostSpeed is each pool host's clock in cycles/s.
+	hostSpeed = 450e6
+	// deratedMargin is the planning margin applied while classes contend.
+	deratedMargin = 0.2
+)
 
 func (c HarnessConfig) withDefaults() HarnessConfig {
 	if c.Hosts == 0 {
 		c.Hosts = 4
-	}
-	if c.HostSpeed == 0 {
-		c.HostSpeed = 450e6
 	}
 	if c.LinkPool == 0 {
 		c.LinkPool = 1.5e6
 	}
 	if c.RetunePeriod == 0 {
 		c.RetunePeriod = 500 * time.Millisecond
-	}
-	if c.DeratedMargin == 0 {
-		c.DeratedMargin = 0.2
 	}
 	return c
 }
@@ -161,7 +157,7 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 	h.adm = scheduler.NewAdmission()
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("h%02d", i)
-		if err := h.adm.AddHost(sandbox.NewHost(h.sim, name, cfg.HostSpeed)); err != nil {
+		if err := h.adm.AddHost(sandbox.NewHost(h.sim, name, hostSpeed)); err != nil {
 			return nil, err
 		}
 		h.hostNames = append(h.hostNames, name)
@@ -373,7 +369,7 @@ func (h *harness) plan(p *vtime.Proc, s *session) {
 	var err error
 	if h.arb.Contended() {
 		s.class.derated++
-		d, err = s.class.sched.SelectDerated(res, h.cfg.DeratedMargin)
+		d, err = s.class.sched.SelectDerated(res, deratedMargin)
 	} else {
 		d, err = s.class.sched.Select(res)
 	}
@@ -389,7 +385,6 @@ func (h *harness) plan(p *vtime.Proc, s *session) {
 		Config:      d.Config,
 		ValidRanges: d.ValidRanges,
 		Reason:      d.PrefName,
-		At:          p.Now(),
 	})
 	s.lastCfg = d.Config
 }

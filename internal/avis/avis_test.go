@@ -172,11 +172,11 @@ func TestCodecChangeMidSessionViaSteering(t *testing.T) {
 		t.Fatalf("third image codec %s", codecs[2])
 	}
 	// The server must have been notified (the notify_server transition).
-	if w.Server.Codec() != "bzw" {
-		t.Fatalf("server codec %s", w.Server.Codec())
+	if w.Server.codec.Name() != "bzw" {
+		t.Fatalf("server codec %s", w.Server.codec.Name())
 	}
-	if w.Server.Stats().Notifies < 2 { // initial + switch
-		t.Fatalf("notifies %d", w.Server.Stats().Notifies)
+	if w.Server.tel.snapshot().Notifies < 2 { // initial + switch
+		t.Fatalf("notifies %d", w.Server.tel.snapshot().Notifies)
 	}
 }
 
@@ -343,8 +343,8 @@ func TestServerStatsAndProtocolErrors(t *testing.T) {
 	if !gotErr {
 		t.Fatal("server did not report protocol errors")
 	}
-	if w.Server.Stats().Errors != 2 {
-		t.Fatalf("server errors %d", w.Server.Stats().Errors)
+	if w.Server.tel.snapshot().Errors != 2 {
+		t.Fatalf("server errors %d", w.Server.tel.snapshot().Errors)
 	}
 }
 
@@ -433,7 +433,7 @@ func TestLossyLinkRecovery(t *testing.T) {
 		Seeds:  []int64{5},
 		Store:  testStore,
 		Side:   256,
-		Loss:   0.03, // 3% message loss in both directions
+		loss:   0.03, // 3% message loss in both directions
 	}, withRetry(2*time.Second, 20))
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +467,7 @@ func TestLossyLinkRecoveryLostSegment(t *testing.T) {
 						Params: Params{DR: 320, Codec: codec, Level: 4},
 						Verify: verify,
 						Store:  testStore,
-						Loss:   loss,
+						loss:   loss,
 					}, withRetry(2*time.Second, 20))
 					if err != nil {
 						t.Fatal(err)
@@ -503,7 +503,7 @@ func TestLossyLinkStallSurfacesError(t *testing.T) {
 		Seeds:  []int64{5},
 		Store:  testStore,
 		Side:   256,
-		Loss:   0.2,
+		loss:   0.2,
 	}, withRetry(time.Second, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +564,7 @@ func TestSegmentRawAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := w.Server.Stats()
+	ss := w.Server.tel.snapshot()
 	// Client-side accumulated raw bytes within 1% of the server's total
 	// (integer rounding per segment).
 	diff := float64(stats[0].RawBytes - ss.RawBytes)

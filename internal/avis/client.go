@@ -24,9 +24,6 @@ type Client struct {
 // ClientOption customizes a client.
 type ClientOption func(*Client)
 
-// WithClientCost overrides the cost model.
-func WithClientCost(c CostModel) ClientOption { return func(cl *Client) { cl.cost = c } }
-
 // WithVerification enables canvas reconstruction and PSNR measurement
 // against the source images (costly in real time; off by default). A
 // verifying client reads every chunk, so it decodes every reply.

@@ -181,9 +181,6 @@ func (c *RealClient) Reconnect(conn net.Conn) error {
 	return err
 }
 
-// SetCodec switches the compression method (the notify_server action).
-func (c *RealClient) SetCodec(name string) error { return c.setCodec(name) }
-
 // Close ends the session. Closing twice is harmless.
 func (c *RealClient) Close() error {
 	if c.conn == nil {

@@ -125,7 +125,7 @@ func TestRealTCPErrors(t *testing.T) {
 	if _, err := c.FetchImage(99, nil); err == nil {
 		t.Fatal("out-of-range image succeeded")
 	}
-	if err := c.SetCodec("zip9000"); err == nil {
+	if err := c.setCodec("zip9000"); err == nil {
 		t.Fatal("unknown codec accepted locally")
 	}
 	// A fresh client that never connected cannot fetch.

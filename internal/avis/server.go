@@ -20,11 +20,6 @@ type Server struct {
 // ServerOption customizes a server.
 type ServerOption func(*Server)
 
-// WithServerCost overrides the cost model.
-func WithServerCost(c CostModel) ServerOption {
-	return func(s *Server) { s.cost, s.pyr.cost = c, c }
-}
-
 // WithStore overrides the pyramid cache.
 func WithStore(st *ImageStore) ServerOption { return func(s *Server) { s.pyr.store = st } }
 
@@ -45,13 +40,6 @@ func NewServer(sb *sandbox.Sandbox, ep *netem.Endpoint, side, levels int, seeds 
 	}
 	return s, nil
 }
-
-// Stats returns a snapshot of the server counters. Safe to call while
-// the server is running.
-func (s *Server) Stats() ServerStats { return s.tel.snapshot() }
-
-// Codec returns the currently announced compression method.
-func (s *Server) Codec() string { return s.codec.Name() }
 
 // Run services the connection until the client closes it. It spawns a
 // dedicated sender process so compression of slice k+1 overlaps

@@ -109,7 +109,7 @@ func TestSessionDifferential(t *testing.T) {
 	var simErr error
 	w.Sim.Spawn("avis-client", func(p *vtime.Proc) {
 		w.Client.venv.p = p
-		sim, simErr = driveScripted(&w.Client.session, func() int64 { return w.Server.Stats().RawBytes })
+		sim, simErr = driveScripted(&w.Client.session, func() int64 { return w.Server.tel.snapshot().RawBytes })
 		w.Client.Close(p)
 	})
 	if err := w.Sim.Run(); err != nil {
@@ -368,7 +368,7 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 		if simErr != nil {
 			t.Fatalf("vtime: %v", simErr)
 		}
-		return got, w.Server.Stats(), w.Sim.Now()
+		return got, w.Server.tel.snapshot(), w.Sim.Now()
 	}
 	got, stats, cold := runSim()
 	check(t, got, stats, simStore)

@@ -129,20 +129,6 @@ var sharedStore = NewImageStore()
 // SharedStore returns the process-wide pyramid cache.
 func SharedStore() *ImageStore { return sharedStore }
 
-// Len reports the number of cached pyramids (including in-flight builds).
-func (s *ImageStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.Len()
-}
-
-// Evictions reports how many pyramids the LRU bound has pushed out.
-func (s *ImageStore) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.Evictions()
-}
-
 // Pyramid returns the pyramid for a synthetic image identified by
 // (side, levels, seed), generating and decomposing it on first use.
 func (s *ImageStore) Pyramid(side, levels int, seed int64) (*wavelet.Pyramid, error) {

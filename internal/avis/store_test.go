@@ -45,10 +45,10 @@ func TestImageStoreEviction(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := s.Len(); n > cap {
+	if n := s.cache.Len(); n > cap {
 		t.Fatalf("store holds %d entries, bound is %d", n, cap)
 	}
-	if s.Evictions() == 0 {
+	if s.cache.Evictions() == 0 {
 		t.Fatal("expected evictions after inserting more keys than the bound")
 	}
 
@@ -114,7 +114,7 @@ func TestImageStoreSingleFlightUnderEviction(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := s.Len(); n > 2 {
+	if n := s.cache.Len(); n > 2 {
 		t.Fatalf("store holds %d entries, bound is 2", n)
 	}
 }

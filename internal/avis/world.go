@@ -21,28 +21,26 @@ func refPSNR(ref, got *imagery.Image) (float64, error) {
 // profiling driver executes per testbed sample and the experiments perturb
 // at run time.
 type WorldConfig struct {
-	ClientSpeed float64 // cycles/s; default 450e6 (PII 450)
-	ServerSpeed float64 // default 450e6
+	ClientSpeed float64 // cycles/s; default serverSpeed, the server's clock
 	ClientShare float64 // default 1.0
 	ServerShare float64 // default 1.0
 	Bandwidth   float64 // bytes/s; default 1e6
 	Latency     time.Duration
-	Loss        float64 // message loss probability per direction; default 0
 	Params      Params
 	Side        int // default 1024
 	Levels      int // default 4
 	Seeds       []int64
-	Cost        CostModel
 	Verify      bool
 	Store       *ImageStore
+	loss        float64 // message loss probability per direction; only tests set it
 }
+
+// serverSpeed is the server host's clock in cycles/s (a PII 450).
+const serverSpeed = 450e6
 
 func (c WorldConfig) withDefaults() WorldConfig {
 	if c.ClientSpeed == 0 {
-		c.ClientSpeed = 450e6
-	}
-	if c.ServerSpeed == 0 {
-		c.ServerSpeed = 450e6
+		c.ClientSpeed = serverSpeed
 	}
 	if c.ClientShare == 0 {
 		c.ClientShare = 1.0
@@ -64,9 +62,6 @@ func (c WorldConfig) withDefaults() WorldConfig {
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []int64{1}
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
 	}
 	if c.Store == nil {
 		c.Store = sharedStore
@@ -96,7 +91,7 @@ func NewWorld(cfg WorldConfig, clientOpts ...ClientOption) (*World, error) {
 	cfg = cfg.withDefaults()
 	sim := vtime.NewSim()
 	ch := sandbox.NewHost(sim, "client-host", cfg.ClientSpeed)
-	sh := sandbox.NewHost(sim, "server-host", cfg.ServerSpeed)
+	sh := sandbox.NewHost(sim, "server-host", serverSpeed)
 	csb, err := ch.NewSandbox("client", cfg.ClientShare, 0)
 	if err != nil {
 		return nil, err
@@ -106,17 +101,16 @@ func NewWorld(cfg WorldConfig, clientOpts ...ClientOption) (*World, error) {
 		return nil, err
 	}
 	link := netem.NewLink(sim, "net", cfg.Bandwidth,
-		netem.WithLatency(cfg.Latency), netem.WithLoss(cfg.Loss))
+		netem.WithLatency(cfg.Latency), netem.WithLoss(cfg.loss))
 	server, err := NewServer(ssb, link.B(), cfg.Side, cfg.Levels, cfg.Seeds,
-		WithServerCost(cfg.Cost), WithStore(cfg.Store))
+		WithStore(cfg.Store))
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]ClientOption{WithClientCost(cfg.Cost)}, clientOpts...)
 	if cfg.Verify {
-		opts = append(opts, WithVerification(cfg.Store, cfg.Seeds))
+		clientOpts = append(clientOpts[:len(clientOpts):len(clientOpts)], WithVerification(cfg.Store, cfg.Seeds))
 	}
-	client, err := NewClient(csb, link.A(), cfg.Params, opts...)
+	client, err := NewClient(csb, link.A(), cfg.Params, clientOpts...)
 	if err != nil {
 		return nil, err
 	}

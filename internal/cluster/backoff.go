@@ -104,13 +104,3 @@ func (rb *RetryBudget) Allow() bool {
 	rb.tokens--
 	return true
 }
-
-// Remaining reports the whole tokens currently available.
-func (rb *RetryBudget) Remaining() int {
-	if rb == nil {
-		return 1 << 30
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return int(rb.tokens)
-}

@@ -58,9 +58,6 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	if rb.Allow() {
 		t.Fatal("retry allowed on an exhausted budget")
 	}
-	if rb.Remaining() != 0 {
-		t.Fatalf("Remaining() = %d, want 0", rb.Remaining())
-	}
 	// 200ms at 10 tokens/s refills 2 tokens.
 	now = now.Add(200 * time.Millisecond)
 	if !rb.Allow() || !rb.Allow() {
@@ -71,8 +68,12 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	}
 	// Refill never exceeds the burst.
 	now = now.Add(time.Hour)
-	if rb.Remaining() > 3 {
-		t.Fatalf("Remaining() = %d after long idle, want ≤ burst 3", rb.Remaining())
+	granted := 0
+	for rb.Allow() {
+		granted++
+	}
+	if granted != 3 {
+		t.Fatalf("%d retries granted after long idle, want the burst 3", granted)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestChaosFetchSurvivesFaults(t *testing.T) {
 	r := NewResolver(cl.Addr().String(), time.Second)
 	defer r.Close()
 	r.EnableMetrics(reg)
-	r.SetRetryPolicy(3, Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2}, nil)
+	r.cl.setRetryPolicy(3, Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2}, nil)
 	r.SetDialer(func(network, addr string, timeout time.Duration) (net.Conn, error) {
 		return injector.Dial("ctrl:client", network, addr, timeout)
 	})

@@ -29,10 +29,6 @@ type Config struct {
 	// Now is the injected clock (monotone duration on any epoch); defaults
 	// to wall time since construction. Tests drive it directly.
 	Now func() time.Duration
-	// IOTimeout is the per-frame progress deadline on control
-	// connections; 0 (the default) waits forever, since heartbeat
-	// connections are idle between beats.
-	IOTimeout time.Duration
 	// Shards is the number of registry/session shards (rounded up to a
 	// power of two; 0 picks a default scaled to GOMAXPROCS). Node and
 	// session state is partitioned by fnv-1a hash of the ID, each shard
@@ -440,21 +436,6 @@ func (c *Coordinator) observeLocked(ns *nodeShard, id string) bool {
 	ns.pendBeats.add(1)
 	ns.pendBeatOp.add(1)
 	c.mHeartbeatGap.Observe(gap.Seconds())
-	return true
-}
-
-// Heartbeat renews a node's lease and records its load. It reports
-// whether the coordinator knows the node: false tells the agent to
-// re-register (the coordinator restarted, or the node was declared dead).
-func (c *Coordinator) Heartbeat(id string, load Load) bool {
-	ns := c.nodeShardFor(id)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	n := ns.nodes[id]
-	if n == nil || !c.observeLocked(ns, id) {
-		return false
-	}
-	n.load = load
 	return true
 }
 
@@ -912,8 +893,10 @@ func (c *Coordinator) PerfProfile(configKey string) (*perfstore.Profile, error) 
 
 // Serve accepts control connections until the listener closes, handling
 // each in its own goroutine. After Shutdown it returns net.ErrClosed.
+// Control connections get no per-frame progress deadline: heartbeat
+// connections are idle between beats.
 func (c *Coordinator) Serve(l net.Listener) error {
-	return c.accept.Serve(l, c.cfg.IOTimeout, c.wInst, c.handle)
+	return c.accept.Serve(l, 0, c.wInst, c.handle)
 }
 
 // handle services one control connection: a loop of request frames, each

@@ -145,12 +145,12 @@ func TestCoordinatorDeathFailover(t *testing.T) {
 
 	// The survivor heartbeats; the victim goes silent past the deadline.
 	clk.now = 200 * time.Millisecond
-	if !c.Heartbeat(survivor, Load{ActiveSessions: 1}) {
+	if !beat(c, survivor, 1) {
 		t.Fatal("survivor heartbeat refused")
 	}
 	c.Tick() // victim → suspect
 	clk.now = 400 * time.Millisecond
-	if !c.Heartbeat(survivor, Load{}) {
+	if !beat(c, survivor, -1) {
 		t.Fatal("survivor heartbeat refused")
 	}
 	c.Tick() // victim → dead
@@ -163,7 +163,7 @@ func TestCoordinatorDeathFailover(t *testing.T) {
 		t.Fatalf("states %v", st)
 	}
 	// The dead node refuses heartbeats (agent must re-register).
-	if c.Heartbeat(victim, Load{}) {
+	if beat(c, victim, 0) {
 		t.Fatal("dead node accepted heartbeat")
 	}
 
@@ -190,6 +190,12 @@ func TestCoordinatorDeathFailover(t *testing.T) {
 	}
 }
 
+// beat renews id's lease with one delta batch, as an agent's heartbeat
+// does, and reports whether the coordinator knew the node.
+func beat(c *Coordinator, id string, sessions int32) bool {
+	return len(c.ApplyDeltas([]DeltaEntry{{ID: id, Sessions: sessions}})) == 0
+}
+
 func TestCoordinatorRegisterValidation(t *testing.T) {
 	c := newTestCoord(&fakeClock{})
 	if err := c.Register(NodeInfo{Addr: "x:1", CPU: 1}); err == nil {
@@ -198,7 +204,7 @@ func TestCoordinatorRegisterValidation(t *testing.T) {
 	if err := c.Register(NodeInfo{ID: "x", Addr: "x:1", CPU: 1.5}); err == nil {
 		t.Fatal("registered with CPU > 1")
 	}
-	if c.Heartbeat("ghost", Load{}) {
+	if beat(c, "ghost", 0) {
 		t.Fatal("unknown node accepted heartbeat")
 	}
 	if _, err := c.Resolve(ResolveRequest{}); err == nil {

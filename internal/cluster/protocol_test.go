@@ -40,7 +40,7 @@ func countingResolver(t *testing.T, addr string) (*Resolver, *metrics.Registry, 
 	t.Helper()
 	r := NewResolver(addr, time.Second)
 	t.Cleanup(r.Close)
-	r.SetRetryPolicy(3, quickRetry(), nil)
+	r.cl.setRetryPolicy(3, quickRetry(), nil)
 	reg := metrics.New()
 	r.EnableMetrics(reg)
 	dials := new(atomic.Int64)
@@ -139,7 +139,7 @@ func TestControlHandshakeRefused(t *testing.T) {
 			addr, extra := handshakeStub(t, tc.reply)
 			r := NewResolver(addr, 200*time.Millisecond)
 			defer r.Close()
-			r.SetRetryPolicy(1, quickRetry(), nil)
+			r.cl.setRetryPolicy(1, quickRetry(), nil)
 			reg := metrics.New()
 			r.EnableMetrics(reg)
 

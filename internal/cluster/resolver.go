@@ -11,7 +11,7 @@ import (
 // ID into a server address, reporting failed nodes back so re-resolution
 // steers around them, and releases the session's reservation on Close.
 // Transport failures on control calls are retried transparently with
-// jittered backoff (see SetRetryPolicy); coordinator refusals are not.
+// jittered backoff (one retry per call); coordinator refusals are not.
 type Resolver struct {
 	cl *client
 }
@@ -26,11 +26,6 @@ func NewResolver(addr string, timeout time.Duration) *Resolver {
 // (role="resolver") counts transparently retried control calls, and the
 // wire_* families cover its control connections.
 func (r *Resolver) EnableMetrics(reg *metrics.Registry) { r.cl.enableMetrics(reg, "resolver") }
-
-// SetRetryPolicy bounds the transparent retries under each control call.
-func (r *Resolver) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
-	r.cl.setRetryPolicy(attempts, b, budget)
-}
 
 // SetDialer interposes on control-plane dials (fault injection).
 func (r *Resolver) SetDialer(dial DialFunc) { r.cl.setDialer(dial) }

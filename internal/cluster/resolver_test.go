@@ -29,7 +29,7 @@ func TestResolverDeadCoordinatorFailsBounded(t *testing.T) {
 
 	r := NewResolver(addr, 100*time.Millisecond)
 	defer r.Close()
-	r.SetRetryPolicy(3, quickRetry(), nil)
+	r.cl.setRetryPolicy(3, quickRetry(), nil)
 	reg := metrics.New()
 	r.EnableMetrics(reg)
 
@@ -65,7 +65,7 @@ func TestResolverTransientDialFailureRetriesThenRecovers(t *testing.T) {
 
 	r := NewResolver(ln.Addr().String(), time.Second)
 	defer r.Close()
-	r.SetRetryPolicy(3, quickRetry(), nil)
+	r.cl.setRetryPolicy(3, quickRetry(), nil)
 	reg := metrics.New()
 	r.EnableMetrics(reg)
 	var calls int
@@ -105,7 +105,7 @@ func TestResolverRefusalNotRetried(t *testing.T) {
 
 	r := NewResolver(ln.Addr().String(), time.Second)
 	defer r.Close()
-	r.SetRetryPolicy(5, quickRetry(), nil)
+	r.cl.setRetryPolicy(5, quickRetry(), nil)
 	reg := metrics.New()
 	r.EnableMetrics(reg)
 
@@ -133,7 +133,7 @@ func TestResolverRetryBudgetBoundsAttempts(t *testing.T) {
 	r := NewResolver(addr, 100*time.Millisecond)
 	defer r.Close()
 	// 10 attempts allowed by policy, but only 1 retry token.
-	r.SetRetryPolicy(10, quickRetry(), NewRetryBudget(1, 0))
+	r.cl.setRetryPolicy(10, quickRetry(), NewRetryBudget(1, 0))
 	reg := metrics.New()
 	r.EnableMetrics(reg)
 

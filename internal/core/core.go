@@ -42,10 +42,11 @@ type Config struct {
 	// pushes arrive at the main agent as peer estimates and participate
 	// in its triggering (Section 6.1's inter-monitor communication).
 	RemoteAgents []*monitor.Agent
-	// RetryInterval is how long to wait before reconsidering when no
-	// configuration is feasible (default 5 s).
-	RetryInterval time.Duration
 }
+
+// retryInterval is how long the framework waits before reconsidering
+// when no configuration is feasible.
+const retryInterval = 5 * time.Second
 
 // EventKind classifies framework log entries.
 type EventKind string
@@ -87,9 +88,6 @@ func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
 	if len(cfg.Components) == 0 {
 		return nil, fmt.Errorf("core: Components mapping is required")
 	}
-	if cfg.RetryInterval == 0 {
-		cfg.RetryInterval = 5 * time.Second
-	}
 	sched, err := scheduler.New(cfg.App, cfg.DB, cfg.Preferences)
 	if err != nil {
 		return nil, err
@@ -109,17 +107,6 @@ func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
 
 // Events returns the decision log.
 func (f *Framework) Events() []Event { return append([]Event(nil), f.log...) }
-
-// EventCount returns the number of events of a kind.
-func (f *Framework) EventCount(kind EventKind) int {
-	n := 0
-	for _, e := range f.log {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
 
 func (f *Framework) logEvent(kind EventKind, detail string) {
 	f.log = append(f.log, Event{At: f.sim.Now(), Kind: kind, Detail: detail})
@@ -199,7 +186,7 @@ func (f *Framework) reconsider(p *vtime.Proc) {
 		// Nothing satisfies any preference right now; silence the triggers
 		// and retry after a while.
 		f.cfg.Monitor.ClearRanges()
-		f.sim.After(f.cfg.RetryInterval, func() {
+		f.sim.After(retryInterval, func() {
 			f.cfg.Monitor.Triggers().TrySend(monitor.Trigger{At: f.sim.Now()})
 		})
 		return

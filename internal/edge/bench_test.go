@@ -6,7 +6,6 @@ import (
 
 	"tunable/internal/avis"
 	"tunable/internal/compress"
-	"tunable/internal/monitor"
 )
 
 // The edge benchmarks cover the CPU-bound pieces of the serving path —
@@ -62,7 +61,6 @@ func BenchmarkEdgeTrackerObserve(b *testing.B) {
 	// One fovea step per iteration: trajectory update, prediction, and the
 	// (non-blocking, dropped) prewarm enqueue.
 	pw := &prewarmer{
-		window:   monitor.DefaultTrajectoryWindow,
 		teleport: 1 << 20, // never reset: keep the predict path hot
 		tasks:    make(chan prewarmTask, 1),
 	}

@@ -23,11 +23,18 @@ const DefaultOriginCodec = "lzw"
 
 // Defaults for Config zero values.
 const (
-	DefaultCacheEntries  = 4096
-	DefaultCacheBytes    = 256 << 20
-	DefaultTTL           = 5 * time.Minute
-	DefaultOriginRetries = 3
-	DefaultPrewarmQueue  = 64
+	DefaultCacheEntries = 4096
+	DefaultCacheBytes   = 256 << 20
+	DefaultTTL          = 5 * time.Minute
+)
+
+const (
+	// defaultOriginRetries is how many times a transport-failed origin
+	// round is retried on a fresh connection before the client-facing
+	// connection is dropped.
+	defaultOriginRetries = 3
+	// prewarmQueue bounds the prewarmer's task backlog.
+	prewarmQueue = 64
 )
 
 // Config parameterizes one edge proxy.
@@ -64,20 +71,15 @@ type Config struct {
 	SegBytes  int
 	IOTimeout time.Duration
 
-	// Prewarm enables the fovea-trajectory prewarmer. PrewarmWindow is the
-	// trajectory history length (0 = monitor.DefaultTrajectoryWindow);
-	// TeleportDist is the fovea jump that resets extrapolation (0 = a
-	// quarter of the image side); PrewarmQueue bounds the task backlog
-	// (0 = DefaultPrewarmQueue).
-	Prewarm       bool
-	PrewarmWindow int
-	TeleportDist  float64
-	PrewarmQueue  int
+	// Prewarm enables the fovea-trajectory prewarmer, which extrapolates
+	// over monitor.DefaultTrajectoryWindow fixations.
+	Prewarm bool
 
-	// OriginRetries is how many times a transport-failed origin round is
-	// retried on a fresh connection before the client-facing connection is
-	// dropped (0 = DefaultOriginRetries; negative = no retries).
-	OriginRetries int
+	// teleportDist is the fovea jump that resets extrapolation (0 = a
+	// quarter of the image side). originRetries overrides
+	// defaultOriginRetries (negative = no retries). Only tests set them.
+	teleportDist  float64
+	originRetries int
 }
 
 // flight is one in-progress origin fetch that concurrent cache misses for
@@ -141,10 +143,10 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.TTL == 0 {
 		cfg.TTL = DefaultTTL
 	}
-	if cfg.OriginRetries == 0 {
-		cfg.OriginRetries = DefaultOriginRetries
-	} else if cfg.OriginRetries < 0 {
-		cfg.OriginRetries = 0 // one attempt, no retry
+	if cfg.originRetries == 0 {
+		cfg.originRetries = defaultOriginRetries
+	} else if cfg.originRetries < 0 {
+		cfg.originRetries = 0 // one attempt, no retry
 	}
 	p := &Proxy{
 		cfg:     cfg,
@@ -157,7 +159,7 @@ func New(cfg Config) (*Proxy, error) {
 		ioTimeout: cfg.IOTimeout,
 	}
 	if cfg.Prewarm {
-		p.pw = newPrewarmer(p, cfg.PrewarmQueue)
+		p.pw = newPrewarmer(p)
 	}
 	return p, nil
 }
@@ -207,8 +209,8 @@ func (p *Proxy) Start() error {
 	if p.cfg.CoarseMax == 0 {
 		p.cfg.CoarseMax = p.geom.Levels - 1
 	}
-	if p.cfg.TeleportDist == 0 {
-		p.cfg.TeleportDist = float64(p.geom.Side) / 4
+	if p.cfg.teleportDist == 0 {
+		p.cfg.teleportDist = float64(p.geom.Side) / 4
 	}
 	if p.pw != nil {
 		p.pw.start()
@@ -349,7 +351,7 @@ func (p *Proxy) encodeFromOrigin(req avis.Request, codec compress.Codec) (enc []
 // flight, so it is discarded.
 func (p *Proxy) fetchOrigin(req avis.Request) ([]byte, error) {
 	var lastErr error
-	for attempt := 0; attempt <= p.cfg.OriginRetries; attempt++ {
+	for attempt := 0; attempt <= p.cfg.originRetries; attempt++ {
 		if attempt > 0 {
 			p.mOriginRetries.Inc()
 		}

@@ -369,7 +369,7 @@ func TestEdgeTrajectoryTeleportNoGarbagePrewarm(t *testing.T) {
 	origin, originLn := startOrigin(t)
 	p, edgeLn := startEdge(t, originLn.Addr().String(), nil, func(cfg *Config) {
 		cfg.Prewarm = true
-		cfg.TeleportDist = 16
+		cfg.teleportDist = 16
 	})
 	geom := p.Geometry()
 	shapes := avis.PlanRounds(geom, avis.Params{DR: 32, Level: testLevels - 1}, 0, 0)[:1]
@@ -422,7 +422,7 @@ func TestEdgeChaosByteIdentical(t *testing.T) {
 		}
 		cfg.OriginAddr = ""
 		cfg.IOTimeout = 500 * time.Millisecond
-		cfg.OriginRetries = 5
+		cfg.originRetries = 5
 	})
 
 	params := avis.Params{DR: 16, Codec: "lzw", Level: testLevels - 1}

@@ -118,7 +118,7 @@ func TestEdgeOriginLegNeverServesStaleBytes(t *testing.T) {
 	}
 }
 
-// TestEdgeNegativeOriginRetriesMeansOneAttempt: OriginRetries < 0 is
+// TestEdgeNegativeOriginRetriesMeansOneAttempt: originRetries < 0 is
 // documented as "no retries" — one origin round whose failure surfaces —
 // not zero rounds and an empty payload served as success.
 func TestEdgeNegativeOriginRetriesMeansOneAttempt(t *testing.T) {
@@ -126,7 +126,7 @@ func TestEdgeNegativeOriginRetriesMeansOneAttempt(t *testing.T) {
 		return false // hang up: a transport failure on the origin leg
 	})
 	_, edgeLn := startEdge(t, origin.ln.Addr().String(), nil, func(cfg *Config) {
-		cfg.OriginRetries = -1
+		cfg.originRetries = -1
 	})
 	c := dialClient(t, edgeLn.Addr().String(), avis.Params{DR: 16, Codec: "raw", Level: 2}, 0)
 	data, _, err := c.FetchRoundRaw(avis.Request{Image: 0, X: 64, Y: 64, R: 16, Level: 2})

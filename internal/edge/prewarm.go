@@ -57,7 +57,7 @@ func (t *foveaTracker) observe(req avis.Request, codec compress.Codec) {
 	}
 	it := t.byImage[req.Image]
 	if it == nil {
-		it = &imageTrack{traj: monitor.NewTrajectory(t.pw.window, t.pw.teleport)}
+		it = &imageTrack{traj: monitor.NewTrajectory(monitor.DefaultTrajectoryWindow, t.pw.teleport)}
 		t.byImage[req.Image] = it
 	}
 	if !it.has {
@@ -88,7 +88,6 @@ func (t *foveaTracker) observe(req avis.Request, codec compress.Codec) {
 // serving path.
 type prewarmer struct {
 	p        *Proxy
-	window   int
 	teleport float64
 	tasks    chan prewarmTask
 	quit     chan struct{}
@@ -106,13 +105,10 @@ type prewarmTask struct {
 	codec compress.Codec
 }
 
-func newPrewarmer(p *Proxy, queue int) *prewarmer {
-	if queue <= 0 {
-		queue = DefaultPrewarmQueue
-	}
+func newPrewarmer(p *Proxy) *prewarmer {
 	return &prewarmer{
 		p:     p,
-		tasks: make(chan prewarmTask, queue),
+		tasks: make(chan prewarmTask, prewarmQueue),
 		quit:  make(chan struct{}),
 	}
 }
@@ -126,14 +122,10 @@ func (pw *prewarmer) enableMetrics(reg *metrics.Registry) {
 		"Speculative origin rounds that failed (best-effort, not retried).")
 }
 
-// start latches the proxy's resolved trajectory parameters (Start has
-// filled the Config defaults by now) and launches the worker.
+// start latches the proxy's resolved teleport distance (Start has filled
+// the Config default by now) and launches the worker.
 func (pw *prewarmer) start() {
-	pw.window = pw.p.cfg.PrewarmWindow
-	if pw.window <= 0 {
-		pw.window = monitor.DefaultTrajectoryWindow
-	}
-	pw.teleport = pw.p.cfg.TeleportDist
+	pw.teleport = pw.p.cfg.teleportDist
 	pw.wg.Add(1)
 	go pw.run()
 }

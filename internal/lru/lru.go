@@ -190,21 +190,3 @@ func (p *Policy[K, V]) Remove(k K) bool {
 	p.drop(el, Removed)
 	return true
 }
-
-// ExpireSweep drops every TTL-expired entry now and returns how many it
-// dropped; callers with idle periods use it to bound memory between hits.
-func (p *Policy[K, V]) ExpireSweep() int {
-	if p.cfg.TTL <= 0 {
-		return 0
-	}
-	n := 0
-	for el := p.ll.Back(); el != nil; {
-		prev := el.Prev()
-		if e := el.Value.(*entry[K, V]); p.expired(e) {
-			p.drop(el, Expired)
-			n++
-		}
-		el = prev
-	}
-	return n
-}

@@ -94,12 +94,17 @@ func TestTTLExpiry(t *testing.T) {
 	if expired != 1 || p.Len() != 0 {
 		t.Fatalf("expired=%d len=%d, want 1,0", expired, p.Len())
 	}
-	// Sweep drops expired entries without a Get.
+	// Every expired entry goes on its next Get.
 	p.Put("b", 2, 1)
 	p.Put("c", 3, 1)
 	now += 300 * time.Millisecond
-	if n := p.ExpireSweep(); n != 2 {
-		t.Fatalf("ExpireSweep = %d, want 2", n)
+	for _, k := range []string{"b", "c"} {
+		if _, ok := p.Get(k); ok {
+			t.Fatalf("%s should have expired", k)
+		}
+	}
+	if expired != 3 || p.Len() != 0 {
+		t.Fatalf("expired=%d len=%d, want 3,0", expired, p.Len())
 	}
 }
 

@@ -184,17 +184,6 @@ func (l *Link) SetLoss(p float64) error {
 	return nil
 }
 
-// SetLossAtoB reconfigures loss for the A→B direction only, which
-// expresses an asymmetric partition (A's messages vanish while B's still
-// arrive).
-func (l *Link) SetLossAtoB(p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("netem: invalid loss rate %g", p)
-	}
-	l.ab.lossRate = p
-	return nil
-}
-
 // Loss returns the current A→B loss probability.
 func (l *Link) Loss() float64 { return l.ab.lossRate }
 
@@ -296,8 +285,6 @@ func (e *Endpoint) received(p *vtime.Proc, start time.Duration, msg Message, got
 // the *peer* side of subsequent Recv calls with ok=false.
 func (e *Endpoint) Close() { e.out.inbox.Close() }
 
-// OutCounters returns a snapshot of the outgoing direction's counters.
+// OutCounters returns a snapshot of the outgoing direction's counters:
+// what this side sent and what the peer received of it.
 func (e *Endpoint) OutCounters() Counters { return e.out.ctr }
-
-// InCounters returns a snapshot of the incoming direction's counters.
-func (e *Endpoint) InCounters() Counters { return e.in.ctr }

@@ -174,9 +174,9 @@ func TestCountersTrackTraffic(t *testing.T) {
 	if math.Abs(obs-100_000)/100_000 > 0.02 {
 		t.Fatalf("observed bandwidth %.0f, want ~100000", obs)
 	}
-	in := l.B().InCounters()
-	if in.BytesReceived != 50_000 || in.MsgsReceived != 2 {
-		t.Fatalf("in counters %+v", in)
+	// The receiving side's counts live on the same direction.
+	if out.BytesReceived != 50_000 || out.MsgsReceived != 2 {
+		t.Fatalf("received counters %+v", out)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestTwoPartMessageEqualsOnePart(t *testing.T) {
 	}
 	type outcome struct {
 		arrivals []arrival
-		out, in  Counters
+		out      Counters
 	}
 	var lost, closedDrops int // cases that exercised each kind of drop
 	for seed := int64(1); seed <= 64; seed++ {
@@ -419,13 +419,13 @@ func TestTwoPartMessageEqualsOnePart(t *testing.T) {
 			if err := sim.Run(); err != nil {
 				t.Fatal(err)
 			}
-			o.out, o.in = l.A().OutCounters(), l.B().InCounters()
+			o.out = l.A().OutCounters()
 			return o
 		}
 		one, two := run(false), run(true)
 		if !reflect.DeepEqual(one, two) {
-			t.Errorf("seed %d (bw %.0f, latency %v, loss %v, close at %v): %d arrivals one-part, %d two-part\none-part out %+v in %+v\ntwo-part out %+v in %+v",
-				seed, bw, lat, loss, closeAt, len(one.arrivals), len(two.arrivals), one.out, one.in, two.out, two.in)
+			t.Errorf("seed %d (bw %.0f, latency %v, loss %v, close at %v): %d arrivals one-part, %d two-part\none-part counters %+v\ntwo-part counters %+v",
+				seed, bw, lat, loss, closeAt, len(one.arrivals), len(two.arrivals), one.out, two.out)
 			for i := range min(len(one.arrivals), len(two.arrivals)) {
 				if a, b := one.arrivals[i], two.arrivals[i]; a != b {
 					t.Errorf("arrival %d: message %d at %v one-part, message %d at %v two-part (bytes equal: %v)",

@@ -105,9 +105,17 @@ func refInterpolate(p *configProfile, res resource.Vector) (spec.Metrics, error)
 	if len(g.Axes) == 0 {
 		return nil, fmt.Errorf("perfdb: profile has no resource dimensions")
 	}
-	lo, hi, err := g.Neighbors(res)
-	if err != nil {
-		return nil, err
+	lo, hi := resource.Vector{}, resource.Vector{}
+	for _, ax := range g.Axes {
+		x, ok := res[ax.Kind]
+		if !ok {
+			return nil, fmt.Errorf("resource: query missing dimension %s", ax.Kind)
+		}
+		lo[ax.Kind], hi[ax.Kind] = x, x
+		if len(ax.Points) > 0 {
+			l, h := ax.Bracket(x)
+			lo[ax.Kind], hi[ax.Kind] = ax.Points[l], ax.Points[h]
+		}
 	}
 	type dim struct {
 		kind resource.Kind

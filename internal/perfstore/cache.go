@@ -2,7 +2,6 @@ package perfstore
 
 import (
 	"sync"
-	"time"
 
 	"tunable/internal/lru"
 	"tunable/internal/metrics"
@@ -50,13 +49,9 @@ type profileCache struct {
 	misses *metrics.Counter
 }
 
-func newProfileCache(maxEntries int, ttl time.Duration, now func() time.Duration) *profileCache {
+func newProfileCache(maxEntries int) *profileCache {
 	c := &profileCache{}
-	c.pol = lru.New[string, *cacheEntry](lru.Config{
-		MaxEntries: maxEntries,
-		TTL:        ttl,
-		Now:        now,
-	}, nil)
+	c.pol = lru.New[string, *cacheEntry](lru.Config{MaxEntries: maxEntries}, nil)
 	return c
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"tunable/internal/metrics"
 	"tunable/internal/perfdb"
@@ -24,35 +23,35 @@ type Options struct {
 	// Alpha is the exponential weight of one accepted sample when folding
 	// into a profile record: new = (1-α)·cur + α·obs (default 0.25).
 	Alpha float64
-	// OutlierK is the robust z-score threshold beyond which a sample's
-	// deviation from the model is rejected as an outlier (default 3.5).
-	OutlierK float64
-	// WindowSize bounds the per-(config, metric) deviation window the
-	// outlier filter ranks against (default 16).
-	WindowSize int
-	// MinWindow is how many deviations must accumulate before the MAD test
-	// activates; below it only HardLimit applies (default 4).
-	MinWindow int
-	// HardLimit rejects samples whose relative deviation from the model
-	// exceeds this factor during bootstrap (default 8.0).
-	HardLimit float64
-	// SnapDigits coarsens sample resource vectors to this many significant
-	// digits before folding (default 2; negative disables). Monitor
-	// estimates carry measurement noise — CPU 0.8997 now, 0.9003 a moment
-	// later — and without coarsening every sample founds its own overlay
-	// record: the lattice fragments into near-duplicates, none of which
-	// ever accumulates enough samples to converge, and a single
+	// CacheEntries bounds the materialized profile cache (default 256).
+	CacheEntries int
+}
+
+// The ingest filter and the lattice snapping.
+const (
+	// outlierK is the robust z-score threshold beyond which a sample's
+	// deviation from the model is rejected as an outlier.
+	outlierK = 3.5
+	// windowSize bounds the per-(config, metric) deviation window the
+	// outlier filter ranks against.
+	windowSize = 16
+	// minWindow is how many deviations must accumulate before the MAD
+	// test activates; below it only hardLimit applies.
+	minWindow = 4
+	// hardLimit rejects samples whose relative deviation from the model
+	// exceeds this factor during bootstrap.
+	hardLimit = 8.0
+	// snapDigits coarsens sample resource vectors to this many
+	// significant digits before folding. Monitor estimates carry
+	// measurement noise — CPU 0.8997 now, 0.9003 a moment later — and
+	// without coarsening every sample founds its own overlay record: the
+	// lattice fragments into near-duplicates, none of which ever
+	// accumulates enough samples to converge, and a single
 	// unrepresentative observation (one caught mid-transition) keeps its
 	// own point forever. Snapping merges them into one record that the
 	// exponential refinement actually sharpens.
-	SnapDigits int
-	// CacheEntries bounds the materialized profile cache (default 256).
-	CacheEntries int
-	// CacheTTL expires cached profiles (default 0: no expiry).
-	CacheTTL time.Duration
-	// Now is the clock CacheTTL reads; required when CacheTTL > 0.
-	Now func() time.Duration
-}
+	snapDigits = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
@@ -60,21 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha <= 0 || o.Alpha > 1 {
 		o.Alpha = 0.25
-	}
-	if o.OutlierK <= 0 {
-		o.OutlierK = 3.5
-	}
-	if o.WindowSize <= 0 {
-		o.WindowSize = 16
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 4
-	}
-	if o.HardLimit <= 0 {
-		o.HardLimit = 8.0
-	}
-	if o.SnapDigits == 0 {
-		o.SnapDigits = 2
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 256
@@ -141,7 +125,7 @@ func New(app *spec.App, prior *perfdb.DB, store Store, opts Options) (*PerfStore
 		prior:   prior,
 		store:   store,
 		opts:    opts,
-		cache:   newProfileCache(opts.CacheEntries, opts.CacheTTL, opts.Now),
+		cache:   newProfileCache(opts.CacheEntries),
 		windows: make(map[string]*devWindow),
 	}
 	return s, nil
@@ -461,17 +445,13 @@ func (s *PerfStore) foldInto(p *Profile, res resource.Vector, obs spec.Metrics, 
 	return 1
 }
 
-// snapRes coarsens a resource vector to SnapDigits significant digits
+// snapRes coarsens a resource vector to snapDigits significant digits
 // per component, so noisy monitor estimates of the same operating point
 // fold into the same lattice record.
 func (s *PerfStore) snapRes(res resource.Vector) resource.Vector {
-	d := s.opts.SnapDigits
-	if d <= 0 {
-		return res
-	}
 	out := make(resource.Vector, len(res))
 	for k, v := range res {
-		out[k] = sigRound(v, d)
+		out[k] = sigRound(v, snapDigits)
 	}
 	return out
 }
@@ -559,9 +539,9 @@ func relDev(obs, pred float64) float64 {
 // admit decides whether a sample is consistent enough with the model to
 // refine it. With no prediction available (cold configuration) everything
 // bootstraps in. Otherwise each metric's relative deviation is ranked
-// against its window: during bootstrap (window below MinWindow) only the
+// against its window: during bootstrap (window below minWindow) only the
 // hard limit applies; after that a robust z-score against the windowed
-// median/MAD rejects transients at OutlierK.
+// median/MAD rejects transients at outlierK.
 func (s *PerfStore) admit(sample *Sample) bool {
 	pred, err := s.Predict(sample.Config, sample.Resources)
 	if err != nil {
@@ -580,11 +560,11 @@ func (s *PerfStore) admit(sample *Sample) bool {
 		wk := key + "\x00" + name
 		w := s.windows[wk]
 		if w == nil {
-			w = &devWindow{ring: make([]float64, s.opts.WindowSize)}
+			w = &devWindow{ring: make([]float64, windowSize)}
 			s.windows[wk] = w
 		}
-		if w.fill < s.opts.MinWindow {
-			if math.Abs(d) > s.opts.HardLimit {
+		if w.fill < minWindow {
+			if math.Abs(d) > hardLimit {
 				ok = false
 			}
 		} else {
@@ -593,7 +573,7 @@ func (s *PerfStore) admit(sample *Sample) bool {
 			// keeps a degenerate (constant) window from rejecting
 			// everything.
 			z := math.Abs(d-med) / (1.4826*mad + 0.05)
-			if z > s.opts.OutlierK {
+			if z > outlierK {
 				ok = false
 			}
 		}

@@ -23,9 +23,9 @@ import (
 // Each log record is [length uint32 LE][crc32(payload) uint32 LE][payload]
 // where payload is one canonically encoded Profile (a full profile put —
 // profiles are small, and full puts make replay order-insensitive per
-// key). Save appends; when the active segment exceeds MaxSegmentBytes a
+// key). Save appends; when the active segment exceeds maxSegmentBytes a
 // new one is opened, and when the directory holds more than
-// CompactAfterSegments segments the whole state is rewritten as a fresh
+// compactAfterSegments segments the whole state is rewritten as a fresh
 // versioned snapshot and the segments are deleted.
 //
 // Reopen loads the newest snapshot and replays every segment in sequence
@@ -38,18 +38,19 @@ const (
 	segPrefix       = "wal-"
 )
 
-// WALOptions tunes the WAL backend. Zero values take defaults.
+// WALOptions tunes the WAL backend. Zero values take defaults; only
+// tests set its fields.
 type WALOptions struct {
-	MaxSegmentBytes      int64 // rotate the active segment beyond this (default 1 MiB)
-	CompactAfterSegments int   // snapshot + reset once this many segments exist (default 4)
+	maxSegmentBytes      int64 // rotate the active segment beyond this (default 1 MiB)
+	compactAfterSegments int   // snapshot + reset once this many segments exist (default 4)
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 1 << 20
+	if o.maxSegmentBytes <= 0 {
+		o.maxSegmentBytes = 1 << 20
 	}
-	if o.CompactAfterSegments <= 0 {
-		o.CompactAfterSegments = 4
+	if o.compactAfterSegments <= 0 {
+		o.compactAfterSegments = 4
 	}
 	return o
 }
@@ -271,11 +272,11 @@ func (s *WALStore) Save(p *Profile) error {
 	s.walBytes += n
 	s.profiles[c.ConfigKey] = c
 	s.version++
-	if s.curBytes >= s.opts.MaxSegmentBytes {
+	if s.curBytes >= s.opts.maxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
-		if s.curSeq-s.oldestSegLocked() >= s.opts.CompactAfterSegments {
+		if s.curSeq-s.oldestSegLocked() >= s.opts.compactAfterSegments {
 			if err := s.compactLocked(); err != nil {
 				return err
 			}

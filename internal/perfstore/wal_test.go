@@ -158,7 +158,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record rotates, and compaction triggers after 3
 	// segments exist.
-	w, err := OpenWAL(dir, WALOptions{MaxSegmentBytes: 64, CompactAfterSegments: 3})
+	w, err := OpenWAL(dir, WALOptions{maxSegmentBytes: 64, compactAfterSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	w.Close()
 
 	// Reopen: snapshot + remaining segments reproduce the exact state.
-	w2, err := OpenWAL(dir, WALOptions{MaxSegmentBytes: 64, CompactAfterSegments: 3})
+	w2, err := OpenWAL(dir, WALOptions{maxSegmentBytes: 64, compactAfterSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Axis is one sweepable dimension of a resource grid: the sample points the
 // profiling driver will visit along a single resource kind (Section 5).
@@ -94,25 +91,6 @@ func (g *Grid) Points() []Vector {
 	return out
 }
 
-// Neighbors returns, for each dimension of q present in the grid, the two
-// lattice values bracketing q (equal if q sits on a lattice point or
-// outside the range). Used for multilinear interpolation.
-func (g *Grid) Neighbors(q Vector) (lo, hi Vector, err error) {
-	lo, hi = Vector{}, Vector{}
-	for _, ax := range g.Axes {
-		x, ok := q[ax.Kind]
-		if !ok {
-			return nil, nil, fmt.Errorf("resource: query missing dimension %s", ax.Kind)
-		}
-		lo[ax.Kind], hi[ax.Kind] = x, x
-		if len(ax.Points) > 0 {
-			l, h := ax.Bracket(x)
-			lo[ax.Kind], hi[ax.Kind] = ax.Points[l], ax.Points[h]
-		}
-	}
-	return lo, hi, nil
-}
-
 // Bracket returns the indices of the nearest lattice values below and
 // above x (clamped to the ends of the axis, equal when x sits on a lattice
 // point). The axis must be non-empty with its points sorted ascending, as
@@ -130,22 +108,4 @@ func (ax Axis) Bracket(x float64) (lo, hi int) {
 	default:
 		return i - 1, i
 	}
-}
-
-// Contains reports whether q lies within the grid's bounding box on every
-// grid dimension.
-func (g *Grid) Contains(q Vector) bool {
-	for _, ax := range g.Axes {
-		x, ok := q[ax.Kind]
-		if !ok {
-			return false
-		}
-		if len(ax.Points) == 0 {
-			return false
-		}
-		if x < ax.Points[0]-1e-12 || x > ax.Points[len(ax.Points)-1]+1e-12 {
-			return false
-		}
-	}
-	return true
 }

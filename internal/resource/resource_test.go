@@ -139,47 +139,6 @@ func TestGridDeduplicates(t *testing.T) {
 	}
 }
 
-func TestGridNeighbors(t *testing.T) {
-	g := NewGrid(Axis{Kind: CPU, Points: []float64{0.2, 0.4, 0.8}})
-	lo, hi, err := g.Neighbors(Vector{CPU: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo[CPU] != 0.4 || hi[CPU] != 0.8 {
-		t.Fatalf("bracket %v %v", lo, hi)
-	}
-	// On a lattice point.
-	lo, hi, _ = g.Neighbors(Vector{CPU: 0.4})
-	if lo[CPU] != 0.4 || hi[CPU] != 0.4 {
-		t.Fatalf("exact bracket %v %v", lo, hi)
-	}
-	// Clamped below and above.
-	lo, hi, _ = g.Neighbors(Vector{CPU: 0.05})
-	if lo[CPU] != 0.2 || hi[CPU] != 0.2 {
-		t.Fatalf("low clamp %v %v", lo, hi)
-	}
-	lo, hi, _ = g.Neighbors(Vector{CPU: 2})
-	if lo[CPU] != 0.8 || hi[CPU] != 0.8 {
-		t.Fatalf("high clamp %v %v", lo, hi)
-	}
-	if _, _, err := g.Neighbors(Vector{}); err == nil {
-		t.Fatal("missing dimension should error")
-	}
-}
-
-func TestGridContains(t *testing.T) {
-	g := NewGrid(Axis{Kind: CPU, Points: []float64{0.2, 0.8}})
-	if !g.Contains(Vector{CPU: 0.5}) {
-		t.Fatal("interior point")
-	}
-	if g.Contains(Vector{CPU: 0.9}) {
-		t.Fatal("exterior point")
-	}
-	if g.Contains(Vector{Bandwidth: 1}) {
-		t.Fatal("missing dimension")
-	}
-}
-
 // Property: domination is reflexive and antisymmetric-ish over positive kinds.
 func TestDominatesProperties(t *testing.T) {
 	f := func(a, b uint8) bool {
@@ -203,23 +162,16 @@ func TestDominatesProperties(t *testing.T) {
 	}
 }
 
-// Property: every grid point is contained in the grid and brackets to itself.
+// Property: every grid point brackets to itself on every axis.
 func TestGridPointsBracketThemselves(t *testing.T) {
 	g := NewGrid(
 		Axis{Kind: CPU, Points: Linspace(0.1, 1, 7)},
 		Axis{Kind: Bandwidth, Points: []float64{1e4, 3.16e4, 1e5, 3.16e5, 1e6}},
 	)
 	for _, p := range g.Points() {
-		if !g.Contains(p) {
-			t.Fatalf("point %v not contained", p)
-		}
-		lo, hi, err := g.Neighbors(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range p.Kinds() {
-			if !approxEqual(lo[k], p[k]) || !approxEqual(hi[k], p[k]) {
-				t.Fatalf("point %v brackets to %v..%v on %s", p, lo, hi, k)
+		for _, ax := range g.Axes {
+			if l, h := ax.Bracket(p[ax.Kind]); l != h || !approxEqual(ax.Points[l], p[ax.Kind]) {
+				t.Fatalf("point %v brackets to %v..%v on %s", p, ax.Points[l], ax.Points[h], ax.Kind)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 
 // The reference oracle: Select as it was before the scheduler evaluated
 // compiled lattices — one Model.Predict map per candidate per evaluation,
-// the feasible set sorted with the key tie-break, lattice axes re-derived
+// the feasible set walked in key order with the dominance tie rule, lattice axes re-derived
 // from Model.Records. The differential test below demands the same
 // decision, bit for bit, from Scheduler.Select over the databases the
 // experiments and the application mix run on.
@@ -70,17 +70,41 @@ func refSelectForPref(model perfdb.Model, cands []spec.Config, pref scheduler.Pr
 	if len(feasible) == 0 {
 		return nil, nil, false
 	}
-	higher := model.App().Metric(pref.Objective).Better == spec.HigherIsBetter
-	sort.Slice(feasible, func(i, j int) bool {
-		if feasible[i].obj != feasible[j].obj {
-			if higher {
-				return feasible[i].obj > feasible[j].obj
-			}
-			return feasible[i].obj < feasible[j].obj
+	// Walk the feasible candidates in key order. One takes the lead with a
+	// strictly better objective, or with an equal objective if it
+	// dominates the leader: better-or-equal on every metric and strictly
+	// better on one, each in its direction.
+	sort.Slice(feasible, func(i, j int) bool { return feasible[i].cfg.Key() < feasible[j].cfg.Key() })
+	app := model.App()
+	higher := app.Metric(pref.Objective).Better == spec.HigherIsBetter
+	lead := feasible[0]
+	for _, c := range feasible[1:] {
+		switch {
+		case c.obj != lead.obj && (c.obj > lead.obj) == higher:
+			lead = c
+		case c.obj == lead.obj && refDominates(app, c.m, lead.m):
+			lead = c
 		}
-		return feasible[i].cfg.Key() < feasible[j].cfg.Key()
-	})
-	return feasible[0].cfg, feasible[0].m, true
+	}
+	return lead.cfg, lead.m, true
+}
+
+// refDominates reports whether a is better-or-equal to b on every declared
+// metric present in both, and strictly better on at least one.
+func refDominates(app *spec.App, a, b spec.Metrics) bool {
+	strict := false
+	for _, m := range app.Metrics {
+		x, okA := a[m.Name]
+		y, okB := b[m.Name]
+		if !okA || !okB || x == y {
+			continue
+		}
+		if (x > y) != (m.Better == spec.HigherIsBetter) {
+			return false
+		}
+		strict = true
+	}
+	return strict
 }
 
 func refValidRanges(model perfdb.Model, cands []spec.Config, cfg spec.Config, pref scheduler.Preference, res resource.Vector) map[resource.Kind][2]float64 {

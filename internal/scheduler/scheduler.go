@@ -234,9 +234,10 @@ func (s *Scheduler) newEvaluation() *evaluation {
 }
 
 // best evaluates one preference at res: prune by constraints, optimize the
-// objective, break ties deterministically by configuration key. It returns
-// the winning candidate's index (-1 if none is feasible), leaving its
-// predicted metrics in ev.bestM, and how many candidates were pruned.
+// objective, and on an objective tie prefer the candidate that dominates.
+// It returns the winning candidate's index (-1 if none is feasible),
+// leaving its predicted metrics in ev.bestM, and how many candidates were
+// pruned.
 func (ev *evaluation) best(pref Preference, res resource.Vector) (best, pruned int) {
 	s := ev.s
 	s.mNoProfile.Add(float64(ev.noProfile))
@@ -259,18 +260,39 @@ candidates:
 			continue
 		}
 		feasible++
-		// Candidates are visited in key order, so on equal objectives the
-		// earlier one keeps the lead.
+		// Candidates are visited in key order. A later one takes the lead
+		// with a strictly better objective, or with an equal one if it
+		// dominates the incumbent; so no feasible candidate dominates the
+		// winner, and only full ties fall to key order.
 		better := obj < bestObj
 		if higher {
 			better = obj > bestObj
 		}
-		if best < 0 || better {
+		if best < 0 || better || obj == bestObj && s.dominates(ev.m, ev.bestM) {
 			best, bestObj = i, obj
 			ev.m, ev.bestM = ev.bestM, ev.m
 		}
 	}
 	return best, len(ev.lats) - feasible
+}
+
+// dominates reports whether predicted metrics a are at least as good as b
+// on every metric the application declares, and strictly better on one,
+// each in its own direction.
+func (s *Scheduler) dominates(a, b spec.Metrics) bool {
+	strict := false
+	for _, m := range s.app.Metrics {
+		x, okA := a[m.Name]
+		y, okB := b[m.Name]
+		if !okA || !okB || x == y {
+			continue
+		}
+		if (x > y) != (m.Better == spec.HigherIsBetter) {
+			return false
+		}
+		strict = true
+	}
+	return strict
 }
 
 // validRanges derives, per resource kind in res, the contiguous band of

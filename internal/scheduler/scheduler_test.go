@@ -205,9 +205,16 @@ func TestValidRangeOpenBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// lzw,l=3 leads from the lowest sample up, so the band is open below.
+	// From 500 KB/s lzw,l=4 ties it on transmit_time (both CPU-bound at
+	// 1 s) at a higher resolution, so it dominates and wins the tie: the
+	// band closes above at 250 KB/s.
 	band := d.ValidRanges[resource.Bandwidth]
-	if !math.IsInf(band[0], -1) || !math.IsInf(band[1], 1) {
-		t.Fatalf("unconstrained preference should yield open band, got %v", band)
+	if d.Config.Key() != "c=lzw,l=3" || !math.IsInf(band[0], -1) || band[1] != 250e3 {
+		t.Fatalf("chose %s with band %v, want c=lzw,l=3 on (-Inf, 250000]", d.Config.Key(), band)
+	}
+	if d, err := s.Select(resource.Vector{resource.Bandwidth: 500e3}); err != nil || d.Config.Key() != "c=lzw,l=4" {
+		t.Fatalf("at 500 KB/s chose %s (%v), want the dominating c=lzw,l=4", d.Config.Key(), err)
 	}
 }
 

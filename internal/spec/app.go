@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"tunable/internal/resource"
 )
@@ -427,15 +426,5 @@ func (a *App) ParamNames() []string {
 	for i, p := range a.Params {
 		names[i] = p.Name
 	}
-	return names
-}
-
-// MetricNames returns declared metric names sorted alphabetically.
-func (a *App) MetricNames() []string {
-	names := make([]string, len(a.Metrics))
-	for i, m := range a.Metrics {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
 	return names
 }

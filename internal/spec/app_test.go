@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"sort"
 	"testing"
 
 	"tunable/internal/resource"
@@ -120,13 +121,13 @@ func TestRunnableConfigsFiltersGuards(t *testing.T) {
 func TestTransitionAllowed(t *testing.T) {
 	a := avisApp()
 	cur := Config{"dR": Int(80), "c": Enum("lzw"), "l": Int(4)}
-	next := cur.With("c", Enum("bzw"))
+	next := with(cur, "c", Enum("bzw"))
 	actions := a.TransitionAllowed(cur, next)
 	if len(actions) != 1 || actions[0] != "notify_server" {
 		t.Fatalf("actions %v", actions)
 	}
 	// No codec change → no action.
-	if acts := a.TransitionAllowed(cur, cur.With("l", Int(3))); len(acts) != 0 {
+	if acts := a.TransitionAllowed(cur, with(cur, "l", Int(3))); len(acts) != 0 {
 		t.Fatalf("unexpected actions %v", acts)
 	}
 	// Guard-less transitions always fire.
@@ -142,7 +143,7 @@ func TestValidateConfig(t *testing.T) {
 	if err := a.ValidateConfig(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ValidateConfig(good.With("l", Int(99))); err == nil {
+	if err := a.ValidateConfig(with(good, "l", Int(99))); err == nil {
 		t.Fatal("out-of-domain value accepted")
 	}
 	missing := good.Clone()
@@ -150,7 +151,7 @@ func TestValidateConfig(t *testing.T) {
 	if err := a.ValidateConfig(missing); err == nil {
 		t.Fatal("missing parameter accepted")
 	}
-	if err := a.ValidateConfig(good.With("extra", Int(1))); err == nil {
+	if err := a.ValidateConfig(with(good, "extra", Int(1))); err == nil {
 		t.Fatal("extra parameter accepted")
 	}
 }
@@ -179,7 +180,7 @@ func TestConfigKeyRoundTrip(t *testing.T) {
 
 func TestConfigOps(t *testing.T) {
 	c := Config{"a": Int(1)}
-	d := c.With("b", Enum("x"))
+	d := with(c, "b", Enum("x"))
 	if len(c) != 1 {
 		t.Fatal("With mutated original")
 	}
@@ -250,9 +251,12 @@ func TestLookupHelpers(t *testing.T) {
 	if len(names) != 3 || names[0] != "dR" {
 		t.Fatalf("ParamNames %v", names)
 	}
-	mnames := a.MetricNames()
-	if len(mnames) != 3 || mnames[0] != "resolution" {
-		t.Fatalf("MetricNames %v", mnames)
+	var mnames []string
+	for _, m := range a.Metrics {
+		mnames = append(mnames, m.Name)
+	}
+	if sort.Strings(mnames); len(mnames) != 3 || mnames[0] != "resolution" {
+		t.Fatalf("metric names %v", mnames)
 	}
 }
 

@@ -547,15 +547,6 @@ func (p *exprParser) parsePrimary() (node, error) {
 // Eval evaluates the expression in the given environment.
 func (e *Expr) Eval(env EvalEnv) (Result, error) { return e.root.eval(env) }
 
-// EvalBool evaluates and coerces to a truth value.
-func (e *Expr) EvalBool(env EvalEnv) (bool, error) {
-	r, err := e.root.eval(env)
-	if err != nil {
-		return false, err
-	}
-	return r.Bool(), nil
-}
-
 // Idents returns the sorted set of identifiers referenced by the
 // expression.
 func (e *Expr) Idents() []string {

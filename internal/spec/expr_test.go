@@ -27,7 +27,7 @@ func evalBool(t *testing.T, src string, env EvalEnv) bool {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	b, err := e.EvalBool(env)
+	b, err := truth(e, env)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -195,4 +195,18 @@ func mustParseExpr(src string) *Expr {
 		panic(err)
 	}
 	return e
+}
+
+// truth evaluates e and coerces the result to a truth value, as guards
+// are read.
+func truth(e *Expr, env EvalEnv) (bool, error) {
+	r, err := e.Eval(env)
+	return r.Bool(), err
+}
+
+// with returns a copy of c with parameter name set to v.
+func with(c Config, name string, v Value) Config {
+	out := c.Clone()
+	out[name] = v
+	return out
 }

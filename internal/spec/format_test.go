@@ -36,15 +36,15 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 	// Guard semantics preserved across the round trip.
 	for _, cfg := range orig.Enumerate() {
-		g1, err1 := orig.Tasks[0].Guard.EvalBool(GuardEnv(cfg))
-		g2, err2 := back.Tasks[0].Guard.EvalBool(GuardEnv(cfg))
+		g1, err1 := truth(orig.Tasks[0].Guard, GuardEnv(cfg))
+		g2, err2 := truth(back.Tasks[0].Guard, GuardEnv(cfg))
 		if err1 != nil || err2 != nil || g1 != g2 {
 			t.Fatalf("guard diverges at %s", cfg.Key())
 		}
 	}
 	// Transition guard too.
 	cur := Config{"dR": Int(80), "c": Enum("lzw"), "l": Int(4)}
-	next := cur.With("c", Enum("bzw"))
+	next := with(cur, "c", Enum("bzw"))
 	if len(back.TransitionAllowed(cur, next)) != 1 {
 		t.Fatal("transition guard lost")
 	}

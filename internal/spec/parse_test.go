@@ -94,7 +94,7 @@ func TestParseAvis(t *testing.T) {
 		t.Fatalf("enumerate %d", got)
 	}
 	next := Config{"dR": Int(80), "c": Enum("bzw"), "l": Int(4)}
-	cur := next.With("c", Enum("lzw"))
+	cur := with(next, "c", Enum("lzw"))
 	if acts := app.TransitionAllowed(cur, next); len(acts) != 1 {
 		t.Fatalf("actions %v", acts)
 	}
@@ -159,11 +159,11 @@ func TestParsedGuardMatchesProgrammatic(t *testing.T) {
 	parsed := MustParse(avisSrc)
 	prog := avisApp()
 	for _, cfg := range prog.Enumerate() {
-		pg, err := parsed.Tasks[0].Guard.EvalBool(GuardEnv(cfg))
+		pg, err := truth(parsed.Tasks[0].Guard, GuardEnv(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gg, err := prog.Tasks[0].Guard.EvalBool(GuardEnv(cfg))
+		gg, err := truth(prog.Tasks[0].Guard, GuardEnv(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

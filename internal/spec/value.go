@@ -80,13 +80,6 @@ func (c Config) Clone() Config {
 	return out
 }
 
-// With returns a copy of c with parameter name set to v.
-func (c Config) With(name string, v Value) Config {
-	out := c.Clone()
-	out[name] = v
-	return out
-}
-
 // Equal reports whether two configurations assign identical values to the
 // same parameters.
 func (c Config) Equal(d Config) bool {

@@ -30,12 +30,6 @@ type ControlMsg struct {
 	Config      spec.Config
 	ValidRanges map[resource.Kind][2]float64
 	Reason      string
-	// At is the (virtual) instant the sender computed this decision. A
-	// message that sat in a partitioned channel past the agent's TTL is
-	// rejected as stale — the resource picture it was computed from is
-	// gone. Zero means "no timestamp" and is never stale (compatibility
-	// with senders that predate the field).
-	At time.Duration
 }
 
 // Ack reports the fate of a control message back to its sender.
@@ -64,7 +58,6 @@ type Agent struct {
 	acks     *vtime.Chan[Ack]
 	handlers map[string]Handler
 	veto     Veto
-	ttl      time.Duration
 	onApply  []func(old, new spec.Config, ranges map[resource.Kind][2]float64)
 	switches int64
 	rejects  int64
@@ -74,7 +67,6 @@ type Agent struct {
 	mRejects    *metrics.Counter
 	mSuperseded *metrics.Counter
 	mGuardRound *metrics.Counter
-	mStale      *metrics.Counter
 }
 
 // New creates a steering agent with the given initial configuration.
@@ -108,8 +100,6 @@ func (a *Agent) EnableMetrics(reg *metrics.Registry) {
 		"Queued control messages superseded before application.")
 	a.mGuardRound = reg.Counter("steering_guard_rounds_total",
 		"Guard negotiation rounds (control messages evaluated).")
-	a.mStale = reg.Counter("steering_stale_total",
-		"Control messages rejected for exceeding the staleness TTL.")
 }
 
 // Current returns the active configuration.
@@ -133,14 +123,6 @@ func (a *Agent) OnAction(name string, h Handler) { a.handlers[name] = h }
 
 // SetVeto installs the negotiation hook.
 func (a *Agent) SetVeto(v Veto) { a.veto = v }
-
-// SetTTL bounds how old a control message (by its At stamp) may be when
-// it reaches a transition point. Under a partition the scheduler's
-// decisions queue up; once the partition heals, applying a plan computed
-// against a minutes-old resource picture is worse than doing nothing, so
-// messages older than ttl are rejected with reason "stale". Zero (the
-// default) disables the check.
-func (a *Agent) SetTTL(ttl time.Duration) { a.ttl = ttl }
 
 // OnApply registers a callback invoked after every applied switch (the
 // core framework uses it to re-arm the monitoring agent).
@@ -193,11 +175,6 @@ func (a *Agent) MaybeApply(p *vtime.Proc) (spec.Config, bool) {
 
 func (a *Agent) apply(p *vtime.Proc, msg ControlMsg) error {
 	a.mGuardRound.Inc()
-	if a.ttl > 0 && msg.At > 0 && p.Now()-msg.At > a.ttl {
-		a.mStale.Inc()
-		return fmt.Errorf("steering: control message %d stale: computed at %v, now %v (ttl %v)",
-			msg.Seq, msg.At, p.Now(), a.ttl)
-	}
 	if err := a.app.ValidateConfig(msg.Config); err != nil {
 		return err
 	}

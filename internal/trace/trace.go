@@ -36,23 +36,6 @@ func (s *Series) Add(t time.Duration, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Sum returns the sum of all values.
-func (s *Series) Sum() float64 {
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum
-}
-
-// Mean returns the mean value, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.Points))
-}
-
 // Recorder collects named series. Like Series, it is not safe for
 // concurrent use.
 type Recorder struct {

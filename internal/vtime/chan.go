@@ -251,39 +251,3 @@ func (e *Event) Wait(p *Proc) {
 	e.waiters = append(e.waiters, p)
 	p.yield("event ", e.name)
 }
-
-// WaitGroup counts outstanding work items in virtual time.
-type WaitGroup struct {
-	sim     *Sim
-	n       int
-	waiters []*Proc
-}
-
-// newWaitGroup creates an empty wait group.
-func newWaitGroup(s *Sim) *WaitGroup { return &WaitGroup{sim: s} }
-
-// Add increments the counter by delta.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("vtime: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		for _, p := range wg.waiters {
-			wg.sim.makeRunnable(p)
-		}
-		wg.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks the calling process until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	if wg.n == 0 {
-		return
-	}
-	wg.waiters = append(wg.waiters, p)
-	p.yield("waitgroup", "")
-}

@@ -27,6 +27,43 @@ const (
 	scheduleFile  = "testdata/schedule.sha256"
 )
 
+// waitGroup counts outstanding work items in virtual time: the random
+// programs wait for the processes they spawn with it.
+type waitGroup struct {
+	sim     *Sim
+	n       int
+	waiters []*Proc
+}
+
+// newWaitGroup creates an empty wait group.
+func newWaitGroup(s *Sim) *waitGroup { return &waitGroup{sim: s} }
+
+// Add increments the counter by delta.
+func (wg *waitGroup) Add(delta int) {
+	wg.n += delta
+	if wg.n < 0 {
+		panic("vtime: negative WaitGroup counter")
+	}
+	if wg.n == 0 {
+		for _, p := range wg.waiters {
+			wg.sim.makeRunnable(p)
+		}
+		wg.waiters = nil
+	}
+}
+
+// Done decrements the counter by one.
+func (wg *waitGroup) Done() { wg.Add(-1) }
+
+// Wait blocks the calling process until the counter reaches zero.
+func (wg *waitGroup) Wait(p *Proc) {
+	if wg.n == 0 {
+		return
+	}
+	wg.waiters = append(wg.waiters, p)
+	p.yield("waitgroup", "")
+}
+
 type schedWorld struct {
 	s       *Sim
 	rng     *rand.Rand
@@ -52,7 +89,7 @@ func (w *schedWorld) log(id int64, kind, format string, args ...any) {
 
 func (w *schedWorld) pick(ds ...time.Duration) time.Duration { return ds[w.rng.Intn(len(ds))] }
 
-func (w *schedWorld) spawn(parent *Proc, kids *WaitGroup) {
+func (w *schedWorld) spawn(parent *Proc, kids *waitGroup) {
 	w.procs++
 	name := fmt.Sprintf("p%d", w.procs)
 	body := func(p *Proc) {

@@ -138,7 +138,6 @@ type timer struct {
 
 type timerHeap []*timer
 
-func (h timerHeap) Len() int { return len(h) }
 func (h timerHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at

@@ -30,9 +30,6 @@ func Decompose(im *imagery.Image, levels int) (*Pyramid, error) {
 // CoarseSide returns the side of the coarsest approximation.
 func (p *Pyramid) CoarseSide() int { return p.Side >> p.Levels }
 
-// LevelSide returns the image side at resolution level l.
-func (p *Pyramid) LevelSide(l int) int { return p.CoarseSide() << l }
-
 // band identifies one coefficient band: the approximation (k=0) or the
 // H/V/D details at decomposition step k (1..L).
 type band struct {
@@ -148,24 +145,6 @@ func (d diffRect) rowRuns(y int) (a0, a1, b0, b1 int) {
 		return d.x0, d.lx1, d.rx0, d.x1
 	}
 	return d.x0, d.x1, 0, 0
-}
-
-// cellsInDiff enumerates, in deterministic row-major order, the cells of a
-// side-s band grid inside the square of radius rNew centred at (cx, cy)
-// but outside the square of radius rOld (same centre). Radii and centre
-// are in band coordinates; the square is clipped to the grid. Retained for
-// tests and reference — the hot paths use diffRect runs directly.
-func cellsInDiff(s, cx, cy, rNew, rOld int, visit func(x, y int)) {
-	d := makeDiffRect(s, cx, cy, rNew, rOld)
-	for y := d.y0; y < d.y1; y++ {
-		a0, a1, b0, b1 := d.rowRuns(y)
-		for x := a0; x < a1; x++ {
-			visit(x, y)
-		}
-		for x := b0; x < b1; x++ {
-			visit(x, y)
-		}
-	}
 }
 
 func clamp(v, lo, hi int) int {

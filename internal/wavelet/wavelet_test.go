@@ -68,9 +68,6 @@ func TestPyramidGeometry(t *testing.T) {
 	if p.CoarseSide() != 16 {
 		t.Fatalf("coarse side %d", p.CoarseSide())
 	}
-	if p.LevelSide(4) != 256 || p.LevelSide(2) != 64 {
-		t.Fatalf("level sides %d %d", p.LevelSide(4), p.LevelSide(2))
-	}
 }
 
 func TestFullImageChunkSizeMatchesPixelCount(t *testing.T) {

@@ -10,6 +10,7 @@
 #   scripts/ci.sh smoke      # chaos, conformance, swarm, mix, figure-golden and fuzz smokes
 #   scripts/ci.sh fuzz       # just the fuzz smoke (FUZZTIME=5m for the nightly pass)
 #   scripts/ci.sh bench      # bench smoke + perf gate vs baselines
+#   scripts/ci.sh reach      # run-time reach ratchet (scripts/reach.txt)
 #   scripts/ci.sh -short     # full gate, skipping slow real-time tests
 #
 # Flags after the stage (or in place of it) are forwarded to go test.
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 STAGE=all
 case "${1:-}" in
-lint | unit | smoke | fuzz | bench | all)
+lint | unit | smoke | fuzz | bench | reach | all)
 	STAGE=$1
 	shift
 	;;
@@ -157,17 +158,150 @@ run_bench() {
 	fi
 }
 
+run_reach() {
+	# Run-time reach: build every cmd/ main and the benchmark with
+	# coverage counters over internal/, drive them through the shipped
+	# workloads under one GOCOVERDIR, and hold the internal/ functions no
+	# run entered to scripts/reach.txt: a `never-entered N` limit plus a
+	# `keep <name> <reason>` line for each. An unlisted never-entered
+	# function, a keep line naming a function that no longer exists, or a
+	# count above the limit fails; a kept function that did run is only
+	# reported, since some paths (failover, retry) depend on timing.
+	R=$(mktemp -d)
+	trap 'kill $(cat "$R/pids" 2>/dev/null) 2>/dev/null || true; rm -rf "$R"' EXIT INT TERM
+	mkdir -p "$R/bin" "$R/cov" "$R/run"
+	echo "== reach: go build -cover (every cmd/ main and bench)"
+	t0=$(date +%s)
+	for main in ./cmd/* ./bench; do
+		go build -cover -coverpkg="./internal/...,$main" -o "$R/bin/$(basename "$main")" "$main"
+	done
+	go build -o "$R/bin/portprobe" ./scripts/internal/portprobe
+	go build -o "$R/bin/specsrc" ./scripts/internal/specsrc
+	t1=$(date +%s)
+	echo "   built in $((t1 - t0)) s"
+
+	B=$R/bin
+	(
+		cd "$R/run"
+		export GOCOVERDIR="$R/cov"
+		q() { "$@" >>"$R/run.log" 2>&1 || { tail -20 "$R/run.log" >&2; echo "reach: failed: $*" >&2; exit 1; }; }
+		for w in direct-small direct-bulk edge-revisit adapt-cycle mix-contention control-resolve; do
+			echo "== reach: bench -workload $w"
+			q "$B/bench" -workload "$w" -seconds 1 -seed 1 -trace
+		done
+		echo "== reach: avis-figures, avis-adapt -exp all, avis-mix -chaos, avis-load, avis-chaos"
+		q "$B/avis-figures"
+		q "$B/avis-adapt" -exp all
+		q "$B/avis-mix" -seed 42 -video 4 -foveal 2 -chaos
+		q "$B/avis-load" -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
+		q "$B/avis-chaos"
+		echo "== reach: avis-profile -merge, -refine; tunable-spec on both shipped specs"
+		q "$B/avis-profile" -figure all -merge wal -out perf.json
+		q "$B/avis-profile" -figure 6a -refine 0.5 -out refined.json
+		for s in avis video; do
+			"$B/specsrc" $s >$s.tsp
+			q "$B/tunable-spec" -in $s.tsp
+			q "$B/tunable-spec" -in $s.tsp -format
+			q "$B/tunable-spec" -in $s.tsp -enumerate
+		done
+
+		echo "== reach: loopback deployment (coordinator, origin, edge, four clients)"
+		COORD=127.0.0.1:7681 SRV=127.0.0.1:7481 EDGE=127.0.0.1:7482 MET=127.0.0.1:9481
+		wait_port() {
+			i=0
+			until "$B/portprobe" "$1" 2>/dev/null; do
+				i=$((i + 1))
+				[ $i -lt 100 ] || { echo "reach: nothing listens at $1" >&2; exit 1; }
+				sleep 0.1
+			done
+		}
+		"$B/avis-coord" -addr $COORD -perfstore-dir wal -perfdb perf.json -metrics-addr $MET >coord.log 2>&1 &
+		echo $! >>"$R/pids"
+		wait_port $COORD
+		"$B/avis-server" -addr $SRV -side 256 -levels 4 -images 2 -coord $COORD -heartbeat 200ms >server.log 2>&1 &
+		echo $! >>"$R/pids"
+		wait_port $SRV
+		sig=$(sed -n 's/.*store signature \([^)]*\)).*/\1/p' server.log)
+		"$B/avis-edge" -addr $EDGE -origin $SRV -sig "$sig" -prewarm -coord $COORD -heartbeat 200ms >edge.log 2>&1 &
+		echo $! >>"$R/pids"
+		wait_port $EDGE
+		sleep 0.5 # let both registrations land
+		q "$B/avis-client" -addr $SRV -n 2
+		q "$B/avis-client" -addr $EDGE -level 3 -n 2 -verify
+		q "$B/avis-client" -coord $COORD -n 2
+		q "$B/avis-client" -coord $COORD -prefer-edge -codec bzw -level 3 -n 2
+		q curl -sf "http://$MET/metrics"
+		# SIGINT drains each daemon and returns from main, which is
+		# what writes its coverage counters.
+		kill -INT $(cat "$R/pids")
+		wait
+		rm "$R/pids"
+	)
+	echo "   ran in $(($(date +%s) - t1)) s"
+
+	go tool covdata func -i "$R/cov" | awk -v mod="$(go list -m)/internal/" -v list=scripts/reach.txt '
+		BEGIN {
+			while ((getline line <list) > 0) {
+				n = split(line, f, " ")
+				if (f[1] == "keep" && n >= 3) keep[f[2]] = 1
+				else if (f[1] == "never-entered") limit = f[2]
+			}
+		}
+		# file:line:  [*Type.]Func  pct — one row per function; init may
+		# repeat. Rows for methods of generic types carry no receiver, so
+		# it is read off the declaration.
+		index($1, mod) == 1 {
+			split(substr($1, length(mod) + 1), at, ":")
+			n = split(at[1], p, "/")
+			fn = $2
+			sub(/^\*/, "", fn)
+			if (fn !~ /\./) {
+				file = "internal/" at[1]
+				for (i = 1; i < at[2]; i++) getline decl <file
+				getline decl <file
+				close(file)
+				if (decl ~ /^func \(/) {
+					recv = substr(decl, 7, index(decl, ")") - 7)
+					sub(/\[.*\]/, "", recv)
+					sub(/^.* /, "", recv)
+					sub(/^\*/, "", recv)
+					fn = recv "." fn
+				}
+			}
+			name = p[n - 1] "." fn
+			seen[name] = 1
+			if ($NF != "0.0%") ran[name] = 1
+		}
+		END {
+			for (name in seen) if (!(name in ran)) {
+				never++
+				if (!(name in keep)) bad[++nbad] = "never entered and not kept: " name
+			}
+			for (name in keep) {
+				if (!(name in seen)) bad[++nbad] = "kept but no such function: " name
+				else if (name in ran) print "   kept but entered this run: " name
+			}
+			printf "== reach: %d internal/ functions never entered (limit %d)\n", never, limit
+			if (limit == "" || never > limit) bad[++nbad] = "never-entered count " never " is above the limit " limit
+			for (i = 1; i <= nbad; i++) print bad[i] | "sort >&2"
+			close("sort >&2")
+			exit nbad > 0
+		}'
+}
+
 case "$STAGE" in
 lint) run_lint ;;
 unit) run_unit "$@" ;;
 smoke) run_smoke ;;
 fuzz) run_fuzz ;;
 bench) run_bench ;;
+reach) run_reach ;;
 all)
 	run_lint
 	run_unit "$@"
 	run_smoke
 	run_bench
+	run_reach
 	;;
 esac
 

@@ -5,6 +5,9 @@
 //     reaches, so only tests or nothing;
 //   - knobs: flags defined in cmd/, With* funcs, *Config/*Options fields.
 //
+// The report lists the names behind each counter: a flag as <cmd>:-<name>,
+// a field as pkg.Config.Field.
+//
 // It type-checks the module's non-test files (tests are never users). A
 // use is a types.Info.Uses entry outside `var _ I = T{}` assertions and
 // method receivers. A method implementing a module interface, error or one
@@ -30,6 +33,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -58,15 +62,15 @@ type scanner struct {
 	mod    map[string]*listPkg
 	gc     types.Importer
 	state  map[string]int // by key
-	knobs  int
+	knobs  []string
 	named  []*types.TypeName
 	ifaces []*types.Interface
 }
 
 // Report is what one scan counts; the lists hold sorted pkg.Name keys.
 type Report struct {
-	Counts                    map[string]int
-	Inside, TestOnly, Methods []string
+	Counts                           map[string]int
+	Inside, TestOnly, Methods, Knobs []string
 }
 
 func goList(dir string, args ...string) (pkgs []*listPkg, err error) {
@@ -142,10 +146,15 @@ func (s *scanner) check(path, dir string, names []string) (*types.Package, error
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	// Identifiers in `var _ ... = ...` and receivers name a type, not use it.
-	skip := map[*ast.Ident]bool{}
+	skip, calls := map[*ast.Ident]bool{}, map[*ast.Ident]*ast.CallExpr{}
 	for _, f := range files {
 		end := token.NoPos // of the assertion or receiver being walked
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					calls[sel.Sel] = call
+				}
+			}
 			if id, ok := n.(*ast.Ident); ok && id.Pos() < end {
 				skip[id] = true
 			} else if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == 1 && vs.Names[0].Name == "_" {
@@ -161,7 +170,7 @@ func (s *scanner) check(path, dir string, names []string) (*types.Package, error
 			continue
 		} else if _, ok := obj.(*types.Func); ok && obj.Pkg().Path() == "flag" && strings.HasPrefix(s.fset.Position(id.Pos()).Filename,
 			s.cmd+string(filepath.Separator)) && strings.Contains(flagKinds, " "+strings.TrimSuffix(obj.Name(), "Var")+" ") {
-			s.knobs++
+			s.knobs = append(s.knobs, filepath.Base(dir)+":-"+flagName(calls[id], obj.Name()))
 		}
 		if s.state[key(obj)] |= reached; obj.Pkg().Path() != path {
 			s.state[key(obj)] |= outside
@@ -181,13 +190,13 @@ func (s *scanner) check(path, dir string, names []string) (*types.Package, error
 		if !obj.Exported() || pkg.Name() == "main" {
 			continue
 		} else if _, ok := obj.(*types.Func); ok && strings.HasPrefix(name, "With") {
-			s.knobs++
+			s.knobs = append(s.knobs, key(obj))
 		}
 		s.state[key(obj)] |= declared
 		st, ok := obj.Type().Underlying().(*types.Struct)
 		for i := 0; ok && isType && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) && i < st.NumFields(); i++ {
 			if st.Field(i).Exported() {
-				s.knobs++
+				s.knobs = append(s.knobs, key(obj)+"."+st.Field(i).Name())
 			}
 		}
 		for i := 0; isType && !types.IsInterface(n) && i < n.NumMethods(); i++ {
@@ -197,6 +206,23 @@ func (s *scanner) check(path, dir string, names []string) (*types.Package, error
 		}
 	}
 	return pkg, nil
+}
+
+// flagName is the name a flag definer's call gives its flag: the first
+// argument, or the second for the *Var forms, which take the variable first.
+func flagName(call *ast.CallExpr, definer string) string {
+	i := 0
+	if strings.HasSuffix(definer, "Var") {
+		i = 1
+	}
+	if call != nil && i < len(call.Args) {
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				return name
+			}
+		}
+	}
+	return "?"
 }
 
 // key names a package-level object pkg.Name and a concrete method
@@ -233,7 +259,7 @@ func (s *scanner) report() *Report {
 			}
 		}
 	}
-	r := &Report{Counts: map[string]int{"knobs": s.knobs}}
+	r := &Report{Counts: map[string]int{"knobs": len(s.knobs)}, Knobs: s.knobs}
 	for k, v := range s.state {
 		switch {
 		case v&(declared|reached|method) == declared|method:
@@ -244,7 +270,7 @@ func (s *scanner) report() *Report {
 			r.Inside = append(r.Inside, k)
 		}
 	}
-	for _, l := range [][]string{r.Inside, r.TestOnly, r.Methods} {
+	for _, l := range [][]string{r.Inside, r.TestOnly, r.Methods, r.Knobs} {
 		sort.Strings(l)
 	}
 	r.Counts["outside-unused"], r.Counts["test-only"], r.Counts["test-only-methods"] = len(r.Inside)+len(r.TestOnly), len(r.TestOnly), len(r.Methods)
@@ -286,9 +312,9 @@ func main() {
 		for _, c := range counters {
 			fmt.Println(c, r.Counts[c])
 		}
-		for i, names := range [][]string{r.Inside, r.TestOnly, r.Methods} {
+		for i, names := range [][]string{r.Inside, r.TestOnly, r.Methods, r.Knobs} {
 			for _, n := range names {
-				fmt.Println([...]string{"inside-only", "test-only", "test-only-method"}[i], n)
+				fmt.Println([...]string{"inside-only", "test-only", "test-only-method", "knob"}[i], n)
 			}
 		}
 	} else if file, err := os.ReadFile(*check); err != nil {

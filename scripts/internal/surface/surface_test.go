@@ -10,12 +10,14 @@ import (
 // package uses (under cmd/ or, like bench/, outside it), error, Stringer
 // and flag.Value methods, an Is method, a blank interface assertion, a
 // method only a module interface reaches, a generic type, a With* option,
-// flags inside and outside cmd/, and a Config struct.
+// flags inside and outside cmd/ (a flag.Int, a FlagSet method and a
+// flag.Var, whose name is its second argument), and a Config struct.
 var fixture = &Report{
 	Counts:   map[string]int{"outside-unused": 6, "test-only": 3, "test-only-methods": 4, "knobs": 6},
 	Inside:   []string{"lib.Inside", "lib.Option", "use.Run"},
 	TestOnly: []string{"lib.Asserted", "lib.ExtOnly", "lib.OnlyTests"},
 	Methods:  []string{"lib.Box.Put", "lib.Err.Extra", "lib.Err.Unreached", "lib.Impl.Skip"},
+	Knobs:    []string{"lib.Config.Depth", "lib.Config.Size", "lib.WithSize", "tool:-n", "tool:-name", "tool:-named"},
 }
 
 func scanFixture(t *testing.T) *Report {
