@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
+	"tunable/internal/wire"
 )
 
 // hbJitter is the fraction of the heartbeat interval each beat is
@@ -110,7 +111,11 @@ func (a *Agent) Start() error {
 }
 
 func (a *Agent) register() error {
-	_, err := a.cl.call(func(buf []byte) ([]byte, error) { return encodeRegister(buf, a.node) })
+	_, err := a.cl.call(func(buf []byte) ([]byte, error) {
+		c := wire.NewEncoder(append(buf, ctagRegister))
+		a.node.codec(c)
+		return c.Bytes(), nil
+	})
 	return err
 }
 
@@ -181,7 +186,9 @@ func (a *Agent) Close(deregister bool) {
 		<-a.done
 		if deregister {
 			if _, err := a.cl.call(func(buf []byte) ([]byte, error) {
-				return encodeStrMsg(buf, ctagDeregister, schNodeID, "id", a.node.ID)
+				c := wire.NewEncoder(append(buf, ctagDeregister))
+				(&nameReq{a.node.ID}).codec(c)
+				return c.Bytes(), nil
 			}); err != nil {
 				log.Printf("cluster: agent %s: deregister: %v", a.node.ID, err)
 			}

@@ -9,8 +9,8 @@
 // Dearle et al.'s constraint-based deployment framework).
 //
 // Four roles speak one wire discipline (internal/wire framing and
-// handshake, schema-coded bodies, and the data plane's progress-deadline
-// timeout semantics):
+// handshake, bodies coded by one codec method per message, and the data
+// plane's progress-deadline timeout semantics):
 //
 //   - Coordinator (cmd/avis-coord): owns the registry, detector, and
 //     placement; exposes cluster_* metric families.

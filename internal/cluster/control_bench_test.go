@@ -64,11 +64,7 @@ func BenchmarkControlHeartbeatDelta(b *testing.B) {
 			if !ack.OK || len(ack.Unknown) != 0 {
 				b.Fatalf("delta refused: %+v", ack)
 			}
-			reply, err := encodeAck(bufpool.Get(512)[:0], &ack)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bufpool.Put(reply)
+			bufpool.Put(render(bufpool.Get(512)[:0], ctagAck, &ack))
 			entries = entries[:0]
 		}
 	}

@@ -928,84 +928,68 @@ func writeAck(wc *wire.Conn, ack *ackMsg) error {
 }
 
 func sendAck(wc *wire.Conn, ack *ackMsg) error {
-	reply, err := encodeAck(bufpool.Get(512)[:0], ack)
-	if err != nil {
-		return err
-	}
-	err = wc.WriteMsg(reply)
-	bufpool.Put(reply)
+	c := wire.NewEncoder(append(bufpool.Get(512)[:0], ctagAck))
+	ack.codec(c)
+	err := wc.WriteMsg(c.Bytes())
+	bufpool.Put(c.Bytes())
 	return err
 }
 
 // dispatch decodes one request and applies it to the registry core.
 func (c *Coordinator) dispatch(msg []byte) ackMsg {
-	refuse := func(err error) ackMsg { return ackMsg{Err: err.Error()} }
-	body := msg[1:]
-	switch msg[0] {
-	case ctagRegister:
-		info, err := decodeRegister(body)
-		if err != nil {
-			return refuse(err)
-		}
-		if err := c.Register(info); err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true}
+	tag := msg[0]
+	switch tag {
 	case ctagDelta:
 		ack, err := c.applyDeltaFrame(msg)
 		if err != nil {
-			return refuse(err)
+			return ackMsg{Err: err.Error()}
 		}
 		return ack
-	case ctagDeregister:
-		id, err := decodeStrMsg(schNodeID, "id", body)
-		if err != nil {
-			return refuse(err)
-		}
-		c.Deregister(id)
-		return ackMsg{OK: true}
-	case ctagResolve:
-		req, err := decodeResolve(body)
-		if err != nil {
-			return refuse(err)
-		}
-		grant, err := c.Resolve(req)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Grant: grant}
-	case ctagEndSession:
-		sid, err := decodeStrMsg(schSession, "sid", body)
-		if err != nil {
-			return refuse(err)
-		}
-		c.EndSession(sid)
-		return ackMsg{OK: true}
 	case ctagNodes:
 		return ackMsg{OK: true, Nodes: c.Nodes()}
-	case ctagPerfIngest:
-		samples, err := decodePerfIngest(body)
-		if err != nil {
-			return refuse(err)
-		}
-		n, err := c.IngestSamples(samples)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Accepted: n}
-	case ctagPerfProfile:
-		key, err := decodeStrMsg(schPerfProfile, "config", body)
-		if err != nil {
-			return refuse(err)
-		}
-		p, err := c.PerfProfile(key)
-		if err != nil {
-			return refuse(err)
-		}
-		return ackMsg{OK: true, Profile: p}
-	default:
-		return refuse(fmt.Errorf("unknown control tag %q", msg[0]))
 	}
+	var (
+		info    NodeInfo
+		name    nameReq
+		req     ResolveRequest
+		samples sampleBatch
+	)
+	d := wire.NewDecoder(msg[1:])
+	for d.Next() {
+		switch tag {
+		case ctagRegister:
+			info.codec(d)
+		case ctagDeregister, ctagEndSession, ctagPerfProfile:
+			name.codec(d)
+		case ctagResolve:
+			req.codec(d)
+		case ctagPerfIngest:
+			samples.codec(d)
+		default:
+			return ackMsg{Err: fmt.Sprintf("unknown control tag %q", tag)}
+		}
+	}
+	ack := ackMsg{OK: true}
+	err := d.Err()
+	switch {
+	case err != nil:
+	case tag == ctagRegister:
+		err = c.Register(info)
+	case tag == ctagDeregister:
+		c.Deregister(name.Name)
+	case tag == ctagResolve:
+		ack.Grant, err = c.Resolve(req)
+	case tag == ctagEndSession:
+		c.EndSession(name.Name)
+	case tag == ctagPerfIngest:
+		ack.Accepted, err = c.IngestSamples(samples)
+	case tag == ctagPerfProfile:
+		ack.Profile, err = c.PerfProfile(name.Name)
+	}
+	if err != nil {
+		return ackMsg{Err: err.Error()}
+	}
+	return ack
 }
 
 // Shutdown stops the control plane: it closes every listener passed to

@@ -1,0 +1,175 @@
+package cluster
+
+import (
+	"reflect"
+	"testing"
+
+	"tunable/internal/perfstore"
+	"tunable/internal/wire"
+)
+
+// message is a control message as the tests drive it: through its codec
+// method.
+type message interface{ codec(c *wire.Codec) }
+
+// render appends a frame payload — tag byte, then m's body — to buf.
+func render(buf []byte, tag byte, m message) []byte {
+	c := wire.NewEncoder(append(buf, tag))
+	m.codec(c)
+	return c.Bytes()
+}
+
+// parse decodes body into m.
+func parse(body []byte, m message) error {
+	c := wire.NewDecoder(body)
+	for c.Next() {
+		m.codec(c)
+	}
+	return c.Err()
+}
+
+// FuzzControlBody feeds arbitrary control-frame payloads — byte 0 the
+// request or ack tag, the rest its body — to the decoder the coordinator
+// or a caller runs on it. Each must either refuse the body or decode it
+// to a message that re-encodes to at most the input's length and decodes
+// again to an equal message: a decoder holds no more than its input
+// carried, whatever the input.
+func FuzzControlBody(f *testing.F) {
+	seeds := []struct {
+		tag byte
+		m   message
+	}{
+		{ctagRegister, &NodeInfo{ID: "node-a", Addr: "10.0.0.7:7465", Role: RoleEdge, CPU: 0.5,
+			MemBytes: 1 << 30, Side: 256, Levels: 4, Seeds: []int64{42, 0}, Sig: "s"}},
+		{ctagDeregister, &nameReq{"node-a"}},
+		{ctagResolve, &ResolveRequest{SID: "s1", Exclude: []string{"node-b", ""}, CPU: 0.25,
+			MemBytes: -1, Sig: "s", Coarse: true}},
+		{ctagEndSession, &nameReq{"s1"}},
+		{ctagPerfIngest, &sampleBatch{{Config: "c=lzw", Resources: map[string]float64{"bw": 1e5},
+			Metrics: map[string]float64{"t": 0.2, "q": 1}, AtNanos: 7, Source: "node-a"}, {Config: "c=bzw"}}},
+		{ctagPerfProfile, &nameReq{"c=lzw"}},
+		{ctagAck, &ackMsg{OK: true, Err: "e", Grant: ResolveGrant{NodeID: "n", Failover: true},
+			Nodes: []NodeStatus{{ID: "n", Incarnation: 3, CPU: 1}}, Unknown: []string{"x"}, Accepted: 2,
+			Profile: &perfstore.Profile{ConfigKey: "c", Version: 9, Records: []perfstore.ProfileRecord{
+				{Resources: map[string]float64{"bw": 1}, Weight: 0.5, Samples: 4}}}}},
+	}
+	for _, s := range seeds {
+		f.Add(render(nil, s.tag, s.m))
+	}
+	delta, err := appendDeltaBatch(nil, []DeltaEntry{{ID: "node-a", Sessions: 3}, {ID: "node-b", Sessions: -1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(delta)
+	for _, fixture := range []string{"grant_ack", "refusal_ack", "register_zero", "resolve_request"} {
+		f.Add(readHex(f, "testdata/"+fixture+".hex")[6:]) // the payload after the frame header
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if data[0] == ctagDelta {
+			fuzzDelta(t, data)
+			return
+		}
+		var got, again message
+		switch data[0] {
+		case ctagRegister:
+			got, again = new(NodeInfo), new(NodeInfo)
+		case ctagDeregister, ctagEndSession, ctagPerfProfile:
+			got, again = new(nameReq), new(nameReq)
+		case ctagResolve:
+			got, again = new(ResolveRequest), new(ResolveRequest)
+		case ctagPerfIngest:
+			got, again = new(sampleBatch), new(sampleBatch)
+		case ctagAck:
+			got, again = new(ackMsg), new(ackMsg)
+		default:
+			return
+		}
+		body := data[1:]
+		if parse(body, got) != nil {
+			return
+		}
+		re := render(nil, data[0], got)[1:]
+		if err := parse(re, again); err != nil {
+			t.Fatalf("re-encoding %x of %x does not decode: %v", re, body, err)
+		}
+		if !equalNaN(reflect.ValueOf(got), reflect.ValueOf(again)) {
+			t.Fatalf("round trip changed the message:\n%+v\n%+v", got, again)
+		}
+		if len(re) > len(body) {
+			t.Fatalf("%d-byte body re-encodes to %d bytes", len(body), len(re))
+		}
+	})
+}
+
+// fuzzDelta is FuzzControlBody's property for the hand-packed delta batch.
+func fuzzDelta(t *testing.T, frame []byte) {
+	collect := func(frame []byte) ([]DeltaEntry, error) {
+		var out []DeltaEntry
+		err := forEachDelta(frame, func(id []byte, sessions int32) {
+			out = append(out, DeltaEntry{ID: string(id), Sessions: sessions})
+		})
+		return out, err
+	}
+	got, err := collect(frame)
+	if err != nil {
+		return
+	}
+	re, err := appendDeltaBatch(nil, got)
+	if err != nil {
+		t.Fatalf("decoded batch %v does not re-encode: %v", got, err)
+	}
+	again, err := collect(re)
+	if err != nil || !reflect.DeepEqual(got, again) {
+		t.Fatalf("round trip changed the batch: %v → %v (err %v)", got, again, err)
+	}
+	if len(re) > len(frame) {
+		t.Fatalf("%d-byte frame re-encodes to %d bytes", len(frame), len(re))
+	}
+}
+
+// equalNaN is reflect.DeepEqual, except that NaN equals NaN: the codec
+// carries a float's bits, and DeepEqual's == would refuse a NaN it kept.
+func equalNaN(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || x != x && y != y
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalNaN(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalNaN(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalNaN(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if v := b.MapIndex(k); !v.IsValid() || !equalNaN(a.MapIndex(k), v) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
+}

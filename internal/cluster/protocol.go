@@ -15,8 +15,8 @@ import (
 )
 
 // Control-plane wire protocol: each message is one internal/wire frame
-// whose tag byte names the request and whose body is a schema-coded
-// message (schema.go) — except the heartbeat delta batch, which is
+// whose tag byte names the request and whose body is a message coded by
+// its codec method (codec.go) — except the heartbeat delta batch, which is
 // hand-packed (delta.go). The framing, handshake and timeout discipline
 // are shared with the data plane (a wedged coordinator surfaces as
 // avis.ErrIOTimeout).
@@ -112,8 +112,12 @@ func (c *ctrlConn) call(frame []byte, timeout time.Duration) (ackMsg, error) {
 	if msg[0] != ctagAck {
 		return ackMsg{}, fmt.Errorf("cluster: unexpected reply frame")
 	}
-	ack, err := decodeAck(msg[1:])
-	if err != nil {
+	var ack ackMsg
+	d := wire.NewDecoder(msg[1:])
+	for d.Next() {
+		ack.codec(d)
+	}
+	if err := d.Err(); err != nil {
 		return ackMsg{}, err
 	}
 	if !ack.OK {

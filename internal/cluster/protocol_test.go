@@ -239,11 +239,19 @@ func TestControlGolden(t *testing.T) {
 		}
 	}
 	check("testdata/resolve_request.hex",
-		func(buf []byte) ([]byte, error) { return encodeResolve(buf, req) },
-		func(msg []byte) (any, error) { return decodeResolve(msg[1:]) }, req)
+		func(buf []byte) ([]byte, error) { return render(buf, ctagResolve, &req), nil },
+		func(msg []byte) (any, error) {
+			var got ResolveRequest
+			err := parse(msg[1:], &got)
+			return got, err
+		}, req)
 	check("testdata/grant_ack.hex",
-		func(buf []byte) ([]byte, error) { return encodeAck(buf, &ack) },
-		func(msg []byte) (any, error) { return decodeAck(msg[1:]) }, ack)
+		func(buf []byte) ([]byte, error) { return render(buf, ctagAck, &ack), nil },
+		func(msg []byte) (any, error) {
+			var got ackMsg
+			err := parse(msg[1:], &got)
+			return got, err
+		}, ack)
 	check("testdata/delta_batch.hex",
 		func(buf []byte) ([]byte, error) { return appendDeltaBatch(buf, deltas) },
 		func(msg []byte) (any, error) {
@@ -255,6 +263,55 @@ func TestControlGolden(t *testing.T) {
 		}, deltas)
 }
 
+// TestOldCodecFixturesDecode: the previous codec wrote zero values the current
+// one omits — ok=false, every NodeStatus field, a NodeInfo's capacity and
+// store fields. A peer of that build still sends them during a rolling
+// upgrade, so its bytes must decode to the values that produced them.
+func TestOldCodecFixturesDecode(t *testing.T) {
+	cases := []struct {
+		fixture   string
+		tag       byte
+		got, want message
+	}{
+		{"testdata/refusal_ack.hex", ctagAck,
+			&ackMsg{}, &ackMsg{Err: "unknown node", Nodes: []NodeStatus{{ID: "node-a"}}}},
+		{"testdata/register_zero.hex", ctagRegister,
+			&NodeInfo{}, &NodeInfo{ID: "node-a", Addr: "10.0.0.7:7465"}},
+	}
+	for _, tc := range cases {
+		msg, err := wire.NewStream(rw{bytes.NewReader(readHex(t, tc.fixture)), nil}).ReadMsg()
+		if err != nil || msg[0] != tc.tag {
+			t.Fatalf("%s: frame %x, err %v", tc.fixture, msg, err)
+		}
+		if err := parse(msg[1:], tc.got); err != nil || !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s decodes to %+v (err %v), want %+v", tc.fixture, tc.got, err, tc.want)
+		}
+		bufpool.Put(msg)
+	}
+}
+
+// TestDecodedAckOwnsItsStrings: ctrlConn.call returns the reply frame to
+// bufpool right after decoding it, so a decoded ack must share no bytes
+// with the frame — scribbling over the frame leaves it unchanged.
+func TestDecodedAckOwnsItsStrings(t *testing.T) {
+	want := ackMsg{OK: true, Err: "e", Grant: ResolveGrant{NodeID: "node-a", Addr: "10.0.0.7:7465", Sig: "s"},
+		Nodes:   []NodeStatus{{ID: "node-a", Addr: "a", Role: RoleEdge, State: "alive", Sig: "s"}},
+		Unknown: []string{"node-b"},
+		Profile: &perfstore.Profile{ConfigKey: "c=lzw", Records: []perfstore.ProfileRecord{
+			{Resources: map[string]float64{"bw": 1}, Metrics: map[string]float64{"t": 2}}}}}
+	frame := render(nil, ctagAck, &want)
+	var got ackMsg
+	if err := parse(frame[1:], &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 'X'
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scribbling over the frame changed the decoded ack:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // rw glues a reader and a writer into the stream wire.NewStream wants.
 type rw struct {
 	io.Reader
@@ -263,7 +320,7 @@ type rw struct {
 
 // readHex loads a golden fixture: hex bytes, with whitespace and
 // #-comments ignored.
-func readHex(t *testing.T, path string) []byte {
+func readHex(t testing.TB, path string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {

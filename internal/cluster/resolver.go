@@ -5,6 +5,7 @@ import (
 
 	"tunable/internal/metrics"
 	"tunable/internal/perfstore"
+	"tunable/internal/wire"
 )
 
 // Resolver is the client-side stub of the coordinator: it turns a session
@@ -32,7 +33,11 @@ func (r *Resolver) SetDialer(dial DialFunc) { r.cl.setDialer(dial) }
 
 // Resolve asks the coordinator to place the session.
 func (r *Resolver) Resolve(req ResolveRequest) (ResolveGrant, error) {
-	ack, err := r.cl.call(func(buf []byte) ([]byte, error) { return encodeResolve(buf, req) })
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
+		c := wire.NewEncoder(append(buf, ctagResolve))
+		req.codec(c)
+		return c.Bytes(), nil
+	})
 	if err != nil {
 		return ResolveGrant{}, err
 	}
@@ -42,7 +47,9 @@ func (r *Resolver) Resolve(req ResolveRequest) (ResolveGrant, error) {
 // EndSession releases the session's reservation on the coordinator.
 func (r *Resolver) EndSession(sid string) error {
 	_, err := r.cl.call(func(buf []byte) ([]byte, error) {
-		return encodeStrMsg(buf, ctagEndSession, schSession, "sid", sid)
+		c := wire.NewEncoder(append(buf, ctagEndSession))
+		(&nameReq{sid}).codec(c)
+		return c.Bytes(), nil
 	})
 	return err
 }
@@ -50,7 +57,11 @@ func (r *Resolver) EndSession(sid string) error {
 // PublishSamples pushes telemetry samples into the coordinator's shared
 // performance store, returning how many were accepted for ingest.
 func (r *Resolver) PublishSamples(samples []perfstore.WireSample) (int, error) {
-	ack, err := r.cl.call(func(buf []byte) ([]byte, error) { return encodePerfIngest(buf, samples) })
+	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
+		c := wire.NewEncoder(append(buf, ctagPerfIngest))
+		(*sampleBatch)(&samples).codec(c)
+		return c.Bytes(), nil
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -61,7 +72,9 @@ func (r *Resolver) PublishSamples(samples []perfstore.WireSample) (int, error) {
 // the coordinator's shared performance store.
 func (r *Resolver) FetchProfile(configKey string) (*perfstore.Profile, error) {
 	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
-		return encodeStrMsg(buf, ctagPerfProfile, schPerfProfile, "config", configKey)
+		c := wire.NewEncoder(append(buf, ctagPerfProfile))
+		(&nameReq{configKey}).codec(c)
+		return c.Bytes(), nil
 	})
 	if err != nil {
 		return nil, err

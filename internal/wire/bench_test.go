@@ -10,8 +10,8 @@ import (
 
 // The BenchmarkWire* suite is recorded as BENCH_wire.json
 // (scripts/bench_wire.sh) and gated by scripts/bench_check.sh: frame
-// write/read, and the schema codec on two representative control
-// messages (a small node report and the placement-time resolve).
+// write/read, and the control-message codec on two representative
+// shapes (a two-field body and the placement-time resolve).
 
 // loopReader serves the same encoded frame forever, so read benchmarks
 // measure decoding, not buffer refills.
@@ -64,128 +64,111 @@ func BenchmarkWireReadFrame(b *testing.B) {
 	}
 }
 
-// Mirrors of two control-plane bodies — a two-field node report and the
-// resolve request — so the suite times the schema codec without importing
-// internal/cluster (which would cycle).
+// Mirrors of two control-message shapes — a two-field body (a string ID
+// and a count) and the resolve request — so the suite times the codec
+// without importing internal/cluster (which would cycle).
 
-var benchHeartbeatSchema = NewSchema("heartbeat",
-	Field{Name: "id", Tag: 1, Kind: String, Required: true},
-	Field{Name: "active", Tag: 2, Kind: Uint},
-)
-
-var benchResolveSchema = NewSchema("resolve",
-	Field{Name: "sid", Tag: 1, Kind: String, Required: true},
-	Field{Name: "exclude", Tag: 2, Kind: String}, // repeated: emitted once per entry
-	Field{Name: "cpu", Tag: 3, Kind: F64},
-	Field{Name: "mem", Tag: 4, Kind: Sint},
-	Field{Name: "sig", Tag: 5, Kind: String},
-	Field{Name: "coarse", Tag: 6, Kind: Bool},
-)
-
-func encodeBenchHeartbeat(e *Encoder, buf []byte) []byte {
-	e.Init(benchHeartbeatSchema, buf)
-	e.Str("id", "node-0042")
-	e.Uint("active", 17)
-	out, err := e.Finish()
-	if err != nil {
-		panic(err)
-	}
-	return out
+type benchHeartbeat struct {
+	ID     string
+	Active uint64
 }
 
-func encodeBenchResolve(e *Encoder, buf []byte) []byte {
-	e.Init(benchResolveSchema, buf)
-	e.Str("sid", "session-123456")
-	e.Str("exclude", "node-0007")
-	e.Str("exclude", "node-0019")
-	e.F64("cpu", 1.5)
-	e.Sint("mem", 512<<20)
-	e.Str("sig", "lzw/4+fovea")
-	e.Bool("coarse", true)
-	out, err := e.Finish()
-	if err != nil {
-		panic(err)
-	}
-	return out
+func (m *benchHeartbeat) codec(c *Codec) {
+	c.Str(1, &m.ID, Required)
+	c.Uint(2, &m.Active)
 }
+
+type benchResolve struct {
+	SID     string
+	Exclude []string
+	CPU     float64
+	Mem     int64
+	Sig     string
+	Coarse  bool
+}
+
+func (m *benchResolve) codec(c *Codec) {
+	c.Str(1, &m.SID, Required)
+	c.Strs(2, &m.Exclude)
+	c.F64(3, &m.CPU)
+	c.Sint(4, &m.Mem)
+	c.Str(5, &m.Sig)
+	c.Bool(6, &m.Coarse)
+}
+
+var (
+	benchHB  = benchHeartbeat{ID: "node-0042", Active: 17}
+	benchRes = benchResolve{SID: "session-123456", Exclude: []string{"node-0007", "node-0019"},
+		CPU: 1.5, Mem: 512 << 20, Sig: "lzw/4+fovea", Coarse: true}
+)
 
 func BenchmarkWireEncodeHeartbeatSchema(b *testing.B) {
-	var e Encoder
 	buf := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = encodeBenchHeartbeat(&e, buf[:0])
+		c := NewEncoder(buf[:0])
+		benchHB.codec(c)
+		buf = c.Bytes()
 	}
 	_ = buf
 }
 
 func BenchmarkWireEncodeResolveSchema(b *testing.B) {
-	var e Encoder
 	buf := make([]byte, 0, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = encodeBenchResolve(&e, buf[:0])
+		c := NewEncoder(buf[:0])
+		benchRes.codec(c)
+		buf = c.Bytes()
 	}
 	_ = buf
 }
 
 func BenchmarkWireDecodeHeartbeatSchema(b *testing.B) {
-	var e Encoder
-	body := encodeBenchHeartbeat(&e, nil)
+	c := NewEncoder(nil)
+	benchHB.codec(c)
+	body := c.Bytes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var d Decoder
-		d.Init(benchHeartbeatSchema, body)
-		var id string
-		var active uint64
-		for d.Next() {
-			switch d.Field().Name {
-			case "id":
-				id = d.Str()
-			case "active":
-				active = d.Uint()
-			}
+		var m benchHeartbeat
+		c := NewDecoder(body)
+		for c.Next() {
+			m.codec(c)
 		}
-		if err := d.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if id == "" || active != 17 {
+		if m.ID == "" || m.Active != 17 {
 			b.Fatal("bad decode")
 		}
 	}
 }
 
-// The schema decode of the resolve body scans with the zero-copy
-// accessors (StrBytes), as a dispatch loop that only inspects fields
-// would; the heartbeat variant above pays for materializing the string.
+// The resolve body is walked field by field without copying, as a
+// dispatch loop that only inspects fields would; the heartbeat variant
+// above pays for materializing the message's string.
 func BenchmarkWireDecodeResolveSchema(b *testing.B) {
-	var e Encoder
-	body := encodeBenchResolve(&e, nil)
+	c := NewEncoder(nil)
+	benchRes.codec(c)
+	body := c.Bytes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var d Decoder
-		d.Init(benchResolveSchema, body)
-		var fields, excl int
-		for d.Next() {
-			fields++
-			switch f := d.Field(); f.Name {
-			case "sid", "sig":
-				d.StrBytes()
-			case "exclude":
-				d.StrBytes()
+		c := NewDecoder(body)
+		var fields, excl, n int
+		for c.Next() {
+			switch c.tag {
+			case 0: // the registration pass stops on no field
+				continue
+			case 2:
 				excl++
-			case "cpu":
-				d.F64()
-			case "mem":
-				d.Sint()
-			case "coarse":
-				d.Bool()
 			}
+			fields++
+			n += len(c.raw) + int(c.val&1)
 		}
-		if err := d.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if fields != 7 || excl != 2 {
+		if fields != 7 || excl != 2 || n == 0 {
 			b.Fatal("bad decode")
 		}
 	}

@@ -158,7 +158,7 @@ func (c *Conn) ReadMsg() ([]byte, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	// hdr[5] is the flags byte: reserved, tolerated, ignored — a future
-	// sender may set bits an old reader skips, like schema fields.
+	// sender may set bits an old reader skips, like unlisted field tags.
 	msg := bufpool.Get(int(n) + 1)
 	msg[0] = hdr[4]
 	if _, err := io.ReadFull(c.br, msg[1:]); err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"tunable/internal/bufpool"
@@ -85,42 +86,78 @@ func FuzzNegotiate(f *testing.F) {
 	})
 }
 
-// fuzzSchema exercises every wire kind, a required field, a repeated
-// field, and a nested message — the full surface a hostile body can hit.
-var fuzzSchema = NewSchema("fuzz",
-	Field{Name: "id", Tag: 1, Kind: String, Required: true},
-	Field{Name: "count", Tag: 2, Kind: Uint},
-	Field{Name: "delta", Tag: 3, Kind: Sint},
-	Field{Name: "on", Tag: 4, Kind: Bool},
-	Field{Name: "load", Tag: 5, Kind: F64},
-	Field{Name: "blob", Tag: 6, Kind: Bytes},
-	Field{Name: "kv", Tag: 7, Kind: Msg},
-)
+// fuzzMsg uses every field method — a required field, each scalar, both
+// repeated scalars, a map, a nested message and a repeated nested message
+// — the full surface a hostile body can hit.
+type fuzzMsg struct {
+	ID    string
+	Count uint64
+	N     int
+	Delta int64
+	On    bool
+	Load  float64
+	Tags  []string
+	Seeds []int64
+	KV    map[string]float64
+	Sub   *fuzzMsg
+	Subs  []fuzzMsg
+}
 
-// FuzzSchemaDecode feeds arbitrary bytes to the schema decoder: unknown
-// field tags must be skipped (forward compatibility), wrong wire types
-// and truncated varints must error, and nothing may panic. Every field
-// the decoder yields is read back through its kind's accessor.
+func (m *fuzzMsg) codec(c *Codec) {
+	c.Str(1, &m.ID, Required)
+	c.Uint(2, &m.Count)
+	c.Int(3, &m.N)
+	c.Sint(4, &m.Delta)
+	c.Bool(5, &m.On)
+	c.F64(6, &m.Load)
+	c.Strs(7, &m.Tags)
+	c.Sints(8, &m.Seeds)
+	c.Map(9, &m.KV)
+	if sub, ok := c.Msg(10, m.Sub != nil); ok {
+		if m.Sub == nil {
+			m.Sub = new(fuzzMsg)
+		}
+		for sub.Next() {
+			m.Sub.codec(&sub)
+		}
+		c.End(&sub)
+	}
+	subs := Elems(c, 11, &m.Subs)
+	for i := range subs {
+		if sub, ok := c.Msg(11, true); ok {
+			for sub.Next() {
+				subs[i].codec(&sub)
+			}
+			c.End(&sub)
+		}
+	}
+}
+
+func (m *fuzzMsg) render() []byte {
+	c := NewEncoder(nil)
+	m.codec(c)
+	return c.Bytes()
+}
+
+func (m *fuzzMsg) parse(body []byte) error {
+	c := NewDecoder(body)
+	for c.Next() {
+		m.codec(c)
+	}
+	return c.Err()
+}
+
+// FuzzSchemaDecode feeds arbitrary bytes to the codec: unknown field tags
+// must be skipped (forward compatibility), wrong wire types and truncated
+// varints must error, and nothing may panic. A body that decodes must
+// re-encode to at most its own length and decode again to an equal
+// message — the decoder holds no more than the input carried.
 func FuzzSchemaDecode(f *testing.F) {
-	var enc Encoder
-	enc.Init(fuzzSchema, nil)
-	enc.Str("id", "node-7")
-	enc.Uint("count", 42)
-	enc.Sint("delta", -3)
-	enc.Bool("on", true)
-	enc.F64("load", 0.75)
-	enc.Bytes("blob", []byte{1, 2, 3})
-	if err := enc.Msg("kv", fuzzSchema, func(e *Encoder) {
-		e.Str("id", "inner")
-	}); err != nil {
-		f.Fatal(err)
-	}
-	enc.Uint("count", 43) // repeated: same tag twice
-	valid, err := enc.Finish()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte{}, valid...))
+	full := fuzzMsg{ID: "node-7", Count: 42, N: -1, Delta: -3, On: true, Load: 0.75,
+		Tags: []string{"a", ""}, Seeds: []int64{0, -9}, KV: map[string]float64{"bw": 1e6, "cpu": 0.5},
+		Sub: &fuzzMsg{ID: "inner"}, Subs: []fuzzMsg{{ID: "x", Count: 1}, {ID: "y"}}}
+	valid := full.render()
+	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated
 	f.Add([]byte{})
 	// Unknown tags ahead of a valid body: decoders must skip them.
@@ -133,30 +170,63 @@ func FuzzSchemaDecode(f *testing.F) {
 	f.Add(appendUvarint(nil, 9<<3|7)) // reserved wire type
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var d Decoder
-		d.Init(fuzzSchema, data)
-		for d.Next() {
-			switch f := d.Field(); f.Kind {
-			case Uint:
-				d.Uint()
-			case Sint:
-				d.Sint()
-			case Bool:
-				d.Bool()
-			case F64:
-				d.F64()
-			case String:
-				d.Str()
-			case Bytes:
-				d.Bytes()
-			case Msg:
-				var sub Decoder
-				sub.Init(fuzzSchema, d.MsgBytes())
-				for sub.Next() {
-				}
-				sub.Err()
+		var m fuzzMsg
+		if m.parse(data) != nil {
+			return
+		}
+		again := m.render()
+		var m2 fuzzMsg
+		if err := m2.parse(again); err != nil {
+			t.Fatalf("re-encoding %x of %x does not decode: %v", again, data, err)
+		}
+		if !equalNaN(reflect.ValueOf(m), reflect.ValueOf(m2)) {
+			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, m2)
+		}
+		if len(again) > len(data) {
+			t.Fatalf("%d-byte input re-encodes to %d bytes", len(data), len(again))
+		}
+	})
+}
+
+// equalNaN is reflect.DeepEqual, except that NaN equals NaN: the codec
+// carries a float's bits, and DeepEqual's == would refuse a NaN it kept.
+func equalNaN(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || x != x && y != y
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalNaN(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalNaN(a.Field(i), b.Field(i)) {
+				return false
 			}
 		}
-		d.Err()
-	})
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalNaN(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if v := b.MapIndex(k); !v.IsValid() || !equalNaN(a.MapIndex(k), v) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }

@@ -26,8 +26,8 @@
 // shutdown, once.
 //
 // No capability bits are assigned yet; the bitmap is reserved for
-// encodings a future build may gate. Control-plane bodies are always the
-// runtime-interpreted binary schemas of schema.go.
+// encodings a future build may gate. Control-plane bodies are always
+// coded by one codec method per message (codec.go).
 package wire
 
 import (

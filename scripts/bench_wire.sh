@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # bench_wire.sh — run the wire-protocol micro-benchmarks (frame
-# write/read, and the schema codec on a small node report and the
-# resolve message) and record BENCH_wire.json at the repo root. A thin
+# write/read, and the codec on a two-field body and the resolve
+# message) and record BENCH_wire.json at the repo root. A thin
 # retargeting of scripts/bench.sh; extra go-test flags pass through.
 set -eu
 
