@@ -65,15 +65,14 @@ func main() {
 		}
 	}
 	runDrift := func() {
-		backend := perfstore.Store(perfstore.NewMemStore())
+		store := perfstore.NewMemStore()
 		if *perfDir != "" {
-			wal, err := perfstore.OpenWAL(*perfDir, perfstore.WALOptions{})
-			if err != nil {
+			var err error
+			if store, err = perfstore.OpenWAL(*perfDir, perfstore.WALOptions{}); err != nil {
 				log.Fatalf("avis-adapt: perfstore: %v", err)
 			}
-			backend = wal
 		}
-		fig, offline, online, err := expt.DriftWith(*seed, backend)
+		fig, offline, online, err := expt.DriftWith(*seed, store)
 		if err != nil {
 			log.Fatalf("avis-adapt: drift: %v", err)
 		}

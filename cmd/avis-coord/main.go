@@ -6,10 +6,11 @@
 // With -perfstore-dir (or -perfstore-mem) it also hosts the cluster's
 // shared live performance store: nodes publish achieved-performance
 // samples over the control plane, the coordinator folds them into
-// refined per-configuration profiles (over the -perfdb prior, when
-// given), and clients fetch the overlays back. The WAL directory
-// survives restarts — a recovering coordinator resumes the refined
-// model it had learned.
+// refined per-configuration profiles, and clients fetch them back. The
+// directory is the one avis-profile -out writes its testbed sweep into,
+// so the coordinator starts from the profiled model; it survives
+// restarts — a recovering coordinator resumes the refined model it had
+// learned.
 //
 // With -metrics-addr it exposes the cluster_* metric families (nodes by
 // state, node deaths, failovers, heartbeat gaps, sessions) plus the
@@ -39,7 +40,6 @@ import (
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
 	"tunable/internal/metrics"
-	"tunable/internal/perfdb"
 	"tunable/internal/perfstore"
 )
 
@@ -53,7 +53,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
 	perfDir := flag.String("perfstore-dir", "", "host the shared live performance store, persisting refined profiles to a write-ahead log in this directory")
 	perfMem := flag.Bool("perfstore-mem", false, "host the shared performance store in memory (no persistence)")
-	perfPrior := flag.String("perfdb", "", "profiled prior database (JSON, from avis-profile) the live store refines")
 	flag.Parse()
 
 	coord := cluster.NewCoordinator(cluster.Config{
@@ -63,32 +62,16 @@ func main() {
 	})
 	var perf *perfstore.PerfStore
 	if *perfDir != "" || *perfMem {
-		var backend perfstore.Store
+		store := perfstore.NewMemStore()
+		var err error
 		if *perfDir != "" {
-			wal, err := perfstore.OpenWAL(*perfDir, perfstore.WALOptions{})
-			if err != nil {
+			if store, err = perfstore.OpenWAL(*perfDir, perfstore.WALOptions{}); err != nil {
 				log.Fatalf("avis-coord: perfstore: %v", err)
 			}
-			backend = wal
-			fmt.Printf("avis-coord: perfstore WAL in %s (version %d)\n", *perfDir, wal.Version())
-		} else {
-			backend = perfstore.NewMemStore()
+			fmt.Printf("avis-coord: perfstore WAL in %s (version %d, %d configurations)\n",
+				*perfDir, store.Version(), len(store.Keys()))
 		}
-		var prior *perfdb.DB
-		if *perfPrior != "" {
-			prior = perfdb.New(avis.Spec())
-			f, err := os.Open(*perfPrior)
-			if err != nil {
-				log.Fatalf("avis-coord: perfdb: %v", err)
-			}
-			if err := prior.Load(f); err != nil {
-				log.Fatalf("avis-coord: perfdb: %v", err)
-			}
-			f.Close()
-			fmt.Printf("avis-coord: prior %s: %d records\n", *perfPrior, prior.Len())
-		}
-		var err error
-		perf, err = perfstore.New(avis.Spec(), prior, backend, perfstore.Options{})
+		perf, err = perfstore.New(avis.Spec(), nil, store, perfstore.Options{})
 		if err != nil {
 			log.Fatalf("avis-coord: perfstore: %v", err)
 		}

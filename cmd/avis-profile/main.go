@@ -1,19 +1,18 @@
 // Command avis-profile populates the performance database of the active
 // visualization application by sweeping its configurations through the
 // virtual testbed, exactly as the paper's driver program does (Section 5),
-// and writes the result as JSON.
-//
-// With -merge the sweep is additionally folded into a persisted live
-// performance store (the write-ahead log a coordinator hosts): existing
-// refined records are weight-averaged with the sweep's, new lattice
-// points are added, so a re-profiled testbed updates a deployed store
-// without discarding what live telemetry already taught it.
+// and folds the sweep into the performance store directory -out names —
+// the write-ahead log avis-coord -perfstore-dir hosts. Into an empty
+// directory the sweep lands as is; into a deployed store, existing
+// refined records are weight-averaged with the sweep's and new lattice
+// points are added, so a re-profiled testbed updates the store without
+// discarding what live telemetry already taught it.
 //
 // Usage:
 //
-//	avis-profile -out perf.json -figure all
-//	avis-profile -out fig6a.json -figure 6a -refine 0.5
-//	avis-profile -figure 6b -merge /var/lib/avis/perfwal
+//	avis-profile -out perfwal -figure all
+//	avis-profile -out fig6a -figure 6a -refine 0.3
+//	avis-profile -out /var/lib/avis/perfwal -figure 6b
 package main
 
 import (
@@ -31,10 +30,9 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "perf.json", "output database path")
+	out := flag.String("out", "perfwal", "performance store directory to fold the sweep into")
 	figure := flag.String("figure", "all", "which profile to build: 5, 6a, 6b, or all")
 	refine := flag.Float64("refine", 0, "sensitivity threshold for refinement sampling (0 disables)")
-	merge := flag.String("merge", "", "also fold the sweep into the persisted performance store (WAL directory) at this path")
 	flag.Parse()
 
 	var dbs []*perfdb.DB
@@ -87,29 +85,18 @@ func main() {
 		}
 		fmt.Printf("sensitivity refinement added %d samples (threshold %.2f)\n", added, *refine)
 	}
-	f, err := os.Create(*out)
+	store, err := perfstore.OpenWAL(*out, perfstore.WALOptions{})
 	if err != nil {
 		log.Fatalf("avis-profile: %v", err)
 	}
-	defer f.Close()
-	if err := merged.Save(f); err != nil {
-		log.Fatalf("avis-profile: save: %v", err)
+	stats, err := perfstore.MergeSweep(store, merged)
+	if err != nil {
+		log.Fatalf("avis-profile: %v", err)
 	}
-	fmt.Printf("wrote %d records to %s\n", merged.Len(), *out)
-	if *merge != "" {
-		wal, err := perfstore.OpenWAL(*merge, perfstore.WALOptions{})
-		if err != nil {
-			log.Fatalf("avis-profile: merge: %v", err)
-		}
-		stats, err := perfstore.MergeSweep(wal, merged)
-		if err != nil {
-			log.Fatalf("avis-profile: merge: %v", err)
-		}
-		if err := wal.Close(); err != nil {
-			log.Fatalf("avis-profile: merge: %v", err)
-		}
-		fmt.Printf("merged sweep into %s: %d configurations, %d records refined, %d added\n",
-			*merge, stats.Configs, stats.Merged, stats.Added)
+	if err := store.Close(); err != nil {
+		log.Fatalf("avis-profile: %v", err)
 	}
+	fmt.Printf("folded %d records into %s: %d configurations, %d records refined, %d added\n",
+		merged.Len(), *out, stats.Configs, stats.Merged, stats.Added)
 	fmt.Fprintf(os.Stderr, "avis-profile: %v; %v\n", expt.EncodedStats(), avis.ClientDecodeStats())
 }

@@ -11,6 +11,7 @@ import (
 
 	"tunable/internal/bufpool"
 	"tunable/internal/compress"
+	"tunable/internal/lru"
 	"tunable/internal/metrics"
 	"tunable/internal/vtime"
 )
@@ -387,7 +388,7 @@ func TestDecodeMemoIdentityIndex(t *testing.T) {
 			t.Error("the memo keeps a copy of a shared reply")
 		}
 		// An identity answers without the content entry.
-		m.done.Remove(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
+		m.done = lru.New[memoKey, encodedReply](lru.Config{MaxCost: encodedBudget}, nil)
 		if n, err := m.rawLen("lzw", enc, true, lzw.decode); err != nil || n != len(payload) || lzw.calls.Load() != 1 {
 			t.Errorf("identity lookup: %d, %v after %d decodes", n, err, lzw.calls.Load())
 		}

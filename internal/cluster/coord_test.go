@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -94,6 +95,35 @@ func TestCoordinatorAdmissionGate(t *testing.T) {
 	// s2 was never successfully placed before, so this is not a failover.
 	if g.Failover {
 		t.Fatal("unplaced retry counted as failover")
+	}
+}
+
+// TestCoordinatorRefusesNaNShare: a ResolveRequest decoded off the wire
+// may carry a NaN CPU demand. It must be refused, not reserved: a NaN
+// reservation would leave a host's reserved share NaN, and every later
+// admission check on that host would pass.
+func TestCoordinatorRefusesNaNShare(t *testing.T) {
+	clk := &fakeClock{}
+	c := newTestCoord(clk)
+	for _, id := range []string{"a", "b"} {
+		if err := c.Register(testNode(id, 1.0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Resolve(ResolveRequest{SID: "s1", CPU: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Nodes()
+	if g, err := c.Resolve(ResolveRequest{SID: "nan", CPU: math.NaN()}); err == nil {
+		t.Fatalf("NaN share placed: %+v", g)
+	}
+	after := c.Nodes()
+	for i := range before {
+		if math.Float64bits(after[i].ReservedCPU) != math.Float64bits(before[i].ReservedCPU) ||
+			after[i].Sessions != before[i].Sessions {
+			t.Fatalf("node %s: reserved %v with %d sessions after the refusal, was %v with %d",
+				before[i].ID, after[i].ReservedCPU, after[i].Sessions, before[i].ReservedCPU, before[i].Sessions)
+		}
 	}
 }
 

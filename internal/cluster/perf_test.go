@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"tunable/internal/avis"
+	"tunable/internal/metrics"
 	"tunable/internal/perfstore"
 )
 
@@ -83,5 +85,37 @@ func TestCoordinatorSharedPerfStore(t *testing.T) {
 	if _, err := r.FetchProfile("c=lzw,dR=80,l=4"); err == nil ||
 		!strings.Contains(err.Error(), "no refined profile") {
 		t.Fatalf("fetch of unreported config: err = %v, want refusal", err)
+	}
+}
+
+// TestIngestSamplesCountsNaNInvalid: the binary control codec carries a
+// NaN metric intact, so the coordinator queues the sample; the store must
+// count it invalid and fold nothing.
+func TestIngestSamplesCountsNaNInvalid(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	ps, err := perfstore.New(avis.Spec(), nil, perfstore.NewMemStore(), perfstore.Options{BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	reg := metrics.New()
+	ps.EnableMetrics(reg)
+	coord.SetPerfStore(ps)
+
+	n, err := coord.IngestSamples([]perfstore.WireSample{{
+		Config:    "c=bzw,dR=320,l=2",
+		Resources: map[string]float64{"cpu": 0.5, "bandwidth": 100e3},
+		Metrics:   map[string]float64{"transmit_time": math.NaN()},
+	}})
+	if err != nil || n != 1 {
+		t.Fatalf("IngestSamples = %d, %v; want the sample queued", n, err)
+	}
+	invalid := reg.Counter("perfstore_samples_total", "", metrics.L("verdict", "invalid")).Value()
+	accepted := reg.Counter("perfstore_samples_total", "", metrics.L("verdict", "accepted")).Value()
+	if invalid != 1 || accepted != 0 {
+		t.Fatalf("verdicts: %v invalid, %v accepted; want 1 and 0", invalid, accepted)
+	}
+	if _, err := coord.PerfProfile("c=bzw,dR=320,l=2"); err == nil {
+		t.Fatal("a NaN sample was folded into a profile")
 	}
 }

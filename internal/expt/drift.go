@@ -74,13 +74,13 @@ func RunDriftOffline(seed uint64) (RunResult, error) {
 }
 
 // RunDriftOnline runs the same scenario with the adaptation loop reading
-// a live perfstore over the stale prior and the given persistence
-// backend: every completed image feeds the ingest pipeline, and folds
-// that move the active configuration's profile by more than 20% raise a
-// model-drift trigger so the scheduler reconsiders against the refined
-// model. The store is flushed but left open (the caller owns the backend
-// and inspects or closes it).
-func RunDriftOnline(seed uint64, backend perfstore.Store) (RunResult, *perfstore.PerfStore, error) {
+// a live perfstore over the stale prior and the given store: every
+// completed image feeds the ingest pipeline, and folds that move the
+// active configuration's profile by more than 5% raise a model-drift
+// trigger so the scheduler reconsiders against the refined model. The
+// PerfStore is flushed but left open (the caller owns the store and
+// inspects or closes it).
+func RunDriftOnline(seed uint64, store *perfstore.Store) (RunResult, *perfstore.PerfStore, error) {
 	sc := drift(seed)
 	db, err := sc.db()
 	if err != nil {
@@ -90,7 +90,7 @@ func RunDriftOnline(seed uint64, backend perfstore.Store) (RunResult, *perfstore
 	// interactive, not high-throughput). Alpha 0.5: the prior is known to
 	// be stale along the drifting axis, so weight fresh evidence heavily
 	// for fast re-convergence.
-	ps, err := perfstore.New(avis.Spec(), db, backend, perfstore.Options{BatchSize: 1, Alpha: 0.5})
+	ps, err := perfstore.New(avis.Spec(), db, store, perfstore.Options{BatchSize: 1, Alpha: 0.5})
 	if err != nil {
 		return RunResult{}, nil, err
 	}
@@ -138,14 +138,14 @@ func DeadlineHits(r RunResult) (hits, post int) {
 }
 
 // DriftWith runs both variants, the online one over a caller-supplied
-// persistence backend (the CLI passes a WAL store so the refined model
-// survives the process), and renders the comparison figure.
-func DriftWith(seed uint64, backend perfstore.Store) (*FigResult, RunResult, RunResult, error) {
+// store (the CLI passes a log-backed one so the refined model survives the
+// process), and renders the comparison figure.
+func DriftWith(seed uint64, store *perfstore.Store) (*FigResult, RunResult, RunResult, error) {
 	offline, err := RunDriftOffline(seed)
 	if err != nil {
 		return nil, RunResult{}, RunResult{}, err
 	}
-	online, ps, err := RunDriftOnline(seed, backend)
+	online, ps, err := RunDriftOnline(seed, store)
 	if err != nil {
 		return nil, RunResult{}, RunResult{}, err
 	}

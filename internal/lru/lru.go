@@ -22,11 +22,10 @@ const (
 	Capacity Reason = iota // evicted to make room (LRU victim)
 	Expired                // TTL elapsed
 	Replaced               // overwritten by a Put of the same key
-	Removed                // explicitly removed by the caller
 )
 
 // String renders the reason for logs and metric labels (a closed set:
-// capacity, expired, replaced, removed).
+// capacity, expired, replaced).
 func (r Reason) String() string {
 	switch r {
 	case Capacity:
@@ -35,8 +34,6 @@ func (r Reason) String() string {
 		return "expired"
 	case Replaced:
 		return "replaced"
-	case Removed:
-		return "removed"
 	}
 	return "unknown"
 }
@@ -91,8 +88,7 @@ func (p *Policy[K, V]) Len() int { return p.ll.Len() }
 // Cost reports the summed cost of live entries.
 func (p *Policy[K, V]) Cost() int64 { return p.cost }
 
-// Evictions reports how many entries have left the cache for any reason
-// other than an explicit Remove.
+// Evictions reports how many entries have left the cache, for any reason.
 func (p *Policy[K, V]) Evictions() int64 { return p.evicted }
 
 // expired reports whether e has outlived the TTL.
@@ -106,9 +102,7 @@ func (p *Policy[K, V]) drop(el *list.Element, why Reason) {
 	p.ll.Remove(el)
 	delete(p.idx, e.key)
 	p.cost -= e.cost
-	if why != Removed {
-		p.evicted++
-	}
+	p.evicted++
 	if p.onEvict != nil {
 		p.onEvict(e.key, e.val, why)
 	}
@@ -179,14 +173,4 @@ func (p *Policy[K, V]) overfullLocked() bool {
 		return true
 	}
 	return false
-}
-
-// Remove deletes k if present, reporting whether it was.
-func (p *Policy[K, V]) Remove(k K) bool {
-	el, ok := p.idx[k]
-	if !ok {
-		return false
-	}
-	p.drop(el, Removed)
-	return true
 }

@@ -120,14 +120,3 @@ func TestPeekDoesNotBump(t *testing.T) {
 		t.Fatal("a should have been evicted despite the Peek")
 	}
 }
-
-func TestRemove(t *testing.T) {
-	p := New[string, int](Config{}, nil)
-	p.Put("a", 1, 5)
-	if !p.Remove("a") || p.Remove("a") {
-		t.Fatal("Remove should report presence exactly once")
-	}
-	if p.Len() != 0 || p.Cost() != 0 || p.Evictions() != 0 {
-		t.Fatalf("len=%d cost=%d evictions=%d after Remove, want zeros", p.Len(), p.Cost(), p.Evictions())
-	}
-}

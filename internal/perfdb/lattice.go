@@ -13,8 +13,8 @@ import (
 
 // Lattice is the compiled read form of one configuration's profile: what
 // every model query runs on. It is built once from the profile's records —
-// lazily by DB, at materialization time by perfstore — and never changes
-// afterwards, so any number of readers may share one; DB.Add and
+// lazily by DB, on first read and on every fold by perfstore — and never
+// changes afterwards, so any number of readers may share one; DB.Add and
 // DB.SetMode drop the profile's lattice and the next read compiles a new
 // one.
 //

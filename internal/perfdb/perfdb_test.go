@@ -1,7 +1,6 @@
 package perfdb
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -225,47 +224,6 @@ func TestSensitivityAnalysis(t *testing.T) {
 	}
 	if s.RelDelta < 0.7 {
 		t.Fatalf("rel delta %v", s.RelDelta)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New(testApp())
-	db.Add(cfgN(1), res(0.2), spec.Metrics{"t": 2, "q": 1})
-	db.Add(cfgN(1), res(0.8), spec.Metrics{"t": 8, "q": 2})
-	db.Add(cfgN(2), res(0.2), spec.Metrics{"t": 3, "q": 4})
-	db.Add(cfgN(2), res(0.2), spec.Metrics{"t": 5, "q": 6}) // averaged, samples=2
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2 := New(testApp())
-	if err := db2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Len() != db.Len() {
-		t.Fatalf("len %d vs %d", db2.Len(), db.Len())
-	}
-	rec, ok := db2.Lookup(cfgN(2), res(0.2))
-	if !ok || math.Abs(rec.Metrics["t"]-4) > 1e-12 || rec.Samples != 2 {
-		t.Fatalf("record %+v", rec)
-	}
-	// Save must be deterministic.
-	var buf2 bytes.Buffer
-	db.Save(&buf2)
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("Save output not deterministic")
-	}
-}
-
-func TestLoadRejectsWrongApp(t *testing.T) {
-	db := New(testApp())
-	db.Add(cfgN(1), res(0.2), spec.Metrics{"t": 2})
-	var buf bytes.Buffer
-	db.Save(&buf)
-	other := spec.MustParse("app other;\ncontrol_parameters { int n in {1}; }\nqos_metric { duration t minimize; }")
-	db2 := New(other)
-	if err := db2.Load(&buf); err == nil {
-		t.Fatal("cross-application load accepted")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // benchStore builds a store over the test prior with a few refinements
-// already folded, so the cached-lookup benchmarks exercise the merged
-// (prior ∪ overlay) materialization rather than a trivial pass-through.
+// already folded, so the lookup benchmarks exercise the merged
+// (prior ∪ overlay) lattice rather than a trivial pass-through.
 func benchStore(b *testing.B) *PerfStore {
 	b.Helper()
 	app := testApp(b)
@@ -45,8 +45,8 @@ func BenchmarkPerfdbPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfstoreCachedPredict measures the hot read path: a warm
-// cache entry serving Predict through the materialized mini-database.
+// BenchmarkPerfstoreCachedPredict measures the hot read path: Predict
+// through the configuration's compiled lattice.
 func BenchmarkPerfstoreCachedPredict(b *testing.B) {
 	s := benchStore(b)
 	cfg := cfgOf("lzw", 1)
@@ -63,8 +63,8 @@ func BenchmarkPerfstoreCachedPredict(b *testing.B) {
 }
 
 // BenchmarkPerfstoreUncachedPredict measures the cold read path: every
-// lookup evicts first, so each Predict pays the backend load plus the
-// merged-lattice materialization the cache normally amortizes.
+// lookup drops the compiled lattice first, so each Predict pays the store
+// load plus the merged-lattice compile a warm read skips.
 func BenchmarkPerfstoreUncachedPredict(b *testing.B) {
 	s := benchStore(b)
 	cfg := cfgOf("lzw", 1)
@@ -79,7 +79,7 @@ func BenchmarkPerfstoreUncachedPredict(b *testing.B) {
 }
 
 // BenchmarkPerfstoreIngest measures sustained ingest throughput: filter,
-// fold, persist (in-memory backend), and cache reconcile per sample.
+// fold, save (memory store), and lattice recompile per sample.
 func BenchmarkPerfstoreIngest(b *testing.B) {
 	s := benchStore(b)
 	cfg := cfgOf("bzw", 1)

@@ -5,27 +5,28 @@
 // closes the loop on production telemetry in the spirit of SmartConf-style
 // controllers: monitors and servers emit Sample records (configuration,
 // observed resource vector, achieved metrics), an ingest pipeline batches
-// and outlier-filters them against the profiled prior, and accepted
-// samples are folded into per-configuration profiles by exponentially
-// weighted online refinement — live behaviour sharpens the testbed prior
-// without letting transients poison it.
+// and outlier-filters them against the model, and accepted samples are
+// folded into per-configuration profiles by exponentially weighted online
+// refinement — live behaviour sharpens the testbed prior without letting
+// transients poison it.
 //
-// The subsystem is layered exactly as the repo's cache/store split idiom:
+// The subsystem is one pipeline over one store:
 //
-//	ingest  →  refine  →  Store (pluggable persistence)  →  read-through cache
+//	ingest  →  refine  →  Store  →  compiled lattices
 //
-// The last two stages are the storage:
+// The last two stages serve reads:
 //
-//   - Store is the pluggable persistence seam: MemStore keeps refined
-//     profiles in memory; WALStore appends every refinement to segmented
-//     write-ahead logs with CRC framing, compacts them into versioned,
-//     byte-stable snapshots, and replays snapshot+segments on reopen, so a
-//     coordinator restart recovers the refined model.
-//   - The profile cache (internal/lru under the hood) serves scheduler
-//     Predict lookups from warm, materialized models; misses load
-//     single-flight from the Store and merge the refined overlay onto the
-//     profiled prior. At fleet scale every agent queries one shared model
-//     hosted by the coordinator instead of re-deriving its own.
+//   - Store holds every refined profile in memory. One opened on a
+//     directory (OpenWAL) also appends each Save to segmented write-ahead
+//     logs with CRC framing, compacts them into versioned, byte-stable
+//     snapshots, and replays snapshot+segments on reopen, so a coordinator
+//     restart recovers the refined model. It is the only on-disk form of
+//     the performance model: avis-profile folds its testbed sweep into one
+//     (MergeSweep), and the coordinator hosts that same directory.
+//   - PerfStore keeps the compiled lattice (prior ∪ overlay) of each
+//     configuration it has read; a fold recompiles and republishes it. At
+//     fleet scale every agent queries one shared model hosted by the
+//     coordinator instead of re-deriving its own.
 //
 // PerfStore implements perfdb.Model, so the resource scheduler and the
 // core framework run unchanged over either the offline database or the

@@ -13,26 +13,25 @@ type MergeStats struct {
 	Added   int // records newly added to an overlay
 }
 
-// MergeSweep folds a freshly profiled sweep into a persisted store through
-// the Store interface — the `avis-profile -merge` path. Re-profiling and
-// live refinement meet here: where the sweep covers a resource point the
-// overlay already refined, the two estimates are combined by weight (the
-// sweep record weighs its averaged run count, the overlay record its
-// effective EW sample mass), so neither a long-lived online estimate nor a
-// deliberate re-sweep silently clobbers the other. Sweep points the
-// overlay never touched are added outright.
+// MergeSweep folds a freshly profiled sweep into a store — how
+// avis-profile writes its sweep. Into an empty store it copies the sweep's
+// records, so a PerfStore over it with no prior predicts exactly as the
+// sweep's database does. Re-profiling and live refinement meet here: where
+// the sweep covers a resource point the overlay already refined, the two
+// estimates are combined by weight (the sweep record weighs its averaged
+// run count, the overlay record its effective EW sample mass), so neither
+// a long-lived online estimate nor a deliberate re-sweep silently clobbers
+// the other. Sweep points the overlay never touched are added outright.
 //
 // Only one profile Save is issued per configuration, keeping the WAL
 // append count proportional to configurations, not lattice points.
-func MergeSweep(store Store, sweep *perfdb.DB) (MergeStats, error) {
+func MergeSweep(store *Store, sweep *perfdb.DB) (MergeStats, error) {
 	var st MergeStats
 	for _, cfg := range sweep.Configs() {
 		key := cfg.Key()
 		p, err := store.Load(key)
-		if err == ErrNotFound {
+		if err != nil {
 			p = &Profile{ConfigKey: key}
-		} else if err != nil {
-			return st, fmt.Errorf("perfstore: merge load %s: %w", key, err)
 		}
 		changed := false
 		for _, rec := range sweep.Records(cfg) {

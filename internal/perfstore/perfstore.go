@@ -23,8 +23,6 @@ type Options struct {
 	// Alpha is the exponential weight of one accepted sample when folding
 	// into a profile record: new = (1-α)·cur + α·obs (default 0.25).
 	Alpha float64
-	// CacheEntries bounds the materialized profile cache (default 256).
-	CacheEntries int
 }
 
 // The ingest filter and the lattice snapping.
@@ -60,9 +58,6 @@ func (o Options) withDefaults() Options {
 	if o.Alpha <= 0 || o.Alpha > 1 {
 		o.Alpha = 0.25
 	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 256
-	}
 	return o
 }
 
@@ -70,21 +65,31 @@ func (o Options) withDefaults() Options {
 const foldStripes = 16
 
 // PerfStore is the live performance model: a profiled prior (which may be
-// nil for a cold start), a pluggable persistence backend for refined
-// overlays, an outlier-filtered ingest pipeline, and a read-through
-// materialized cache. It implements perfdb.Model, so the scheduler and the
-// adaptation framework run over it exactly as over the offline database.
+// nil for a cold start), the Store of refined overlays, an
+// outlier-filtered ingest pipeline, and the compiled lattice of each
+// configuration it has read. It implements perfdb.Model, so the scheduler
+// and the adaptation framework run over it exactly as over the offline
+// database.
 type PerfStore struct {
 	app   *spec.App
 	prior *perfdb.DB // offline profiled database; may be nil
-	store Store
+	store *Store
 	opts  Options
-	cache *profileCache
 
-	// folds serializes refinements per configuration (hash-striped): a
-	// fold is load-modify-save against the Store, and two concurrent folds
-	// of the same config must not interleave or one update is lost.
+	// folds serializes, per configuration (hash-striped), refinements and
+	// lattice compiles: a fold is load-modify-save against the Store, and
+	// two concurrent folds of the same config must not interleave or one
+	// update is lost; a cold read compiles under the same lock, so
+	// concurrent cold readers compile once and a compile never publishes
+	// over a newer fold.
 	folds [foldStripes]sync.Mutex
+
+	// lats holds the compiled prior ∪ overlay lattice of every
+	// configuration read so far (nil: neither has records). latMu guards
+	// the map; an entry is written only under its configuration's fold
+	// stripe (InvalidateCache only deletes).
+	latMu sync.Mutex
+	lats  map[string]*perfdb.Lattice
 
 	// mu guards the pending batch and the deviation windows.
 	mu      sync.Mutex
@@ -108,8 +113,8 @@ type PerfStore struct {
 }
 
 // New creates a live store over a profiled prior (nil for cold start) and
-// a persistence backend.
-func New(app *spec.App, prior *perfdb.DB, store Store, opts Options) (*PerfStore, error) {
+// the store of refined overlays.
+func New(app *spec.App, prior *perfdb.DB, store *Store, opts Options) (*PerfStore, error) {
 	if app == nil {
 		return nil, fmt.Errorf("perfstore: nil app")
 	}
@@ -125,16 +130,15 @@ func New(app *spec.App, prior *perfdb.DB, store Store, opts Options) (*PerfStore
 		prior:   prior,
 		store:   store,
 		opts:    opts,
-		cache:   newProfileCache(opts.CacheEntries),
+		lats:    make(map[string]*perfdb.Lattice),
 		windows: make(map[string]*devWindow),
 	}
 	return s, nil
 }
 
 // EnableMetrics registers the store's instruments on reg (nil-safe, the
-// repo-wide idiom): perfstore_samples_total{verdict}, cache hit/miss
-// counters, the refinement-delta histogram, and — when the backend is a
-// WALStore — the live WAL size gauge.
+// repo-wide idiom): perfstore_samples_total{verdict}, the refinement-delta
+// histogram, and the live WAL size gauge (zero for a memory store).
 func (s *PerfStore) EnableMetrics(reg *metrics.Registry) {
 	s.mAccepted = reg.Counter("perfstore_samples_total",
 		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "accepted"))
@@ -142,34 +146,29 @@ func (s *PerfStore) EnableMetrics(reg *metrics.Registry) {
 		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "outlier"))
 	s.mInvalid = reg.Counter("perfstore_samples_total",
 		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "invalid"))
-	s.cache.hits = reg.Counter("perfstore_cache_hits_total",
-		"Profile cache lookups served from a warm entry.")
-	s.cache.misses = reg.Counter("perfstore_cache_misses_total",
-		"Profile cache lookups that loaded from the backend store.")
 	s.mRefine = reg.Histogram("perfstore_refine_delta",
 		"Relative change applied to a profile metric by one refinement fold.")
 	s.mWALBytes = reg.Gauge("perfstore_wal_bytes",
 		"Bytes held in live write-ahead log segments (drops on compaction).")
-	if w, ok := s.store.(*WALStore); ok {
-		g := s.mWALBytes
-		w.mu.Lock()
-		w.onWALBytes = func(n int64) { g.Set(float64(n)) }
-		g.Set(float64(w.walBytes))
-		w.mu.Unlock()
-	}
+	g, st := s.mWALBytes, s.store
+	st.mu.Lock()
+	st.onWALBytes = func(n int64) { g.Set(float64(n)) }
+	g.Set(float64(st.walBytes))
+	st.mu.Unlock()
 }
 
 // OnRefine registers the refinement notification hook. Call before ingest
-// begins; the hook runs on the ingesting goroutine and must not call back
-// into Offer or Flush.
+// begins; the hook runs on the ingesting goroutine after the fold's locks
+// are released (so it may read the model) and must not call back into
+// Offer or Flush.
 func (s *PerfStore) OnRefine(fn func(configKey string, delta float64)) { s.onRefine = fn }
 
 // App implements perfdb.Model.
 func (s *PerfStore) App() *spec.App { return s.app }
 
-// Store exposes the persistence backend (the coordinator snapshots and
-// compacts through it).
-func (s *PerfStore) Store() Store { return s.store }
+// Store exposes the store of refined overlays (the coordinator serves
+// profiles from it).
+func (s *PerfStore) Store() *Store { return s.store }
 
 // Configs implements perfdb.Model: the union of prior configurations and
 // configurations the store has refined profiles for, in canonical key
@@ -181,14 +180,12 @@ func (s *PerfStore) Configs() []spec.Config {
 			byKey[c.Key()] = c
 		}
 	}
-	if keys, err := s.store.Keys(); err == nil {
-		for _, k := range keys {
-			if _, ok := byKey[k]; ok {
-				continue
-			}
-			if cfg, err := s.app.ParseConfigKey(k); err == nil {
-				byKey[k] = cfg
-			}
+	for _, k := range s.store.Keys() {
+		if _, ok := byKey[k]; ok {
+			continue
+		}
+		if cfg, err := s.app.ParseConfigKey(k); err == nil {
+			byKey[k] = cfg
 		}
 	}
 	keys := make([]string, 0, len(byKey))
@@ -203,34 +200,23 @@ func (s *PerfStore) Configs() []spec.Config {
 	return out
 }
 
-// entry returns the loaded cache entry for a configuration key.
-func (s *PerfStore) entry(configKey string) *cacheEntry {
-	return s.cache.get(configKey, s.loadAndMaterialize)
-}
-
-// loadAndMaterialize is the cache's backend loader: fetch the refined
-// overlay (absent ⇒ empty profile) and materialize the merged model.
-func (s *PerfStore) loadAndMaterialize(configKey string) (*Profile, *perfdb.Lattice, error) {
+// load returns the refined overlay stored under configKey, or an empty
+// profile when the store has none.
+func (s *PerfStore) load(configKey string) *Profile {
 	p, err := s.store.Load(configKey)
-	if err == ErrNotFound {
-		p = &Profile{ConfigKey: configKey}
-	} else if err != nil {
-		return nil, nil, err
-	}
-	lat, err := s.materialize(configKey, p)
 	if err != nil {
-		return nil, nil, err
+		return &Profile{ConfigKey: configKey}
 	}
-	return p, lat, nil
+	return p
 }
 
 // materialize compiles the lattice answering queries for one
 // configuration: the prior's records wherever the overlay is silent, the
 // overlay's records where it speaks (override, not average), giving
 // Predict the full interpolation/nearest machinery over the merged
-// lattice. Compiling here, once per load or fold, keeps the warm read path
-// to a cache lookup plus the lattice query, and hands concurrent readers a
-// finished, immutable lattice. It is nil when there are no records at all.
+// lattice. Compiling here, once per cold read or fold, keeps the warm read
+// path to a map lookup plus the lattice query, and hands concurrent readers
+// a finished, immutable lattice. It is nil when there are no records at all.
 func (s *PerfStore) materialize(configKey string, overlay *Profile) (*perfdb.Lattice, error) {
 	cfg, err := s.app.ParseConfigKey(configKey)
 	if err != nil {
@@ -275,10 +261,9 @@ func (s *PerfStore) Records(cfg spec.Config) []*perfdb.Record {
 	return l.Records()
 }
 
-// Predict implements perfdb.Model: serve from the materialized cache,
-// loading the overlay single-flight on a cold configuration. A
-// configuration with neither prior nor refined records reports
-// perfdb.ErrNoProfile.
+// Predict implements perfdb.Model over the configuration's compiled
+// lattice, compiling it on the first read. A configuration with neither
+// prior nor refined records reports perfdb.ErrNoProfile.
 func (s *PerfStore) Predict(cfg spec.Config, res resource.Vector) (spec.Metrics, error) {
 	l, err := s.Lattice(cfg.Key())
 	if err != nil {
@@ -291,16 +276,51 @@ func (s *PerfStore) Predict(cfg spec.Config, res resource.Vector) (spec.Metrics,
 // of the newest fold. Later folds publish new lattices; one already
 // returned is never modified.
 func (s *PerfStore) Lattice(configKey string) (*perfdb.Lattice, error) {
-	e := s.entry(configKey)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.err != nil {
-		return nil, e.err
+	l, ok := s.held(configKey)
+	if !ok {
+		var err error
+		if l, err = s.compile(configKey); err != nil {
+			return nil, err
+		}
 	}
-	if e.lat == nil {
+	if l == nil {
 		return nil, fmt.Errorf("%w: %s", perfdb.ErrNoProfile, configKey)
 	}
-	return e.lat, nil
+	return l, nil
+}
+
+// compile is a cold read: under the configuration's fold stripe, compile
+// and publish its lattice unless another reader or a fold got there first.
+// A failed compile publishes nothing, so the next read retries.
+func (s *PerfStore) compile(configKey string) (*perfdb.Lattice, error) {
+	mu := s.stripe(configKey)
+	mu.Lock()
+	defer mu.Unlock()
+	if l, ok := s.held(configKey); ok {
+		return l, nil
+	}
+	l, err := s.materialize(configKey, s.load(configKey))
+	if err != nil {
+		return nil, err
+	}
+	s.publish(configKey, l)
+	return l, nil
+}
+
+// held returns the published lattice of configKey, if there is one.
+func (s *PerfStore) held(configKey string) (*perfdb.Lattice, bool) {
+	s.latMu.Lock()
+	defer s.latMu.Unlock()
+	l, ok := s.lats[configKey]
+	return l, ok
+}
+
+// publish installs a configuration's compiled lattice; callers hold its
+// fold stripe.
+func (s *PerfStore) publish(configKey string, l *perfdb.Lattice) {
+	s.latMu.Lock()
+	s.lats[configKey] = l
+	s.latMu.Unlock()
 }
 
 // Offer queues one telemetry sample, flushing the batch once BatchSize
@@ -353,12 +373,16 @@ func (s *PerfStore) ingestOne(sample *Sample) bool {
 		s.mOutlier.Inc()
 		return false
 	}
-	if err := s.fold(sample); err != nil {
+	delta, err := s.fold(sample)
+	if err != nil {
 		// Persistence failure: the sample is lost, not the process.
 		s.mInvalid.Inc()
 		return false
 	}
 	s.mAccepted.Inc()
+	if s.onRefine != nil {
+		s.onRefine(sample.Config.Key(), delta)
+	}
 	return true
 }
 
@@ -371,38 +395,27 @@ func (s *PerfStore) stripe(configKey string) *sync.Mutex {
 
 // fold applies one accepted sample to its configuration's profile:
 // load-modify-save under the config's stripe lock (serializing concurrent
-// folds of the same config), then reconcile the cache in place.
-func (s *PerfStore) fold(sample *Sample) error {
+// folds of the same config), then republish the compiled lattice. It
+// returns the largest relative movement the fold applied.
+func (s *PerfStore) fold(sample *Sample) (float64, error) {
 	key := sample.Config.Key()
 	mu := s.stripe(key)
 	mu.Lock()
 	defer mu.Unlock()
 
-	p, err := s.store.Load(key)
-	if err == ErrNotFound {
-		p = &Profile{ConfigKey: key}
-	} else if err != nil {
-		return err
-	}
+	p := s.load(key)
 	delta := s.foldInto(p, s.snapRes(sample.Resources), sample.Observed, s.opts.Alpha)
 	p.Version++
 	if err := s.store.Save(p); err != nil {
-		return err
+		return 0, err
 	}
-	// Reconcile a warm cache entry in place; apply's version gate makes
-	// this safe against a concurrent loader completing with stale state.
-	if e, ok := s.cache.peek(key); ok {
-		lat, err := s.materialize(key, p)
-		if err == nil {
-			e.apply(p, lat)
-		} else {
-			s.cache.remove(key)
-		}
+	l, err := s.materialize(key, p)
+	if err != nil {
+		s.InvalidateCache(sample.Config) // the next read recompiles from the store
+		return delta, nil
 	}
-	if s.onRefine != nil {
-		s.onRefine(key, delta)
-	}
-	return nil
+	s.publish(key, l)
+	return delta, nil
 }
 
 // foldInto merges one observation into a profile at its resource point —
@@ -465,20 +478,23 @@ func sigRound(v float64, digits int) float64 {
 	return math.Round(v*mag) / mag
 }
 
-// CacheStats reports live cache entries and total evictions (tests and
-// the bench harness read it).
+// CacheStats reports the compiled lattices held and, since nothing is
+// ever evicted, zero evictions (the bench harness reads it).
 func (s *PerfStore) CacheStats() (entries int, evictions int64) {
-	return s.cache.stats()
+	s.latMu.Lock()
+	defer s.latMu.Unlock()
+	return len(s.lats), 0
 }
 
-// InvalidateCache drops a configuration's cached materialization, forcing
-// the next lookup through the backend (tests use it to race eviction
-// against single-flight loads).
+// InvalidateCache drops a configuration's compiled lattice, so the next
+// read compiles it again from the store (the cold-read benchmarks use it).
 func (s *PerfStore) InvalidateCache(cfg spec.Config) {
-	s.cache.remove(cfg.Key())
+	s.latMu.Lock()
+	delete(s.lats, cfg.Key())
+	s.latMu.Unlock()
 }
 
-// Close flushes pending samples and closes the backend.
+// Close flushes pending samples and closes the store.
 func (s *PerfStore) Close() error {
 	s.Flush()
 	return s.store.Close()

@@ -58,13 +58,13 @@ func testPrior(t testing.TB, app *spec.App) *perfdb.DB {
 	return db
 }
 
-func newTestStore(t testing.TB, prior *perfdb.DB, backend Store, opts Options) *PerfStore {
+func newTestStore(t testing.TB, prior *perfdb.DB, store *Store, opts Options) *PerfStore {
 	t.Helper()
 	app := testApp(t)
-	if backend == nil {
-		backend = NewMemStore()
+	if store == nil {
+		store = NewMemStore()
 	}
-	s, err := New(app, prior, backend, opts)
+	s, err := New(app, prior, store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,63 +241,10 @@ func TestBatchingDefersFold(t *testing.T) {
 	}
 }
 
-func TestCacheHitMissCounters(t *testing.T) {
-	app := testApp(t)
-	reg := metrics.New()
-	s := newTestStore(t, testPrior(t, app), nil, Options{})
-	s.EnableMetrics(reg)
-
-	cfg := cfgOf("lzw", 1)
-	res := resource.Vector{resource.Bandwidth: 100e3}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Predict(cfg, res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.cache.misses.Value(); got != 1 {
-		t.Fatalf("misses = %v, want 1", got)
-	}
-	if got := s.cache.hits.Value(); got != 4 {
-		t.Fatalf("hits = %v, want 4", got)
-	}
-	s.InvalidateCache(cfg)
-	if _, err := s.Predict(cfg, res); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.cache.misses.Value(); got != 2 {
-		t.Fatalf("misses after invalidate = %v, want 2", got)
-	}
-}
-
-func TestCacheEvictionReloadsFromStore(t *testing.T) {
-	app := testApp(t)
-	// Cache of 1 entry: alternating configs evict each other every lookup.
-	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1, CacheEntries: 1})
-	a, b := cfgOf("lzw", 1), cfgOf("bzw", 1)
-	res := resource.Vector{resource.Bandwidth: 100e3}
-
-	s.Offer(Sample{Config: a, Resources: res, Observed: spec.Metrics{"time": 123, "quality": 0.8}})
-	for i := 0; i < 4; i++ {
-		if _, err := s.Predict(b, res); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.Predict(a, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got["time"]-123) > 30 {
-			t.Fatalf("reloaded entry lost refinement: %v", got["time"])
-		}
-	}
-	if entries, _ := s.CacheStats(); entries != 1 {
-		t.Fatalf("cache holds %d entries, bound is 1", entries)
-	}
-}
-
 func TestMergeSweep(t *testing.T) {
 	app := testApp(t)
-	backend := NewMemStore()
-	s := newTestStore(t, testPrior(t, app), backend, Options{BatchSize: 1})
+	store := NewMemStore()
+	s := newTestStore(t, testPrior(t, app), store, Options{BatchSize: 1})
 
 	// Live refinement learns one point.
 	cfg := cfgOf("lzw", 1)
@@ -319,7 +266,7 @@ func TestMergeSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := MergeSweep(backend, sweep)
+	st, err := MergeSweep(store, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +274,7 @@ func TestMergeSweep(t *testing.T) {
 		t.Fatalf("merge stats = %+v, want 1 config, 1 merged, 1 added", st)
 	}
 
-	p, err := backend.Load(cfg.Key())
+	p, err := store.Load(cfg.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +286,10 @@ func TestMergeSweep(t *testing.T) {
 	if got <= 440 || got >= 500 {
 		t.Fatalf("merged estimate %v not between sweep 440 and live 500", got)
 	}
-	// The merge must be visible through a fresh store over the same
-	// backend (cache in s may be stale; that is fine — s did not merge).
-	s2 := newTestStore(t, testPrior(t, app), backend, Options{})
+	// The merge must be visible through a fresh PerfStore over the same
+	// store (s compiled its lattice before the merge; that is fine — s did
+	// not merge).
+	s2 := newTestStore(t, testPrior(t, app), store, Options{})
 	pred, err := s2.Predict(cfg, novel)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +374,7 @@ func TestSnapshotByteStable(t *testing.T) {
 }
 
 // TestWarmPredictAllocations gates the hot read path: a prediction from a
-// warm cache entry allocates the configuration key its cache lookup needs
+// compiled lattice allocates the configuration key its map lookup needs
 // and the result map — not a second key, a grid or a vector per corner.
 func TestWarmPredictAllocations(t *testing.T) {
 	app := testApp(t)

@@ -93,27 +93,31 @@ func (p *Profile) normalize() {
 	})
 }
 
-// encode renders the profile as canonical JSON: records in resource-key
-// order, map keys sorted (encoding/json sorts them), no indentation. The
-// same logical profile always encodes to the same bytes — WAL records and
-// snapshots depend on this for byte-stable round trips.
-func (p *Profile) encode() ([]byte, error) {
-	p.normalize()
-	return json.Marshal(p)
+// check rejects a decoded profile the store cannot hold: a JSON null, or
+// records with no configuration key to file them under. Snapshot and log
+// replay both pass through it.
+func (p *Profile) check() error {
+	if p == nil {
+		return fmt.Errorf("perfstore: null profile")
+	}
+	if p.ConfigKey == "" && len(p.Records) > 0 {
+		return fmt.Errorf("perfstore: profile with records but no config key")
+	}
+	return nil
 }
 
 // decodeProfile parses an encoded profile, rejecting structural garbage
-// (missing config key, non-finite values are caught later at fold time).
+// (non-finite values are caught later at fold time).
 func decodeProfile(b []byte) (*Profile, error) {
-	var p Profile
+	var p *Profile
 	if err := json.Unmarshal(b, &p); err != nil {
 		return nil, fmt.Errorf("perfstore: decode profile: %w", err)
 	}
-	if p.ConfigKey == "" && len(p.Records) > 0 {
-		return nil, fmt.Errorf("perfstore: profile with records but no config key")
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	p.normalize()
-	return &p, nil
+	return p, nil
 }
 
 // metricsOf converts a record's metric map to spec.Metrics.

@@ -5,46 +5,23 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/spec"
 )
 
-// countingStore counts backend loads (for single-flight assertions).
-type countingStore struct {
-	Store
-	mu    sync.Mutex
-	loads map[string]int
-}
-
-func newCountingStore(inner Store) *countingStore {
-	return &countingStore{Store: inner, loads: make(map[string]int)}
-}
-
-func (s *countingStore) Load(configKey string) (*Profile, error) {
-	s.mu.Lock()
-	s.loads[configKey]++
-	s.mu.Unlock()
-	return s.Store.Load(configKey)
-}
-
-func (s *countingStore) count(configKey string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loads[configKey]
-}
-
 // TestConcurrentIngestAndPredict hammers the store from three directions
 // at once — ingest goroutines folding samples, reader goroutines
-// predicting through the cache, and an eviction goroutine invalidating
-// entries mid-flight (racing the single-flight backend load against
-// folds). Run under -race; correctness assertions are at the end.
+// predicting through the compiled lattices, and an invalidating goroutine
+// dropping lattices mid-flight (racing cold compiles against folds). Run
+// under -race; correctness assertions are at the end.
 func TestConcurrentIngestAndPredict(t *testing.T) {
 	app := testApp(t)
 	prior := testPrior(t, app)
-	backend := newCountingStore(NewMemStore())
-	s, err := New(app, prior, backend, Options{BatchSize: 4, CacheEntries: 2})
+	store := NewMemStore()
+	s, err := New(app, prior, store, Options{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +65,8 @@ func TestConcurrentIngestAndPredict(t *testing.T) {
 			}
 		}(ri)
 	}
-	// Eviction pressure: invalidate entries while loads and folds are in
-	// flight, so single-flight reloads race fold reconciliation.
+	// Invalidate lattices while compiles and folds are in flight, so cold
+	// reads race fold republication.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -100,26 +77,32 @@ func TestConcurrentIngestAndPredict(t *testing.T) {
 	wg.Wait()
 	s.Flush()
 
-	// After the dust settles every config's cached state must equal a
-	// fresh materialization of the backend's persisted profile: no lost
-	// updates, no stale cache surviving its version.
+	// After the dust settles every config's published lattice must
+	// predict what the stored profile says, as must a fresh compile: no
+	// lost updates, no stale lattice surviving a newer fold.
 	for _, cfg := range configs {
 		key := cfg.Key()
+		published, err := s.Predict(cfg, res)
+		if err != nil {
+			t.Fatalf("final Predict %s: %v", key, err)
+		}
 		s.InvalidateCache(cfg)
 		fresh, err := s.Predict(cfg, res)
 		if err != nil {
 			t.Fatalf("final Predict %s: %v", key, err)
 		}
-		p, err := backend.Load(key)
+		p, err := store.Load(key)
 		if err != nil {
-			t.Fatalf("backend has no profile for %s after ingest: %v", key, err)
+			t.Fatalf("store has no profile for %s after ingest: %v", key, err)
 		}
 		i := p.find(res.Key())
 		if i < 0 {
 			t.Fatalf("profile %s missing the sampled point", key)
 		}
-		if got := fresh["time"]; math.Abs(got-p.Records[i].Metrics["time"]) > 1e-9 {
-			t.Fatalf("cache/store diverged for %s: cache %v, store %v", key, got, p.Records[i].Metrics["time"])
+		want := p.Records[i].Metrics["time"]
+		if math.Abs(published["time"]-want) > 1e-9 || math.Abs(fresh["time"]-want) > 1e-9 {
+			t.Fatalf("lattice/store diverged for %s: published %v, fresh %v, store %v",
+				key, published["time"], fresh["time"], want)
 		}
 		if p.Records[i].Samples == 0 {
 			t.Fatalf("profile %s folded zero samples", key)
@@ -127,42 +110,43 @@ func TestConcurrentIngestAndPredict(t *testing.T) {
 	}
 }
 
-// TestSingleFlightLoad proves a cold configuration issues exactly one
-// backend load no matter how many Predicts arrive at once.
+// TestSingleFlightLoad proves a cold configuration compiles once no
+// matter how many readers arrive at once: every concurrent cold Lattice
+// call returns the same lattice.
 func TestSingleFlightLoad(t *testing.T) {
 	app := testApp(t)
-	backend := newCountingStore(NewMemStore())
-	s, err := New(app, testPrior(t, app), backend, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cfgOf("lzw", 1)
-	res := resource.Vector{resource.Bandwidth: 100e3}
+	s := newTestStore(t, testPrior(t, app), nil, Options{})
+	key := cfgOf("lzw", 1).Key()
 
 	const n = 16
 	var wg sync.WaitGroup
 	start := make(chan struct{})
+	got := make([]*perfdb.Lattice, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			<-start
-			if _, err := s.Predict(cfg, res); err != nil {
-				t.Errorf("Predict: %v", err)
+			l, err := s.Lattice(key)
+			if err != nil {
+				t.Errorf("Lattice: %v", err)
 			}
-		}()
+			got[i] = l
+		}(i)
 	}
 	close(start)
 	wg.Wait()
-	if got := backend.count(cfg.Key()); got != 1 {
-		t.Fatalf("cold config issued %d backend loads, want 1 (single-flight)", got)
+	for i, l := range got {
+		if l == nil || l != got[0] {
+			t.Fatalf("reader %d got lattice %p, reader 0 %p: a cold configuration compiled more than once", i, l, got[0])
+		}
 	}
 }
 
 // TestPredictStableWhileFolding reads a warm store from many goroutines
 // while a writer keeps folding samples into one lattice point of one
-// configuration, so the readers' cache entry is re-materialized — a new
-// compiled lattice published — under them (run under -race). Predictions
+// configuration, so a new compiled lattice is published under the
+// readers (run under -race). Predictions
 // at the lattice points the writer never touches, and of the configuration
 // it never touches, must not move by a bit; the folded point must have
 // moved by the end.
@@ -241,5 +225,39 @@ func TestPredictStableWhileFolding(t *testing.T) {
 	}
 	if after["time"] == before["time"] {
 		t.Fatalf("the folded point never moved (time %v): the writer did not re-materialize", after["time"])
+	}
+}
+
+// TestOnRefineMayReadModel: the refinement hook runs after the fold has
+// released its locks, so a hook that reads the model — here a cold read
+// of the configuration just folded, which compiles under that
+// configuration's fold stripe — completes instead of deadlocking.
+func TestOnRefineMayReadModel(t *testing.T) {
+	app := testApp(t)
+	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1})
+	cfg := cfgOf("lzw", 1)
+	res := resource.Vector{resource.Bandwidth: 100e3}
+	var hooked []float64
+	s.OnRefine(func(configKey string, delta float64) {
+		s.InvalidateCache(cfg)
+		m, err := s.Predict(cfg, res)
+		if err != nil {
+			t.Errorf("Predict in the hook: %v", err)
+			return
+		}
+		hooked = append(hooked, m["time"])
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Offer(Sample{Config: cfg, Resources: res, Observed: spec.Metrics{"time": 60, "quality": 0.8}})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Offer did not return: the hook deadlocked on the fold stripe")
+	}
+	if len(hooked) != 1 || hooked[0] == 50 {
+		t.Fatalf("hook saw %v; want one read of the refined time (prior 50)", hooked)
 	}
 }

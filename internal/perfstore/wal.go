@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WAL layout: a directory holding at most one snapshot plus a sequence of
@@ -38,7 +37,7 @@ const (
 	segPrefix       = "wal-"
 )
 
-// WALOptions tunes the WAL backend. Zero values take defaults; only
+// WALOptions tunes the write-ahead log. Zero values take defaults; only
 // tests set its fields.
 type WALOptions struct {
 	maxSegmentBytes      int64 // rotate the active segment beyond this (default 1 MiB)
@@ -55,34 +54,16 @@ func (o WALOptions) withDefaults() WALOptions {
 	return o
 }
 
-// WALStore is the append-only, segmented file backend. The full profile
-// set also lives in memory (profiles are two to three orders of magnitude
-// smaller than the pyramids the data plane caches), so reads never touch
-// disk; the files exist to survive restarts.
-type WALStore struct {
-	dir  string
-	opts WALOptions
-
-	mu       sync.Mutex
-	profiles map[string]*Profile
-	version  uint64 // store-wide sequence: snapshot version + replayed/appended records
-	cur      *os.File
-	curSeq   int
-	curBytes int64
-	walBytes int64 // bytes across all live segments
-	closed   bool
-
-	onWALBytes func(int64) // metrics hook; may be nil
-}
-
-// OpenWAL opens (creating if needed) a WAL store in dir and recovers its
-// state from the newest snapshot plus the log segments.
-func OpenWAL(dir string, opts WALOptions) (*WALStore, error) {
-	opts = opts.withDefaults()
+// OpenWAL opens (creating if needed) a log-backed store in dir and
+// recovers its state from the newest snapshot plus the log segments. The
+// full profile set also lives in memory (profiles are two to three orders
+// of magnitude smaller than the pyramids the data plane caches), so reads
+// never touch disk; the files exist to survive restarts.
+func OpenWAL(dir string, opts WALOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("perfstore: wal dir: %w", err)
 	}
-	s := &WALStore{dir: dir, opts: opts, profiles: make(map[string]*Profile)}
+	s := &Store{dir: dir, opts: opts.withDefaults(), profiles: make(map[string]*Profile)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -106,11 +87,11 @@ func segSeq(name string) (int, bool) {
 	return n, err == nil
 }
 
-func (s *WALStore) snapPath(version uint64) string {
+func (s *Store) snapPath(version uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%016x.json", snapPrefix, version))
 }
 
-func (s *WALStore) segPath(seq int) string {
+func (s *Store) segPath(seq int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%08d.log", segPrefix, seq))
 }
 
@@ -121,7 +102,22 @@ type snapshotFile struct {
 	Profiles []*Profile `json:"profiles"`
 }
 
-func (s *WALStore) recover() error {
+// walRecord frames one normalized profile as a log record. The payload
+// is canonical JSON: records in resource-key order, map keys sorted
+// (encoding/json sorts them), no indentation, so the same logical profile
+// always encodes to the same bytes.
+func walRecord(p *Profile) ([]byte, error) {
+	payload, err := json.Marshal(p)
+	if err != nil {
+		return nil, fmt.Errorf("perfstore: encode profile: %w", err)
+	}
+	rec := make([]byte, walRecordHeader, walRecordHeader+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	return append(rec, payload...), nil
+}
+
+func (s *Store) recover() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("perfstore: wal scan: %w", err)
@@ -149,6 +145,9 @@ func (s *WALStore) recover() error {
 			return fmt.Errorf("perfstore: decode snapshot %016x: %w", bestSnap, err)
 		}
 		for _, p := range sf.Profiles {
+			if err := p.check(); err != nil {
+				return fmt.Errorf("perfstore: snapshot %016x: %w", bestSnap, err)
+			}
 			p.normalize()
 			s.profiles[p.ConfigKey] = p
 		}
@@ -180,7 +179,7 @@ func (s *WALStore) recover() error {
 
 // replaySegment folds one segment's records into the in-memory state. A
 // torn tail in the final segment is truncated; anything else fails.
-func (s *WALStore) replaySegment(seq int, last bool) error {
+func (s *Store) replaySegment(seq int, last bool) error {
 	path := s.segPath(seq)
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -221,57 +220,9 @@ func (s *WALStore) replaySegment(seq int, last bool) error {
 	return nil
 }
 
-// Load implements Store.
-func (s *WALStore) Load(configKey string) (*Profile, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.profiles[configKey]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return p.Clone(), nil
-}
-
-// Keys implements Store.
-func (s *WALStore) Keys() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.profiles))
-	for k := range s.profiles {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Save implements Store: append a WAL record, then rotate/compact when the
-// bounds say so.
-func (s *WALStore) Save(p *Profile) error {
-	c := p.Clone()
-	payload, err := c.encode()
-	if err != nil {
-		return fmt.Errorf("perfstore: encode profile: %w", err)
-	}
-	var hdr [walRecordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("perfstore: store closed")
-	}
-	if _, err := s.cur.Write(hdr[:]); err != nil {
-		return fmt.Errorf("perfstore: append: %w", err)
-	}
-	if _, err := s.cur.Write(payload); err != nil {
-		return fmt.Errorf("perfstore: append: %w", err)
-	}
-	n := int64(walRecordHeader + len(payload))
-	s.curBytes += n
-	s.walBytes += n
-	s.profiles[c.ConfigKey] = c
-	s.version++
+// boundLogLocked rotates the active segment once it is full, compacts
+// once enough segments exist, and reports the log size.
+func (s *Store) boundLogLocked() error {
 	if s.curBytes >= s.opts.maxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
@@ -289,7 +240,7 @@ func (s *WALStore) Save(p *Profile) error {
 }
 
 // oldestSegLocked returns the lowest live segment sequence number.
-func (s *WALStore) oldestSegLocked() int {
+func (s *Store) oldestSegLocked() int {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return s.curSeq
@@ -304,7 +255,7 @@ func (s *WALStore) oldestSegLocked() int {
 }
 
 // rotateLocked closes the active segment and opens the next.
-func (s *WALStore) rotateLocked() error {
+func (s *Store) rotateLocked() error {
 	if err := s.cur.Close(); err != nil {
 		return fmt.Errorf("perfstore: close segment: %w", err)
 	}
@@ -317,9 +268,23 @@ func (s *WALStore) rotateLocked() error {
 	return nil
 }
 
+// Compact forces a snapshot + segment reset now. A memory store has no
+// log to compact.
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("perfstore: store closed")
+	}
+	if s.dir == "" {
+		return fmt.Errorf("perfstore: memory store has no log to compact")
+	}
+	return s.compactLocked()
+}
+
 // compactLocked writes a fresh versioned snapshot and deletes the log
 // segments (and older snapshots) it subsumes.
-func (s *WALStore) compactLocked() error {
+func (s *Store) compactLocked() error {
 	tmp := filepath.Join(s.dir, "snap.tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -370,19 +335,14 @@ func (s *WALStore) compactLocked() error {
 }
 
 // writeSnapshotLocked writes the canonical snapshot bytes: version, then
-// profiles sorted by config key, each with records in resource-key order.
-// The same logical state always produces identical bytes.
-func (s *WALStore) writeSnapshotLocked(w io.Writer) error {
-	keys := make([]string, 0, len(s.profiles))
-	for k := range s.profiles {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sf := snapshotFile{Version: s.version, Profiles: make([]*Profile, 0, len(keys))}
-	for _, k := range keys {
-		p := s.profiles[k].Clone()
-		p.normalize()
-		sf.Profiles = append(sf.Profiles, p)
+// profiles sorted by config key, each with records in resource-key order
+// (stored profiles are normalized and never mutated in place). The same
+// logical state always produces identical bytes.
+func (s *Store) writeSnapshotLocked(w io.Writer) error {
+	keys := s.keysLocked()
+	sf := snapshotFile{Version: s.version, Profiles: make([]*Profile, len(keys))}
+	for i, k := range keys {
+		sf.Profiles[i] = s.profiles[k]
 	}
 	b, err := json.Marshal(sf)
 	if err != nil {
@@ -392,51 +352,4 @@ func (s *WALStore) writeSnapshotLocked(w io.Writer) error {
 		return fmt.Errorf("perfstore: write snapshot: %w", err)
 	}
 	return nil
-}
-
-// Snapshot writes the canonical snapshot bytes of the current state —
-// the same bytes Compact persists. Two stores holding the same logical
-// state produce identical output (the byte-stability contract restarts
-// are tested against).
-func (s *WALStore) Snapshot(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeSnapshotLocked(w)
-}
-
-// Compact forces a snapshot + segment reset now.
-func (s *WALStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("perfstore: store closed")
-	}
-	return s.compactLocked()
-}
-
-// Version reports the store-wide sequence number (records applied since
-// genesis, surviving restarts).
-func (s *WALStore) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
-
-// WalBytes reports the bytes held in live log segments (what the
-// perfstore_wal_bytes gauge exports; compaction resets it).
-func (s *WALStore) WalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walBytes
-}
-
-// Close implements Store.
-func (s *WALStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.cur.Close()
 }

@@ -54,10 +54,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if v := w2.Version(); v != 3 {
 		t.Fatalf("replayed version = %d, want 3", v)
 	}
-	keys, err := w2.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := w2.Keys()
 	if len(keys) != 2 {
 		t.Fatalf("replayed %d keys, want 2: %v", len(keys), keys)
 	}
@@ -101,7 +98,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail must recover, got %v", err)
 	}
-	keys, _ := w2.Keys()
+	keys := w2.Keys()
 	if len(keys) != 1 || keys[0] != "codec=lzw,level=1" {
 		t.Fatalf("recovered keys = %v, want only the intact record", keys)
 	}
@@ -115,7 +112,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w3.Close()
-	if keys, _ = w3.Keys(); len(keys) != 2 {
+	if keys = w3.Keys(); len(keys) != 2 {
 		t.Fatalf("post-recovery append lost: %v", keys)
 	}
 }
@@ -148,7 +145,7 @@ func TestWALCorruptPayloadDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	keys, _ := w2.Keys()
+	keys := w2.Keys()
 	if len(keys) != 1 {
 		t.Fatalf("corrupt record not dropped: %v", keys)
 	}

@@ -114,7 +114,7 @@ func (h *Host) MemTotal() int64 { return h.memTotal }
 // aggregate reserved share would exceed MaxReservable or memory would be
 // oversubscribed.
 func (h *Host) NewSandbox(name string, share float64, memLimit int64) (*Sandbox, error) {
-	if share <= 0 || share > 1 {
+	if !(share > 0 && share <= 1) { // also refuses NaN, which fails every comparison
 		return nil, fmt.Errorf("sandbox: invalid CPU share %g for %q", share, name)
 	}
 	if _, dup := h.boxes[name]; dup {
@@ -216,7 +216,7 @@ func (sb *Sandbox) CPUShare() float64 { return sb.share }
 // mirroring the dynamic testbed reconfiguration used in Figure 3(a). The
 // host's admission bound still applies.
 func (sb *Sandbox) SetCPUShare(share float64) error {
-	if share <= 0 || share > 1 {
+	if !(share > 0 && share <= 1) { // also refuses NaN
 		return fmt.Errorf("sandbox: invalid CPU share %g", share)
 	}
 	if sb.host.reserved-sb.share+share > MaxReservable+1e-9 {

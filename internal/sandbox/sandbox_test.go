@@ -123,6 +123,33 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestNaNShareRejected: NaN fails every comparison, so a bound written
+// as "refuse if share <= 0 || share > 1" admits it, the host's reserved
+// share turns NaN, and from then on every admission check passes.
+func TestNaNShareRejected(t *testing.T) {
+	sim := vtime.NewSim()
+	h := NewHost(sim, "h", 100e6)
+	a, err := h.NewSandbox("a", 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.NewSandbox("nan", math.NaN(), 0); err == nil {
+		t.Fatal("NaN share admitted")
+	}
+	if err := a.SetCPUShare(math.NaN()); err == nil {
+		t.Fatal("NaN share accepted by SetCPUShare")
+	}
+	if h.Reserved() != 0.5 || a.CPUShare() != 0.5 {
+		t.Fatalf("reserved %v, share %v after refusals; want 0.5 and 0.5", h.Reserved(), a.CPUShare())
+	}
+	if _, err := h.NewSandbox("b", 0.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.NewSandbox("c", 0.5, 0); err == nil {
+		t.Fatal("the host admitted a third half share")
+	}
+}
+
 func TestMemoryAdmission(t *testing.T) {
 	sim := vtime.NewSim()
 	h := NewHost(sim, "h", 100e6, WithMemory(100<<20))

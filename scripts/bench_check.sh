@@ -12,7 +12,7 @@
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
 # the counter-commit harness; its trailing "swarm" block is informational
 # and ignored here), the live performance store (BENCH_perfstore.json —
-# cached vs uncached profile lookup, the perfdb lookup under them and
+# warm vs cold profile lookup, the perfdb lookup under them and
 # sample ingest), the wire protocol (BENCH_wire.json — frame write/read
 # and the schema codec on control bodies), and the workload layer
 # (BENCH_apps.json — the mixed video+foveal harness, arbiter acquire/release, a single

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench_perfstore.sh — run the live performance-store micro-benchmarks
-# (cached vs uncached profile lookup, the perfdb lookup under them,
-# sustained sample ingest) and record
+# (warm Predict from a configuration's compiled lattice, the "Cached"
+# row, vs a cold read that loads and compiles it, the "Uncached" row; the
+# perfdb lookup under them; sustained sample ingest) and record
 # BENCH_perfstore.json at the repo root. A thin retargeting of
 # scripts/bench.sh; extra go-test flags pass through.
 set -eu

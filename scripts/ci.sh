@@ -123,7 +123,7 @@ run_fuzz() {
 	# Fuzz smoke: plain `go test` only replays each target's seed corpus,
 	# so give every fuzz target in the module (codec round trips and
 	# decoder differentials, chunk, frame, handshake and schema decoders,
-	# the perf-DB loader) FUZZTIME of real mutation — one target per
+	# the performance store's WAL recovery) FUZZTIME of real mutation — one target per
 	# invocation, as the toolchain requires. Targets are discovered per
 	# package, so a new one runs without an edit here. Offline: the module
 	# has no dependencies. A failing input lands in
@@ -195,9 +195,9 @@ run_reach() {
 		q "$B/avis-mix" -seed 42 -video 4 -foveal 2 -chaos
 		q "$B/avis-load" -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 		q "$B/avis-chaos"
-		echo "== reach: avis-profile -merge, -refine; tunable-spec on both shipped specs"
-		q "$B/avis-profile" -figure all -merge wal -out perf.json
-		q "$B/avis-profile" -figure 6a -refine 0.5 -out refined.json
+		echo "== reach: avis-profile into a store directory, with -refine; tunable-spec on both shipped specs"
+		q "$B/avis-profile" -figure all -out wal
+		q "$B/avis-profile" -figure 6a -refine 0.3 -out refined
 		for s in avis video; do
 			"$B/specsrc" $s >$s.tsp
 			q "$B/tunable-spec" -in $s.tsp
@@ -215,7 +215,7 @@ run_reach() {
 				sleep 0.1
 			done
 		}
-		"$B/avis-coord" -addr $COORD -perfstore-dir wal -perfdb perf.json -metrics-addr $MET >coord.log 2>&1 &
+		"$B/avis-coord" -addr $COORD -perfstore-dir wal -metrics-addr $MET >coord.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $COORD
 		"$B/avis-server" -addr $SRV -side 256 -levels 4 -images 2 -coord $COORD -heartbeat 200ms >server.log 2>&1 &
