@@ -268,7 +268,7 @@ func BenchmarkAblationMonitor(b *testing.B) {
 			} else {
 				agent.AddProbe(monitor.NewCPUProbe("client", sb))
 			}
-			agent.SetValidRange("client", resource.CPU, 0.6, 1.0)
+			agent.Arm(cpuAtLeast(0.6))
 			agent.Start()
 			sim.Spawn("app", func(p *vtime.Proc) { sb.Compute(p, 1e9) })
 			const dropAt = 2 * time.Second
@@ -299,6 +299,12 @@ func BenchmarkAblationMonitor(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) { run(b, true) })
 }
 
+// cpuAtLeast is the armed region of the monitor ablations: a CPU share of
+// at least lo.
+func cpuAtLeast(lo float64) func(resource.Vector) bool {
+	return func(v resource.Vector) bool { return v[resource.CPU] >= lo }
+}
+
 // BenchmarkAblationHysteresis measures how the trigger hysteresis damps
 // reconfiguration thrashing under a noisy resource signal (Section 7.5).
 func BenchmarkAblationHysteresis(b *testing.B) {
@@ -319,7 +325,7 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 						}
 						return 0.9, true
 					}})
-				agent.SetValidRange("c", resource.CPU, 0.5, 1.0)
+				agent.Arm(cpuAtLeast(0.5))
 				agent.Start()
 				sim.Spawn("driver", func(p *vtime.Proc) {
 					p.Sleep(5 * time.Second)
@@ -531,7 +537,7 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 			share := 0.9
 			agent.AddProbe(&monitor.OracleProbe{Comp: "c", K: resource.CPU,
 				Fn: func(time.Duration) (float64, bool) { return share, true }})
-			agent.SetValidRange("c", resource.CPU, 0.6, 1.0)
+			agent.Arm(cpuAtLeast(0.6))
 			agent.Start()
 			const dropAt = time.Second
 			sim.After(dropAt, func() { share = 0.4 })

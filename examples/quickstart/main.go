@@ -77,9 +77,8 @@ qos_metric {
 			Constraints: []scheduler.Constraint{scheduler.AtMost("batch_time", 4)},
 			Objective:   "quality",
 		}},
-		Monitor:    mon,
-		Steering:   steer,
-		Components: core.Components{resource.CPU: "client"},
+		Monitor:  mon,
+		Steering: steer,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	steer.OnApply(func(old, cfg spec.Config, _ map[resource.Kind][2]float64) {
+	steer.OnApply(func(old, cfg spec.Config) {
 		fmt.Printf("          stream reconfigured: %s -> %s\n", old.Key(), cfg.Key())
 	})
 	fw, err := core.New(sim, core.Config{
@@ -90,7 +90,6 @@ func main() {
 		Preferences: v.Preferences(),
 		Monitor:     mon,
 		Steering:    steer,
-		Components:  core.Components{resource.Bandwidth: "net", resource.CPU: "client"},
 	})
 	if err != nil {
 		log.Fatal(err)

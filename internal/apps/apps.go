@@ -62,7 +62,8 @@ type Application interface {
 	// Class names the application class ("video", "foveal"); it doubles as
 	// the arbitration class and the fault-injection target label prefix.
 	Class() string
-	// Spec returns the application's tunability specification.
+	// Spec returns the application's tunability specification, parsed
+	// once and shared: callers must not modify it.
 	Spec() *spec.App
 	// DefaultConfig is the configuration a session starts in before its
 	// tuning agent has made a decision (and the fallback when the

@@ -380,12 +380,7 @@ func (h *harness) plan(p *vtime.Proc, s *session) {
 		return
 	}
 	h.seq++
-	s.steer.Control().TrySend(steering.ControlMsg{
-		Seq:         h.seq,
-		Config:      d.Config,
-		ValidRanges: d.ValidRanges,
-		Reason:      d.PrefName,
-	})
+	s.steer.Control().TrySend(steering.ControlMsg{Seq: h.seq, Config: d.Config, Reason: d.PrefName})
 	s.lastCfg = d.Config
 }
 

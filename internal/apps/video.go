@@ -89,8 +89,12 @@ func NewVideo() *Video { return &Video{StreamSeconds: 5} }
 // Class implements Application.
 func (v *Video) Class() string { return "video" }
 
-// Spec implements Application.
-func (v *Video) Spec() *spec.App { return spec.MustParse(VideoSpecSource) }
+// videoSpec is VideoSpecSource, parsed once.
+var videoSpec = spec.MustParse(VideoSpecSource)
+
+// Spec implements Application. Every caller shares one value, so none may
+// modify it.
+func (v *Video) Spec() *spec.App { return videoSpec }
 
 // DefaultConfig implements Application: a mid-rate low-quality stream
 // until the tuning agent has spoken.

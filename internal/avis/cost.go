@@ -136,5 +136,9 @@ transition {
 }
 `
 
-// Spec parses SpecSource.
-func Spec() *spec.App { return spec.MustParse(SpecSource) }
+// parsedSpec is SpecSource, parsed once.
+var parsedSpec = spec.MustParse(SpecSource)
+
+// Spec returns the parsed SpecSource. Every caller shares one value, so
+// none may modify it.
+func Spec() *spec.App { return parsedSpec }

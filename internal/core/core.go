@@ -5,6 +5,11 @@
 // satisfies user preferences, (2) selects a replacement by correlating
 // observed resource characteristics with the performance database, and
 // (3) steers the application onto it at the next transition point.
+//
+// The region the monitoring agents watch is the decision itself: after
+// every decision the framework arms them with "Select, at this estimate,
+// still picks the active configuration", so an agent fires exactly when
+// the scheduler would now choose differently.
 package core
 
 import (
@@ -20,11 +25,6 @@ import (
 	"tunable/internal/vtime"
 )
 
-// Components maps each resource dimension of the performance database to
-// the execution-environment component on which the monitoring agent
-// observes it (e.g. CPU on "client", bandwidth on "client").
-type Components map[resource.Kind]string
-
 // Config configures a Framework.
 type Config struct {
 	App *spec.App
@@ -35,12 +35,12 @@ type Config struct {
 	Preferences []scheduler.Preference
 	Monitor     *monitor.Agent
 	Steering    *steering.Agent
-	Components  Components
 	// RemoteAgents are monitoring agents in remote instances of the
-	// application (e.g. the server side). The framework arms their
-	// validity ranges alongside the main agent's; their out-of-range
-	// pushes arrive at the main agent as peer estimates and participate
-	// in its triggering (Section 6.1's inter-monitor communication).
+	// application (e.g. the server side). The framework arms them with the
+	// main agent's region; each judges it on what it observes itself, so
+	// it decides alone and pushes its estimates to the main agent only on
+	// leaving the region, where they join the main agent's own judgement
+	// (Section 6.1's inter-monitor communication).
 	RemoteAgents []*monitor.Agent
 }
 
@@ -76,17 +76,15 @@ type Framework struct {
 	seq   int64
 	log   []Event
 	stop  *vtime.Event
+	at    resource.Vector // the joint estimate the latest decision was made at
 }
 
 // New builds a framework, constructing the resource scheduler over the
 // database and preferences and registering the steering hook that re-arms
-// the monitoring agent after every applied switch.
+// the monitoring agents after every applied switch.
 func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
 	if cfg.App == nil || cfg.DB == nil || cfg.Monitor == nil || cfg.Steering == nil {
 		return nil, fmt.Errorf("core: App, DB, Monitor, and Steering are all required")
-	}
-	if len(cfg.Components) == 0 {
-		return nil, fmt.Errorf("core: Components mapping is required")
 	}
 	sched, err := scheduler.New(cfg.App, cfg.DB, cfg.Preferences)
 	if err != nil {
@@ -98,9 +96,9 @@ func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
 		sched: sched,
 		stop:  vtime.NewEvent(sim, "core.stop"),
 	}
-	cfg.Steering.OnApply(func(old, new spec.Config, ranges map[resource.Kind][2]float64) {
+	cfg.Steering.OnApply(func(old, new spec.Config) {
 		f.logEvent(EventSwitch, fmt.Sprintf("%s -> %s", old.Key(), new.Key()))
-		f.armRanges(ranges)
+		f.arm(new)
 	})
 	return f, nil
 }
@@ -114,32 +112,41 @@ func (f *Framework) logEvent(kind EventKind, detail string) {
 
 // SelectInitial chooses the starting configuration for the given resource
 // conditions (the paper's automatic configuration in a new environment)
-// and arms the monitoring agent with its validity ranges.
+// and arms the monitoring agents with the region in which it stays the
+// choice.
 func (f *Framework) SelectInitial(res resource.Vector) (scheduler.Decision, error) {
 	d, err := f.sched.Select(res)
 	if err != nil {
 		return d, err
 	}
+	f.at = res.Clone()
 	f.logEvent(EventDecision, fmt.Sprintf("initial %s (pref %q)", d.Config.Key(), d.PrefName))
-	f.armRanges(d.ValidRanges)
+	f.arm(d.Config)
 	return d, nil
 }
 
-// armRanges points the monitoring agents' triggers at the bands within
-// which the active configuration remains valid.
-func (f *Framework) armRanges(ranges map[resource.Kind][2]float64) {
-	agents := append([]*monitor.Agent{f.cfg.Monitor}, f.cfg.RemoteAgents...)
-	for _, a := range agents {
-		a.ClearRanges()
+// joint completes an agent's estimate v with the estimate the latest
+// decision was made at, for the kinds v lacks.
+func joint(at, v resource.Vector) resource.Vector {
+	res := at.Clone()
+	for k, x := range v {
+		res[k] = x
 	}
-	for kind, band := range ranges {
-		comp, ok := f.cfg.Components[kind]
-		if !ok {
-			continue
-		}
-		for _, a := range agents {
-			a.SetValidRange(comp, kind, band[0], band[1])
-		}
+	return res
+}
+
+// arm points every monitoring agent at the region in which cfg stays the
+// scheduler's choice: an estimate is inside when Select, at its joint
+// with the latest decision's estimate, picks cfg.
+func (f *Framework) arm(cfg spec.Config) {
+	at := f.at
+	valid := func(v resource.Vector) bool {
+		d, err := f.sched.Select(joint(at, v))
+		return err == nil && d.Config.Equal(cfg)
+	}
+	f.cfg.Monitor.Arm(valid)
+	for _, a := range f.cfg.RemoteAgents {
+		a.Arm(valid)
 	}
 }
 
@@ -177,26 +184,28 @@ func (f *Framework) Start() {
 	})
 }
 
-// reconsider runs one scheduling pass against the current estimates.
+// reconsider runs one scheduling pass against the current estimates,
+// judged as the armed region judges them.
 func (f *Framework) reconsider(p *vtime.Proc) {
-	res := f.cfg.Monitor.Snapshot()
+	res := joint(f.at, f.cfg.Monitor.Snapshot())
 	d, err := f.sched.Select(res)
 	if err != nil {
 		f.logEvent(EventNoFeasible, fmt.Sprintf("at %s", res))
 		// Nothing satisfies any preference right now; silence the triggers
 		// and retry after a while.
-		f.cfg.Monitor.ClearRanges()
+		f.cfg.Monitor.Arm(nil)
 		f.sim.After(retryInterval, func() {
-			f.cfg.Monitor.Triggers().TrySend(monitor.Trigger{At: f.sim.Now()})
+			f.cfg.Monitor.Triggers().TrySend(monitor.Trigger{At: f.sim.Now(), Reason: "retry after no feasible configuration"})
 		})
 		return
 	}
+	f.at = res
 	cur := f.cfg.Steering.Current()
 	if d.Config.Equal(cur) {
-		// The active configuration is still the best; re-centre the
-		// validity bands on the new resource point.
+		// The active configuration is still the best; re-arm its region
+		// around the new estimate.
 		f.logEvent(EventSteady, fmt.Sprintf("%s at %s", cur.Key(), res))
-		f.armRanges(d.ValidRanges)
+		f.arm(cur)
 		return
 	}
 	f.seq++
@@ -204,12 +213,11 @@ func (f *Framework) reconsider(p *vtime.Proc) {
 		cur.Key(), d.Config.Key(), d.PrefName, fmtMetrics(d.Predicted)))
 	// Silence triggers while the switch is in flight; the steering OnApply
 	// hook re-arms them.
-	f.cfg.Monitor.ClearRanges()
+	f.cfg.Monitor.Arm(nil)
 	f.cfg.Steering.Control().TrySend(steering.ControlMsg{
-		Seq:         f.seq,
-		Config:      d.Config,
-		ValidRanges: d.ValidRanges,
-		Reason:      fmt.Sprintf("trigger at %s", res),
+		Seq:    f.seq,
+		Config: d.Config,
+		Reason: fmt.Sprintf("trigger at %s", res),
 	})
 }
 

@@ -51,7 +51,20 @@ type rig struct {
 	truth *float64 // ground-truth CPU share read by the oracle probe
 }
 
+// deadline is the rig's preference: the best quality that meets t ≤ 4.
+var deadline = scheduler.Preference{
+	Name:        "deadline",
+	Constraints: []scheduler.Constraint{scheduler.AtMost("t", 4)},
+	Objective:   "q",
+}
+
 func buildRig(t *testing.T) *rig {
+	return newRig(t, 3, deadline)
+}
+
+// newRig builds a rig whose steering agent starts at n=n0 and whose
+// framework schedules with prefs.
+func newRig(t *testing.T, n0 int, prefs ...scheduler.Preference) *rig {
 	t.Helper()
 	app := testApp()
 	db := buildDB(t, app)
@@ -63,22 +76,11 @@ func buildRig(t *testing.T) *rig {
 	truth := 1.0
 	mon.AddProbe(&monitor.OracleProbe{Comp: "client", K: resource.CPU,
 		Fn: func(time.Duration) (float64, bool) { return truth, true }})
-	steer, err := steering.New(sim, app, spec.Config{"n": spec.Int(3)})
+	steer, err := steering.New(sim, app, spec.Config{"n": spec.Int(n0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := New(sim, Config{
-		App: app,
-		DB:  db,
-		Preferences: []scheduler.Preference{{
-			Name:        "deadline",
-			Constraints: []scheduler.Constraint{scheduler.AtMost("t", 4)},
-			Objective:   "q",
-		}},
-		Monitor:    mon,
-		Steering:   steer,
-		Components: Components{resource.CPU: "client"},
-	})
+	fw, err := New(sim, Config{App: app, DB: db, Preferences: prefs, Monitor: mon, Steering: steer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +170,39 @@ func TestRecoversWhenResourcesReturn(t *testing.T) {
 	}
 }
 
+// A decision made on a fallback preference holds only until the primary
+// preference is feasible again: when resources return, the framework
+// must leave the fallback, though the fallback's own choice never stops
+// winning the fallback's objective.
+func TestFallbackRecoversToPrimaryPreference(t *testing.T) {
+	r := newRig(t, 1, deadline, scheduler.Preference{Name: "fastest", Objective: "t"})
+	*r.truth = 0.1
+	// At 10 % CPU even n=1 takes 10 s, so the deadline is infeasible and
+	// the fallback picks the fastest configuration, n=1.
+	d, err := r.fw.SelectInitial(resource.Vector{resource.CPU: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.PrefName != "fastest" || d.Config["n"].I != 1 {
+		t.Fatalf("initial %s on %q, want n=1 on the fallback", d.Config.Key(), d.PrefName)
+	}
+	r.fw.Start()
+	r.mon.Start()
+	r.appLoop(t, 100, 100*time.Millisecond)
+	r.sim.After(3*time.Second, func() { *r.truth = 1.0 })
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.steer.Current()["n"].I; got != 3 {
+		t.Fatalf("final config n=%d, want 3 on the deadline preference; events: %v", got, r.fw.Events())
+	}
+	for _, e := range r.fw.Events() {
+		if e.Kind == EventSwitch && e.At < 3*time.Second {
+			t.Fatalf("switch at %v, before the resources returned", e.At)
+		}
+	}
+}
+
 func TestSteadyStateNoThrashing(t *testing.T) {
 	r := buildRig(t)
 	if _, err := r.fw.SelectInitial(resource.Vector{resource.CPU: 1.0}); err != nil {
@@ -219,15 +254,11 @@ func TestNewValidation(t *testing.T) {
 	mon := monitor.New(sim, "m")
 	steer, _ := steering.New(sim, app, spec.Config{"n": spec.Int(1)})
 	prefs := []scheduler.Preference{{Name: "p", Objective: "t"}}
-	comps := Components{resource.CPU: "client"}
-	if _, err := New(sim, Config{DB: db, Monitor: mon, Steering: steer, Preferences: prefs, Components: comps}); err == nil {
+	if _, err := New(sim, Config{DB: db, Monitor: mon, Steering: steer, Preferences: prefs}); err == nil {
 		t.Fatal("missing app accepted")
 	}
-	if _, err := New(sim, Config{App: app, DB: db, Monitor: mon, Steering: steer, Preferences: prefs}); err == nil {
-		t.Fatal("missing components accepted")
-	}
 	if _, err := New(sim, Config{App: app, DB: db, Monitor: mon, Steering: steer,
-		Preferences: []scheduler.Preference{{Name: "p", Objective: "zz"}}, Components: comps}); err == nil {
+		Preferences: []scheduler.Preference{{Name: "p", Objective: "zz"}}}); err == nil {
 		t.Fatal("bad preference accepted")
 	}
 }
@@ -283,7 +314,6 @@ qos_metric { duration t minimize; }
 		Preferences:  []scheduler.Preference{{Name: "fast", Objective: "t"}},
 		Monitor:      main,
 		Steering:     steer,
-		Components:   Components{resource.Bandwidth: "net"},
 		RemoteAgents: []*monitor.Agent{remote},
 	})
 	if err != nil {

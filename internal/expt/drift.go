@@ -20,7 +20,7 @@ import (
 // to a 10 s transmission deadline. When the seeded fault schedule dips
 // the link to 40 KB/s mid-run, the offline framework is structurally
 // blind: its bandwidth axis has one lattice point, so predictions never
-// change, the validity band on bandwidth is unbounded, no trigger fires,
+// change, Select never changes its choice, the armed region never fires,
 // and it keeps serving level 4 at 4× the deadline until the run ends. The
 // online run feeds achieved image metrics back through the perfstore
 // ingest pipeline: the first post-dip downloads fold the real level-4
@@ -100,10 +100,10 @@ func RunDriftOnline(seed uint64, store *perfstore.Store) (RunResult, *perfstore.
 	// refinement converges geometrically, so the fold that finally moves a
 	// prediction across a preference constraint may itself be a small step —
 	// while steady-state measurement noise folds at ~α·noise, well under 5%.
-	var raise func(configKey string)
+	var raise func(configKey string, delta float64)
 	ps.OnRefine(func(configKey string, delta float64) {
 		if raise != nil && delta > 0.05 {
-			raise(configKey)
+			raise(configKey, delta)
 		}
 	})
 	sc.modelTrigger = &raise

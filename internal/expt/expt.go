@@ -257,9 +257,10 @@ type scenario struct {
 	// modelTrigger, when non-nil, is bound (once monitor and steering
 	// exist) to a function that raises a synthetic monitoring trigger if
 	// the named configuration is the active one — the model-drift path:
-	// a refined profile invalidating the current choice must wake the
-	// scheduler just as an out-of-range resource estimate does.
-	modelTrigger *func(configKey string)
+	// a refined profile (delta is its relative move) may change the
+	// scheduler's choice at an estimate that has not moved, so it must
+	// wake the scheduler just as leaving the armed region does.
+	modelTrigger *func(configKey string, delta float64)
 }
 
 // baseline is a static run: one configuration held throughout.
@@ -365,14 +366,14 @@ func runAdaptive(label string, db perfdb.Model, sc scenario, n int) (RunResult, 
 	w.Client.AttachSteering(steer)
 	if sc.modelTrigger != nil {
 		sim := w.Sim
-		*sc.modelTrigger = func(configKey string) {
+		*sc.modelTrigger = func(configKey string, delta float64) {
 			if steer.Current().Key() != configKey {
 				return
 			}
 			mon.Triggers().TrySend(monitor.Trigger{
-				At:        sim.Now(),
-				Component: "model",
-				Kind:      resource.Kind("drift"),
+				At:       sim.Now(),
+				Estimate: mon.Snapshot(),
+				Reason:   fmt.Sprintf("model drift: the active profile %s moved by %.2g", configKey, delta),
 			})
 		}
 	}
@@ -382,7 +383,6 @@ func runAdaptive(label string, db perfdb.Model, sc scenario, n int) (RunResult, 
 		Preferences:  sc.prefs,
 		Monitor:      mon,
 		Steering:     steer,
-		Components:   core.Components{resource.CPU: "client", resource.Bandwidth: "net"},
 		RemoteAgents: remotes,
 	})
 	if err != nil {

@@ -34,7 +34,7 @@ func TestStaleProbeDecaysEstimateAndTriggers(t *testing.T) {
 		WithHysteresis(1),
 		withStaleAfter(50*time.Millisecond), withDegrade(0.8, 0.25))
 	a.AddProbe(&silencingProbe{val: 0.9, silentAt: 100 * time.Millisecond})
-	a.SetValidRange("client", resource.CPU, 0.7, 1.0)
+	a.Arm(cpuWithin(0.7, 1.0))
 	a.Start()
 	var trig Trigger
 	var fired bool
@@ -49,7 +49,7 @@ func TestStaleProbeDecaysEstimateAndTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fired {
-		t.Fatal("stale decay never left the validity range")
+		t.Fatal("stale decay never left the armed region")
 	}
 	if trig.At < 150*time.Millisecond {
 		t.Fatalf("trigger at %v, before the staleness deadline", trig.At)

@@ -3,9 +3,11 @@
 // periodically (every 10 ms), processes raw observations within a history
 // window, and estimates the fraction of each resource actually available
 // to the application — without ever reading the allocation settings
-// directly. Upon detecting that an estimate has left the validity range of
-// the currently active configuration, it notifies the resource scheduler
-// (and peer agents in remote instances of the application).
+// directly. Upon detecting that its joint estimate has left the region in
+// which the currently active configuration is valid, it notifies the
+// resource scheduler (and peer agents in remote instances of the
+// application). The region is armed by the framework as a membership test
+// (Arm); the agent re-evaluates it only once an estimate has moved.
 package monitor
 
 import (
@@ -24,12 +26,14 @@ const DefaultPeriod = 10 * time.Millisecond
 // DefaultWindow is the history window over which raw samples are averaged.
 const DefaultWindow = 500 * time.Millisecond
 
-// tolerance is the relative slack applied to validity-range edges:
-// estimates within it of a band edge count as inside the band.
+// tolerance is the relative movement of an estimate, since the armed
+// region was last evaluated, that makes the agent evaluate it again;
+// smaller moves keep the last verdict, so measurement noise around a
+// steady value costs no evaluations.
 const tolerance = 0.02
 
-// DefaultHysteresis is the number of consecutive out-of-range windowed
-// estimates required before a trigger fires; it suppresses the useless
+// DefaultHysteresis is the number of consecutive rounds outside the armed
+// region required before a trigger fires; it suppresses the useless
 // reconfigurations Section 7.5 warns about.
 const DefaultHysteresis = 3
 
@@ -63,18 +67,24 @@ type sample struct {
 	v  float64
 }
 
-// Trigger reports that a windowed estimate left its validity range.
+// Trigger asks the scheduler to reconsider: at instant At, for Reason.
+// A trigger the agent fires carries the joint estimate (Snapshot) that
+// left the armed region; one raised outside the agent (a retry, a refined
+// model) may carry none.
 type Trigger struct {
-	At        time.Duration
-	Component string
-	Kind      resource.Kind
-	Value     float64
-	Lo, Hi    float64
+	At       time.Duration
+	Estimate resource.Vector
+	Reason   string
 }
 
+// leftRegion is the Reason of every trigger the agent itself fires.
+const leftRegion = "estimate left the armed region"
+
 func (t Trigger) String() string {
-	return fmt.Sprintf("t=%v %s.%s=%.4g outside [%.4g,%.4g]",
-		t.At, t.Component, t.Kind, t.Value, t.Lo, t.Hi)
+	if len(t.Estimate) == 0 {
+		return fmt.Sprintf("t=%v %s", t.At, t.Reason)
+	}
+	return fmt.Sprintf("t=%v %s: %s", t.At, t.Reason, t.Estimate)
 }
 
 // EstimateMsg carries one agent's resource estimates to peer agents in
@@ -83,13 +93,6 @@ type EstimateMsg struct {
 	From      string
 	At        time.Duration
 	Estimates map[string]resource.Vector // component → estimates
-}
-
-// validRange is the band within which the current configuration remains
-// appropriate.
-type validRange struct {
-	lo, hi float64
-	count  int // consecutive violations observed
 }
 
 // Agent is the application-specific monitoring agent.
@@ -114,10 +117,17 @@ type Agent struct {
 	history   map[string][]sample
 	ewma      map[string]float64
 	estimates map[string]resource.Vector // component → smoothed estimates
-	ranges    map[string]*validRange
-	lastSeen  map[string]time.Duration // key → instant of last real sample
-	lastGood  map[string]float64       // key → last estimate backed by a real sample
-	degraded  map[string]bool          // keys currently in degraded mode
+	lastSeen  map[string]time.Duration   // key → instant of last real sample
+	lastGood  map[string]float64         // key → last estimate backed by a real sample
+	degraded  map[string]bool            // keys currently in degraded mode
+
+	// the armed region: valid is the membership test (nil when disarmed),
+	// inside its last verdict, recheck set when the next round must
+	// evaluate it again, outside the consecutive rounds spent outside.
+	valid   func(resource.Vector) bool
+	inside  bool
+	recheck bool
+	outside int
 
 	triggers *vtime.Chan[Trigger]
 	peers    []*vtime.Chan[EstimateMsg]
@@ -131,7 +141,6 @@ type Agent struct {
 	reg         *metrics.Registry
 	mSamples    *metrics.Counter
 	mTriggers   *metrics.Counter
-	mOutOfBand  *metrics.Histogram
 	mStaleRound *metrics.Counter
 	mDegraded   *metrics.Gauge
 	mEstimates  map[string]*metrics.Gauge
@@ -160,8 +169,8 @@ func WithSmoothing(mode Smoothing, alpha float64) Option {
 // withStaleAfter enables degraded mode: when a probe produces no sample
 // for longer than d, its estimate is decayed conservatively each round
 // (assume the silent resource is short, not fine) instead of being
-// trusted indefinitely, and validity-range checks keep running against
-// the decayed value so the scheduler still reacts. Zero disables.
+// trusted indefinitely, and the armed region is judged on the decayed
+// value so the scheduler still reacts. Zero disables.
 func withStaleAfter(d time.Duration) Option {
 	return func(a *Agent) { a.staleAfter = d }
 }
@@ -207,7 +216,6 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 		history:       make(map[string][]sample),
 		ewma:          make(map[string]float64),
 		estimates:     make(map[string]resource.Vector),
-		ranges:        make(map[string]*validRange),
 		lastSeen:      make(map[string]time.Duration),
 		lastGood:      make(map[string]float64),
 		degraded:      make(map[string]bool),
@@ -223,18 +231,13 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 }
 
 // EnableMetrics instruments the agent. Metric families (all labelled by
-// agent): monitor_samples_total, monitor_triggers_total,
-// monitor_out_of_band_error (distance of a triggering estimate beyond its
-// validity band, i.e. how wrong the active configuration's assumption had
-// become before detection), and monitor_estimate gauges per probed
-// component.resource key.
+// agent): monitor_samples_total, monitor_triggers_total, and
+// monitor_estimate gauges per probed component.resource key.
 func (a *Agent) EnableMetrics(reg *metrics.Registry) {
 	a.reg = reg
 	lbl := metrics.L("agent", a.name)
 	a.mSamples = reg.Counter("monitor_samples_total", "Sampling rounds completed.", lbl)
-	a.mTriggers = reg.Counter("monitor_triggers_total", "Out-of-range triggers fired.", lbl)
-	a.mOutOfBand = reg.Histogram("monitor_out_of_band_error",
-		"Distance of a triggering estimate beyond its validity band.", lbl)
+	a.mTriggers = reg.Counter("monitor_triggers_total", "Triggers fired on leaving the armed region.", lbl)
 	a.mStaleRound = reg.Counter("monitor_stale_rounds_total",
 		"Sampling rounds in which a probe's estimate was decayed for staleness.", lbl)
 	a.mDegraded = reg.Gauge("monitor_degraded",
@@ -256,18 +259,21 @@ func (a *Agent) estimateGauge(key string) *metrics.Gauge {
 	return g
 }
 
-// keyedProbe is a probe with its "component.kind" key, built once.
+// keyedProbe is a probe with its "component.kind" key, built once, and
+// its estimate when the armed region was last evaluated (NaN if it had
+// none).
 type keyedProbe struct {
 	Probe
-	key string
+	key    string
+	judged float64
 }
 
 // AddProbe registers a probe. Probes are sampled in registration order.
 func (a *Agent) AddProbe(p Probe) {
-	a.probes = append(a.probes, keyedProbe{p, p.Component() + "." + string(p.Kind())})
+	a.probes = append(a.probes, keyedProbe{p, p.Component() + "." + string(p.Kind()), math.NaN()})
 }
 
-// Triggers returns the channel on which out-of-range notifications are
+// Triggers returns the channel on which region-exit notifications are
 // delivered.
 func (a *Agent) Triggers() *vtime.Chan[Trigger] { return a.triggers }
 
@@ -279,22 +285,17 @@ func (a *Agent) Inbox() *vtime.Chan[EstimateMsg] { return a.inbox }
 // availability falls out of a range").
 func (a *Agent) AddPeer(ch *vtime.Chan[EstimateMsg]) { a.peers = append(a.peers, ch) }
 
-// SetValidRange declares the band of resource values within which the
-// active configuration remains appropriate; estimates outside it fire a
-// trigger. Passing lo > hi removes the range.
-func (a *Agent) SetValidRange(component string, kind resource.Kind, lo, hi float64) {
-	k := component + "." + string(kind)
-	if lo > hi {
-		delete(a.ranges, k)
-		return
-	}
-	a.ranges[k] = &validRange{lo: lo, hi: hi}
-}
-
-// ClearRanges removes all validity ranges (used while a reconfiguration is
-// in flight).
-func (a *Agent) ClearRanges() {
-	a.ranges = make(map[string]*validRange)
+// Arm sets the region in which the active configuration is valid: valid
+// reports whether a joint estimate (a Snapshot) lies inside it. The next
+// round evaluates it; later rounds evaluate it again only once some
+// estimate has moved by more than tolerance since, and keep the last
+// verdict otherwise. hysteresis consecutive rounds outside fire a
+// trigger. Arm(nil) disarms the agent, as while a reconfiguration is in
+// flight.
+func (a *Agent) Arm(valid func(resource.Vector) bool) {
+	a.valid = valid
+	a.recheck = true
+	a.outside = 0
 }
 
 // Estimates returns the current smoothed estimates per component,
@@ -342,8 +343,8 @@ func (a *Agent) Start() {
 	a.sim.Spawn(a.name, func(p *vtime.Proc) {
 		for !a.stop.IsSet() {
 			p.Sleep(a.period)
+			a.drainInbox()
 			a.round(p.Now())
-			a.drainInbox(p.Now())
 		}
 	})
 }
@@ -355,11 +356,12 @@ func (a *Agent) RunOnce(now time.Duration) { a.round(now) }
 func (a *Agent) round(now time.Duration) {
 	a.samples++
 	a.mSamples.Inc()
-	for _, pr := range a.probes {
+	for i := range a.probes {
+		pr := &a.probes[i]
 		key := pr.key
 		v, ok := pr.Sample(now)
 		if !ok {
-			a.maybeDegrade(now, pr.Probe, key)
+			a.maybeDegrade(now, pr)
 			continue
 		}
 		a.lastSeen[key] = now
@@ -395,10 +397,20 @@ func (a *Agent) round(now time.Duration) {
 		if a.estimates[comp] == nil {
 			a.estimates[comp] = resource.Vector{}
 		}
-		a.estimates[comp][pr.Kind()] = est
 		a.lastGood[key] = est
-		a.estimateGauge(key).Set(est)
-		a.checkRange(now, key, comp, pr.Kind(), est)
+		a.record(pr, est)
+	}
+	a.check(now)
+}
+
+// record publishes a probe's new estimate and asks for the armed region to
+// be evaluated again if it has moved by more than tolerance since the last
+// evaluation.
+func (a *Agent) record(pr *keyedProbe, est float64) {
+	a.estimates[pr.Component()][pr.Kind()] = est
+	a.estimateGauge(pr.key).Set(est)
+	if !(math.Abs(est-pr.judged) <= tolerance*math.Abs(pr.judged)) {
+		a.recheck = true
 	}
 }
 
@@ -408,12 +420,13 @@ func (a *Agent) round(now time.Duration) {
 // the estimate is decayed geometrically toward a floor — the conservative
 // reading of silence is "the resource is short", because every failure the
 // fault layer injects (partition, paused node, black-holed link) looks
-// like silence — and validity-range checks keep running on the decayed
-// value so the scheduler reconfigures instead of waiting on a dead probe.
-func (a *Agent) maybeDegrade(now time.Duration, pr Probe, key string) {
+// like silence — and the armed region is judged on the decayed value so
+// the scheduler reconfigures instead of waiting on a dead probe.
+func (a *Agent) maybeDegrade(now time.Duration, pr *keyedProbe) {
 	if a.staleAfter <= 0 {
 		return
 	}
+	key := pr.key
 	seen, sampled := a.lastSeen[key]
 	if !sampled || now-seen <= a.staleAfter {
 		return
@@ -432,50 +445,50 @@ func (a *Agent) maybeDegrade(now time.Duration, pr Probe, key string) {
 	if floor := a.degradeFloor * a.lastGood[key]; est < floor {
 		est = floor
 	}
-	a.estimates[comp][pr.Kind()] = est
 	if a.smoothing == EWMA {
 		// Seed the EWMA with the decayed value so recovery does not snap
 		// back from the pre-outage level.
 		a.ewma[key] = est
 	}
-	a.estimateGauge(key).Set(est)
-	a.checkRange(now, key, comp, pr.Kind(), est)
+	a.record(pr, est)
 }
 
 // Degraded reports whether any probe is currently in degraded
 // (stale-sample) mode, and how many.
 func (a *Agent) Degraded() int { return len(a.degraded) }
 
-func (a *Agent) checkRange(now time.Duration, key, comp string, kind resource.Kind, est float64) {
-	r, ok := a.ranges[key]
-	if !ok {
+// check judges the round's estimates against the armed region: it
+// evaluates the region when asked to (recheck) and otherwise keeps the
+// last verdict, and fires after hysteresis consecutive rounds outside.
+func (a *Agent) check(now time.Duration) {
+	if a.valid == nil {
 		return
 	}
-	// A small relative tolerance keeps estimates sitting exactly on a
-	// band edge (within measurement noise) from producing trigger storms.
-	slack := tolerance * math.Max(math.Abs(est), 1e-12)
-	if est >= r.lo-slack && est <= r.hi+slack {
-		r.count = 0
-		return
-	}
-	r.count++
-	if r.count < a.hysteresis {
-		return
-	}
-	r.count = 0
-	trig := Trigger{At: now, Component: comp, Kind: kind, Value: est, Lo: r.lo, Hi: r.hi}
-	a.mTriggers.Inc()
-	if a.mOutOfBand != nil {
-		switch {
-		case est < r.lo:
-			a.mOutOfBand.Observe(r.lo - est)
-		case est > r.hi:
-			a.mOutOfBand.Observe(est - r.hi)
+	if a.recheck {
+		a.recheck = false
+		for i := range a.probes {
+			pr := &a.probes[i]
+			est, ok := a.estimates[pr.Component()][pr.Kind()]
+			if !ok {
+				est = math.NaN()
+			}
+			pr.judged = est
 		}
+		a.inside = a.valid(a.Snapshot())
 	}
+	if a.inside {
+		a.outside = 0
+		return
+	}
+	a.outside++
+	if a.outside < a.hysteresis {
+		return
+	}
+	a.outside = 0
+	a.mTriggers.Inc()
 	// Non-blocking: if the scheduler is behind, the newest trigger matters
 	// no more than the one already queued.
-	a.triggers.TrySend(trig)
+	a.triggers.TrySend(Trigger{At: now, Estimate: a.Snapshot(), Reason: leftRegion})
 	a.pushToPeers(now)
 }
 
@@ -489,7 +502,11 @@ func (a *Agent) pushToPeers(now time.Duration) {
 	}
 }
 
-func (a *Agent) drainInbox(now time.Duration) {
+// drainInbox takes in peer estimates. They are part of the joint estimate
+// the armed region is judged on, so a peer's observation of a degraded
+// resource can trigger this agent's scheduler: each one received makes the
+// next round evaluate the region again.
+func (a *Agent) drainInbox() {
 	for {
 		msg, ok, ready := a.inbox.TryRecv()
 		if !ready || !ok {
@@ -500,12 +517,7 @@ func (a *Agent) drainInbox(now time.Duration) {
 				continue // local observations win
 			}
 			a.remote[comp] = v.Clone()
-			// Remote estimates participate in this agent's validity-range
-			// checks, so a peer's observation of a degraded resource can
-			// trigger this agent's scheduler.
-			for kind, est := range v {
-				a.checkRange(now, comp+"."+string(kind), comp, kind, est)
-			}
+			a.recheck = true
 		}
 	}
 }

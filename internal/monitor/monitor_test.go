@@ -124,6 +124,14 @@ func TestAgentWindowedEstimate(t *testing.T) {
 	}
 }
 
+// cpuWithin is a region: CPU estimates in [lo, hi].
+func cpuWithin(lo, hi float64) func(resource.Vector) bool {
+	return func(v resource.Vector) bool {
+		cpu, ok := v[resource.CPU]
+		return ok && cpu >= lo && cpu <= hi
+	}
+}
+
 func TestAgentTriggersOnRangeViolation(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(50*time.Millisecond), WithHysteresis(3))
@@ -131,7 +139,7 @@ func TestAgentTriggersOnRangeViolation(t *testing.T) {
 	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 		return val, true
 	}})
-	a.SetValidRange("client", resource.CPU, 0.7, 1.0)
+	a.Arm(cpuWithin(0.7, 1.0))
 	a.Start()
 	var trig Trigger
 	var fired bool
@@ -151,14 +159,15 @@ func TestAgentTriggersOnRangeViolation(t *testing.T) {
 	if !fired {
 		t.Fatal("no trigger")
 	}
-	if trig.Component != "client" || trig.Kind != resource.CPU {
+	cpu, ok := trig.Estimate[resource.CPU]
+	if !ok || trig.Reason == "" {
 		t.Fatalf("trigger %+v", trig)
 	}
 	if trig.At < 300*time.Millisecond {
 		t.Fatalf("trigger fired before the perturbation at %v", trig.At)
 	}
-	if trig.Value > 0.7 {
-		t.Fatalf("trigger value %v inside range", trig.Value)
+	if cpu > 0.7 {
+		t.Fatalf("trigger value %v inside range", cpu)
 	}
 }
 
@@ -173,7 +182,7 @@ func TestAgentHysteresisSuppressesBlips(t *testing.T) {
 		}
 		return 0.9, true
 	}})
-	a.SetValidRange("client", resource.CPU, 0.5, 1.0)
+	a.Arm(cpuWithin(0.5, 1.0))
 	a.Start()
 	sim.Spawn("driver", func(p *vtime.Proc) {
 		p.Sleep(2 * time.Second)
@@ -191,21 +200,90 @@ func TestAgentRangeManagement(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithHysteresis(1), WithPeriod(10*time.Millisecond), WithWindow(10*time.Millisecond))
 	a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.2, true }})
-	a.SetValidRange("c", resource.CPU, 0.5, 1.0)
-	a.SetValidRange("c", resource.CPU, 1, 0) // lo > hi removes
+	a.Arm(cpuWithin(0.5, 1.0))
+	a.Arm(nil) // disarms
 	a.RunOnce(time.Millisecond)
 	if _, _, ready := a.Triggers().TryRecv(); ready {
-		t.Fatal("removed range still triggers")
+		t.Fatal("disarmed region still triggers")
 	}
-	a.SetValidRange("c", resource.CPU, 0.5, 1.0)
+	a.Arm(cpuWithin(0.5, 1.0))
 	a.RunOnce(2 * time.Millisecond)
 	if _, _, ready := a.Triggers().TryRecv(); !ready {
-		t.Fatal("restored range did not trigger")
+		t.Fatal("re-armed region did not trigger")
 	}
-	a.ClearRanges()
+	a.Arm(nil)
 	a.RunOnce(3 * time.Millisecond)
 	if _, _, ready := a.Triggers().TryRecv(); ready {
-		t.Fatal("cleared ranges still trigger")
+		t.Fatal("disarmed region still triggers")
+	}
+}
+
+// The armed region is evaluated only when an estimate has moved by more
+// than tolerance since the last evaluation; every other round keeps the
+// last verdict, and a kept out-of-region verdict still counts towards
+// hysteresis.
+func TestRegionEvaluatedOnlyOnMovement(t *testing.T) {
+	a := New(vtime.NewSim(), "mon", WithHysteresis(3), WithWindow(time.Millisecond))
+	val := 0.8
+	a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return val, true }})
+	evals := 0
+	inside := cpuWithin(0.5, 1.0)
+	a.Arm(func(v resource.Vector) bool { evals++; return inside(v) })
+	now := time.Duration(0)
+	round := func() {
+		now += DefaultPeriod
+		a.RunOnce(now)
+	}
+	round() // arming asks for one evaluation
+	val = 0.8 * (1 + tolerance/2)
+	round()
+	if evals != 1 {
+		t.Fatalf("%d evaluations after a move within tolerance, want 1", evals)
+	}
+	val = 0.3 // leaves the region by more than tolerance
+	round()
+	if evals != 2 {
+		t.Fatalf("%d evaluations after a move beyond tolerance, want 2", evals)
+	}
+	round()
+	round() // third consecutive round outside, on the kept verdict
+	if evals != 2 {
+		t.Fatalf("%d evaluations while the estimate held still, want 2", evals)
+	}
+	tr, _, ready := a.Triggers().TryRecv()
+	if !ready || tr.Estimate[resource.CPU] != 0.3 {
+		t.Fatalf("no trigger after 3 rounds outside (got %+v, %v)", tr, ready)
+	}
+}
+
+// A peer's estimate joins the agent's joint estimate and is judged at the
+// next round, though no local estimate moved.
+func TestPeerEstimateJoinsTheRegion(t *testing.T) {
+	sim := vtime.NewSim()
+	a := New(sim, "client-mon", WithPeriod(10*time.Millisecond), WithHysteresis(1))
+	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.8, true }})
+	a.Arm(func(v resource.Vector) bool {
+		bw, ok := v[resource.Bandwidth]
+		return !ok || bw >= 100e3
+	})
+	a.Start()
+	var trig Trigger
+	var fired bool
+	sim.Spawn("peer", func(p *vtime.Proc) {
+		p.Sleep(100 * time.Millisecond)
+		a.Inbox().TrySend(EstimateMsg{From: "server-mon", At: p.Now(),
+			Estimates: map[string]resource.Vector{"net": {resource.Bandwidth: 40e3}}})
+		trig, fired, _ = a.Triggers().RecvTimeout(p, time.Second)
+		a.Stop()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired || trig.Estimate[resource.Bandwidth] != 40e3 || math.Abs(trig.Estimate[resource.CPU]-0.8) > 1e-9 {
+		t.Fatalf("peer estimate did not trigger: %v %+v", fired, trig)
+	}
+	if trig.At > 120*time.Millisecond {
+		t.Fatalf("peer estimate judged at %v, want the round after it arrived", trig.At)
 	}
 }
 
@@ -214,7 +292,7 @@ func TestPeerEstimatePropagation(t *testing.T) {
 	client := New(sim, "client-mon", WithPeriod(10*time.Millisecond), WithWindow(20*time.Millisecond), WithHysteresis(1))
 	server := New(sim, "server-mon", WithPeriod(10*time.Millisecond), WithWindow(20*time.Millisecond))
 	client.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.3, true }})
-	client.SetValidRange("client", resource.CPU, 0.7, 1.0)
+	client.Arm(cpuWithin(0.7, 1.0))
 	client.AddPeer(server.Inbox())
 	client.Start()
 	server.Start()
@@ -236,9 +314,13 @@ func TestPeerEstimatePropagation(t *testing.T) {
 }
 
 func TestTriggerString(t *testing.T) {
-	tr := Trigger{At: time.Second, Component: "client", Kind: resource.CPU, Value: 0.3, Lo: 0.7, Hi: 1.0}
-	if tr.String() == "" {
-		t.Fatal("empty trigger string")
+	tr := Trigger{At: time.Second, Estimate: resource.Vector{resource.CPU: 0.3}, Reason: leftRegion}
+	if got, want := tr.String(), "t=1s estimate left the armed region: cpu=0.3"; got != want {
+		t.Fatalf("trigger renders %q, want %q", got, want)
+	}
+	tr = Trigger{At: time.Second, Reason: "model refined"}
+	if got, want := tr.String(), "t=1s model refined"; got != want {
+		t.Fatalf("trigger without an estimate renders %q, want %q", got, want)
 	}
 }
 
@@ -250,7 +332,7 @@ func TestEndToEndShareDropDetection(t *testing.T) {
 	sb, _ := h.NewSandbox("app", 0.9, 0)
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(100*time.Millisecond), WithHysteresis(3))
 	a.AddProbe(NewCPUProbe("client", sb))
-	a.SetValidRange("client", resource.CPU, 0.6, 1.0)
+	a.Arm(cpuWithin(0.6, 1.0))
 	a.Start()
 	sim.Spawn("app", func(p *vtime.Proc) {
 		sb.Compute(p, 500e6) // long-running computation
@@ -280,8 +362,8 @@ func TestEndToEndShareDropDetection(t *testing.T) {
 	if trig.At > 2*time.Second+500*time.Millisecond {
 		t.Fatalf("detection latency too high: %v", trig.At)
 	}
-	if math.Abs(trig.Value-0.4) > 0.15 {
-		t.Fatalf("estimated dropped share %v, want ~0.4", trig.Value)
+	if cpu := trig.Estimate[resource.CPU]; math.Abs(cpu-0.4) > 0.15 {
+		t.Fatalf("estimated dropped share %v, want ~0.4", cpu)
 	}
 }
 
@@ -337,8 +419,8 @@ func TestRoundAllocatesNothingPerProbe(t *testing.T) {
 	a := New(vtime.NewSim(), "m")
 	for _, k := range []resource.Kind{resource.CPU, resource.Bandwidth} {
 		a.AddProbe(&OracleProbe{Comp: "client", K: k, Fn: func(time.Duration) (float64, bool) { return 0.5, true }})
-		a.SetValidRange("client", k, 0, 1)
 	}
+	a.Arm(func(resource.Vector) bool { return true })
 	now := time.Duration(0)
 	round := func() {
 		now += DefaultPeriod

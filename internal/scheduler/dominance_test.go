@@ -128,7 +128,7 @@ func pruned(t *testing.T, db *perfdb.DB) *perfdb.DB {
 
 // TestPruningNeverChangesADecision: over the mix grid, Select on a Pruned
 // copy of each database the system builds chooses what Select on the full
-// database chooses — configuration, preference, prediction and bands. A
+// database chooses — configuration, preference and prediction. A
 // configuration dominated everywhere can then be dropped before the
 // scheduler sees it.
 func TestPruningNeverChangesADecision(t *testing.T) {

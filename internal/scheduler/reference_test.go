@@ -16,9 +16,8 @@ import (
 
 // The reference oracle: Select as it was before the scheduler evaluated
 // compiled lattices — one Model.Predict map per candidate per evaluation,
-// the feasible set walked in key order with the dominance tie rule, lattice axes re-derived
-// from Model.Records. The differential test below demands the same
-// decision, bit for bit, from Scheduler.Select over the databases the
+// the feasible set walked in key order with the dominance tie rule. The
+// differential test below demands the same decision, bit for bit, from Scheduler.Select over the databases the
 // experiments and the application mix run on.
 
 func refSelect(model perfdb.Model, cands []spec.Config, prefs []scheduler.Preference, res resource.Vector) (scheduler.Decision, error) {
@@ -27,13 +26,7 @@ func refSelect(model perfdb.Model, cands []spec.Config, prefs []scheduler.Prefer
 		if !found {
 			continue
 		}
-		return scheduler.Decision{
-			Config:      best,
-			Predicted:   bestM,
-			Preference:  pi,
-			PrefName:    pref.Name,
-			ValidRanges: refValidRanges(model, cands, best, pref, res),
-		}, nil
+		return scheduler.Decision{Config: best, Predicted: bestM, Preference: pi, PrefName: pref.Name}, nil
 	}
 	return scheduler.Decision{}, scheduler.ErrNoFeasible
 }
@@ -107,64 +100,6 @@ func refDominates(app *spec.App, a, b spec.Metrics) bool {
 	return strict
 }
 
-func refValidRanges(model perfdb.Model, cands []spec.Config, cfg spec.Config, pref scheduler.Preference, res resource.Vector) map[resource.Kind][2]float64 {
-	out := map[resource.Kind][2]float64{}
-	for kind, pts := range refLatticeAxes(model, cfg) {
-		cur, ok := res[kind]
-		if !ok || len(pts) == 0 {
-			continue
-		}
-		satisfies := func(v float64) bool {
-			chosen, _, found := refSelectForPref(model, cands, pref, res.With(kind, v))
-			return found && chosen.Equal(cfg)
-		}
-		idx := 0
-		for i, p := range pts {
-			if math.Abs(p-cur) < math.Abs(pts[idx]-cur) {
-				idx = i
-			}
-		}
-		lo, hi := idx, idx
-		for lo-1 >= 0 && satisfies(pts[lo-1]) {
-			lo--
-		}
-		for hi+1 < len(pts) && satisfies(pts[hi+1]) {
-			hi++
-		}
-		band := [2]float64{pts[lo], pts[hi]}
-		if lo == 0 {
-			band[0] = math.Inf(-1)
-		}
-		if hi == len(pts)-1 {
-			band[1] = math.Inf(1)
-		}
-		out[kind] = band
-	}
-	return out
-}
-
-func refLatticeAxes(model perfdb.Model, cfg spec.Config) map[resource.Kind][]float64 {
-	axes := map[resource.Kind]map[float64]bool{}
-	for _, rec := range model.Records(cfg) {
-		for k, v := range rec.Resources {
-			if axes[k] == nil {
-				axes[k] = map[float64]bool{}
-			}
-			axes[k][v] = true
-		}
-	}
-	out := map[resource.Kind][]float64{}
-	for k, set := range axes {
-		pts := make([]float64, 0, len(set))
-		for v := range set {
-			pts = append(pts, v)
-		}
-		sort.Float64s(pts)
-		out[k] = pts
-	}
-	return out
-}
-
 // The applications profile their databases once per instance; sharing the
 // instances keeps -count=N runs from re-profiling them.
 var refVideo, refFoveal = apps.NewVideo(), apps.NewFoveal()
@@ -184,15 +119,6 @@ func sameDecision(t *testing.T, where string, got, want scheduler.Decision) {
 	for name, w := range want.Predicted {
 		if g, ok := got.Predicted[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: predicted %s=%v, reference %v", where, name, g, w)
-		}
-	}
-	if len(got.ValidRanges) != len(want.ValidRanges) {
-		t.Fatalf("%s: valid ranges %v, reference %v", where, got.ValidRanges, want.ValidRanges)
-	}
-	for kind, w := range want.ValidRanges {
-		g, ok := got.ValidRanges[kind]
-		if !ok || math.Float64bits(g[0]) != math.Float64bits(w[0]) || math.Float64bits(g[1]) != math.Float64bits(w[1]) {
-			t.Fatalf("%s: valid range of %s %v, reference %v", where, kind, g, w)
 		}
 	}
 }

@@ -4,9 +4,11 @@
 // prunes the candidate configurations down to those predicted to satisfy
 // the constraints and picks the one that best satisfies the objective
 // function. Preferences are examined in decreasing order; when one cannot
-// be satisfied under current resources, the next is tried. The scheduler
-// also derives, for the chosen configuration, the resource validity ranges
-// the monitoring agent should watch.
+// be satisfied under current resources, the next is tried. The resource
+// conditions under which a choice stays valid are the scheduler's own:
+// the framework (internal/core) arms the monitoring agent with "Select
+// still picks this configuration", so the region the agent watches is
+// exactly the set of estimates for which this decision would be made.
 package scheduler
 
 import (
@@ -58,10 +60,6 @@ type Decision struct {
 	Predicted  spec.Metrics
 	Preference int    // index of the satisfied preference
 	PrefName   string // its name
-	// ValidRanges maps resource kinds to the band within which the chosen
-	// configuration is predicted to keep satisfying the preference; the
-	// monitoring agent arms its triggers with these.
-	ValidRanges map[resource.Kind][2]float64
 }
 
 // Scheduler selects configurations for one tunable application. It runs
@@ -167,7 +165,6 @@ func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
 			Preference: pi,
 			PrefName:   pref.Name,
 		}
-		d.ValidRanges = ev.validRanges(best, pref, res)
 		s.mDecisionLatency.Observe(time.Since(start).Seconds())
 		return d, nil
 	}
@@ -199,15 +196,13 @@ func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision
 
 // evaluation is the working state of one Select: each candidate's compiled
 // profile, resolved from the model once, and the metric maps the candidate
-// predictions are written into, so the many evaluations of one decision —
-// one per preference plus one per lattice step of the validity ranges —
-// allocate nothing.
+// predictions are written into, so the evaluations of one decision, one
+// per preference, allocate nothing.
 type evaluation struct {
 	s         *Scheduler
 	lats      []*perfdb.Lattice // per candidate; nil where the model has no profile
 	noProfile int               // how many of those the model typed ErrNoProfile
 	m, bestM  spec.Metrics      // prediction under evaluation; the best one of the last call to best
-	probe     resource.Vector   // res with one kind moved along its lattice axis
 }
 
 func (s *Scheduler) newEvaluation() *evaluation {
@@ -293,54 +288,4 @@ func (s *Scheduler) dominates(a, b spec.Metrics) bool {
 		strict = true
 	}
 	return strict
-}
-
-// validRanges derives, per resource kind in res, the contiguous band of
-// values (holding other kinds fixed) within which the chosen candidate
-// remains the scheduler's selection — i.e. it both keeps satisfying the
-// preference's constraints and stays ahead of every alternative. Leaving
-// the band in either direction therefore warrants a trigger: downward
-// because the configuration fails, upward because a better configuration
-// has become feasible. Bands are computed on the chosen profile's sample
-// lattice; a band touching the lattice edge is left open in that direction
-// (±Inf) since the database has no evidence of change beyond it.
-func (ev *evaluation) validRanges(chosen int, pref Preference, res resource.Vector) map[resource.Kind][2]float64 {
-	out := map[resource.Kind][2]float64{}
-	ev.probe = res.Clone()
-	for _, ax := range ev.lats[chosen].Axes() {
-		kind, pts := ax.Kind, ax.Points
-		cur, ok := res[kind]
-		if !ok {
-			continue
-		}
-		satisfies := func(v float64) bool {
-			ev.probe[kind] = v
-			best, _ := ev.best(pref, ev.probe)
-			return best == chosen
-		}
-		// Index of the lattice point nearest the current value.
-		idx := 0
-		for i, p := range pts {
-			if math.Abs(p-cur) < math.Abs(pts[idx]-cur) {
-				idx = i
-			}
-		}
-		lo, hi := idx, idx
-		for lo-1 >= 0 && satisfies(pts[lo-1]) {
-			lo--
-		}
-		for hi+1 < len(pts) && satisfies(pts[hi+1]) {
-			hi++
-		}
-		ev.probe[kind] = cur
-		band := [2]float64{pts[lo], pts[hi]}
-		if lo == 0 {
-			band[0] = math.Inf(-1)
-		}
-		if hi == len(pts)-1 {
-			band[1] = math.Inf(1)
-		}
-		out[kind] = band
-	}
-	return out
 }

@@ -168,56 +168,6 @@ func TestInterpolatedSelection(t *testing.T) {
 	}
 }
 
-func TestValidRanges(t *testing.T) {
-	app := codecApp()
-	db := buildDB(t, app)
-	s, _ := New(app, db, []Preference{{
-		Name:        "deadline",
-		Constraints: []Constraint{AtMost("transmit_time", 3)},
-		Objective:   "resolution",
-	}})
-	d, err := s.Select(resource.Vector{resource.Bandwidth: 500e3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	band, ok := d.ValidRanges[resource.Bandwidth]
-	if !ok {
-		t.Fatalf("no bandwidth band in %+v", d.ValidRanges)
-	}
-	// The chosen config (lzw l=4: 0.5e6/bw) satisfies ≤3 s down to
-	// ~167 KB/s; the lattice run is [250e3, +inf).
-	if band[0] != 250e3 {
-		t.Fatalf("band lo %v, want 250e3", band[0])
-	}
-	if !math.IsInf(band[1], 1) {
-		t.Fatalf("band hi %v, want +Inf (open at lattice edge)", band[1])
-	}
-}
-
-func TestValidRangeOpenBothEnds(t *testing.T) {
-	app := codecApp()
-	db := buildDB(t, app)
-	s, _ := New(app, db, []Preference{{
-		Name:      "anything",
-		Objective: "transmit_time",
-	}})
-	d, err := s.Select(resource.Vector{resource.Bandwidth: 100e3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// lzw,l=3 leads from the lowest sample up, so the band is open below.
-	// From 500 KB/s lzw,l=4 ties it on transmit_time (both CPU-bound at
-	// 1 s) at a higher resolution, so it dominates and wins the tie: the
-	// band closes above at 250 KB/s.
-	band := d.ValidRanges[resource.Bandwidth]
-	if d.Config.Key() != "c=lzw,l=3" || !math.IsInf(band[0], -1) || band[1] != 250e3 {
-		t.Fatalf("chose %s with band %v, want c=lzw,l=3 on (-Inf, 250000]", d.Config.Key(), band)
-	}
-	if d, err := s.Select(resource.Vector{resource.Bandwidth: 500e3}); err != nil || d.Config.Key() != "c=lzw,l=4" {
-		t.Fatalf("at 500 KB/s chose %s (%v), want the dominating c=lzw,l=4", d.Config.Key(), err)
-	}
-}
-
 func TestGuardsPruneCandidates(t *testing.T) {
 	app := codecApp()
 	guard, err := spec.ParseExpr("l >= 4")
@@ -412,8 +362,7 @@ func sweepDB(t testing.TB, app *spec.App, n int) *perfdb.DB {
 
 // TestSelectAllocationsIndependentOfLattice gates the decision path: a
 // Select allocates its working state and its result — a constant — however
-// many lattice points the candidates were profiled at and the validity
-// walk visits.
+// many lattice points the candidates were profiled at.
 func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 	app := codecApp()
 	prefs := []Preference{
@@ -427,12 +376,8 @@ func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := s.Select(res) // compiles the lattices
-		if err != nil {
+		if _, err := s.Select(res); err != nil { // compiles the lattices
 			t.Fatal(err)
-		}
-		if band := d.ValidRanges[resource.Bandwidth]; !math.IsInf(band[0], -1) || !math.IsInf(band[1], 1) {
-			t.Fatalf("%d points: band %v — the walk was meant to cross the whole axis", n, band)
 		}
 		perSize = append(perSize, testing.AllocsPerRun(50, func() {
 			if _, err := s.Select(res); err != nil {
@@ -452,50 +397,5 @@ func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 	}
 	if perSize[0] > 16 {
 		t.Errorf("Select allocates %v times per decision, want a small constant", perSize[0])
-	}
-}
-
-// TestValidRangeStepsOverNearDuplicateSamples: two samples 1e-12 apart
-// along a kind are one lattice point to the model, so the validity walk
-// must not treat them as two — a band edge between them would be a
-// zero-width step the monitor can never sit inside.
-func TestValidRangeStepsOverNearDuplicateSamples(t *testing.T) {
-	app := codecApp()
-	db := perfdb.New(app)
-	lzw := spec.Config{"c": spec.Enum("lzw"), "l": spec.Int(4)}
-	bzw := spec.Config{"c": spec.Enum("bzw"), "l": spec.Int(4)}
-	near := 0.5 * (1 + 1e-12)
-	for _, bw := range []float64{100e3, 200e3} {
-		for _, cpu := range []float64{0.2, 0.5, 0.8} {
-			if cpu == 0.5 && bw == 200e3 {
-				cpu = near
-			}
-			res := resource.Vector{resource.Bandwidth: bw, resource.CPU: cpu}
-			// lzw is faster only around cpu 0.5.
-			lt, bt := 10.0, 5.0
-			if cpu != 0.2 && cpu != 0.8 {
-				lt = 1
-			}
-			if err := db.Add(lzw, res, spec.Metrics{"transmit_time": lt, "resolution": 4}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Add(bzw, res, spec.Metrics{"transmit_time": bt, "resolution": 4}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s, err := New(app, db, []Preference{{Name: "fast", Objective: "transmit_time"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := s.Select(resource.Vector{resource.Bandwidth: 150e3, resource.CPU: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Config.Equal(lzw) {
-		t.Fatalf("chose %s, want lzw at cpu 0.5", d.Config.Key())
-	}
-	if band := d.ValidRanges[resource.CPU]; band != [2]float64{0.5, 0.5} {
-		t.Fatalf("cpu band %v, want the single lattice point [0.5 0.5] (not an edge at %v)", band, near)
 	}
 }

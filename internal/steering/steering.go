@@ -15,21 +15,20 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
-	"tunable/internal/resource"
 	"tunable/internal/spec"
 	"tunable/internal/vtime"
 )
 
 // ControlMsg instructs the steering agent to switch to a new
-// configuration. ValidRanges travel with the message so the monitoring
-// agent can be re-armed for the new configuration ("these messages specify
-// new values for control parameters as well as the resource conditions
-// under which these new settings are valid").
+// configuration. The paper's messages also carry "the resource conditions
+// under which these new settings are valid"; here those conditions are
+// the scheduler's own choice, which the framework re-arms the monitoring
+// agent with from its OnApply hook, so the message carries only the
+// settings.
 type ControlMsg struct {
-	Seq         int64
-	Config      spec.Config
-	ValidRanges map[resource.Kind][2]float64
-	Reason      string
+	Seq    int64
+	Config spec.Config
+	Reason string
 }
 
 // Ack reports the fate of a control message back to its sender.
@@ -58,7 +57,7 @@ type Agent struct {
 	acks     *vtime.Chan[Ack]
 	handlers map[string]Handler
 	veto     Veto
-	onApply  []func(old, new spec.Config, ranges map[resource.Kind][2]float64)
+	onApply  []func(old, new spec.Config)
 	switches int64
 	rejects  int64
 
@@ -126,7 +125,7 @@ func (a *Agent) SetVeto(v Veto) { a.veto = v }
 
 // OnApply registers a callback invoked after every applied switch (the
 // core framework uses it to re-arm the monitoring agent).
-func (a *Agent) OnApply(fn func(old, new spec.Config, ranges map[resource.Kind][2]float64)) {
+func (a *Agent) OnApply(fn func(old, new spec.Config)) {
 	a.onApply = append(a.onApply, fn)
 }
 
@@ -195,7 +194,7 @@ func (a *Agent) apply(p *vtime.Proc, msg ControlMsg) error {
 	a.switches++
 	a.mSwitches.Inc()
 	for _, fn := range a.onApply {
-		fn(old, a.current.Clone(), msg.ValidRanges)
+		fn(old, a.current.Clone())
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tunable/internal/resource"
-
 	"tunable/internal/spec"
 	"tunable/internal/vtime"
 )
@@ -186,20 +184,9 @@ func TestOnApplyCallback(t *testing.T) {
 	sim := vtime.NewSim()
 	a, _ := New(sim, testApp(), cfg("lzw", 4))
 	var gotOld, gotNew spec.Config
-	var gotRanges map[string]bool
-	a.OnApply(func(old, new spec.Config, ranges map[resource.Kind][2]float64) {
-		gotOld, gotNew = old, new
-		gotRanges = map[string]bool{}
-		for k := range ranges {
-			gotRanges[string(k)] = true
-		}
-	})
+	a.OnApply(func(old, new spec.Config) { gotOld, gotNew = old, new })
 	sim.Spawn("app", func(p *vtime.Proc) {
-		a.Control().Send(p, ControlMsg{
-			Seq:         1,
-			Config:      cfg("bzw", 4),
-			ValidRanges: map[resource.Kind][2]float64{"bandwidth": {0, 1e6}},
-		})
+		a.Control().Send(p, ControlMsg{Seq: 1, Config: cfg("bzw", 4)})
 		a.MaybeApply(p)
 	})
 	if err := sim.Run(); err != nil {
@@ -207,9 +194,6 @@ func TestOnApplyCallback(t *testing.T) {
 	}
 	if gotOld == nil || gotOld["c"].S != "lzw" || gotNew["c"].S != "bzw" {
 		t.Fatalf("callback args %v %v", gotOld, gotNew)
-	}
-	if !gotRanges["bandwidth"] {
-		t.Fatalf("ranges %v", gotRanges)
 	}
 }
 

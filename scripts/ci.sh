@@ -57,9 +57,11 @@ run_unit() {
 	# The virtual-time kernel's correctness rests on channel handoffs
 	# between process goroutines (no scheduler goroutine orders them), so
 	# the kernel and its closest users repeat here too; under -race they
-	# take about 1-2 s each per count.
-	echo "== go test -race -count=20 $* ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults (repeat gate)"
-	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults
+	# take about 1-2 s each per count. The monitor's armed region calls
+	# the scheduler's Select from the agent's process, and core arms it
+	# from the control and steering processes, so both repeat as well.
+	echo "== go test -race -count=20 $* ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults ./internal/monitor ./internal/core (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults ./internal/monitor ./internal/core
 
 	# The testbed hands the image store's reply entries to clients by
 	# reference, and the three concurrent worlds of an experiment share
