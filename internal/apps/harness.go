@@ -348,7 +348,7 @@ func (h *harness) place(demand map[string]resource.Vector) []scheduler.Placement
 			if err != nil {
 				continue
 			}
-			if avail := av.Get(resource.CPU, 0) - taken[hn]; avail > bestAvail+1e-12 {
+			if avail := av - taken[hn]; avail > bestAvail+1e-12 {
 				best, bestAvail = hn, avail
 			}
 		}

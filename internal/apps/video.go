@@ -65,6 +65,11 @@ const (
 	videoDisplayCycles    = 1.0e6 // client-side, per frame
 )
 
+// videoFrame is every frame the stream sends, sliced to its encoded size:
+// the receiver reads only a message's length, so one read-only zero frame
+// serves every session.
+var videoFrame = make([]byte, videoFrameBytesHigh)
+
 // videoFrameBytes returns the encoded size of one frame at quality q.
 func videoFrameBytes(q string) int {
 	if q == "high" {
@@ -226,7 +231,7 @@ func (v *Video) stream(p *vtime.Proc, link *netem.Link, csb, ssb *sandbox.Sandbo
 		p.SleepUntil(start + next)
 		cfg := cfgFn(p)
 		fps, q := cfg["fps"].I, cfg["q"].S
-		payload := make([]byte, videoFrameBytes(q))
+		payload := videoFrame[:videoFrameBytes(q)]
 		ssb.Compute(p, float64(len(payload))*videoEncodeCyclesByte)
 		link.A().Send(p, payload)
 		next += time.Second / time.Duration(fps)

@@ -112,9 +112,14 @@ func (e *vtimeEnv) compute(cycles float64) { e.sb.Compute(e.p, cycles) }
 // cost slice by slice so the sender process can overlap transmission.
 // A slice of shared bytes goes out as its header with the window
 // enc[off:end] by reference; pooled bytes are recycled while the sender
-// is still transmitting, so their slices are copied.
+// is still transmitting, so their slices are copied. The headers of a
+// shared reply are written into one arena sized for the whole reply.
 func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, pooled bool, encodeCycles float64) error {
 	total := len(enc)
+	var heads []byte
+	if !pooled {
+		heads = make([]byte, 0, max(1, (total+DefaultSegmentBytes-1)/DefaultSegmentBytes)*segmentHeadLen)
+	}
 	for off := 0; ; off += DefaultSegmentBytes {
 		end := min(off+DefaultSegmentBytes, total)
 		rawShare := float64(rawLen)
@@ -127,7 +132,9 @@ func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, pooled bool, encod
 			seg.Payload = enc[off:end]
 			e.out(e.p, netem.Message{Payload: encodeSegment(seg)})
 		} else {
-			e.out(e.p, netem.Message{Payload: appendSegmentHead(nil, seg), Ref: enc[off:end], RefAt: off})
+			h := len(heads)
+			heads = appendSegmentHead(heads, seg)
+			e.out(e.p, netem.Message{Payload: heads[h:len(heads):len(heads)], Ref: enc[off:end], RefAt: off})
 		}
 		if end == total {
 			return nil

@@ -636,3 +636,46 @@ func TestPooledRepliesCopiedOnTestbed(t *testing.T) {
 		s.close()
 	})
 }
+
+// TestSharedReplyHeadersShareOneArena: on the testbed, every segment
+// header of a shared reply is written into one arena, so a reply of k
+// segments makes one header allocation, not k. Each header is capped at
+// its own length, so a receiver appending to one cannot reach the next.
+func TestSharedReplyHeadersShareOneArena(t *testing.T) {
+	const k = 5
+	enc := make([]byte, k*DefaultSegmentBytes-100)
+	sim := vtime.NewSim()
+	sb, err := sandbox.NewHost(sim, "host", 450e6).NewSandbox("server", 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make([]netem.Message, 0, k)
+	allocs := -1.0
+	sim.Spawn("server", func(p *vtime.Proc) {
+		e := &vtimeEnv{p: p, sb: sb, out: func(_ *vtime.Proc, m netem.Message) { msgs = append(msgs, m) }}
+		allocs = testing.AllocsPerRun(50, func() {
+			msgs = msgs[:0]
+			if err := e.reply(Request{Image: 1, Seq: 9}, 3*len(enc), enc, false, 0); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 1 {
+		t.Errorf("%v allocations per %d-segment reply, want 1", allocs, k)
+	}
+	if len(msgs) != k {
+		t.Fatalf("%d segments, want %d", len(msgs), k)
+	}
+	for i, m := range msgs {
+		seg, err := DecodeSegment(m.Payload)
+		if err != nil || seg.Image != 1 || seg.Seq != 9 || seg.Last != (i == k-1) || m.RefAt != i*DefaultSegmentBytes {
+			t.Errorf("segment %d: %+v at %d, err %v", i, seg, m.RefAt, err)
+		}
+		if cap(m.Payload) != segmentHeadLen {
+			t.Errorf("segment %d: header capacity %d, want %d", i, cap(m.Payload), segmentHeadLen)
+		}
+	}
+}

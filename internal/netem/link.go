@@ -63,6 +63,7 @@ type direction struct {
 	rng       *prng.Splitmix
 	busyUntil time.Duration
 	inbox     *vtime.Chan[Message]
+	free      []*delivery // delivered records, reused by SendMsg
 	ctr       Counters
 
 	// telemetry instruments; nil (no-op) unless Link.EnableMetrics ran
@@ -229,23 +230,47 @@ func (e *Endpoint) SendMsg(p *vtime.Proc, msg Message) {
 		return
 	}
 	msg.SentAt = p.Now()
-	deliver := func() {
-		// Frames still in flight when the connection closes are dropped,
-		// as on a real network.
-		if d.inbox.Closed() {
-			d.drop(n)
-			return
-		}
-		if !d.inbox.TrySend(msg) {
-			panic("netem: inbox overflow on " + d.name)
-		}
-	}
-	lat := d.latency
-	if lat <= 0 {
-		deliver()
+	if d.latency <= 0 {
+		d.deliver(msg)
 		return
 	}
-	d.sim.After(lat, deliver)
+	var r *delivery
+	if k := len(d.free); k > 0 {
+		r, d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		r = &delivery{}
+		r.fire = func() { d.fire(r) }
+	}
+	r.msg = msg
+	d.sim.After(d.latency, r.fire)
+}
+
+// delivery is one message in flight on a direction with latency. Records
+// are recycled through direction.free, and each keeps the callback bound
+// to it when it was made, so sending at steady state allocates nothing.
+type delivery struct {
+	msg  Message
+	fire func()
+}
+
+// fire delivers r's message one latency after it was sent and recycles r.
+func (d *direction) fire(r *delivery) {
+	msg := r.msg
+	r.msg = Message{}
+	d.free = append(d.free, r)
+	d.deliver(msg)
+}
+
+// deliver puts msg in the peer's inbox. Frames still in flight when the
+// connection closes are dropped, as on a real network.
+func (d *direction) deliver(msg Message) {
+	if d.inbox.Closed() {
+		d.drop(msg.Len())
+		return
+	}
+	if !d.inbox.TrySend(msg) {
+		panic("netem: inbox overflow on " + d.name)
+	}
 }
 
 // drop counts one lost message of n bytes.

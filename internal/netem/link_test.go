@@ -444,3 +444,40 @@ func TestTwoPartMessageEqualsOnePart(t *testing.T) {
 		t.Errorf("%d cases dropped to loss and %d only at a closed inbox; the seeds must exercise both", lost, closedDrops)
 	}
 }
+
+// Deliveries, timers and inbox waiters are recycled, so a message through
+// a link with latency allocates nothing at steady state.
+func TestSendRecvAllocatesNothing(t *testing.T) {
+	const n = 500
+	sim := vtime.NewSim()
+	l := NewLink(sim, "lan", 1e6, WithLatency(time.Millisecond))
+	a, b := l.A(), l.B()
+	payload := make([]byte, 2*FrameSize+100)
+	per := -1.0
+	sim.Spawn("sender", func(p *vtime.Proc) {
+		per = testing.AllocsPerRun(n, func() { a.Send(p, payload) })
+		p.Sleep(time.Millisecond) // the last message lands before the close
+		a.Close()
+	})
+	got := 0
+	sim.Spawn("receiver", func(p *vtime.Proc) {
+		for {
+			msg, ok := b.Recv(p)
+			if !ok {
+				return
+			}
+			if msg.Len() == len(payload) {
+				got++
+			}
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if per != 0 {
+		t.Errorf("%v allocations per message, want 0", per)
+	}
+	if got != n+1 {
+		t.Errorf("received %d whole messages, want %d", got, n+1)
+	}
+}

@@ -101,12 +101,6 @@ func (h *Host) Speed() float64 { return h.speed }
 // Reserved returns the total CPU share currently reserved by sandboxes.
 func (h *Host) Reserved() float64 { return h.reserved }
 
-// MemReserved returns total reserved memory in bytes.
-func (h *Host) MemReserved() int64 { return h.memResv }
-
-// MemTotal returns the host's physical memory in bytes.
-func (h *Host) MemTotal() int64 { return h.memTotal }
-
 // NewSandbox creates a resource-constrained execution environment on the
 // host with the given CPU share (0 < share ≤ 1) and memory limit in bytes
 // (0 means "no explicit limit": the host's full memory). It performs the

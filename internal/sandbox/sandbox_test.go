@@ -315,8 +315,8 @@ func TestTouchPartialOverLimit(t *testing.T) {
 func TestHostAccessors(t *testing.T) {
 	sim := vtime.NewSim()
 	h := NewHost(sim, "box", 450e6, WithMemory(64<<20))
-	if h.Name() != "box" || h.Speed() != 450e6 || h.MemTotal() != 64<<20 {
-		t.Fatalf("accessors %s %v %v", h.Name(), h.Speed(), h.MemTotal())
+	if h.Name() != "box" || h.Speed() != 450e6 || h.memTotal != 64<<20 {
+		t.Fatalf("accessors %s %v %v", h.Name(), h.Speed(), h.memTotal)
 	}
 	sb, err := h.NewSandbox("a", 0.5, 16<<20)
 	if err != nil {
@@ -325,7 +325,7 @@ func TestHostAccessors(t *testing.T) {
 	if sb.Name() != "a" || sb.Host() != h {
 		t.Fatal("sandbox accessors")
 	}
-	if h.MemReserved() != 16<<20 {
-		t.Fatalf("mem reserved %d", h.MemReserved())
+	if h.memResv != 16<<20 {
+		t.Fatalf("mem reserved %d", h.memResv)
 	}
 }

@@ -177,14 +177,11 @@ func (a *Admission) ReservePlaced(name string, placements []Placement) (*Reserva
 	return r, nil
 }
 
-// Available reports the unreserved CPU share and memory on a host.
-func (a *Admission) Available(host string) (resource.Vector, error) {
+// Available reports the unreserved CPU share on a host.
+func (a *Admission) Available(host string) (float64, error) {
 	h, ok := a.hosts[host]
 	if !ok {
-		return nil, fmt.Errorf("scheduler: no host %q registered", host)
+		return 0, fmt.Errorf("scheduler: no host %q registered", host)
 	}
-	return resource.Vector{
-		resource.CPU:    sandbox.MaxReservable - h.Reserved(),
-		resource.Memory: float64(h.MemTotal() - h.MemReserved()),
-	}, nil
+	return sandbox.MaxReservable - h.Reserved(), nil
 }

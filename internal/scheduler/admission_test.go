@@ -93,8 +93,8 @@ func TestAvailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(avail[resource.CPU]-sandbox.MaxReservable) > 1e-9 {
-		t.Fatalf("available cpu %v", avail[resource.CPU])
+	if math.Abs(avail-sandbox.MaxReservable) > 1e-9 {
+		t.Fatalf("available cpu %v", avail)
 	}
 	r, err := a.Reserve("x", map[string]resource.Vector{"client": {resource.CPU: 0.3}})
 	if err != nil {
@@ -102,8 +102,8 @@ func TestAvailable(t *testing.T) {
 	}
 	defer r.Release()
 	avail, _ = a.Available("client")
-	if math.Abs(avail[resource.CPU]-(sandbox.MaxReservable-0.3)) > 1e-9 {
-		t.Fatalf("available cpu after reserve %v", avail[resource.CPU])
+	if math.Abs(avail-(sandbox.MaxReservable-0.3)) > 1e-9 {
+		t.Fatalf("available cpu after reserve %v", avail)
 	}
 	if _, err := a.Available("mars"); err == nil {
 		t.Fatal("unknown host")

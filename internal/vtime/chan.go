@@ -14,19 +14,22 @@ import "time"
 type Chan[T any] struct {
 	sim    *Sim
 	cap    int
-	buf    []T
-	recvq  []*chanWaiter[T]
-	sendq  []*chanWaiter[T]
+	buf    queue[T]
+	recvq  queue[*chanWaiter[T]]
+	sendq  queue[*chanWaiter[T]]
+	free   []*chanWaiter[T] // waiters of finished waits, reused by the next one
 	closed bool
 	name   string
 }
 
+// chanWaiter is one blocked Send, Recv or RecvTimeout. The channel
+// recycles it once the blocked process has read it.
 type chanWaiter[T any] struct {
-	p       *Proc
-	val     T    // for senders: the value being sent; for receivers: delivery slot
-	ok      bool // delivery status for receivers
-	done    bool // set when the waiter has been satisfied (vs. timed out)
-	expired bool // set when a timed wait gave up
+	p      *Proc
+	val    T      // for senders: the value being sent; for receivers: delivery slot
+	ok     bool   // delivery status for receivers
+	done   bool   // set when a sender, receiver or Close claimed the waiter
+	expire func() // RecvTimeout's expiry, bound to this waiter once
 }
 
 // NewChan creates a channel with the given buffer capacity.
@@ -40,7 +43,7 @@ func NewNamedChan[T any](s *Sim, capacity int, name string) *Chan[T] {
 }
 
 // Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Cap reports the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
@@ -48,35 +51,40 @@ func (c *Chan[T]) Cap() int { return c.cap }
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
 
+// waiter returns a recycled waiter for p, or a new one.
+func (c *Chan[T]) waiter(p *Proc) *chanWaiter[T] {
+	if n := len(c.free); n > 0 {
+		w := c.free[n-1]
+		c.free = c.free[:n-1]
+		w.p = p
+		return w
+	}
+	return &chanWaiter[T]{p: p}
+}
+
+// release recycles w once its process has read it.
+func (c *Chan[T]) release(w *chanWaiter[T]) {
+	var zero T
+	w.p, w.val, w.ok, w.done = nil, zero, false, false
+	c.free = append(c.free, w)
+}
+
 // Send delivers v, blocking the calling process until a receiver or buffer
 // slot is available. Sending on a closed channel panics, as with native
 // channels.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	if c.closed {
-		panic("vtime: send on closed channel " + c.name)
-	}
-	// Direct hand-off to a waiting receiver.
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		if w.expired {
-			continue
-		}
-		w.val, w.ok, w.done = v, true, true
-		c.sim.makeRunnable(w.p)
-		return
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.TrySend(v) {
 		return
 	}
 	// Block until a receiver drains us.
-	w := &chanWaiter[T]{p: p, val: v}
-	c.sendq = append(c.sendq, w)
+	w := c.waiter(p)
+	w.val = v
+	c.sendq.push(w)
 	p.yield("send ", c.name)
 	if !w.done {
 		panic("vtime: sender woken without completion on " + c.name)
 	}
+	c.release(w)
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
@@ -85,18 +93,15 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("vtime: send on closed channel " + c.name)
 	}
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		if w.expired {
-			continue
-		}
+	// Direct hand-off to a waiting receiver.
+	if c.recvq.len() > 0 {
+		w := c.recvq.pop()
 		w.val, w.ok, w.done = v, true, true
 		c.sim.makeRunnable(w.p)
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -105,37 +110,29 @@ func (c *Chan[T]) TrySend(v T) bool {
 // Recv blocks the calling process until a value is available. The second
 // result is false if the channel was closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
-	if v, ok, ready := c.tryRecvLocked(); ready {
+	if v, ok, ready := c.TryRecv(); ready {
 		return v, ok
 	}
-	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
+	w := c.waiter(p)
+	c.recvq.push(w)
 	p.yield("recv ", c.name)
-	return w.val, w.ok
+	v, ok := w.val, w.ok
+	c.release(w)
+	return v, ok
 }
 
 // TryRecv receives without blocking; the third result reports whether a
 // value (or close notification) was ready.
-func (c *Chan[T]) TryRecv() (T, bool, bool) {
-	return c.tryRecvLocked()
-}
-
-func (c *Chan[T]) tryRecvLocked() (v T, ok bool, ready bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		copy(c.buf, c.buf[1:])
-		c.buf = c.buf[:len(c.buf)-1]
+func (c *Chan[T]) TryRecv() (v T, ok bool, ready bool) {
+	if c.buf.len() > 0 {
+		v = c.buf.pop()
 		// A blocked sender can now use the freed slot.
 		c.promoteSender()
 		return v, true, true
 	}
 	// Rendezvous with a blocked sender (cap 0, or drained buffer).
-	for len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		if w.expired {
-			continue
-		}
+	if c.sendq.len() > 0 {
+		w := c.sendq.pop()
 		w.done = true
 		c.sim.makeRunnable(w.p)
 		return w.val, true, true
@@ -147,13 +144,9 @@ func (c *Chan[T]) tryRecvLocked() (v T, ok bool, ready bool) {
 }
 
 func (c *Chan[T]) promoteSender() {
-	for len(c.sendq) > 0 && len(c.buf) < c.cap {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		if w.expired {
-			continue
-		}
-		c.buf = append(c.buf, w.val)
+	for c.sendq.len() > 0 && c.buf.len() < c.cap {
+		w := c.sendq.pop()
+		c.buf.push(w.val)
 		w.done = true
 		c.sim.makeRunnable(w.p)
 	}
@@ -161,31 +154,45 @@ func (c *Chan[T]) promoteSender() {
 
 // RecvTimeout behaves like Recv but gives up after d, returning ready=false.
 func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, ready bool) {
-	if v, ok, ready := c.tryRecvLocked(); ready {
+	if v, ok, ready := c.TryRecv(); ready {
 		return v, ok, true
 	}
 	if d <= 0 {
 		return v, false, false
 	}
-	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
+	w := c.waiter(p)
+	if w.expire == nil {
+		w.expire = func() { c.expire(w) }
+	}
+	c.recvq.push(w)
 	// The timeout is a kernel callback, not a process wake-up: whichever of
 	// {delivery, expiry} runs first claims the waiter, so the process is
-	// woken exactly once.
-	t := p.sim.addTimer(nil, p.sim.now+d, nil)
-	t.fn = func() {
-		if w.done || w.expired {
-			return
-		}
-		w.expired = true
-		p.sim.makeRunnable(p)
-	}
+	// woken exactly once. A delivery stops the timer through its handle;
+	// an expiry that runs first takes the waiter off recvq.
+	t := p.sim.callback(p.sim.now+d, w.expire)
 	p.yield("recv-timeout ", c.name)
 	if w.done {
-		t.stopped = true
-		return w.val, w.ok, true
+		t.Stop()
+		v, ok, ready = w.val, w.ok, true
 	}
-	return v, false, false
+	c.release(w)
+	return v, ok, ready
+}
+
+// expire ends a timed receive that nothing claimed first: it takes w off
+// recvq and wakes its process. A claimed waiter is left alone — a delivery
+// in the expiry's own timer batch runs before the process can stop it.
+func (c *Chan[T]) expire(w *chanWaiter[T]) {
+	if w.done {
+		return
+	}
+	for i, x := range c.recvq.items[c.recvq.head:] {
+		if x == w {
+			c.recvq.delete(i)
+			break
+		}
+	}
+	c.sim.makeRunnable(w.p)
 }
 
 // Close closes the channel. Blocked receivers wake with ok=false. Closing a
@@ -195,16 +202,12 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.recvq {
-		if w.expired {
-			continue
-		}
-		w.done = true
-		w.ok = false
+	for c.recvq.len() > 0 {
+		w := c.recvq.pop()
+		w.done, w.ok = true, false
 		c.sim.makeRunnable(w.p)
 	}
-	c.recvq = nil
-	if len(c.sendq) > 0 {
+	if c.sendq.len() > 0 {
 		panic("vtime: close of channel with blocked senders " + c.name)
 	}
 }

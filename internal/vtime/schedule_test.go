@@ -15,12 +15,12 @@ import (
 // process programs over every kernel primitive — nested Spawn, Sleep
 // (including 0) and SleepUntil, buffered and unbuffered Send/Recv,
 // TrySend/TryRecv, RecvTimeout with and without expiry, Close, Event
-// Set/Reset/Wait, WaitGroup, After/At with cancel, Stop, and RunUntil
-// horizons followed by Run — and records every operation as a
-// (now, proc id, op) line. The sha256 of each seed's trace is committed in
-// testdata/schedule.sha256; a kernel change that moves run-queue order,
-// timer (at, seq) ties, callback placement, Stop, deadlock detection or a
-// horizon moves a hash.
+// Set/Reset/Wait, WaitGroup, After/At callbacks and their cancel by
+// handle, Stop, and RunUntil horizons followed by Run — and records every
+// operation as a (now, proc id, op) line. The sha256 of each seed's trace
+// is committed in testdata/schedule.sha256; a kernel change that moves
+// run-queue order, timer (at, seq) ties, callback placement, Stop,
+// deadlock detection or a horizon moves a hash.
 
 const (
 	scheduleSeeds = 128
@@ -74,7 +74,7 @@ type schedWorld struct {
 	stop    bool
 	chans   []*Chan[int]
 	evs     []*Event
-	cancels []func()
+	cancels []timerHandle
 	sent    int
 	seen    map[string]bool // op kinds exercised, for the coverage check
 }
@@ -187,7 +187,7 @@ func (w *schedWorld) program(p *Proc) {
 			}
 			w.log(id, kind, "%s %d %d %v", c.name, d, v, ok)
 		case 11:
-			if !c.Closed() && len(c.sendq) == 0 && w.rng.Intn(3) == 0 {
+			if !c.Closed() && c.sendq.len() == 0 && w.rng.Intn(3) == 0 {
 				c.Close()
 				w.log(id, "close", "%s", c.name)
 			}
@@ -210,18 +210,20 @@ func (w *schedWorld) program(p *Proc) {
 			w.log(id, "waitkids", "")
 		case 17:
 			k := len(w.cancels)
-			var cancel func()
-			if w.rng.Intn(2) == 0 {
-				cancel = w.s.After(w.pick(0, time.Millisecond, 2*time.Millisecond), func() { w.callback(k) })
-			} else {
-				cancel = w.s.At(p.Now()+w.pick(-time.Millisecond, 0, time.Millisecond, 3*time.Millisecond), func() { w.callback(k) })
+			// After and At arm their timer through callback, which alone
+			// returns the handle a cancel needs.
+			var at time.Duration
+			if w.rng.Intn(2) == 0 { // After
+				at = p.Now() + w.pick(0, time.Millisecond, 2*time.Millisecond)
+			} else { // At, which clamps to now
+				at = max(p.Now()+w.pick(-time.Millisecond, 0, time.Millisecond, 3*time.Millisecond), p.Now())
 			}
-			w.cancels = append(w.cancels, cancel)
+			w.cancels = append(w.cancels, w.s.callback(at, func() { w.callback(k) }))
 			w.log(id, "after", "%d", k)
 		case 18:
 			if len(w.cancels) > 0 {
 				k := w.rng.Intn(len(w.cancels))
-				w.cancels[k]()
+				w.cancels[k].Stop()
 				w.log(id, "cancel", "%d", k)
 			}
 		case 19:

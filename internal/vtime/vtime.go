@@ -47,9 +47,9 @@ var ErrStopped = errors.New("vtime: simulation stopped")
 type Sim struct {
 	now     time.Duration
 	seq     uint64
-	runq    []*Proc // runq[head:] is the FIFO run queue
-	head    int
+	runq    queue[*Proc]
 	timers  timerHeap
+	free    []*timer // callback timers that left the heap, reused by callback
 	procs   map[int64]*Proc
 	nextID  int64
 	done    chan error // the scheduler hands Run's outcome back here
@@ -127,13 +127,30 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p.sim.Spawn(name, fn)
 }
 
-// timer is a pending wake-up.
+// timer is a pending wake-up: of process p, or, when p is nil, a callback
+// timer that runs fn. Callback timers are recycled (see callback); a
+// process's embedded sleep timer never is.
 type timer struct {
 	at      time.Duration
 	seq     uint64
 	p       *Proc
 	stopped bool
-	fn      func() // if non-nil, a callback timer rather than a proc wake
+	fn      func()
+}
+
+// timerHandle names one arming of a recycled callback timer: seq tells it
+// from later armings of the same timer.
+type timerHandle struct {
+	t   *timer
+	seq uint64
+}
+
+// Stop cancels the callback. Once the timer has fired and been re-armed
+// its seq has moved on, and Stop is a no-op.
+func (h timerHandle) Stop() {
+	if h.t.seq == h.seq {
+		h.t.stopped = true
+	}
 }
 
 type timerHeap []*timer
@@ -187,12 +204,28 @@ func (h timerHeap) down(i int) {
 	}
 }
 
-// addTimer schedules a wake-up for proc p (or callback fn) at absolute time at.
-func (s *Sim) addTimer(p *Proc, at time.Duration, fn func()) *timer {
+// callback schedules fn at absolute time at on a timer from the free
+// list, allocating one only when the list is empty.
+func (s *Sim) callback(at time.Duration, fn func()) timerHandle {
+	var t *timer
+	if n := len(s.free); n > 0 {
+		t, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		t = new(timer)
+	}
 	s.seq++
-	t := &timer{at: at, seq: s.seq, p: p, fn: fn}
+	*t = timer{at: at, seq: s.seq, fn: fn}
 	s.timers.push(t)
-	return t
+	return timerHandle{t, t.seq}
+}
+
+// recycle returns a timer that has left the heap to the free list, unless
+// it is a process's sleep timer.
+func (s *Sim) recycle(t *timer) {
+	if t.p == nil {
+		t.fn = nil
+		s.free = append(s.free, t)
+	}
 }
 
 // Run executes the simulation until every process has exited, or no
@@ -223,13 +256,8 @@ func (s *Sim) schedule() *Proc {
 			s.done <- ErrStopped
 			return nil
 		}
-		if s.head < len(s.runq) {
-			p := s.runq[s.head]
-			s.runq[s.head] = nil
-			if s.head++; s.head == len(s.runq) {
-				s.runq, s.head = s.runq[:0], 0
-			}
-			return p
+		if s.runq.len() > 0 {
+			return s.runq.pop()
 		}
 		if len(s.timers) > 0 && s.nextTimerAt() > s.limit {
 			s.done <- nil // reached the horizon
@@ -246,10 +274,15 @@ func (s *Sim) schedule() *Proc {
 	}
 }
 
-func (s *Sim) nextTimerAt() time.Duration {
+// dropStopped pops stopped timers off the top of the heap.
+func (s *Sim) dropStopped() {
 	for len(s.timers) > 0 && s.timers[0].stopped {
-		s.timers.pop()
+		s.recycle(s.timers.pop())
 	}
+}
+
+func (s *Sim) nextTimerAt() time.Duration {
+	s.dropStopped()
 	if len(s.timers) == 0 {
 		return -1
 	}
@@ -259,9 +292,7 @@ func (s *Sim) nextTimerAt() time.Duration {
 // advance moves the clock to the earliest pending timer and makes every
 // timer due at that instant runnable. It reports whether any timer fired.
 func (s *Sim) advance() bool {
-	for len(s.timers) > 0 && s.timers[0].stopped {
-		s.timers.pop()
-	}
+	s.dropStopped()
 	if len(s.timers) == 0 {
 		return false
 	}
@@ -272,18 +303,21 @@ func (s *Sim) advance() bool {
 	for len(s.timers) > 0 {
 		top := s.timers[0]
 		if top.stopped {
-			s.timers.pop()
+			s.recycle(s.timers.pop())
 			continue
 		}
 		if top.at != at {
 			break
 		}
 		s.timers.pop()
-		if top.fn != nil {
-			top.fn()
+		if top.p != nil {
+			s.makeRunnable(top.p)
 			continue
 		}
-		s.makeRunnable(top.p)
+		// Recycled before it runs: fn may re-arm the very same timer.
+		fn := top.fn
+		s.recycle(top)
+		fn()
 	}
 	return true
 }
@@ -323,16 +357,8 @@ func (p *Proc) yield(op, on string) {
 	<-p.resume
 }
 
-// makeRunnable appends q to the run queue, compacting the consumed front
-// away once it is at least half the backing array.
-func (s *Sim) makeRunnable(q *Proc) {
-	if len(s.runq) == cap(s.runq) && s.head > 0 && s.head >= len(s.runq)/2 {
-		n := copy(s.runq, s.runq[s.head:])
-		clear(s.runq[n:])
-		s.runq, s.head = s.runq[:n], 0
-	}
-	s.runq = append(s.runq, q)
-}
+// makeRunnable appends q to the run queue.
+func (s *Sim) makeRunnable(q *Proc) { s.runq.push(q) }
 
 // Sleep suspends the calling process for d of virtual time. Negative or
 // zero durations yield the processor without advancing time (the process
@@ -365,17 +391,9 @@ func (p *Proc) SleepUntil(t time.Duration) {
 // token when the clock reaches the timer — a blocking process's, or Run's
 // caller's in the first step. fn must not block; it
 // may spawn processes, send on channels with waiting receivers, or adjust
-// state. It returns a cancel function.
-func (s *Sim) After(d time.Duration, fn func()) (cancel func()) {
-	t := s.addTimer(nil, s.now+d, fn)
-	return func() { t.stopped = true }
-}
+// state. The timer comes from a free list, so a steady stream of After
+// calls allocates nothing.
+func (s *Sim) After(d time.Duration, fn func()) { s.callback(s.now+d, fn) }
 
 // At schedules fn at absolute virtual time t (see After).
-func (s *Sim) At(at time.Duration, fn func()) (cancel func()) {
-	if at < s.now {
-		at = s.now
-	}
-	t := s.addTimer(nil, at, fn)
-	return func() { t.stopped = true }
-}
+func (s *Sim) At(at time.Duration, fn func()) { s.callback(max(at, s.now), fn) }

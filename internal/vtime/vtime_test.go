@@ -329,8 +329,7 @@ func TestAfterCancel(t *testing.T) {
 	s := NewSim()
 	fired := false
 	s.Spawn("main", func(p *Proc) {
-		cancel := s.After(3*time.Second, func() { fired = true })
-		cancel()
+		s.callback(s.Now()+3*time.Second, func() { fired = true }).Stop()
 		p.Sleep(10 * time.Second)
 	})
 	if err := s.Run(); err != nil {

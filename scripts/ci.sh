@@ -97,17 +97,20 @@ run_smoke() {
 	./scripts/wire_conformance.sh
 
 	# Mixed-workload smoke: a seeded video+foveal mix under a replayed
-	# chaos schedule, run twice — the per-class QoS reports must be
-	# byte-identical (the avis-mix determinism guarantee).
-	echo "== avis-mix smoke (seeded mix, chaos replay, byte-identical)"
+	# chaos schedule, run twice — both per-class QoS reports must match
+	# scripts/golden/avis-mix.txt byte for byte (the avis-mix determinism
+	# guarantee, and no drift of the mix's virtual-time path).
+	echo "== avis-mix smoke (seeded mix, chaos replay, vs scripts/golden)"
 	MIX_A=$(mktemp) MIX_B=$(mktemp)
 	trap 'rm -f "$MIX_A" "$MIX_B"' EXIT INT TERM
 	go run ./cmd/avis-mix -seed 42 -video 4 -foveal 2 -chaos -out "$MIX_A"
 	go run ./cmd/avis-mix -seed 42 -video 4 -foveal 2 -chaos -out "$MIX_B"
-	cmp "$MIX_A" "$MIX_B" || {
-		echo "avis-mix: same seed produced different reports" >&2
-		exit 1
-	}
+	for mix in "$MIX_A" "$MIX_B"; do
+		cmp "$mix" scripts/golden/avis-mix.txt || {
+			echo "avis-mix: the seed-42 chaos report differs from scripts/golden/avis-mix.txt" >&2
+			exit 1
+		}
+	done
 	rm -f "$MIX_A" "$MIX_B"
 
 	# Figure goldens: every paper figure and every adaptation experiment
