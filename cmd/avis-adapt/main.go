@@ -16,6 +16,7 @@
 // Usage:
 //
 //	avis-adapt -exp 1      # codec adaptation to a bandwidth drop
+//	avis-adapt -exp 1d     # the same with distributed monitoring agents (not in all)
 //	avis-adapt -exp 2      # resolution adaptation to a CPU drop
 //	avis-adapt -exp 3      # fovea adaptation to a CPU drop
 //	avis-adapt -exp drift  # online store vs stale offline database
@@ -29,17 +30,26 @@ import (
 	"log"
 	"os"
 
+	"tunable/internal/core"
 	"tunable/internal/expt"
 	"tunable/internal/perfstore"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: 1, 2, 3, drift, or all")
+	exp := flag.String("exp", "all", "experiment to run: 1, 1d, 2, 3, drift, or all")
 	events := flag.Bool("events", false, "print the framework's decision log")
 	seed := flag.Uint64("seed", 42, "fault-schedule seed for the drift experiment")
 	perfDir := flag.String("perfstore-dir", "", "persist the drift experiment's online store to a write-ahead log in this directory")
 	flag.Parse()
 
+	printEvents := func(evs []core.Event) {
+		if *events {
+			for _, ev := range evs {
+				fmt.Printf("  %-12v %-12s %s\n", ev.At, ev.Kind, ev.Detail)
+			}
+			fmt.Println()
+		}
+	}
 	run := func(id string, f func() (*expt.ExperimentResult, error)) {
 		e, err := f()
 		if err != nil {
@@ -53,16 +63,14 @@ func main() {
 				log.Fatalf("avis-adapt: %v", err)
 			}
 		}
-		fmt.Printf("summary %s: adaptive %.2fs (%d switches, final %s) | %s %.2fs | %s %.2fs\n\n",
-			id, e.Adaptive.Total.Seconds(), e.Adaptive.Switches, e.Adaptive.Final.Key(),
-			e.StaticA.Label, e.StaticA.Total.Seconds(),
-			e.StaticB.Label, e.StaticB.Total.Seconds())
-		if *events {
-			for _, ev := range e.Adaptive.Events {
-				fmt.Printf("  %-12v %-12s %s\n", ev.At, ev.Kind, ev.Detail)
-			}
-			fmt.Println()
+		fmt.Printf("summary %s: adaptive %.2fs (%d switches, final %s)",
+			id, e.Adaptive.Total.Seconds(), e.Adaptive.Switches, e.Adaptive.Final.Key())
+		if e.StaticA.Label != "" { // the distributed run has no baselines
+			fmt.Printf(" | %s %.2fs | %s %.2fs",
+				e.StaticA.Label, e.StaticA.Total.Seconds(), e.StaticB.Label, e.StaticB.Total.Seconds())
 		}
+		fmt.Print("\n\n")
+		printEvents(e.Adaptive.Events)
 	}
 	runDrift := func() {
 		store := perfstore.NewMemStore()
@@ -84,26 +92,20 @@ func main() {
 		fmt.Printf("summary drift: offline %.2fs (%d switches, final %s, %d/%d in deadline) | online %.2fs (%d switches, final %s, %d/%d in deadline)\n\n",
 			offline.Total.Seconds(), offline.Switches, offline.Final.Key(), offHits, offPost,
 			online.Total.Seconds(), online.Switches, online.Final.Key(), onHits, onPost)
-		if *events {
-			for _, ev := range online.Events {
-				fmt.Printf("  %-12v %-12s %s\n", ev.At, ev.Kind, ev.Detail)
-			}
-			fmt.Println()
-		}
+		printEvents(online.Events)
 	}
-	switch *exp {
-	case "1":
-		run("1", expt.Experiment1)
-	case "2":
-		run("2", expt.Experiment2)
-	case "3":
-		run("3", expt.Experiment3)
-	case "drift":
+	exps := map[string]func() (*expt.ExperimentResult, error){
+		"1": expt.Experiment1, "1d": expt.Experiment1Distributed, "2": expt.Experiment2, "3": expt.Experiment3,
+	}
+	switch f, ok := exps[*exp]; {
+	case ok:
+		run(*exp, f)
+	case *exp == "drift":
 		runDrift()
-	case "all":
-		run("1", expt.Experiment1)
-		run("2", expt.Experiment2)
-		run("3", expt.Experiment3)
+	case *exp == "all": // 1d is not part of it
+		for _, id := range []string{"1", "2", "3"} {
+			run(id, exps[id])
+		}
 		runDrift()
 	default:
 		log.Fatalf("avis-adapt: unknown experiment %q", *exp)

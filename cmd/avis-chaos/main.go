@@ -27,6 +27,7 @@ import (
 	"reflect"
 	"time"
 
+	"tunable/cmd/internal/daemon"
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
 	"tunable/internal/faults"
@@ -48,8 +49,9 @@ func main() {
 	codec := flag.String("codec", "lzw", "compression method: lzw, bzw, or raw")
 	level := flag.Int("level", 4, "resolution level")
 	side := flag.Int("side", 256, "image side length")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics on this address (empty = disabled)")
 	verbose := flag.Bool("v", false, "print every injected fault")
+	var tel daemon.Telemetry
+	tel.Define(flag.CommandLine)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("avis-chaos: ")
@@ -63,14 +65,9 @@ func main() {
 		fmt.Printf("  %s\n", e)
 	}
 
-	reg := metrics.New()
-	if *metricsAddr != "" {
-		msrv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer msrv.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", msrv.Addr)
+	reg, err := tel.Start("")
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	injector, err := faults.New(sched)

@@ -30,9 +30,9 @@ import (
 	"os"
 	"time"
 
+	"tunable/cmd/internal/daemon"
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
-	"tunable/internal/metrics"
 	"tunable/internal/wavelet"
 )
 
@@ -53,7 +53,6 @@ func main() {
 	n := flag.Int("n", 1, "number of images to download")
 	bw := flag.Float64("bw", 0, "shape the connection to this many bytes/second (0 = unshaped)")
 	verify := flag.Bool("verify", false, "reconstruct images client-side and report integrity")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
 	ioTimeout := flag.Duration("io-timeout", 0, "fail a frame read/write that makes no progress for this long (0 = wait forever)")
 	sessCPU := flag.Float64("session-cpu", 0, "CPU share demanded from cluster admission control (0 = coordinator default)")
 	preferEdge := flag.Bool("prefer-edge", false, "place the session on an edge cache node when one fronts the store (with -coord)")
@@ -62,17 +61,13 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 0, "total retry tokens for the session, 0 = unlimited (with -coord)")
 	retryBudgetRate := flag.Float64("retry-budget-rate", 0, "retry tokens refilled per second (with -retry-budget)")
 	dump := flag.String("dump", "", "append each reconstructed image's pixels (float64 LE) to this file (implies client-side reconstruction)")
+	var tel daemon.Telemetry
+	tel.Define(flag.CommandLine)
 	flag.Parse()
 
-	var reg *metrics.Registry
-	if *metricsAddr != "" {
-		start := time.Now()
-		reg = metrics.New(metrics.WithNow(func() time.Duration { return time.Since(start) }))
-		msrv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("avis-client: %v", err)
-		}
-		fmt.Printf("metrics on http://%s/metrics\n", msrv.Addr)
+	reg, err := tel.Start("")
+	if err != nil {
+		log.Fatalf("avis-client: %v", err)
 	}
 
 	params := avis.Params{DR: *dr, Codec: *codec, Level: *level}
@@ -101,9 +96,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("avis-client: %v", err)
 		}
-		if reg != nil {
-			fc.EnableMetrics(reg)
-		}
+		fc.EnableMetrics(reg)
 		fmt.Printf("placed on node %s\n", fc.Node())
 		client = fc
 	} else {
@@ -116,9 +109,7 @@ func main() {
 			log.Fatalf("avis-client: %v", err)
 		}
 		rc.SetIOTimeout(*ioTimeout)
-		if reg != nil {
-			rc.EnableMetrics(reg)
-		}
+		rc.EnableMetrics(reg)
 		if err := rc.Connect(); err != nil {
 			fatalFetch("connect", err)
 		}

@@ -32,14 +32,11 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"tunable/cmd/internal/daemon"
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
-	"tunable/internal/metrics"
 	"tunable/internal/perfstore"
 )
 
@@ -50,9 +47,10 @@ func main() {
 	tick := flag.Duration("tick", 500*time.Millisecond, "failure-detector evaluation interval")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain bound")
 	shards := flag.Int("shards", 0, "registry/session shard count, rounded up to a power of two (0 = scaled to GOMAXPROCS)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
 	perfDir := flag.String("perfstore-dir", "", "host the shared live performance store, persisting refined profiles to a write-ahead log in this directory")
 	perfMem := flag.Bool("perfstore-mem", false, "host the shared performance store in memory (no persistence)")
+	var tel daemon.Telemetry
+	tel.Define(flag.CommandLine)
 	flag.Parse()
 
 	coord := cluster.NewCoordinator(cluster.Config{
@@ -77,18 +75,15 @@ func main() {
 		}
 		coord.SetPerfStore(perf)
 	}
-	if *metricsAddr != "" {
-		start := time.Now()
-		reg := metrics.New(metrics.WithNow(func() time.Duration { return time.Since(start) }))
+	reg, err := tel.Start("avis-coord: ")
+	if err != nil {
+		log.Fatalf("avis-coord: %v", err)
+	}
+	if reg != nil {
 		coord.EnableMetrics(reg)
 		if perf != nil {
 			perf.EnableMetrics(reg)
 		}
-		msrv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("avis-coord: %v", err)
-		}
-		fmt.Printf("avis-coord: metrics on http://%s/metrics\n", msrv.Addr)
 	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -98,21 +93,12 @@ func main() {
 	fmt.Printf("avis-coord: coordinating on %s (suspect %v, dead %v, %d shards)\n",
 		l.Addr(), *suspect, *dead, coord.Shards())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- coord.Serve(l) }()
-	select {
-	case s := <-sig:
-		fmt.Printf("avis-coord: %v, shutting down\n", s)
-		stopTicker()
-		coord.Shutdown(*drain)
-		if perf != nil {
-			if err := perf.Close(); err != nil {
-				log.Printf("avis-coord: perfstore close: %v", err)
-			}
+	fmt.Printf("avis-coord: %v, shutting down\n", daemon.Serve("avis-coord", l, coord.Serve))
+	stopTicker()
+	coord.Shutdown(*drain)
+	if perf != nil {
+		if err := perf.Close(); err != nil {
+			log.Printf("avis-coord: perfstore close: %v", err)
 		}
-	case err := <-errc:
-		log.Fatalf("avis-coord: %v", err)
 	}
 }

@@ -25,18 +25,15 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"tunable/cmd/internal/daemon"
 	"tunable/internal/cluster"
 	"tunable/internal/edge"
-	"tunable/internal/metrics"
 )
 
 func main() {
-	addr := flag.String("addr", ":7470", "client-facing listen address")
+	var node daemon.Node
+	node.Define(flag.CommandLine, ":7470", "client-facing listen address")
 	origin := flag.String("origin", "localhost:7465", "origin avis-server address")
 	originCodec := flag.String("origin-codec", edge.DefaultOriginCodec, "codec on the origin leg")
 	sig := flag.String("sig", "", "origin store signature for cache keys and cluster registration")
@@ -46,15 +43,6 @@ func main() {
 	coarseMax := flag.Int("coarse-max", 0, "largest pyramid level served from cache (0 = all below full resolution, <0 = cache nothing)")
 	prewarm := flag.Bool("prewarm", false, "prefetch predicted fovea regions (linear trajectory extrapolation)")
 	segBytes := flag.Int("seg-bytes", 0, "client-facing reply segment size (0 = protocol default)")
-	ioTimeout := flag.Duration("io-timeout", 0, "drop a connection whose frame I/O makes no progress for this long (0 = wait forever)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
-	coord := flag.String("coord", "", "register with the avis-coord coordinator at this address (empty = standalone)")
-	nodeID := flag.String("node-id", "", "cluster node name (default: the advertised address)")
-	advertise := flag.String("advertise", "", "data-plane address to announce to the coordinator (default: the listen address)")
-	cpu := flag.Float64("cpu", 1.0, "CPU share capacity declared to cluster admission control (0,1]")
-	mem := flag.Int64("mem", 512<<20, "memory capacity in bytes declared to cluster admission control")
-	heartbeat := flag.Duration("heartbeat", cluster.DefaultHeartbeat, "cluster heartbeat interval")
-	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain bound for in-flight sessions")
 	flag.Parse()
 
 	p, err := edge.New(edge.Config{
@@ -66,70 +54,34 @@ func main() {
 		TTL:          *ttl,
 		CoarseMax:    *coarseMax,
 		SegBytes:     *segBytes,
-		IOTimeout:    *ioTimeout,
+		IOTimeout:    node.IOTimeout,
 		Prewarm:      *prewarm,
 	})
 	if err != nil {
 		log.Fatalf("avis-edge: %v", err)
 	}
-	if *metricsAddr != "" {
-		start := time.Now()
-		reg := metrics.New(metrics.WithNow(func() time.Duration { return time.Since(start) }))
+	reg, err := node.Metrics.Start("avis-edge: ")
+	if err != nil {
+		log.Fatalf("avis-edge: %v", err)
+	}
+	if reg != nil {
 		p.EnableMetrics(reg)
-		msrv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("avis-edge: %v", err)
-		}
-		fmt.Printf("avis-edge: metrics on http://%s/metrics\n", msrv.Addr)
 	}
 	if err := p.Start(); err != nil {
 		log.Fatalf("avis-edge: %v", err)
 	}
 	geom := p.Geometry()
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", node.Addr)
 	if err != nil {
 		log.Fatalf("avis-edge: %v", err)
 	}
 	fmt.Printf("avis-edge: fronting %s (%d images, %d², %d levels) on %s\n",
 		*origin, geom.NumImages, geom.Side, geom.Levels, l.Addr())
 
-	var agent *cluster.Agent
-	if *coord != "" {
-		dataAddr := *advertise
-		if dataAddr == "" {
-			dataAddr = l.Addr().String()
-		}
-		id := *nodeID
-		if id == "" {
-			id = dataAddr
-		}
-		agent = cluster.NewAgent(*coord, cluster.NodeInfo{
-			ID: id, Addr: dataAddr, Role: cluster.RoleEdge,
-			CPU: *cpu, MemBytes: *mem,
-			Side: geom.Side, Levels: geom.Levels, Sig: *sig,
-		}, *heartbeat, func() cluster.Load {
-			return cluster.Load{ActiveSessions: p.ActiveSessions()}
-		})
-		if err := agent.Start(); err != nil {
-			log.Fatalf("avis-edge: join cluster: %v", err)
-		}
-		fmt.Printf("avis-edge: joined cluster at %s as %q (heartbeat %v)\n", *coord, id, *heartbeat)
-	}
-
-	sig2 := make(chan os.Signal, 1)
-	signal.Notify(sig2, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- p.Serve(l) }()
-	select {
-	case s := <-sig2:
-		fmt.Printf("avis-edge: %v, draining (bound %v)\n", s, *drain)
-		if agent != nil {
-			agent.Close(true)
-		}
-		if forced := p.Shutdown(*drain); forced > 0 {
-			fmt.Printf("avis-edge: cut %d session(s) still open after drain\n", forced)
-		}
-	case err := <-errc:
-		log.Fatalf("avis-edge: %v", err)
-	}
+	info := node.Info(l.Addr())
+	info.Role, info.Side, info.Levels, info.Sig = cluster.RoleEdge, geom.Side, geom.Levels, *sig
+	node.Join("avis-edge", info, func() cluster.Load {
+		return cluster.Load{ActiveSessions: p.ActiveSessions()}
+	})
+	node.Serve("avis-edge", l, p.Serve, p.Shutdown)
 }

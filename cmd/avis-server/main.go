@@ -26,30 +26,18 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"tunable/cmd/internal/daemon"
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
-	"tunable/internal/metrics"
 )
 
 func main() {
-	addr := flag.String("addr", ":7465", "listen address")
+	var node daemon.Node
+	node.Define(flag.CommandLine, ":7465", "listen address")
 	side := flag.Int("side", 1024, "image side in pixels (divisible by 2^levels)")
 	levels := flag.Int("levels", 4, "wavelet decomposition depth")
 	images := flag.Int("images", 3, "number of synthetic images to serve")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
-	ioTimeout := flag.Duration("io-timeout", 0, "drop a connection whose frame I/O makes no progress for this long (0 = wait forever)")
-	coord := flag.String("coord", "", "register with the avis-coord coordinator at this address (empty = standalone)")
-	nodeID := flag.String("node-id", "", "cluster node name (default: the advertised address)")
-	advertise := flag.String("advertise", "", "data-plane address to announce to the coordinator (default: the listen address)")
-	cpu := flag.Float64("cpu", 1.0, "CPU share capacity declared to cluster admission control (0,1]")
-	mem := flag.Int64("mem", 512<<20, "memory capacity in bytes declared to cluster admission control")
-	heartbeat := flag.Duration("heartbeat", cluster.DefaultHeartbeat, "cluster heartbeat interval")
-	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain bound for in-flight sessions")
 	flag.Parse()
 
 	seeds := make([]int64, *images)
@@ -60,64 +48,26 @@ func main() {
 	if err != nil {
 		log.Fatalf("avis-server: %v", err)
 	}
-	srv.SetIOTimeout(*ioTimeout)
-	if *metricsAddr != "" {
-		start := time.Now()
-		reg := metrics.New(metrics.WithNow(func() time.Duration { return time.Since(start) }))
-		srv.EnableMetrics(reg)
-		msrv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("avis-server: %v", err)
-		}
-		fmt.Printf("avis-server: metrics on http://%s/metrics\n", msrv.Addr)
-	}
-	l, err := net.Listen("tcp", *addr)
+	srv.SetIOTimeout(node.IOTimeout)
+	reg, err := node.Metrics.Start("avis-server: ")
 	if err != nil {
 		log.Fatalf("avis-server: %v", err)
 	}
+	if reg != nil {
+		srv.EnableMetrics(reg)
+	}
+	l, err := net.Listen("tcp", node.Addr)
+	if err != nil {
+		log.Fatalf("avis-server: %v", err)
+	}
+	info := node.Info(l.Addr())
+	info.Side, info.Levels, info.Seeds = *side, *levels, seeds
 	// The store signature is what edge caches announce to front this
 	// store (avis-edge -sig) and what failover pins sessions to.
 	fmt.Printf("avis-server: serving %d images (%d², %d levels) on %s (store signature %s)\n",
-		*images, *side, *levels, l.Addr(),
-		cluster.NodeInfo{Side: *side, Levels: *levels, Seeds: seeds}.StoreSig())
-
-	var agent *cluster.Agent
-	if *coord != "" {
-		dataAddr := *advertise
-		if dataAddr == "" {
-			dataAddr = l.Addr().String()
-		}
-		id := *nodeID
-		if id == "" {
-			id = dataAddr
-		}
-		agent = cluster.NewAgent(*coord, cluster.NodeInfo{
-			ID: id, Addr: dataAddr,
-			CPU: *cpu, MemBytes: *mem,
-			Side: *side, Levels: *levels, Seeds: seeds,
-		}, *heartbeat, func() cluster.Load {
-			return cluster.Load{ActiveSessions: srv.ActiveSessions()}
-		})
-		if err := agent.Start(); err != nil {
-			log.Fatalf("avis-server: join cluster: %v", err)
-		}
-		fmt.Printf("avis-server: joined cluster at %s as %q (heartbeat %v)\n", *coord, id, *heartbeat)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case s := <-sig:
-		fmt.Printf("avis-server: %v, draining (bound %v)\n", s, *drain)
-		if agent != nil {
-			agent.Close(true) // deregister so the coordinator fails sessions over now
-		}
-		if forced := srv.Shutdown(*drain); forced > 0 {
-			fmt.Printf("avis-server: cut %d session(s) still open after drain\n", forced)
-		}
-	case err := <-errc:
-		log.Fatalf("avis-server: %v", err)
-	}
+		*images, *side, *levels, l.Addr(), info.StoreSig())
+	node.Join("avis-server", info, func() cluster.Load {
+		return cluster.Load{ActiveSessions: srv.ActiveSessions()}
+	})
+	node.Serve("avis-server", l, srv.Serve, srv.Shutdown)
 }

@@ -6,7 +6,8 @@
 // profiling, monitoring, scheduling, and steering.
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
-// inventory); runnable entry points are the tools in cmd/ and the programs
-// in examples/. The benchmark harness in bench_test.go regenerates every
+// inventory); runnable entry points are the tools in cmd/, and the
+// Example tests in internal/core and internal/apps are the output-checked
+// walkthroughs. The benchmark harness in bench_test.go regenerates every
 // figure of the paper's evaluation.
 package tunable

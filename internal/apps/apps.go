@@ -76,7 +76,8 @@ type Application interface {
 	Preferences() []scheduler.Preference
 	// Demand is the per-component CPU demand (component → resource vector)
 	// one session reserves through admission control. Components must be
-	// "client" and/or "server".
+	// "client" and/or "server". The map and its vectors are shared: callers
+	// must not modify them.
 	Demand() map[string]resource.Vector
 	// LinkDemand is one session's nominal link bandwidth reservation in
 	// bytes/second — the amount the arbiter debits from the class's share

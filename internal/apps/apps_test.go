@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tunable/internal/resource"
 	"tunable/internal/spec"
 )
 
@@ -198,5 +199,19 @@ func TestMixRejectsBadConfig(t *testing.T) {
 		{App: NewVideo(), Sessions: 1},
 	}}); err == nil {
 		t.Error("zero arrival gap accepted")
+	}
+}
+
+// Every session asks its application for its demand twice (arbitration and
+// placement), so Demand hands out one shared value instead of building a map.
+func TestDemandAllocatesNothing(t *testing.T) {
+	for _, app := range []Application{NewVideo(), NewFoveal()} {
+		var sink map[string]resource.Vector
+		if n := testing.AllocsPerRun(100, func() { sink = app.Demand() }); n != 0 {
+			t.Errorf("%s: Demand allocates %v objects per call, want 0", app.Class(), n)
+		}
+		if len(sink) != 2 {
+			t.Errorf("%s: Demand has %d components, want client and server", app.Class(), len(sink))
+		}
 	}
 }

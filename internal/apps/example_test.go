@@ -1,18 +1,4 @@
-// Videostream: the motivating example from the paper's introduction — "a
-// distributed application conveying a video stream from a server to a
-// client machine can respond to network bandwidth reduction by compressing
-// the stream or selectively dropping frames."
-//
-// The stream itself is no longer built inline here: it was promoted to a
-// first-class tunable workload in internal/apps (apps.Video), the same
-// implementation the mixed-workload harness and cmd/avis-mix drive. This
-// example wires that promoted application into the full adaptation loop —
-// spec, profiled performance database, preferences, monitor, scheduler,
-// steering — and watches the framework hold the lag budget as the link
-// degrades mid-stream.
-//
-// Run: go run ./examples/videostream
-package main
+package apps_test
 
 import (
 	"fmt"
@@ -31,7 +17,14 @@ import (
 	"tunable/internal/vtime"
 )
 
-func main() {
+// The motivating example from the paper's introduction: "a distributed
+// application conveying a video stream from a server to a client machine
+// can respond to network bandwidth reduction by compressing the stream or
+// selectively dropping frames." The example wires the video application
+// into the full adaptation loop (spec, profiled performance database,
+// preferences, monitor, scheduler, steering) and watches the framework
+// hold the lag budget as the link degrades mid-stream.
+func ExampleVideo() {
 	v := apps.NewVideo()
 	v.StreamSeconds = 30
 
@@ -46,7 +39,7 @@ func main() {
 
 	// The live world: dedicated client and server sandboxes, a shaped
 	// link, and the adaptation loop from internal/core driving the
-	// steering agent that the promoted app reads at frame boundaries.
+	// steering agent that the application reads at frame boundaries.
 	sim := vtime.NewSim()
 	clientHost := sandbox.NewHost(sim, "client-host", 450e6)
 	serverHost := sandbox.NewHost(sim, "server-host", 450e6)
@@ -142,4 +135,26 @@ func main() {
 	}
 	fmt.Printf("\nframework switches: %d, final config: %s\n",
 		steer.Switches(), steer.Current().Key())
+
+	// Output:
+	// profiled 6 configurations across the resource grid
+	//
+	// initial configuration: fps=30,q=low (preference "smooth")
+	//
+	// [ 10.00s] *** link degrades to 96 KB/s ***
+	//           stream reconfigured: fps=30,q=low -> fps=15,q=low
+	// [ 22.00s] *** link restored to 800 KB/s ***
+	//           stream reconfigured: fps=15,q=low -> fps=30,q=low
+	// [ 30.01s] stream ended: frame_rate 24.1/s, lag 0.00s — PASS
+	//
+	// framework decision log:
+	//   [  0.00s] decision    initial fps=30,q=low (pref "smooth")
+	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600004 cpu=0.1999360995162379
+	//   [ 10.52s] decision    fps=30,q=low -> fps=15,q=low (pref "smooth", predicted map[frame_rate:15.000000000000002 lag:4.224733768983262e-06])
+	//   [ 10.53s] switch      fps=30,q=low -> fps=15,q=low
+	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=252444.44563911116 cpu=0.20012233936808663
+	//   [ 22.11s] decision    fps=15,q=low -> fps=30,q=low (pref "smooth", predicted map[frame_rate:30 lag:0.002446442718524395])
+	//   [ 22.13s] switch      fps=15,q=low -> fps=30,q=low
+	//
+	// framework switches: 2, final config: fps=30,q=low
 }

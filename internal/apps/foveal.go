@@ -74,13 +74,11 @@ func (f *Foveal) Preferences() []scheduler.Preference {
 }
 
 // Demand implements Application: the foveal client decodes and displays
-// (the dominant cost), the server extracts and encodes.
-func (f *Foveal) Demand() map[string]resource.Vector {
-	return map[string]resource.Vector{
-		"client": {resource.CPU: 0.15},
-		"server": {resource.CPU: 0.10},
-	}
-}
+// (the dominant cost), the server extracts and encodes. Every caller
+// shares one value, so none may modify it.
+func (f *Foveal) Demand() map[string]resource.Vector { return fovealDemand }
+
+var fovealDemand = map[string]resource.Vector{"client": {resource.CPU: 0.15}, "server": {resource.CPU: 0.10}}
 
 // LinkDemand implements Application: per-session link reservation.
 func (f *Foveal) LinkDemand() float64 { return 192e3 }

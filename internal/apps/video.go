@@ -120,13 +120,11 @@ func (v *Video) Preferences() []scheduler.Preference {
 	}
 }
 
-// Demand implements Application: one modest CPU slice per end.
-func (v *Video) Demand() map[string]resource.Vector {
-	return map[string]resource.Vector{
-		"client": {resource.CPU: 0.10},
-		"server": {resource.CPU: 0.10},
-	}
-}
+// Demand implements Application: one modest CPU slice per end. Every
+// caller shares one value, so none may modify it.
+func (v *Video) Demand() map[string]resource.Vector { return videoDemand }
+
+var videoDemand = map[string]resource.Vector{"client": {resource.CPU: 0.10}, "server": {resource.CPU: 0.10}}
 
 // LinkDemand implements Application: the per-session bandwidth
 // reservation, enough for a mid-quality stream; the tuning agent plans

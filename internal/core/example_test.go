@@ -1,15 +1,4 @@
-// Quickstart: the adaptation framework end to end in ~100 lines.
-//
-// A toy "renderer" application has one knob — its quality level n — and
-// one QoS metric, the time to render a batch (t = n/cpu seconds). The user
-// wants the highest quality whose batch time stays under 4 s. We declare
-// the tunability spec, fill the performance database analytically, wire up
-// the monitoring agent / scheduler / steering agent, and watch the
-// framework downgrade quality when the CPU share drops and restore it when
-// the share recovers.
-//
-// Run: go run ./examples/quickstart
-package main
+package core_test
 
 import (
 	"fmt"
@@ -27,7 +16,14 @@ import (
 	"tunable/internal/vtime"
 )
 
-func main() {
+// The adaptation framework end to end. A toy "renderer" application has
+// one knob, its quality level n, and one QoS metric, the time to render a
+// batch (t = n/cpu seconds). The user wants the highest quality whose
+// batch time stays under 4 s. The example declares the tunability spec,
+// fills the performance database analytically, wires up the monitoring
+// agent, scheduler and steering agent, and watches the framework downgrade
+// quality when the CPU share drops and restore it when the share recovers.
+func Example() {
 	// 1. The tunability specification, in the paper's annotation language.
 	app := spec.MustParse(`
 app renderer;
@@ -124,4 +120,26 @@ qos_metric {
 	}
 	fmt.Printf("\nframework made %d configuration switches; final config: %s\n",
 		steer.Switches(), steer.Current().Key())
+
+	// Output:
+	// [  3.09s] batch  0 at quality 3 took 3.09s
+	// [  6.19s] batch  1 at quality 3 took 3.09s
+	// [  8.00s] *** CPU share drops to 40% ***
+	// [ 11.09s] batch  2 at quality 3 took 4.91s
+	// [ 11.09s] steering applied: quality -> n=2
+	// [ 16.09s] batch  3 at quality 2 took 5.00s
+	// [ 16.09s] steering applied: quality -> n=1
+	// [ 18.59s] batch  4 at quality 1 took 2.50s
+	// [ 20.00s] *** CPU share restored to 100% ***
+	// [ 20.45s] batch  5 at quality 1 took 1.86s
+	// [ 20.45s] steering applied: quality -> n=2
+	// [ 22.51s] batch  6 at quality 2 took 2.06s
+	// [ 22.51s] steering applied: quality -> n=3
+	// [ 25.60s] batch  7 at quality 3 took 3.09s
+	// [ 28.70s] batch  8 at quality 3 took 3.09s
+	// [ 31.79s] batch  9 at quality 3 took 3.09s
+	// [ 34.88s] batch 10 at quality 3 took 3.09s
+	// [ 37.98s] batch 11 at quality 3 took 3.09s
+	//
+	// framework made 4 configuration switches; final config: n=3
 }

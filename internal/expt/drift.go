@@ -39,9 +39,9 @@ const (
 	driftDipAt = 15 * time.Second
 	// DriftDeadline is the transmission-time bound of the preference.
 	DriftDeadline = 10.0
-	// DriftImages is the download count (long enough past the dip for the
+	// driftImages is the download count (long enough past the dip for the
 	// online store to learn and profit from it).
-	DriftImages = 14
+	driftImages = 14
 )
 
 // DriftSchedule is the seeded fault schedule of the drift experiment: one
@@ -70,7 +70,7 @@ func RunDriftOffline(seed uint64) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runAdaptive("offline", db, sc, DriftImages)
+	return runAdaptive("offline", db, sc, driftImages)
 }
 
 // RunDriftOnline runs the same scenario with the adaptation loop reading
@@ -116,7 +116,7 @@ func RunDriftOnline(seed uint64, store *perfstore.Store) (RunResult, *perfstore.
 			Source:    "avis-client",
 		})
 	}
-	r, err := runAdaptive("online", ps, sc, DriftImages)
+	r, err := runAdaptive("online", ps, sc, driftImages)
 	ps.Flush()
 	return r, ps, err
 }

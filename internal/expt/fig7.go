@@ -219,12 +219,12 @@ func violations(r RunResult, deadlineSeconds float64) int {
 	return n
 }
 
-// experiment1Distributed repeats Experiment 1 with genuinely distributed
+// Experiment1Distributed repeats Experiment 1 with genuinely distributed
 // monitoring: the bandwidth is observed by an agent in the server
 // instance, which on leaving the armed region sends its estimates to the
 // client's agent as peer messages before they trigger the scheduler — the
 // deployment shape Section 6.1 describes.
-func experiment1Distributed() (*ExperimentResult, error) {
+func Experiment1Distributed() (*ExperimentResult, error) {
 	db, err := exp1.db()
 	if err != nil {
 		return nil, err

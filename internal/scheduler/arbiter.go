@@ -119,8 +119,8 @@ func (a *Arbiter) EnableMetrics(reg *metrics.Registry) {
 // Classes returns the declared class names in sorted order.
 func (a *Arbiter) Classes() []string { return append([]string(nil), a.order...) }
 
-// Guarantee returns the class's guaranteed share of every pool.
-func (a *Arbiter) Guarantee(class string) (resource.Vector, error) {
+// guarantee returns the class's guaranteed share of every pool.
+func (a *Arbiter) guarantee(class string) (resource.Vector, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cs, ok := a.classes[class]

@@ -40,18 +40,18 @@ func TestArbiterValidation(t *testing.T) {
 func TestArbiterGuaranteeSplit(t *testing.T) {
 	a := testArbiter(t, resource.Vector{resource.Bandwidth: 900e3},
 		ClassShare{Class: "video", Weight: 2}, ClassShare{Class: "foveal", Weight: 1})
-	g, err := a.Guarantee("video")
+	g, err := a.guarantee("video")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Get(resource.Bandwidth, 0); got != 600e3 {
 		t.Errorf("video guarantee = %g, want 600e3", got)
 	}
-	g, _ = a.Guarantee("foveal")
+	g, _ = a.guarantee("foveal")
 	if got := g.Get(resource.Bandwidth, 0); got != 300e3 {
 		t.Errorf("foveal guarantee = %g, want 300e3", got)
 	}
-	if _, err := a.Guarantee("nope"); err == nil {
+	if _, err := a.guarantee("nope"); err == nil {
 		t.Error("unknown class accepted")
 	}
 }

@@ -117,9 +117,10 @@ run_smoke() {
 	# is a deterministic function of the virtual-time session code, so
 	# their printed output must not move by a byte unless a change means
 	# it to (then regenerate the fixture in the same commit and say why).
-	echo "== avis-figures / avis-adapt -exp all vs scripts/golden (byte-identical)"
+	echo "== avis-figures / avis-adapt -exp all / avis-adapt -exp 1d vs scripts/golden (byte-identical)"
 	go run ./cmd/avis-figures | cmp - scripts/golden/avis-figures.txt
 	go run ./cmd/avis-adapt -exp all | cmp - scripts/golden/avis-adapt-all.txt
+	go run ./cmd/avis-adapt -exp 1d | cmp - scripts/golden/avis-adapt-1d.txt
 
 	run_fuzz
 }
@@ -177,7 +178,7 @@ run_reach() {
 	mkdir -p "$R/bin" "$R/cov" "$R/run"
 	echo "== reach: go build -cover (every cmd/ main and bench)"
 	t0=$(date +%s)
-	for main in ./cmd/* ./bench; do
+	for main in $(go list ./cmd/... ./bench | grep -v /internal/); do
 		go build -cover -coverpkg="./internal/...,$main" -o "$R/bin/$(basename "$main")" "$main"
 	done
 	go build -o "$R/bin/portprobe" ./scripts/internal/portprobe
@@ -194,9 +195,10 @@ run_reach() {
 			echo "== reach: bench -workload $w"
 			q "$B/bench" -workload "$w" -seconds 1 -seed 1 -trace
 		done
-		echo "== reach: avis-figures, avis-adapt -exp all, avis-mix -chaos, avis-load, avis-chaos"
+		echo "== reach: avis-figures, avis-adapt -exp all and 1d, avis-mix -chaos, avis-load, avis-chaos"
 		q "$B/avis-figures"
 		q "$B/avis-adapt" -exp all
+		q "$B/avis-adapt" -exp 1d
 		q "$B/avis-mix" -seed 42 -video 4 -foveal 2 -chaos
 		q "$B/avis-load" -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 		q "$B/avis-chaos"
