@@ -23,6 +23,16 @@ func main() {
 	flag.Parse()
 
 	type genFunc func() (*expt.FigResult, error)
+	// experimentFig runs one of Section 7's experiments for its figure.
+	experimentFig := func(run func() (*expt.ExperimentResult, error)) genFunc {
+		return func() (*expt.FigResult, error) {
+			e, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return e.Fig, nil
+		}
+	}
 	gens := map[string]genFunc{
 		"3a": expt.Figure3a,
 		"3b": expt.Figure3b,
@@ -32,20 +42,8 @@ func main() {
 		"5b": expt.Figure5b,
 		"6a": expt.Figure6a,
 		"6b": expt.Figure6b,
-		"7a": func() (*expt.FigResult, error) {
-			e, err := expt.Experiment1()
-			if err != nil {
-				return nil, err
-			}
-			return e.Fig, nil
-		},
-		"7b": func() (*expt.FigResult, error) {
-			e, err := expt.Experiment2()
-			if err != nil {
-				return nil, err
-			}
-			return e.Fig, nil
-		},
+		"7a": experimentFig(expt.Experiment1),
+		"7b": experimentFig(expt.Experiment2),
 	}
 	// 7c and 7d share one experiment run.
 	run7cd := func() (*expt.FigResult, *expt.FigResult, error) {
@@ -92,11 +90,7 @@ func main() {
 				res = f7d
 			}
 		default:
-			gen, ok := gens[id]
-			if !ok {
-				log.Fatalf("avis-figures: unknown figure %q", id)
-			}
-			res, err = gen()
+			res, err = gens[id]()
 			if err != nil {
 				log.Fatalf("avis-figures: %s: %v", id, err)
 			}

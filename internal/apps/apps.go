@@ -100,16 +100,6 @@ func clientShare(app Application) float64 {
 	return 1.0
 }
 
-// sessionResources is the resource vector a session's tuning agent plans
-// with: the session link's current bandwidth (which injected faults and
-// pool retuning move) and the client's admitted CPU share.
-func sessionResources(env *SessionEnv, share float64) resource.Vector {
-	return resource.Vector{
-		resource.Bandwidth: env.Link.Bandwidth(),
-		resource.CPU:       share,
-	}
-}
-
 // meanDuration is a shared helper for averaging per-round durations.
 func meanDuration(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {

@@ -6,8 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"tunable/internal/metrics"
+	"tunable/internal/netem"
 	"tunable/internal/resource"
+	"tunable/internal/scheduler"
 	"tunable/internal/spec"
+	"tunable/internal/steering"
+	"tunable/internal/vtime"
 )
 
 // TestPromotedSpecsRoundTrip: both promoted application specs survive a
@@ -213,5 +218,82 @@ func TestDemandAllocatesNothing(t *testing.T) {
 		if len(sink) != 2 {
 			t.Errorf("%s: Demand has %d components, want client and server", app.Class(), len(sink))
 		}
+	}
+}
+
+// TestReplanSkipsUnchangedInputs: a session whose clamped estimate and
+// contention flag have not moved since its last plan is not planned again
+// — the retuner's plan selects nothing, allocates nothing and sends
+// nothing — while a moved link bandwidth or client share is planned
+// afresh. Both classes hold grants, so every plan goes through the
+// arbiter's clamp and is derated, and each one counts as a derated plan,
+// skipped or not.
+func TestReplanSkipsUnchangedInputs(t *testing.T) {
+	app := NewVideo()
+	db, err := app.DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := scheduler.New(app.Spec(), db, app.Preferences())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	sched.EnableMetrics(reg)
+	selects := reg.Counter("sched_selects_total", "")
+	arb, err := scheduler.NewArbiter(resource.Vector{resource.CPU: 2, resource.Bandwidth: 600e3},
+		[]scheduler.ClassShare{{Class: "video", Weight: 1}, {Class: "foveal", Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{"video", "foveal"} {
+		if _, err := arb.Acquire(class, resource.Vector{resource.Bandwidth: 100e3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim := vtime.NewSim()
+	steer, err := steering.New(sim, app.Spec(), app.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{sim: sim, arb: arb}
+	cr := &classRun{cfg: ClassConfig{App: app}, sched: sched}
+	s := &session{class: cr, link: netem.NewLink(sim, "data:video", 48e3), steer: steer, share: clientShare(app)}
+	sent := func() (n int) {
+		for {
+			if _, ok, ready := steer.Control().TryRecv(); !ok || !ready {
+				return n
+			}
+			n++
+		}
+	}
+	check := func(step string, wantSelects float64, wantSent int) {
+		t.Helper()
+		if got := selects.Value(); got != wantSelects {
+			t.Errorf("%s: %v selections so far, want %v", step, got, wantSelects)
+		}
+		if n := sent(); n != wantSent {
+			t.Errorf("%s: %d control messages sent, want %d", step, n, wantSent)
+		}
+	}
+
+	h.plan(s)
+	check("first plan", 1, 1)
+	if n := testing.AllocsPerRun(20, func() { h.plan(s) }); n != 0 {
+		t.Errorf("a plan with unchanged inputs allocates %v times, want 0", n)
+	}
+	check("unchanged inputs", 1, 0)
+	if err := s.link.SetBandwidth(300e3); err != nil {
+		t.Fatal(err)
+	}
+	h.plan(s)
+	check("bandwidth moved", 2, 1) // 48 -> 300 kB/s affords a richer stream
+	s.share /= 2
+	h.plan(s)
+	if got := selects.Value(); got != 3 {
+		t.Errorf("share moved: %v selections so far, want 3", got)
+	}
+	if plans := 1 + 21 + 1 + 1; cr.derated != plans {
+		t.Errorf("%d derated plans counted, want all %d", cr.derated, plans)
 	}
 }

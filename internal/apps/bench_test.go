@@ -113,8 +113,8 @@ func benchScheduler(b *testing.B) (*scheduler.Scheduler, resource.Vector) {
 	return s, res
 }
 
-// BenchmarkSchedulerSelect measures one scheduling decision, validity
-// ranges included — what every session pays per retune period.
+// BenchmarkSchedulerSelect measures one scheduling decision — what a
+// session pays in each retune period in which its planning inputs moved.
 func BenchmarkSchedulerSelect(b *testing.B) {
 	s, res := benchScheduler(b)
 	b.ReportAllocs()

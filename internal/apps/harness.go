@@ -74,7 +74,10 @@ type MetricSummary struct {
 	P95  float64 `json:"p95"`
 }
 
-// ClassReport is one class's outcome.
+// ClassReport is one class's outcome. DeratedPlans counts the class's
+// contended planning rounds: initial plans and retune rounds made while
+// more than one class held grants, including those that selected nothing
+// because the session's inputs had not moved since its last plan.
 type ClassReport struct {
 	Class        string                   `json:"class"`
 	Requested    int                      `json:"requested"`
@@ -127,6 +130,12 @@ type session struct {
 	lastCfg spec.Config
 	share   float64
 	active  bool
+
+	// res is the vector the session plans with, kept between plans (nil
+	// before the first): the values it holds when a plan starts are the
+	// last plan's inputs. contended is whether classes contended then.
+	res       resource.Vector
+	contended bool
 }
 
 // harness wires admission, arbitration, steering, and fault injection
@@ -306,7 +315,7 @@ func (h *harness) runSession(p *vtime.Proc, s *session, arrive time.Duration, se
 		Steer: steer, Seed: seed,
 	}
 	s.active = true
-	h.plan(p, s) // initial decision before the first transition point
+	h.plan(s) // initial decision before the first transition point
 	m, err := app.Run(p, s.env)
 	s.active = false
 	s.class.switches += steer.Switches()
@@ -361,14 +370,33 @@ func (h *harness) place(demand map[string]resource.Vector) []scheduler.Placement
 // plan runs one scheduling decision for the session and, if it changes the
 // configuration, pushes a control message for the session's steering agent
 // to apply at its next transition point. While classes contend the plan is
-// derated on top of the arbiter's guarantee clamp.
-func (h *harness) plan(p *vtime.Proc, s *session) {
-	app := s.class.cfg.App
-	res := h.arb.PlanningCapacity(app.Class(), sessionResources(s.env, s.share))
+// derated on top of the arbiter's guarantee clamp. The class's model is a
+// static database, so the decision is a function of the clamped vector and
+// the contention flag alone: when both equal the last plan's exactly, the
+// decision would be the last one, which was either infeasible or sent
+// already, and plan returns before selecting.
+func (h *harness) plan(s *session) {
+	first := s.res == nil
+	if first {
+		s.res = resource.Vector{}
+	}
+	res := s.res
+	bw, cpu := res[resource.Bandwidth], res[resource.CPU]
+	res[resource.Bandwidth], res[resource.CPU] = s.link.Bandwidth(), s.share
+	h.arb.PlanningCapacity(s.class.cfg.App.Class(), res)
+	contended := h.arb.Contended()
+	if contended {
+		s.class.derated++
+	}
+	// Exact equality, not Vector.Equal's tolerance: a skipped plan is one
+	// whose Select would have read the very same numbers.
+	if !first && contended == s.contended && res[resource.Bandwidth] == bw && res[resource.CPU] == cpu {
+		return
+	}
+	s.contended = contended
 	var d scheduler.Decision
 	var err error
-	if h.arb.Contended() {
-		s.class.derated++
+	if contended {
 		d, err = s.class.sched.SelectDerated(res, deratedMargin)
 	} else {
 		d, err = s.class.sched.Select(res)
@@ -392,7 +420,7 @@ func (h *harness) retune(p *vtime.Proc) {
 		p.Sleep(h.cfg.RetunePeriod)
 		for _, s := range h.sessions {
 			if s.active {
-				h.plan(p, s)
+				h.plan(s)
 			}
 		}
 	}

@@ -127,19 +127,20 @@ func (a *Arbiter) guarantee(class string) (resource.Vector, error) {
 	if !ok {
 		return nil, fmt.Errorf("scheduler: unknown class %q", class)
 	}
-	return a.guaranteeLocked(cs), nil
+	g := resource.Vector{}
+	for k := range a.pool {
+		g[k] = a.shareLocked(cs, k)
+	}
+	return g, nil
 }
 
-func (a *Arbiter) guaranteeLocked(cs *classState) resource.Vector {
+// shareLocked returns the class's guaranteed share of pool k.
+func (a *Arbiter) shareLocked(cs *classState, k resource.Kind) float64 {
 	var total float64
 	for _, s := range a.classes {
 		total += s.weight
 	}
-	g := resource.Vector{}
-	for k, v := range a.pool {
-		g[k] = v * cs.weight / total
-	}
-	return g
+	return a.pool[k] * cs.weight / total
 }
 
 // Used returns the class's current holdings.
@@ -230,8 +231,7 @@ func (a *Arbiter) Acquire(class string, want resource.Vector) (*ClassGrant, erro
 			if name == class {
 				continue
 			}
-			g := a.guaranteeLocked(s).Get(k, 0)
-			if unmet := g - s.used.Get(k, 0); unmet > 0 {
+			if unmet := a.shareLocked(s, k) - s.used.Get(k, 0); unmet > 0 {
 				owed += unmet
 			}
 		}
@@ -275,28 +275,25 @@ func (a *Arbiter) Release(g *ClassGrant) {
 }
 
 // PlanningCapacity derates an observed resource vector for one class's
-// tuning agent: per pooled kind, the class should plan against no more
-// than its guarantee plus whatever is currently idle — capacity borrowed
-// from other classes is a loan that an arrival of theirs reclaims, so a
-// configuration chosen assuming it would be invalidated by the very
-// contention the arbiter exists to manage. Kinds not pooled pass through
-// unchanged. While classes contend the result is additionally clamped to
-// the observed estimate (never plan above what the probes report).
-func (a *Arbiter) PlanningCapacity(class string, observed resource.Vector) resource.Vector {
+// tuning agent, in place: v belongs to the caller, who may reuse it from
+// one plan to the next, so a plan allocates nothing here. Per pooled kind,
+// the class should plan against no more than its guarantee plus whatever
+// is currently idle — capacity borrowed from other classes is a loan that
+// an arrival of theirs reclaims, so a configuration chosen assuming it
+// would be invalidated by the very contention the arbiter exists to
+// manage. The clamp applies only while classes contend, and only lowers a
+// value (never plan above what the probes report); kinds not pooled, an
+// unknown class and an uncontended arbiter leave v as it was.
+func (a *Arbiter) PlanningCapacity(class string, v resource.Vector) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cs, ok := a.classes[class]
-	if !ok {
-		return observed.Clone()
-	}
-	out := observed.Clone()
-	if !a.contendedLocked() {
-		return out
+	if !ok || !a.contendedLocked() {
+		return
 	}
 	a.mDerated.Inc()
-	g := a.guaranteeLocked(cs)
-	for k := range a.pool {
-		obs, has := out[k]
+	for k, capacity := range a.pool {
+		obs, has := v[k]
 		if !has {
 			continue
 		}
@@ -304,16 +301,14 @@ func (a *Arbiter) PlanningCapacity(class string, observed resource.Vector) resou
 		for _, s := range a.classes {
 			total += s.used.Get(k, 0)
 		}
-		idle := a.pool[k] - total
+		idle := capacity - total
 		if idle < 0 {
 			idle = 0
 		}
-		limit := g.Get(k, 0) + idle
-		if limit < obs {
-			out[k] = limit
+		if limit := a.shareLocked(cs, k) + idle; limit < obs {
+			v[k] = limit
 		}
 	}
-	return out
 }
 
 // epsilon absorbs float accumulation error in share arithmetic.

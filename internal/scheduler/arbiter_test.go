@@ -130,7 +130,8 @@ func TestArbiterPlanningCapacity(t *testing.T) {
 
 	// Uncontended: observations pass through untouched.
 	obs := resource.Vector{resource.Bandwidth: 900e3, resource.CPU: 0.4}
-	if got := a.PlanningCapacity("video", obs).Get(resource.Bandwidth, 0); got != 900e3 {
+	a.PlanningCapacity("video", obs)
+	if got := obs.Get(resource.Bandwidth, 0); got != 900e3 {
 		t.Errorf("uncontended planning capacity = %g, want 900e3", got)
 	}
 
@@ -140,7 +141,8 @@ func TestArbiterPlanningCapacity(t *testing.T) {
 	defer a.Release(gf)
 
 	// Contended: guarantee (500e3) + idle (400e3) = 900e3 caps the plan.
-	got := a.PlanningCapacity("video", resource.Vector{resource.Bandwidth: 950e3, resource.CPU: 0.4})
+	got := resource.Vector{resource.Bandwidth: 950e3, resource.CPU: 0.4}
+	a.PlanningCapacity("video", got)
 	if bw := got.Get(resource.Bandwidth, 0); bw != 900e3 {
 		t.Errorf("contended planning bandwidth = %g, want 900e3", bw)
 	}
@@ -149,7 +151,8 @@ func TestArbiterPlanningCapacity(t *testing.T) {
 		t.Errorf("unpooled CPU derated: %g, want 0.4", cpu)
 	}
 	// Observations below the clamp are kept (never plan above probes).
-	got = a.PlanningCapacity("video", resource.Vector{resource.Bandwidth: 100e3})
+	got = resource.Vector{resource.Bandwidth: 100e3}
+	a.PlanningCapacity("video", got)
 	if bw := got.Get(resource.Bandwidth, 0); bw != 100e3 {
 		t.Errorf("low observation raised to %g, want 100e3", bw)
 	}

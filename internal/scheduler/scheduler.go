@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"tunable/internal/metrics"
@@ -70,6 +71,7 @@ type Scheduler struct {
 	db    perfdb.Model
 	prefs []Preference
 	cands []candidate // in canonical key order
+	evals sync.Pool   // of *evaluation, recycled between decisions
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	mDecisionLatency *metrics.Histogram
@@ -150,9 +152,84 @@ func (s *Scheduler) Candidates() []spec.Config {
 // feasible preference under resource conditions res. It is safe for
 // concurrent use.
 func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
+	ev := s.evaluation()
+	defer s.evals.Put(ev)
+	return ev.decide(res)
+}
+
+// SelectDerated derates every resource estimate by margin (0.2 plans
+// against 80% of each estimate) before selecting. The mix harness
+// (internal/apps) calls it instead of Select while classes contend for
+// the arbiter's pools, when a session's estimate is a share other classes
+// may claim: the conservative failure mode is a configuration that
+// underuses real resources, not one that overcommits imaginary ones. No
+// monitoring agent calls it. margin is clamped to [0, 1).
+func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision, error) {
+	if margin < 0 {
+		margin = 0
+	}
+	if margin >= 1 {
+		margin = 0.99
+	}
+	ev := s.evaluation()
+	defer s.evals.Put(ev)
+	clear(ev.derated)
+	for k, v := range res {
+		ev.derated[k] = v * (1 - margin)
+	}
+	return ev.decide(ev.derated)
+}
+
+// evaluation is the working state of one decision: each candidate's
+// compiled profile, resolved from the model at the start of the decision,
+// and the metric maps the candidate predictions are written into. A
+// Scheduler recycles evaluations through its pool, so a warm decision
+// allocates only its result.
+type evaluation struct {
+	s         *Scheduler
+	lats      []*perfdb.Lattice // per candidate; nil where the model has no profile
+	noProfile int               // how many of those the model typed ErrNoProfile
+	m, bestM  spec.Metrics      // prediction under evaluation; the best one of the last call to best
+	derated   resource.Vector   // SelectDerated's planning point
+}
+
+// evaluation takes a recycled evaluation from the pool, or makes one.
+func (s *Scheduler) evaluation() *evaluation {
+	if ev, ok := s.evals.Get().(*evaluation); ok {
+		return ev
+	}
+	return &evaluation{
+		s:       s,
+		lats:    make([]*perfdb.Lattice, len(s.cands)),
+		m:       spec.Metrics{},
+		bestM:   spec.Metrics{},
+		derated: resource.Vector{},
+	}
+}
+
+// decide resolves every candidate's lattice afresh — a live model
+// republishes its lattices as it folds new records, so none is kept
+// across decisions — then runs the preferences in order at res and
+// returns the first feasible one's pick. Only the returned Decision's
+// Predicted is freshly allocated.
+func (ev *evaluation) decide(res resource.Vector) (Decision, error) {
+	s := ev.s
 	start := time.Now()
 	s.mSelects.Inc()
-	ev := s.newEvaluation()
+	ev.noProfile = 0
+	for i, c := range s.cands {
+		l, err := s.db.Lattice(c.key)
+		if err != nil {
+			l = nil
+			// A candidate the model cannot speak for (typed ErrNoProfile —
+			// e.g. a live store still cold for it) is skipped, not fatal:
+			// the decision degrades to the profiled candidates.
+			if errors.Is(err, perfdb.ErrNoProfile) {
+				ev.noProfile++
+			}
+		}
+		ev.lats[i] = l
+	}
 	for pi, pref := range s.prefs {
 		best, pruned := ev.best(pref, res)
 		s.mPruned.Add(float64(pruned))
@@ -171,61 +248,6 @@ func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
 	s.mNoFeasible.Inc()
 	s.mDecisionLatency.Observe(time.Since(start).Seconds())
 	return Decision{}, ErrNoFeasible
-}
-
-// SelectDerated derates every resource estimate by margin (0.2 plans
-// against 80% of each estimate) before selecting. The mix harness
-// (internal/apps) calls it instead of Select while classes contend for
-// the arbiter's pools, when a session's estimate is a share other classes
-// may claim: the conservative failure mode is a configuration that
-// underuses real resources, not one that overcommits imaginary ones. No
-// monitoring agent calls it. margin is clamped to [0, 1).
-func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision, error) {
-	if margin < 0 {
-		margin = 0
-	}
-	if margin >= 1 {
-		margin = 0.99
-	}
-	derated := resource.Vector{}
-	for k, v := range res {
-		derated[k] = v * (1 - margin)
-	}
-	return s.Select(derated)
-}
-
-// evaluation is the working state of one Select: each candidate's compiled
-// profile, resolved from the model once, and the metric maps the candidate
-// predictions are written into, so the evaluations of one decision, one
-// per preference, allocate nothing.
-type evaluation struct {
-	s         *Scheduler
-	lats      []*perfdb.Lattice // per candidate; nil where the model has no profile
-	noProfile int               // how many of those the model typed ErrNoProfile
-	m, bestM  spec.Metrics      // prediction under evaluation; the best one of the last call to best
-}
-
-func (s *Scheduler) newEvaluation() *evaluation {
-	ev := &evaluation{
-		s:     s,
-		lats:  make([]*perfdb.Lattice, len(s.cands)),
-		m:     spec.Metrics{},
-		bestM: spec.Metrics{},
-	}
-	for i, c := range s.cands {
-		l, err := s.db.Lattice(c.key)
-		if err != nil {
-			// A candidate the model cannot speak for (typed ErrNoProfile —
-			// e.g. a live store still cold for it) is skipped, not fatal:
-			// the decision degrades to the profiled candidates.
-			if errors.Is(err, perfdb.ErrNoProfile) {
-				ev.noProfile++
-			}
-			continue
-		}
-		ev.lats[i] = l
-	}
-	return ev
 }
 
 // best evaluates one preference at res: prune by constraints, optimize the

@@ -361,8 +361,11 @@ func sweepDB(t testing.TB, app *spec.App, n int) *perfdb.DB {
 }
 
 // TestSelectAllocationsIndependentOfLattice gates the decision path: a
-// Select allocates its working state and its result — a constant — however
-// many lattice points the candidates were profiled at.
+// warm Select recycles its working state and allocates only its result,
+// Decision.Predicted (a map and its one group), however many lattice points
+// the candidates were profiled at; SelectDerated's derated vector is
+// recycled too. The race detector drops a quarter of sync.Pool's puts on
+// purpose, so the counts are checked only without it.
 func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 	app := codecApp()
 	prefs := []Preference{
@@ -370,7 +373,6 @@ func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 		{Name: "fast", Objective: "transmit_time"},
 	}
 	res := resource.Vector{resource.Bandwidth: 300e3, resource.CPU: 0.7}
-	var perSize []float64
 	for _, n := range []int{4, 40, 400} {
 		s, err := New(app, sweepDB(t, app, n), prefs)
 		if err != nil {
@@ -379,23 +381,24 @@ func TestSelectAllocationsIndependentOfLattice(t *testing.T) {
 		if _, err := s.Select(res); err != nil { // compiles the lattices
 			t.Fatal(err)
 		}
-		perSize = append(perSize, testing.AllocsPerRun(50, func() {
+		sel := testing.AllocsPerRun(50, func() {
 			if _, err := s.Select(res); err != nil {
 				t.Fatal(err)
 			}
-		}))
-		if derated := testing.AllocsPerRun(50, func() {
+		})
+		derated := testing.AllocsPerRun(50, func() {
 			if _, err := s.SelectDerated(res, 0.2); err != nil {
 				t.Fatal(err)
 			}
-		}); derated > perSize[len(perSize)-1]+2 {
-			t.Errorf("%d points: SelectDerated allocates %v times, Select %v: more than the derated vector", n, derated, perSize[len(perSize)-1])
+		})
+		if raceEnabled {
+			continue
 		}
-	}
-	if perSize[0] != perSize[1] || perSize[1] != perSize[2] {
-		t.Errorf("Select allocations grow with the lattice: %v at 4, 40, 400 bandwidth points", perSize)
-	}
-	if perSize[0] > 16 {
-		t.Errorf("Select allocates %v times per decision, want a small constant", perSize[0])
+		if sel != 2 {
+			t.Errorf("%d points: Select allocates %v times per decision, want 2 (its Predicted metrics)", n, sel)
+		}
+		if derated > sel {
+			t.Errorf("%d points: SelectDerated allocates %v times, Select %v", n, derated, sel)
+		}
 	}
 }

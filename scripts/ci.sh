@@ -63,6 +63,12 @@ run_unit() {
 	echo "== go test -race -count=20 $* ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults ./internal/monitor ./internal/core (repeat gate)"
 	go test -race -count=20 -timeout 10m "$@" ./internal/scheduler ./internal/vtime ./internal/netem ./internal/sandbox ./internal/faults ./internal/monitor ./internal/core
 
+	# The mix's retuner skips a session's plan when its inputs have not
+	# moved; the skip and the re-selection after a moved estimate repeat
+	# with the scheduler's pooled decision state they lean on.
+	echo "== go test -race -count=20 $* -run '^TestReplan' ./internal/apps (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" -run '^TestReplan' ./internal/apps
+
 	# The testbed hands the image store's reply entries to clients by
 	# reference, and the three concurrent worlds of an experiment share
 	# those entries and the decode memo's identity index, so the
