@@ -3,8 +3,7 @@
 // levels from a bounded LRU+TTL chunk cache keyed by (store signature,
 // image, level, region) while fine levels stream through from the origin
 // server. Concurrent cache misses for one chunk collapse into a single
-// origin round, and -prewarm predicts the client's next foveal region by
-// linear trajectory extrapolation and fetches its coarse chunks early.
+// origin round.
 //
 // With -coord it joins the cluster as an edge node (role=edge, announcing
 // the origin's store signature): the coordinator then prefers it for
@@ -17,7 +16,7 @@
 // Usage:
 //
 //	avis-edge -addr :7470 -origin localhost:7465 -sig $(store signature) \
-//	          -prewarm -coord localhost:7600 -metrics-addr :9091
+//	          -coord localhost:7600 -metrics-addr :9091
 package main
 
 import (
@@ -41,7 +40,6 @@ func main() {
 	bytes := flag.Int64("cache-bytes", edge.DefaultCacheBytes, "cache bound: summed payload bytes (<0 = unbounded)")
 	ttl := flag.Duration("ttl", edge.DefaultTTL, "cached chunk lifetime")
 	coarseMax := flag.Int("coarse-max", 0, "largest pyramid level served from cache (0 = all below full resolution, <0 = cache nothing)")
-	prewarm := flag.Bool("prewarm", false, "prefetch predicted fovea regions (linear trajectory extrapolation)")
 	segBytes := flag.Int("seg-bytes", 0, "client-facing reply segment size (0 = protocol default)")
 	flag.Parse()
 
@@ -55,7 +53,6 @@ func main() {
 		CoarseMax:    *coarseMax,
 		SegBytes:     *segBytes,
 		IOTimeout:    node.IOTimeout,
-		Prewarm:      *prewarm,
 	})
 	if err != nil {
 		log.Fatalf("avis-edge: %v", err)

@@ -2,7 +2,7 @@
 // visualization application by sweeping its configurations through the
 // virtual testbed, exactly as the paper's driver program does (Section 5),
 // and folds the sweep into the performance store directory -out names —
-// the write-ahead log avis-coord -perfstore-dir hosts. Into an empty
+// a perfstore write-ahead log, the model's one on-disk form. Into an empty
 // directory the sweep lands as is; into a deployed store, existing
 // refined records are weight-averaged with the sweep's and new lattice
 // points are added, so a re-profiled testbed updates the store without

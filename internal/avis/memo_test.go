@@ -314,7 +314,7 @@ func TestMemoHitHandsOutNoBuffer(t *testing.T) {
 		t.Fatalf("%d replies tapped, lengths %v", len(tap.replies), rawNs)
 	}
 	enc := tap.replies[0]
-	e, ok := memo.done.Peek(memoKey{"lzw", maphash.Bytes(memo.seed, enc)})
+	e, ok := memo.done.Get(memoKey{"lzw", maphash.Bytes(memo.seed, enc)})
 	if !ok {
 		t.Fatal("the reply was not recorded")
 	}
@@ -383,7 +383,7 @@ func TestDecodeMemoIdentityIndex(t *testing.T) {
 			t.Errorf("decodes lzw %d, raw %d, %d identities; want one decode per codec and three identities",
 				lzw.calls.Load(), raw.calls.Load(), m.byRef.Len())
 		}
-		e, ok := m.done.Peek(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
+		e, ok := m.done.Get(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
 		if !ok || &e.enc[0] != &enc[0] {
 			t.Error("the memo keeps a copy of a shared reply")
 		}

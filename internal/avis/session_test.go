@@ -391,7 +391,7 @@ func testReplyDifferential(t *testing.T, codecName, otherName string) {
 	// each entry the reference's bytes.
 	overwritePool(largest)
 	for key, enc := range entries {
-		if r, ok := simStore.encoded.Peek(key); !ok || !bytes.Equal(r.enc, enc) {
+		if r, ok := simStore.encoded.Get(key); !ok || !bytes.Equal(r.enc, enc) {
 			t.Errorf("encoded-cache entry %+v no longer holds its reply", key)
 		}
 	}

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"tunable/internal/perfstore"
-	"tunable/internal/wire"
-)
+import "tunable/internal/wire"
 
 // Control-message codecs: the body of every control-plane frame (bar the
 // delta batch) is one message behind its ctag* tag byte, and each message
@@ -27,8 +24,7 @@ func (info *NodeInfo) codec(c *wire.Codec) {
 }
 
 // nameReq is the body of a request that names one thing: the node a
-// deregister removes, the session an end-session releases, or the config
-// key a perf-profile fetch asks for.
+// deregister removes or the session an end-session releases.
 type nameReq struct{ Name string }
 
 func (r *nameReq) codec(c *wire.Codec) { c.Str(1, &r.Name, wire.Required) }
@@ -82,61 +78,6 @@ func (a *ackMsg) codec(c *wire.Codec) {
 		}
 	}
 	c.Strs(6, &a.Unknown)
-	c.Int(7, &a.Accepted)
-	if sub, ok := c.Msg(8, a.Profile != nil); ok {
-		if a.Profile == nil {
-			a.Profile = new(perfstore.Profile)
-		}
-		for sub.Next() {
-			profileCodec(&sub, a.Profile)
-		}
-		c.End(&sub)
-	}
-}
-
-// The performance store's types travel in the perf publish and fetch
-// messages; their codecs are functions here, beside the protocol.
-
-// sampleBatch is the body of a perf-ingest request.
-type sampleBatch []perfstore.WireSample
-
-func (b *sampleBatch) codec(c *wire.Codec) {
-	samples := wire.Elems(c, 1, b)
-	for i := range samples {
-		if sub, ok := c.Msg(1, true); ok {
-			for sub.Next() {
-				sampleCodec(&sub, &samples[i])
-			}
-			c.End(&sub)
-		}
-	}
-}
-
-func sampleCodec(c *wire.Codec, s *perfstore.WireSample) {
-	c.Str(1, &s.Config, wire.Required)
-	c.Map(2, &s.Resources)
-	c.Map(3, &s.Metrics)
-	c.Sint(4, &s.AtNanos)
-	c.Str(5, &s.Source)
-}
-
-func profileCodec(c *wire.Codec, p *perfstore.Profile) {
-	c.Str(1, &p.ConfigKey)
-	c.Uint(2, &p.Version)
-	records := wire.Elems(c, 3, &p.Records)
-	for i := range records {
-		if sub, ok := c.Msg(3, true); ok {
-			for sub.Next() {
-				recordCodec(&sub, &records[i])
-			}
-			c.End(&sub)
-		}
-	}
-}
-
-func recordCodec(c *wire.Codec, r *perfstore.ProfileRecord) {
-	c.Map(1, &r.Resources)
-	c.Map(2, &r.Metrics)
-	c.F64(3, &r.Weight)
-	c.Sint(4, &r.Samples)
+	// tags 7 and 8 are reserved: older builds sent a perf-ingest count and
+	// a perf profile there; do not reuse them
 }

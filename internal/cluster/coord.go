@@ -12,7 +12,6 @@ import (
 
 	"tunable/internal/bufpool"
 	"tunable/internal/metrics"
-	"tunable/internal/perfstore"
 	"tunable/internal/resource"
 	"tunable/internal/sandbox"
 	"tunable/internal/scheduler"
@@ -148,11 +147,6 @@ type Coordinator struct {
 	rot       atomic.Uint32
 
 	accept wire.Acceptor // control connections
-
-	// perfMu guards perf, the optional shared performance store nodes feed
-	// telemetry into and clients fetch refined profiles from.
-	perfMu sync.RWMutex
-	perf   *perfstore.PerfStore
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
 	mNodesAlive    *metrics.Gauge
@@ -835,62 +829,6 @@ func (c *Coordinator) Nodes() []NodeStatus {
 	return out
 }
 
-// SetPerfStore installs the shared live performance store: nodes push
-// telemetry samples over the control plane, the coordinator folds them
-// into refined per-configuration profiles, and clients fetch those
-// overlays to correct their local models. Nil uninstalls (perf requests
-// are refused). The coordinator owns folding but not the store's
-// lifetime — the caller closes it after Shutdown.
-func (c *Coordinator) SetPerfStore(ps *perfstore.PerfStore) {
-	c.perfMu.Lock()
-	c.perf = ps
-	c.perfMu.Unlock()
-}
-
-// PerfStore returns the installed shared performance store (nil if none).
-func (c *Coordinator) PerfStore() *perfstore.PerfStore {
-	c.perfMu.RLock()
-	defer c.perfMu.RUnlock()
-	return c.perf
-}
-
-// IngestSamples feeds a batch of wire-format telemetry samples into the
-// shared performance store, returning how many parsed and were queued.
-// Samples that fail to parse (unknown configuration, bad metric names)
-// are skipped, not fatal: one misbehaving node must not poison a batch.
-func (c *Coordinator) IngestSamples(samples []perfstore.WireSample) (int, error) {
-	ps := c.PerfStore()
-	if ps == nil {
-		return 0, fmt.Errorf("no performance store installed")
-	}
-	n := 0
-	for i := range samples {
-		s, err := perfstore.FromWire(ps.App(), samples[i])
-		if err != nil {
-			continue
-		}
-		ps.Offer(s)
-		n++
-	}
-	return n, nil
-}
-
-// PerfProfile returns the refined overlay for a configuration key from
-// the shared performance store. Pending samples are flushed first so a
-// fetch right after an ingest observes its own writes.
-func (c *Coordinator) PerfProfile(configKey string) (*perfstore.Profile, error) {
-	ps := c.PerfStore()
-	if ps == nil {
-		return nil, fmt.Errorf("no performance store installed")
-	}
-	ps.Flush()
-	p, err := ps.Store().Load(configKey)
-	if err == perfstore.ErrNotFound {
-		return nil, fmt.Errorf("no refined profile for %q", configKey)
-	}
-	return p, err
-}
-
 // Serve accepts control connections until the listener closes, handling
 // each in its own goroutine. After Shutdown it returns net.ErrClosed.
 // Control connections get no per-frame progress deadline: heartbeat
@@ -949,22 +887,19 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 		return ackMsg{OK: true, Nodes: c.Nodes()}
 	}
 	var (
-		info    NodeInfo
-		name    nameReq
-		req     ResolveRequest
-		samples sampleBatch
+		info NodeInfo
+		name nameReq
+		req  ResolveRequest
 	)
 	d := wire.NewDecoder(msg[1:])
 	for d.Next() {
 		switch tag {
 		case ctagRegister:
 			info.codec(d)
-		case ctagDeregister, ctagEndSession, ctagPerfProfile:
+		case ctagDeregister, ctagEndSession:
 			name.codec(d)
 		case ctagResolve:
 			req.codec(d)
-		case ctagPerfIngest:
-			samples.codec(d)
 		default:
 			return ackMsg{Err: fmt.Sprintf("unknown control tag %q", tag)}
 		}
@@ -981,10 +916,6 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 		ack.Grant, err = c.Resolve(req)
 	case tag == ctagEndSession:
 		c.EndSession(name.Name)
-	case tag == ctagPerfIngest:
-		ack.Accepted, err = c.IngestSamples(samples)
-	case tag == ctagPerfProfile:
-		ack.Profile, err = c.PerfProfile(name.Name)
 	}
 	if err != nil {
 		return ackMsg{Err: err.Error()}

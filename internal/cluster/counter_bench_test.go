@@ -6,67 +6,13 @@ import (
 	"tunable/internal/metrics"
 )
 
-// The volatile-counter trade-off harness, mirroring the vsa benchmark
-// suite from SNIPPETS.md Snippet 1: three designs for a hot counter under
-// churn, all ending at the same committed total.
-//
-//   - atomic: commit every op to the shared instrument (per-op
-//     persistence — one sharded-CAS Add per logical write).
-//   - batch: buffer ops locally, replay them op-by-op at a fixed batch
-//     boundary (defers commits, doesn't reduce them: dbCalls ==
-//     logicalWrites, just colder).
-//   - vsa: accumulate the net delta locally, commit one Add when the
-//     pending magnitude crosses the threshold (dbCalls ≈
-//     logicalWrites/threshold).
-//
-// The numbers in BENCH_control.json justify why the coordinator's
-// hot-path shard counters use the vsa design (the pending type in
-// coord.go) with commitThreshold 64: batching alone buys little, because
-// the cost is the shared-memory commit, not the call boundary.
-
-const counterThreshold = 64 // == commitThreshold, the harness default in the snippet
-
-func benchCounter(b *testing.B) *metrics.Counter {
-	b.Helper()
-	return metrics.New().Counter("bench_ops_total", "Counter harness.")
-}
-
-func BenchmarkCounterAtomic(b *testing.B) {
-	ctr := benchCounter(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctr.Inc()
-	}
-	if got := ctr.Value(); got != float64(b.N) {
-		b.Fatalf("committed %v of %d", got, b.N)
-	}
-}
-
-func BenchmarkCounterBatch(b *testing.B) {
-	ctr := benchCounter(b)
-	buf := make([]float64, 0, counterThreshold)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = append(buf, 1)
-		if len(buf) == counterThreshold {
-			for _, v := range buf {
-				ctr.Add(v)
-			}
-			buf = buf[:0]
-		}
-	}
-	for _, v := range buf {
-		ctr.Add(v)
-	}
-	if got := ctr.Value(); got != float64(b.N) {
-		b.Fatalf("committed %v of %d", got, b.N)
-	}
-}
-
+// BenchmarkCounterVSA times the coordinator's hot-path shard counter, the
+// pending type in coord.go: it accumulates a net delta locally and commits
+// one Add when the pending magnitude crosses commitThreshold (the vsa
+// design of SNIPPETS.md Snippet 1). DESIGN §10 records it against the
+// per-op atomic and batch-and-replay designs it was chosen over.
 func BenchmarkCounterVSA(b *testing.B) {
-	ctr := benchCounter(b)
+	ctr := metrics.New().Counter("bench_ops_total", "Counter harness.")
 	p := pending{sink: ctr}
 	b.ReportAllocs()
 	b.ResetTimer()

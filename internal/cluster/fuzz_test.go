@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tunable/internal/perfstore"
 	"tunable/internal/wire"
 )
 
@@ -45,13 +44,8 @@ func FuzzControlBody(f *testing.F) {
 		{ctagResolve, &ResolveRequest{SID: "s1", Exclude: []string{"node-b", ""}, CPU: 0.25,
 			MemBytes: -1, Sig: "s", Coarse: true}},
 		{ctagEndSession, &nameReq{"s1"}},
-		{ctagPerfIngest, &sampleBatch{{Config: "c=lzw", Resources: map[string]float64{"bw": 1e5},
-			Metrics: map[string]float64{"t": 0.2, "q": 1}, AtNanos: 7, Source: "node-a"}, {Config: "c=bzw"}}},
-		{ctagPerfProfile, &nameReq{"c=lzw"}},
 		{ctagAck, &ackMsg{OK: true, Err: "e", Grant: ResolveGrant{NodeID: "n", Failover: true},
-			Nodes: []NodeStatus{{ID: "n", Incarnation: 3, CPU: 1}}, Unknown: []string{"x"}, Accepted: 2,
-			Profile: &perfstore.Profile{ConfigKey: "c", Version: 9, Records: []perfstore.ProfileRecord{
-				{Resources: map[string]float64{"bw": 1}, Weight: 0.5, Samples: 4}}}}},
+			Nodes: []NodeStatus{{ID: "n", Incarnation: 3, CPU: 1}}, Unknown: []string{"x"}}},
 	}
 	for _, s := range seeds {
 		f.Add(render(nil, s.tag, s.m))
@@ -77,12 +71,10 @@ func FuzzControlBody(f *testing.F) {
 		switch data[0] {
 		case ctagRegister:
 			got, again = new(NodeInfo), new(NodeInfo)
-		case ctagDeregister, ctagEndSession, ctagPerfProfile:
+		case ctagDeregister, ctagEndSession:
 			got, again = new(nameReq), new(nameReq)
 		case ctagResolve:
 			got, again = new(ResolveRequest), new(ResolveRequest)
-		case ctagPerfIngest:
-			got, again = new(sampleBatch), new(sampleBatch)
 		case ctagAck:
 			got, again = new(ackMsg), new(ackMsg)
 		default:
@@ -156,16 +148,6 @@ func equalNaN(a, b reflect.Value) bool {
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !equalNaN(a.Index(i), b.Index(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Map:
-		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		for _, k := range a.MapKeys() {
-			if v := b.MapIndex(k); !v.IsValid() || !equalNaN(a.MapIndex(k), v) {
 				return false
 			}
 		}

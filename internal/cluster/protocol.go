@@ -10,7 +10,6 @@ import (
 	"tunable/internal/avis"
 	"tunable/internal/bufpool"
 	"tunable/internal/metrics"
-	"tunable/internal/perfstore"
 	"tunable/internal/wire"
 )
 
@@ -21,15 +20,15 @@ import (
 // are shared with the data plane (a wedged coordinator surfaces as
 // avis.ErrIOTimeout).
 const (
-	ctagRegister    = 'g' // agent → coord: NodeInfo
-	ctagDelta       = 'D' // agent → coord: binary delta batch (see delta.go)
-	ctagDeregister  = 'd' // agent → coord: node ID (clean leave)
-	ctagResolve     = 'v' // client → coord: ResolveRequest
-	ctagEndSession  = 'e' // client → coord: session ID
-	ctagNodes       = 'n' // anyone → coord: registry listing
-	ctagPerfIngest  = 'p' // agent/server → coord: telemetry samples
-	ctagPerfProfile = 'q' // anyone → coord: refined profile fetch, by config key
-	ctagAck         = 'a' // coord → caller: ackMsg
+	ctagRegister   = 'g' // agent → coord: NodeInfo
+	ctagDelta      = 'D' // agent → coord: binary delta batch (see delta.go)
+	ctagDeregister = 'd' // agent → coord: node ID (clean leave)
+	ctagResolve    = 'v' // client → coord: ResolveRequest
+	ctagEndSession = 'e' // client → coord: session ID
+	ctagNodes      = 'n' // anyone → coord: registry listing
+	ctagAck        = 'a' // coord → caller: ackMsg
+	// 'p' and 'q' are reserved: older builds sent perf-sample ingests and
+	// profile fetches under them; do not reuse them.
 )
 
 // ResolveRequest asks the coordinator to place (or re-place) a session.
@@ -66,11 +65,6 @@ type ackMsg struct {
 	// Unknown echoes the delta-batch entries the coordinator refused
 	// (unknown or dead nodes); the agent re-registers them.
 	Unknown []string
-	// Accepted is how many samples of a perf-ingest batch parsed and were
-	// queued (the outlier filter runs later, at fold time).
-	Accepted int
-	// Profile is the refined overlay answering a perf-profile fetch.
-	Profile *perfstore.Profile
 }
 
 // ctrlReq renders one control request — tag byte plus body — appending to

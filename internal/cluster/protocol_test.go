@@ -17,7 +17,6 @@ import (
 	"tunable/internal/avis"
 	"tunable/internal/bufpool"
 	"tunable/internal/metrics"
-	"tunable/internal/perfstore"
 	"tunable/internal/wire"
 )
 
@@ -66,10 +65,9 @@ func TestClientLocalFailureNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	huge := []perfstore.WireSample{{Config: strings.Repeat("x", wire.FrameLimit+1)}}
-	_, err := r.PublishSamples(huge)
+	_, err := r.Resolve(ResolveRequest{SID: strings.Repeat("x", wire.FrameLimit+1)})
 	if !errors.Is(err, wire.ErrFrameTooLarge) {
-		t.Fatalf("oversize batch: error %v, want wire.ErrFrameTooLarge", err)
+		t.Fatalf("oversize request: error %v, want wire.ErrFrameTooLarge", err)
 	}
 	errEncode := errors.New("does not encode")
 	if _, err := r.cl.call(func([]byte) ([]byte, error) { return nil, errEncode }); !errors.Is(err, errEncode) {
@@ -84,6 +82,47 @@ func TestClientLocalFailureNotRetried(t *testing.T) {
 	}
 	if got := dials.Load(); got != 1 {
 		t.Fatalf("%d dials, want 1: the pooled connection was not reused", got)
+	}
+}
+
+// TestCoordinatorRefusesRetiredPerfTags: request tags 'p' and 'q' once
+// carried perf-sample ingests and profile fetches. A frame under either,
+// byte for byte as the builds that sent them rendered it, must get a
+// refusal naming the unknown tag, on a connection that stays usable.
+func TestCoordinatorRefusesRetiredPerfTags(t *testing.T) {
+	_, addr := serveCoordinator(t)
+	r, reg, dials := countingResolver(t, addr)
+	frames := []string{
+		// a batch of one sample: config c=bzw,dR=320,l=2, resources
+		// {bandwidth: 1e5, cpu: 0.5}, metrics {transmit_time: 3.5}, at 7 ns,
+		// source node-a
+		"700a5c0a10633d627a772c64523d3332302c6c3d3212140a0962616e6477696474681100000000006af840" +
+			"120e0a0363707511000000000000e03f1a180a0d7472616e736d69745f74696d65110000000000000c40" +
+			"200e2a066e6f64652d61",
+		// the refined profile of c=bzw,dR=320,l=2
+		"710a10633d627a772c64523d3332302c6c3d32",
+		// an empty batch: the tag alone
+		"70",
+	}
+	for _, h := range frames {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.cl.call(func(buf []byte) ([]byte, error) { return append(buf, frame...), nil })
+		want := fmt.Sprintf("unknown control tag %q", frame[0])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("frame %s: error %v, want a refusal naming %s", h[:2], err, want)
+		}
+		if _, err := r.Nodes(); err != nil {
+			t.Fatalf("Nodes after frame %s: %v", h[:2], err)
+		}
+	}
+	if got := resolverRetries(reg); got != 0 {
+		t.Fatalf("refusals were retried %v times, want 0", got)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d dials, want 1: a refusal cost the connection", got)
 	}
 }
 
@@ -296,9 +335,7 @@ func TestOldCodecFixturesDecode(t *testing.T) {
 func TestDecodedAckOwnsItsStrings(t *testing.T) {
 	want := ackMsg{OK: true, Err: "e", Grant: ResolveGrant{NodeID: "node-a", Addr: "10.0.0.7:7465", Sig: "s"},
 		Nodes:   []NodeStatus{{ID: "node-a", Addr: "a", Role: RoleEdge, State: "alive", Sig: "s"}},
-		Unknown: []string{"node-b"},
-		Profile: &perfstore.Profile{ConfigKey: "c=lzw", Records: []perfstore.ProfileRecord{
-			{Resources: map[string]float64{"bw": 1}, Metrics: map[string]float64{"t": 2}}}}}
+		Unknown: []string{"node-b"}}
 	frame := render(nil, ctagAck, &want)
 	var got ackMsg
 	if err := parse(frame[1:], &got); err != nil {

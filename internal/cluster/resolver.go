@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"tunable/internal/metrics"
-	"tunable/internal/perfstore"
 	"tunable/internal/wire"
 )
 
@@ -52,34 +51,6 @@ func (r *Resolver) EndSession(sid string) error {
 		return c.Bytes(), nil
 	})
 	return err
-}
-
-// PublishSamples pushes telemetry samples into the coordinator's shared
-// performance store, returning how many were accepted for ingest.
-func (r *Resolver) PublishSamples(samples []perfstore.WireSample) (int, error) {
-	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
-		c := wire.NewEncoder(append(buf, ctagPerfIngest))
-		(*sampleBatch)(&samples).codec(c)
-		return c.Bytes(), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return ack.Accepted, nil
-}
-
-// FetchProfile retrieves the refined overlay for a configuration key from
-// the coordinator's shared performance store.
-func (r *Resolver) FetchProfile(configKey string) (*perfstore.Profile, error) {
-	ack, err := r.cl.call(func(buf []byte) ([]byte, error) {
-		c := wire.NewEncoder(append(buf, ctagPerfProfile))
-		(&nameReq{configKey}).codec(c)
-		return c.Bytes(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ack.Profile, nil
 }
 
 // Nodes fetches the coordinator's registry view.

@@ -5,13 +5,12 @@ import (
 	"time"
 
 	"tunable/internal/avis"
-	"tunable/internal/compress"
 )
 
 // The edge benchmarks cover the CPU-bound pieces of the serving path —
-// key rendering, cache hit, eviction churn, and trajectory bookkeeping —
-// so BENCH_edge.json stays stable across machines (no sockets, no
-// goroutine scheduling in the hot loop).
+// key rendering, cache hit and eviction churn — so BENCH_edge.json stays
+// stable across machines (no sockets, no goroutine scheduling in the hot
+// loop).
 
 func benchReq(i int) avis.Request {
 	return avis.Request{Image: i & 7, X: (i * 13) & 127, Y: (i * 7) & 127, R: 32, PrevR: 16, Level: 2}
@@ -54,21 +53,5 @@ func BenchmarkEdgeCacheChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.insert(cacheKey("sig", avis.Request{Image: i, R: 32, PrevR: 16, Level: 2}, "lzw"), cacheEntry{enc: payload})
-	}
-}
-
-func BenchmarkEdgeTrackerObserve(b *testing.B) {
-	// One fovea step per iteration: trajectory update, prediction, and the
-	// (non-blocking, dropped) prewarm enqueue.
-	pw := &prewarmer{
-		teleport: 1 << 20, // never reset: keep the predict path hot
-		tasks:    make(chan prewarmTask, 1),
-	}
-	tr := &foveaTracker{pw: pw, byImage: make(map[int]*imageTrack)}
-	lzw, _ := compress.Lookup("lzw")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.observe(avis.Request{Image: 0, X: i & 1023, Y: (i * 3) & 1023, R: 32, PrevR: 16, Level: 2}, lzw)
 	}
 }

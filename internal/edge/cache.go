@@ -8,9 +8,7 @@
 // sessions on — and held in the form they leave in, compressed for the
 // client's codec, so a hit is a lookup and a vectored write and any edge
 // fronting the same origin store serves byte-identical replies. Concurrent
-// misses for one key collapse into a single origin round (single-flight),
-// and a fovea-trajectory prewarmer fetches the predicted next region's
-// coarse chunks before the client asks.
+// misses for one key collapse into a single origin round (single-flight).
 package edge
 
 import (
@@ -40,36 +38,30 @@ func cacheKey(sig string, req avis.Request, codec string) chunkKey {
 }
 
 // cacheEntry is one cached reply: the chunk encoding compressed under the
-// key's codec, exactly sized and read-only once inserted, its
-// pre-compression length (what the segment headers carry), and whether
-// the prewarmer fetched it (so hits on prewarmed entries are countable).
+// key's codec, exactly sized and read-only once inserted, and its
+// pre-compression length (what the segment headers carry).
 type cacheEntry struct {
-	enc       []byte
-	rawLen    int
-	prewarmed bool
+	enc    []byte
+	rawLen int
 }
 
 // chunkCache is the thread-safe LRU+TTL payload cache of one proxy. Hits
-// and misses are counted only on the client-serving path (lookup); the
-// prewarmer uses contains, which never distorts the stats or the
-// replacement order.
+// and misses are counted on the client-serving path (lookup).
 type chunkCache struct {
 	mu  sync.Mutex
 	pol *lru.Policy[chunkKey, cacheEntry]
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	prewarmHits atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 
 	// telemetry instruments; nil (no-op) unless EnableMetrics ran
-	mHits        *metrics.Counter
-	mMisses      *metrics.Counter
-	mPrewarmHits *metrics.Counter
-	mEvCapacity  *metrics.Counter
-	mEvExpired   *metrics.Counter
-	mHitRatio    *metrics.Gauge
-	mEntries     *metrics.Gauge
-	mBytes       *metrics.Gauge
+	mHits       *metrics.Counter
+	mMisses     *metrics.Counter
+	mEvCapacity *metrics.Counter
+	mEvExpired  *metrics.Counter
+	mHitRatio   *metrics.Gauge
+	mEntries    *metrics.Gauge
+	mBytes      *metrics.Gauge
 }
 
 func newChunkCache(maxEntries int, maxBytes int64, ttl time.Duration) *chunkCache {
@@ -94,8 +86,6 @@ func newChunkCache(maxEntries int, maxBytes int64, ttl time.Duration) *chunkCach
 func (c *chunkCache) enableMetrics(reg *metrics.Registry) {
 	c.mHits = reg.Counter("edge_cache_hits_total", "Coarse-level requests served from cache.")
 	c.mMisses = reg.Counter("edge_cache_misses_total", "Coarse-level requests that needed an origin round.")
-	c.mPrewarmHits = reg.Counter("edge_cache_prewarm_hits_total",
-		"Cache hits on entries the fovea-trajectory prewarmer fetched.")
 	c.mEvCapacity = reg.Counter("edge_cache_evictions_total",
 		"Cached chunks evicted, by reason.", metrics.L("reason", "capacity"))
 	c.mEvExpired = reg.Counter("edge_cache_evictions_total",
@@ -116,17 +106,13 @@ func (c *chunkCache) updateGauges() {
 }
 
 // lookup is the serving-path read: it bumps recency and the hit/miss
-// stats, and flags hits on prewarmed entries.
+// stats.
 func (c *chunkCache) lookup(key chunkKey) (cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.pol.Get(key)
 	if ok {
 		c.hits.Add(1)
 		c.mHits.Inc()
-		if e.prewarmed {
-			c.prewarmHits.Add(1)
-			c.mPrewarmHits.Inc()
-		}
 	} else {
 		c.misses.Add(1)
 		c.mMisses.Inc()
@@ -134,14 +120,6 @@ func (c *chunkCache) lookup(key chunkKey) (cacheEntry, bool) {
 	c.updateGauges()
 	c.mu.Unlock()
 	return e, ok
-}
-
-// contains is the prewarmer's probe: no stats, no recency bump.
-func (c *chunkCache) contains(key chunkKey) bool {
-	c.mu.Lock()
-	_, ok := c.pol.Peek(key)
-	c.mu.Unlock()
-	return ok
 }
 
 // insert stores one reply. The cache owns e.enc from here on; it must not
@@ -155,10 +133,10 @@ func (c *chunkCache) insert(key chunkKey, e cacheEntry) {
 
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Hits, Misses, PrewarmHits int64
-	Entries                   int
-	Bytes                     int64
-	Evictions                 int64
+	Hits, Misses int64
+	Entries      int
+	Bytes        int64
+	Evictions    int64
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookup.
@@ -173,11 +151,10 @@ func (c *chunkCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		PrewarmHits: c.prewarmHits.Load(),
-		Entries:     c.pol.Len(),
-		Bytes:       c.pol.Cost(),
-		Evictions:   c.pol.Evictions(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Entries:   c.pol.Len(),
+		Bytes:     c.pol.Cost(),
+		Evictions: c.pol.Evictions(),
 	}
 }

@@ -28,14 +28,10 @@ const (
 	DefaultTTL          = 5 * time.Minute
 )
 
-const (
-	// defaultOriginRetries is how many times a transport-failed origin
-	// round is retried on a fresh connection before the client-facing
-	// connection is dropped.
-	defaultOriginRetries = 3
-	// prewarmQueue bounds the prewarmer's task backlog.
-	prewarmQueue = 64
-)
+// defaultOriginRetries is how many times a transport-failed origin round
+// is retried on a fresh connection before the client-facing connection is
+// dropped.
+const defaultOriginRetries = 3
 
 // Config parameterizes one edge proxy.
 type Config struct {
@@ -71,14 +67,8 @@ type Config struct {
 	SegBytes  int
 	IOTimeout time.Duration
 
-	// Prewarm enables the fovea-trajectory prewarmer, which extrapolates
-	// over monitor.DefaultTrajectoryWindow fixations.
-	Prewarm bool
-
-	// teleportDist is the fovea jump that resets extrapolation (0 = a
-	// quarter of the image side). originRetries overrides
-	// defaultOriginRetries (negative = no retries). Only tests set them.
-	teleportDist  float64
+	// originRetries overrides defaultOriginRetries (negative = no
+	// retries). Only tests set it.
 	originRetries int
 }
 
@@ -98,7 +88,6 @@ type Proxy struct {
 	geom    avis.Geometry
 	cache   *chunkCache
 	origins *originPool
-	pw      *prewarmer
 
 	flightMu sync.Mutex
 	flights  map[chunkKey]*flight
@@ -158,9 +147,6 @@ func New(cfg Config) (*Proxy, error) {
 		codec:     cfg.OriginCodec,
 		ioTimeout: cfg.IOTimeout,
 	}
-	if cfg.Prewarm {
-		p.pw = newPrewarmer(p)
-	}
 	return p, nil
 }
 
@@ -173,11 +159,11 @@ func max0(v int) int {
 }
 
 // EnableMetrics instruments the proxy. Metric families: edge_cache_*
-// (hits, misses, prewarm hits, evictions by reason, hit ratio, occupancy),
+// (hits, misses, evictions by reason, hit ratio, occupancy),
 // edge_connections_total, edge_requests_total, edge_errors_total,
-// edge_serve_seconds labeled source=cache|origin, edge_origin_fetch_seconds,
-// edge_origin_retries_total, and the edge_prewarm_* family. Every label
-// set is closed: source ∈ {cache, origin}, reason ∈ {capacity, expired}.
+// edge_serve_seconds labeled source=cache|origin, edge_origin_fetch_seconds
+// and edge_origin_retries_total. Every label set is closed:
+// source ∈ {cache, origin}, reason ∈ {capacity, expired}.
 func (p *Proxy) EnableMetrics(reg *metrics.Registry) {
 	p.cache.enableMetrics(reg)
 	p.mConns = reg.Counter("edge_connections_total", "Client connections accepted by the edge.")
@@ -191,14 +177,11 @@ func (p *Proxy) EnableMetrics(reg *metrics.Registry) {
 		"Wall-clock latency of one origin round (send request, gather and decode reply).")
 	p.mOriginRetries = reg.Counter("edge_origin_retries_total",
 		"Origin rounds retried on a fresh connection after a transport failure.")
-	if p.pw != nil {
-		p.pw.enableMetrics(reg)
-	}
 	p.wInst = wire.NewInstruments(reg)
 }
 
-// Start dials the origin once to learn its geometry and spins up the
-// prewarm worker. It must complete before Serve.
+// Start dials the origin once to learn its geometry. It must complete
+// before Serve.
 func (p *Proxy) Start() error {
 	c, err := p.origins.get()
 	if err != nil {
@@ -208,12 +191,6 @@ func (p *Proxy) Start() error {
 	p.origins.put(c)
 	if p.cfg.CoarseMax == 0 {
 		p.cfg.CoarseMax = p.geom.Levels - 1
-	}
-	if p.cfg.teleportDist == 0 {
-		p.cfg.teleportDist = float64(p.geom.Side) / 4
-	}
-	if p.pw != nil {
-		p.pw.start()
 	}
 	return nil
 }
@@ -234,18 +211,15 @@ func (p *Proxy) ActiveSessions() int { return p.accept.Active() }
 func (p *Proxy) Serve(l net.Listener) error {
 	return p.accept.Serve(l, p.cfg.IOTimeout, p.wInst, func(wc *wire.Conn) {
 		p.mConns.Inc()
-		_ = avis.ServeConn(wc, p.geom, p.cfg.SegBytes, &clientLeg{p: p, track: p.newTracker()})
+		_ = avis.ServeConn(wc, p.geom, p.cfg.SegBytes, &clientLeg{p: p})
 	})
 }
 
 // Shutdown drains the proxy: stop accepting, wait up to timeout for
-// in-flight sessions, force-close stragglers, then stop the prewarmer and
-// close the origin leg. Returns the number of force-closed connections.
+// in-flight sessions, force-close stragglers, then close the origin leg.
+// Returns the number of force-closed connections.
 func (p *Proxy) Shutdown(timeout time.Duration) int {
 	forced := p.accept.Shutdown(timeout)
-	if p.pw != nil {
-		p.pw.stop()
-	}
 	p.origins.closeAll()
 	return forced
 }
@@ -260,9 +234,8 @@ func (p *Proxy) Shutdown(timeout time.Duration) int {
 // client connection without an error frame so a cluster FailoverClient
 // re-places the session — typically straight onto the origin.
 type clientLeg struct {
-	p     *Proxy
-	track *foveaTracker
-	hit   bool // the request being answered was a cache hit
+	p   *Proxy
+	hit bool // the request being answered was a cache hit
 }
 
 func (c *clientLeg) Reply(req avis.Request, codec compress.Codec) (enc []byte, rawLen int, pooled bool, err error) {
@@ -279,11 +252,10 @@ func (c *clientLeg) Reply(req avis.Request, codec compress.Codec) (enc []byte, r
 	key := cacheKey(p.cfg.Sig, req, codec.Name())
 	var e cacheEntry
 	if e, c.hit = p.cache.lookup(key); !c.hit {
-		if e, err = p.fetchShared(key, codec, false); err != nil {
+		if e, err = p.fetchShared(key, codec); err != nil {
 			return nil, 0, false, err
 		}
 	}
-	c.track.observe(req, codec)
 	return e.enc, e.rawLen, false, nil
 }
 
@@ -303,7 +275,7 @@ func (c *clientLeg) Replied(took time.Duration, err error) {
 // (the one key names) and inserts the result, copied out of the pooled
 // buffer into an exactly sized slice the cache owns; everyone else waits
 // on its flight. Callers treat the entry's bytes as read-only.
-func (p *Proxy) fetchShared(key chunkKey, codec compress.Codec, prewarmed bool) (cacheEntry, error) {
+func (p *Proxy) fetchShared(key chunkKey, codec compress.Codec) (cacheEntry, error) {
 	p.flightMu.Lock()
 	if f, ok := p.flights[key]; ok {
 		p.flightMu.Unlock()
@@ -316,7 +288,7 @@ func (p *Proxy) fetchShared(key chunkKey, codec compress.Codec, prewarmed bool) 
 
 	enc, rawLen, err := p.encodeFromOrigin(key.req, codec)
 	if err == nil {
-		f.entry = cacheEntry{enc: append(make([]byte, 0, len(enc)), enc...), rawLen: rawLen, prewarmed: prewarmed}
+		f.entry = cacheEntry{enc: append(make([]byte, 0, len(enc)), enc...), rawLen: rawLen}
 		bufpool.Put(enc)
 		p.cache.insert(key, f.entry)
 	}

@@ -269,126 +269,6 @@ func TestEdgeSingleFlight(t *testing.T) {
 	}
 }
 
-// traceFixations renders a linear fovea pan: n fixations stepping (dx,dy)
-// from (x0,y0).
-func traceFixations(x0, y0, dx, dy, n int) [][2]int {
-	out := make([][2]int, n)
-	for i := range out {
-		out[i] = [2]int{x0 + i*dx, y0 + i*dy}
-	}
-	return out
-}
-
-// replayTrace replays the fovea trace through one client connection: at
-// every fixation the same round shapes (the coarse request plan) are
-// issued at that fixation's center. When warm is non-nil, it is polled
-// between fixations until the next fixation's chunks appear in the cache
-// (bounded), modelling a viewer whose dwell time the prewarmer can use.
-func replayTrace(t *testing.T, c *avis.RealClient, shapes []avis.Request, fix [][2]int, warm func(next []avis.Request) bool) {
-	t.Helper()
-	at := func(f [2]int) []avis.Request {
-		reqs := make([]avis.Request, len(shapes))
-		for i, s := range shapes {
-			s.X, s.Y = f[0], f[1]
-			reqs[i] = s
-		}
-		return reqs
-	}
-	for i, f := range fix {
-		for _, req := range at(f) {
-			if _, _, err := c.FetchRoundRaw(req); err != nil {
-				t.Fatalf("fixation %d: %v", i, err)
-			}
-		}
-		if warm != nil && i+1 < len(fix) {
-			next := at(fix[i+1])
-			deadline := time.Now().Add(2 * time.Second)
-			for !warm(next) && time.Now().Before(deadline) {
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-	}
-}
-
-// runTrace runs the fovea-trace experiment against a fresh origin+edge
-// pair and returns the edge's cache stats.
-func runTrace(t *testing.T, prewarm bool) CacheStats {
-	t.Helper()
-	_, originLn := startOrigin(t)
-	p, edgeLn := startEdge(t, originLn.Addr().String(), nil, func(cfg *Config) {
-		cfg.Prewarm = prewarm
-	})
-	geom := p.Geometry()
-	shapes := avis.PlanRounds(geom, avis.Params{DR: 16, Level: testLevels - 1}, 0, 0)
-	if len(shapes) < 2 {
-		t.Fatalf("trace needs several rounds per fixation, got %d", len(shapes))
-	}
-	c := dialClient(t, edgeLn.Addr().String(), avis.Params{DR: 16, Codec: "lzw", Level: testLevels - 1}, 0)
-
-	fix := traceFixations(testSide/4, testSide/2, 4, 0, 10)
-	var warm func([]avis.Request) bool
-	if prewarm {
-		warm = func(next []avis.Request) bool {
-			for _, req := range next {
-				if !p.cache.contains(cacheKey(testSig, req, "lzw")) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	replayTrace(t, c, shapes, fix, warm)
-	return p.Stats()
-}
-
-// TestEdgePrewarmTraceHitRatio is the replayed fovea-trace experiment of
-// the acceptance criteria: with trajectory prewarming the coarse-level
-// hit ratio must reach at least 50%, and it must measurably beat the same
-// trace without prewarming (which, on a pure pan with no revisits, cannot
-// hit at all).
-func TestEdgePrewarmTraceHitRatio(t *testing.T) {
-	cold := runTrace(t, false)
-	warm := runTrace(t, true)
-	t.Logf("trace without prewarm: %+v (ratio %.2f)", cold, cold.HitRatio())
-	t.Logf("trace with    prewarm: %+v (ratio %.2f)", warm, warm.HitRatio())
-	if warm.HitRatio() < 0.5 {
-		t.Fatalf("prewarmed hit ratio %.2f below 0.5 (%+v)", warm.HitRatio(), warm)
-	}
-	if warm.HitRatio() <= cold.HitRatio() {
-		t.Fatalf("prewarming did not improve the hit ratio: %.2f vs %.2f", warm.HitRatio(), cold.HitRatio())
-	}
-	if warm.PrewarmHits == 0 {
-		t.Fatalf("no hits attributed to prewarmed entries: %+v", warm)
-	}
-}
-
-// TestEdgeTrajectoryTeleportNoGarbagePrewarm drives a fovea teleport
-// through the proxy: the jump must not enqueue a prewarm fetch
-// extrapolated between the two fixations (the trajectory window resets).
-func TestEdgeTrajectoryTeleportNoGarbagePrewarm(t *testing.T) {
-	origin, originLn := startOrigin(t)
-	p, edgeLn := startEdge(t, originLn.Addr().String(), nil, func(cfg *Config) {
-		cfg.Prewarm = true
-		cfg.teleportDist = 16
-	})
-	geom := p.Geometry()
-	shapes := avis.PlanRounds(geom, avis.Params{DR: 32, Level: testLevels - 1}, 0, 0)[:1]
-	c := dialClient(t, edgeLn.Addr().String(), avis.Params{DR: 32, Codec: "raw", Level: testLevels - 1}, 0)
-
-	// Two nearby fixations arm the predictor, then a teleport far away.
-	replayTrace(t, c, shapes, [][2]int{{32, 64}, {36, 64}, {100, 100}}, nil)
-	// Give any (wrong) speculative fetch time to land, then compare the
-	// origin's request count against exactly the client-issued rounds plus
-	// the one legitimate prewarm (predicted {40,64} after the second
-	// fixation). A prediction extrapolated across the teleport would add
-	// another.
-	time.Sleep(150 * time.Millisecond)
-	reqs := origin.Stats().Requests
-	if reqs > 4 {
-		t.Fatalf("origin saw %d rounds; teleport leaked speculative fetches", reqs)
-	}
-}
-
 // edgeChaosSchedule scripts the origin-leg faults: a connection reset
 // mid-stream, then a loss window. Pure function of the seed.
 func edgeChaosSchedule(seed uint64) faults.Schedule {

@@ -17,7 +17,7 @@ import (
 // ends. The online run folds achieved image metrics back into a
 // WAL-backed perfstore, the model-drift trigger wakes the scheduler, and
 // the framework re-converges under the deadline. Afterwards the WAL is
-// reopened as a restarted coordinator would and must recover the refined
+// reopened as a restarted process would and must recover the refined
 // model byte-for-byte.
 func TestDriftOnlineRecoversOfflineStuck(t *testing.T) {
 	const seed = 42
@@ -76,22 +76,19 @@ func TestDriftOnlineRecoversOfflineStuck(t *testing.T) {
 			predBefore["transmit_time"], DriftDeadline)
 	}
 
-	// Coordinator restart: snapshot, close, reopen from disk. The recovered
-	// store must be byte-identical under Snapshot and predict identically.
+	// Restart: snapshot, close, reopen from disk. The recovered
+	// store must be byte-identical under Snapshot (version included) and
+	// predict identically.
 	var before bytes.Buffer
 	if err := wal.Snapshot(&before); err != nil {
 		t.Fatal(err)
 	}
-	version := wal.Version()
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wal2, err := perfstore.OpenWAL(dir, perfstore.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := wal2.Version(); got != version {
-		t.Fatalf("recovered version %d, want %d", got, version)
 	}
 	var after bytes.Buffer
 	if err := wal2.Snapshot(&after); err != nil {

@@ -125,22 +125,6 @@ func (p *Policy[K, V]) Get(k K) (V, bool) {
 	return e.val, true
 }
 
-// Peek returns the value under k without bumping recency (used by
-// prewarm probes that must not distort the replacement order).
-func (p *Policy[K, V]) Peek(k K) (V, bool) {
-	var zero V
-	el, ok := p.idx[k]
-	if !ok {
-		return zero, false
-	}
-	e := el.Value.(*entry[K, V])
-	if p.expired(e) {
-		p.drop(el, Expired)
-		return zero, false
-	}
-	return e.val, true
-}
-
 // Put inserts (or replaces) the value under k with the given cost, then
 // evicts least-recent entries until both bounds hold again. An entry
 // larger than MaxCost by itself is still admitted — it just evicts

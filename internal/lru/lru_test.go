@@ -107,16 +107,3 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatalf("expired=%d len=%d, want 3,0", expired, p.Len())
 	}
 }
-
-func TestPeekDoesNotBump(t *testing.T) {
-	p := New[string, int](Config{MaxEntries: 2}, nil)
-	p.Put("a", 1, 1)
-	p.Put("b", 2, 1)
-	if _, ok := p.Peek("a"); !ok { // peek must NOT rescue a from LRU
-		t.Fatal("a missing")
-	}
-	p.Put("c", 3, 1)
-	if _, ok := p.Peek("a"); ok {
-		t.Fatal("a should have been evicted despite the Peek")
-	}
-}

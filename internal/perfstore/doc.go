@@ -19,14 +19,12 @@
 //   - Store holds every refined profile in memory. One opened on a
 //     directory (OpenWAL) also appends each Save to segmented write-ahead
 //     logs with CRC framing, compacts them into versioned, byte-stable
-//     snapshots, and replays snapshot+segments on reopen, so a coordinator
-//     restart recovers the refined model. It is the only on-disk form of
-//     the performance model: avis-profile folds its testbed sweep into one
-//     (MergeSweep), and the coordinator hosts that same directory.
+//     snapshots, and replays snapshot+segments on reopen, so a restart
+//     recovers the refined model. It is the only on-disk form of the
+//     performance model: avis-profile folds its testbed sweep into one
+//     (MergeSweep).
 //   - PerfStore keeps the compiled lattice (prior ∪ overlay) of each
-//     configuration it has read; a fold recompiles and republishes it. At
-//     fleet scale every agent queries one shared model hosted by the
-//     coordinator instead of re-deriving its own.
+//     configuration it has read; a fold recompiles and republishes it.
 //
 // PerfStore implements perfdb.Model, so the resource scheduler and the
 // core framework run unchanged over either the offline database or the

@@ -21,7 +21,7 @@ func FuzzWALRecover(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, p := range []*Profile{
+	for _, p := range []*profile{
 		walProfile("codec=lzw,level=1", 1, 50e3, 99),
 		walProfile("codec=bzw,level=2", 1, 60e3, 42),
 	} {

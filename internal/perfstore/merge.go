@@ -31,7 +31,7 @@ func MergeSweep(store *Store, sweep *perfdb.DB) (MergeStats, error) {
 		key := cfg.Key()
 		p, err := store.Load(key)
 		if err != nil {
-			p = &Profile{ConfigKey: key}
+			p = &profile{ConfigKey: key}
 		}
 		changed := false
 		for _, rec := range sweep.Records(cfg) {
@@ -55,7 +55,7 @@ func MergeSweep(store *Store, sweep *perfdb.DB) (MergeStats, error) {
 				r.Samples += int64(rec.Samples)
 				st.Merged++
 			} else {
-				p.Records = append(p.Records, ProfileRecord{
+				p.Records = append(p.Records, profileRecord{
 					Resources: resourcesFrom(rec.Resources),
 					Metrics:   map[string]float64(rec.Metrics.Clone()),
 					Weight:    w,

@@ -104,7 +104,7 @@ type PerfStore struct {
 	// prior was wrong must also be able to wake the scheduler.
 	onRefine func(configKey string, delta float64)
 
-	// Instruments are nil until EnableMetrics; nil instruments no-op.
+	// Instruments are nil until enableMetrics; nil instruments no-op.
 	mAccepted *metrics.Counter
 	mOutlier  *metrics.Counter
 	mInvalid  *metrics.Counter
@@ -136,10 +136,10 @@ func New(app *spec.App, prior *perfdb.DB, store *Store, opts Options) (*PerfStor
 	return s, nil
 }
 
-// EnableMetrics registers the store's instruments on reg (nil-safe, the
+// enableMetrics registers the store's instruments on reg (nil-safe, the
 // repo-wide idiom): perfstore_samples_total{verdict}, the refinement-delta
 // histogram, and the live WAL size gauge (zero for a memory store).
-func (s *PerfStore) EnableMetrics(reg *metrics.Registry) {
+func (s *PerfStore) enableMetrics(reg *metrics.Registry) {
 	s.mAccepted = reg.Counter("perfstore_samples_total",
 		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "accepted"))
 	s.mOutlier = reg.Counter("perfstore_samples_total",
@@ -166,8 +166,7 @@ func (s *PerfStore) OnRefine(fn func(configKey string, delta float64)) { s.onRef
 // App implements perfdb.Model.
 func (s *PerfStore) App() *spec.App { return s.app }
 
-// Store exposes the store of refined overlays (the coordinator serves
-// profiles from it).
+// Store exposes the store of refined overlays.
 func (s *PerfStore) Store() *Store { return s.store }
 
 // Configs implements perfdb.Model: the union of prior configurations and
@@ -202,10 +201,10 @@ func (s *PerfStore) Configs() []spec.Config {
 
 // load returns the refined overlay stored under configKey, or an empty
 // profile when the store has none.
-func (s *PerfStore) load(configKey string) *Profile {
+func (s *PerfStore) load(configKey string) *profile {
 	p, err := s.store.Load(configKey)
 	if err != nil {
-		return &Profile{ConfigKey: configKey}
+		return &profile{ConfigKey: configKey}
 	}
 	return p
 }
@@ -217,7 +216,7 @@ func (s *PerfStore) load(configKey string) *Profile {
 // lattice. Compiling here, once per cold read or fold, keeps the warm read
 // path to a map lookup plus the lattice query, and hands concurrent readers
 // a finished, immutable lattice. It is nil when there are no records at all.
-func (s *PerfStore) materialize(configKey string, overlay *Profile) (*perfdb.Lattice, error) {
+func (s *PerfStore) materialize(configKey string, overlay *profile) (*perfdb.Lattice, error) {
 	cfg, err := s.app.ParseConfigKey(configKey)
 	if err != nil {
 		return nil, fmt.Errorf("perfstore: materialize: %w", err)
@@ -423,7 +422,7 @@ func (s *PerfStore) fold(sample *Sample) (float64, error) {
 // record extending the lattice — and returns the largest relative
 // movement it applied. The refine-delta histogram observes the per-metric
 // movements.
-func (s *PerfStore) foldInto(p *Profile, res resource.Vector, obs spec.Metrics, alpha float64) float64 {
+func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, alpha float64) float64 {
 	rk := res.Key()
 	if i := p.find(rk); i >= 0 {
 		r := &p.Records[i]
@@ -447,7 +446,7 @@ func (s *PerfStore) foldInto(p *Profile, res resource.Vector, obs spec.Metrics, 
 		r.Samples++
 		return maxDelta
 	}
-	p.Records = append(p.Records, ProfileRecord{
+	p.Records = append(p.Records, profileRecord{
 		Resources: resourcesFrom(res),
 		Metrics:   map[string]float64(obs.Clone()),
 		Weight:    1,

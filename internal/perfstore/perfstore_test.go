@@ -165,7 +165,7 @@ func TestOutlierRejectedDriftAccepted(t *testing.T) {
 	prior := testPrior(t, app)
 	reg := metrics.New()
 	s := newTestStore(t, prior, nil, Options{BatchSize: 1})
-	s.EnableMetrics(reg)
+	s.enableMetrics(reg)
 
 	cfg := cfgOf("lzw", 1)
 	res := resource.Vector{resource.Bandwidth: 100e3}
@@ -206,7 +206,7 @@ func TestInvalidSamplesCounted(t *testing.T) {
 	app := testApp(t)
 	reg := metrics.New()
 	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1})
-	s.EnableMetrics(reg)
+	s.enableMetrics(reg)
 
 	s.Offer(Sample{Config: spec.Config{"codec": spec.Enum("nope")},
 		Resources: resource.Vector{resource.Bandwidth: 1e5}, Observed: spec.Metrics{"time": 1}})
@@ -296,30 +296,6 @@ func TestMergeSweep(t *testing.T) {
 	}
 	if math.Abs(pred["time"]-12) > 1 {
 		t.Fatalf("novel sweep point not served: %v", pred["time"])
-	}
-}
-
-func TestSampleWireRoundTrip(t *testing.T) {
-	app := testApp(t)
-	s := Sample{
-		Config:    cfgOf("bzw", 2),
-		Resources: resource.Vector{resource.Bandwidth: 125e3, resource.CPU: 0.5},
-		Observed:  spec.Metrics{"time": 41.5, "quality": 0.875},
-		At:        1234567,
-		Source:    "monitor",
-	}
-	back, err := FromWire(app, s.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Config.Equal(s.Config) || back.At != s.At || back.Source != s.Source {
-		t.Fatalf("wire round trip mangled sample: %+v", back)
-	}
-	if back.Observed["time"] != 41.5 || back.Resources[resource.CPU] != 0.5 {
-		t.Fatalf("wire round trip mangled values: %+v", back)
-	}
-	if _, err := FromWire(app, WireSample{Config: "codec=zzz", Metrics: map[string]float64{"time": 1}}); err == nil {
-		t.Fatal("bad wire config key accepted")
 	}
 }
 

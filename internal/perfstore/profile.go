@@ -9,12 +9,12 @@ import (
 	"tunable/internal/spec"
 )
 
-// ProfileRecord is one refined sample point: the exponentially weighted
+// profileRecord is one refined sample point: the exponentially weighted
 // estimate of the metrics a configuration achieves at a resource point,
 // as learned from live telemetry. A record present in a profile overrides
 // the profiled prior at the same resource point; records at resource
 // points the prior never swept extend the lattice.
-type ProfileRecord struct {
+type profileRecord struct {
 	Resources map[string]float64 `json:"resources"`
 	Metrics   map[string]float64 `json:"metrics"`
 	// Weight is the effective sample mass behind Metrics under the EW
@@ -26,7 +26,7 @@ type ProfileRecord struct {
 }
 
 // Vector returns the record's resource point as a resource.Vector.
-func (r *ProfileRecord) Vector() resource.Vector {
+func (r *profileRecord) Vector() resource.Vector {
 	v := make(resource.Vector, len(r.Resources))
 	for k, x := range r.Resources {
 		v[resource.Kind(k)] = x
@@ -37,28 +37,28 @@ func (r *ProfileRecord) Vector() resource.Vector {
 // resKey is the canonical map key of the record's resource point,
 // quantized identically to perfdb's record keys so overlay records line up
 // with prior records.
-func (r *ProfileRecord) resKey() string { return r.Vector().Key() }
+func (r *profileRecord) resKey() string { return r.Vector().Key() }
 
-// Profile is the persisted refined overlay for one configuration. It holds
+// profile is the persisted refined overlay for one configuration. It holds
 // only what live telemetry changed or added — the profiled prior shows
 // through wherever the overlay is silent — so the write-ahead log stays
 // proportional to observed drift, not to the sweep lattice.
-type Profile struct {
+type profile struct {
 	ConfigKey string `json:"config"`
 	// Version counts refinement folds applied to this profile; it is
 	// strictly increasing across persistence round trips.
 	Version uint64 `json:"version"`
 	// Records are kept sorted by canonical resource key so the encoded
 	// form is deterministic (snapshots must be byte-stable).
-	Records []ProfileRecord `json:"records"`
+	Records []profileRecord `json:"records"`
 }
 
 // Clone deep-copies the profile.
-func (p *Profile) Clone() *Profile {
-	out := &Profile{ConfigKey: p.ConfigKey, Version: p.Version}
-	out.Records = make([]ProfileRecord, len(p.Records))
+func (p *profile) Clone() *profile {
+	out := &profile{ConfigKey: p.ConfigKey, Version: p.Version}
+	out.Records = make([]profileRecord, len(p.Records))
 	for i, r := range p.Records {
-		nr := ProfileRecord{
+		nr := profileRecord{
 			Resources: make(map[string]float64, len(r.Resources)),
 			Metrics:   make(map[string]float64, len(r.Metrics)),
 			Weight:    r.Weight,
@@ -77,7 +77,7 @@ func (p *Profile) Clone() *Profile {
 
 // find returns the index of the record at the given canonical resource
 // key, or -1.
-func (p *Profile) find(resKey string) int {
+func (p *profile) find(resKey string) int {
 	for i := range p.Records {
 		if p.Records[i].resKey() == resKey {
 			return i
@@ -87,7 +87,7 @@ func (p *Profile) find(resKey string) int {
 }
 
 // normalize sorts records into canonical (resource key) order.
-func (p *Profile) normalize() {
+func (p *profile) normalize() {
 	sort.Slice(p.Records, func(i, j int) bool {
 		return p.Records[i].resKey() < p.Records[j].resKey()
 	})
@@ -96,7 +96,7 @@ func (p *Profile) normalize() {
 // check rejects a decoded profile the store cannot hold: a JSON null, or
 // records with no configuration key to file them under. Snapshot and log
 // replay both pass through it.
-func (p *Profile) check() error {
+func (p *profile) check() error {
 	if p == nil {
 		return fmt.Errorf("perfstore: null profile")
 	}
@@ -108,8 +108,8 @@ func (p *Profile) check() error {
 
 // decodeProfile parses an encoded profile, rejecting structural garbage
 // (non-finite values are caught later at fold time).
-func decodeProfile(b []byte) (*Profile, error) {
-	var p *Profile
+func decodeProfile(b []byte) (*profile, error) {
+	var p *profile
 	if err := json.Unmarshal(b, &p); err != nil {
 		return nil, fmt.Errorf("perfstore: decode profile: %w", err)
 	}

@@ -48,51 +48,3 @@ func (s *Sample) validate(app *spec.App) error {
 	}
 	return nil
 }
-
-// WireSample is the portable JSON form of a Sample, used by the cluster
-// control protocol to ship observations from agents to the coordinator.
-// The configuration travels as its canonical key so the wire format stays
-// independent of the spec.Value encoding.
-type WireSample struct {
-	Config    string             `json:"config"`
-	Resources map[string]float64 `json:"resources"`
-	Metrics   map[string]float64 `json:"metrics"`
-	AtNanos   int64              `json:"at"`
-	Source    string             `json:"source,omitempty"`
-}
-
-// Wire converts a Sample to its portable form.
-func (s *Sample) Wire() WireSample {
-	return WireSample{
-		Config:    s.Config.Key(),
-		Resources: resourcesFrom(s.Resources),
-		Metrics:   map[string]float64(s.Observed.Clone()),
-		AtNanos:   int64(s.At),
-		Source:    s.Source,
-	}
-}
-
-// FromWire resolves a WireSample against an application spec, validating
-// the configuration key as it goes.
-func FromWire(app *spec.App, w WireSample) (Sample, error) {
-	cfg, err := app.ParseConfigKey(w.Config)
-	if err != nil {
-		return Sample{}, fmt.Errorf("perfstore: wire sample: %w", err)
-	}
-	// ParseConfigKey resolves kinds but not domains; wire input comes from
-	// remote agents, so check membership too.
-	if err := app.ValidateConfig(cfg); err != nil {
-		return Sample{}, fmt.Errorf("perfstore: wire sample: %w", err)
-	}
-	res := make(resource.Vector, len(w.Resources))
-	for k, v := range w.Resources {
-		res[resource.Kind(k)] = v
-	}
-	return Sample{
-		Config:    cfg,
-		Resources: res,
-		Observed:  metricsOf(w.Metrics),
-		At:        time.Duration(w.AtNanos),
-		Source:    w.Source,
-	}, nil
-}

@@ -9,14 +9,14 @@ import (
 	"sync"
 )
 
-// ErrNotFound reports that a store holds no profile for a configuration
+// errNotFound reports that a store holds no profile for a configuration
 // key. PerfStore treats it as "prior only", not as a failure.
-var ErrNotFound = errors.New("perfstore: profile not found")
+var errNotFound = errors.New("perfstore: profile not found")
 
 // Store holds the refined profiles: a mutex-guarded map of deep-copied
 // profiles that every read is served from. A store opened on a directory
 // by OpenWAL also appends each Save to a segmented write-ahead log
-// (wal.go), so a restarted coordinator recovers the refined model; one
+// (wal.go), so a restarted process recovers the refined model; one
 // made by NewMemStore lives and dies with the process. Load returns a
 // private copy the caller may mutate freely.
 type Store struct {
@@ -24,7 +24,7 @@ type Store struct {
 	opts WALOptions
 
 	mu       sync.Mutex
-	profiles map[string]*Profile
+	profiles map[string]*profile
 	version  uint64   // store-wide sequence: snapshot version + replayed/appended records
 	cur      *os.File // active log segment; nil for a memory store
 	curSeq   int
@@ -36,15 +36,15 @@ type Store struct {
 }
 
 // NewMemStore creates an empty in-memory store.
-func NewMemStore() *Store { return &Store{profiles: make(map[string]*Profile)} }
+func NewMemStore() *Store { return &Store{profiles: make(map[string]*profile)} }
 
-// Load returns the profile persisted under configKey, or ErrNotFound.
-func (s *Store) Load(configKey string) (*Profile, error) {
+// Load returns the profile persisted under configKey, or errNotFound.
+func (s *Store) Load(configKey string) (*profile, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.profiles[configKey]
 	if !ok {
-		return nil, ErrNotFound
+		return nil, errNotFound
 	}
 	return p.Clone(), nil
 }
@@ -68,7 +68,7 @@ func (s *Store) keysLocked() []string {
 // Save stores a copy of the profile (full replace under its ConfigKey).
 // On a log-backed store it appends a WAL record first, then rotates or
 // compacts when the bounds say so.
-func (s *Store) Save(p *Profile) error {
+func (s *Store) Save(p *profile) error {
 	c := p.Clone()
 	c.normalize()
 	var rec []byte
@@ -96,14 +96,6 @@ func (s *Store) Save(p *Profile) error {
 		return nil
 	}
 	return s.boundLogLocked()
-}
-
-// Version reports the store-wide sequence number (records applied since
-// genesis, surviving restarts of a log-backed store).
-func (s *Store) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
 }
 
 // WalBytes reports the bytes held in live log segments (what the

@@ -11,8 +11,8 @@ import (
 	"tunable/internal/resource"
 )
 
-// TestMergedSweepPredictsAsDatabase pins what lets the coordinator host
-// the profiled sweep as its store, with no separate prior file: each
+// TestMergedSweepPredictsAsDatabase pins what lets a store hold the
+// profiled sweep as the whole model, with no separate prior file: each
 // figure's database, folded into an empty store, predicts bit-identically
 // to the database itself, at every record and at every midpoint between
 // adjacent lattice points — from a memory store and from a log-backed

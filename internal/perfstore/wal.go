@@ -20,7 +20,7 @@ import (
 //	wal-<seq, 8 digits>.log              records appended since the snapshot
 //
 // Each log record is [length uint32 LE][crc32(payload) uint32 LE][payload]
-// where payload is one canonically encoded Profile (a full profile put —
+// where payload is one canonically encoded profile (a full profile put —
 // profiles are small, and full puts make replay order-insensitive per
 // key). Save appends; when the active segment exceeds maxSegmentBytes a
 // new one is opened, and when the directory holds more than
@@ -63,7 +63,7 @@ func OpenWAL(dir string, opts WALOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("perfstore: wal dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), profiles: make(map[string]*Profile)}
+	s := &Store{dir: dir, opts: opts.withDefaults(), profiles: make(map[string]*profile)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -99,14 +99,14 @@ func (s *Store) segPath(seq int) string {
 // profile in config-key order (canonical bytes — see Snapshot).
 type snapshotFile struct {
 	Version  uint64     `json:"version"`
-	Profiles []*Profile `json:"profiles"`
+	Profiles []*profile `json:"profiles"`
 }
 
 // walRecord frames one normalized profile as a log record. The payload
 // is canonical JSON: records in resource-key order, map keys sorted
 // (encoding/json sorts them), no indentation, so the same logical profile
 // always encodes to the same bytes.
-func walRecord(p *Profile) ([]byte, error) {
+func walRecord(p *profile) ([]byte, error) {
 	payload, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("perfstore: encode profile: %w", err)
@@ -340,7 +340,7 @@ func (s *Store) compactLocked() error {
 // logical state always produces identical bytes.
 func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	keys := s.keysLocked()
-	sf := snapshotFile{Version: s.version, Profiles: make([]*Profile, len(keys))}
+	sf := snapshotFile{Version: s.version, Profiles: make([]*profile, len(keys))}
 	for i, k := range keys {
 		sf.Profiles[i] = s.profiles[k]
 	}

@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-func walProfile(key string, version uint64, bw, tm float64) *Profile {
-	return &Profile{
+func walProfile(key string, version uint64, bw, tm float64) *profile {
+	return &profile{
 		ConfigKey: key,
 		Version:   version,
-		Records: []ProfileRecord{{
+		Records: []profileRecord{{
 			Resources: map[string]float64{"bandwidth": bw},
 			Metrics:   map[string]float64{"time": tm},
 			Weight:    1,
@@ -39,7 +39,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Save(walProfile("codec=lzw,level=1", 2, 50e3, 111)); err != nil {
 		t.Fatal(err)
 	}
-	if v := w.Version(); v != 3 {
+	if v := w.version; v != 3 {
 		t.Fatalf("version = %d, want 3", v)
 	}
 	if err := w.Close(); err != nil {
@@ -51,7 +51,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if v := w2.Version(); v != 3 {
+	if v := w2.version; v != 3 {
 		t.Fatalf("replayed version = %d, want 3", v)
 	}
 	keys := w2.Keys()
@@ -65,8 +65,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if p.Records[0].Metrics["time"] != 111 {
 		t.Fatalf("replay kept stale record: %v", p.Records[0].Metrics)
 	}
-	if _, err := w2.Load("codec=zzz"); err != ErrNotFound {
-		t.Fatalf("missing key: %v, want ErrNotFound", err)
+	if _, err := w2.Load("codec=zzz"); err != errNotFound {
+		t.Fatalf("missing key: %v, want errNotFound", err)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	if w.WalBytes() == 0 && segs > 1 {
 		t.Fatal("WalBytes claims empty WAL with live segments")
 	}
-	version := w.Version()
+	version := w.version
 	w.Close()
 
 	// Reopen: snapshot + remaining segments reproduce the exact state.
@@ -196,7 +196,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := w2.Version(); got != version {
+	if got := w2.version; got != version {
 		t.Fatalf("version after compacted reopen = %d, want %d", got, version)
 	}
 	p, err := w2.Load("codec=lzw,level=2")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Control messages are described once, in code: each message type has one
@@ -41,7 +40,7 @@ import (
 //
 //	0 varint    — Uint, Int, Sint (zigzag), Bool
 //	1 fixed64   — F64 (little-endian IEEE 754)
-//	2 len-delim — Str, Map entries, Msg (uvarint length + bytes)
+//	2 len-delim — Str, Msg (uvarint length + bytes)
 //
 // Unknown wire types are errors.
 
@@ -349,41 +348,6 @@ func (c *Codec) Sints(tag uint32, p *[]int64) {
 		c.key(tag, wtVarint)
 		c.buf = appendUvarint(c.buf, zigzag(v))
 	}
-}
-
-// Map codes a string→float64 map as one nested {1: key, 2: value} entry
-// per key, keys sorted so equal maps encode to equal bytes.
-func (c *Codec) Map(tag uint32, p *map[string]float64) {
-	keys := []string{""} // decoding: the entry this field holds
-	if !c.dec {
-		keys = keys[:0]
-		for k := range *p {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-	}
-	for _, k := range keys {
-		v := (*p)[k]
-		sub, ok := c.Msg(tag, true)
-		if !ok {
-			return
-		}
-		for sub.Next() {
-			sub.entry(&k, &v)
-		}
-		if c.End(&sub); c.dec && c.err == nil {
-			if *p == nil {
-				*p = make(map[string]float64, 4)
-			}
-			(*p)[k] = v
-		}
-	}
-}
-
-// entry is a map entry's codec.
-func (c *Codec) entry(k *string, v *float64) {
-	c.Str(1, k, Required)
-	c.F64(2, v, Required)
 }
 
 // Msg opens nested message field tag, written when present: it returns a

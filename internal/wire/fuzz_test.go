@@ -87,7 +87,7 @@ func FuzzNegotiate(f *testing.F) {
 }
 
 // fuzzMsg uses every field method — a required field, each scalar, both
-// repeated scalars, a map, a nested message and a repeated nested message
+// repeated scalars, a nested message and a repeated nested message
 // — the full surface a hostile body can hit.
 type fuzzMsg struct {
 	ID    string
@@ -98,7 +98,6 @@ type fuzzMsg struct {
 	Load  float64
 	Tags  []string
 	Seeds []int64
-	KV    map[string]float64
 	Sub   *fuzzMsg
 	Subs  []fuzzMsg
 }
@@ -112,7 +111,6 @@ func (m *fuzzMsg) codec(c *Codec) {
 	c.F64(6, &m.Load)
 	c.Strs(7, &m.Tags)
 	c.Sints(8, &m.Seeds)
-	c.Map(9, &m.KV)
 	if sub, ok := c.Msg(10, m.Sub != nil); ok {
 		if m.Sub == nil {
 			m.Sub = new(fuzzMsg)
@@ -154,7 +152,7 @@ func (m *fuzzMsg) parse(body []byte) error {
 // message — the decoder holds no more than the input carried.
 func FuzzSchemaDecode(f *testing.F) {
 	full := fuzzMsg{ID: "node-7", Count: 42, N: -1, Delta: -3, On: true, Load: 0.75,
-		Tags: []string{"a", ""}, Seeds: []int64{0, -9}, KV: map[string]float64{"bw": 1e6, "cpu": 0.5},
+		Tags: []string{"a", ""}, Seeds: []int64{0, -9},
 		Sub: &fuzzMsg{ID: "inner"}, Subs: []fuzzMsg{{ID: "x", Count: 1}, {ID: "y"}}}
 	valid := full.render()
 	f.Add(valid)
@@ -213,16 +211,6 @@ func equalNaN(a, b reflect.Value) bool {
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !equalNaN(a.Index(i), b.Index(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Map:
-		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		for _, k := range a.MapKeys() {
-			if v := b.MapIndex(k); !v.IsValid() || !equalNaN(a.MapIndex(k), v) {
 				return false
 			}
 		}

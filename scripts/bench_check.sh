@@ -10,14 +10,16 @@
 # (BENCH_kernels.json — root-package codec and wavelet kernels plus the
 # per-stage BZW profile and LZW decode rows of internal/compress), the edge cache tier (BENCH_edge.json), the
 # control plane (BENCH_control.json — heartbeat dispatch, placement, and
-# the counter-commit harness; its trailing "swarm" block is informational
-# and ignored here), the live performance store (BENCH_perfstore.json —
+# the thresholded shard counter; its trailing "swarm" block is
+# informational and ignored here), the live performance store (BENCH_perfstore.json —
 # warm vs cold profile lookup, the perfdb lookup under them and
 # sample ingest), the wire protocol (BENCH_wire.json — frame write/read
 # and the schema codec on control bodies), and the workload layer
 # (BENCH_apps.json — the mixed video+foveal harness, arbiter acquire/release, a single
 # video session, and one scheduler decision plain and derated; only ns/op
 # is gated, the sessions/sec and p95-QoS fields are informational).
+# Every suite runs and prints its verdict even when an earlier one
+# failed; the script exits nonzero at the end if any suite did.
 #
 #   scripts/bench_check.sh                        # compare at +20%
 #   BENCH_TOLERANCE=0.60 scripts/bench_check.sh   # looser, for noisy CI
@@ -39,20 +41,23 @@ extract() {
 	sed -n 's/^ *"\(Benchmark[^"]*\)": {"ns_op": \([0-9.e+]*\).*/\1 \2/p' "$1" | sort
 }
 
+CUR=$(mktemp)
+trap 'rm -f "$CUR" "$CUR.base" "$CUR.now"' EXIT INT TERM
+
 # check_one BASELINE FILTER PKG — re-measure one suite and diff it
-# against its committed baseline.
+# against its committed baseline; nonzero when the suite fails.
 check_one() {
 	baseline=$1 filter=$2 pkg=$3
-	if [ ! -f "$baseline" ]; then
-		echo "bench_check: no $baseline baseline; run the matching bench script first" >&2
-		exit 2
-	fi
 	echo "== $baseline ($pkg)"
-
-	CUR=$(mktemp)
-	trap 'rm -f "$CUR" "$CUR.base" "$CUR.now"' EXIT INT TERM
-	BENCH_OUT="$CUR" BENCH_FILTER="$filter" BENCH_PKG="$pkg" \
-		BENCHTIME="${BENCHTIME:-1s}" ./scripts/bench.sh >/dev/null 2>&1
+	if [ ! -f "$baseline" ]; then
+		echo "bench_check: no $baseline baseline; run the matching bench script first"
+		return 2
+	fi
+	if ! BENCH_OUT="$CUR" BENCH_FILTER="$filter" BENCH_PKG="$pkg" \
+		BENCHTIME="${BENCHTIME:-1s}" ./scripts/bench.sh >/dev/null 2>&1; then
+		echo "bench_check: the $pkg benchmarks did not run"
+		return 2
+	fi
 
 	extract "$baseline" >"$CUR.base"
 	extract "$CUR" >"$CUR.now"
@@ -75,14 +80,25 @@ check_one() {
 		if (lone > 0 || bad > 0) exit 1
 		printf "bench_check: %d benchmark(s) within +%.0f%% of baseline\n", NR, tol * 100
 	}'
-	rm -f "$CUR" "$CUR.base" "$CUR.now"
 }
 
-check_one BENCH_kernels.json \
+# Every suite runs and reports, whatever an earlier one found; the exit
+# status sums them up at the end.
+failed=""
+suite() {
+	check_one "$@" || failed="$failed $1"
+}
+suite BENCH_kernels.json \
 	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages|BenchmarkLZWStages' \
 	'. ./internal/compress'
-check_one BENCH_edge.json 'BenchmarkEdge' ./internal/edge
-check_one BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
-check_one BENCH_perfstore.json 'BenchmarkPerfstore|BenchmarkPerfdb' ./internal/perfstore
-check_one BENCH_wire.json 'BenchmarkWire' ./internal/wire
-check_one BENCH_apps.json 'BenchmarkApps|BenchmarkScheduler' ./internal/apps
+suite BENCH_edge.json 'BenchmarkEdge' ./internal/edge
+suite BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
+suite BENCH_perfstore.json 'BenchmarkPerfstore|BenchmarkPerfdb' ./internal/perfstore
+suite BENCH_wire.json 'BenchmarkWire' ./internal/wire
+suite BENCH_apps.json 'BenchmarkApps|BenchmarkScheduler' ./internal/apps
+
+if [ -n "$failed" ]; then
+	echo "bench_check: failing suites:$failed" >&2
+	exit 1
+fi
+echo "bench_check: all six suites pass"

@@ -4,8 +4,8 @@
 #
 #   - the micro-benchmarks from internal/cluster: the delta-batch
 #     heartbeat path (ns/op per logical heartbeat), the placement
-#     decision at 10k nodes, and the three-way volatile-counter harness
-#     (atomic / batch / vsa);
+#     decision at 10k nodes, and the thresholded shard counter (the
+#     pending type in coord.go);
 #   - a "swarm" block from an avis-load run — 100k virtual-time client
 #     sessions against 10k nodes — recording end-to-end registry ops/sec
 #     and placement latency percentiles.

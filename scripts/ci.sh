@@ -208,9 +208,9 @@ run_reach() {
 		q "$B/avis-mix" -seed 42 -video 4 -foveal 2 -chaos
 		q "$B/avis-load" -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 		q "$B/avis-chaos"
-		echo "== reach: avis-profile into a store directory, with -refine; tunable-spec on both shipped specs"
+		echo "== reach: avis-profile into a store directory, then with -refine into the same one; tunable-spec on both shipped specs"
 		q "$B/avis-profile" -figure all -out wal
-		q "$B/avis-profile" -figure 6a -refine 0.3 -out refined
+		q "$B/avis-profile" -figure 6a -refine 0.3 -out wal
 		for s in avis video; do
 			"$B/specsrc" $s >$s.tsp
 			q "$B/tunable-spec" -in $s.tsp
@@ -228,14 +228,14 @@ run_reach() {
 				sleep 0.1
 			done
 		}
-		"$B/avis-coord" -addr $COORD -perfstore-dir wal -metrics-addr $MET >coord.log 2>&1 &
+		"$B/avis-coord" -addr $COORD -metrics-addr $MET >coord.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $COORD
 		"$B/avis-server" -addr $SRV -side 256 -levels 4 -images 2 -coord $COORD -heartbeat 200ms >server.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $SRV
 		sig=$(sed -n 's/.*store signature \([^)]*\)).*/\1/p' server.log)
-		"$B/avis-edge" -addr $EDGE -origin $SRV -sig "$sig" -prewarm -coord $COORD -heartbeat 200ms >edge.log 2>&1 &
+		"$B/avis-edge" -addr $EDGE -origin $SRV -sig "$sig" -coord $COORD -heartbeat 200ms >edge.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $EDGE
 		sleep 0.5 # let both registrations land
