@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -45,43 +47,55 @@ var mixPinShapes = []mixPinShape{
 	{"flood", 8, 1.6e6, 16, 4, 100 * time.Millisecond, 400 * time.Millisecond, 10 * time.Second},
 }
 
-// mixReportHashes runs every pinned (shape, seed, chaos) and returns one
-// "shape seed clean|chaos sha256" line per run.
-func mixReportHashes(t *testing.T) []string {
-	video, foveal := NewVideo(), NewFoveal()
-	var lines []string
+// mixPinRun is one pinned (shape, seed, chaos) run.
+type mixPinRun struct {
+	shape mixPinShape
+	seed  uint64
+	chaos bool
+}
+
+// mixPinRuns lists the pinned runs in testdata/mix.sha256's order.
+func mixPinRuns() []mixPinRun {
+	var runs []mixPinRun
 	for _, sh := range mixPinShapes {
 		for seed := uint64(1); seed <= mixPinSeeds; seed++ {
 			for _, chaos := range []bool{false, true} {
-				cfg := HarnessConfig{
-					Seed: seed, Hosts: sh.hosts, LinkPool: sh.linkPool,
-					Classes: []ClassConfig{
-						{App: video, Sessions: sh.video, ArrivalEvery: sh.videoEvery},
-						{App: foveal, Sessions: sh.foveal, ArrivalEvery: sh.fovealEvery},
-					},
-				}
-				mode := "clean"
-				if chaos {
-					s := MixChaos(seed, sh.chaosHorizon)
-					cfg.Chaos, mode = &s, "chaos"
-				}
-				rep, err := RunMix(cfg)
-				if err != nil {
-					t.Fatalf("%s seed %d %s: %v", sh.name, seed, mode, err)
-				}
-				b, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines = append(lines, fmt.Sprintf("%s %d %s %x", sh.name, seed, mode, sha256.Sum256(b)))
+				runs = append(runs, mixPinRun{sh, seed, chaos})
 			}
 		}
 	}
-	return lines
+	return runs
 }
 
-func TestMixReportsPinned(t *testing.T) {
-	got := mixReportHashes(t)
+// hash runs r and returns its "shape seed clean|chaos sha256" line.
+func (r mixPinRun) hash(video, foveal Application) (string, error) {
+	sh := r.shape
+	cfg := HarnessConfig{
+		Seed: r.seed, Hosts: sh.hosts, LinkPool: sh.linkPool,
+		Classes: []ClassConfig{
+			{App: video, Sessions: sh.video, ArrivalEvery: sh.videoEvery},
+			{App: foveal, Sessions: sh.foveal, ArrivalEvery: sh.fovealEvery},
+		},
+	}
+	mode := "clean"
+	if r.chaos {
+		s := MixChaos(r.seed, sh.chaosHorizon)
+		cfg.Chaos, mode = &s, "chaos"
+	}
+	rep, err := RunMix(cfg)
+	if err != nil {
+		return "", fmt.Errorf("%s seed %d %s: %w", sh.name, r.seed, mode, err)
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s %d %s %x", sh.name, r.seed, mode, sha256.Sum256(b)), nil
+}
+
+// mixPins reads testdata/mix.sha256's lines.
+func mixPins(t *testing.T) []string {
+	t.Helper()
 	f, err := os.Open(mixPinFile)
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +111,12 @@ func TestMixReportsPinned(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// checkPins compares the hashed lines with the pinned ones.
+func checkPins(t *testing.T, got, want []string) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d runs hashed, %s pins %d", len(got), mixPinFile, len(want))
 	}
@@ -104,5 +124,54 @@ func TestMixReportsPinned(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("mix report moved: got %q, pinned %q", got[i], want[i])
 		}
+	}
+}
+
+func TestMixReportsPinned(t *testing.T) {
+	video, foveal := NewVideo(), NewFoveal()
+	var got []string
+	for _, r := range mixPinRuns() {
+		line, err := r.hash(video, foveal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, line)
+	}
+	checkPins(t, got, mixPins(t))
+}
+
+// The virtual-time kernel's workers are pooled across simulations on every
+// goroutine. Running the pinned mixes on four goroutines at once, at
+// GOMAXPROCS 1, the default and 8, must hash every report to its pin: no
+// state may leak from one simulation into another through the pool.
+func TestMixReportsPinnedConcurrently(t *testing.T) {
+	want := mixPins(t)
+	runs := mixPinRuns()
+	for _, procs := range []int{0, 1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := make([]string, len(runs))
+		next := make(chan int)
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				video, foveal := NewVideo(), NewFoveal()
+				for i := range next {
+					line, err := runs[i].hash(video, foveal)
+					if err != nil {
+						t.Error(err)
+					}
+					got[i] = line
+				}
+			}()
+		}
+		for i := range runs {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+		runtime.GOMAXPROCS(prev)
+		checkPins(t, got, want)
 	}
 }

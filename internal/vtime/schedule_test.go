@@ -286,8 +286,8 @@ func scheduleTrace(seed int64) (*schedWorld, string) {
 
 // scheduleHashes traces every seed and returns one "seed lines sha256"
 // line per seed, the op kinds exercised, and the outcomes Run ended with.
-// A kernel that loses the token hangs instead of failing, so each world
-// runs under a wall-clock watchdog.
+// A kernel that loses track of whose turn it is hangs instead of failing,
+// so each world runs under a wall-clock watchdog.
 func scheduleHashes(t *testing.T) (string, map[string]bool, map[string]bool) {
 	var b strings.Builder
 	seen, outcomes := map[string]bool{}, map[string]bool{}

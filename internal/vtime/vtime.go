@@ -6,31 +6,40 @@
 // so experiments replay deterministically and complete in milliseconds of
 // wall-clock time regardless of how many virtual seconds they span.
 //
-// The kernel uses a sequential hand-off discipline: although each process
-// is a real goroutine, exactly one process executes at any moment. A
-// process runs until it performs a blocking kernel operation (Sleep, a
-// channel Send/Recv that cannot complete, Wait on an event); the kernel
-// then selects the next runnable process, or, if none is runnable,
-// advances the clock to the earliest pending timer. Ties at the same
-// timestamp are broken by ascending sequence number, so a given program
-// always produces the same schedule.
+// Exactly one process executes at any moment. A process runs until it
+// performs a blocking kernel operation (Sleep, a channel Send/Recv that
+// cannot complete, Wait on an event); the kernel then selects the next
+// runnable process, or, if none is runnable, advances the clock to the
+// earliest pending timer. Ties at the same timestamp are broken by
+// ascending sequence number, so a given program always produces the same
+// schedule.
 //
-// The scheduler has no goroutine of its own: it runs on whichever
-// goroutine holds the execution token. A blocking process picks its
-// successor itself and hands the token over with one channel send; when
-// the pick is the process itself (a lone sleeper, Sleep(0) on an empty run
-// queue) the switch costs no channel operation at all. An exiting process
-// hands the token on the same way. Run and RunUntil take the first step
-// and then wait for the outcome. Timer callbacks therefore run inside the
-// blocking call of some process, on its goroutine (or on Run's caller, in
-// the first step).
+// Each process runs on a runtime coroutine (iter.Pull); Run and RunUntil
+// are a driver loop on the caller's goroutine that resumes one pick after
+// another. A process that blocks runs the scheduling step on its own
+// stack: if the pick is itself (a lone sleeper, Sleep(0) on an empty run
+// queue) it simply returns, otherwise it leaves the pick for the driver
+// loop and parks, one coroutine switch instead of a goroutine hand-off.
+// An exiting process picks its successor the same way. Timer callbacks
+// therefore run inside the blocking call of some process (or on Run's
+// caller, in the first step). A panic or runtime.Goexit (t.FailNow) in a
+// process leaves Run on the caller's goroutine.
+//
+// Coroutines are recycled as workers: once its function returns, a worker
+// parks until Spawn hands it another. A run's idle workers go to a pool
+// shared by simulations on every goroutine when the run ends; those
+// beyond its cap are stopped. Processes alive in an abandoned simulation
+// (an unresumed RunUntil horizon, a deadlock, Stop, a panic) stay parked
+// on their workers, as a blocked goroutine would.
 package vtime
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -52,17 +61,16 @@ type Sim struct {
 	free    []*timer // callback timers that left the heap, reused by callback
 	procs   map[int64]*Proc
 	nextID  int64
-	done    chan error // the scheduler hands Run's outcome back here
+	idle    []*worker // workers whose process exited this run; pooled when it ends
+	pick    *Proc     // the process a parking process leaves for the driver loop
+	outcome error     // the current Run's result, written when no pick remains
 	stopped bool
 	limit   time.Duration // horizon of the current Run/RunUntil
 }
 
 // NewSim returns a fresh simulation whose clock starts at zero.
 func NewSim() *Sim {
-	return &Sim{
-		procs: make(map[int64]*Proc),
-		done:  make(chan error, 1),
-	}
+	return &Sim{procs: make(map[int64]*Proc)}
 }
 
 // Now reports the current virtual time. It may be called from within a
@@ -74,11 +82,11 @@ func (s *Sim) Now() time.Duration { return s.now }
 // kernel operation takes the Proc of the calling process; using another
 // process's handle corrupts the schedule and is a programming error.
 type Proc struct {
-	sim    *Sim
-	id     int64
-	name   string
-	resume chan struct{}
-	sleep  timer // Sleep's wake-up; sleep timers are never cancelled, so one per process suffices
+	sim   *Sim
+	id    int64
+	name  string
+	w     *worker // the coroutine the process runs on
+	sleep timer   // Sleep's wake-up; sleep timers are never cancelled, so one per process suffices
 	// what the process last blocked on, formatted only for deadlock reports
 	waitOp, waitOn string
 }
@@ -101,25 +109,103 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.nextID++
 	p := &Proc{
-		sim:    s,
-		id:     s.nextID,
-		name:   name,
-		resume: make(chan struct{}),
+		sim:  s,
+		id:   s.nextID,
+		name: name,
+		w:    s.worker(),
 	}
+	p.w.p, p.w.fn = p, fn
 	s.procs[p.id] = p
 	s.makeRunnable(p)
-	go func() {
-		<-p.resume // wait until first scheduled
+	return p
+}
+
+// poolCap bounds the idle workers kept between runs: enough for the
+// largest simulations here (a mix runs ≈ 60 processes) on a few
+// goroutines at once.
+const poolCap = 256
+
+// pool holds idle workers for any simulation on any goroutine. It is not a
+// sync.Pool: an idle worker is a parked goroutine, and one the garbage
+// collector dropped would never be stopped.
+var pool struct {
+	mu   sync.Mutex
+	free []*worker
+}
+
+// worker is a coroutine that runs one process after another. Its next
+// resumes it; park, valid once it has started, suspends it until the
+// next resume.
+type worker struct {
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
+	p    *Proc       // the process to run when resumed idle
+	fn   func(*Proc) // and its function
+}
+
+// worker returns an idle worker: one this run freed, else one from the
+// pool, else a new coroutine.
+func (s *Sim) worker() *worker {
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return w
+	}
+	pool.mu.Lock()
+	if n := len(pool.free); n > 0 {
+		w := pool.free[n-1]
+		pool.free[n-1] = nil
+		pool.free = pool.free[:n-1]
+		pool.mu.Unlock()
+		return w
+	}
+	pool.mu.Unlock()
+	w := new(worker)
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// loop is a worker's body: run the assigned process, deregister it, leave
+// the next pick for the driver loop, and park idle until reassigned.
+func (w *worker) loop(park func(struct{}) bool) {
+	w.park = park
+	for {
+		p, fn := w.p, w.fn
+		w.p, w.fn = nil, nil
 		fn(p)
+		s := p.sim
 		delete(s.procs, p.id)
 		// Pending callbacks stay unfired once the last process is gone.
 		if len(s.procs) == 0 {
-			s.done <- nil
-		} else if q := s.schedule(); q != nil {
-			q.resume <- struct{}{}
+			s.outcome = nil
+		} else {
+			s.pick = s.schedule()
 		}
-	}()
-	return p
+		// Only now: a callback in schedule may Spawn, and must not take a
+		// worker that has not parked yet.
+		s.idle = append(s.idle, w)
+		if !park(struct{}{}) {
+			return
+		}
+	}
+}
+
+// release hands the run's idle workers to the pool and stops those over
+// its cap.
+func (s *Sim) release() {
+	if len(s.idle) == 0 {
+		return
+	}
+	pool.mu.Lock()
+	n := min(len(s.idle), poolCap-len(pool.free))
+	pool.free = append(pool.free, s.idle[:n]...)
+	pool.mu.Unlock()
+	for _, w := range s.idle[n:] {
+		w.stop()
+	}
+	clear(s.idle)
+	s.idle = s.idle[:0]
 }
 
 // Spawn creates a child process from within a running process.
@@ -238,36 +324,40 @@ func (s *Sim) Run() error { return s.run(math.MaxInt64) }
 // or RunUntil may be invoked again to continue.
 func (s *Sim) RunUntil(t time.Duration) error { return s.run(t) }
 
+// run is the driver loop: it resumes each pick until none is left. Idle
+// workers go back to the pool however the run ends, a panic included.
 func (s *Sim) run(limit time.Duration) error {
 	s.limit = limit
-	if p := s.schedule(); p != nil {
-		p.resume <- struct{}{}
+	defer s.release()
+	for p := s.schedule(); p != nil; p = s.pick {
+		s.pick = nil
+		p.w.next()
 	}
-	return <-s.done
+	return s.outcome
 }
 
-// schedule is the one scheduling step, run by whichever goroutine holds
-// the token: it returns the next runnable process, advancing the clock
-// through timer batches as needed, or nil after handing the outcome of the
-// current Run to done.
+// schedule is the one scheduling step, run by the blocking or exiting
+// process (or by Run, in the first step): it returns the next runnable
+// process, advancing the clock through timer batches as needed, or nil
+// after writing the current Run's outcome.
 func (s *Sim) schedule() *Proc {
 	for {
 		if s.stopped {
-			s.done <- ErrStopped
+			s.outcome = ErrStopped
 			return nil
 		}
 		if s.runq.len() > 0 {
 			return s.runq.pop()
 		}
 		if len(s.timers) > 0 && s.nextTimerAt() > s.limit {
-			s.done <- nil // reached the horizon
+			s.outcome = nil // reached the horizon
 			return nil
 		}
 		if !s.advance() {
 			if len(s.procs) == 0 {
-				s.done <- nil
+				s.outcome = nil
 			} else {
-				s.done <- fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummary())
+				s.outcome = fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummary())
 			}
 			return nil
 		}
@@ -341,20 +431,19 @@ func (s *Sim) blockedSummary() string {
 
 // yield blocks p until its wake-up condition, which the caller must
 // already have arranged (timer or waiter registration). op and on say what
-// p waits for; they are joined only if a deadlock report needs them. The
-// calling goroutine runs the scheduler itself: if the pick is p, yield
-// returns with no channel operation; otherwise it resumes the pick with one
-// send (or hands Run its outcome) and parks until some later pick resumes p.
+// p waits for; they are joined only if a deadlock report needs them. p
+// runs the scheduling step itself: if the pick is p, yield returns without
+// a switch; otherwise it leaves the pick (or nil, once the outcome is
+// written) for the driver loop and parks until some later pick resumes p.
 func (p *Proc) yield(op, on string) {
 	p.waitOp, p.waitOn = op, on
-	q := p.sim.schedule()
+	s := p.sim
+	q := s.schedule()
 	if q == p {
 		return
 	}
-	if q != nil {
-		q.resume <- struct{}{}
-	}
-	<-p.resume
+	s.pick = q
+	p.w.park(struct{}{})
 }
 
 // makeRunnable appends q to the run queue.
@@ -387,9 +476,9 @@ func (p *Proc) SleepUntil(t time.Duration) {
 }
 
 // After schedules fn to run at now+d in kernel context: not as a process of
-// its own, but inside the scheduling step of whichever goroutine holds the
-// token when the clock reaches the timer — a blocking process's, or Run's
-// caller's in the first step. fn must not block; it
+// its own, but inside the scheduling step that reaches the timer — on the
+// stack of the process that blocked or exited, or of Run's caller in the
+// first step. fn must not block; it
 // may spawn processes, send on channels with waiting receivers, or adjust
 // state. The timer comes from a free list, so a steady stream of After
 // calls allocates nothing.

@@ -54,8 +54,8 @@ run_unit() {
 	# The arbiter and admission tests are schedule-dependent: one green
 	# run proves little (the churn test once landed green and failed 16
 	# of 20 runs afterwards), so repeat them under the race detector.
-	# The virtual-time kernel's correctness rests on channel handoffs
-	# between process goroutines (no scheduler goroutine orders them), so
+	# The virtual-time kernel's correctness rests on coroutine switches
+	# between process workers pooled across simulations and goroutines, so
 	# the kernel and its closest users repeat here too; under -race they
 	# take about 1-2 s each per count. The monitor's armed region calls
 	# the scheduler's Select from the agent's process, and core arms it
@@ -65,9 +65,12 @@ run_unit() {
 
 	# The mix's retuner skips a session's plan when its inputs have not
 	# moved; the skip and the re-selection after a moved estimate repeat
-	# with the scheduler's pooled decision state they lean on.
-	echo "== go test -race -count=20 $* -run '^TestReplan' ./internal/apps (repeat gate)"
-	go test -race -count=20 -timeout 10m "$@" -run '^TestReplan' ./internal/apps
+	# with the scheduler's pooled decision state they lean on. The pinned
+	# mixes run on four goroutines at once (GOMAXPROCS 1, default, 8) must
+	# still hash to their pins with the kernel's worker pool shared between
+	# them (about 17 s per count under -race).
+	echo "== go test -race -count=20 $* -run '^(TestReplan|TestMixReportsPinnedConcurrently)' ./internal/apps (repeat gate)"
+	go test -race -count=20 -timeout 20m "$@" -run '^(TestReplan|TestMixReportsPinnedConcurrently)' ./internal/apps
 
 	# The testbed hands the image store's reply entries to clients by
 	# reference, and the three concurrent worlds of an experiment share
