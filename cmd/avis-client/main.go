@@ -9,8 +9,10 @@
 // that node dies mid-stream the client fails over to a replacement and
 // the progressive transmission continues where it stopped.
 //
-// With -metrics-addr it exposes the client-side avis_* metric families at
-// /metrics (Prometheus text format; ?format=json for JSON) plus /healthz.
+// With -metrics-addr it exposes the client-side avis_* metric families (and,
+// for a direct session shaped by -bw, the shaper's netem_conn_* families) at
+// /metrics (Prometheus text format; ?format=json for JSON), /healthz and
+// the runtime profiles under /debug/pprof/.
 // With -io-timeout a dead or wedged server surfaces as a clean timeout
 // error instead of a hang (and, under -coord, triggers failover).
 //
@@ -33,6 +35,7 @@ import (
 	"tunable/cmd/internal/daemon"
 	"tunable/internal/avis"
 	"tunable/internal/cluster"
+	"tunable/internal/netem"
 	"tunable/internal/wavelet"
 )
 
@@ -104,7 +107,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("avis-client: %v", err)
 		}
-		rc, err := avis.NewRealClient(avis.Shape(conn, *bw), params)
+		shaped := avis.Shape(conn, *bw)
+		if sc, ok := shaped.(*netem.ShapedConn); ok {
+			sc.EnableMetrics(reg)
+		}
+		rc, err := avis.NewRealClient(shaped, params)
 		if err != nil {
 			log.Fatalf("avis-client: %v", err)
 		}

@@ -22,11 +22,12 @@ type Telemetry struct{ addr string }
 
 // Define defines -metrics-addr on fs.
 func (t *Telemetry) Define(fs *flag.FlagSet) {
-	fs.StringVar(&t.addr, "metrics-addr", "", "serve /metrics and /healthz on this address (empty = disabled)")
+	fs.StringVar(&t.addr, "metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = disabled)")
 }
 
-// Start serves a fresh wall-clock registry at /metrics and /healthz on the
-// -metrics-addr address and prints "<banner>metrics on http://<addr>/metrics".
+// Start serves a fresh wall-clock registry at /metrics, with /healthz and
+// /debug/pprof/ beside it, on the -metrics-addr address and prints
+// "<banner>metrics on http://<addr>/metrics".
 // With the flag empty it returns nil: telemetry off.
 func (t *Telemetry) Start(banner string) (*metrics.Registry, error) {
 	if t.addr == "" {

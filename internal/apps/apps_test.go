@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/netem"
+	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/scheduler"
 	"tunable/internal/spec"
@@ -234,13 +234,14 @@ func TestReplanSkipsUnchangedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.New(app.Spec(), db, app.Preferences())
+	model := &countingModel{Model: db}
+	sched, err := scheduler.New(app.Spec(), model, app.Preferences())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.New()
-	sched.EnableMetrics(reg)
-	selects := reg.Counter("sched_selects_total", "")
+	// Every selection resolves each candidate's lattice once.
+	candidates := len(sched.Candidates())
+	selections := func() int { return model.lookups / candidates }
 	arb, err := scheduler.NewArbiter(resource.Vector{resource.CPU: 2, resource.Bandwidth: 600e3},
 		[]scheduler.ClassShare{{Class: "video", Weight: 1}, {Class: "foveal", Weight: 1}})
 	if err != nil {
@@ -267,9 +268,9 @@ func TestReplanSkipsUnchangedInputs(t *testing.T) {
 			n++
 		}
 	}
-	check := func(step string, wantSelects float64, wantSent int) {
+	check := func(step string, wantSelects, wantSent int) {
 		t.Helper()
-		if got := selects.Value(); got != wantSelects {
+		if got := selections(); got != wantSelects {
 			t.Errorf("%s: %v selections so far, want %v", step, got, wantSelects)
 		}
 		if n := sent(); n != wantSent {
@@ -290,10 +291,22 @@ func TestReplanSkipsUnchangedInputs(t *testing.T) {
 	check("bandwidth moved", 2, 1) // 48 -> 300 kB/s affords a richer stream
 	s.share /= 2
 	h.plan(s)
-	if got := selects.Value(); got != 3 {
+	if got := selections(); got != 3 {
 		t.Errorf("share moved: %v selections so far, want 3", got)
 	}
 	if plans := 1 + 21 + 1 + 1; cr.derated != plans {
 		t.Errorf("%d derated plans counted, want all %d", cr.derated, plans)
 	}
+}
+
+// countingModel is a performance model that counts the lattice lookups
+// made through it.
+type countingModel struct {
+	perfdb.Model
+	lookups int
+}
+
+func (m *countingModel) Lattice(configKey string) (*perfdb.Lattice, error) {
+	m.lookups++
+	return m.Model.Lattice(configKey)
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/netem"
 	"tunable/internal/sandbox"
 	"tunable/internal/vtime"
@@ -34,9 +33,6 @@ type Driver struct {
 	baseLat   map[string]time.Duration
 	baseLoss  map[string]float64
 	baseShare map[string]float64
-
-	reg       *metrics.Registry
-	mInjected map[Kind]*metrics.Counter
 }
 
 // NewDriver prepares a driver over the given labelled links and sandboxes
@@ -59,27 +55,11 @@ func NewDriver(sim *vtime.Sim, links map[string]*netem.Link, sandboxes map[strin
 	}, nil
 }
 
-// EnableMetrics instruments the driver with the same faults_injected_total
-// family the Injector exports.
-func (d *Driver) EnableMetrics(reg *metrics.Registry) {
-	d.reg = reg
-	d.mInjected = make(map[Kind]*metrics.Counter)
-}
-
 // Log returns the fault log so far (virtual timestamps).
 func (d *Driver) Log() []Injected { return append([]Injected(nil), d.log...) }
 
 func (d *Driver) record(kind Kind, target, detail string) {
 	d.log = append(d.log, Injected{At: d.sim.Now(), Kind: kind, Target: target, Detail: detail})
-	if d.reg != nil {
-		c, ok := d.mInjected[kind]
-		if !ok {
-			c = d.reg.Counter("faults_injected_total",
-				"Faults actually applied to a target, by kind.", metrics.L("kind", string(kind)))
-			d.mInjected[kind] = c
-		}
-		c.Inc()
-	}
 }
 
 // Install captures baselines and schedules a state refresh at every event

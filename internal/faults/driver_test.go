@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/netem"
 	"tunable/internal/sandbox"
 	"tunable/internal/vtime"
@@ -24,8 +23,6 @@ func TestDriverAppliesAndRevertsLinkFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.New()
-	d.EnableMetrics(reg)
 	d.Install()
 
 	check := func(at time.Duration, fn func()) { sim.At(at, fn) }

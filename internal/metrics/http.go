@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -21,8 +22,9 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Serve exposes the registry at addr with two routes: /metrics (scrapeable
-// exposition) and /healthz (liveness). It binds synchronously — so a bad
+// Serve exposes the registry at addr with /metrics (scrapeable exposition),
+// /healthz (liveness) and the runtime profiles under /debug/pprof/
+// (net/http/pprof's handlers). It binds synchronously — so a bad
 // address fails fast — then serves in a background goroutine. The returned
 // server's Close/Shutdown stops it.
 func Serve(addr string, r *Registry) (*http.Server, error) {
@@ -36,6 +38,11 @@ func Serve(addr string, r *Registry) (*http.Server, error) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{
 		Addr:              ln.Addr().String(),
 		Handler:           mux,

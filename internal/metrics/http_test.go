@@ -65,6 +65,30 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 	}
 }
 
+// TestServePprof: the telemetry mux also answers the runtime profile
+// routes, so every -metrics-addr is a profiling endpoint too.
+func TestServePprof(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	for _, path := range []string{"/debug/pprof/cmdline", "/debug/pprof/"} {
+		resp, err := http.Get("http://" + srv.Addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: read body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s: status %d, %d bytes; want 200 and a body", path, resp.StatusCode, len(body))
+		}
+	}
+}
+
 func TestServeBadAddrFailsFast(t *testing.T) {
 	if _, err := Serve("256.0.0.1:bogus", New()); err == nil {
 		t.Fatal("Serve on a bogus address must fail synchronously")

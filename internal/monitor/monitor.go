@@ -15,7 +15,6 @@ import (
 	"math"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/resource"
 	"tunable/internal/vtime"
 )
@@ -136,14 +135,6 @@ type Agent struct {
 
 	stop    *vtime.Event
 	samples int64
-
-	// telemetry instruments; nil (no-op) unless EnableMetrics ran
-	reg         *metrics.Registry
-	mSamples    *metrics.Counter
-	mTriggers   *metrics.Counter
-	mStaleRound *metrics.Counter
-	mDegraded   *metrics.Gauge
-	mEstimates  map[string]*metrics.Gauge
 }
 
 // Option customizes an Agent.
@@ -228,35 +219,6 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 		o(a)
 	}
 	return a
-}
-
-// EnableMetrics instruments the agent. Metric families (all labelled by
-// agent): monitor_samples_total, monitor_triggers_total, and
-// monitor_estimate gauges per probed component.resource key.
-func (a *Agent) EnableMetrics(reg *metrics.Registry) {
-	a.reg = reg
-	lbl := metrics.L("agent", a.name)
-	a.mSamples = reg.Counter("monitor_samples_total", "Sampling rounds completed.", lbl)
-	a.mTriggers = reg.Counter("monitor_triggers_total", "Triggers fired on leaving the armed region.", lbl)
-	a.mStaleRound = reg.Counter("monitor_stale_rounds_total",
-		"Sampling rounds in which a probe's estimate was decayed for staleness.", lbl)
-	a.mDegraded = reg.Gauge("monitor_degraded",
-		"Probe keys currently in degraded (stale-sample) mode.", lbl)
-	a.mEstimates = make(map[string]*metrics.Gauge)
-}
-
-// estimateGauge returns (lazily creating) the gauge for one probe key.
-func (a *Agent) estimateGauge(key string) *metrics.Gauge {
-	if a.reg == nil {
-		return nil
-	}
-	if g, ok := a.mEstimates[key]; ok {
-		return g
-	}
-	g := a.reg.Gauge("monitor_estimate", "Smoothed resource-availability estimate.",
-		metrics.L("agent", a.name), metrics.L("key", key))
-	a.mEstimates[key] = g
-	return g
 }
 
 // keyedProbe is a probe with its "component.kind" key, built once, and
@@ -355,7 +317,6 @@ func (a *Agent) RunOnce(now time.Duration) { a.round(now) }
 
 func (a *Agent) round(now time.Duration) {
 	a.samples++
-	a.mSamples.Inc()
 	for i := range a.probes {
 		pr := &a.probes[i]
 		key := pr.key
@@ -365,10 +326,7 @@ func (a *Agent) round(now time.Duration) {
 			continue
 		}
 		a.lastSeen[key] = now
-		if a.degraded[key] {
-			delete(a.degraded, key)
-			a.mDegraded.Set(float64(len(a.degraded)))
-		}
+		delete(a.degraded, key)
 		var est float64
 		if a.smoothing == EWMA {
 			if prev, ok := a.ewma[key]; ok {
@@ -408,7 +366,6 @@ func (a *Agent) round(now time.Duration) {
 // evaluation.
 func (a *Agent) record(pr *keyedProbe, est float64) {
 	a.estimates[pr.Component()][pr.Kind()] = est
-	a.estimateGauge(pr.key).Set(est)
 	if !(math.Abs(est-pr.judged) <= tolerance*math.Abs(pr.judged)) {
 		a.recheck = true
 	}
@@ -436,11 +393,7 @@ func (a *Agent) maybeDegrade(now time.Duration, pr *keyedProbe) {
 	if !ok {
 		return
 	}
-	if !a.degraded[key] {
-		a.degraded[key] = true
-		a.mDegraded.Set(float64(len(a.degraded)))
-	}
-	a.mStaleRound.Inc()
+	a.degraded[key] = true
 	est *= a.degradeFactor
 	if floor := a.degradeFloor * a.lastGood[key]; est < floor {
 		est = floor
@@ -485,7 +438,6 @@ func (a *Agent) check(now time.Duration) {
 		return
 	}
 	a.outside = 0
-	a.mTriggers.Inc()
 	// Non-blocking: if the scheduler is behind, the newest trigger matters
 	// no more than the one already queued.
 	a.triggers.TrySend(Trigger{At: now, Estimate: a.Snapshot(), Reason: leftRegion})

@@ -68,27 +68,6 @@ func TestBandwidthProbe(t *testing.T) {
 	}
 }
 
-func TestMemoryProbe(t *testing.T) {
-	sim := vtime.NewSim()
-	h := sandbox.NewHost(sim, "h", 100e6)
-	sb, _ := h.NewSandbox("app", 0.4, 10<<20)
-	probe := newMemoryProbe("client", sb)
-	v, ok := probe.Sample(0)
-	if !ok || v != float64(10<<20) {
-		t.Fatalf("free %v %v", v, ok)
-	}
-	sb.Alloc(4 << 20)
-	v, _ = probe.Sample(0)
-	if v != float64(6<<20) {
-		t.Fatalf("free after alloc %v", v)
-	}
-	sb.Alloc(20 << 20)
-	v, _ = probe.Sample(0)
-	if v != 0 {
-		t.Fatalf("negative headroom clamped: %v", v)
-	}
-}
-
 func TestAgentWindowedEstimate(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(100*time.Millisecond))

@@ -77,34 +77,6 @@ func (p *BandwidthProbe) Sample(time.Duration) (float64, bool) {
 	return float64(dBytes) / dBusy.Seconds(), true
 }
 
-// MemoryProbe reports the memory headroom of a sandbox: physical limit
-// minus resident set (compare "physical memory usage with virtual memory
-// size").
-type MemoryProbe struct {
-	component string
-	sb        *sandbox.Sandbox
-}
-
-// newMemoryProbe creates a memory probe.
-func newMemoryProbe(component string, sb *sandbox.Sandbox) *MemoryProbe {
-	return &MemoryProbe{component: component, sb: sb}
-}
-
-// Component implements Probe.
-func (p *MemoryProbe) Component() string { return p.component }
-
-// Kind implements Probe.
-func (p *MemoryProbe) Kind() resource.Kind { return resource.Memory }
-
-// Sample implements Probe.
-func (p *MemoryProbe) Sample(time.Duration) (float64, bool) {
-	free := p.sb.MemLimit() - p.sb.MemUsed()
-	if free < 0 {
-		free = 0
-	}
-	return float64(free), true
-}
-
 // OracleProbe returns values from a closure; it is the "oracle monitor"
 // used by the ablation benchmarks (reading ground truth instead of
 // estimating it) and a convenient stub in tests.
@@ -126,6 +98,5 @@ func (p *OracleProbe) Sample(now time.Duration) (float64, bool) { return p.Fn(no
 var (
 	_ Probe = (*CPUProbe)(nil)
 	_ Probe = (*BandwidthProbe)(nil)
-	_ Probe = (*MemoryProbe)(nil)
 	_ Probe = (*OracleProbe)(nil)
 )

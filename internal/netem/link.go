@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/prng"
 	"tunable/internal/vtime"
 )
@@ -65,13 +64,6 @@ type direction struct {
 	inbox     *vtime.Chan[Message]
 	free      []*delivery // delivered records, reused by SendMsg
 	ctr       Counters
-
-	// telemetry instruments; nil (no-op) unless Link.EnableMetrics ran
-	mBytesShaped  *metrics.Counter
-	mBytesDropped *metrics.Counter
-	mMsgsDropped  *metrics.Counter
-	mQueueDelay   *metrics.Histogram
-	mBandwidth    *metrics.Gauge
 }
 
 // Link is a duplex point-to-point link between two endpoints, A and B.
@@ -119,29 +111,6 @@ func NewLink(sim *vtime.Sim, name string, bandwidth float64, opts ...LinkOption)
 	return l
 }
 
-// EnableMetrics instruments both directions of the link. Metric families:
-// netem_bytes_shaped_total (bytes serialized onto the wire, including
-// later-dropped ones), netem_bytes_dropped_total, netem_msgs_dropped_total,
-// netem_queue_delay_seconds (time a sender spent serializing and queueing
-// behind earlier traffic per message), and netem_bandwidth_bytes_per_sec,
-// all labelled by link direction.
-func (l *Link) EnableMetrics(reg *metrics.Registry) {
-	for _, d := range []*direction{l.ab, l.ba} {
-		lbl := metrics.L("dir", d.name)
-		d.mBytesShaped = reg.Counter("netem_bytes_shaped_total",
-			"Bytes serialized onto the link.", lbl)
-		d.mBytesDropped = reg.Counter("netem_bytes_dropped_total",
-			"Bytes lost to link loss or a closed peer.", lbl)
-		d.mMsgsDropped = reg.Counter("netem_msgs_dropped_total",
-			"Messages lost to link loss or a closed peer.", lbl)
-		d.mQueueDelay = reg.Histogram("netem_queue_delay_seconds",
-			"Per-message time spent serializing and queueing.", lbl)
-		d.mBandwidth = reg.Gauge("netem_bandwidth_bytes_per_sec",
-			"Configured link bandwidth.", lbl)
-		d.mBandwidth.Set(d.bandwidth)
-	}
-}
-
 // A returns the endpoint on the A side (sends A→B, receives B→A).
 func (l *Link) A() *Endpoint { return &Endpoint{out: l.ab, in: l.ba} }
 
@@ -156,8 +125,6 @@ func (l *Link) SetBandwidth(bps float64) error {
 	}
 	l.ab.bandwidth = bps
 	l.ba.bandwidth = bps
-	l.ab.mBandwidth.Set(bps)
-	l.ba.mBandwidth.Set(bps)
 	return nil
 }
 
@@ -223,8 +190,6 @@ func (e *Endpoint) SendMsg(p *vtime.Proc, msg Message) {
 	d.ctr.SendBusy += p.Now() - start
 	d.ctr.BytesSent += int64(n)
 	d.ctr.MsgsSent++
-	d.mBytesShaped.Add(float64(n))
-	d.mQueueDelay.Observe((p.Now() - start).Seconds())
 	if d.lossRate > 0 && d.rng.Float64() < d.lossRate {
 		d.drop(n)
 		return
@@ -277,8 +242,6 @@ func (d *direction) deliver(msg Message) {
 func (d *direction) drop(n int) {
 	d.ctr.BytesDropped += int64(n)
 	d.ctr.MsgsDropped++
-	d.mBytesDropped.Add(float64(n))
-	d.mMsgsDropped.Inc()
 }
 
 // Recv blocks until a message arrives and returns it.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"tunable/internal/metrics"
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/spec"
@@ -103,13 +102,6 @@ type PerfStore struct {
 	// invalidate the active configuration — the model learning that the
 	// prior was wrong must also be able to wake the scheduler.
 	onRefine func(configKey string, delta float64)
-
-	// Instruments are nil until enableMetrics; nil instruments no-op.
-	mAccepted *metrics.Counter
-	mOutlier  *metrics.Counter
-	mInvalid  *metrics.Counter
-	mRefine   *metrics.Histogram
-	mWALBytes *metrics.Gauge
 }
 
 // New creates a live store over a profiled prior (nil for cold start) and
@@ -134,27 +126,6 @@ func New(app *spec.App, prior *perfdb.DB, store *Store, opts Options) (*PerfStor
 		windows: make(map[string]*devWindow),
 	}
 	return s, nil
-}
-
-// enableMetrics registers the store's instruments on reg (nil-safe, the
-// repo-wide idiom): perfstore_samples_total{verdict}, the refinement-delta
-// histogram, and the live WAL size gauge (zero for a memory store).
-func (s *PerfStore) enableMetrics(reg *metrics.Registry) {
-	s.mAccepted = reg.Counter("perfstore_samples_total",
-		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "accepted"))
-	s.mOutlier = reg.Counter("perfstore_samples_total",
-		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "outlier"))
-	s.mInvalid = reg.Counter("perfstore_samples_total",
-		"Live telemetry samples ingested, by filter verdict.", metrics.L("verdict", "invalid"))
-	s.mRefine = reg.Histogram("perfstore_refine_delta",
-		"Relative change applied to a profile metric by one refinement fold.")
-	s.mWALBytes = reg.Gauge("perfstore_wal_bytes",
-		"Bytes held in live write-ahead log segments (drops on compaction).")
-	g, st := s.mWALBytes, s.store
-	st.mu.Lock()
-	st.onWALBytes = func(n int64) { g.Set(float64(n)) }
-	g.Set(float64(st.walBytes))
-	st.mu.Unlock()
 }
 
 // OnRefine registers the refinement notification hook. Call before ingest
@@ -324,10 +295,9 @@ func (s *PerfStore) publish(configKey string, l *perfdb.Lattice) {
 
 // Offer queues one telemetry sample, flushing the batch once BatchSize
 // accumulate. Invalid samples (unknown config or metric, non-finite
-// values) are counted and dropped immediately.
+// values) are dropped immediately.
 func (s *PerfStore) Offer(sample Sample) {
-	if err := sample.validate(s.app); err != nil {
-		s.mInvalid.Inc()
+	if sample.validate(s.app) != nil {
 		return
 	}
 	s.mu.Lock()
@@ -369,16 +339,13 @@ func (s *PerfStore) ingest(batch []Sample) int {
 // accepted, folds it into the configuration's profile.
 func (s *PerfStore) ingestOne(sample *Sample) bool {
 	if !s.admit(sample) {
-		s.mOutlier.Inc()
 		return false
 	}
 	delta, err := s.fold(sample)
 	if err != nil {
 		// Persistence failure: the sample is lost, not the process.
-		s.mInvalid.Inc()
 		return false
 	}
-	s.mAccepted.Inc()
 	if s.onRefine != nil {
 		s.onRefine(sample.Config.Key(), delta)
 	}
@@ -420,8 +387,7 @@ func (s *PerfStore) fold(sample *Sample) (float64, error) {
 // foldInto merges one observation into a profile at its resource point —
 // exponentially weighted refinement of an existing record, or a new
 // record extending the lattice — and returns the largest relative
-// movement it applied. The refine-delta histogram observes the per-metric
-// movements.
+// movement it applied.
 func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, alpha float64) float64 {
 	rk := res.Key()
 	if i := p.find(rk); i >= 0 {
@@ -435,9 +401,7 @@ func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, 
 			}
 			next := (1-alpha)*cur + alpha*v
 			r.Metrics[name] = next
-			d := relDev(next, cur)
-			s.mRefine.Observe(d)
-			if math.Abs(d) > maxDelta {
+			if d := relDev(next, cur); math.Abs(d) > maxDelta {
 				maxDelta = math.Abs(d)
 			}
 		}
@@ -453,8 +417,7 @@ func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, 
 		Samples:   1,
 	})
 	p.normalize()
-	s.mRefine.Observe(1) // a new lattice point is a full-size delta
-	return 1
+	return 1 // a new lattice point is a full-size delta
 }
 
 // snapRes coarsens a resource vector to snapDigits significant digits

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"tunable/internal/metrics"
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/spec"
@@ -163,38 +162,47 @@ func TestRefinementExtendsLattice(t *testing.T) {
 func TestOutlierRejectedDriftAccepted(t *testing.T) {
 	app := testApp(t)
 	prior := testPrior(t, app)
-	reg := metrics.New()
-	s := newTestStore(t, prior, nil, Options{BatchSize: 1})
-	s.enableMetrics(reg)
+	s := newTestStore(t, prior, nil, Options{BatchSize: 64})
 
 	cfg := cfgOf("lzw", 1)
 	res := resource.Vector{resource.Bandwidth: 100e3}
 	base, _ := s.Predict(cfg, res)
+	// offer ingests one sample on its own and reports whether the filter
+	// accepted it.
+	offer := func(took float64) bool {
+		s.Offer(Sample{Config: cfg, Resources: res, Observed: spec.Metrics{"time": took, "quality": 0.8}})
+		return s.Flush() == 1
+	}
 
 	// Settle the deviation window with on-model samples.
 	for i := 0; i < 8; i++ {
-		s.Offer(Sample{Config: cfg, Resources: res,
-			Observed: spec.Metrics{"time": base["time"] * (1 + 0.01*float64(i%3)), "quality": 0.8}})
+		if !offer(base["time"] * (1 + 0.01*float64(i%3))) {
+			t.Fatalf("on-model sample %d rejected", i)
+		}
 	}
 	settled, _ := s.Predict(cfg, res)
 
 	// One wild transient (50× slower: a GC pause, a cold cache) must be
 	// rejected and must not move the model.
-	s.Offer(Sample{Config: cfg, Resources: res,
-		Observed: spec.Metrics{"time": base["time"] * 50, "quality": 0.8}})
+	if offer(base["time"] * 50) {
+		t.Fatal("outlier accepted")
+	}
 	after, _ := s.Predict(cfg, res)
 	if math.Abs(after["time"]-settled["time"]) > 1e-9 {
 		t.Fatalf("outlier moved the model: %v -> %v", settled["time"], after["time"])
-	}
-	if got := s.mOutlier.Value(); got != 1 {
-		t.Fatalf("outlier counter = %v, want 1", got)
 	}
 
 	// Sustained drift at 2× must shift the window and be accepted within
 	// roughly a window's worth of samples.
 	drift := base["time"] * 2
+	accepted := 0
 	for i := 0; i < 40; i++ {
-		s.Offer(Sample{Config: cfg, Resources: res, Observed: spec.Metrics{"time": drift, "quality": 0.8}})
+		if offer(drift) {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no drifted sample accepted")
 	}
 	final, _ := s.Predict(cfg, res)
 	if math.Abs(final["time"]-drift) > 0.1*drift {
@@ -204,18 +212,20 @@ func TestOutlierRejectedDriftAccepted(t *testing.T) {
 
 func TestInvalidSamplesCounted(t *testing.T) {
 	app := testApp(t)
-	reg := metrics.New()
-	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 1})
-	s.enableMetrics(reg)
+	s := newTestStore(t, testPrior(t, app), nil, Options{BatchSize: 64})
+	cfg := cfgOf("lzw", 1)
+	res := resource.Vector{resource.Bandwidth: 1e5}
+	before, _ := s.Predict(cfg, res)
 
 	s.Offer(Sample{Config: spec.Config{"codec": spec.Enum("nope")},
-		Resources: resource.Vector{resource.Bandwidth: 1e5}, Observed: spec.Metrics{"time": 1}})
-	s.Offer(Sample{Config: cfgOf("lzw", 1),
-		Resources: resource.Vector{resource.Bandwidth: 1e5}, Observed: spec.Metrics{"bogus": 1}})
-	s.Offer(Sample{Config: cfgOf("lzw", 1),
-		Resources: resource.Vector{resource.Bandwidth: 1e5}, Observed: spec.Metrics{"time": math.NaN()}})
-	if got := s.mInvalid.Value(); got != 3 {
-		t.Fatalf("invalid counter = %v, want 3", got)
+		Resources: res, Observed: spec.Metrics{"time": 1}})
+	s.Offer(Sample{Config: cfg, Resources: res, Observed: spec.Metrics{"bogus": 1}})
+	s.Offer(Sample{Config: cfg, Resources: res, Observed: spec.Metrics{"time": math.NaN()}})
+	if n := s.Flush(); n != 0 {
+		t.Fatalf("%d invalid samples accepted, want 0", n)
+	}
+	if after, _ := s.Predict(cfg, res); after["time"] != before["time"] {
+		t.Fatalf("invalid samples moved the model: %v -> %v", before["time"], after["time"])
 	}
 }
 

@@ -31,8 +31,6 @@ type Store struct {
 	curBytes int64
 	walBytes int64 // bytes across all live segments
 	closed   bool
-
-	onWALBytes func(int64) // metrics hook; may be nil
 }
 
 // NewMemStore creates an empty in-memory store.
@@ -98,9 +96,8 @@ func (s *Store) Save(p *profile) error {
 	return s.boundLogLocked()
 }
 
-// WalBytes reports the bytes held in live log segments (what the
-// perfstore_wal_bytes gauge exports; compaction resets it, and a memory
-// store holds none).
+// WalBytes reports the bytes held in live log segments (compaction resets
+// it, and a memory store holds none).
 func (s *Store) WalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -233,9 +233,6 @@ func (s *Store) boundLogLocked() error {
 			}
 		}
 	}
-	if s.onWALBytes != nil {
-		s.onWALBytes(s.walBytes)
-	}
 	return nil
 }
 
@@ -328,9 +325,6 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("perfstore: compact: %w", err)
 	}
 	s.cur, s.curBytes, s.walBytes = nf, 0, 0
-	if s.onWALBytes != nil {
-		s.onWALBytes(0)
-	}
 	return nil
 }
 

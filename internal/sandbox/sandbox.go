@@ -1,7 +1,10 @@
 // Package sandbox implements the paper's virtual execution environment
 // (Section 5.1): a resource-constrained sandbox that guarantees an
-// application an average CPU share, memory limit, and — in combination with
-// package netem — network bandwidth, over short metering periods.
+// application an average CPU share and — in combination with package
+// netem — network bandwidth, over short metering periods. Memory is a
+// reservation only: NewSandbox admits a sandbox's limit against the
+// host's physical memory, but nothing pages or faults at run time, since
+// the paper's experiments (§7) constrain only CPU and bandwidth.
 //
 // The paper realizes the sandbox with Win32 API interception and dynamic
 // priority manipulation "every few milliseconds"; here the same contract is
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/prng"
 	"tunable/internal/vtime"
 )
@@ -46,9 +48,6 @@ type Host struct {
 	memResv  int64
 	boxes    map[string]*Sandbox
 	rng      *prng.Splitmix
-
-	reg           *metrics.Registry
-	reservedGauge *metrics.Gauge
 }
 
 // HostOption customizes host construction.
@@ -77,19 +76,6 @@ func NewHost(sim *vtime.Sim, name string, speedHz float64, opts ...HostOption) *
 		o(h)
 	}
 	return h
-}
-
-// EnableMetrics instruments the host and every sandbox subsequently
-// created on it. Metric families: sandbox_cpu_seconds_total,
-// sandbox_compute_ops_total, sandbox_throttle_quanta_total,
-// sandbox_page_faults_total, sandbox_cpu_share, sandbox_mem_used_bytes,
-// all labelled by sandbox (and host); plus sandbox_reserved_share per
-// host. Call before NewSandbox; existing sandboxes stay uninstrumented.
-func (h *Host) EnableMetrics(reg *metrics.Registry) {
-	h.reg = reg
-	h.reservedGauge = reg.Gauge("sandbox_reserved_share",
-		"Aggregate CPU share reserved on the host.", metrics.L("host", h.name))
-	h.reservedGauge.Set(h.reserved)
 }
 
 // Name returns the host's name.
@@ -133,28 +119,11 @@ func (h *Host) NewSandbox(name string, share float64, memLimit int64) (*Sandbox,
 		memLimit:    memLimit,
 		memExplicit: memExplicit,
 	}
-	if h.reg != nil {
-		lbls := []metrics.Label{metrics.L("host", h.name), metrics.L("sandbox", name)}
-		sb.mCPUSeconds = h.reg.Counter("sandbox_cpu_seconds_total",
-			"CPU-seconds actually received (cycles at full machine speed).", lbls...)
-		sb.mComputeOps = h.reg.Counter("sandbox_compute_ops_total",
-			"Completed Compute calls.", lbls...)
-		sb.mThrottleQuanta = h.reg.Counter("sandbox_throttle_quanta_total",
-			"Full metering quanta consumed while demand exceeded the share.", lbls...)
-		sb.mFaults = h.reg.Counter("sandbox_page_faults_total",
-			"Simulated page faults beyond the physical memory limit.", lbls...)
-		sb.mShare = h.reg.Gauge("sandbox_cpu_share",
-			"Currently configured CPU share.", lbls...)
-		sb.mMemUsed = h.reg.Gauge("sandbox_mem_used_bytes",
-			"Currently allocated bytes.", lbls...)
-		sb.mShare.Set(share)
-	}
 	h.reserved += share
 	if memExplicit {
 		h.memResv += memLimit
 	}
 	h.boxes[name] = sb
-	h.reservedGauge.Set(h.reserved)
 	return sb, nil
 }
 
@@ -168,7 +137,6 @@ func (h *Host) Release(sb *Sandbox) {
 	if sb.memExplicit {
 		h.memResv -= sb.memLimit
 	}
-	h.reservedGauge.Set(h.reserved)
 }
 
 // Sandbox is a resource-constrained execution environment for one
@@ -180,21 +148,10 @@ type Sandbox struct {
 	share       float64
 	memLimit    int64
 	memExplicit bool
-	memUsed     int64
 
 	// usage accounting, read by the monitoring agent
 	cpuTime    time.Duration // CPU-seconds actually received (scaled by share)
 	activeTime time.Duration // virtual time spent inside Compute
-	faults     int64         // page faults simulated
-
-	// telemetry instruments; nil (no-op) unless Host.EnableMetrics ran
-	// before this sandbox was created
-	mCPUSeconds     *metrics.Counter
-	mComputeOps     *metrics.Counter
-	mThrottleQuanta *metrics.Counter
-	mFaults         *metrics.Counter
-	mShare          *metrics.Gauge
-	mMemUsed        *metrics.Gauge
 }
 
 // Name returns the sandbox name.
@@ -218,33 +175,12 @@ func (sb *Sandbox) SetCPUShare(share float64) error {
 	}
 	sb.host.reserved += share - sb.share
 	sb.share = share
-	sb.mShare.Set(share)
-	sb.host.reservedGauge.Set(sb.host.reserved)
 	return nil
 }
 
-// MemLimit returns the configured physical memory limit in bytes.
+// MemLimit returns the memory reservation in bytes: the limit NewSandbox
+// admitted, or the host's full memory when none was given.
 func (sb *Sandbox) MemLimit() int64 { return sb.memLimit }
-
-// SetMemLimit reconfigures the memory limit (the paper switches protection
-// bits of mapped pages; here the limit changes the fault model for
-// subsequent Touch calls).
-func (sb *Sandbox) SetMemLimit(b int64) error {
-	if b <= 0 {
-		return fmt.Errorf("sandbox: invalid memory limit %d", b)
-	}
-	prevResv := int64(0)
-	if sb.memExplicit {
-		prevResv = sb.memLimit
-	}
-	if sb.host.memResv-prevResv+b > sb.host.memTotal {
-		return fmt.Errorf("sandbox: host %s cannot grow memory limit to %d", sb.host.name, b)
-	}
-	sb.host.memResv += b - prevResv
-	sb.memLimit = b
-	sb.memExplicit = true
-	return nil
-}
 
 // effectiveRate returns the cycle rate the application receives right now:
 // its share of the host speed, reduced by the host's background OS
@@ -287,15 +223,9 @@ func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 		p.Sleep(dt)
 		cycles -= used
 		sb.activeTime += dt
-		if dt == Quantum {
-			sb.mThrottleQuanta.Inc()
-		}
 		// CPU-seconds received = cycles consumed at full machine speed.
-		cpu := time.Duration(used / sb.host.speed * float64(time.Second))
-		sb.cpuTime += cpu
-		sb.mCPUSeconds.Add(cpu.Seconds())
+		sb.cpuTime += time.Duration(used / sb.host.speed * float64(time.Second))
 	}
-	sb.mComputeOps.Inc()
 }
 
 // CPUTime returns cumulative CPU-seconds received, the counter the paper's
@@ -304,55 +234,3 @@ func (sb *Sandbox) CPUTime() time.Duration { return sb.cpuTime }
 
 // ActiveTime returns cumulative virtual time spent computing (not blocked).
 func (sb *Sandbox) ActiveTime() time.Duration { return sb.activeTime }
-
-// Faults returns the number of simulated page faults.
-func (sb *Sandbox) Faults() int64 { return sb.faults }
-
-// MemUsed returns current allocated bytes.
-func (sb *Sandbox) MemUsed() int64 { return sb.memUsed }
-
-// Alloc records an allocation of n bytes. Allocation never fails (virtual
-// memory), but exceeding the physical limit makes subsequent Touch calls
-// fault.
-func (sb *Sandbox) Alloc(n int64) {
-	if n < 0 {
-		panic("sandbox: negative allocation")
-	}
-	sb.memUsed += n
-	sb.mMemUsed.Set(float64(sb.memUsed))
-}
-
-// Free releases n bytes.
-func (sb *Sandbox) Free(n int64) {
-	sb.memUsed -= n
-	if sb.memUsed < 0 {
-		sb.memUsed = 0
-	}
-	sb.mMemUsed.Set(float64(sb.memUsed))
-}
-
-// pageSize is the fault-accounting granularity.
-const pageSize = 4096
-
-// faultCycles is the processor cost of servicing one page fault.
-const faultCycles = 200_000
-
-// Touch models accessing n bytes of the sandbox's working set. While the
-// resident set fits the physical limit this is free; beyond the limit a
-// proportional fraction of the touched pages fault, each costing
-// faultCycles (the paper flips protection bits on mapped pages; the
-// observable effect is the same slowdown).
-func (sb *Sandbox) Touch(p *vtime.Proc, n int64) {
-	if sb.memUsed <= sb.memLimit || n <= 0 {
-		return
-	}
-	over := float64(sb.memUsed-sb.memLimit) / float64(sb.memUsed)
-	pages := (n + pageSize - 1) / pageSize
-	faulting := int64(float64(pages) * over)
-	if faulting <= 0 {
-		return
-	}
-	sb.faults += faulting
-	sb.mFaults.Add(float64(faulting))
-	sb.Compute(p, float64(faulting)*faultCycles)
-}

@@ -210,52 +210,6 @@ func TestSetCPUShareValidation(t *testing.T) {
 	}
 }
 
-func TestMemoryFaultsSlowTouch(t *testing.T) {
-	sim := vtime.NewSim()
-	h := NewHost(sim, "h", 100e6, WithOSLoad(0))
-	sb, _ := h.NewSandbox("app", 1.0, 10<<20)
-	// Within the limit: Touch is free.
-	el := run(t, sim, func(p *vtime.Proc) {
-		sb.Alloc(8 << 20)
-		sb.Touch(p, 8<<20)
-	})
-	if el != 0 {
-		t.Fatalf("in-limit touch cost %v", el)
-	}
-	if sb.Faults() != 0 {
-		t.Fatalf("in-limit faults %d", sb.Faults())
-	}
-	// Over the limit: faults burn CPU.
-	sim2 := vtime.NewSim()
-	h2 := NewHost(sim2, "h", 100e6, WithOSLoad(0))
-	sb2, _ := h2.NewSandbox("app", 1.0, 10<<20)
-	el2 := run(t, sim2, func(p *vtime.Proc) {
-		sb2.Alloc(20 << 20)
-		sb2.Touch(p, 20<<20)
-	})
-	if el2 == 0 {
-		t.Fatal("over-limit touch was free")
-	}
-	if sb2.Faults() == 0 {
-		t.Fatal("no faults recorded")
-	}
-}
-
-func TestAllocFree(t *testing.T) {
-	sim := vtime.NewSim()
-	h := NewHost(sim, "h", 100e6)
-	sb, _ := h.NewSandbox("app", 0.5, 0)
-	sb.Alloc(1000)
-	sb.Alloc(500)
-	if sb.MemUsed() != 1500 {
-		t.Fatalf("MemUsed %d", sb.MemUsed())
-	}
-	sb.Free(2000)
-	if sb.MemUsed() != 0 {
-		t.Fatalf("MemUsed %d after over-free", sb.MemUsed())
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	measure := func() time.Duration {
 		sim := vtime.NewSim()
@@ -266,49 +220,6 @@ func TestDeterministicReplay(t *testing.T) {
 	a, b := measure(), measure()
 	if a != b {
 		t.Fatalf("replay mismatch: %v vs %v", a, b)
-	}
-}
-
-func TestSetMemLimit(t *testing.T) {
-	sim := vtime.NewSim()
-	h := NewHost(sim, "h", 100e6, WithMemory(64<<20))
-	sb, _ := h.NewSandbox("app", 0.5, 32<<20)
-	if err := sb.SetMemLimit(48 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.SetMemLimit(128 << 20); err == nil {
-		t.Fatal("over-memory growth accepted")
-	}
-	if err := sb.SetMemLimit(-1); err == nil {
-		t.Fatal("negative limit accepted")
-	}
-}
-
-func TestTouchPartialOverLimit(t *testing.T) {
-	sim := vtime.NewSim()
-	h := NewHost(sim, "h", 100e6, WithOSLoad(0))
-	sb, _ := h.NewSandbox("app", 1.0, 10<<20)
-	// 25% over the limit: roughly a quarter of touched pages fault.
-	var el1, el2 time.Duration
-	sim.Spawn("t", func(p *vtime.Proc) {
-		sb.Alloc(int64(12.5 * float64(1<<20)))
-		start := p.Now()
-		sb.Touch(p, 4<<20)
-		el1 = p.Now() - start
-		// Going further over the limit faults more.
-		sb.Alloc(10 << 20)
-		start = p.Now()
-		sb.Touch(p, 4<<20)
-		el2 = p.Now() - start
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if el1 <= 0 {
-		t.Fatal("over-limit touch was free")
-	}
-	if el2 <= el1 {
-		t.Fatalf("worse overcommit not slower: %v vs %v", el2, el1)
 	}
 }
 

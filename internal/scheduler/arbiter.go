@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"tunable/internal/metrics"
 	"tunable/internal/resource"
 )
 
@@ -34,13 +33,6 @@ type Arbiter struct {
 	pool    resource.Vector
 	classes map[string]*classState
 	order   []string // class names, sorted, for deterministic iteration
-
-	// telemetry instruments; nil (no-op) unless EnableMetrics ran
-	mGrants   map[string]*metrics.Counter
-	mRejects  map[string]*metrics.Counter
-	mActive   map[string]*metrics.Gauge
-	mDerated  *metrics.Counter
-	mReleases *metrics.Counter
 }
 
 type classState struct {
@@ -91,29 +83,6 @@ func NewArbiter(pool resource.Vector, shares []ClassShare) (*Arbiter, error) {
 	}
 	sort.Strings(a.order)
 	return a, nil
-}
-
-// EnableMetrics instruments the arbiter: sched_arbiter_grants_total and
-// sched_arbiter_rejects_total (labelled by class),
-// sched_arbiter_active{class}, sched_arbiter_releases_total, and
-// sched_arbiter_derated_plans_total.
-func (a *Arbiter) EnableMetrics(reg *metrics.Registry) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.mGrants = make(map[string]*metrics.Counter, len(a.order))
-	a.mRejects = make(map[string]*metrics.Counter, len(a.order))
-	a.mActive = make(map[string]*metrics.Gauge, len(a.order))
-	for _, c := range a.order {
-		a.mGrants[c] = reg.Counter("sched_arbiter_grants_total",
-			"Cross-class acquisitions admitted.", metrics.L("class", c))
-		a.mRejects[c] = reg.Counter("sched_arbiter_rejects_total",
-			"Cross-class acquisitions refused.", metrics.L("class", c))
-		a.mActive[c] = reg.Gauge("sched_arbiter_active",
-			"Sessions currently holding a grant.", metrics.L("class", c))
-	}
-	a.mReleases = reg.Counter("sched_arbiter_releases_total", "Grants released.")
-	a.mDerated = reg.Counter("sched_arbiter_derated_plans_total",
-		"Planning-capacity queries answered while classes contend.")
 }
 
 // Classes returns the declared class names in sorted order.
@@ -205,11 +174,9 @@ func (a *Arbiter) Acquire(class string, want resource.Vector) (*ClassGrant, erro
 	}
 	for k, v := range want {
 		if v < 0 {
-			a.mRejects[class].Inc()
 			return nil, fmt.Errorf("scheduler: class %q wants negative %s", class, k)
 		}
 		if _, pooled := a.pool[k]; !pooled {
-			a.mRejects[class].Inc()
 			return nil, fmt.Errorf("scheduler: class %q wants unpooled resource %s", class, k)
 		}
 	}
@@ -222,7 +189,6 @@ func (a *Arbiter) Acquire(class string, want resource.Vector) (*ClassGrant, erro
 		}
 		free := cap - total - want.Get(k, 0)
 		if free < -epsilon {
-			a.mRejects[class].Inc()
 			return nil, fmt.Errorf("scheduler: class %q: pool %s exhausted (%.4g free, %.4g wanted)",
 				class, k, cap-total, want.Get(k, 0))
 		}
@@ -236,7 +202,6 @@ func (a *Arbiter) Acquire(class string, want resource.Vector) (*ClassGrant, erro
 			}
 		}
 		if free+epsilon < owed {
-			a.mRejects[class].Inc()
 			return nil, fmt.Errorf("scheduler: class %q: granting %.4g %s would invade other classes' guarantees (%.4g free, %.4g owed)",
 				class, want.Get(k, 0), k, free+want.Get(k, 0), owed)
 		}
@@ -245,8 +210,6 @@ func (a *Arbiter) Acquire(class string, want resource.Vector) (*ClassGrant, erro
 		cs.used[k] = cs.used.Get(k, 0) + v
 	}
 	cs.active++
-	a.mGrants[class].Inc()
-	a.mActive[class].Set(float64(cs.active))
 	return &ClassGrant{arb: a, class: class, want: want.Clone()}, nil
 }
 
@@ -270,8 +233,6 @@ func (a *Arbiter) Release(g *ClassGrant) {
 		cs.used[k] = u
 	}
 	cs.active--
-	a.mReleases.Inc()
-	a.mActive[g.class].Set(float64(cs.active))
 }
 
 // PlanningCapacity derates an observed resource vector for one class's
@@ -291,7 +252,6 @@ func (a *Arbiter) PlanningCapacity(class string, v resource.Vector) {
 	if !ok || !a.contendedLocked() {
 		return
 	}
-	a.mDerated.Inc()
 	for k, capacity := range a.pool {
 		obs, has := v[k]
 		if !has {

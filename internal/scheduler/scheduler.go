@@ -17,9 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/spec"
@@ -72,34 +70,6 @@ type Scheduler struct {
 	prefs []Preference
 	cands []candidate // in canonical key order
 	evals sync.Pool   // of *evaluation, recycled between decisions
-
-	// telemetry instruments; nil (no-op) unless EnableMetrics ran
-	mDecisionLatency *metrics.Histogram
-	mSelects         *metrics.Counter
-	mNoFeasible      *metrics.Counter
-	mPruned          *metrics.Counter
-	mNoProfile       *metrics.Counter
-	mCandidates      *metrics.Gauge
-}
-
-// EnableMetrics instruments the scheduler. Metric families:
-// sched_decision_seconds (wall-clock latency of Select — the scheduler's
-// own compute cost, meaningful even under virtual time),
-// sched_selects_total, sched_no_feasible_total,
-// sched_candidates_pruned_total (candidates rejected by constraint pruning
-// per decision), and sched_candidates.
-func (s *Scheduler) EnableMetrics(reg *metrics.Registry) {
-	s.mDecisionLatency = reg.Histogram("sched_decision_seconds",
-		"Wall-clock latency of one scheduling decision.")
-	s.mSelects = reg.Counter("sched_selects_total", "Scheduling decisions attempted.")
-	s.mNoFeasible = reg.Counter("sched_no_feasible_total",
-		"Decisions where no configuration satisfied any preference.")
-	s.mPruned = reg.Counter("sched_candidates_pruned_total",
-		"Candidate configurations rejected during constraint pruning.")
-	s.mNoProfile = reg.Counter("sched_no_profile_skips_total",
-		"Candidates skipped because the model holds no profile for them.")
-	s.mCandidates = reg.Gauge("sched_candidates", "Size of the candidate set.")
-	s.mCandidates.Set(float64(len(s.cands)))
 }
 
 // candidate is one configuration the scheduler may pick, with the
@@ -186,11 +156,10 @@ func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision
 // Scheduler recycles evaluations through its pool, so a warm decision
 // allocates only its result.
 type evaluation struct {
-	s         *Scheduler
-	lats      []*perfdb.Lattice // per candidate; nil where the model has no profile
-	noProfile int               // how many of those the model typed ErrNoProfile
-	m, bestM  spec.Metrics      // prediction under evaluation; the best one of the last call to best
-	derated   resource.Vector   // SelectDerated's planning point
+	s        *Scheduler
+	lats     []*perfdb.Lattice // per candidate; nil where the model has no profile
+	m, bestM spec.Metrics      // prediction under evaluation; the best one of the last call to best
+	derated  resource.Vector   // SelectDerated's planning point
 }
 
 // evaluation takes a recycled evaluation from the pool, or makes one.
@@ -214,54 +183,40 @@ func (s *Scheduler) evaluation() *evaluation {
 // Predicted is freshly allocated.
 func (ev *evaluation) decide(res resource.Vector) (Decision, error) {
 	s := ev.s
-	start := time.Now()
-	s.mSelects.Inc()
-	ev.noProfile = 0
 	for i, c := range s.cands {
 		l, err := s.db.Lattice(c.key)
 		if err != nil {
-			l = nil
 			// A candidate the model cannot speak for (typed ErrNoProfile —
 			// e.g. a live store still cold for it) is skipped, not fatal:
 			// the decision degrades to the profiled candidates.
-			if errors.Is(err, perfdb.ErrNoProfile) {
-				ev.noProfile++
-			}
+			l = nil
 		}
 		ev.lats[i] = l
 	}
 	for pi, pref := range s.prefs {
-		best, pruned := ev.best(pref, res)
-		s.mPruned.Add(float64(pruned))
+		best := ev.best(pref, res)
 		if best < 0 {
 			continue
 		}
-		d := Decision{
+		return Decision{
 			Config:     s.cands[best].cfg,
 			Predicted:  ev.bestM.Clone(),
 			Preference: pi,
 			PrefName:   pref.Name,
-		}
-		s.mDecisionLatency.Observe(time.Since(start).Seconds())
-		return d, nil
+		}, nil
 	}
-	s.mNoFeasible.Inc()
-	s.mDecisionLatency.Observe(time.Since(start).Seconds())
 	return Decision{}, ErrNoFeasible
 }
 
 // best evaluates one preference at res: prune by constraints, optimize the
 // objective, and on an objective tie prefer the candidate that dominates.
 // It returns the winning candidate's index (-1 if none is feasible),
-// leaving its predicted metrics in ev.bestM, and how many candidates were
-// pruned.
-func (ev *evaluation) best(pref Preference, res resource.Vector) (best, pruned int) {
+// leaving its predicted metrics in ev.bestM.
+func (ev *evaluation) best(pref Preference, res resource.Vector) int {
 	s := ev.s
-	s.mNoProfile.Add(float64(ev.noProfile))
 	higher := s.app.Metric(pref.Objective).Better == spec.HigherIsBetter
-	best = -1
+	best := -1
 	var bestObj float64
-	feasible := 0
 candidates:
 	for i, l := range ev.lats {
 		if l == nil || l.PredictInto(res, ev.m) != nil {
@@ -276,7 +231,6 @@ candidates:
 		if !has {
 			continue
 		}
-		feasible++
 		// Candidates are visited in key order. A later one takes the lead
 		// with a strictly better objective, or with an equal one if it
 		// dominates the incumbent; so no feasible candidate dominates the
@@ -290,7 +244,7 @@ candidates:
 			ev.m, ev.bestM = ev.bestM, ev.m
 		}
 	}
-	return best, len(ev.lats) - feasible
+	return best
 }
 
 // dominates reports whether predicted metrics a are at least as good as b

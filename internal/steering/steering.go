@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"tunable/internal/metrics"
 	"tunable/internal/spec"
 	"tunable/internal/vtime"
 )
@@ -36,7 +35,6 @@ type Ack struct {
 	Seq      int64
 	Accepted bool
 	At       time.Duration
-	Applied  spec.Config
 	Reason   string
 }
 
@@ -60,12 +58,6 @@ type Agent struct {
 	onApply  []func(old, new spec.Config)
 	switches int64
 	rejects  int64
-
-	// telemetry instruments; nil (no-op) unless EnableMetrics ran
-	mSwitches   *metrics.Counter
-	mRejects    *metrics.Counter
-	mSuperseded *metrics.Counter
-	mGuardRound *metrics.Counter
 }
 
 // New creates a steering agent with the given initial configuration.
@@ -81,24 +73,6 @@ func New(sim *vtime.Sim, app *spec.App, initial spec.Config) (*Agent, error) {
 		acks:     vtime.NewNamedChan[Ack](sim, 16, "steering.acks"),
 		handlers: make(map[string]Handler),
 	}, nil
-}
-
-// EnableMetrics instruments the agent. Metric families:
-// steering_switches_total (reconfigurations applied),
-// steering_rejects_total (control messages refused — vetoed, invalid, or
-// redundant), steering_superseded_total (queued messages displaced by a
-// newer one before application), and steering_guard_rounds_total
-// (negotiation rounds, i.e. control messages actually evaluated against
-// guards and veto hooks).
-func (a *Agent) EnableMetrics(reg *metrics.Registry) {
-	a.mSwitches = reg.Counter("steering_switches_total",
-		"Configuration switches applied at transition points.")
-	a.mRejects = reg.Counter("steering_rejects_total",
-		"Control messages rejected (veto, validation, or redundancy).")
-	a.mSuperseded = reg.Counter("steering_superseded_total",
-		"Queued control messages superseded before application.")
-	a.mGuardRound = reg.Counter("steering_guard_rounds_total",
-		"Guard negotiation rounds (control messages evaluated).")
 }
 
 // Current returns the active configuration.
@@ -144,11 +118,7 @@ func (a *Agent) MaybeApply(p *vtime.Proc) (spec.Config, bool) {
 			break
 		}
 		if pending != nil {
-			a.mSuperseded.Inc()
-			a.acks.TrySend(Ack{
-				Seq: pending.Seq, Accepted: false, At: p.Now(),
-				Applied: a.current.Clone(), Reason: "superseded",
-			})
+			a.acks.TrySend(Ack{Seq: pending.Seq, At: p.Now(), Reason: "superseded"})
 		}
 		m := msg
 		pending = &m
@@ -158,22 +128,14 @@ func (a *Agent) MaybeApply(p *vtime.Proc) (spec.Config, bool) {
 	}
 	if err := a.apply(p, *pending); err != nil {
 		a.rejects++
-		a.mRejects.Inc()
-		a.acks.TrySend(Ack{
-			Seq: pending.Seq, Accepted: false, At: p.Now(),
-			Applied: a.current.Clone(), Reason: err.Error(),
-		})
+		a.acks.TrySend(Ack{Seq: pending.Seq, At: p.Now(), Reason: err.Error()})
 		return a.current, false
 	}
-	a.acks.TrySend(Ack{
-		Seq: pending.Seq, Accepted: true, At: p.Now(),
-		Applied: a.current.Clone(),
-	})
+	a.acks.TrySend(Ack{Seq: pending.Seq, Accepted: true, At: p.Now()})
 	return a.current, true
 }
 
 func (a *Agent) apply(p *vtime.Proc, msg ControlMsg) error {
-	a.mGuardRound.Inc()
 	if err := a.app.ValidateConfig(msg.Config); err != nil {
 		return err
 	}
@@ -192,7 +154,6 @@ func (a *Agent) apply(p *vtime.Proc, msg ControlMsg) error {
 	}
 	a.current = msg.Config.Clone()
 	a.switches++
-	a.mSwitches.Inc()
 	for _, fn := range a.onApply {
 		fn(old, a.current.Clone())
 	}

@@ -222,7 +222,8 @@ run_reach() {
 		done
 
 		echo "== reach: loopback deployment (coordinator, origin, edge, four clients)"
-		COORD=127.0.0.1:7681 SRV=127.0.0.1:7481 EDGE=127.0.0.1:7482 MET=127.0.0.1:9481
+		COORD=127.0.0.1:7681 SRV=127.0.0.1:7481 EDGE=127.0.0.1:7482
+		MET=127.0.0.1:9481 SRVMET=127.0.0.1:9482 EDGEMET=127.0.0.1:9483
 		wait_port() {
 			i=0
 			until "$B/portprobe" "$1" 2>/dev/null; do
@@ -234,19 +235,22 @@ run_reach() {
 		"$B/avis-coord" -addr $COORD -metrics-addr $MET >coord.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $COORD
-		"$B/avis-server" -addr $SRV -side 256 -levels 4 -images 2 -coord $COORD -heartbeat 200ms >server.log 2>&1 &
+		"$B/avis-server" -addr $SRV -side 256 -levels 4 -images 2 -coord $COORD -heartbeat 200ms -metrics-addr $SRVMET >server.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $SRV
 		sig=$(sed -n 's/.*store signature \([^)]*\)).*/\1/p' server.log)
-		"$B/avis-edge" -addr $EDGE -origin $SRV -sig "$sig" -coord $COORD -heartbeat 200ms >edge.log 2>&1 &
+		"$B/avis-edge" -addr $EDGE -origin $SRV -sig "$sig" -coord $COORD -heartbeat 200ms -metrics-addr $EDGEMET >edge.log 2>&1 &
 		echo $! >>"$R/pids"
 		wait_port $EDGE
 		sleep 0.5 # let both registrations land
-		q "$B/avis-client" -addr $SRV -n 2
+		q "$B/avis-client" -addr $SRV -n 2 -bw 4000000
 		q "$B/avis-client" -addr $EDGE -level 3 -n 2 -verify
 		q "$B/avis-client" -coord $COORD -n 2
 		q "$B/avis-client" -coord $COORD -prefer-edge -codec bzw -level 3 -n 2
-		q curl -sf "http://$MET/metrics"
+		for m in $MET $SRVMET $EDGEMET; do
+			q curl -sf "http://$m/metrics"
+		done
+		q curl -sf "http://$MET/debug/pprof/"
 		# SIGINT drains each daemon and returns from main, which is
 		# what writes its coverage counters.
 		kill -INT $(cat "$R/pids")
