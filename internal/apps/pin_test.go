@@ -13,12 +13,13 @@ import (
 	"time"
 )
 
-// The mix is pinned beyond one golden report: testdata/mix.sha256 holds
-// the sha256 of the JSON MixReport of every (shape, seed, chaos) run
-// below, committed from an earlier harness. A change to planning,
-// arbitration, admission, steering or the applications that moves any
-// report moves a hash; a moved hash means moved behaviour, never
-// "regenerate".
+// The mix is pinned beyond one golden report: testdata/mix.sha256 holds,
+// for every (shape, seed, chaos) run below, each class's decision counts
+// followed by the sha256 of the JSON MixReport, committed from an earlier
+// harness. A change to planning, arbitration, admission, steering or the
+// applications that moves any report moves a line; a moved line means
+// moved behaviour, never "regenerate". The counts make a moved line
+// legible: a change that moves only timing moves the hash alone.
 
 const (
 	mixPinSeeds = 16
@@ -67,7 +68,9 @@ func mixPinRuns() []mixPinRun {
 	return runs
 }
 
-// hash runs r and returns its "shape seed clean|chaos sha256" line.
+// hash runs r and returns its pin line: "shape seed clean|chaos", then
+// "class=passed/requested fN sN dN" per class (failed sessions, switches,
+// derated plans), then the report's sha256.
 func (r mixPinRun) hash(video, foveal Application) (string, error) {
 	sh := r.shape
 	cfg := HarnessConfig{
@@ -90,7 +93,13 @@ func (r mixPinRun) hash(video, foveal Application) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s %d %s %x", sh.name, r.seed, mode, sha256.Sum256(b)), nil
+	var line strings.Builder
+	fmt.Fprintf(&line, "%s %d %s", sh.name, r.seed, mode)
+	for _, c := range rep.Classes {
+		fmt.Fprintf(&line, " %s=%d/%d f%d s%d d%d", c.Class, c.Passed, c.Requested, c.Failed, c.Switches, c.DeratedPlans)
+	}
+	fmt.Fprintf(&line, " %x", sha256.Sum256(b))
+	return line.String(), nil
 }
 
 // mixPins reads testdata/mix.sha256's lines.
