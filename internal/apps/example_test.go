@@ -149,11 +149,11 @@ func ExampleVideo() {
 	//
 	// framework decision log:
 	//   [  0.00s] decision    initial fps=30,q=low (pref "smooth")
-	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600004 cpu=0.1999360995162379
-	//   [ 10.52s] decision    fps=30,q=low -> fps=15,q=low (pref "smooth", predicted map[frame_rate:15.000000000000002 lag:4.224733768983262e-06])
+	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600004 cpu=0.20008480648696292
+	//   [ 10.52s] decision    fps=30,q=low -> fps=15,q=low (pref "smooth", predicted map[frame_rate:15 lag:0])
 	//   [ 10.53s] switch      fps=30,q=low -> fps=15,q=low
-	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=252444.44563911116 cpu=0.20012233936808663
-	//   [ 22.11s] decision    fps=15,q=low -> fps=30,q=low (pref "smooth", predicted map[frame_rate:30 lag:0.002446442718524395])
+	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=252444.44563911116 cpu=0.19982452378236268
+	//   [ 22.11s] decision    fps=15,q=low -> fps=30,q=low (pref "smooth", predicted map[frame_rate:30 lag:0.0024592705604339084])
 	//   [ 22.13s] switch      fps=15,q=low -> fps=30,q=low
 	//
 	// framework switches: 2, final config: fps=30,q=low

@@ -48,7 +48,9 @@ func Figure3a() (*FigResult, error) {
 		}
 		sim.Stop()
 	})
-	if err := sim.Run(); err != nil && err != vtime.ErrStopped {
+	err = sim.Run()
+	sim.Close() // the toy is parked mid-Compute
+	if err != nil && err != vtime.ErrStopped {
 		return nil, err
 	}
 	return &FigResult{

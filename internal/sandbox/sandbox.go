@@ -10,10 +10,18 @@
 // priority manipulation "every few milliseconds"; here the same contract is
 // met by metering virtual time: an application expresses processor demand
 // in cycles, and the sandbox converts cycles to virtual time at
-// hostSpeed × share, re-reading the share every quantum so dynamic
-// reconfiguration takes effect within one quantum, exactly as the paper's
-// priority adjustments do. The sandbox doubles as the profiling testbed and
-// as the run-time policing mechanism (Section 6.2), as in the paper.
+// hostSpeed × share, one Quantum at a time, so dynamic reconfiguration
+// takes effect within one quantum, exactly as the paper's priority
+// adjustments do. The quanta are metered, not slept: Compute plans a
+// computation's quanta when it starts and wakes its process once, when
+// the computation ends (or once per chunk of a very long one). Each
+// quantum draws its scheduling jitter from the sandbox's own stream, so
+// neighbours on the host do not perturb each other's timing. SetCPUShare
+// wakes a computing sandbox, which re-plans from the next quantum
+// boundary, and the usage counters step at quantum boundaries as they
+// would if the process woke at each. The sandbox doubles as the profiling
+// testbed and as the run-time policing mechanism (Section 6.2), as in the
+// paper.
 package sandbox
 
 import (
@@ -47,7 +55,6 @@ type Host struct {
 	reserved float64
 	memResv  int64
 	boxes    map[string]*Sandbox
-	rng      *prng.Splitmix
 }
 
 // HostOption customizes host construction.
@@ -70,7 +77,6 @@ func NewHost(sim *vtime.Sim, name string, speedHz float64, opts ...HostOption) *
 		osLoad:   0.03,
 		memTotal: 128 << 20,
 		boxes:    make(map[string]*Sandbox),
-		rng:      prng.New(prng.Hash(name)),
 	}
 	for _, o := range opts {
 		o(h)
@@ -118,6 +124,7 @@ func (h *Host) NewSandbox(name string, share float64, memLimit int64) (*Sandbox,
 		share:       share,
 		memLimit:    memLimit,
 		memExplicit: memExplicit,
+		rng:         *prng.New(prng.Hash(h.name + "/" + name)),
 	}
 	h.reserved += share
 	if memExplicit {
@@ -141,17 +148,105 @@ func (h *Host) Release(sb *Sandbox) {
 
 // Sandbox is a resource-constrained execution environment for one
 // application component. All methods must be called from simulation
-// process context.
+// process context, and one process at a time may Compute in a sandbox.
 type Sandbox struct {
 	host        *Host
 	name        string
 	share       float64
 	memLimit    int64
 	memExplicit bool
+	rng         prng.Splitmix // the jitter stream, one draw per quantum
 
-	// usage accounting, read by the monitoring agent
+	// usage accounting, read by the monitoring agent, settled up to the
+	// start of run; the quanta of run that have ended are added on reading
 	cpuTime    time.Duration // CPU-seconds actually received (scaled by share)
 	activeTime time.Duration // virtual time spent inside Compute
+	run        chunk
+}
+
+// maxChunk bounds the quanta Compute sleeps through in one go, and so the
+// quanta a usage read replays.
+const maxChunk = 64
+
+// chunk is the stretch of a computation that Compute sleeps through in one
+// go: quanta laid end to end from start, each one Quantum long but the
+// computation's last.
+type chunk struct {
+	proc   *vtime.Proc // the computing process; nil when the sandbox is idle
+	start  time.Duration
+	end    time.Duration
+	cycles float64 // cycles left at start
+	// the share the first quantum runs at, and the rest: a quantum under
+	// way when the share changes finishes at the share it started with
+	first, rest float64
+	to          meter // the sandbox's accounting once the chunk has run
+}
+
+// meter is the accounting a chunk's quanta advance, one at a time.
+type meter struct {
+	rng         prng.Splitmix
+	cycles      float64
+	quanta      int
+	cpu, active time.Duration
+}
+
+// step meters the next quantum of c in m: it draws the quantum's jitter,
+// and the quantum lasts a full Quantum or, for the computation's last,
+// as long as the cycles left take.
+func (c *chunk) step(h *Host, m *meter) {
+	share := c.rest
+	if m.quanta == 0 {
+		share = c.first
+	}
+	rate := h.rate(share, &m.rng)
+	if rate <= 0 {
+		panic("sandbox: zero effective rate")
+	}
+	quantumCycles := rate * Quantum.Seconds()
+	dt, used := Quantum, quantumCycles
+	if m.cycles < quantumCycles {
+		dt = time.Duration(m.cycles / rate * float64(time.Second))
+		if dt <= 0 {
+			dt = time.Nanosecond
+		}
+		used = m.cycles
+	}
+	m.cycles -= used
+	m.quanta++
+	m.active += dt
+	// CPU-seconds received = cycles consumed at full machine speed.
+	m.cpu += time.Duration(used / h.speed * float64(time.Second))
+}
+
+// plan lays out c's quanta from the sandbox's settled accounting, up to
+// maxChunk of them or the end of the computation, and sets c.end.
+func (sb *Sandbox) plan(c *chunk) {
+	c.to = meter{rng: sb.rng, cycles: c.cycles, cpu: sb.cpuTime, active: sb.activeTime}
+	for c.to.quanta < maxChunk && c.to.cycles > 1e-9 {
+		c.step(sb.host, &c.to)
+	}
+	c.end = c.start + c.to.active - sb.activeTime
+}
+
+// at returns the accounting of c's quanta that have ended by now: a
+// quantum ending exactly at now counts, as it would had its process
+// already woken.
+func (sb *Sandbox) at(c *chunk, now time.Duration) meter {
+	if now >= c.end {
+		return c.to
+	}
+	// Every quantum before the last is a full Quantum.
+	k := int((now - c.start) / Quantum)
+	m := meter{rng: sb.rng, cycles: c.cycles, cpu: sb.cpuTime, active: sb.activeTime}
+	for m.quanta < k {
+		c.step(sb.host, &m)
+	}
+	return m
+}
+
+// settle makes m the sandbox's accounting.
+func (sb *Sandbox) settle(m meter) {
+	sb.rng, sb.cpuTime, sb.activeTime = m.rng, m.cpu, m.active
 }
 
 // Name returns the sandbox name.
@@ -163,9 +258,11 @@ func (sb *Sandbox) Host() *Host { return sb.host }
 // CPUShare returns the currently configured share.
 func (sb *Sandbox) CPUShare() float64 { return sb.share }
 
-// SetCPUShare reconfigures the share; it takes effect within one Quantum,
-// mirroring the dynamic testbed reconfiguration used in Figure 3(a). The
-// host's admission bound still applies.
+// SetCPUShare reconfigures the share; it takes effect from the next
+// quantum boundary, mirroring the dynamic testbed reconfiguration used in
+// Figure 3(a): a computation under way is woken to re-plan. A change at
+// exactly a boundary applies to the quantum that starts there. The host's
+// admission bound still applies.
 func (sb *Sandbox) SetCPUShare(share float64) error {
 	if !(share > 0 && share <= 1) { // also refuses NaN
 		return fmt.Errorf("sandbox: invalid CPU share %g", share)
@@ -175,6 +272,9 @@ func (sb *Sandbox) SetCPUShare(share float64) error {
 	}
 	sb.host.reserved += share - sb.share
 	sb.share = share
+	if p := sb.run.proc; p != nil {
+		p.Wake()
+	}
 	return nil
 }
 
@@ -182,55 +282,83 @@ func (sb *Sandbox) SetCPUShare(share float64) error {
 // admitted, or the host's full memory when none was given.
 func (sb *Sandbox) MemLimit() int64 { return sb.memLimit }
 
-// effectiveRate returns the cycle rate the application receives right now:
-// its share of the host speed, reduced by the host's background OS
-// activity when the application asks for (nearly) the whole machine. A
-// small deterministic jitter term models scheduling noise.
-func (sb *Sandbox) effectiveRate() float64 {
-	avail := 1.0 - sb.host.osLoad
-	share := sb.share
+// rate returns the cycle rate an application at the given share receives
+// for one quantum: its share of the host speed, reduced by the host's
+// background OS activity when the application asks for (nearly) the whole
+// machine. A small deterministic jitter term, drawn from rng, models
+// scheduling noise.
+func (h *Host) rate(share float64, rng *prng.Splitmix) float64 {
+	avail := 1.0 - h.osLoad
 	if share > avail {
 		share = avail
 	}
 	// ±0.5% deterministic jitter.
-	jitter := 1.0 + (sb.host.rng.Float64()-0.5)*0.01
-	return sb.host.speed * share * jitter
+	jitter := 1.0 + (rng.Float64()-0.5)*0.01
+	return h.speed * share * jitter
 }
 
 // Compute consumes the given number of processor cycles, blocking the
 // calling process for cycles/(speed×share) of virtual time. The share is
-// re-read every Quantum, so concurrent SetCPUShare calls take effect
-// mid-computation — this is what makes Figure 3(a)'s step response sharp.
+// metered per Quantum, and a SetCPUShare during the computation takes
+// effect from the next quantum boundary — this is what makes Figure 3(a)'s
+// step response sharp. The process wakes once, when the computation ends:
+// a computation of one quantum is a plain Sleep; a longer one naps
+// through up to maxChunk quanta at a time, and SetCPUShare cuts the nap
+// short so the rest is re-planned at the new share.
 func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
-	for cycles > 1e-9 {
-		rate := sb.effectiveRate()
-		if rate <= 0 {
-			panic("sandbox: zero effective rate")
-		}
-		quantumCycles := rate * Quantum.Seconds()
-		var dt time.Duration
-		var used float64
-		if cycles >= quantumCycles {
-			dt = Quantum
-			used = quantumCycles
-		} else {
-			dt = time.Duration(cycles / rate * float64(time.Second))
-			if dt <= 0 {
-				dt = time.Nanosecond
-			}
-			used = cycles
-		}
-		p.Sleep(dt)
-		cycles -= used
-		sb.activeTime += dt
-		// CPU-seconds received = cycles consumed at full machine speed.
-		sb.cpuTime += time.Duration(used / sb.host.speed * float64(time.Second))
+	c := &sb.run
+	if c.proc != nil {
+		panic(fmt.Sprintf("sandbox: %s: Compute while %s computes", sb.name, c.proc.Name()))
 	}
+	*c = chunk{proc: p, start: p.Now(), cycles: cycles, first: sb.share, rest: sb.share}
+	for {
+		sb.plan(c)
+		if c.to.quanta == 0 {
+			break
+		}
+		if c.to.quanta == 1 {
+			p.Sleep(c.end - p.Now())
+		} else if !p.Nap(c.end-p.Now()) && p.Now() < c.end {
+			// The share moved: keep the quanta that have ended and re-plan
+			// the rest. The quantum under way finishes at the share it
+			// started with, unless it starts just now.
+			now := p.Now()
+			m := sb.at(c, now)
+			sb.settle(m)
+			c.start += time.Duration(m.quanta) * Quantum
+			c.cycles = m.cycles
+			if m.quanta > 0 {
+				c.first = c.rest
+			}
+			if c.start == now {
+				c.first = sb.share
+			}
+			c.rest = sb.share
+			continue
+		}
+		sb.settle(c.to)
+		if c.to.cycles <= 1e-9 {
+			break
+		}
+		c.start, c.cycles = c.end, c.to.cycles
+		c.first, c.rest = sb.share, sb.share
+	}
+	c.proc = nil
 }
 
 // CPUTime returns cumulative CPU-seconds received, the counter the paper's
 // monitor compares against wall-clock time.
-func (sb *Sandbox) CPUTime() time.Duration { return sb.cpuTime }
+func (sb *Sandbox) CPUTime() time.Duration { return sb.usage().cpu }
 
 // ActiveTime returns cumulative virtual time spent computing (not blocked).
-func (sb *Sandbox) ActiveTime() time.Duration { return sb.activeTime }
+func (sb *Sandbox) ActiveTime() time.Duration { return sb.usage().active }
+
+// usage returns the accounting up to the last quantum boundary at or
+// before now.
+func (sb *Sandbox) usage() meter {
+	c := &sb.run
+	if c.proc == nil {
+		return meter{cpu: sb.cpuTime, active: sb.activeTime}
+	}
+	return sb.at(c, c.proc.Now())
+}

@@ -240,3 +240,36 @@ func TestHostAccessors(t *testing.T) {
 		t.Fatalf("mem reserved %d", h.memResv)
 	}
 }
+
+// A computation sleeps on its process's embedded timer, replays its quanta
+// on the sandbox's value-held stream and is woken by SetCPUShare without a
+// fresh timer, so Compute allocates nothing: one quantum, many, or many
+// with a share change part-way.
+func TestComputeAllocatesNothing(t *testing.T) {
+	sim := vtime.NewSim()
+	sb, _ := NewHost(sim, "h", 450e6).NewSandbox("app", 0.5, 0)
+	share := 0.5
+	flip := func() {
+		share = 0.9 - share
+		_ = sb.SetCPUShare(share)
+	}
+	quantum := 0.5 * 450e6 * Quantum.Seconds()
+	per := map[string]float64{}
+	sim.Spawn("app", func(p *vtime.Proc) {
+		per["one quantum"] = testing.AllocsPerRun(100, func() { sb.Compute(p, quantum/2) })
+		per["many quanta"] = testing.AllocsPerRun(100, func() { sb.Compute(p, 100*quantum) })
+		per["share change"] = testing.AllocsPerRun(100, func() {
+			sim.After(25*time.Millisecond, flip)
+			sb.Compute(p, 5*quantum)
+			_, _ = sb.CPUTime(), sb.ActiveTime()
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range per {
+		if n != 0 {
+			t.Errorf("%s: %v allocations per Compute, want 0", name, n)
+		}
+	}
+}

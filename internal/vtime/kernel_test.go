@@ -2,6 +2,9 @@ package vtime
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +87,11 @@ func TestBlockingOpsAllocateNothing(t *testing.T) {
 			c := NewChan[int](s, 0)
 			return func(p *Proc) { c.RecvTimeout(p, time.Millisecond) }, nop
 		}},
+		{"nap-woken", func(s *Sim) (func(*Proc), func(*Proc)) {
+			var napper *Proc
+			return func(p *Proc) { napper = p; p.Nap(time.Hour) },
+				func(p *Proc) { p.Sleep(time.Millisecond); napper.Wake() }
+		}},
 	} {
 		if per := steadyAllocs(t, n, tc.build); per != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", tc.name, per)
@@ -91,6 +99,82 @@ func TestBlockingOpsAllocateNothing(t *testing.T) {
 	}
 	if fired != n+1 {
 		t.Errorf("after: %d callbacks fired, want %d", fired, n+1)
+	}
+}
+
+// A Nap runs its course unless Wake cuts it short, at the instant of the
+// Wake; Wake leaves a plain Sleep, a nap whose timer has fired and a
+// second call alone.
+func TestNapWake(t *testing.T) {
+	s := NewSim()
+	var log []string
+	note := func(p *Proc, what string) { log = append(log, fmt.Sprintf("%v %s %s", p.Now(), p.Name(), what)) }
+	var napper, sleeper, tied *Proc
+	napper = s.Spawn("napper", func(p *Proc) {
+		note(p, fmt.Sprint(p.Nap(10*time.Millisecond))) // runs its course
+		note(p, fmt.Sprint(p.Nap(time.Hour)))           // a callback wakes it at 13ms
+		note(p, fmt.Sprint(p.Nap(time.Hour)))           // the waker process, at 20ms
+	})
+	sleeper = s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(30 * time.Millisecond) // Wake at 20ms leaves it alone
+		note(p, "slept")
+	})
+	s.At(13*time.Millisecond, func() { napper.Wake(); napper.Wake() })
+	s.Spawn("waker", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		tied.Wake() // tied's timer has fired, though tied has not run yet
+		p.Sleep(15 * time.Millisecond)
+		napper.Wake()
+		sleeper.Wake()
+		note(p, "woke")
+	})
+	tied = s.Spawn("tied", func(p *Proc) {
+		note(p, fmt.Sprint(p.Nap(5*time.Millisecond))) // armed after the waker's sleep
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"5ms tied true", "10ms napper true", "13ms napper false",
+		"20ms waker woke", "20ms napper false", "30ms sleeper slept",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+}
+
+// Wake takes the nap's timer out of the middle of the heap; every other
+// timer still fires in (instant, arming) order.
+func TestWakeKeepsTimerOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSim()
+	type wake struct {
+		at  time.Duration
+		seq int
+	}
+	var got, want []wake
+	var nappers []*Proc
+	for i := range 200 {
+		d := time.Duration(1+rng.Intn(50)) * time.Millisecond
+		if i%3 == 0 {
+			nappers = append(nappers, s.Spawn("napper", func(p *Proc) { p.Nap(time.Hour + d) }))
+			continue
+		}
+		want = append(want, wake{d, i})
+		s.Spawn("sleeper", func(p *Proc) { p.Sleep(d); got = append(got, wake{p.Now(), i}) })
+	}
+	for _, n := range nappers {
+		s.At(time.Duration(rng.Intn(50))*time.Millisecond, n.Wake)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(want, func(a, b wake) int { return int(a.at - b.at) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("sleepers woke in order %v, want %v", got, want)
+	}
+	if s.Now() >= time.Hour {
+		t.Fatalf("a woken nap's timer still fired: the run ended at %v", s.Now())
 	}
 }
 
@@ -143,6 +227,7 @@ func TestRunUntilZeroHorizon(t *testing.T) {
 
 func TestStopFromCallback(t *testing.T) {
 	s := NewSim()
+	defer s.Close() // the run leaves processes parked
 	s.After(time.Second, s.Stop)
 	s.Spawn("p", func(p *Proc) { p.Sleep(10 * time.Second) })
 	if err := s.Run(); err != ErrStopped {
@@ -156,6 +241,7 @@ func TestStopFromCallback(t *testing.T) {
 // The deadlock report still names what each process waits on.
 func TestDeadlockNamesWaits(t *testing.T) {
 	s := NewSim()
+	defer s.Close() // the run leaves processes parked
 	ch := NewNamedChan[int](s, 0, "inbox")
 	ev := NewEvent(s, "go")
 	s.Spawn("r", func(p *Proc) { ch.Recv(p) })

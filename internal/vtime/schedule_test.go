@@ -281,7 +281,9 @@ func scheduleTrace(seed int64) (*schedWorld, string) {
 	w.log(-1, "run", "%v", err)
 	err = s.Run() // a second Run after the outcome must not move anything
 	w.log(-1, "run", "%v", err)
-	return w, w.trace.String()
+	tr := w.trace.String()
+	s.Close() // unwinds what a deadlock or Stop left parked; it logs nothing
+	return w, tr
 }
 
 // scheduleHashes traces every seed and returns one "seed lines sha256"

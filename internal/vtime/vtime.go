@@ -30,7 +30,8 @@
 // shared by simulations on every goroutine when the run ends; those
 // beyond its cap are stopped. Processes alive in an abandoned simulation
 // (an unresumed RunUntil horizon, a deadlock, Stop, a panic) stay parked
-// on their workers, as a blocked goroutine would.
+// on their workers, as a blocked goroutine would, until Close unwinds
+// them and pools their workers.
 package vtime
 
 import (
@@ -38,6 +39,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,6 +67,7 @@ type Sim struct {
 	pick    *Proc     // the process a parking process leaves for the driver loop
 	outcome error     // the current Run's result, written when no pick remains
 	stopped bool
+	closing bool          // Close is unwinding the parked processes
 	limit   time.Duration // horizon of the current Run/RunUntil
 }
 
@@ -86,7 +89,10 @@ type Proc struct {
 	id    int64
 	name  string
 	w     *worker // the coroutine the process runs on
-	sleep timer   // Sleep's wake-up; sleep timers are never cancelled, so one per process suffices
+	sleep timer   // Sleep's and Nap's wake-up: a process sleeps at most once at a time
+	// napping is set while the process is in a Nap that Wake has not cut
+	// short.
+	napping bool
 	// what the process last blocked on, formatted only for deadlock reports
 	waitOp, waitOn string
 }
@@ -173,13 +179,16 @@ func (w *worker) loop(park func(struct{}) bool) {
 	for {
 		p, fn := w.p, w.fn
 		w.p, w.fn = nil, nil
-		fn(p)
+		call(p, fn)
 		s := p.sim
 		delete(s.procs, p.id)
-		// Pending callbacks stay unfired once the last process is gone.
-		if len(s.procs) == 0 {
+		// Pending callbacks stay unfired once the last process is gone,
+		// and nothing is scheduled while Close unwinds the rest.
+		switch {
+		case s.closing:
+		case len(s.procs) == 0:
 			s.outcome = nil
-		} else {
+		default:
 			s.pick = s.schedule()
 		}
 		// Only now: a callback in schedule may Spawn, and must not take a
@@ -189,6 +198,50 @@ func (w *worker) loop(park func(struct{}) bool) {
 			return
 		}
 	}
+}
+
+// errClosed is the panic with which a process parked when Close runs
+// unwinds: its worker recovers it.
+var errClosed = errors.New("vtime: simulation closed")
+
+// call runs fn(p), recovering the unwinding Close starts in p. Any other
+// panic goes on to Run's caller.
+func call(p *Proc, fn func(*Proc)) {
+	defer func() {
+		if p.sim.closing {
+			if r := recover(); r != nil && r != errClosed {
+				panic(r)
+			}
+		}
+	}()
+	fn(p)
+}
+
+// Close reclaims a simulation that will not run again. Every process still
+// alive — parked after a deadlock, Stop, an unresumed RunUntil horizon or
+// a panic — is resumed with a stop signal: its pending kernel operation
+// panics, its deferred calls run (a kernel operation in one panics the
+// same way), and its worker goes back to the pool. A process that was
+// spawned but never ran is dropped without running. Close must be called
+// from outside the simulation, after Run or RunUntil has returned; Run
+// after Close reports ErrStopped.
+func (s *Sim) Close() {
+	s.closing, s.stopped = true, true
+	for len(s.procs) > 0 {
+		for id, p := range s.procs {
+			delete(s.procs, id)
+			if p.w.p == p { // never resumed: the worker still holds the assignment
+				p.w.p, p.w.fn = nil, nil
+				s.idle = append(s.idle, p.w)
+				continue
+			}
+			// A parked process unwinds and its worker parks idle again; the
+			// worker of one that panicked out of Run has ended, and next
+			// returns at once.
+			p.w.next()
+		}
+	}
+	s.release()
 }
 
 // release hands the run's idle workers to the pool and stops those over
@@ -215,12 +268,15 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // timer is a pending wake-up: of process p, or, when p is nil, a callback
 // timer that runs fn. Callback timers are recycled (see callback); a
-// process's embedded sleep timer never is.
+// process's embedded sleep timer never is. A stopped callback timer stays
+// in the heap until it reaches the top; a sleep timer is cancelled only by
+// Wake, which takes it out at once, and queued says whether it is in.
 type timer struct {
 	at      time.Duration
 	seq     uint64
 	p       *Proc
 	stopped bool
+	queued  bool
 	fn      func()
 }
 
@@ -260,6 +316,20 @@ func (h *timerHeap) pop() *timer {
 		h.down(0)
 	}
 	return top
+}
+
+// remove takes t out of the heap, wherever it is.
+func (h *timerHeap) remove(t *timer) {
+	old := *h
+	i := slices.Index(old, t)
+	n := len(old) - 1
+	old.Swap(i, n)
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		h.down(i)
+		h.up(i)
+	}
 }
 func (h timerHeap) up(i int) {
 	for i > 0 {
@@ -401,6 +471,7 @@ func (s *Sim) advance() bool {
 		}
 		s.timers.pop()
 		if top.p != nil {
+			top.queued = false
 			s.makeRunnable(top.p)
 			continue
 		}
@@ -435,15 +506,24 @@ func (s *Sim) blockedSummary() string {
 // runs the scheduling step itself: if the pick is p, yield returns without
 // a switch; otherwise it leaves the pick (or nil, once the outcome is
 // written) for the driver loop and parks until some later pick resumes p.
+//
+// While Close unwinds the simulation, yield panics instead: on entry for a
+// kernel operation in a deferred call, or on resuming a parked process.
 func (p *Proc) yield(op, on string) {
-	p.waitOp, p.waitOn = op, on
 	s := p.sim
+	if s.closing {
+		panic(errClosed)
+	}
+	p.waitOp, p.waitOn = op, on
 	q := s.schedule()
 	if q == p {
 		return
 	}
 	s.pick = q
 	p.w.park(struct{}{})
+	if s.closing {
+		panic(errClosed)
+	}
 }
 
 // makeRunnable appends q to the run queue.
@@ -461,9 +541,34 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	s.seq++
-	p.sleep = timer{at: s.now + d, seq: s.seq, p: p}
+	p.sleep = timer{at: s.now + d, seq: s.seq, p: p, queued: true}
 	s.timers.push(&p.sleep)
 	p.yield("sleep", "")
+}
+
+// Nap is a Sleep that Wake may cut short. It reports whether p slept the
+// whole of d. Like Sleep, it reuses p's embedded timer and allocates
+// nothing.
+func (p *Proc) Nap(d time.Duration) bool {
+	p.napping = true
+	p.Sleep(d)
+	full := p.napping
+	p.napping = false
+	return full
+}
+
+// Wake ends p's Nap now: p becomes runnable behind the processes already
+// runnable, and its Nap reports false. Wake does nothing unless p is in a
+// Nap whose timer has not fired, so a plain Sleep is never cut short and
+// a second Wake is harmless. It may be called by another process or from a
+// timer callback.
+func (p *Proc) Wake() {
+	if !p.napping || !p.sleep.queued {
+		return
+	}
+	p.sim.timers.remove(&p.sleep)
+	p.sleep.queued, p.napping = false, false
+	p.sim.makeRunnable(p)
 }
 
 // SleepUntil suspends the calling process until absolute virtual time t.

@@ -277,6 +277,7 @@ func TestRecvTimeoutExpiredWaiterSkippedBySender(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	s := NewSim()
+	defer s.Close() // the run leaves processes parked
 	ch := NewChan[int](s, 0)
 	s.Spawn("stuck", func(p *Proc) {
 		ch.Recv(p)
@@ -411,6 +412,7 @@ func TestWaitGroup(t *testing.T) {
 
 func TestStop(t *testing.T) {
 	s := NewSim()
+	defer s.Close() // the run leaves processes parked
 	s.Spawn("forever", func(p *Proc) {
 		for {
 			p.Sleep(time.Second)

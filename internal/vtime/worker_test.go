@@ -149,8 +149,8 @@ func sleepers(n int) *Sim {
 	return s
 }
 
-// leakWorld runs n sleeping processes, ended the given way, and returns
-// how many processes the simulation leaves parked.
+// leakWorld runs n sleeping processes, ended the given way, closes the
+// simulation and returns how many processes it still holds.
 func leakWorld(t *testing.T, n, end int) int {
 	s := sleepers(n)
 	var err, want error
@@ -175,18 +175,22 @@ func leakWorld(t *testing.T, n, end int) int {
 	if !errors.Is(err, want) {
 		t.Errorf("%d processes, ending %d: Run returned %v, want %v", n, end, err, want)
 	}
+	s.Close()
 	return len(s.procs)
 }
 
 // Pooled workers do not accumulate: after a few hundred simulations that
-// finish, stop at a horizon, deadlock or Stop, the goroutines left are the
-// pool's and those of the processes the abandoned simulations still hold.
+// finish, stop at a horizon, deadlock or Stop and are closed, the
+// goroutines left are the pool's.
 func TestWorkersDoNotLeak(t *testing.T) {
 	drainPool()
 	base := runtime.NumGoroutine()
 	parked := 0
 	for i := range 300 {
 		parked += leakWorld(t, 1+i%64, i%endings)
+	}
+	if parked != 0 {
+		t.Fatalf("closed simulations still hold %d processes", parked)
 	}
 	// Simulations running at once free more workers than the pool keeps
 	// (Spawn takes a worker, so all of them hold theirs before any run);
@@ -207,12 +211,74 @@ func TestWorkersDoNotLeak(t *testing.T) {
 	}
 	// The five runners may still be exiting after wg.Done; a leak never
 	// drops under the limit.
-	limit := base + poolCap + parked
+	limit := base + poolCap
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > limit && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > limit {
-		t.Fatalf("%d goroutines after the runs, want ≤ %d (baseline %d + pool %d + %d parked)",
-			got, limit, base, poolCap, parked)
+		t.Fatalf("%d goroutines after the runs, want ≤ %d (baseline %d + pool %d)", got, limit, base, poolCap)
 	}
 }
+
+// Close unwinds every process an abandoned simulation holds, however it
+// ended: each one's deferred calls run, once, a kernel operation in a
+// deferred call does not block, a process that never ran is dropped
+// without running, and every worker but a panicked process's goes back to
+// the pool.
+func TestCloseReclaimsParkedProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		block  func(s *Sim) func(p *Proc) // what the three parked processes wait on
+		end    func(s *Sim)               // runs the simulation until it ends that way
+		pooled int                        // workers pooled after Close
+	}{
+		// Three nappers, then the late process, which takes a new worker.
+		{"horizon", napHour, func(s *Sim) { s.RunUntil(time.Millisecond) }, 4},
+		{"deadlock", func(s *Sim) func(p *Proc) {
+			gate := NewChan[int](s, 0)
+			return func(p *Proc) { gate.Recv(p) }
+		}, func(s *Sim) { s.Run() }, 4},
+		// The stopping process is parked too.
+		{"stop", napHour, func(s *Sim) {
+			s.Spawn("stop", func(p *Proc) { s.Stop(); p.Sleep(time.Hour) })
+			s.Run()
+		}, 5},
+		// The panicked process's worker has ended.
+		{"panic", napHour, func(s *Sim) {
+			s.Spawn("boom", func(p *Proc) { p.Sleep(time.Millisecond); panic("boom") })
+			func() {
+				defer func() { recover() }()
+				s.Run()
+			}()
+		}, 4},
+	} {
+		drainPool()
+		s := NewSim()
+		unwound := 0
+		block := tc.block(s)
+		for range 3 {
+			s.Spawn("parked", func(p *Proc) {
+				defer func() { unwound++ }()
+				defer p.Sleep(time.Second) // a kernel operation while unwinding
+				block(p)
+			})
+		}
+		tc.end(s)
+		ran := false
+		s.Spawn("late", func(*Proc) { ran = true })
+		s.Close()
+		if unwound != 3 || ran || len(s.procs) != 0 {
+			t.Errorf("%s: %d of 3 processes unwound, late process ran %v, %d processes left",
+				tc.name, unwound, ran, len(s.procs))
+		}
+		if n, _ := pooled(nil); n != tc.pooled {
+			t.Errorf("%s: pool holds %d workers after Close, want %d", tc.name, n, tc.pooled)
+		}
+		if err := s.Run(); !errors.Is(err, ErrStopped) {
+			t.Errorf("%s: Run after Close returned %v, want ErrStopped", tc.name, err)
+		}
+		checkFreshSimRuns(t)
+	}
+}
+
+func napHour(*Sim) func(p *Proc) { return func(p *Proc) { p.Nap(time.Hour) } }
