@@ -9,6 +9,7 @@ import (
 
 	"tunable/internal/avis"
 	"tunable/internal/metrics"
+	"tunable/internal/netem"
 	"tunable/internal/wavelet"
 )
 
@@ -37,11 +38,13 @@ type FailoverClient struct {
 	roundHook   func(img, round int)
 
 	cur     *avis.RealClient // one session for life; failover swaps its connection
+	conn    net.Conn         // the current data connection, shaped
 	nodeID  string
 	sig     string
 	failed  []string
 	retries int64
 
+	reg        *metrics.Registry
 	mFailovers *metrics.Counter
 	mRetries   *metrics.Counter
 }
@@ -134,13 +137,33 @@ func DialFailover(r *Resolver, params avis.Params, opts ...FailoverOption) (*Fai
 }
 
 // EnableMetrics instruments the client: avis_failovers_total and
-// avis_round_retries_total on top of the usual avis_* client families.
+// avis_round_retries_total on top of the usual avis_* client families,
+// and, under WithBandwidth, the netem_conn_* families of the shaped data
+// connection and of each replacement a failover dials.
 func (f *FailoverClient) EnableMetrics(reg *metrics.Registry) {
+	f.reg = reg
 	f.mFailovers = reg.Counter("avis_failovers_total",
 		"Sessions re-established on a replacement server after a node failure.")
 	f.mRetries = reg.Counter("avis_round_retries_total",
 		"Interrupted rounds replayed after a connection failure.")
 	f.cur.EnableMetrics(reg)
+	f.instrumentConn()
+}
+
+// shape applies the session's bandwidth limit to a freshly dialed data
+// connection and makes it the current one.
+func (f *FailoverClient) shape(conn net.Conn) net.Conn {
+	f.conn = avis.Shape(conn, f.bw)
+	f.instrumentConn()
+	return f.conn
+}
+
+// instrumentConn registers the current connection's shaper, if it has
+// one, once EnableMetrics has run; a replacement joins the same families.
+func (f *FailoverClient) instrumentConn() {
+	if sc, ok := f.conn.(*netem.ShapedConn); ok && f.reg != nil {
+		sc.EnableMetrics(f.reg)
+	}
 }
 
 // connect resolves and dials a server and puts the session on it.
@@ -168,10 +191,10 @@ func (f *FailoverClient) connect() error {
 	// Either way the handshake puts the session's protocol state on the
 	// server: hello, then the codec announcement.
 	if f.cur != nil {
-		err = f.cur.Reconnect(avis.Shape(conn, f.bw))
+		err = f.cur.Reconnect(f.shape(conn))
 	} else {
 		var c *avis.RealClient
-		if c, err = avis.NewRealClient(avis.Shape(conn, f.bw), f.params); err == nil {
+		if c, err = avis.NewRealClient(f.shape(conn), f.params); err == nil {
 			c.SetIOTimeout(f.ioTimeout)
 			if err = c.Connect(); err == nil {
 				f.cur = c

@@ -166,6 +166,85 @@ func TestFailoverEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFailoverShapedConnMetrics: under WithBandwidth the shaped data
+// connection's netem_conn_* families are exported, and the replacement
+// connection a failover dials keeps adding to them: a fetch that runs
+// wholly on the replacement moves the counter.
+func TestFailoverShapedConnMetrics(t *testing.T) {
+	coord := NewCoordinator(Config{
+		SuspectAfter: 60 * time.Millisecond,
+		DeadAfter:    150 * time.Millisecond,
+	})
+	cl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(cl)
+	defer coord.Shutdown(time.Second)
+	stopTicker := coord.StartTicker(20 * time.Millisecond)
+	defer stopTicker()
+	nodes := map[string]*clusterNode{}
+	for _, id := range []string{"node-a", "node-b"} {
+		n := startClusterNode(t, cl.Addr().String(), id)
+		nodes[id] = n
+		defer n.srv.Shutdown(0)
+		defer n.agent.Close(false)
+	}
+	r := NewResolver(cl.Addr().String(), time.Second)
+	defer r.Close()
+
+	reg := metrics.New()
+	msrv, err := metrics.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
+	url := fmt.Sprintf("http://%s/metrics", msrv.Addr)
+	shaped := func() int {
+		for _, line := range strings.Split(httpGet(t, url), "\n") {
+			var n int
+			if _, err := fmt.Sscanf(line, "netem_conn_bytes_shaped_total %d", &n); err == nil {
+				return n
+			}
+		}
+		t.Fatal("netem_conn_bytes_shaped_total is not exported")
+		return 0
+	}
+
+	var fc *FailoverClient
+	var killOnce sync.Once
+	first := 0 // what the first connection wrote before its node died
+	hook := func(img, round int) {
+		if round == 3 {
+			killOnce.Do(func() {
+				first = shaped()
+				nodes[fc.Node()].kill()
+			})
+		}
+	}
+	fc, err = DialFailover(r, avis.Params{DR: 32, Codec: "lzw", Level: 4},
+		WithIOTimeout(2*time.Second), WithRoundHook(hook), WithBandwidth(50e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	fc.EnableMetrics(reg)
+	if _, err := fc.FetchImage(0, nil); err != nil {
+		t.Fatalf("fetch across failover: %v", err)
+	}
+	if fc.Failovers() != 1 {
+		t.Fatalf("failovers %d, want 1", fc.Failovers())
+	}
+	before := shaped()
+	if _, err := fc.FetchImage(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := shaped(); first == 0 || after <= before {
+		t.Fatalf("netem_conn_bytes_shaped_total %d before the failover, %d after it, %d after a fetch on the replacement: want both connections counted",
+			first, before, after)
+	}
+}
+
 func httpGet(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
