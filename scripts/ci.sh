@@ -90,6 +90,16 @@ run_unit() {
 	go test -race -timeout 45m "$@" ./...
 }
 
+# golden <fixture> <output>: fails unless the output equals the fixture
+# byte for byte, and prints a unified diff first, so a moved golden can be
+# read in the log.
+golden() {
+	cmp -s "$2" "$1" && return 0
+	echo "$2 differs from $1:" >&2
+	diff -u "$1" "$2" >&2 || true
+	return 1
+}
+
 run_smoke() {
 	# Swarm smoke: a small avis-load run (1k virtual-time sessions, with
 	# a mid-run kill and failover re-placement) end-to-ends the sharded
@@ -110,26 +120,29 @@ run_smoke() {
 	# scripts/golden/avis-mix.txt byte for byte (the avis-mix determinism
 	# guarantee, and no drift of the mix's virtual-time path).
 	echo "== avis-mix smoke (seeded mix, chaos replay, vs scripts/golden)"
-	MIX_A=$(mktemp) MIX_B=$(mktemp)
-	trap 'rm -f "$MIX_A" "$MIX_B"' EXIT INT TERM
+	MIX_A=$(mktemp) MIX_B=$(mktemp) OUT=$(mktemp)
+	trap 'rm -f "$MIX_A" "$MIX_B" "$OUT"' EXIT INT TERM
 	go run ./cmd/avis-mix -seed 42 -video 4 -foveal 2 -chaos -out "$MIX_A"
 	go run ./cmd/avis-mix -seed 42 -video 4 -foveal 2 -chaos -out "$MIX_B"
 	for mix in "$MIX_A" "$MIX_B"; do
-		cmp "$mix" scripts/golden/avis-mix.txt || {
+		golden scripts/golden/avis-mix.txt "$mix" || {
 			echo "avis-mix: the seed-42 chaos report differs from scripts/golden/avis-mix.txt" >&2
 			exit 1
 		}
 	done
-	rm -f "$MIX_A" "$MIX_B"
 
 	# Figure goldens: every paper figure and every adaptation experiment
 	# is a deterministic function of the virtual-time session code, so
 	# their printed output must not move by a byte unless a change means
 	# it to (then regenerate the fixture in the same commit and say why).
 	echo "== avis-figures / avis-adapt -exp all / avis-adapt -exp 1d vs scripts/golden (byte-identical)"
-	go run ./cmd/avis-figures | cmp - scripts/golden/avis-figures.txt
-	go run ./cmd/avis-adapt -exp all | cmp - scripts/golden/avis-adapt-all.txt
-	go run ./cmd/avis-adapt -exp 1d | cmp - scripts/golden/avis-adapt-1d.txt
+	go run ./cmd/avis-figures >"$OUT"
+	golden scripts/golden/avis-figures.txt "$OUT"
+	go run ./cmd/avis-adapt -exp all >"$OUT"
+	golden scripts/golden/avis-adapt-all.txt "$OUT"
+	go run ./cmd/avis-adapt -exp 1d >"$OUT"
+	golden scripts/golden/avis-adapt-1d.txt "$OUT"
+	rm -f "$MIX_A" "$MIX_B" "$OUT"
 
 	run_fuzz
 }
