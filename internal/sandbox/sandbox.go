@@ -221,11 +221,12 @@ func (c *chunk) step(h *Host, m *meter) {
 // plan lays out c's quanta from the sandbox's settled accounting, up to
 // maxChunk of them or the end of the computation, and sets c.end.
 func (sb *Sandbox) plan(c *chunk) {
-	c.to = meter{rng: sb.rng, cycles: c.cycles, cpu: sb.cpuTime, active: sb.activeTime}
-	for c.to.quanta < maxChunk && c.to.cycles > 1e-9 {
-		c.step(sb.host, &c.to)
+	m := &c.to
+	m.rng, m.cycles, m.quanta, m.cpu, m.active = sb.rng, c.cycles, 0, sb.cpuTime, sb.activeTime
+	for m.quanta < maxChunk && m.cycles > 1e-9 {
+		c.step(sb.host, m)
 	}
-	c.end = c.start + c.to.active - sb.activeTime
+	c.end = c.start + m.active - sb.activeTime
 }
 
 // at returns the accounting of c's quanta that have ended by now: a
@@ -310,7 +311,7 @@ func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 	if c.proc != nil {
 		panic(fmt.Sprintf("sandbox: %s: Compute while %s computes", sb.name, c.proc.Name()))
 	}
-	*c = chunk{proc: p, start: p.Now(), cycles: cycles, first: sb.share, rest: sb.share}
+	c.proc, c.start, c.cycles, c.first, c.rest = p, p.Now(), cycles, sb.share, sb.share
 	for {
 		sb.plan(c)
 		if c.to.quanta == 0 {
