@@ -10,7 +10,8 @@
 // the progressive transmission continues where it stopped.
 //
 // With -metrics-addr it exposes the client-side avis_* metric families (and,
-// for a direct session shaped by -bw, the shaper's netem_conn_* families) at
+// for a session shaped by -bw, the shaper's netem_conn_* families, which
+// under -coord count every connection a failover dials) at
 // /metrics (Prometheus text format; ?format=json for JSON), /healthz and
 // the runtime profiles under /debug/pprof/.
 // With -io-timeout a dead or wedged server surfaces as a clean timeout

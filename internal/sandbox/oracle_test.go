@@ -22,7 +22,7 @@ func oracleCompute(sb *Sandbox, p *vtime.Proc, cycles float64) {
 		if share > avail {
 			share = avail
 		}
-		jitter := 1.0 + (sb.rng.Float64()-0.5)*0.01
+		jitter := 1.0 + (sb.acct.rng.Float64()-0.5)*0.01
 		rate := sb.host.speed * share * jitter
 		quantumCycles := rate * Quantum.Seconds()
 		var dt time.Duration
@@ -39,8 +39,8 @@ func oracleCompute(sb *Sandbox, p *vtime.Proc, cycles float64) {
 		}
 		p.Sleep(dt)
 		cycles -= used
-		sb.activeTime += dt
-		sb.cpuTime += time.Duration(used / sb.host.speed * float64(time.Second))
+		sb.acct.active += dt
+		sb.acct.cpu += time.Duration(used / sb.host.speed * float64(time.Second))
 	}
 }
 
@@ -154,7 +154,7 @@ func runDiff(t *testing.T, sc diffScript, compute func(*Sandbox, *vtime.Proc, fl
 		sim.At(ch.at, func() {
 			if tally != nil {
 				switch c := &sb.run; {
-				case c.proc == nil:
+				case !c.busy:
 					tally.idle++
 				case (sim.Now()-c.start)%Quantum == 0:
 					tally.onBoundary++

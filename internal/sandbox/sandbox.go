@@ -124,7 +124,7 @@ func (h *Host) NewSandbox(name string, share float64, memLimit int64) (*Sandbox,
 		share:       share,
 		memLimit:    memLimit,
 		memExplicit: memExplicit,
-		rng:         *prng.New(prng.Hash(h.name + "/" + name)),
+		acct:        meter{rng: *prng.New(prng.Hash(h.name + "/" + name))},
 	}
 	h.reserved += share
 	if memExplicit {
@@ -155,13 +155,20 @@ type Sandbox struct {
 	share       float64
 	memLimit    int64
 	memExplicit bool
-	rng         prng.Splitmix // the jitter stream, one draw per quantum
 
-	// usage accounting, read by the monitoring agent, settled up to the
-	// start of run; the quanta of run that have ended are added on reading
-	cpuTime    time.Duration // CPU-seconds actually received (scaled by share)
-	activeTime time.Duration // virtual time spent inside Compute
-	run        chunk
+	// acct is the usage accounting the monitoring agent reads, as of the
+	// end of run while a computation is under way: a read then replays
+	// run's quanta that have ended from run.from.
+	acct meter
+	run  chunk
+}
+
+// meter is a sandbox's usage accounting and the jitter stream its quanta
+// draw from, one draw per quantum.
+type meter struct {
+	rng    prng.Splitmix
+	cpu    time.Duration // CPU-seconds actually received (scaled by share)
+	active time.Duration // virtual time spent inside Compute
 }
 
 // maxChunk bounds the quanta Compute sleeps through in one go, and so the
@@ -172,82 +179,50 @@ const maxChunk = 64
 // go: quanta laid end to end from start, each one Quantum long but the
 // computation's last.
 type chunk struct {
-	proc   *vtime.Proc // the computing process; nil when the sandbox is idle
-	start  time.Duration
-	end    time.Duration
-	cycles float64 // cycles left at start
-	// the share the first quantum runs at, and the rest: a quantum under
-	// way when the share changes finishes at the share it started with
-	first, rest float64
-	to          meter // the sandbox's accounting once the chunk has run
+	busy       bool        // a computation is under way
+	proc       *vtime.Proc // the process that computes, or last computed
+	start, end time.Duration
+	from       meter // the accounting at start
+	// The cycles left at start, and the share the first quantum runs at and
+	// the rest's: a quantum under way when the share changes finishes at
+	// the share it started with. A read during a one-quantum chunk replays
+	// no quanta, so only a longer chunk records them.
+	cycles, first, rest float64
 }
 
-// meter is the accounting a chunk's quanta advance, one at a time.
-type meter struct {
-	rng         prng.Splitmix
-	cycles      float64
-	quanta      int
-	cpu, active time.Duration
-}
-
-// step meters the next quantum of c in m: it draws the quantum's jitter,
-// and the quantum lasts a full Quantum or, for the computation's last,
-// as long as the cycles left take.
-func (c *chunk) step(h *Host, m *meter) {
-	share := c.rest
-	if m.quanta == 0 {
-		share = c.first
-	}
-	rate := h.rate(share, &m.rng)
-	if rate <= 0 {
-		panic("sandbox: zero effective rate")
-	}
-	quantumCycles := rate * Quantum.Seconds()
-	dt, used := Quantum, quantumCycles
-	if m.cycles < quantumCycles {
-		dt = time.Duration(m.cycles / rate * float64(time.Second))
-		if dt <= 0 {
-			dt = time.Nanosecond
+// meter advances m by up to limit quanta of a computation with cycles
+// left, the first at share first and the rest at share rest, stopping
+// early when the cycles run out. Each quantum draws its jitter and lasts a
+// full Quantum or, for the computation's last, as long as the cycles left
+// take. It returns the cycles left and the quanta metered.
+func (h *Host) meter(m *meter, cycles, first, rest float64, limit int) (float64, int) {
+	rng, cpu, active := m.rng, m.cpu, m.active
+	n := 0
+	for ; n < limit && cycles > 1e-9; n++ {
+		share := rest
+		if n == 0 {
+			share = first
 		}
-		used = m.cycles
+		rate := h.rate(share, &rng)
+		if rate <= 0 {
+			panic("sandbox: zero effective rate")
+		}
+		quantumCycles := rate * Quantum.Seconds()
+		dt, used := Quantum, quantumCycles
+		if cycles < quantumCycles {
+			dt = time.Duration(cycles / rate * float64(time.Second))
+			if dt <= 0 {
+				dt = time.Nanosecond
+			}
+			used = cycles
+		}
+		cycles -= used
+		active += dt
+		// CPU-seconds received = cycles consumed at full machine speed.
+		cpu += time.Duration(used / h.speed * float64(time.Second))
 	}
-	m.cycles -= used
-	m.quanta++
-	m.active += dt
-	// CPU-seconds received = cycles consumed at full machine speed.
-	m.cpu += time.Duration(used / h.speed * float64(time.Second))
-}
-
-// plan lays out c's quanta from the sandbox's settled accounting, up to
-// maxChunk of them or the end of the computation, and sets c.end.
-func (sb *Sandbox) plan(c *chunk) {
-	m := &c.to
-	m.rng, m.cycles, m.quanta, m.cpu, m.active = sb.rng, c.cycles, 0, sb.cpuTime, sb.activeTime
-	for m.quanta < maxChunk && m.cycles > 1e-9 {
-		c.step(sb.host, m)
-	}
-	c.end = c.start + m.active - sb.activeTime
-}
-
-// at returns the accounting of c's quanta that have ended by now: a
-// quantum ending exactly at now counts, as it would had its process
-// already woken.
-func (sb *Sandbox) at(c *chunk, now time.Duration) meter {
-	if now >= c.end {
-		return c.to
-	}
-	// Every quantum before the last is a full Quantum.
-	k := int((now - c.start) / Quantum)
-	m := meter{rng: sb.rng, cycles: c.cycles, cpu: sb.cpuTime, active: sb.activeTime}
-	for m.quanta < k {
-		c.step(sb.host, &m)
-	}
-	return m
-}
-
-// settle makes m the sandbox's accounting.
-func (sb *Sandbox) settle(m meter) {
-	sb.rng, sb.cpuTime, sb.activeTime = m.rng, m.cpu, m.active
+	m.rng, m.cpu, m.active = rng, cpu, active
+	return cycles, n
 }
 
 // Name returns the sandbox name.
@@ -273,8 +248,8 @@ func (sb *Sandbox) SetCPUShare(share float64) error {
 	}
 	sb.host.reserved += share - sb.share
 	sb.share = share
-	if p := sb.run.proc; p != nil {
-		p.Wake()
+	if sb.run.busy {
+		sb.run.proc.Wake()
 	}
 	return nil
 }
@@ -308,43 +283,51 @@ func (h *Host) rate(share float64, rng *prng.Splitmix) float64 {
 // short so the rest is re-planned at the new share.
 func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 	c := &sb.run
-	if c.proc != nil {
+	if c.busy {
 		panic(fmt.Sprintf("sandbox: %s: Compute while %s computes", sb.name, c.proc.Name()))
 	}
-	c.proc, c.start, c.cycles, c.first, c.rest = p, p.Now(), cycles, sb.share, sb.share
-	for {
-		sb.plan(c)
-		if c.to.quanta == 0 {
-			break
-		}
-		if c.to.quanta == 1 {
-			p.Sleep(c.end - p.Now())
-		} else if !p.Nap(c.end-p.Now()) && p.Now() < c.end {
-			// The share moved: keep the quanta that have ended and re-plan
-			// the rest. The quantum under way finishes at the share it
-			// started with, unless it starts just now.
-			now := p.Now()
-			m := sb.at(c, now)
-			sb.settle(m)
-			c.start += time.Duration(m.quanta) * Quantum
-			c.cycles = m.cycles
-			if m.quanta > 0 {
-				c.first = c.rest
-			}
-			if c.start == now {
-				c.first = sb.share
-			}
-			c.rest = sb.share
-			continue
-		}
-		sb.settle(c.to)
-		if c.to.cycles <= 1e-9 {
-			break
-		}
-		c.start, c.cycles = c.end, c.to.cycles
-		c.first, c.rest = sb.share, sb.share
+	if c.proc != p { // a pointer store costs a write barrier while the collector runs
+		c.proc = p
 	}
-	c.proc = nil
+	c.busy = true
+	start, first := p.Now(), sb.share
+	for {
+		// Meter the chunk's quanta into the accounting up front; reads
+		// replay them from c.from until they end.
+		c.from = sb.acct
+		left, n := sb.host.meter(&sb.acct, cycles, first, sb.share, maxChunk)
+		if n == 0 {
+			break
+		}
+		c.start, c.end = start, start+sb.acct.active-c.from.active
+		if n == 1 {
+			p.Sleep(c.end - p.Now())
+		} else {
+			c.cycles, c.first, c.rest = cycles, first, sb.share
+			if !p.Nap(c.end-p.Now()) && p.Now() < c.end {
+				// The share moved: keep the quanta that have ended and
+				// re-plan the rest. The quantum under way finishes at the
+				// share it started with, unless it starts just now.
+				now := p.Now()
+				k := int((now - start) / Quantum)
+				sb.acct = c.from
+				cycles, _ = sb.host.meter(&sb.acct, c.cycles, c.first, c.rest, k)
+				start += time.Duration(k) * Quantum
+				switch {
+				case start == now:
+					first = sb.share
+				case k > 0: // the quantum under way is one of the rest
+					first = c.rest
+				}
+				continue
+			}
+		}
+		if left <= 1e-9 {
+			break
+		}
+		start, cycles, first = c.end, left, sb.share
+	}
+	c.busy = false
 }
 
 // CPUTime returns cumulative CPU-seconds received, the counter the paper's
@@ -355,11 +338,19 @@ func (sb *Sandbox) CPUTime() time.Duration { return sb.usage().cpu }
 func (sb *Sandbox) ActiveTime() time.Duration { return sb.usage().active }
 
 // usage returns the accounting up to the last quantum boundary at or
-// before now.
+// before now: a quantum ending exactly now counts, as it would had its
+// process already woken.
 func (sb *Sandbox) usage() meter {
 	c := &sb.run
-	if c.proc == nil {
-		return meter{cpu: sb.cpuTime, active: sb.activeTime}
+	if !c.busy {
+		return sb.acct
 	}
-	return sb.at(c, c.proc.Now())
+	now := c.proc.Now()
+	if now >= c.end {
+		return sb.acct
+	}
+	// Every quantum before the last is a full Quantum.
+	m := c.from
+	sb.host.meter(&m, c.cycles, c.first, c.rest, int((now-c.start)/Quantum))
+	return m
 }
