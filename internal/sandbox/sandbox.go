@@ -190,12 +190,12 @@ type chunk struct {
 	cycles, first, rest float64
 }
 
-// meter advances m by up to limit quanta of a computation with cycles
+// advance meters up to limit quanta into m of a computation with cycles
 // left, the first at share first and the rest at share rest, stopping
 // early when the cycles run out. Each quantum draws its jitter and lasts a
 // full Quantum or, for the computation's last, as long as the cycles left
 // take. It returns the cycles left and the quanta metered.
-func (h *Host) meter(m *meter, cycles, first, rest float64, limit int) (float64, int) {
+func (h *Host) advance(m *meter, cycles, first, rest float64, limit int) (float64, int) {
 	rng, cpu, active := m.rng, m.cpu, m.active
 	n := 0
 	for ; n < limit && cycles > 1e-9; n++ {
@@ -295,7 +295,7 @@ func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 		// Meter the chunk's quanta into the accounting up front; reads
 		// replay them from c.from until they end.
 		c.from = sb.acct
-		left, n := sb.host.meter(&sb.acct, cycles, first, sb.share, maxChunk)
+		left, n := sb.host.advance(&sb.acct, cycles, first, sb.share, maxChunk)
 		if n == 0 {
 			break
 		}
@@ -311,7 +311,7 @@ func (sb *Sandbox) Compute(p *vtime.Proc, cycles float64) {
 				now := p.Now()
 				k := int((now - start) / Quantum)
 				sb.acct = c.from
-				cycles, _ = sb.host.meter(&sb.acct, c.cycles, c.first, c.rest, k)
+				cycles, _ = sb.host.advance(&sb.acct, c.cycles, c.first, c.rest, k)
 				start += time.Duration(k) * Quantum
 				switch {
 				case start == now:
@@ -342,15 +342,11 @@ func (sb *Sandbox) ActiveTime() time.Duration { return sb.usage().active }
 // process already woken.
 func (sb *Sandbox) usage() meter {
 	c := &sb.run
-	if !c.busy {
-		return sb.acct
-	}
-	now := c.proc.Now()
-	if now >= c.end {
+	if !c.busy || c.proc.Now() >= c.end {
 		return sb.acct
 	}
 	// Every quantum before the last is a full Quantum.
 	m := c.from
-	sb.host.meter(&m, c.cycles, c.first, c.rest, int((now-c.start)/Quantum))
+	sb.host.advance(&m, c.cycles, c.first, c.rest, int((c.proc.Now()-c.start)/Quantum))
 	return m
 }
