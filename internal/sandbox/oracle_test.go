@@ -196,7 +196,9 @@ func runDiff(t *testing.T, sc diffScript, compute func(*Sandbox, *vtime.Proc, fl
 //   - A share change at the instant a quantum ends applies to the quantum
 //     that starts there. The oracle reads the share as the quantum starts,
 //     and a timer callback runs before the processes due at its instant
-//     resume, so the changes here are callbacks.
+//     resume, so the changes here are callbacks. A change made by a
+//     process after the computing process ran at that instant is where
+//     the two differ; TestShareSetByProcessAtBoundary covers it.
 func TestComputeMatchesPerQuantumOracle(t *testing.T) {
 	var tally diffTally
 	for seed := int64(1); seed <= 100; seed++ {
@@ -260,5 +262,86 @@ func TestReadAtBoundaryCountsTheQuantum(t *testing.T) {
 	}
 	if reads[1] != total {
 		t.Errorf("read at the end: %v, want the computation's total %v", reads[1], total)
+	}
+}
+
+// A share change made at the instant a quantum starts applies to that
+// quantum, whichever of the setter and the computing process runs first at
+// that instant, and whether the setter is a process or a timer callback:
+// the computation matches the per-quantum loop's when the setter runs
+// first. Here the per-quantum loop differs: when the computing process ran
+// first, it had already begun the quantum at the old share. (The
+// differential test's callbacks always run first: a callback armed before
+// the run fires ahead of the process timers due at its instant.)
+func TestShareSetByProcessAtBoundary(t *testing.T) {
+	const cycles = 5 * 0.5 * 450e6 * 0.01 // about five quanta at share 0.5
+	type result struct{ end, cpu, active time.Duration }
+	const (
+		byCallback = iota
+		processFirst
+		processAfter
+	)
+	// world computes from time 0 at share 0.5 and moves the share to 0.25
+	// at instant at, by a callback or by a process that runs before or
+	// after the computing process at that instant.
+	world := func(compute func(*Sandbox, *vtime.Proc, float64), at time.Duration, setter int) result {
+		sim := vtime.NewSim()
+		sb, err := NewHost(sim, "h", 450e6).NewSandbox("app", 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := func() {
+			if err := sb.SetCPUShare(0.25); err != nil {
+				t.Error(err)
+			}
+		}
+		var r result
+		app := func() {
+			sim.Spawn("app", func(p *vtime.Proc) {
+				compute(sb, p, cycles)
+				r.end = p.Now()
+			})
+		}
+		switch setter {
+		case byCallback:
+			sim.At(at, set)
+			app()
+		case processFirst:
+			// Spawned first, and armed before the computation's timers.
+			sim.Spawn("setter", func(p *vtime.Proc) {
+				if at > 0 {
+					p.SleepUntil(at)
+				}
+				set()
+			})
+			app()
+		case processAfter:
+			// Spawned second, and armed after the per-quantum loop armed
+			// its wake-up for at.
+			app()
+			sim.Spawn("setter", func(p *vtime.Proc) {
+				if at > 0 {
+					p.SleepUntil(at - Quantum + 1)
+					p.SleepUntil(at)
+				}
+				set()
+			})
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.cpu, r.active = sb.CPUTime(), sb.ActiveTime()
+		return r
+	}
+	for _, at := range []time.Duration{0, 2 * Quantum} {
+		want := world(oracleCompute, at, processFirst)
+		if got := world(oracleCompute, at, processAfter); got == want {
+			t.Errorf("at %v: the per-quantum loop reads %+v with the setter first and after", at, got)
+		}
+		for setter, name := range []string{"a callback", "a process first", "a process after"} {
+			if got := world((*Sandbox).Compute, at, setter); got != want {
+				t.Errorf("at %v, share set by %s: %+v, want %+v", at, name, got, want)
+			}
+		}
 	}
 }

@@ -197,12 +197,8 @@ type chunk struct {
 // take. It returns the cycles left and the quanta metered.
 func (h *Host) advance(m *meter, cycles, first, rest float64, limit int) (float64, int) {
 	rng, cpu, active := m.rng, m.cpu, m.active
-	n := 0
+	n, share := 0, first
 	for ; n < limit && cycles > 1e-9; n++ {
-		share := rest
-		if n == 0 {
-			share = first
-		}
 		rate := h.rate(share, &rng)
 		if rate <= 0 {
 			panic("sandbox: zero effective rate")
@@ -220,6 +216,7 @@ func (h *Host) advance(m *meter, cycles, first, rest float64, limit int) (float6
 		active += dt
 		// CPU-seconds received = cycles consumed at full machine speed.
 		cpu += time.Duration(used / h.speed * float64(time.Second))
+		share = rest
 	}
 	m.rng, m.cpu, m.active = rng, cpu, active
 	return cycles, n
@@ -237,8 +234,11 @@ func (sb *Sandbox) CPUShare() float64 { return sb.share }
 // SetCPUShare reconfigures the share; it takes effect from the next
 // quantum boundary, mirroring the dynamic testbed reconfiguration used in
 // Figure 3(a): a computation under way is woken to re-plan. A change at
-// exactly a boundary applies to the quantum that starts there. The host's
-// admission bound still applies.
+// exactly a boundary applies to the quantum that starts there, whichever of
+// the caller and the computing process runs first at that instant. (The
+// per-quantum loop Compute replaced ran that quantum at the old share when
+// the computing process ran first.) The host's admission bound still
+// applies.
 func (sb *Sandbox) SetCPUShare(share float64) error {
 	if !(share > 0 && share <= 1) { // also refuses NaN
 		return fmt.Errorf("sandbox: invalid CPU share %g", share)

@@ -273,3 +273,29 @@ func TestComputeAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// One process at a time may Compute in a sandbox: a second one panics,
+// naming the process already computing, and the first carries on.
+func TestConcurrentComputePanics(t *testing.T) {
+	sim := vtime.NewSim()
+	sb, _ := NewHost(sim, "h", 450e6).NewSandbox("app", 0.5, 0)
+	var end time.Duration
+	sim.Spawn("first", func(p *vtime.Proc) {
+		sb.Compute(p, 3*0.5*450e6*Quantum.Seconds())
+		end = p.Now()
+	})
+	var got any
+	sim.Spawn("second", func(p *vtime.Proc) {
+		defer func() { got = recover() }()
+		sb.Compute(p, 1e5)
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sandbox: app: Compute while first computes"; got != want {
+		t.Errorf("second Compute: recovered %v, want the panic %q", got, want)
+	}
+	if end < 3*Quantum-Quantum/10 {
+		t.Errorf("first computation ends at %v, want about %v", end, 3*Quantum)
+	}
+}

@@ -541,15 +541,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	s.seq++
-	at := s.now + d
-	// When nothing is runnable and every pending timer, stopped or not, is
-	// due later, the scheduling step would fire this wake-up alone and
-	// pick p again: move the clock and carry on.
-	if s.runq.len() == 0 && (len(s.timers) == 0 || s.timers[0].at > at) && at <= s.limit && !s.stopped {
-		s.now = at
-		return
-	}
-	p.sleep = timer{at: at, seq: s.seq, p: p, queued: true}
+	p.sleep = timer{at: s.now + d, seq: s.seq, p: p, queued: true}
 	s.timers.push(&p.sleep)
 	p.yield("sleep", "")
 }
