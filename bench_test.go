@@ -186,8 +186,7 @@ func ablationDB(b *testing.B, configs int) (*perfdb.DB, *spec.App) {
 	db := perfdb.New(app)
 	for n := 1; n <= configs; n++ {
 		// The upper half of the configuration space delivers the same
-		// quality as the lower half at a higher cost, so it is dominated —
-		// the population Prune() is meant to eliminate (footnote 1).
+		// quality as the lower half at a higher cost, so it is dominated.
 		q := float64((n-1)%((configs+1)/2) + 1)
 		for _, cpu := range resource.Linspace(0.1, 1.0, 10) {
 			err := db.Add(spec.Config{"n": spec.Int(n)},
@@ -342,35 +341,6 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(triggers)/float64(b.N), "triggers")
-		})
-	}
-}
-
-// BenchmarkAblationPruning measures scheduling cost and candidate-set size
-// with and without dominated-configuration pruning (footnote 1).
-func BenchmarkAblationPruning(b *testing.B) {
-	prefs := []scheduler.Preference{{Name: "fast", Objective: "t"}}
-	for _, prune := range []bool{false, true} {
-		name := "unpruned"
-		if prune {
-			name = "pruned"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, app := ablationDB(b, 32)
-			if prune {
-				db.Prune()
-			}
-			s, err := scheduler.New(app, db, prefs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Select(resource.Vector{resource.CPU: 0.55}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(s.Candidates())), "candidates")
 		})
 	}
 }

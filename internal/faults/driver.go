@@ -112,35 +112,23 @@ func (d *Driver) Install() {
 	}
 }
 
-// refreshLink folds every link window active at the current virtual
-// instant onto the label's baseline and drives the link knobs to match.
+// refreshLink applies the schedule's condition at the current virtual
+// instant onto the label's baseline: the higher loss (1 under a
+// partition), the baseline latency plus the open delays, and the lower
+// bandwidth. A pause has no simulated analogue on a link.
 func (d *Driver) refreshLink(label string) {
 	l := d.links[label]
-	now := d.sim.Now()
-	loss := d.baseLoss[label]
-	lat := d.baseLat[label]
+	c := d.sched.conditionAt(label, d.sim.Now())
+	loss := max(d.baseLoss[label], c.dropRate)
+	if c.partit {
+		loss = 1
+	}
 	bw := d.baseBW[label]
-	for _, e := range d.sched.Events {
-		if !e.Matches(label) || !e.ActiveAt(now) {
-			continue
-		}
-		switch e.Kind {
-		case Drop:
-			if e.Rate > loss {
-				loss = e.Rate
-			}
-		case Partition:
-			loss = 1
-		case Latency:
-			lat += e.Delay
-		case Bandwidth:
-			if e.Rate < bw {
-				bw = e.Rate
-			}
-		}
+	if c.bw != 0 {
+		bw = min(bw, c.bw)
 	}
 	_ = l.SetLoss(loss)
-	l.SetLatency(lat)
+	l.SetLatency(d.baseLat[label] + c.delay)
 	_ = l.SetBandwidth(bw)
 }
 
@@ -149,12 +137,9 @@ func (d *Driver) refreshLink(label string) {
 // closes. The share never rises above its baseline, so the host's
 // admission bound cannot refuse it.
 func (d *Driver) refreshSandbox(label string) {
-	now := d.sim.Now()
 	share := d.baseShare[label]
-	for _, e := range d.sched.Events {
-		if e.Kind == CPU && e.Matches(label) && e.ActiveAt(now) && e.Rate < share {
-			share = e.Rate
-		}
+	if c := d.sched.conditionAt(label, d.sim.Now()); c.share != 0 {
+		share = min(share, c.share)
 	}
 	_ = d.sandboxes[label].SetCPUShare(share)
 }

@@ -161,6 +161,58 @@ func (s Schedule) Validate() error {
 	return nil
 }
 
+// condition is the aggregate fault state for one label at one instant:
+// both planes read it, the Injector directly and the Driver on top of its
+// baselines.
+type condition struct {
+	dropRate float64
+	delay    time.Duration
+	jitter   time.Duration
+	bw       float64 // lowest open bandwidth cap; 0 = uncapped
+	share    float64 // lowest open CPU share; 0 = none open
+	stalled  bool    // partition or pause active
+	stallEnd time.Duration
+	partit   bool // the stall is a partition (dials fail too)
+}
+
+// conditionAt folds every window matching label and open at t into one
+// condition: the highest loss, the summed delays, the lowest bandwidth
+// and CPU share. Each of these is independent of event order, and Validate
+// refuses a zero bandwidth or share, so 0 can mean "none open". Before the
+// clock starts (t < 0) no window is open.
+func (s Schedule) conditionAt(label string, t time.Duration) condition {
+	var c condition
+	for _, e := range s.Events {
+		if !e.Matches(label) || !e.ActiveAt(t) {
+			continue
+		}
+		switch e.Kind {
+		case Drop:
+			if e.Rate > c.dropRate {
+				c.dropRate = e.Rate
+			}
+		case Latency:
+			c.delay += e.Delay
+			c.jitter += e.Jitter
+		case Bandwidth:
+			if c.bw == 0 || e.Rate < c.bw {
+				c.bw = e.Rate
+			}
+		case CPU:
+			if c.share == 0 || e.Rate < c.share {
+				c.share = e.Rate
+			}
+		case Partition, Pause:
+			c.stalled = true
+			c.partit = c.partit || e.Kind == Partition
+			if end := e.At + e.Duration; end > c.stallEnd {
+				c.stallEnd = end
+			}
+		}
+	}
+	return c
+}
+
 // Horizon returns the end of the last event window.
 func (s Schedule) Horizon() time.Duration {
 	var h time.Duration

@@ -104,6 +104,43 @@ func TestScheduleHorizonAndMatching(t *testing.T) {
 	}
 }
 
+// TestConditionAtFoldsOpenWindows: the one fold both planes read keeps the
+// highest loss, sums the delays, keeps the lowest bandwidth and share,
+// ignores other labels' windows, and allocates nothing (the Driver runs it
+// at every event boundary).
+func TestConditionAtFoldsOpenWindows(t *testing.T) {
+	s := NewSchedule(1,
+		Event{At: 0, Duration: 4 * time.Second, Kind: Drop, Rate: 0.1},
+		Event{At: time.Second, Duration: time.Second, Kind: Drop, Rate: 0.3},
+		Event{At: 0, Duration: 4 * time.Second, Kind: Latency, Delay: 5 * time.Millisecond, Jitter: time.Millisecond},
+		Event{At: time.Second, Duration: time.Second, Kind: Latency, Delay: 7 * time.Millisecond},
+		Event{At: 0, Duration: 4 * time.Second, Kind: Bandwidth, Rate: 2e5},
+		Event{At: time.Second, Duration: time.Second, Kind: Bandwidth, Rate: 5e4},
+		Event{At: time.Second, Duration: time.Second, Kind: Bandwidth, Target: "other", Rate: 1},
+		Event{At: 0, Duration: 4 * time.Second, Kind: CPU, Rate: 0.5},
+		Event{At: time.Second, Duration: time.Second, Kind: CPU, Rate: 0.2},
+		Event{At: time.Second, Duration: 2 * time.Second, Kind: Pause},
+	)
+	for _, c := range []struct {
+		at   time.Duration
+		want condition
+	}{
+		{-1, condition{}},
+		{1500 * time.Millisecond, condition{dropRate: 0.3, delay: 12 * time.Millisecond, jitter: time.Millisecond,
+			bw: 5e4, share: 0.2, stalled: true, stallEnd: 3 * time.Second}},
+		{2500 * time.Millisecond, condition{dropRate: 0.1, delay: 5 * time.Millisecond, jitter: time.Millisecond,
+			bw: 2e5, share: 0.5, stalled: true, stallEnd: 3 * time.Second}},
+		{5 * time.Second, condition{}},
+	} {
+		if got := s.conditionAt("data:l", c.at); got != c.want {
+			t.Errorf("t=%v: %+v, want %+v", c.at, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.conditionAt("data:l", 1500*time.Millisecond) }); n != 0 {
+		t.Fatalf("conditionAt allocates %v times", n)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	for _, c := range []struct {
 		e    Event

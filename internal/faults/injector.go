@@ -136,50 +136,6 @@ func (in *Injector) counterLocked(kind Kind) *metrics.Counter {
 	return c
 }
 
-// condition is the aggregate fault state for one label at one instant.
-type condition struct {
-	dropRate float64
-	delay    time.Duration
-	jitter   time.Duration
-	bw       float64 // 0 = uncapped
-	stalled  bool    // partition or pause active
-	stallEnd time.Duration
-	partit   bool // the stall is a partition (dials fail too)
-}
-
-// conditionAt folds every active matching event into one condition.
-func (in *Injector) conditionAt(label string, t time.Duration) condition {
-	var c condition
-	if t < 0 {
-		return c
-	}
-	for _, e := range in.sched.Events {
-		if !e.Matches(label) || !e.ActiveAt(t) {
-			continue
-		}
-		switch e.Kind {
-		case Drop:
-			if e.Rate > c.dropRate {
-				c.dropRate = e.Rate
-			}
-		case Latency:
-			c.delay += e.Delay
-			c.jitter += e.Jitter
-		case Bandwidth:
-			if c.bw == 0 || e.Rate < c.bw {
-				c.bw = e.Rate
-			}
-		case Partition, Pause:
-			c.stalled = true
-			c.partit = c.partit || e.Kind == Partition
-			if end := e.At + e.Duration; end > c.stallEnd {
-				c.stallEnd = end
-			}
-		}
-	}
-	return c
-}
-
 // resetDue returns the index of an unfired Reset event for this label
 // whose instant has passed since the connection opened, or -1.
 func (in *Injector) resetDue(label string, openedAt, t time.Duration, fired map[int]bool) int {
@@ -196,7 +152,7 @@ func (in *Injector) resetDue(label string, openedAt, t time.Duration, fired map[
 
 // Partitioned reports whether a partition currently covers the label.
 func (in *Injector) Partitioned(label string) bool {
-	c := in.conditionAt(label, in.elapsed())
+	c := in.sched.conditionAt(label, in.elapsed())
 	return c.stalled && c.partit
 }
 
@@ -319,7 +275,7 @@ func (c *faultConn) stall(kind Kind, isRead bool) error {
 			return &Error{Kind: kind, Label: c.label, IsStall: true}
 		}
 		now := c.in.elapsed()
-		cond := c.in.conditionAt(c.label, now)
+		cond := c.in.sched.conditionAt(c.label, now)
 		c.mu.Lock()
 		bh := c.blackholed
 		c.mu.Unlock()
@@ -337,7 +293,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		if err := c.checkReset(now); err != nil {
 			return 0, err
 		}
-		cond := c.in.conditionAt(c.label, now)
+		cond := c.in.sched.conditionAt(c.label, now)
 		c.mu.Lock()
 		bh := c.blackholed
 		c.mu.Unlock()
@@ -391,7 +347,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	if err := c.checkReset(now); err != nil {
 		return 0, err
 	}
-	cond := c.in.conditionAt(c.label, now)
+	cond := c.in.sched.conditionAt(c.label, now)
 	c.mu.Lock()
 	bh := c.blackholed
 	closed := c.closed

@@ -15,9 +15,10 @@ import (
 type ShapedConn struct {
 	net.Conn
 
-	mu     sync.Mutex
-	rate   float64 // bytes per second; 0 disables shaping
-	burst  float64 // bucket capacity in bytes
+	rate  float64 // bytes per second, fixed at construction; 0 disables shaping
+	burst float64 // bucket capacity in bytes
+
+	mu     sync.Mutex // serialises concurrent writers on the bucket
 	tokens float64
 	last   time.Time
 
@@ -40,8 +41,8 @@ func (c *ShapedConn) EnableMetrics(reg *metrics.Registry) {
 // or negative rate disables shaping.
 func NewShapedConn(conn net.Conn, bytesPerSec float64) *ShapedConn {
 	burst := bytesPerSec / 8
-	if burst < FrameSize {
-		burst = FrameSize
+	if burst < frameSize {
+		burst = frameSize
 	}
 	return &ShapedConn{
 		Conn:   conn,
@@ -50,29 +51,6 @@ func NewShapedConn(conn net.Conn, bytesPerSec float64) *ShapedConn {
 		tokens: burst,
 		last:   time.Now(),
 	}
-}
-
-// SetBandwidth changes the shaping rate; safe for concurrent use.
-func (c *ShapedConn) SetBandwidth(bytesPerSec float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.refillLocked(time.Now())
-	c.rate = bytesPerSec
-	burst := bytesPerSec / 8
-	if burst < FrameSize {
-		burst = FrameSize
-	}
-	c.burst = burst
-	if c.tokens > burst {
-		c.tokens = burst
-	}
-}
-
-// Bandwidth returns the current shaping rate.
-func (c *ShapedConn) Bandwidth() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rate
 }
 
 func (c *ShapedConn) refillLocked(now time.Time) {
@@ -121,7 +99,7 @@ func (c *ShapedConn) take(n int) {
 func (c *ShapedConn) Write(b []byte) (int, error) {
 	written := 0
 	for written < len(b) {
-		end := written + FrameSize
+		end := written + frameSize
 		if end > len(b) {
 			end = len(b)
 		}

@@ -21,9 +21,9 @@ import (
 	"tunable/internal/vtime"
 )
 
-// FrameSize is the serialization granularity of simulated links. Bandwidth
+// frameSize is the serialization granularity of simulated links. Bandwidth
 // changes apply from the next frame boundary.
-const FrameSize = 4096
+const frameSize = 4096
 
 // Message is a unit of delivery on a simulated link: Payload, then Ref, a
 // second part carried by reference. The link charges, counts, drops and
@@ -175,8 +175,8 @@ func (e *Endpoint) SendMsg(p *vtime.Proc, msg Message) {
 	n := msg.Len()
 	for remaining := n; remaining > 0; {
 		frame := remaining
-		if frame > FrameSize {
-			frame = FrameSize
+		if frame > frameSize {
+			frame = frameSize
 		}
 		bw := d.bandwidth
 		ser := time.Duration(float64(frame) / bw * float64(time.Second))

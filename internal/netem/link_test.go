@@ -259,20 +259,6 @@ func TestShapedConnLimitsRate(t *testing.T) {
 	}
 }
 
-func TestShapedConnSetBandwidth(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	shaped := NewShapedConn(a, 1e6)
-	if shaped.Bandwidth() != 1e6 {
-		t.Fatal("initial rate")
-	}
-	shaped.SetBandwidth(5e5)
-	if shaped.Bandwidth() != 5e5 {
-		t.Fatal("rate after set")
-	}
-}
-
 func TestLossDeterministicPerLink(t *testing.T) {
 	run := func() int64 {
 		sim := vtime.NewSim()
@@ -375,7 +361,7 @@ func TestTwoPartMessageEqualsOnePart(t *testing.T) {
 		var msgs []Message
 		total := 0
 		for i := rng.Intn(12) + 1; i > 0; i-- {
-			b := make([]byte, rng.Intn(3*FrameSize))
+			b := make([]byte, rng.Intn(3*frameSize))
 			rng.Read(b)
 			cut := rng.Intn(len(b) + 1)
 			msgs = append(msgs, Message{Payload: b[:cut], Ref: b[cut:], RefAt: len(msgs)})
@@ -452,7 +438,7 @@ func TestSendRecvAllocatesNothing(t *testing.T) {
 	sim := vtime.NewSim()
 	l := NewLink(sim, "lan", 1e6, WithLatency(time.Millisecond))
 	a, b := l.A(), l.B()
-	payload := make([]byte, 2*FrameSize+100)
+	payload := make([]byte, 2*frameSize+100)
 	per := -1.0
 	sim.Spawn("sender", func(p *vtime.Proc) {
 		per = testing.AllocsPerRun(n, func() { a.Send(p, payload) })

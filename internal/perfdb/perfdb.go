@@ -34,9 +34,6 @@ type Model interface {
 	App() *spec.App
 	// Configs lists the configurations with at least one record.
 	Configs() []spec.Config
-	// Records returns all records for a configuration in deterministic
-	// order (used to reconstruct validity-range lattices).
-	Records(cfg spec.Config) []*Record
 	// Predict estimates the metrics cfg would achieve under res. A
 	// configuration with no profile reports an error wrapping ErrNoProfile.
 	Predict(cfg spec.Config, res resource.Vector) (spec.Metrics, error)

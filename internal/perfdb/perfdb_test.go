@@ -156,57 +156,6 @@ func TestPredictUnknownConfig(t *testing.T) {
 	}
 }
 
-func TestPruneRemovesDominated(t *testing.T) {
-	db := New(testApp())
-	for _, cpu := range []float64{0.2, 0.8} {
-		// n=1 strictly better on both metrics everywhere.
-		db.Add(cfgN(1), res(cpu), spec.Metrics{"t": 1, "q": 10})
-		db.Add(cfgN(2), res(cpu), spec.Metrics{"t": 5, "q": 2})
-		// n=3 wins on q, loses on t → not dominated.
-		db.Add(cfgN(3), res(cpu), spec.Metrics{"t": 9, "q": 50})
-	}
-	removed := db.Prune()
-	if len(removed) != 1 || removed[0] != "n=2" {
-		t.Fatalf("removed %v", removed)
-	}
-	if len(db.Configs()) != 2 {
-		t.Fatalf("configs left %d", len(db.Configs()))
-	}
-}
-
-func TestDominatedRespectsDirections(t *testing.T) {
-	db := New(testApp())
-	db.Add(cfgN(1), res(0.5), spec.Metrics{"t": 1, "q": 10})
-	db.Add(cfgN(2), res(0.5), spec.Metrics{"t": 1, "q": 5})
-	if !db.Dominated(cfgN(2), cfgN(1)) {
-		t.Fatal("higher q should dominate")
-	}
-	if db.Dominated(cfgN(1), cfgN(2)) {
-		t.Fatal("domination inverted")
-	}
-	// Identical profiles: neither dominates (no strict improvement).
-	db2 := New(testApp())
-	db2.Add(cfgN(1), res(0.5), spec.Metrics{"t": 1})
-	db2.Add(cfgN(2), res(0.5), spec.Metrics{"t": 1})
-	if db2.Dominated(cfgN(1), cfgN(2)) || db2.Dominated(cfgN(2), cfgN(1)) {
-		t.Fatal("equal profiles should not dominate")
-	}
-}
-
-func TestMergeSimilar(t *testing.T) {
-	db := New(testApp())
-	db.Add(cfgN(1), res(0.5), spec.Metrics{"t": 1.00})
-	db.Add(cfgN(2), res(0.5), spec.Metrics{"t": 1.01}) // within 2%
-	db.Add(cfgN(3), res(0.5), spec.Metrics{"t": 2.00}) // far
-	removed := db.MergeSimilar(0.02)
-	if len(removed) != 1 || removed[0] != "n=2" {
-		t.Fatalf("removed %v", removed)
-	}
-	if len(db.Configs()) != 2 {
-		t.Fatalf("%d configs left", len(db.Configs()))
-	}
-}
-
 func TestSensitivityAnalysis(t *testing.T) {
 	db := New(testApp())
 	// Steep change between 0.4 and 0.6, flat elsewhere.

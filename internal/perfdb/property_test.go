@@ -91,25 +91,3 @@ func TestInterpolationBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: pruning never removes a configuration that is uniquely best
-// somewhere on the lattice.
-func TestPruneKeepsLatticeWinners(t *testing.T) {
-	app := testApp()
-	db := New(app)
-	// n=1 best at low cpu, n=3 best at high cpu, n=2 dominated.
-	for _, cpu := range []float64{0.2, 0.5, 0.8} {
-		db.Add(cfgN(1), res(cpu), spec.Metrics{"t": 1 + cpu})     // rises
-		db.Add(cfgN(2), res(cpu), spec.Metrics{"t": 3 + cpu})     // always worst
-		db.Add(cfgN(3), res(cpu), spec.Metrics{"t": 2.5 - 2*cpu}) // falls
-	}
-	removed := db.Prune()
-	for _, k := range removed {
-		if k == "n=1" || k == "n=3" {
-			t.Fatalf("pruned lattice winner %s", k)
-		}
-	}
-	if len(removed) != 1 || removed[0] != "n=2" {
-		t.Fatalf("removed %v", removed)
-	}
-}

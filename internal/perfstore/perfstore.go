@@ -222,15 +222,6 @@ func (s *PerfStore) materialize(configKey string, overlay *profile) (*perfdb.Lat
 	return db.Lattice(cfg.Key())
 }
 
-// Records implements perfdb.Model over the merged (prior ∪ overlay) view.
-func (s *PerfStore) Records(cfg spec.Config) []*perfdb.Record {
-	l, err := s.Lattice(cfg.Key())
-	if err != nil {
-		return nil
-	}
-	return l.Records()
-}
-
 // Predict implements perfdb.Model over the configuration's compiled
 // lattice, compiling it on the first read. A configuration with neither
 // prior nor refined records reports perfdb.ErrNoProfile.

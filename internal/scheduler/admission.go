@@ -78,26 +78,24 @@ func (a *Admission) Hosts() []string {
 
 // Reservation is an admitted set of sandboxes, one per component.
 type Reservation struct {
-	name     string
+	comps    []string // comps[i] is the component admitted[i] polices
 	admitted []*sandbox.Sandbox
-	byComp   map[string]*sandbox.Sandbox
 	released bool
 }
 
 // Sandbox returns the policing sandbox for a component.
 func (r *Reservation) Sandbox(component string) (*sandbox.Sandbox, bool) {
-	sb, ok := r.byComp[component]
-	return sb, ok
+	for i, c := range r.comps {
+		if c == component {
+			return r.admitted[i], true
+		}
+	}
+	return nil, false
 }
 
-// Components lists reserved components in sorted order.
+// Components lists reserved components in admission order.
 func (r *Reservation) Components() []string {
-	out := make([]string, 0, len(r.byComp))
-	for c := range r.byComp {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), r.comps...)
 }
 
 // Release frees every sandbox in the reservation. Safe to call twice.
@@ -115,11 +113,16 @@ func (r *Reservation) Release() {
 // requests maps component (host) names to the resources wanted there
 // (resource.CPU as a share, resource.Memory as bytes). Either every
 // component is admitted, or none is and the error names the component
-// that failed.
+// that failed. Components are admitted in sorted order.
 func (a *Admission) Reserve(name string, requests map[string]resource.Vector) (*Reservation, error) {
-	placements := make([]Placement, 0, len(requests))
-	for comp, want := range requests {
-		placements = append(placements, Placement{Component: comp, Host: comp, Want: want})
+	comps := make([]string, 0, len(requests))
+	for comp := range requests {
+		comps = append(comps, comp)
+	}
+	sort.Strings(comps)
+	placements := make([]Placement, len(comps))
+	for i, comp := range comps {
+		placements[i] = Placement{Component: comp, Host: comp, Want: requests[comp]}
 	}
 	return a.ReservePlaced(name, placements)
 }
@@ -139,14 +142,18 @@ type Placement struct {
 // all-or-nothing across every placement (the multi-node grant of Section
 // 6.2): either every component is admitted, or none is — a partial
 // failure rolls back the sandboxes already created — and the error names
-// the component that failed.
+// the component that failed. Placements are admitted in the order given,
+// so the first one that does not fit is the one named: pass them in a
+// deterministic order (sorted by component, as Reserve does) for
+// reproducible failure attribution. Each component's sandbox is named
+// name@component.
 func (a *Admission) ReservePlaced(name string, placements []Placement) (*Reservation, error) {
-	// Deterministic order for reproducible failure attribution.
-	ps := append([]Placement(nil), placements...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Component < ps[j].Component })
-	r := &Reservation{name: name, byComp: make(map[string]*sandbox.Sandbox)}
-	for _, pl := range ps {
-		if _, dup := r.byComp[pl.Component]; dup {
+	r := &Reservation{
+		comps:    make([]string, 0, len(placements)),
+		admitted: make([]*sandbox.Sandbox, 0, len(placements)),
+	}
+	for _, pl := range placements {
+		if _, dup := r.Sandbox(pl.Component); dup {
 			r.Release()
 			a.mRejected.Inc()
 			return nil, fmt.Errorf("scheduler: duplicate component %q in placement", pl.Component)
@@ -170,8 +177,8 @@ func (a *Admission) ReservePlaced(name string, placements []Placement) (*Reserva
 			a.mRejected.Inc()
 			return nil, fmt.Errorf("scheduler: admission failed for %q: %w", pl.Component, err)
 		}
+		r.comps = append(r.comps, pl.Component)
 		r.admitted = append(r.admitted, sb)
-		r.byComp[pl.Component] = sb
 	}
 	a.mAccepted.Inc()
 	return r, nil

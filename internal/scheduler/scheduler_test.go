@@ -260,13 +260,6 @@ func (g *gappyModel) Predict(cfg spec.Config, res resource.Vector) (spec.Metrics
 	return g.Model.Predict(cfg, res)
 }
 
-func (g *gappyModel) Records(cfg spec.Config) []*perfdb.Record {
-	if g.missing[cfg.Key()] {
-		return nil
-	}
-	return g.Model.Records(cfg)
-}
-
 func (g *gappyModel) Lattice(configKey string) (*perfdb.Lattice, error) {
 	if g.missing[configKey] {
 		return nil, perfdb.ErrNoProfile
