@@ -33,7 +33,6 @@ func main() {
 	videoWeight := flag.Float64("video-weight", 1, "video class arbitration weight")
 	fovealWeight := flag.Float64("foveal-weight", 1, "foveal class arbitration weight")
 	arrival := flag.Duration("arrival", 400*time.Millisecond, "mean inter-arrival gap per class")
-	retune := flag.Duration("retune", 500*time.Millisecond, "tuning-agent re-plan period")
 	chaos := flag.Bool("chaos", false, "replay a seeded chaos schedule against the session links")
 	chaosHorizon := flag.Duration("chaos-horizon", 20*time.Second, "window the chaos schedule covers")
 	out := flag.String("out", "", "write the JSON report here instead of stdout")
@@ -47,7 +46,6 @@ func main() {
 			{App: apps.NewVideo(), Sessions: *video, ArrivalEvery: *arrival, Weight: *videoWeight},
 			{App: apps.NewFoveal(), Sessions: *foveal, ArrivalEvery: *arrival, Weight: *fovealWeight},
 		},
-		RetunePeriod: *retune,
 	}
 	if *chaos {
 		sched := apps.MixChaos(*seed, *chaosHorizon)

@@ -6,8 +6,8 @@
 // mix application classes on one resource pool and let the scheduler
 // arbitrate between them.
 //
-// Two applications are implemented: Video, a frame-rate/quality-adaptive
-// stream (the motivating example from the paper's introduction), and
+// Two applications are implemented: Video, a frame-rate-adaptive stream
+// (the motivating example from the paper's introduction), and
 // Foveal, the paper's active visualization session (internal/avis). The
 // Harness runs a seeded mix of both classes under admission control
 // (scheduler.Admission for host CPU, scheduler.Arbiter for cross-class
@@ -66,8 +66,9 @@ type Application interface {
 	// once and shared: callers must not modify it.
 	Spec() *spec.App
 	// DefaultConfig is the configuration a session starts in before its
-	// tuning agent has made a decision (and the fallback when the
-	// scheduler finds nothing feasible).
+	// tuning agent has made a decision. When the scheduler finds nothing
+	// feasible, the session holds its current configuration, which is
+	// this one only if no plan has succeeded yet.
 	DefaultConfig() spec.Config
 	// DB returns the profiled performance database (built once, cached).
 	DB() (*perfdb.DB, error)

@@ -77,7 +77,7 @@ func BenchmarkAppsArbiter(b *testing.B) {
 // video application without harness overhead.
 func BenchmarkAppsVideoSession(b *testing.B) {
 	v := NewVideo()
-	cfg := spec.Config{"fps": spec.Int(30), "q": spec.Enum("high")}
+	cfg := spec.Config{"fps": spec.Int(30)}
 	res := resource.Vector{resource.Bandwidth: 384e3, resource.CPU: 0.2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -92,7 +92,7 @@ func BenchmarkAppsVideoSession(b *testing.B) {
 }
 
 // benchScheduler is the foveal class's scheduler over its profiled
-// database — 12 candidates on a bandwidth × CPU lattice, three preferences
+// database — 4 candidates on a bandwidth × CPU lattice, three preferences
 // — and a resource point inside the lattice, as a contended session's
 // retune sees it.
 func benchScheduler(b *testing.B) (*scheduler.Scheduler, resource.Vector) {

@@ -137,24 +137,24 @@ func ExampleVideo() {
 		steer.Switches(), steer.Current().Key())
 
 	// Output:
-	// profiled 6 configurations across the resource grid
+	// profiled 3 configurations across the resource grid
 	//
-	// initial configuration: fps=30,q=low (preference "smooth")
+	// initial configuration: fps=30 (preference "smooth")
 	//
 	// [ 10.00s] *** link degrades to 96 KB/s ***
-	//           stream reconfigured: fps=30,q=low -> fps=15,q=low
+	//           stream reconfigured: fps=30 -> fps=15
 	// [ 22.00s] *** link restored to 800 KB/s ***
-	//           stream reconfigured: fps=15,q=low -> fps=30,q=low
+	//           stream reconfigured: fps=15 -> fps=30
 	// [ 30.01s] stream ended: frame_rate 24.1/s, lag 0.00s — PASS
 	//
 	// framework decision log:
-	//   [  0.00s] decision    initial fps=30,q=low (pref "smooth")
+	//   [  0.00s] decision    initial fps=30 (pref "smooth")
 	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600004 cpu=0.20008480648696292
-	//   [ 10.52s] decision    fps=30,q=low -> fps=15,q=low (pref "smooth", predicted map[frame_rate:15 lag:0])
-	//   [ 10.53s] switch      fps=30,q=low -> fps=15,q=low
+	//   [ 10.52s] decision    fps=30 -> fps=15 (pref "smooth", predicted map[frame_rate:15 lag:0])
+	//   [ 10.53s] switch      fps=30 -> fps=15
 	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=252444.44563911116 cpu=0.19982452378236268
-	//   [ 22.11s] decision    fps=15,q=low -> fps=30,q=low (pref "smooth", predicted map[frame_rate:30 lag:0.0024592705604339084])
-	//   [ 22.13s] switch      fps=15,q=low -> fps=30,q=low
+	//   [ 22.11s] decision    fps=15 -> fps=30 (pref "smooth", predicted map[frame_rate:30 lag:0.0024592705604339084])
+	//   [ 22.13s] switch      fps=15 -> fps=30
 	//
-	// framework switches: 2, final config: fps=30,q=low
+	// framework switches: 2, final config: fps=30
 }

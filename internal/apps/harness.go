@@ -42,9 +42,6 @@ type HarnessConfig struct {
 	Classes []ClassConfig
 	// Chaos, when non-nil, is replayed against the per-session links.
 	Chaos *faults.Schedule
-	// RetunePeriod is how often the per-class tuning agents re-plan active
-	// sessions (default 500ms).
-	RetunePeriod time.Duration
 }
 
 const (
@@ -52,6 +49,9 @@ const (
 	hostSpeed = 450e6
 	// deratedMargin is the planning margin applied while classes contend.
 	deratedMargin = 0.2
+	// retunePeriod is how often the per-class tuning agents re-plan active
+	// sessions.
+	retunePeriod = 500 * time.Millisecond
 )
 
 func (c HarnessConfig) withDefaults() HarnessConfig {
@@ -60,9 +60,6 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 	}
 	if c.LinkPool == 0 {
 		c.LinkPool = 1.5e6
-	}
-	if c.RetunePeriod == 0 {
-		c.RetunePeriod = 500 * time.Millisecond
 	}
 	return c
 }
@@ -417,7 +414,7 @@ func (h *harness) plan(s *session) {
 // configurations.
 func (h *harness) retune(p *vtime.Proc) {
 	for h.remaining > 0 {
-		p.Sleep(h.cfg.RetunePeriod)
+		p.Sleep(retunePeriod)
 		for _, s := range h.sessions {
 			if s.active {
 				h.plan(s)

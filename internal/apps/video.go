@@ -25,7 +25,6 @@ app videostream;
 
 control_parameters {
     int fps in {10, 15, 30};    // frame rate: drop frames under pressure
-    enum q in {low, high};      // per-frame quality: compress harder
 }
 
 execution_env {
@@ -40,45 +39,31 @@ qos_metric {
 }
 
 task stream {
-    params { fps, q }
+    params { fps }
     uses { client.cpu, server.cpu, net.bandwidth }
     yields { frame_rate, lag }
     guard ( fps >= 10 )
 }
-
-transition {
-    guard ( new.q != cur.q )
-    action reencode;
-}
 `
 
-// Video stream cost constants: encoded frame sizes and the processor work
-// the stream charges to its sandboxes. The numbers are chosen so that on
-// the harness's 450 MHz hosts both knobs bind: a high-quality 30 fps
-// stream saturates a 0.05 CPU share on either end, and its wire rate
-// (360 KB/s) dwarfs a low-quality 10 fps stream (40 KB/s).
+// Video stream cost constants: the encoded frame size and the processor
+// work the stream charges to its sandboxes. Frame rate is the one knob,
+// and the numbers are chosen so that on the harness's 450 MHz hosts both
+// resources bind it: a 30 fps stream needs 34.8 M client cycles/s, more
+// than a 0.05 CPU share's 22.5 M, and its wire rate (120 KB/s) is three
+// times a 10 fps stream's (40 KB/s).
 const (
-	videoFrameBytesHigh   = 12_000
-	videoFrameBytesLow    = 4_000
+	videoFrameBytes       = 4_000
 	videoEncodeCyclesByte = 60    // server-side, per encoded byte
 	videoDecodeCyclesByte = 40    // client-side, per encoded byte
 	videoDisplayCycles    = 1.0e6 // client-side, per frame
 )
 
-// videoFrame is every frame the stream sends, sliced to its encoded size:
-// the receiver reads only a message's length, so one read-only zero frame
-// serves every session.
-var videoFrame = make([]byte, videoFrameBytesHigh)
+// videoFrame is every frame the stream sends: the receiver reads only a
+// message's length, so one read-only zero frame serves every session.
+var videoFrame = make([]byte, videoFrameBytes)
 
-// videoFrameBytes returns the encoded size of one frame at quality q.
-func videoFrameBytes(q string) int {
-	if q == "high" {
-		return videoFrameBytesHigh
-	}
-	return videoFrameBytesLow
-}
-
-// Video is the frame-rate/quality-adaptive streaming application.
+// Video is the frame-rate-adaptive streaming application.
 type Video struct {
 	// StreamSeconds is the virtual length of one session (default 5).
 	StreamSeconds int
@@ -101,10 +86,10 @@ var videoSpec = spec.MustParse(VideoSpecSource)
 // modify it.
 func (v *Video) Spec() *spec.App { return videoSpec }
 
-// DefaultConfig implements Application: a mid-rate low-quality stream
-// until the tuning agent has spoken.
+// DefaultConfig implements Application: a mid-rate stream until the
+// tuning agent has spoken.
 func (v *Video) DefaultConfig() spec.Config {
-	return spec.Config{"fps": spec.Int(15), "q": spec.Enum("low")}
+	return spec.Config{"fps": spec.Int(15)}
 }
 
 // Preferences implements Application: keep the stream inside its lag
@@ -228,11 +213,9 @@ func (v *Video) stream(p *vtime.Proc, link *netem.Link, csb, ssb *sandbox.Sandbo
 	for next := time.Duration(0); next < horizon; {
 		p.SleepUntil(start + next)
 		cfg := cfgFn(p)
-		fps, q := cfg["fps"].I, cfg["q"].S
-		payload := videoFrame[:videoFrameBytes(q)]
-		ssb.Compute(p, float64(len(payload))*videoEncodeCyclesByte)
-		link.A().Send(p, payload)
-		next += time.Second / time.Duration(fps)
+		ssb.Compute(p, videoFrameBytes*videoEncodeCyclesByte)
+		link.A().Send(p, videoFrame)
+		next += time.Second / time.Duration(cfg["fps"].I)
 	}
 	link.A().Close()
 	done.Recv(p)

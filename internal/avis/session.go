@@ -354,10 +354,11 @@ func appendSegment(reply []byte, borrowed bool, p, w []byte) ([]byte, bool) {
 // sequence number, gathers the reply, retransmits when the reply stalls
 // (up to maxRetries times), and returns the decoded — pre-compression —
 // chunk payload in a pooled buffer with its length and the round's
-// on-the-wire size. keep says the caller reads the payload; without it,
-// a session with a memo takes rawN from the memo when it holds the reply
-// and returns nil data, which the caller may still hand to bufpool.Put at
-// no cost.
+// on-the-wire size. A payload larger than any chunk req can select
+// (wavelet.ChunkBound) is an error. keep says the caller reads the
+// payload; without it, a session with a memo takes rawN from the memo
+// when it holds the reply and returns nil data, which the caller may
+// still hand to bufpool.Put at no cost.
 func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int, err error) {
 	var compressed []byte
 	var borrowed bool
@@ -388,6 +389,10 @@ func (s *session) exchange(req Request, keep bool) (data []byte, rawN, wireN int
 	}
 	if !borrowed {
 		bufpool.Put(compressed)
+	}
+	if bound := wavelet.ChunkBound(s.geom.Side, s.geom.Levels, req.Level, req.R); err == nil && rawN > bound {
+		bufpool.Put(data)
+		err = fmt.Errorf("avis: %d-byte chunk exceeds the %d bytes the request allows", rawN, bound)
 	}
 	if err != nil {
 		return nil, 0, 0, err

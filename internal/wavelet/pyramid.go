@@ -354,6 +354,28 @@ func DecodeChunk(data []byte) (*Chunk, error) {
 	return ch, nil
 }
 
+// ChunkBound returns the largest encoded chunk ExtractRegion can produce
+// for a fovea of radius r at level l of a side × side pyramid decomposed
+// levels deep: the chunk header plus, per band, its own header and the
+// band cells inside the fovea's square. It is 0 for a level the pyramid
+// does not have.
+func ChunkBound(side, levels, l, r int) int {
+	if l < 0 || l > levels {
+		return 0
+	}
+	n := 18
+	c := side >> levels
+	for _, b := range bandsForLevel(l) {
+		s := c
+		if b.k > 0 {
+			s = c << (b.k - 1)
+		}
+		w := clamp(2*scaleToBand(r, s, side), 0, s)
+		n += 8 + w*w
+	}
+	return n
+}
+
 // Size returns the encoded size in bytes.
 func (ch *Chunk) Size() int {
 	n := 18

@@ -89,6 +89,49 @@ func TestFullImageChunkSizeMatchesPixelCount(t *testing.T) {
 	}
 }
 
+// TestChunkBound: no region ExtractRegion cuts is larger than ChunkBound
+// says, a centred fovea covering the whole image meets the bound exactly,
+// and a level the pyramid lacks allows nothing.
+func TestChunkBound(t *testing.T) {
+	const side, levels = 64, 3
+	p, err := Decompose(imagery.Generate(side, 5), levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l <= levels; l++ {
+		for _, r := range []int{1, 5, 16, 32, 40} {
+			for _, c := range [][2]int{{32, 32}, {0, 0}, {60, 7}} {
+				for _, prevR := range []int{0, r / 2} {
+					if prevR >= r {
+						continue
+					}
+					ch, err := p.ExtractRegion(l, c[0], c[1], r, prevR)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, bound := ch.Size(), ChunkBound(side, levels, l, r); n > bound {
+						t.Errorf("level %d r %d prevR %d at %v: %d-byte chunk, bound %d", l, r, prevR, c, n, bound)
+					}
+					ch.Release()
+				}
+			}
+		}
+		ch, err := p.ExtractRegion(l, side/2, side/2, side/2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, bound := ch.Size(), ChunkBound(side, levels, l, side/2); n != bound {
+			t.Errorf("level %d whole image: %d-byte chunk, bound %d", l, n, bound)
+		}
+		ch.Release()
+	}
+	for _, l := range []int{-1, levels + 1} {
+		if b := ChunkBound(side, levels, l, side); b != 0 {
+			t.Errorf("level %d: bound %d, want 0", l, b)
+		}
+	}
+}
+
 func TestProgressiveTransmissionReconstructs(t *testing.T) {
 	side := 128
 	im := imagery.Generate(side, 5)
