@@ -149,11 +149,11 @@ func ExampleVideo() {
 	//
 	// framework decision log:
 	//   [  0.00s] decision    initial fps=30 (pref "smooth")
-	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600004 cpu=0.20008480648696292
+	//   [ 10.52s] trigger     t=10.52s estimate left the armed region: bandwidth=96000.00153600003 cpu=0.20013334514939662
 	//   [ 10.52s] decision    fps=30 -> fps=15 (pref "smooth", predicted map[frame_rate:15 lag:0])
 	//   [ 10.53s] switch      fps=30 -> fps=15
-	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=252444.44563911116 cpu=0.19982452378236268
-	//   [ 22.11s] decision    fps=15 -> fps=30 (pref "smooth", predicted map[frame_rate:30 lag:0.0024592705604339084])
+	//   [ 22.11s] trigger     t=22.11s estimate left the armed region: bandwidth=448000.000768 cpu=0.20010064126766414
+	//   [ 22.11s] decision    fps=15 -> fps=30 (pref "smooth", predicted map[frame_rate:30 lag:0])
 	//   [ 22.13s] switch      fps=15 -> fps=30
 	//
 	// framework switches: 2, final config: fps=30

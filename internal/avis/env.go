@@ -48,13 +48,13 @@ type window struct {
 
 // serverEnv adds the one server duty that is not transport-agnostic:
 // putting a finished reply on the link. The testbed charges encodeCycles
-// per raw byte slice by slice into a pipelined sender, and hands shared
+// per raw byte slice by slice into a pipelined sender, and hands the
 // bytes over by reference; TCP issues a single vectored write. The two
 // share no arithmetic on purpose — the figures pin the first formula and
-// testdata/reply_two_segments.hex the second. pooled is the Handler's.
+// testdata/reply_two_segments.hex the second.
 type serverEnv interface {
 	env
-	reply(req Request, rawLen int, enc []byte, pooled bool, encodeCycles float64) error
+	reply(req Request, rawLen int, enc []byte, encodeCycles float64) error
 }
 
 // errRoundStalled reports a reply that stopped arriving within the retry
@@ -110,16 +110,13 @@ func (e *vtimeEnv) compute(cycles float64) { e.sb.Compute(e.p, cycles) }
 
 // reply streams the compressed bytes in slices, charging the compression
 // cost slice by slice so the sender process can overlap transmission.
-// A slice of shared bytes goes out as its header with the window
-// enc[off:end] by reference; pooled bytes are recycled while the sender
-// is still transmitting, so their slices are copied. The headers of a
-// shared reply are written into one arena sized for the whole reply.
-func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, pooled bool, encodeCycles float64) error {
+// The only handler the testbed runs answers from the image store, whose
+// replies are shared and immutable, so a slice goes out as its header
+// with the window enc[off:end] by reference, and the headers of one reply
+// are written into one arena sized for the whole reply.
+func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, encodeCycles float64) error {
 	total := len(enc)
-	var heads []byte
-	if !pooled {
-		heads = make([]byte, 0, max(1, (total+DefaultSegmentBytes-1)/DefaultSegmentBytes)*segmentHeadLen)
-	}
+	heads := make([]byte, 0, max(1, (total+DefaultSegmentBytes-1)/DefaultSegmentBytes)*segmentHeadLen)
 	for off := 0; ; off += DefaultSegmentBytes {
 		end := min(off+DefaultSegmentBytes, total)
 		rawShare := float64(rawLen)
@@ -127,15 +124,9 @@ func (e *vtimeEnv) reply(req Request, rawLen int, enc []byte, pooled bool, encod
 			rawShare = float64(rawLen) * float64(end-off) / float64(total)
 		}
 		e.compute(encodeCycles * rawShare)
-		seg := Segment{Image: req.Image, Seq: req.Seq, Raw: int(rawShare + 0.5), Last: end == total}
-		if pooled {
-			seg.Payload = enc[off:end]
-			e.out(e.p, netem.Message{Payload: encodeSegment(seg)})
-		} else {
-			h := len(heads)
-			heads = appendSegmentHead(heads, seg)
-			e.out(e.p, netem.Message{Payload: heads[h:len(heads):len(heads)], Ref: enc[off:end], RefAt: off})
-		}
+		h := len(heads)
+		heads = appendSegmentHead(heads, Segment{Image: req.Image, Seq: req.Seq, Raw: int(rawShare + 0.5), Last: end == total})
+		e.out(e.p, netem.Message{Payload: heads[h:len(heads):len(heads)], Ref: enc[off:end], RefAt: off})
 		if end == total {
 			return nil
 		}
@@ -165,7 +156,7 @@ func (e *tcpEnv) now() time.Duration { return time.Since(e.epoch) }
 func (e *tcpEnv) compute(float64)    {}
 func (e *tcpEnv) negotiate() error   { return e.mapErr("negotiate", e.wc.StartClient(0)) }
 
-func (e *tcpEnv) reply(req Request, rawLen int, enc []byte, _ bool, _ float64) error {
+func (e *tcpEnv) reply(req Request, rawLen int, enc []byte, _ float64) error {
 	return e.mapErr("write", WriteSegmentsWire(e.wc, req.Image, req.Seq, rawLen, enc, e.segBytes, e.onSeg))
 }
 

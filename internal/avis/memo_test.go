@@ -2,6 +2,7 @@ package avis
 
 import (
 	"bytes"
+	"errors"
 	"hash/maphash"
 	"reflect"
 	"sync"
@@ -75,9 +76,9 @@ func TestDecodeMemoAnswersOnlyEqualBytes(t *testing.T) {
 		t.Fatalf("%d decodes for two distinct replies asked twice each, want 2", got)
 	}
 
-	m.mu.Lock()
-	m.done.Put(memoKey{"raw", maphash.Bytes(m.seed, b)}, encodedReply{enc: bytes.Clone(a), rawLen: 1}, int64(len(a)))
-	m.mu.Unlock()
+	m.done.Inspect(func(p *lru.Policy[memoKey, encodedReply]) {
+		p.Put(memoKey{"raw", maphash.Bytes(m.seed, b)}, encodedReply{enc: bytes.Clone(a), rawLen: 1}, int64(len(a)))
+	})
 	if n, err := m.rawLen("raw", b, false, raw.decode); err != nil || n != len(b) || raw.calls.Load() != 3 {
 		t.Errorf("a key holding other bytes answered %d (err %v) after %d decodes; want a real decode to %d",
 			n, err, raw.calls.Load(), len(b))
@@ -149,11 +150,16 @@ func TestDecodeMemoNeverRecordsFailure(t *testing.T) {
 		t.Errorf("%d of %d concurrent callers failed after %d decodes in all; want every caller failing on a decode of its own (%d)",
 			failed.Load(), callers, bzw.calls.Load(), 3+callers)
 	}
-	if m.done.Len() != 0 || len(m.flights) != 0 {
-		t.Errorf("failures left %d entries and %d flights behind", m.done.Len(), len(m.flights))
+	if cacheLen(m.done) != 0 {
+		t.Errorf("failures left %d entries behind", cacheLen(m.done))
 	}
-	if n, err := m.rawLen("bzw", enc, false, bzw.decode); err != nil || n != len(payload) || m.done.Len() != 1 {
-		t.Errorf("the intact reply: %d, %v, %d entries; want %d recorded", n, err, m.done.Len(), len(payload))
+	if _, built, err := m.done.Fill(memoKey{"bzw", maphash.Bytes(m.seed, bad)}, func() (encodedReply, int64, error) {
+		return encodedReply{}, 0, errCorrupt
+	}); !built || err != errCorrupt {
+		t.Errorf("the next miss on the corrupt reply: built %v, %v; want a build of its own, not a flight left behind", built, err)
+	}
+	if n, err := m.rawLen("bzw", enc, false, bzw.decode); err != nil || n != len(payload) || cacheLen(m.done) != 1 {
+		t.Errorf("the intact reply: %d, %v, %d entries; want %d recorded", n, err, cacheLen(m.done), len(payload))
 	}
 }
 
@@ -195,6 +201,15 @@ func TestDecodeMemoSingleFlight(t *testing.T) {
 			t.Errorf("caller %d: %d, %v; want %d", i, lens[i], errs[i], len(payload))
 		}
 	}
+}
+
+// errCorrupt stands for a decode that failed.
+var errCorrupt = errors.New("corrupt reply")
+
+// cacheLen reads the number of entries c holds.
+func cacheLen[K comparable, V any](c *lru.Cache[K, V]) (n int) {
+	c.Inspect(func(p *lru.Policy[K, V]) { n = p.Len() })
+	return n
 }
 
 // clientCounts reads the process-wide reply and decode counters.
@@ -257,9 +272,9 @@ func TestUnverifiedWorldDecodesOncePerReply(t *testing.T) {
 		return stats, r1 - r0, d1 - d0
 	}
 	cold, replies, decodes := run()
-	if replies == 0 || decodes > replies/2 || int64(memo.done.Len()) != decodes {
+	if replies == 0 || decodes > replies/2 || int64(cacheLen(memo.done)) != decodes {
 		t.Errorf("cold memo: %d replies, %d decodes, %d entries; want at most one decode per distinct reply, each recorded",
-			replies, decodes, memo.done.Len())
+			replies, decodes, cacheLen(memo.done))
 	}
 	warm, replies, decodes := run()
 	if decodes != 0 {
@@ -343,9 +358,9 @@ func TestDecodeMemoIdentityIndex(t *testing.T) {
 				t.Fatalf("fill %d: %d, %v", i, n, err)
 			}
 		}
-		if raw.calls.Load() != 2 || m.byRef.Len() != 0 {
+		if raw.calls.Load() != 2 || cacheLen(m.byRef) != 0 {
 			t.Errorf("%d decodes, %d identities for one copied buffer holding two replies in turn; want 2 and none",
-				raw.calls.Load(), m.byRef.Len())
+				raw.calls.Load(), cacheLen(m.byRef))
 		}
 		bufpool.Put(buf)
 	})
@@ -359,9 +374,9 @@ func TestDecodeMemoIdentityIndex(t *testing.T) {
 				t.Fatalf("attempt %d of a corrupt shared reply succeeded", i)
 			}
 		}
-		if bzw.calls.Load() != 2 || m.byRef.Len() != 0 || m.done.Len() != 0 {
+		if bzw.calls.Load() != 2 || cacheLen(m.byRef) != 0 || cacheLen(m.done) != 0 {
 			t.Errorf("%d decodes, %d identities, %d entries; want a decode per attempt and nothing recorded",
-				bzw.calls.Load(), m.byRef.Len(), m.done.Len())
+				bzw.calls.Load(), cacheLen(m.byRef), cacheLen(m.done))
 		}
 	})
 	t.Run("codec and address", func(t *testing.T) {
@@ -379,16 +394,16 @@ func TestDecodeMemoIdentityIndex(t *testing.T) {
 				t.Fatalf("round %d, raw: %d, %v; want %d", round, n, err, len(enc))
 			}
 		}
-		if lzw.calls.Load() != 1 || raw.calls.Load() != 1 || m.byRef.Len() != 3 {
+		if lzw.calls.Load() != 1 || raw.calls.Load() != 1 || cacheLen(m.byRef) != 3 {
 			t.Errorf("decodes lzw %d, raw %d, %d identities; want one decode per codec and three identities",
-				lzw.calls.Load(), raw.calls.Load(), m.byRef.Len())
+				lzw.calls.Load(), raw.calls.Load(), cacheLen(m.byRef))
 		}
 		e, ok := m.done.Get(memoKey{"lzw", maphash.Bytes(m.seed, enc)})
 		if !ok || &e.enc[0] != &enc[0] {
 			t.Error("the memo keeps a copy of a shared reply")
 		}
 		// An identity answers without the content entry.
-		m.done = lru.New[memoKey, encodedReply](lru.Config{MaxCost: encodedBudget}, nil)
+		m.done = lru.NewCache[memoKey, encodedReply](lru.Config{MaxCost: encodedBudget}, nil)
 		if n, err := m.rawLen("lzw", enc, true, lzw.decode); err != nil || n != len(payload) || lzw.calls.Load() != 1 {
 			t.Errorf("identity lookup: %d, %v after %d decodes", n, err, lzw.calls.Load())
 		}

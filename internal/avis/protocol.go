@@ -123,8 +123,8 @@ func DecodeRequest(b []byte) (Request, error) {
 const segmentHeadLen = 14
 
 // appendSegmentHead renders a segment message's header (everything but
-// the payload) into dst — the scatter-gather half of encodeSegment, for
-// framing a segment around its payload without gluing them together.
+// the payload) into dst, for framing a segment around its payload without
+// gluing them together.
 func appendSegmentHead(dst []byte, s Segment) []byte {
 	var out [segmentHeadLen]byte
 	out[0] = tagSegment
@@ -135,11 +135,6 @@ func appendSegmentHead(dst []byte, s Segment) []byte {
 		out[13] = 1
 	}
 	return append(dst, out[:]...)
-}
-
-func encodeSegment(s Segment) []byte {
-	out := appendSegmentHead(make([]byte, 0, segmentHeadLen+len(s.Payload)), s)
-	return append(out, s.Payload...)
 }
 
 // DecodeSegment parses one reply segment; Payload aliases b.

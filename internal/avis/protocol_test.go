@@ -57,6 +57,13 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// encodeSegment renders one whole segment message, payload glued to its
+// header, as the tests forge replies.
+func encodeSegment(s Segment) []byte {
+	out := appendSegmentHead(make([]byte, 0, segmentHeadLen+len(s.Payload)), s)
+	return append(out, s.Payload...)
+}
+
 func TestSegmentRoundTripProperty(t *testing.T) {
 	f := func(img uint16, raw uint16, last bool, payload []byte) bool {
 		seg := Segment{Image: int(img), Raw: int(raw), Last: last, Payload: payload}

@@ -137,7 +137,7 @@ func (s *serverSession) answer(e serverEnv, req Request) error {
 	if err != nil {
 		return err
 	}
-	err = e.reply(req, rawLen, enc, pooled, s.cost.EncodeCyclesPerByte*s.codec.EncodeCost())
+	err = e.reply(req, rawLen, enc, s.cost.EncodeCyclesPerByte*s.codec.EncodeCost())
 	if pooled {
 		bufpool.Put(enc)
 	}

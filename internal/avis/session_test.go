@@ -567,76 +567,6 @@ func TestSessionCoreOnBothTransports(t *testing.T) {
 	}
 }
 
-// scribbler is an origin whose replies are pooled copies, overwritten the
-// moment the server loop has recycled them — as the pool's next user
-// would — so a transport still reading one after answer returns delivers
-// garbage.
-type scribbler struct {
-	pyramids
-	last []byte
-}
-
-func (h *scribbler) Reply(req Request, codec compress.Codec) ([]byte, int, bool, error) {
-	enc, rawLen, _, err := h.pyramids.Reply(req, codec)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	h.last = append(bufpool.Get(len(enc))[:0], enc...)
-	return h.last, rawLen, true, nil
-}
-
-func (h *scribbler) Replied(took time.Duration, err error) {
-	for i := range h.last {
-		h.last[i] = 0xA5
-	}
-	h.last = nil
-	h.pyramids.Replied(took, err)
-}
-
-// TestPooledRepliesCopiedOnTestbed: on the testbed env pair, a handler's
-// pooled reply is recycled while the sender process is still transmitting
-// it, so its segments must travel as copies — the client receives the
-// origin's bytes, one segment or several. (Over TCP the write completes
-// before the buffer is recycled; scribbling it there would race with the
-// client's own use of the pool.)
-func TestPooledRepliesCopiedOnTestbed(t *testing.T) {
-	geom := Geometry{Side: 256, Levels: 4, NumImages: 2}
-	seeds := []int64{1, 2}
-	raw, _ := compress.Lookup("raw")
-	reqs := []Request{
-		{Image: 1, X: 128, Y: 128, R: 16, Level: 4},
-		{Image: 1, X: 128, Y: 128, R: 128, Level: 4},
-		{Image: 0, X: 128, Y: 128, R: 128, PrevR: 16, Level: 4},
-	}
-	transports[0].run(t, func(e serverEnv) {
-		h := &scribbler{pyramids: pyramids{geom: geom, seeds: seeds, store: testStore, tel: &serverTelemetry{}, env: e}}
-		session := newServerSession(geom, h, h.tel)
-		if err := session.run(e); err != nil {
-			t.Error(err)
-		}
-	}, func(e env) {
-		s := &session{env: e, params: Params{DR: 64, Codec: "raw", Level: 4}, codec: raw, geom: geom}
-		segments := 0
-		for _, req := range reqs {
-			want, _, _, err := testStore.reply(encodedKey{pyramidKey{geom.Side, geom.Levels, seeds[req.Image]},
-				req.Level, req.X, req.Y, req.R, req.PrevR, "raw"}, raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			segments += (len(want.enc) + DefaultSegmentBytes - 1) / DefaultSegmentBytes
-			data, _, _, err := s.fetchRoundRaw(req, true)
-			if err != nil || !bytes.Equal(data, want.enc) {
-				t.Errorf("request %+v: %d bytes, err %v; want the origin's %d bytes", req, len(data), err, len(want.enc))
-			}
-			bufpool.Put(data)
-		}
-		if segments <= len(reqs) {
-			t.Errorf("%d segments for %d replies; the test needs multi-segment ones", segments, len(reqs))
-		}
-		s.close()
-	})
-}
-
 // TestSharedReplyHeadersShareOneArena: on the testbed, every segment
 // header of a shared reply is written into one arena, so a reply of k
 // segments makes one header allocation, not k. Each header is capped at
@@ -655,7 +585,7 @@ func TestSharedReplyHeadersShareOneArena(t *testing.T) {
 		e := &vtimeEnv{p: p, sb: sb, out: func(_ *vtime.Proc, m netem.Message) { msgs = append(msgs, m) }}
 		allocs = testing.AllocsPerRun(50, func() {
 			msgs = msgs[:0]
-			if err := e.reply(Request{Image: 1, Seq: 9}, 3*len(enc), enc, false, 0); err != nil {
+			if err := e.reply(Request{Image: 1, Seq: 9}, 3*len(enc), enc, 0); err != nil {
 				t.Error(err)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/maphash"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,25 +37,21 @@ const encodedBudget = 64 << 20
 // same images through hundreds of simulated worlds, so pyramids are shared
 // (they are read-only after construction); the same sweeps ask every world
 // for the same regions under the same codecs, so the extracted, compressed
-// reply bytes are shared too. Cache misses are single-flight per key: the
-// mutex only guards the replacement policies and the table of replies in
-// the making, so the profiler's parallel workers can build pyramids and
-// replies for different keys concurrently while duplicate requests for one
-// key wait on the one in-flight build. Eviction drops the cache's
-// reference only — builders holding an evicted entry finish (and callers
-// use) its pyramid or its reply bytes unharmed; the next request for that
-// key simply rebuilds.
+// reply bytes are shared too. Both are lru.Caches: misses are
+// single-flight per key, so the profiler's parallel workers build
+// pyramids and replies for different keys concurrently while duplicate
+// requests for one key wait on the one build in progress. Eviction drops
+// the cache's reference only — callers holding an evicted pyramid or
+// reply use it unharmed; the next request for that key simply rebuilds.
 type ImageStore struct {
-	mu       sync.Mutex
-	cache    *lru.Policy[pyramidKey, *storeEntry]
-	encoded  *lru.Policy[encodedKey, encodedReply] // cost = len(enc)
-	encoding map[encodedKey]*encodedFlight
+	pyramids *lru.Cache[pyramidKey, *wavelet.Pyramid]
+	encoded  *lru.Cache[encodedKey, encodedReply] // cost = len(enc)
 
 	hits    atomic.Int64 // replies served without encoding
 	encodes atomic.Int64 // replies extracted and compressed
 
-	// occupancy instruments, guarded by mu; nil (no-op) unless a
-	// RealServer's EnableMetrics ran
+	// occupancy instruments, bound under the encoded cache's lock; nil
+	// (no-op) unless a RealServer's EnableMetrics ran
 	mEncodedBytes     *metrics.Gauge
 	mEncodedEvictions *metrics.Counter
 }
@@ -82,19 +77,8 @@ type encodedReply struct {
 	rawLen int
 }
 
-// encodedFlight is one reply in the making that concurrent misses wait on.
-type encodedFlight struct {
-	done  chan struct{}
-	reply encodedReply
-	err   error
-}
-
-// storeEntry is one single-flight cache slot.
-type storeEntry struct {
-	once sync.Once
-	p    *wavelet.Pyramid
-	err  error
-}
+// encodedPolicy is what the encoded cache's lock guards.
+type encodedPolicy = lru.Policy[encodedKey, encodedReply]
 
 // NewImageStore creates an empty cache bounded at DefaultStoreEntries.
 func NewImageStore() *ImageStore { return NewImageStoreCap(DefaultStoreEntries) }
@@ -105,10 +89,9 @@ func NewImageStoreCap(maxEntries int) *ImageStore { return newImageStore(maxEntr
 
 func newImageStore(maxEntries int, encodedBytes int64) *ImageStore {
 	s := &ImageStore{
-		cache:    lru.New[pyramidKey, *storeEntry](lru.Config{MaxEntries: maxEntries}, nil),
-		encoding: make(map[encodedKey]*encodedFlight),
+		pyramids: lru.NewCache[pyramidKey, *wavelet.Pyramid](lru.Config{MaxEntries: maxEntries}, nil),
 	}
-	s.encoded = lru.New[encodedKey, encodedReply](lru.Config{MaxCost: encodedBytes},
+	s.encoded = lru.NewCache[encodedKey, encodedReply](lru.Config{MaxCost: encodedBytes},
 		func(encodedKey, encodedReply, lru.Reason) { s.mEncodedEvictions.Inc() })
 	return s
 }
@@ -116,11 +99,11 @@ func newImageStore(maxEntries int, encodedBytes int64) *ImageStore {
 // enableMetrics registers the cache-occupancy families of the encoded-reply
 // cache; hits and misses are counted by the servers that cause them.
 func (s *ImageStore) enableMetrics(reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mEncodedBytes = reg.Gauge("avis_encoded_cache_bytes", "Summed compressed bytes of the encoded replies resident in the image store.")
-	s.mEncodedEvictions = reg.Counter("avis_encoded_cache_evictions_total", "Encoded replies the store's byte budget pushed out.")
-	s.mEncodedBytes.Set(float64(s.encoded.Cost()))
+	s.encoded.Inspect(func(p *encodedPolicy) {
+		s.mEncodedBytes = reg.Gauge("avis_encoded_cache_bytes", "Summed compressed bytes of the encoded replies resident in the image store.")
+		s.mEncodedEvictions = reg.Counter("avis_encoded_cache_evictions_total", "Encoded replies the store's byte budget pushed out.")
+		s.mEncodedBytes.Set(float64(p.Cost()))
+	})
 }
 
 // sharedStore serves all worlds that do not supply their own store.
@@ -136,18 +119,11 @@ func (s *ImageStore) Pyramid(side, levels int, seed int64) (*wavelet.Pyramid, er
 }
 
 func (s *ImageStore) pyramid(key pyramidKey) (*wavelet.Pyramid, error) {
-	s.mu.Lock()
-	e, ok := s.cache.Get(key)
-	if !ok {
-		e = &storeEntry{}
-		s.cache.Put(key, e, 1)
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		im := imagery.Generate(key.side, key.seed)
-		e.p, e.err = wavelet.Decompose(im, key.levels)
+	p, _, err := s.pyramids.Fill(key, func() (*wavelet.Pyramid, int64, error) {
+		p, err := wavelet.Decompose(imagery.Generate(key.side, key.seed), key.levels)
+		return p, 1, err
 	})
-	return e.p, e.err
+	return p, err
 }
 
 // EncodedStats is a point-in-time snapshot of the encoded-reply cache.
@@ -160,16 +136,17 @@ type EncodedStats struct {
 }
 
 // EncodedStats reports what the encoded-reply cache has served and holds.
-func (s *ImageStore) EncodedStats() EncodedStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return EncodedStats{
-		Hits:      s.hits.Load(),
-		Encodes:   s.encodes.Load(),
-		Entries:   s.encoded.Len(),
-		Bytes:     s.encoded.Cost(),
-		Evictions: s.encoded.Evictions(),
-	}
+func (s *ImageStore) EncodedStats() (st EncodedStats) {
+	s.encoded.Inspect(func(p *encodedPolicy) {
+		st = EncodedStats{
+			Hits:      s.hits.Load(),
+			Encodes:   s.encodes.Load(),
+			Entries:   p.Len(),
+			Bytes:     p.Cost(),
+			Evictions: p.Evictions(),
+		}
+	})
+	return st
 }
 
 // String is the one-line summary the profiling tools close with.
@@ -186,34 +163,18 @@ func (e EncodedStats) String() string {
 // request the pyramid refuses is answered with its error and leaves
 // nothing behind.
 func (s *ImageStore) reply(key encodedKey, codec compress.Codec) (r encodedReply, encoded bool, took time.Duration, err error) {
-	s.mu.Lock()
-	if r, ok := s.encoded.Get(key); ok {
-		s.mu.Unlock()
+	r, encoded, err = s.encoded.Fill(key, func() (encodedReply, int64, error) {
+		r, t, err := s.encode(key, codec)
+		took = t
+		return r, int64(len(r.enc)), err
+	})
+	switch {
+	case encoded && err == nil:
+		s.encoded.Inspect(func(p *encodedPolicy) { s.mEncodedBytes.Set(float64(p.Cost())) })
+	case !encoded && err == nil:
 		s.hits.Add(1)
-		return r, false, 0, nil
 	}
-	if f, ok := s.encoding[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		if f.err == nil {
-			s.hits.Add(1)
-		}
-		return f.reply, false, 0, f.err
-	}
-	f := &encodedFlight{done: make(chan struct{})}
-	s.encoding[key] = f
-	s.mu.Unlock()
-
-	f.reply, took, f.err = s.encode(key, codec)
-	s.mu.Lock()
-	if f.err == nil {
-		s.encoded.Put(key, f.reply, int64(len(f.reply.enc)))
-		s.mEncodedBytes.Set(float64(s.encoded.Cost()))
-	}
-	delete(s.encoding, key)
-	s.mu.Unlock()
-	close(f.done)
-	return f.reply, f.err == nil, took, f.err
+	return r, encoded, took, err
 }
 
 // encode is the miss path: extract, serialize, compress, and copy the
@@ -249,11 +210,9 @@ func (s *ImageStore) encode(key encodedKey, codec compress.Codec) (encodedReply,
 // answered first by identity (byRef): while the memo holds a reference to
 // them, the same codec, address and length are the same bytes.
 type decodeMemo struct {
-	seed    maphash.Seed
-	mu      sync.Mutex
-	done    *lru.Policy[memoKey, encodedReply] // cost = len(enc)
-	byRef   *lru.Policy[refKey, encodedReply]  // cost = len(enc)
-	flights map[memoKey]*encodedFlight
+	seed  maphash.Seed
+	done  *lru.Cache[memoKey, encodedReply] // cost = len(enc)
+	byRef *lru.Cache[refKey, encodedReply]  // cost = len(enc)
 }
 
 // memoKey is a candidate identity of one compressed reply.
@@ -271,10 +230,9 @@ type refKey struct {
 
 func newDecodeMemo(budget int64) *decodeMemo {
 	return &decodeMemo{
-		seed:    maphash.MakeSeed(),
-		done:    lru.New[memoKey, encodedReply](lru.Config{MaxCost: budget}, nil),
-		byRef:   lru.New[refKey, encodedReply](lru.Config{MaxCost: budget}, nil),
-		flights: make(map[memoKey]*encodedFlight),
+		seed:  maphash.MakeSeed(),
+		done:  lru.NewCache[memoKey, encodedReply](lru.Config{MaxCost: budget}, nil),
+		byRef: lru.NewCache[refKey, encodedReply](lru.Config{MaxCost: budget}, nil),
 	}
 }
 
@@ -292,56 +250,40 @@ var (
 // callers miss on the key together — and recording a success. After a
 // failed flight or a hash collision the caller decodes its own bytes and
 // nothing is recorded, so a bad reply fails every time.
-func (m *decodeMemo) rawLen(codec string, enc []byte, shared bool, decode func([]byte) ([]byte, error)) (n int, err error) {
-	if shared = shared && len(enc) > 0; shared {
-		id := refKey{codec, &enc[0], len(enc)}
-		m.mu.Lock()
-		r, ok := m.byRef.Get(id)
-		m.mu.Unlock()
-		if ok {
-			return r.rawLen, nil
-		}
-		defer func() {
-			if err == nil {
-				m.mu.Lock()
-				m.byRef.Put(id, encodedReply{enc: enc, rawLen: n}, int64(len(enc)))
-				m.mu.Unlock()
-			}
-		}()
+func (m *decodeMemo) rawLen(codec string, enc []byte, shared bool, decode func([]byte) ([]byte, error)) (int, error) {
+	if !shared || len(enc) == 0 {
+		return m.byContent(codec, enc, false, decode)
 	}
-	key := memoKey{codec, maphash.Bytes(m.seed, enc)}
-	m.mu.Lock()
-	r, ok := m.done.Get(key)
-	f, lead := m.flights[key], false
-	if !ok && f == nil {
-		kept := enc // shared bytes are kept as they are, others copied
+	r, built, err := m.byRef.Fill(refKey{codec, &enc[0], len(enc)}, func() (encodedReply, int64, error) {
+		n, err := m.byContent(codec, enc, true, decode)
+		return encodedReply{enc: enc, rawLen: n}, int64(len(enc)), err
+	})
+	if err == nil || built {
+		return r.rawLen, err
+	}
+	return decodedLen(enc, decode)
+}
+
+// byContent is rawLen's content tier. Shared bytes are kept as they are,
+// others copied: the kept bytes are what is decoded, and what later
+// callers compare against.
+func (m *decodeMemo) byContent(codec string, enc []byte, shared bool, decode func([]byte) ([]byte, error)) (int, error) {
+	r, built, err := m.done.Fill(memoKey{codec, maphash.Bytes(m.seed, enc)}, func() (encodedReply, int64, error) {
+		kept := enc
 		if !shared {
 			kept = bytes.Clone(enc)
 		}
-		f, lead = &encodedFlight{done: make(chan struct{}), reply: encodedReply{enc: kept}}, true
-		m.flights[key] = f
+		n, err := decodedLen(kept, decode)
+		return encodedReply{enc: kept, rawLen: n}, int64(len(kept)), err
+	})
+	if built || err == nil && bytes.Equal(r.enc, enc) {
+		return r.rawLen, err
 	}
-	m.mu.Unlock()
-	if lead { // decode the kept bytes: they are what the followers compare against
-		data, err := decode(f.reply.enc)
-		f.reply.rawLen, f.err = len(data), err
-		bufpool.Put(data)
-		m.mu.Lock()
-		if err == nil {
-			m.done.Put(key, f.reply, int64(len(f.reply.enc)))
-		}
-		delete(m.flights, key)
-		m.mu.Unlock()
-		close(f.done)
-		return f.reply.rawLen, err
-	}
-	if !ok {
-		<-f.done
-		r, ok = f.reply, f.err == nil
-	}
-	if ok && bytes.Equal(r.enc, enc) {
-		return r.rawLen, nil
-	}
+	return decodedLen(enc, decode)
+}
+
+// decodedLen decodes enc and returns the decoded length.
+func decodedLen(enc []byte, decode func([]byte) ([]byte, error)) (int, error) {
 	data, err := decode(enc)
 	bufpool.Put(data)
 	return len(data), err

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"tunable/internal/compress"
+	"tunable/internal/lru"
+	"tunable/internal/wavelet"
 )
 
 // TestImageStoreEviction drives a store bounded at 2 pyramids through 6
@@ -45,12 +47,14 @@ func TestImageStoreEviction(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := s.cache.Len(); n > cap {
-		t.Fatalf("store holds %d entries, bound is %d", n, cap)
-	}
-	if s.cache.Evictions() == 0 {
-		t.Fatal("expected evictions after inserting more keys than the bound")
-	}
+	s.pyramids.Inspect(func(p *lru.Policy[pyramidKey, *wavelet.Pyramid]) {
+		if n := p.Len(); n > cap {
+			t.Fatalf("store holds %d entries, bound is %d", n, cap)
+		}
+		if p.Evictions() == 0 {
+			t.Fatal("expected evictions after inserting more keys than the bound")
+		}
+	})
 
 	// An evicted key rebuilds: the store was just churned through 6 keys
 	// with capacity 2, so seed 1 is long gone; it must come back healthy
@@ -114,7 +118,7 @@ func TestImageStoreSingleFlightUnderEviction(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := s.cache.Len(); n > 2 {
+	if n := cacheLen(s.pyramids); n > 2 {
 		t.Fatalf("store holds %d entries, bound is 2", n)
 	}
 }

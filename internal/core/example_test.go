@@ -126,20 +126,18 @@ qos_metric {
 	// [  6.19s] batch  1 at quality 3 took 3.09s
 	// [  8.00s] *** CPU share drops to 40% ***
 	// [ 11.10s] batch  2 at quality 3 took 4.91s
-	// [ 11.10s] steering applied: quality -> n=2
-	// [ 16.09s] batch  3 at quality 2 took 5.00s
-	// [ 16.09s] steering applied: quality -> n=1
-	// [ 18.59s] batch  4 at quality 1 took 2.50s
+	// [ 11.10s] steering applied: quality -> n=1
+	// [ 13.59s] batch  3 at quality 1 took 2.50s
+	// [ 16.09s] batch  4 at quality 1 took 2.50s
+	// [ 18.59s] batch  5 at quality 1 took 2.50s
 	// [ 20.00s] *** CPU share restored to 100% ***
-	// [ 20.45s] batch  5 at quality 1 took 1.86s
-	// [ 20.45s] steering applied: quality -> n=2
-	// [ 22.52s] batch  6 at quality 2 took 2.06s
-	// [ 22.52s] steering applied: quality -> n=3
-	// [ 25.61s] batch  7 at quality 3 took 3.09s
-	// [ 28.70s] batch  8 at quality 3 took 3.09s
-	// [ 31.79s] batch  9 at quality 3 took 3.09s
-	// [ 34.89s] batch 10 at quality 3 took 3.09s
-	// [ 37.98s] batch 11 at quality 3 took 3.09s
+	// [ 20.45s] batch  6 at quality 1 took 1.86s
+	// [ 20.45s] steering applied: quality -> n=3
+	// [ 23.55s] batch  7 at quality 3 took 3.09s
+	// [ 26.64s] batch  8 at quality 3 took 3.09s
+	// [ 29.73s] batch  9 at quality 3 took 3.09s
+	// [ 32.83s] batch 10 at quality 3 took 3.09s
+	// [ 35.92s] batch 11 at quality 3 took 3.09s
 	//
-	// framework made 4 configuration switches; final config: n=3
+	// framework made 2 configuration switches; final config: n=3
 }

@@ -33,7 +33,7 @@ func BenchmarkEdgeCacheHit(b *testing.B) {
 	keys := make([]chunkKey, 256)
 	for i := range keys {
 		keys[i] = cacheKey("sig", benchReq(i), "lzw")
-		c.insert(keys[i], cacheEntry{enc: payload, rawLen: 2 * len(payload)})
+		put(c, keys[i], cacheEntry{enc: payload, rawLen: 2 * len(payload)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,13 +45,13 @@ func BenchmarkEdgeCacheHit(b *testing.B) {
 }
 
 func BenchmarkEdgeCacheChurn(b *testing.B) {
-	// Insert over a cache bounded far below the key population, so every
-	// insert beyond warmup evicts: the worst-case replacement path.
+	// Fill a cache bounded far below the key population, so every fill
+	// beyond warmup evicts: the worst-case replacement path.
 	c := newChunkCache(128, 1<<30, time.Hour)
 	payload := make([]byte, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.insert(cacheKey("sig", avis.Request{Image: i, R: 32, PrevR: 16, Level: 2}, "lzw"), cacheEntry{enc: payload})
+		put(c, cacheKey("sig", avis.Request{Image: i, R: 32, PrevR: 16, Level: 2}, "lzw"), cacheEntry{enc: payload})
 	}
 }

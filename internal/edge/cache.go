@@ -12,7 +12,6 @@
 package edge
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,11 +44,11 @@ type cacheEntry struct {
 	rawLen int
 }
 
-// chunkCache is the thread-safe LRU+TTL payload cache of one proxy. Hits
-// and misses are counted on the client-serving path (lookup).
+// chunkCache is the LRU+TTL payload cache of one proxy: one lru.Cache,
+// whose lock also orders its misses' single-flight origin rounds. Hits and
+// misses are counted on the client-serving path (lookup).
 type chunkCache struct {
-	mu  sync.Mutex
-	pol *lru.Policy[chunkKey, cacheEntry]
+	c *lru.Cache[chunkKey, cacheEntry]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -66,23 +65,26 @@ type chunkCache struct {
 
 func newChunkCache(maxEntries int, maxBytes int64, ttl time.Duration) *chunkCache {
 	c := &chunkCache{}
-	c.pol = lru.New[chunkKey, cacheEntry](lru.Config{
+	c.c = lru.NewCache[chunkKey, cacheEntry](lru.Config{
 		MaxEntries: maxEntries,
 		MaxCost:    maxBytes,
 		TTL:        ttl,
-	}, func(_ chunkKey, _ cacheEntry, why lru.Reason) {
+	}, func(_ chunkKey, e cacheEntry, why lru.Reason) {
 		switch why {
 		case lru.Capacity:
 			c.mEvCapacity.Inc()
 		case lru.Expired:
 			c.mEvExpired.Inc()
 		}
+		c.mEntries.Add(-1)
+		c.mBytes.Add(-float64(len(e.enc)))
 	})
 	return c
 }
 
 // enableMetrics registers the edge_cache_* families. The reason label is
-// the closed set {capacity, expired}.
+// the closed set {capacity, expired}. The occupancy gauges move by each
+// fill and eviction, so it runs before the cache holds anything.
 func (c *chunkCache) enableMetrics(reg *metrics.Registry) {
 	c.mHits = reg.Counter("edge_cache_hits_total", "Coarse-level requests served from cache.")
 	c.mMisses = reg.Counter("edge_cache_misses_total", "Coarse-level requests that needed an origin round.")
@@ -95,21 +97,10 @@ func (c *chunkCache) enableMetrics(reg *metrics.Registry) {
 	c.mBytes = reg.Gauge("edge_cache_bytes", "Summed compressed bytes of live cached chunks.")
 }
 
-// updateGauges refreshes the occupancy and ratio gauges; callers hold mu.
-func (c *chunkCache) updateGauges() {
-	c.mEntries.Set(float64(c.pol.Len()))
-	c.mBytes.Set(float64(c.pol.Cost()))
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m > 0 {
-		c.mHitRatio.Set(float64(h) / float64(h+m))
-	}
-}
-
 // lookup is the serving-path read: it bumps recency and the hit/miss
 // stats.
 func (c *chunkCache) lookup(key chunkKey) (cacheEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.pol.Get(key)
+	e, ok := c.c.Get(key)
 	if ok {
 		c.hits.Add(1)
 		c.mHits.Inc()
@@ -117,18 +108,24 @@ func (c *chunkCache) lookup(key chunkKey) (cacheEntry, bool) {
 		c.misses.Add(1)
 		c.mMisses.Inc()
 	}
-	c.updateGauges()
-	c.mu.Unlock()
+	h, m := c.hits.Load(), c.misses.Load()
+	c.mHitRatio.Set(float64(h) / float64(h+m))
 	return e, ok
 }
 
-// insert stores one reply. The cache owns e.enc from here on; it must not
-// be pooled or mutated by the caller.
-func (c *chunkCache) insert(key chunkKey, e cacheEntry) {
-	c.mu.Lock()
-	c.pol.Put(key, e, int64(len(e.enc)))
-	c.updateGauges()
-	c.mu.Unlock()
+// fill returns the entry under key, or builds it once however many
+// callers miss on it together. The cache owns a built entry's enc from
+// then on; it must not be pooled or mutated.
+func (c *chunkCache) fill(key chunkKey, build func() (cacheEntry, error)) (cacheEntry, error) {
+	e, built, err := c.c.Fill(key, func() (cacheEntry, int64, error) {
+		e, err := build()
+		return e, int64(len(e.enc)), err
+	})
+	if built && err == nil {
+		c.mEntries.Add(1)
+		c.mBytes.Add(float64(len(e.enc)))
+	}
+	return e, err
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -147,14 +144,15 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-func (c *chunkCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Entries:   c.pol.Len(),
-		Bytes:     c.pol.Cost(),
-		Evictions: c.pol.Evictions(),
-	}
+func (c *chunkCache) stats() (st CacheStats) {
+	c.c.Inspect(func(p *lru.Policy[chunkKey, cacheEntry]) {
+		st = CacheStats{
+			Hits:      c.hits.Load(),
+			Misses:    c.misses.Load(),
+			Entries:   p.Len(),
+			Bytes:     p.Cost(),
+			Evictions: p.Evictions(),
+		}
+	})
+	return st
 }

@@ -72,14 +72,6 @@ type Config struct {
 	originRetries int
 }
 
-// flight is one in-progress origin fetch that concurrent cache misses for
-// the same key coalesce onto.
-type flight struct {
-	done  chan struct{}
-	entry cacheEntry
-	err   error
-}
-
 // Proxy is one edge node: it terminates the avis protocol toward clients
 // and serves coarse levels from its chunk cache, streaming misses and
 // fine levels from the origin over a pooled connection leg.
@@ -88,9 +80,6 @@ type Proxy struct {
 	geom    avis.Geometry
 	cache   *chunkCache
 	origins *originPool
-
-	flightMu sync.Mutex
-	flights  map[chunkKey]*flight
 
 	accept wire.Acceptor // client-facing connections
 
@@ -138,9 +127,8 @@ func New(cfg Config) (*Proxy, error) {
 		cfg.originRetries = 0 // one attempt, no retry
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		cache:   newChunkCache(max0(cfg.CacheEntries), int64(max0(int(cfg.CacheBytes))), cfg.TTL),
-		flights: make(map[chunkKey]*flight),
+		cfg:   cfg,
+		cache: newChunkCache(max0(cfg.CacheEntries), int64(max0(int(cfg.CacheBytes))), cfg.TTL),
 	}
 	p.origins = &originPool{
 		dial:      cfg.OriginDial,
@@ -163,7 +151,8 @@ func max0(v int) int {
 // edge_connections_total, edge_requests_total, edge_errors_total,
 // edge_serve_seconds labeled source=cache|origin, edge_origin_fetch_seconds
 // and edge_origin_retries_total. Every label set is closed:
-// source ∈ {cache, origin}, reason ∈ {capacity, expired}.
+// source ∈ {cache, origin}, reason ∈ {capacity, expired}. Call it before
+// Serve.
 func (p *Proxy) EnableMetrics(reg *metrics.Registry) {
 	p.cache.enableMetrics(reg)
 	p.mConns = reg.Counter("edge_connections_total", "Client connections accepted by the edge.")
@@ -270,34 +259,22 @@ func (c *clientLeg) Replied(took time.Duration, err error) {
 	}
 }
 
-// fetchShared coalesces concurrent misses on one cache key: the first
-// caller performs the origin round, compresses the payload with codec
-// (the one key names) and inserts the result, copied out of the pooled
-// buffer into an exactly sized slice the cache owns; everyone else waits
-// on its flight. Callers treat the entry's bytes as read-only.
+// fetchShared fills the cache entry under key: unless the entry is
+// already there, one caller performs the origin round, compresses the
+// payload with codec (the one key names) and inserts the result, copied
+// out of the pooled buffer into an exactly sized slice the cache owns;
+// every concurrent miss waits on that one round. Callers treat the
+// entry's bytes as read-only.
 func (p *Proxy) fetchShared(key chunkKey, codec compress.Codec) (cacheEntry, error) {
-	p.flightMu.Lock()
-	if f, ok := p.flights[key]; ok {
-		p.flightMu.Unlock()
-		<-f.done
-		return f.entry, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	p.flights[key] = f
-	p.flightMu.Unlock()
-
-	enc, rawLen, err := p.encodeFromOrigin(key.req, codec)
-	if err == nil {
-		f.entry = cacheEntry{enc: append(make([]byte, 0, len(enc)), enc...), rawLen: rawLen}
+	return p.cache.fill(key, func() (cacheEntry, error) {
+		enc, rawLen, err := p.encodeFromOrigin(key.req, codec)
+		if err != nil {
+			return cacheEntry{}, err
+		}
+		e := cacheEntry{enc: append(make([]byte, 0, len(enc)), enc...), rawLen: rawLen}
 		bufpool.Put(enc)
-		p.cache.insert(key, f.entry)
-	}
-	f.err = err
-	p.flightMu.Lock()
-	delete(p.flights, key)
-	p.flightMu.Unlock()
-	close(f.done)
-	return f.entry, err
+		return e, nil
+	})
 }
 
 // encodeFromOrigin is the edge's one compression site: an origin round for

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tunable/internal/avis"
+	"tunable/internal/compress"
 	"tunable/internal/faults"
 	"tunable/internal/metrics"
 	"tunable/internal/wavelet"
@@ -356,7 +357,7 @@ func TestEdgeChaosByteIdentical(t *testing.T) {
 func TestEdgeCacheEvictionBounds(t *testing.T) {
 	c := newChunkCache(4, 1<<20, time.Minute)
 	for i := 0; i < 10; i++ {
-		c.insert(cacheKey("k", avis.Request{Image: i}, "raw"), cacheEntry{enc: make([]byte, 100), rawLen: 100})
+		put(c, cacheKey("k", avis.Request{Image: i}, "raw"), cacheEntry{enc: make([]byte, 100), rawLen: 100})
 	}
 	st := c.stats()
 	if st.Entries > 4 {
@@ -373,6 +374,11 @@ func TestEdgeCacheEvictionBounds(t *testing.T) {
 	}
 }
 
+// put fills key with e.
+func put(c *chunkCache, key chunkKey, e cacheEntry) {
+	_, _ = c.fill(key, func() (cacheEntry, error) { return e, nil })
+}
+
 // counterNonzero reports whether any sample of the named metric family in
 // a Prometheus exposition has a value greater than zero.
 func counterNonzero(body, name string) bool {
@@ -386,4 +392,38 @@ func counterNonzero(body, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestEdgeMissAfterFillReusesIt: a caller whose lookup missed just before
+// another caller's fill of the same chunk completed must be answered by
+// that fill — the cache and its flights are one decision, so the late
+// fetch reaches the origin no more times.
+func TestEdgeMissAfterFillReusesIt(t *testing.T) {
+	origin, originLn := startOrigin(t)
+	p, _ := startEdge(t, originLn.Addr().String(), nil, nil)
+	codec, err := compress.Lookup("raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := avis.PlanRounds(p.Geometry(), avis.Params{DR: 32, Level: testLevels - 1}, 0, 0)[0]
+	key := cacheKey(testSig, req, codec.Name())
+	base := origin.Stats().Requests
+
+	if _, hit := p.cache.lookup(key); hit { // the first caller misses ...
+		t.Fatal("a cold cache hit")
+	}
+	want, err := p.fetchShared(key, codec) // ... a second one's fill completes ...
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.fetchShared(key, codec) // ... and the first one fetches
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := origin.Stats().Requests - base; n != 1 {
+		t.Fatalf("origin served %d rounds for one chunk, want 1", n)
+	}
+	if !bytes.Equal(got.enc, want.enc) || got.rawLen != want.rawLen {
+		t.Fatal("the late fetch got other bytes than the fill")
+	}
 }

@@ -1,11 +1,11 @@
-// Package lru is the shared cache-replacement policy core of the repo's
-// bounded caches: a recency list with optional TTL expiry, bounded by
-// entry count and by total cost (bytes, usually). It is deliberately
-// unsynchronized — every consumer (the edge chunk cache, the avis image
-// store) already owns a mutex that guards its map plus its single-flight
-// bookkeeping, and sharing that lock with the policy avoids a second
-// layer of locking on the hot path. The clock is injected so the same
-// policy runs under wall time and under the deterministic test clocks.
+// Package lru is the repo's bounded cache, written once. Policy is the
+// replacement core: a recency list with optional TTL expiry, bounded by
+// entry count and by total cost (bytes, usually). It is unsynchronized;
+// Cache puts one behind a mutex and builds each missing entry once
+// however many callers miss on it together (single-flight), and every
+// consumer — the edge chunk cache, the avis image store, the client
+// decode memo — is a Cache. The clock is injected so the same policy runs
+// under wall time and under the deterministic test clocks.
 package lru
 
 import (
@@ -56,8 +56,8 @@ type entry[K comparable, V any] struct {
 	storedAt time.Duration
 }
 
-// Policy is the LRU+TTL replacement core. Not safe for concurrent use;
-// callers hold their own lock across every method.
+// Policy is the LRU+TTL replacement core. Not safe for concurrent use:
+// a Cache holds its lock across every method.
 type Policy[K comparable, V any] struct {
 	cfg     Config
 	onEvict func(K, V, Reason)

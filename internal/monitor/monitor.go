@@ -344,12 +344,7 @@ func (a *Agent) round(now time.Duration) {
 			}
 			h = append(h[:0], h[cut:]...) // in place, so the window's array is reused
 			a.history[key] = h
-			// Windowed mean is the smoothed estimate.
-			var sum float64
-			for _, s := range h {
-				sum += s.v
-			}
-			est = sum / float64(len(h))
+			est = mean(h)
 		}
 		comp := pr.Component()
 		if a.estimates[comp] == nil {
@@ -438,10 +433,44 @@ func (a *Agent) check(now time.Duration) {
 		return
 	}
 	a.outside = 0
+	a.restartAtChange()
 	// Non-blocking: if the scheduler is behind, the newest trigger matters
 	// no more than the one already queued.
 	a.triggers.TrySend(Trigger{At: now, Estimate: a.Snapshot(), Reason: leftRegion})
 	a.pushToPeers(now)
+}
+
+// restartAtChange restarts each windowed estimate at the change point as
+// the trigger fires: the window keeps only the samples of the rounds
+// spent outside the region (the last hysteresis ones), so the value
+// handed to the scheduler is the level after the change, not a blend of
+// the levels before and after it. The EWMA estimator, and a degraded
+// probe's decayed estimate, are left as they are.
+func (a *Agent) restartAtChange() {
+	if a.smoothing == EWMA {
+		return
+	}
+	for i := range a.probes {
+		pr := &a.probes[i]
+		h := a.history[pr.key]
+		if len(h) == 0 || a.degraded[pr.key] {
+			continue
+		}
+		h = append(h[:0], h[max(0, len(h)-a.hysteresis):]...)
+		a.history[pr.key] = h
+		est := mean(h)
+		a.lastGood[pr.key] = est
+		a.record(pr, est)
+	}
+}
+
+// mean is the windowed estimate: the mean of the samples in the window.
+func mean(h []sample) float64 {
+	var sum float64
+	for _, s := range h {
+		sum += s.v
+	}
+	return sum / float64(len(h))
 }
 
 func (a *Agent) pushToPeers(now time.Duration) {

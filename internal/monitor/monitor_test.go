@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tunable/internal/netem"
+	"tunable/internal/prng"
 	"tunable/internal/resource"
 	"tunable/internal/sandbox"
 	"tunable/internal/vtime"
@@ -410,5 +411,42 @@ func TestRoundAllocatesNothingPerProbe(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Fatalf("%v allocations per round, want 0", n)
+	}
+}
+
+// TestJitterInsideRegionFiresNoTrigger: a CPU probe jittering ±5 %
+// around a level inside the armed region — close enough to its edge that
+// about a third of the single samples fall outside — fires no trigger,
+// for any of sixteen seeds. The window mean is what the region judges,
+// and only a trigger restarts it at the change point.
+func TestJitterInsideRegionFiresNoTrigger(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		sim := vtime.NewSim()
+		a := New(sim, "mon")
+		rng := prng.New(seed)
+		outside := 0
+		a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+			v := 0.51 * (1 + 0.05*(2*rng.Float64()-1))
+			if v < 0.5 {
+				outside++
+			}
+			return v, true
+		}})
+		a.Start()
+		sim.Spawn("driver", func(p *vtime.Proc) {
+			p.Sleep(DefaultWindow + 100*time.Millisecond) // a full window first
+			a.Arm(cpuWithin(0.5, 1.0))
+			p.Sleep(20 * time.Second)
+			a.Stop()
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if tr, _, ready := a.Triggers().TryRecv(); ready {
+			t.Errorf("seed %d: noise fired %v", seed, tr)
+		}
+		if outside == 0 {
+			t.Errorf("seed %d: no sample fell outside the region; the test needs some", seed)
+		}
 	}
 }

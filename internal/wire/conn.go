@@ -59,8 +59,7 @@ type pendingFrame struct {
 	p1, p2 []byte
 }
 
-// Conn frames messages over one stream. It owns the version and
-// capability set the handshake agreed on, arms progress deadlines on the
+// Conn frames messages over one stream. It arms progress deadlines on the
 // underlying net.Conn — surfacing arming failures instead of proceeding
 // with an unarmed deadline on a half-closed socket — and guarantees that
 // concurrently written frames never interleave on the wire: every flush
@@ -80,8 +79,6 @@ type Conn struct {
 	rw       io.ReadWriter
 	br       *bufio.Reader
 	timeout  time.Duration
-	ver      Version
-	caps     Caps
 	vectored bool
 	accepted bool // handed out by an Acceptor: ReadMsg answers handshake probes
 	inst     Instruments
@@ -136,13 +133,6 @@ func (c *Conn) Timeout() time.Duration { return c.timeout }
 
 // SetInstruments installs telemetry counters (zero value = none).
 func (c *Conn) SetInstruments(i Instruments) { c.inst = i }
-
-// Version reports the protocol version the handshake agreed on (0 before
-// the handshake).
-func (c *Conn) Version() Version { return c.ver }
-
-// Caps reports the capability set the handshake agreed on.
-func (c *Conn) Caps() Caps { return c.caps }
 
 // ReadMsg reads one message into a pooled buffer. The returned slice is
 // tag-prefixed; the caller owns it and may recycle it with bufpool.Put
@@ -293,49 +283,41 @@ func (c *Conn) Flush() error {
 }
 
 // StartClient performs the client side of the handshake: it sends a probe
-// advertising MaxVersion and want, reads exactly one reply, and adopts
-// the agreed version and capability set. A peer that answers with
-// anything but a handshake of version ≥ 2 is refused with a
-// *HandshakeError; the connection is never downgraded.
+// advertising MaxVersion and want, and reads exactly one reply. A peer
+// that answers with anything but a handshake of version ≥ 2 is refused
+// with a *HandshakeError; the connection is never downgraded.
 func (c *Conn) StartClient(want Caps) error {
-	var (
-		probe [negotiateLen]byte
-		ver   Version
-		caps  Caps
-	)
+	var probe [negotiateLen]byte
 	err := c.WriteMsg(appendNegotiate(probe[:0], MaxVersion, want))
 	if err == nil {
 		var reply []byte
 		if reply, err = c.ReadMsg(); err == nil {
-			ver, caps, err = parseNegotiate(reply)
+			_, _, err = parseNegotiate(reply)
 			bufpool.Put(reply)
 		}
 	}
-	return c.settle(ver, want&caps, err)
+	return c.settle(err)
 }
 
 // AcceptV2 performs the server side of the handshake for a probe the
 // application loop just read (checked with IsNegotiate): it answers with
-// this build's version and offer, then adopts the agreed version and
-// capability set. A probe announcing a version below 2 is refused with a
-// *HandshakeError and gets no reply.
+// this build's version and offer. A probe announcing a version below 2 is
+// refused with a *HandshakeError and gets no reply.
 func (c *Conn) AcceptV2(probe []byte, offer Caps) error {
-	ver, caps, err := parseNegotiate(probe)
+	_, _, err := parseNegotiate(probe)
 	if err == nil {
 		var reply [negotiateLen]byte
 		err = c.WriteMsg(appendNegotiate(reply[:0], MaxVersion, offer))
 	}
-	return c.settle(ver, offer&caps, err)
+	return c.settle(err)
 }
 
-// settle records a handshake's outcome: on success the connection runs
-// the lower of the two versions with the ANDed capability set.
-func (c *Conn) settle(peer Version, caps Caps, err error) error {
+// settle counts a handshake's outcome.
+func (c *Conn) settle(err error) error {
 	if err != nil {
 		c.inst.NegotiateErr.Inc()
 		return err
 	}
-	c.ver, c.caps = min(peer, MaxVersion), caps
 	c.inst.NegotiatedV2.Inc()
 	return nil
 }

@@ -164,11 +164,8 @@ func TestNegotiateV2BothSides(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("AcceptV2: %v", err)
 	}
-	if cli.Version() != V2 || srv.Version() != V2 {
-		t.Fatalf("versions cli=%d srv=%d, want 2/2", cli.Version(), srv.Version())
-	}
-	if cli.Caps() != capTest || srv.Caps() != capTest {
-		t.Fatalf("caps cli=%x srv=%x", cli.Caps(), srv.Caps())
+	if v := inst.NegotiatedV2.Value(); v != 2 {
+		t.Fatalf("negotiations{outcome=v2} = %v, want one per side", v)
 	}
 	// Application traffic follows on the same connection.
 	go func() { done <- cli.WriteMsg([]byte{'H', 1}) }()
@@ -184,38 +181,10 @@ func TestNegotiateV2BothSides(t *testing.T) {
 	}
 }
 
-func TestNegotiateCapsAreANDed(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	cli := NewConn(cliConn, time.Second)
-	srv := NewConn(srvConn, time.Second)
-	done := make(chan error, 1)
-	go func() {
-		msg, err := srv.ReadMsg()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- srv.AcceptV2(msg, 0) // server offers nothing
-	}()
-	if err := cli.StartClient(capTest); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if cli.Version() != V2 {
-		t.Fatalf("version %d", cli.Version())
-	}
-	if cli.Caps() != 0 || srv.Caps() != 0 {
-		t.Fatalf("caps cli=%x srv=%x, want 0", cli.Caps(), srv.Caps())
-	}
-}
-
 // TestStartClientRefusesBadHandshake is the no-downgrade contract: a peer
 // that answers the probe with some other frame, with a version-1
 // handshake, or with nothing at all fails StartClient with a typed error
-// within the I/O timeout, counted as outcome="error" — the connection
-// never settles on a version.
+// within the I/O timeout, counted as outcome="error" and never as "v2".
 func TestStartClientRefusesBadHandshake(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -260,9 +229,6 @@ func TestStartClientRefusesBadHandshake(t *testing.T) {
 			if !tc.typed && !(errors.As(err, &ne) && ne.Timeout()) {
 				t.Fatalf("silent peer: error %v is not a timeout", err)
 			}
-			if cli.Version() != 0 || cli.Caps() != 0 {
-				t.Fatalf("refused handshake settled on v%d caps %x", cli.Version(), cli.Caps())
-			}
 			if v := inst.NegotiateErr.Value(); v != 1 {
 				t.Fatalf("negotiations{outcome=error} = %v, want 1", v)
 			}
@@ -288,8 +254,8 @@ func TestAcceptV2RefusesVersion1(t *testing.T) {
 	if out.Len() != 0 {
 		t.Fatalf("refused probe was answered with %x", out.Bytes())
 	}
-	if inst.NegotiateErr.Value() != 1 || srv.Version() != 0 {
-		t.Fatalf("error count %v, version %d", inst.NegotiateErr.Value(), srv.Version())
+	if inst.NegotiateErr.Value() != 1 || inst.NegotiatedV2.Value() != 0 {
+		t.Fatalf("outcomes error %v, v2 %v; want 1 and 0", inst.NegotiateErr.Value(), inst.NegotiatedV2.Value())
 	}
 }
 

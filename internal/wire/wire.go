@@ -12,8 +12,7 @@
 //
 // Every client opens with a handshake in that same framing: a message
 // carrying a magic number, the highest version the sender speaks, and a
-// capability bitmap, which the peer answers with its own. Both sides then
-// run min(version) with the AND of the capability sets. The handshake is
+// capability bitmap, which the peer answers with its own. The handshake is
 // an input check, not a compatibility switch: a peer that answers the
 // probe with anything else, or announces a version below 2, is refused
 // with a *HandshakeError — never silently downgraded. The older
@@ -26,8 +25,9 @@
 // shutdown, once.
 //
 // No capability bits are assigned yet; the bitmap is reserved for
-// encodings a future build may gate. Control-plane bodies are always
-// coded by one codec method per message (codec.go).
+// encodings a future build may gate, and neither side records the peer's.
+// Control-plane bodies are always coded by one codec method per message
+// (codec.go).
 package wire
 
 import (
@@ -47,8 +47,7 @@ const (
 	MaxVersion = V2
 )
 
-// Caps is the handshake's capability bitmap. The effective capability set
-// of a connection is the AND of what both ends advertised.
+// Caps is the handshake's capability bitmap: what one end advertises.
 type Caps uint32
 
 // TagNegotiate is the message tag of the handshake probe and reply: a

@@ -74,13 +74,20 @@ run_unit() {
 
 	# The testbed hands the image store's reply entries to clients by
 	# reference, and the three concurrent worlds of an experiment share
-	# those entries and the decode memo's identity index, so the
-	# by-reference, memo and lossy-link tests repeat too (about 5 s per
-	# count under -race).
+	# those entries and the decode memo's identity index, so the memo and
+	# lossy-link tests repeat too (about 5 s per count under -race).
 	echo "== go test -race -count=20 $* -run <by-reference, memo, lossy> ./internal/avis (repeat gate)"
 	go test -race -count=20 -timeout 10m "$@" \
-		-run '^(TestDecodeMemo|TestUnverifiedWorldDecodesOncePerReply|TestMemoHitHandsOutNoBuffer|TestPooledRepliesCopiedOnTestbed|TestLossyLinkRecovery|TestSessionDifferential)' \
+		-run '^(TestDecodeMemo|TestUnverifiedWorldDecodesOncePerReply|TestMemoHitHandsOutNoBuffer|TestLossyLinkRecovery|TestSessionDifferential)' \
 		./internal/avis
+
+	# Every bounded cache is an lru.Cache whose misses are single-flight:
+	# its own tests and the edge's, whose origin rounds count how often a
+	# miss was built, repeat under the race detector (well under a second
+	# per count).
+	echo "== go test -race -count=20 $* ./internal/lru + -run <edge single-flight> ./internal/edge (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" ./internal/lru
+	go test -race -count=20 -timeout 10m "$@" -run '^(TestEdgeSingleFlight|TestEdgeMissAfterFillReusesIt)$' ./internal/edge
 
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
