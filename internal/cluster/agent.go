@@ -20,12 +20,11 @@ const hbJitter = 0.10
 
 // Agent is the node-side half of the registry: it registers a server with
 // the coordinator and renews it with periodic flushes of the node's
-// coalesced load delta (a one-entry binary delta batch — the liveness
-// signal is the frame itself, the payload is the net session change since
-// the last accepted flush, so an idle node's heartbeat allocates nothing
-// on the coordinator). It survives coordinator restarts — a
-// flush answered with its own ID in ack.Unknown (or a broken connection)
-// triggers re-registration on the next beat.
+// coalesced load delta (a heartbeat of one entry — the liveness signal is
+// the frame itself, the payload is the net session change since the last
+// accepted flush). It survives coordinator restarts — a flush answered
+// with its own ID in ack.Unknown (or a broken connection) triggers
+// re-registration on the next beat.
 type Agent struct {
 	cl       *client
 	node     NodeInfo
@@ -141,7 +140,7 @@ func (a *Agent) run() {
 	}
 }
 
-// flush sends one delta frame and handles the rejoin protocol.
+// flush sends one heartbeat and handles the rejoin protocol.
 func (a *Agent) flush() {
 	cur := a.load().ActiveSessions
 	ack, err := a.cl.call(func(buf []byte) ([]byte, error) {

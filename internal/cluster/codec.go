@@ -2,10 +2,11 @@ package cluster
 
 import "tunable/internal/wire"
 
-// Control-message codecs: the body of every control-plane frame (bar the
-// delta batch) is one message behind its ctag* tag byte, and each message
-// lists its fields once, in the codec method below that both renders and
-// parses it (internal/wire). Field tags are append-only — a new field gets
+// Control-message codecs: the body of every control-plane frame is one
+// message behind its ctag* tag byte, and each message lists its fields
+// once, in the codec method that both renders and parses it
+// (internal/wire) — below, or in delta.go for the heartbeat's delta
+// batch. Field tags are append-only — a new field gets
 // the next tag and old decoders skip it by wire type — which is the
 // forward-compatibility contract between builds of different age. The
 // golden fixtures under testdata/ pin the bytes, and the ones the previous

@@ -11,8 +11,8 @@ import (
 )
 
 // Control-plane benchmarks behind BENCH_control.json. HeartbeatDelta is
-// the liveness path (batched binary deltas applied to the sharded
-// registry; ns/op is per logical heartbeat). Resolve measures the
+// the liveness path (batched deltas applied to the sharded registry;
+// ns/op is per logical heartbeat). Resolve measures the
 // placement decision (grant + teardown) at 10k registered nodes.
 
 const benchNodes = 10000
@@ -42,10 +42,10 @@ func benchCoordinator(b *testing.B, shards int) (*Coordinator, []string) {
 	return c, ids
 }
 
-// BenchmarkControlHeartbeatDelta is the heartbeat wire path: binary delta
-// batches of 128 entries against the sharded registry; ns/op is per
-// logical heartbeat (one entry), with the frame encode, dispatch, and ack
-// encode amortized over the batch exactly as on the wire.
+// BenchmarkControlHeartbeatDelta is the heartbeat wire path: heartbeats
+// of 128 entries against the sharded registry; ns/op is per logical
+// heartbeat (one entry), with the frame encode, dispatch, and ack encode
+// amortized over the batch exactly as on the wire.
 func BenchmarkControlHeartbeatDelta(b *testing.B) {
 	const batch = 128
 	c, ids := benchCoordinator(b, 16)

@@ -36,43 +36,12 @@ type Config struct {
 	Shards int
 }
 
-const (
-	// commitThreshold is the net-delta commit threshold for hot shard-local
-	// counters: per-op telemetry increments accumulate unshared under the
-	// shard lock and commit to the shared counter only when the pending net
-	// delta reaches this many ops (or on the next detector tick, which
-	// flushes the remainder). The VSA-vs-atomic-vs-batching harness in
-	// counter_bench_test.go measures why: see BENCH_control.json.
-	commitThreshold = 64
-	// placeSample bounds how many candidates a placement gathers before
-	// sorting: at fleet scale scanning every node per resolve would make
-	// placement O(nodes). Small clusters are always scanned completely (the
-	// sample covers them), and a sampled placement that finds no admissible
-	// node falls back to one exhaustive scan before refusing.
-	placeSample = 64
-)
-
-// pending is a thresholded net-delta commit accumulator (the "VSA" design
-// from the counter harness): adds coalesce into a local float under the
-// owning shard's lock and flush into the shared counter in one Add.
-type pending struct {
-	n    float64
-	sink *metrics.Counter
-}
-
-func (p *pending) add(n float64) {
-	p.n += n
-	if p.n >= commitThreshold {
-		p.flush()
-	}
-}
-
-func (p *pending) flush() {
-	if p.n != 0 {
-		p.sink.Add(p.n)
-		p.n = 0
-	}
-}
+// placeSample bounds how many candidates a placement gathers before
+// sorting: at fleet scale scanning every node per resolve would make
+// placement O(nodes). Small clusters are always scanned completely (the
+// sample covers them), and a sampled placement that finds no admissible
+// node falls back to one exhaustive scan before refusing.
+const placeSample = 64
 
 // node is one registry entry.
 type node struct {
@@ -110,11 +79,6 @@ type nodeShard struct {
 	det   *Detector
 	adm   *scheduler.Admission
 	nodes map[string]*node
-
-	// Hot-path telemetry under thresholded net-delta commits (flushed by
-	// Tick); guarded by mu like the rest of the shard.
-	pendBeats  pending // cluster_heartbeats_total
-	pendBeatOp pending // cluster_shard_ops_total{op="heartbeat"}
 }
 
 // sessionShard is one partition of the session table.
@@ -162,6 +126,7 @@ type Coordinator struct {
 	mNoCapacity    *metrics.Counter
 
 	mOpRegister   *metrics.Counter
+	mOpHeartbeat  *metrics.Counter
 	mOpDeregister *metrics.Counter
 	mOpResolve    *metrics.Counter
 	mOpEndSession *metrics.Counter
@@ -196,15 +161,6 @@ func fnvHash(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func fnvHashBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
 		h *= 16777619
 	}
 	return h
@@ -262,7 +218,7 @@ func (c *Coordinator) Shards() int { return len(c.nshards) }
 // after their node failed), cluster_resolves_total,
 // cluster_no_capacity_total, cluster_shard_ops_total (labeled by op —
 // register|heartbeat|deregister|resolve|end_session|delta_batch, a closed
-// set), cluster_delta_batch_size (entries per delta frame), and
+// set), cluster_delta_batch_size (entries per heartbeat), and
 // cluster_placement_latency_seconds (wall time per placement decision);
 // plus the scheduler's sched_admission_* families for the underlying
 // reservations.
@@ -285,13 +241,13 @@ func (c *Coordinator) EnableMetrics(reg *metrics.Registry) {
 	c.mOpResolve = reg.Counter("cluster_shard_ops_total", opsHelp, metrics.L("op", "resolve"))
 	c.mOpEndSession = reg.Counter("cluster_shard_ops_total", opsHelp, metrics.L("op", "end_session"))
 	c.mOpDeltaBatch = reg.Counter("cluster_shard_ops_total", opsHelp, metrics.L("op", "delta_batch"))
-	heartbeatOps := reg.Counter("cluster_shard_ops_total", opsHelp, metrics.L("op", "heartbeat"))
+	c.mOpHeartbeat = reg.Counter("cluster_shard_ops_total", opsHelp, metrics.L("op", "heartbeat"))
 	c.mBatchSize = reg.Histogram("cluster_delta_batch_size", "Entries per heartbeat delta batch.")
 	c.mPlaceLatency = reg.Histogram("cluster_placement_latency_seconds",
 		"Wall time per placement decision (Resolve).")
 	c.wInst = wire.NewInstruments(reg)
 	// Per-state gauges are maintained incrementally from here on; seed them
-	// (and the hot-counter sinks) with the current registry contents.
+	// with the current registry contents.
 	var alive, suspect, dead float64
 	for _, ns := range c.nshards {
 		ns.mu.Lock()
@@ -305,8 +261,6 @@ func (c *Coordinator) EnableMetrics(reg *metrics.Registry) {
 				dead++
 			}
 		}
-		ns.pendBeats = pending{sink: c.mHeartbeats}
-		ns.pendBeatOp = pending{sink: heartbeatOps}
 		ns.adm.EnableMetrics(reg)
 		ns.mu.Unlock()
 	}
@@ -368,7 +322,7 @@ func (c *Coordinator) Register(info NodeInfo) error {
 	if info.ID == "" || info.Addr == "" {
 		return fmt.Errorf("cluster: registration needs id and addr")
 	}
-	if info.CPU <= 0 || info.CPU > 1 {
+	if !(info.CPU > 0 && info.CPU <= 1) { // refuses NaN too
 		return fmt.Errorf("cluster: node %q declares CPU share %g outside (0,1]", info.ID, info.CPU)
 	}
 	mem := info.MemBytes
@@ -427,8 +381,8 @@ func (c *Coordinator) observeLocked(ns *nodeShard, id string) bool {
 		c.mNodesSuspect.Add(-1)
 		c.mNodesAlive.Add(1)
 	}
-	ns.pendBeats.add(1)
-	ns.pendBeatOp.add(1)
+	c.mHeartbeats.Inc()
+	c.mOpHeartbeat.Inc()
 	c.mHeartbeatGap.Observe(gap.Seconds())
 	return true
 }
@@ -437,8 +391,8 @@ func (c *Coordinator) observeLocked(ns *nodeShard, id string) bool {
 // renews its node's lease and folds the net session change into the
 // node's load, shard-locally. It returns the IDs the coordinator refused
 // (unknown or dead nodes) so the agent re-registers them and resends an
-// absolute count. This is the in-process twin of the ctagDelta wire path
-// — cmd/avis-load drives it directly.
+// absolute count. Heartbeat requests off the wire (dispatch) and
+// cmd/avis-load's in-process batches both reach the registry here.
 func (c *Coordinator) ApplyDeltas(entries []DeltaEntry) (unknown []string) {
 	var cur *nodeShard
 	for _, e := range entries {
@@ -450,9 +404,12 @@ func (c *Coordinator) ApplyDeltas(entries []DeltaEntry) (unknown []string) {
 			ns.mu.Lock()
 			cur = ns
 		}
-		if !c.applyDeltaLocked(ns, e.ID, e.Sessions) {
+		n := ns.nodes[e.ID]
+		if n == nil || !c.observeLocked(ns, e.ID) {
 			unknown = append(unknown, e.ID)
+			continue
 		}
+		n.load.ActiveSessions = max(n.load.ActiveSessions+int(e.Sessions), 0)
 	}
 	if cur != nil {
 		cur.mu.Unlock()
@@ -460,53 +417,6 @@ func (c *Coordinator) ApplyDeltas(entries []DeltaEntry) (unknown []string) {
 	c.mOpDeltaBatch.Inc()
 	c.mBatchSize.Observe(float64(len(entries)))
 	return unknown
-}
-
-// applyDeltaFrame is the wire twin of ApplyDeltas: it walks the binary
-// frame without allocating (IDs index the registry map directly from the
-// frame bytes) and answers with the refused IDs.
-func (c *Coordinator) applyDeltaFrame(msg []byte) (ackMsg, error) {
-	var unknown []string
-	var cur *nodeShard
-	count := 0
-	err := forEachDelta(msg, func(id []byte, sessions int32) {
-		count++
-		ns := c.nshards[fnvHashBytes(id)&c.mask]
-		if ns != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			ns.mu.Lock()
-			cur = ns
-		}
-		if !c.applyDeltaLocked(ns, string(id), sessions) {
-			unknown = append(unknown, string(id))
-		}
-	})
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-	if err != nil {
-		return ackMsg{}, err
-	}
-	c.mOpDeltaBatch.Inc()
-	c.mBatchSize.Observe(float64(count))
-	return ackMsg{OK: true, Unknown: unknown}, nil
-}
-
-// applyDeltaLocked applies one delta entry; callers hold ns.mu. The id is
-// only used as a map key, so the zero-alloc string(bytes) lookup in the
-// frame path stays zero-alloc.
-func (c *Coordinator) applyDeltaLocked(ns *nodeShard, id string, sessions int32) bool {
-	n := ns.nodes[id]
-	if n == nil || !c.observeLocked(ns, id) {
-		return false
-	}
-	n.load.ActiveSessions += int(sessions)
-	if n.load.ActiveSessions < 0 {
-		n.load.ActiveSessions = 0
-	}
-	return true
 }
 
 // Deregister removes a node cleanly (graceful shutdown): its sessions are
@@ -532,8 +442,7 @@ func (c *Coordinator) Deregister(id string) {
 
 // Tick advances every shard's failure detector to Now(), applying suspect
 // and death verdicts: dead nodes keep their registry entry (so the death
-// is observable) but lose their host and sessions. Tick also flushes the
-// shards' pending counter commits.
+// is observable) but lose their host and sessions.
 func (c *Coordinator) Tick() {
 	now := c.cfg.Now()
 	deaths := 0
@@ -552,8 +461,6 @@ func (c *Coordinator) Tick() {
 			}
 			ns.adm.RemoveHost(tr.ID)
 		}
-		ns.pendBeats.flush()
-		ns.pendBeatOp.flush()
 		ns.mu.Unlock()
 	}
 	if deaths > 0 {
@@ -876,26 +783,22 @@ func sendAck(wc *wire.Conn, ack *ackMsg) error {
 // dispatch decodes one request and applies it to the registry core.
 func (c *Coordinator) dispatch(msg []byte) ackMsg {
 	tag := msg[0]
-	switch tag {
-	case ctagDelta:
-		ack, err := c.applyDeltaFrame(msg)
-		if err != nil {
-			return ackMsg{Err: err.Error()}
-		}
-		return ack
-	case ctagNodes:
+	if tag == ctagNodes {
 		return ackMsg{OK: true, Nodes: c.Nodes()}
 	}
 	var (
-		info NodeInfo
-		name nameReq
-		req  ResolveRequest
+		info  NodeInfo
+		batch deltaBatch
+		name  nameReq
+		req   ResolveRequest
 	)
 	d := wire.NewDecoder(msg[1:])
 	for d.Next() {
 		switch tag {
 		case ctagRegister:
 			info.codec(d)
+		case ctagHeartbeat:
+			batch.codec(d)
 		case ctagDeregister, ctagEndSession:
 			name.codec(d)
 		case ctagResolve:
@@ -910,6 +813,10 @@ func (c *Coordinator) dispatch(msg []byte) ackMsg {
 	case err != nil:
 	case tag == ctagRegister:
 		err = c.Register(info)
+	case tag == ctagHeartbeat:
+		if err = batch.check(); err == nil {
+			ack.Unknown = c.ApplyDeltas(batch.Entries)
+		}
 	case tag == ctagDeregister:
 		c.Deregister(name.Name)
 	case tag == ctagResolve:

@@ -234,6 +234,9 @@ func TestCoordinatorRegisterValidation(t *testing.T) {
 	if err := c.Register(NodeInfo{ID: "x", Addr: "x:1", CPU: 1.5}); err == nil {
 		t.Fatal("registered with CPU > 1")
 	}
+	if err := c.Register(NodeInfo{ID: "x", Addr: "x:1", CPU: math.NaN()}); err == nil {
+		t.Fatalf("registered with a NaN CPU share: %+v", c.Nodes())
+	}
 	if beat(c, "ghost", 0) {
 		t.Fatal("unknown node accepted heartbeat")
 	}

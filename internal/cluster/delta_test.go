@@ -2,23 +2,30 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"tunable/internal/bufpool"
 	"tunable/internal/metrics"
+	"tunable/internal/wire"
 )
 
+// decodeAll parses a rendered heartbeat request back into its entries.
 func decodeAll(t *testing.T, frame []byte) []DeltaEntry {
 	t.Helper()
-	var got []DeltaEntry
-	if err := forEachDelta(frame, func(id []byte, sessions int32) {
-		got = append(got, DeltaEntry{ID: string(id), Sessions: sessions})
-	}); err != nil {
+	if frame[0] != ctagHeartbeat {
+		t.Fatalf("tag %q, want %q", frame[0], ctagHeartbeat)
+	}
+	var b deltaBatch
+	if err := parse(frame[1:], &b); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	return got
+	if err := b.check(); err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	return b.Entries
 }
 
 func TestDeltaRoundTrip(t *testing.T) {
@@ -27,6 +34,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 		{{ID: "n1", Sessions: 0}},
 		{{ID: "n1", Sessions: 1}, {ID: "node-with-a-longer-name", Sessions: -1}},
 		{{ID: "a", Sessions: 1 << 20}, {ID: "b", Sessions: -(1 << 20)}, {ID: "c", Sessions: -1}},
+		{{ID: "max", Sessions: math.MaxInt32}, {ID: "min", Sessions: math.MinInt32}},
+		{{ID: strings.Repeat("x", 300), Sessions: 2}},
 	}
 	for i, entries := range cases {
 		frame, err := EncodeDeltaBatch(entries)
@@ -65,45 +74,63 @@ func TestDeltaRoundTripLargeBatch(t *testing.T) {
 }
 
 func TestDeltaEncodeRejects(t *testing.T) {
-	if _, err := EncodeDeltaBatch([]DeltaEntry{{ID: "", Sessions: 1}}); err == nil {
+	if _, err := EncodeDeltaBatch([]DeltaEntry{{ID: "n1", Sessions: 1}, {ID: "", Sessions: 1}}); err == nil {
 		t.Fatal("empty ID accepted")
-	}
-	if _, err := EncodeDeltaBatch([]DeltaEntry{{ID: strings.Repeat("x", 256), Sessions: 1}}); err == nil {
-		t.Fatal("256-byte ID accepted")
-	}
-	huge := make([]DeltaEntry, maxDeltaEntries)
-	for i := range huge {
-		huge[i].ID = "n"
-	}
-	if _, err := EncodeDeltaBatch(huge); err == nil {
-		t.Fatal("oversized batch accepted")
 	}
 }
 
+// heartbeatOf renders a heartbeat request of one entry field by field, so
+// a test can write what EncodeDeltaBatch never would: an absent or empty
+// ID, a delta past int32.
+func heartbeatOf(id *string, delta int64) []byte {
+	c := wire.NewEncoder([]byte{ctagHeartbeat})
+	if sub, ok := c.Msg(1, true); ok {
+		if id != nil {
+			sub.Str(1, id, wire.Required)
+		}
+		sub.Sint(2, &delta)
+		c.End(&sub)
+	}
+	return c.Bytes()
+}
+
+// TestDeltaDecodeRejectsMalformed: a heartbeat body the registry cannot
+// apply as it stands gets an error ack and changes nothing; in particular
+// a delta outside int32 is refused, never truncated.
 func TestDeltaDecodeRejectsMalformed(t *testing.T) {
+	c := NewCoordinator(Config{Shards: 2})
+	if err := c.Register(NodeInfo{ID: "n1", Addr: "a", CPU: 1}); err != nil {
+		t.Fatal(err)
+	}
 	frame, err := EncodeDeltaBatch([]DeltaEntry{{ID: "n1", Sessions: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bufpool.Put(frame)
-	nop := func([]byte, int32) {}
-	if err := forEachDelta(nil, nop); err == nil {
-		t.Fatal("nil frame accepted")
+	id, empty := "n1", ""
+	cases := map[string][]byte{
+		"truncated":          frame[:len(frame)-1],
+		"trailing byte":      append(append([]byte(nil), frame...), 0xff),
+		"entry without id":   heartbeatOf(nil, 3),
+		"empty id":           heartbeatOf(&empty, 3),
+		"delta past int32":   heartbeatOf(&id, math.MaxInt32+1),
+		"delta below int32":  heartbeatOf(&id, math.MinInt32-1),
+		"delta of 2^32 + 3":  heartbeatOf(&id, 1<<32+3),
+		"entry as a varint":  {ctagHeartbeat, 0x08, 0x01},
+		"entry of bad bytes": {ctagHeartbeat, 0x0a, 0x02, 0x0b, 0x00},
 	}
-	if err := forEachDelta([]byte{ctagRegister, 1, 0, 0}, nop); err == nil {
-		t.Fatal("wrong tag accepted")
+	for name, msg := range cases {
+		if ack := c.dispatch(msg); ack.OK || ack.Err == "" {
+			t.Errorf("%s: accepted: %+v", name, ack)
+		}
 	}
-	bad := append([]byte(nil), frame...)
-	bad[1] = deltaVersion + 1
-	if err := forEachDelta(bad, nop); err == nil {
-		t.Fatal("future version accepted")
+	if got := c.Nodes()[0].Load.ActiveSessions; got != 0 {
+		t.Fatalf("refused heartbeats moved the load to %d", got)
 	}
-	if err := forEachDelta(frame[:len(frame)-1], nop); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-	trailing := append(append([]byte(nil), frame...), 0xff)
-	if err := forEachDelta(trailing, nop); err == nil {
-		t.Fatal("trailing bytes accepted")
+	for _, d := range []int64{math.MaxInt32, math.MinInt32} {
+		if ack := c.dispatch(heartbeatOf(&id, d)); !ack.OK {
+			t.Fatalf("delta %d refused: %s", d, ack.Err)
+		}
 	}
 }
 
@@ -170,8 +197,8 @@ func TestApplyDeltas(t *testing.T) {
 	}
 }
 
-// TestDeltaFrameDispatch runs the wire path end to end: an encoded frame
-// through dispatch, unknown IDs in the ack.
+// TestDeltaFrameDispatch runs the wire path end to end: an encoded
+// heartbeat through dispatch, unknown IDs in the ack.
 func TestDeltaFrameDispatch(t *testing.T) {
 	c := NewCoordinator(Config{Shards: 2})
 	if err := c.Register(NodeInfo{ID: "n0", Addr: "a", CPU: 1, Side: 8, Levels: 1, Seeds: []int64{1}}); err != nil {
@@ -192,8 +219,33 @@ func TestDeltaFrameDispatch(t *testing.T) {
 	if got := c.Nodes()[0].Load.ActiveSessions; got != 4 {
 		t.Fatalf("load = %d", got)
 	}
-	if bad := c.dispatch([]byte{ctagDelta, 9, 9}); bad.OK || bad.Err == "" {
-		t.Fatalf("malformed delta frame accepted: %+v", bad)
+	if bad := c.dispatch([]byte{ctagHeartbeat, 9, 9}); bad.OK || bad.Err == "" {
+		t.Fatalf("malformed heartbeat accepted: %+v", bad)
+	}
+}
+
+// TestAgentRejoinsWhenForgotten: over TCP, a coordinator that no longer
+// knows the node answers its heartbeat with the ID in ack.Unknown, and the
+// agent registers again.
+func TestAgentRejoinsWhenForgotten(t *testing.T) {
+	coord, addr := serveCoordinator(t)
+	ag := NewAgent(addr, testNode("n1", 1.0), 10*time.Millisecond, nil)
+	reg := metrics.New()
+	ag.EnableMetrics(reg)
+	if err := ag.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close(false)
+	coord.Deregister("n1")
+	rejoins := reg.Counter("cluster_rejoins_total", "")
+	for deadline := time.Now().Add(2 * time.Second); rejoins.Value() == 0 || len(coord.Nodes()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent never re-registered: rejoins %v, nodes %+v", rejoins.Value(), coord.Nodes())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := stateOf(t, coord, "n1"); st != "alive" {
+		t.Fatalf("rejoined node is %s", st)
 	}
 }
 

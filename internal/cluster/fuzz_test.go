@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
@@ -30,9 +32,10 @@ func parse(body []byte, m message) error {
 // FuzzControlBody feeds arbitrary control-frame payloads — byte 0 the
 // request or ack tag, the rest its body — to the decoder the coordinator
 // or a caller runs on it. Each must either refuse the body or decode it
-// to a message that re-encodes to at most the input's length and decodes
-// again to an equal message: a decoder holds no more than its input
-// carried, whatever the input.
+// to a message whose strings and repeated elements together number no
+// more than the body's bytes, and that re-encodes to at most the input's
+// length and decodes again to an equal message: a decoder holds no more
+// than its input carried, whatever the input.
 func FuzzControlBody(f *testing.F) {
 	seeds := []struct {
 		tag byte
@@ -44,33 +47,32 @@ func FuzzControlBody(f *testing.F) {
 		{ctagResolve, &ResolveRequest{SID: "s1", Exclude: []string{"node-b", ""}, CPU: 0.25,
 			MemBytes: -1, Sig: "s", Coarse: true}},
 		{ctagEndSession, &nameReq{"s1"}},
+		{ctagHeartbeat, &deltaBatch{Entries: []DeltaEntry{{ID: "node-a", Sessions: math.MinInt32}, {ID: "b"}}}},
 		{ctagAck, &ackMsg{OK: true, Err: "e", Grant: ResolveGrant{NodeID: "n", Failover: true},
 			Nodes: []NodeStatus{{ID: "n", Incarnation: 3, CPU: 1}}, Unknown: []string{"x"}}},
 	}
 	for _, s := range seeds {
 		f.Add(render(nil, s.tag, s.m))
 	}
-	delta, err := appendDeltaBatch(nil, []DeltaEntry{{ID: "node-a", Sessions: 3}, {ID: "node-b", Sessions: -1}})
+	for _, fixture := range []string{"grant_ack", "refusal_ack", "register_zero", "resolve_request", "heartbeat"} {
+		f.Add(readHex(f, "testdata/"+fixture+".hex")[6:]) // the payload after the frame header
+	}
+	old, err := hex.DecodeString(retiredDeltaFrame)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(delta)
-	for _, fixture := range []string{"grant_ack", "refusal_ack", "register_zero", "resolve_request"} {
-		f.Add(readHex(f, "testdata/"+fixture+".hex")[6:]) // the payload after the frame header
-	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
-			return
-		}
-		if data[0] == ctagDelta {
-			fuzzDelta(t, data)
 			return
 		}
 		var got, again message
 		switch data[0] {
 		case ctagRegister:
 			got, again = new(NodeInfo), new(NodeInfo)
+		case ctagHeartbeat:
+			got, again = new(deltaBatch), new(deltaBatch)
 		case ctagDeregister, ctagEndSession:
 			got, again = new(nameReq), new(nameReq)
 		case ctagResolve:
@@ -83,6 +85,12 @@ func FuzzControlBody(f *testing.F) {
 		body := data[1:]
 		if parse(body, got) != nil {
 			return
+		}
+		if b, ok := got.(*deltaBatch); ok && b.check() != nil {
+			return
+		}
+		if n := decodedSize(reflect.ValueOf(got)); n > len(body) {
+			t.Fatalf("%d-byte body decodes to %d string bytes and repeated elements", len(body), n)
 		}
 		re := render(nil, data[0], got)[1:]
 		if err := parse(re, again); err != nil {
@@ -97,30 +105,33 @@ func FuzzControlBody(f *testing.F) {
 	})
 }
 
-// fuzzDelta is FuzzControlBody's property for the hand-packed delta batch.
-func fuzzDelta(t *testing.T, frame []byte) {
-	collect := func(frame []byte) ([]DeltaEntry, error) {
-		var out []DeltaEntry
-		err := forEachDelta(frame, func(id []byte, sessions int32) {
-			out = append(out, DeltaEntry{ID: string(id), Sessions: sessions})
-		})
-		return out, err
+// decodedSize is what decoding a message allocated, in the units the
+// input bounds: the bytes of every string plus the count of every
+// repeated element, at every nesting level. Each element and each string
+// byte took at least one byte of the body.
+func decodedSize(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.String:
+		return v.Len()
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return decodedSize(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += decodedSize(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		n := v.Len()
+		for i := 0; i < v.Len(); i++ {
+			n += decodedSize(v.Index(i))
+		}
+		return n
 	}
-	got, err := collect(frame)
-	if err != nil {
-		return
-	}
-	re, err := appendDeltaBatch(nil, got)
-	if err != nil {
-		t.Fatalf("decoded batch %v does not re-encode: %v", got, err)
-	}
-	again, err := collect(re)
-	if err != nil || !reflect.DeepEqual(got, again) {
-		t.Fatalf("round trip changed the batch: %v → %v (err %v)", got, again, err)
-	}
-	if len(re) > len(frame) {
-		t.Fatalf("%d-byte frame re-encodes to %d bytes", len(frame), len(re))
-	}
+	return 0
 }
 
 // equalNaN is reflect.DeepEqual, except that NaN equals NaN: the codec
@@ -130,6 +141,8 @@ func equalNaN(a, b reflect.Value) bool {
 	case reflect.Float64:
 		x, y := a.Float(), b.Float()
 		return x == y || x != x && y != y
+	case reflect.Bool:
+		return a.Bool() == b.Bool() // also reads unexported fields
 	case reflect.Pointer:
 		if a.IsNil() || b.IsNil() {
 			return a.IsNil() == b.IsNil()

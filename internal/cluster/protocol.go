@@ -15,20 +15,20 @@ import (
 
 // Control-plane wire protocol: each message is one internal/wire frame
 // whose tag byte names the request and whose body is a message coded by
-// its codec method (codec.go) — except the heartbeat delta batch, which is
-// hand-packed (delta.go). The framing, handshake and timeout discipline
-// are shared with the data plane (a wedged coordinator surfaces as
-// avis.ErrIOTimeout).
+// its codec method (codec.go, delta.go). The framing, handshake and
+// timeout discipline are shared with the data plane (a wedged coordinator
+// surfaces as avis.ErrIOTimeout).
 const (
 	ctagRegister   = 'g' // agent → coord: NodeInfo
-	ctagDelta      = 'D' // agent → coord: binary delta batch (see delta.go)
+	ctagHeartbeat  = 'h' // agent → coord: deltaBatch
 	ctagDeregister = 'd' // agent → coord: node ID (clean leave)
 	ctagResolve    = 'v' // client → coord: ResolveRequest
 	ctagEndSession = 'e' // client → coord: session ID
 	ctagNodes      = 'n' // anyone → coord: registry listing
 	ctagAck        = 'a' // coord → caller: ackMsg
-	// 'p' and 'q' are reserved: older builds sent perf-sample ingests and
-	// profile fetches under them; do not reuse them.
+	// 'D', 'p' and 'q' are reserved: older builds sent hand-packed delta
+	// batches, perf-sample ingests and profile fetches under them; do not
+	// reuse them.
 )
 
 // ResolveRequest asks the coordinator to place (or re-place) a session.
@@ -62,7 +62,7 @@ type ackMsg struct {
 	Err   string
 	Grant ResolveGrant
 	Nodes []NodeStatus
-	// Unknown echoes the delta-batch entries the coordinator refused
+	// Unknown echoes the heartbeat entries the coordinator refused
 	// (unknown or dead nodes); the agent re-registers them.
 	Unknown []string
 }

@@ -85,14 +85,22 @@ func TestClientLocalFailureNotRetried(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesRetiredPerfTags: request tags 'p' and 'q' once
-// carried perf-sample ingests and profile fetches. A frame under either,
-// byte for byte as the builds that sent them rendered it, must get a
-// refusal naming the unknown tag, on a connection that stays usable.
-func TestCoordinatorRefusesRetiredPerfTags(t *testing.T) {
+// retiredDeltaFrame is a heartbeat as builds before the codec-coded one
+// sent it, under request tag 'D': layout version 1, a little-endian
+// uint16 entry count, then per entry a length-prefixed ID and a zigzag
+// varint delta — [{node-a, +3}, {node-b, -1}].
+const retiredDeltaFrame = "44" + "01" + "0200" + "066e6f64652d61" + "06" + "066e6f64652d62" + "01"
+
+// TestCoordinatorRefusesRetiredTags: request tags 'D', 'p' and 'q' once
+// carried hand-packed heartbeat batches, perf-sample ingests and profile
+// fetches. A frame under any of them, byte for byte as the builds that
+// sent them rendered it, must get a refusal naming the unknown tag, on a
+// connection that stays usable.
+func TestCoordinatorRefusesRetiredTags(t *testing.T) {
 	_, addr := serveCoordinator(t)
 	r, reg, dials := countingResolver(t, addr)
 	frames := []string{
+		retiredDeltaFrame,
 		// a batch of one sample: config c=bzw,dR=320,l=2, resources
 		// {bandwidth: 1e5, cpu: 0.5}, metrics {transmit_time: 3.5}, at 7 ns,
 		// source node-a
@@ -132,7 +140,7 @@ func TestCoordinatorRefusesRetiredPerfTags(t *testing.T) {
 // answers by replaying the same request.
 func TestCoordinatorRefusesUnframeableAck(t *testing.T) {
 	coord, addr := serveCoordinator(t)
-	pad := strings.Repeat("n", 249) // node IDs at the protocol's 255-byte limit
+	pad := strings.Repeat("n", 249) // 255-byte node IDs
 	long := strings.Repeat("a", 200)
 	const perNode = 255 + 2*200 // lower bound on one listing row
 	for i := 0; i*perNode <= wire.FrameLimit; i++ {
@@ -245,8 +253,8 @@ func handshakeStub(t *testing.T, reply []byte) (addr string, extra <-chan int) {
 
 // TestControlGolden pins the control plane's bytes on the wire — frame
 // header, tag and body — for a resolve request, its grant ack, and a
-// heartbeat delta batch, and checks that the fixtures decode back to the
-// values that produced them.
+// heartbeat, and checks that the fixtures decode back to the values that
+// produced them.
 func TestControlGolden(t *testing.T) {
 	req := ResolveRequest{SID: "session-1", Exclude: []string{"node-b"}, CPU: 0.25,
 		MemBytes: 64 << 20, Sig: "256-4-00c0ffee", Coarse: true}
@@ -291,14 +299,12 @@ func TestControlGolden(t *testing.T) {
 			err := parse(msg[1:], &got)
 			return got, err
 		}, ack)
-	check("testdata/delta_batch.hex",
+	check("testdata/heartbeat.hex",
 		func(buf []byte) ([]byte, error) { return appendDeltaBatch(buf, deltas) },
 		func(msg []byte) (any, error) {
-			var got []DeltaEntry
-			err := forEachDelta(msg, func(id []byte, sessions int32) {
-				got = append(got, DeltaEntry{ID: string(id), Sessions: sessions})
-			})
-			return got, err
+			var got deltaBatch
+			err := parse(msg[1:], &got)
+			return got.Entries, err
 		}, deltas)
 }
 

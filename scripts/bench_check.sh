@@ -9,9 +9,8 @@
 # suites are gated: the data-plane kernels
 # (BENCH_kernels.json — root-package codec and wavelet kernels plus the
 # per-stage BZW profile and LZW decode rows of internal/compress), the edge cache tier (BENCH_edge.json), the
-# control plane (BENCH_control.json — heartbeat dispatch, placement, and
-# the thresholded shard counter; its trailing "swarm" block is
-# informational and ignored here), the live performance store (BENCH_perfstore.json —
+# control plane (BENCH_control.json — heartbeat dispatch and placement;
+# its trailing "swarm" block is informational and ignored here), the live performance store (BENCH_perfstore.json —
 # warm vs cold profile lookup, the perfdb lookup under them and
 # sample ingest), the wire protocol (BENCH_wire.json — frame write/read
 # and the schema codec on control bodies), and the workload layer
@@ -92,7 +91,7 @@ suite BENCH_kernels.json \
 	'BenchmarkLZWEncode|BenchmarkLZWDecode|BenchmarkBZWEncode|BenchmarkBZWDecode|BenchmarkChunkExtract|BenchmarkHaarDecompose|BenchmarkBZWStages|BenchmarkLZWStages' \
 	'. ./internal/compress'
 suite BENCH_edge.json 'BenchmarkEdge' ./internal/edge
-suite BENCH_control.json 'BenchmarkControl|BenchmarkCounter' ./internal/cluster
+suite BENCH_control.json 'BenchmarkControl' ./internal/cluster
 suite BENCH_perfstore.json 'BenchmarkPerfstore|BenchmarkPerfdb' ./internal/perfstore
 suite BENCH_wire.json 'BenchmarkWire' ./internal/wire
 suite BENCH_apps.json 'BenchmarkApps|BenchmarkScheduler' ./internal/apps

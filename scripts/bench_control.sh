@@ -3,9 +3,8 @@
 # Two parts land in one file:
 #
 #   - the micro-benchmarks from internal/cluster: the delta-batch
-#     heartbeat path (ns/op per logical heartbeat), the placement
-#     decision at 10k nodes, and the thresholded shard counter (the
-#     pending type in coord.go);
+#     heartbeat path (ns/op per logical heartbeat) and the placement
+#     decision at 10k nodes;
 #   - a "swarm" block from an avis-load run — 100k virtual-time client
 #     sessions against 10k nodes — recording end-to-end registry ops/sec
 #     and placement latency percentiles.
@@ -18,7 +17,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCH_OUT=BENCH_control.json \
-	BENCH_FILTER='BenchmarkControl|BenchmarkCounter' \
+	BENCH_FILTER='BenchmarkControl' \
 	BENCH_PKG=./internal/cluster \
 	./scripts/bench.sh "$@"
 

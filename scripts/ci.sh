@@ -89,6 +89,15 @@ run_unit() {
 	go test -race -count=20 -timeout 10m "$@" ./internal/lru
 	go test -race -count=20 -timeout 10m "$@" -run '^(TestEdgeSingleFlight|TestEdgeMissAfterFillReusesIt)$' ./internal/edge
 
+	# Heartbeats from agents over TCP and from in-process batches meet in
+	# Coordinator.ApplyDeltas, under the node shards' locks; the apply,
+	# dispatch, rejoin and retired-tag tests repeat under the race
+	# detector (a few seconds in all).
+	echo "== go test -race -count=20 $* -run <heartbeat> ./internal/cluster (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" \
+		-run '^(TestApplyDeltas|TestDeltaFrameDispatch|TestAgentRejoinsWhenForgotten|TestCoordinatorRefusesRetiredTags)$' \
+		./internal/cluster
+
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
 	# wall-clock cost is still dominated by internal/expt (skippable with
