@@ -151,12 +151,15 @@ run_smoke() {
 	# is a deterministic function of the virtual-time session code, so
 	# their printed output must not move by a byte unless a change means
 	# it to (then regenerate the fixture in the same commit and say why).
-	echo "== avis-figures / avis-adapt -exp all / avis-adapt -exp 1d vs scripts/golden (byte-identical)"
+	# The adaptation runs print their decision logs (-events) too: the
+	# joint estimate at each trigger and the model's prediction at each
+	# decision, at full precision.
+	echo "== avis-figures / avis-adapt -exp all -events / avis-adapt -exp 1d -events vs scripts/golden (byte-identical)"
 	go run ./cmd/avis-figures >"$OUT"
 	golden scripts/golden/avis-figures.txt "$OUT"
-	go run ./cmd/avis-adapt -exp all >"$OUT"
+	go run ./cmd/avis-adapt -exp all -events >"$OUT"
 	golden scripts/golden/avis-adapt-all.txt "$OUT"
-	go run ./cmd/avis-adapt -exp 1d >"$OUT"
+	go run ./cmd/avis-adapt -exp 1d -events >"$OUT"
 	golden scripts/golden/avis-adapt-1d.txt "$OUT"
 	rm -f "$MIX_A" "$MIX_B" "$OUT"
 
