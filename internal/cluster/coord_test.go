@@ -96,6 +96,27 @@ func TestCoordinatorAdmissionGate(t *testing.T) {
 	if g.Failover {
 		t.Fatal("unplaced retry counted as failover")
 	}
+
+	// Memory: a node at the default 512 MiB with 256 MiB held refuses
+	// requests that overflow an int64, alone or summed with what is held,
+	// and still admits one that fits.
+	c = newTestCoord(clk)
+	node := testNode("mem", 1.0)
+	node.MemBytes = 0
+	if err := c.Register(node); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Resolve(ResolveRequest{SID: "m1", CPU: 0.1, MemBytes: 256 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mem := range []int64{math.MaxInt64 - 100<<20, 1 << 40, math.MaxInt64} {
+		if g, err := c.Resolve(ResolveRequest{SID: "huge", CPU: 0.1, MemBytes: mem}); err == nil {
+			t.Fatalf("%d bytes admitted with 256 MiB of 512 MiB held: %+v", mem, g)
+		}
+	}
+	if _, err := c.Resolve(ResolveRequest{SID: "m2", CPU: 0.1, MemBytes: 256 << 20}); err != nil {
+		t.Fatalf("a 256 MiB request that fits was refused: %v", err)
+	}
 }
 
 // TestCoordinatorRefusesNaNShare: a ResolveRequest decoded off the wire

@@ -114,7 +114,7 @@ func (h *Host) NewSandbox(name string, share float64, memLimit int64) (*Sandbox,
 	if !memExplicit {
 		memLimit = h.memTotal
 	}
-	if memExplicit && h.memResv+memLimit > h.memTotal {
+	if memExplicit && memLimit > h.memTotal-h.memResv { // the sum could wrap
 		return nil, fmt.Errorf("sandbox: host %s cannot admit %d bytes (%d of %d reserved)",
 			h.name, memLimit, h.memResv, h.memTotal)
 	}

@@ -159,6 +159,21 @@ func TestMemoryAdmission(t *testing.T) {
 	if _, err := h.NewSandbox("b", 0.3, 40<<20); err == nil {
 		t.Fatal("memory oversubscription admitted")
 	}
+
+	// Requests whose sum with what is reserved overflows an int64 must be
+	// refused too, and must not let later requests over-commit.
+	h = NewHost(sim, "h2", 100e6, WithMemory(512<<20))
+	if _, err := h.NewSandbox("first", 0.1, 256<<20); err != nil {
+		t.Fatal(err)
+	}
+	for _, mem := range []int64{math.MaxInt64 - 100<<20, 1 << 40, math.MaxInt64} {
+		if _, err := h.NewSandbox("huge", 0.1, mem); err == nil {
+			t.Fatalf("%d bytes admitted with 256 MiB of 512 MiB reserved", mem)
+		}
+	}
+	if _, err := h.NewSandbox("fits", 0.1, 256<<20); err != nil {
+		t.Fatalf("a 256 MiB request that fits was refused: %v", err)
+	}
 }
 
 // Two sandboxes sharing a host must each receive exactly their share —

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tunable/internal/metrics"
@@ -170,8 +171,13 @@ func (a *Admission) ReservePlaced(name string, placements []Placement) (*Reserva
 			a.mRejected.Inc()
 			return nil, fmt.Errorf("scheduler: component %q requests no CPU", pl.Component)
 		}
-		mem := int64(pl.Want.Get(resource.Memory, 0))
-		sb, err := host.NewSandbox(name+"@"+pl.Component, share, mem)
+		mem := pl.Want.Get(resource.Memory, 0)
+		if !(math.Abs(mem) < 1<<63) { // an int64 cannot hold it; refuses NaN too
+			r.Release()
+			a.mRejected.Inc()
+			return nil, fmt.Errorf("scheduler: component %q requests %g bytes of memory", pl.Component, mem)
+		}
+		sb, err := host.NewSandbox(name+"@"+pl.Component, share, int64(mem))
 		if err != nil {
 			r.Release()
 			a.mRejected.Inc()
