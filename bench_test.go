@@ -262,7 +262,7 @@ func BenchmarkAblationMonitor(b *testing.B) {
 				monitor.WithWindow(100*time.Millisecond))
 			share := 0.9
 			if oracle {
-				agent.AddProbe(&monitor.OracleProbe{Comp: "client", K: resource.CPU,
+				agent.AddProbe(&monitor.OracleProbe{K: resource.CPU,
 					Fn: func(time.Duration) (float64, bool) { return share, true }})
 			} else {
 				agent.AddProbe(monitor.NewCPUProbe("client", sb))
@@ -316,7 +316,7 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 					monitor.WithHysteresis(h),
 					monitor.WithWindow(10*time.Millisecond))
 				tick := 0
-				agent.AddProbe(&monitor.OracleProbe{Comp: "c", K: resource.CPU,
+				agent.AddProbe(&monitor.OracleProbe{K: resource.CPU,
 					Fn: func(time.Duration) (float64, bool) {
 						tick++
 						if tick%9 == 0 { // periodic single-sample dips
@@ -505,7 +505,7 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 				monitor.WithWindow(200*time.Millisecond),
 				monitor.WithSmoothing(mode, 0.1))
 			share := 0.9
-			agent.AddProbe(&monitor.OracleProbe{Comp: "c", K: resource.CPU,
+			agent.AddProbe(&monitor.OracleProbe{K: resource.CPU,
 				Fn: func(time.Duration) (float64, bool) { return share, true }})
 			agent.Arm(cpuAtLeast(0.6))
 			agent.Start()

@@ -77,13 +77,7 @@ func ExampleVideo() {
 	steer.OnApply(func(old, cfg spec.Config) {
 		fmt.Printf("          stream reconfigured: %s -> %s\n", old.Key(), cfg.Key())
 	})
-	fw, err := core.New(sim, core.Config{
-		App:         v.Spec(),
-		DB:          db,
-		Preferences: v.Preferences(),
-		Monitor:     mon,
-		Steering:    steer,
-	})
+	fw, err := core.New(sim, core.Config{Scheduler: sched, Monitor: mon, Steering: steer})
 	if err != nil {
 		log.Fatal(err)
 	}

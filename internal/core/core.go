@@ -1,7 +1,8 @@
 // Package core assembles the paper's adaptation framework (Figure 1): the
-// tunability specification, the performance database, the monitoring
-// agent, the resource scheduler, and the steering agent, wired into the
-// run-time loop that (1) detects when the active configuration no longer
+// resource scheduler (built by the caller over the tunability
+// specification, the performance database and the user's preferences),
+// the monitoring agents, and the steering agent, wired into the run-time
+// loop that (1) detects when the active configuration no longer
 // satisfies user preferences, (2) selects a replacement by correlating
 // observed resource characteristics with the performance database, and
 // (3) steers the application onto it at the next transition point.
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"tunable/internal/monitor"
-	"tunable/internal/perfdb"
 	"tunable/internal/resource"
 	"tunable/internal/scheduler"
 	"tunable/internal/spec"
@@ -27,14 +27,14 @@ import (
 
 // Config configures a Framework.
 type Config struct {
-	App *spec.App
-	// DB is the performance model the scheduler consults: the offline
-	// profiled database, or a live perfstore refining on telemetry — the
-	// control loop is identical over either.
-	DB          perfdb.Model
-	Preferences []scheduler.Preference
-	Monitor     *monitor.Agent
-	Steering    *steering.Agent
+	// Scheduler makes every decision. The caller builds it over the
+	// application, its preferences and the performance model (the offline
+	// profiled database, or a live perfstore refining on telemetry; the
+	// control loop is identical over either), and may share it with
+	// whatever else decides for the same application.
+	Scheduler *scheduler.Scheduler
+	Monitor   *monitor.Agent
+	Steering  *steering.Agent
 	// RemoteAgents are monitoring agents in remote instances of the
 	// application (e.g. the server side). The framework arms them with the
 	// main agent's region; each judges it on what it observes itself, so
@@ -70,31 +70,25 @@ type Event struct {
 
 // Framework is the assembled run-time adaptation subsystem.
 type Framework struct {
-	sim   *vtime.Sim
-	cfg   Config
-	sched *scheduler.Scheduler
-	seq   int64
-	log   []Event
-	stop  *vtime.Event
-	at    resource.Vector // the joint estimate the latest decision was made at
+	sim  *vtime.Sim
+	cfg  Config
+	seq  int64
+	log  []Event
+	stop *vtime.Event
+	at   resource.Vector // the joint estimate the latest decision was made at
 }
 
-// New builds a framework, constructing the resource scheduler over the
-// database and preferences and registering the steering hook that re-arms
-// the monitoring agents after every applied switch.
+// New builds a framework over the caller's scheduler and registers the
+// steering hook that re-arms the monitoring agents after every applied
+// switch.
 func New(sim *vtime.Sim, cfg Config) (*Framework, error) {
-	if cfg.App == nil || cfg.DB == nil || cfg.Monitor == nil || cfg.Steering == nil {
-		return nil, fmt.Errorf("core: App, DB, Monitor, and Steering are all required")
-	}
-	sched, err := scheduler.New(cfg.App, cfg.DB, cfg.Preferences)
-	if err != nil {
-		return nil, err
+	if cfg.Scheduler == nil || cfg.Monitor == nil || cfg.Steering == nil {
+		return nil, fmt.Errorf("core: Scheduler, Monitor, and Steering are all required")
 	}
 	f := &Framework{
-		sim:   sim,
-		cfg:   cfg,
-		sched: sched,
-		stop:  vtime.NewEvent(sim, "core.stop"),
+		sim:  sim,
+		cfg:  cfg,
+		stop: vtime.NewEvent(sim, "core.stop"),
 	}
 	cfg.Steering.OnApply(func(old, new spec.Config) {
 		f.logEvent(EventSwitch, fmt.Sprintf("%s -> %s", old.Key(), new.Key()))
@@ -115,7 +109,7 @@ func (f *Framework) logEvent(kind EventKind, detail string) {
 // and arms the monitoring agents with the region in which it stays the
 // choice.
 func (f *Framework) SelectInitial(res resource.Vector) (scheduler.Decision, error) {
-	d, err := f.sched.Select(res)
+	d, err := f.cfg.Scheduler.Select(res)
 	if err != nil {
 		return d, err
 	}
@@ -126,7 +120,8 @@ func (f *Framework) SelectInitial(res resource.Vector) (scheduler.Decision, erro
 }
 
 // joint completes an agent's estimate v with the estimate the latest
-// decision was made at, for the kinds v lacks.
+// decision was made at, for the kinds v lacks, in a new vector: v is the
+// agent's own, which the armed region must neither keep nor modify.
 func joint(at, v resource.Vector) resource.Vector {
 	res := at.Clone()
 	for k, x := range v {
@@ -141,7 +136,7 @@ func joint(at, v resource.Vector) resource.Vector {
 func (f *Framework) arm(cfg spec.Config) {
 	at := f.at
 	valid := func(v resource.Vector) bool {
-		d, err := f.sched.Select(joint(at, v))
+		d, err := f.cfg.Scheduler.Select(joint(at, v))
 		return err == nil && d.Config.Equal(cfg)
 	}
 	f.cfg.Monitor.Arm(valid)
@@ -188,7 +183,7 @@ func (f *Framework) Start() {
 // judged as the armed region judges them.
 func (f *Framework) reconsider(p *vtime.Proc) {
 	res := joint(f.at, f.cfg.Monitor.Snapshot())
-	d, err := f.sched.Select(res)
+	d, err := f.cfg.Scheduler.Select(res)
 	if err != nil {
 		f.logEvent(EventNoFeasible, fmt.Sprintf("at %s", res))
 		// Nothing satisfies any preference right now; silence the triggers

@@ -74,13 +74,17 @@ func newRig(t *testing.T, n0 int, prefs ...scheduler.Preference) *rig {
 		monitor.WithWindow(100*time.Millisecond),
 		monitor.WithHysteresis(3))
 	truth := 1.0
-	mon.AddProbe(&monitor.OracleProbe{Comp: "client", K: resource.CPU,
+	mon.AddProbe(&monitor.OracleProbe{K: resource.CPU,
 		Fn: func(time.Duration) (float64, bool) { return truth, true }})
 	steer, err := steering.New(sim, app, spec.Config{"n": spec.Int(n0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := New(sim, Config{App: app, DB: db, Preferences: prefs, Monitor: mon, Steering: steer})
+	sched, err := scheduler.New(app, db, prefs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(sim, Config{Scheduler: sched, Monitor: mon, Steering: steer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,17 +253,21 @@ func TestNoFeasibleRetries(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	app := testApp()
-	db := buildDB(t, app)
 	sim := vtime.NewSim()
 	mon := monitor.New(sim, "m")
 	steer, _ := steering.New(sim, app, spec.Config{"n": spec.Int(1)})
-	prefs := []scheduler.Preference{{Name: "p", Objective: "t"}}
-	if _, err := New(sim, Config{DB: db, Monitor: mon, Steering: steer, Preferences: prefs}); err == nil {
-		t.Fatal("missing app accepted")
+	sched, err := scheduler.New(app, buildDB(t, app), []scheduler.Preference{{Name: "p", Objective: "t"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(sim, Config{App: app, DB: db, Monitor: mon, Steering: steer,
-		Preferences: []scheduler.Preference{{Name: "p", Objective: "zz"}}}); err == nil {
-		t.Fatal("bad preference accepted")
+	if _, err := New(sim, Config{Monitor: mon, Steering: steer}); err == nil {
+		t.Fatal("missing scheduler accepted")
+	}
+	if _, err := New(sim, Config{Scheduler: sched, Steering: steer}); err == nil {
+		t.Fatal("missing monitor accepted")
+	}
+	if _, err := New(sim, Config{Scheduler: sched, Monitor: mon, Steering: steer}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -301,17 +309,19 @@ qos_metric { duration t minimize; }
 	remote := monitor.New(sim, "server-mon", monitor.WithHysteresis(2),
 		monitor.WithWindow(50*time.Millisecond))
 	bw := 500e3
-	remote.AddProbe(&monitor.OracleProbe{Comp: "net", K: resource.Bandwidth,
+	remote.AddProbe(&monitor.OracleProbe{K: resource.Bandwidth,
 		Fn: func(time.Duration) (float64, bool) { return bw, true }})
 	remote.AddPeer(main.Inbox())
 	steer, err := steering.New(sim, app, spec.Config{"c": spec.Enum("fast")})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched, err := scheduler.New(app, db, []scheduler.Preference{{Name: "fast", Objective: "t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fw, err := New(sim, Config{
-		App:          app,
-		DB:           db,
-		Preferences:  []scheduler.Preference{{Name: "fast", Objective: "t"}},
+		Scheduler:    sched,
 		Monitor:      main,
 		Steering:     steer,
 		RemoteAgents: []*monitor.Agent{remote},

@@ -58,24 +58,23 @@ qos_metric {
 		log.Fatal(err)
 	}
 
-	// 4. The run-time subsystem: monitor + scheduler + steering.
+	// 4. The run-time subsystem: a scheduler over the database and the
+	// user's preference, a monitor, and a steering agent.
+	sched, err := scheduler.New(app, db, []scheduler.Preference{{
+		Name:        "smooth",
+		Constraints: []scheduler.Constraint{scheduler.AtMost("batch_time", 4)},
+		Objective:   "quality",
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	mon := monitor.New(sim, "monitor")
 	mon.AddProbe(monitor.NewCPUProbe("client", sb))
 	steer, err := steering.New(sim, app, spec.Config{"n": spec.Int(3)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw, err := core.New(sim, core.Config{
-		App: app,
-		DB:  db,
-		Preferences: []scheduler.Preference{{
-			Name:        "smooth",
-			Constraints: []scheduler.Constraint{scheduler.AtMost("batch_time", 4)},
-			Objective:   "quality",
-		}},
-		Monitor:  mon,
-		Steering: steer,
-	})
+	fw, err := core.New(sim, core.Config{Scheduler: sched, Monitor: mon, Steering: steer})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,14 +72,14 @@ func TestArmedRegionIsTheDecisionRegion(t *testing.T) {
 		mon := monitor.New(sim, sub.name, monitor.WithHysteresis(1), monitor.WithWindow(0))
 		var truth resource.Vector
 		for _, k := range []resource.Kind{resource.CPU, resource.Bandwidth} {
-			mon.AddProbe(&monitor.OracleProbe{Comp: string(k), K: k,
+			mon.AddProbe(&monitor.OracleProbe{K: k,
 				Fn: func(time.Duration) (float64, bool) { return truth[k], true }})
 		}
 		steer, err := steering.New(sim, db.App(), chosen[len(grid)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fw, err := New(sim, Config{App: db.App(), DB: db, Preferences: sub.prefs, Monitor: mon, Steering: steer})
+		fw, err := New(sim, Config{Scheduler: sched, Monitor: mon, Steering: steer})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -330,13 +330,13 @@ func finish(stats []avis.ImageStat) time.Duration {
 func runAdaptive(label string, db perfdb.Model, sc scenario, n int) (RunResult, error) {
 	app := db.App()
 	initRes := resource.Vector{resource.CPU: sc.base.ClientShare, resource.Bandwidth: sc.base.Bandwidth}
-	// Provisional scheduler pass to learn the initial configuration the
-	// framework will select, so the world starts in it.
-	sched0, err := scheduler.New(app, db, sc.prefs)
+	// The framework's scheduler, asked first for the initial configuration
+	// the framework will select, so the world starts in it.
+	sched, err := scheduler.New(app, db, sc.prefs)
 	if err != nil {
 		return RunResult{}, err
 	}
-	d0, err := sched0.Select(initRes)
+	d0, err := sched.Select(initRes)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -378,9 +378,7 @@ func runAdaptive(label string, db perfdb.Model, sc scenario, n int) (RunResult, 
 		}
 	}
 	fw, err := core.New(w.Sim, core.Config{
-		App:          app,
-		DB:           db,
-		Preferences:  sc.prefs,
+		Scheduler:    sched,
 		Monitor:      mon,
 		Steering:     steer,
 		RemoteAgents: remotes,

@@ -18,7 +18,6 @@ type silencingProbe struct {
 	resumeAt time.Duration // 0 = never
 }
 
-func (s *silencingProbe) Component() string   { return "client" }
 func (s *silencingProbe) Kind() resource.Kind { return resource.CPU }
 func (s *silencingProbe) Sample(now time.Duration) (float64, bool) {
 	if now >= s.silentAt && (s.resumeAt == 0 || now < s.resumeAt) {

@@ -3,11 +3,14 @@
 // periodically (every 10 ms), processes raw observations within a history
 // window, and estimates the fraction of each resource actually available
 // to the application — without ever reading the allocation settings
-// directly. Upon detecting that its joint estimate has left the region in
-// which the currently active configuration is valid, it notifies the
-// resource scheduler (and peer agents in remote instances of the
-// application). The region is armed by the framework as a membership test
-// (Arm); the agent re-evaluates it only once an estimate has moved.
+// directly. Its joint estimate is one resource vector keyed by kind: each
+// probe's estimate under the probe's kind, and peers' estimates for the
+// kinds no local probe has measured. Upon detecting that the joint
+// estimate has left the region in which the currently active configuration
+// is valid, it notifies the resource scheduler (and peer agents in remote
+// instances of the application). The region is armed by the framework as
+// a membership test (Arm); the agent re-evaluates it only once an estimate
+// has moved.
 package monitor
 
 import (
@@ -50,12 +53,11 @@ const (
 	EWMA
 )
 
-// Probe produces instantaneous observations of one resource on one
-// component by watching application activity. Sample reports ok=false when
-// there was no activity to observe in the interval (the agent then retains
-// its previous estimate).
+// Probe produces instantaneous observations of one resource kind by
+// watching application activity. Sample reports ok=false when there was no
+// activity to observe in the interval (the agent then retains its previous
+// estimate).
 type Probe interface {
-	Component() string
 	Kind() resource.Kind
 	Sample(now time.Duration) (value float64, ok bool)
 }
@@ -86,12 +88,12 @@ func (t Trigger) String() string {
 	return fmt.Sprintf("t=%v %s: %s", t.At, t.Reason, t.Estimate)
 }
 
-// EstimateMsg carries one agent's resource estimates to peer agents in
-// remote instances of the application.
+// EstimateMsg carries one agent's joint estimate to peer agents in remote
+// instances of the application.
 type EstimateMsg struct {
-	From      string
-	At        time.Duration
-	Estimates map[string]resource.Vector // component → estimates
+	From     string
+	At       time.Duration
+	Estimate resource.Vector
 }
 
 // Agent is the application-specific monitoring agent.
@@ -112,13 +114,11 @@ type Agent struct {
 	degradeFactor float64
 	degradeFloor  float64
 
-	probes    []keyedProbe
-	history   map[string][]sample
-	ewma      map[string]float64
-	estimates map[string]resource.Vector // component → smoothed estimates
-	lastSeen  map[string]time.Duration   // key → instant of last real sample
-	lastGood  map[string]float64         // key → last estimate backed by a real sample
-	degraded  map[string]bool            // keys currently in degraded mode
+	probes []slot
+	// estimate is the joint estimate, one value per resource kind: each
+	// probe's estimate under its kind, and a peer's for the kinds no local
+	// probe has measured yet.
+	estimate resource.Vector
 
 	// the armed region: valid is the membership test (nil when disarmed),
 	// inside its last verdict, recheck set when the next round must
@@ -131,7 +131,6 @@ type Agent struct {
 	triggers *vtime.Chan[Trigger]
 	peers    []*vtime.Chan[EstimateMsg]
 	inbox    *vtime.Chan[EstimateMsg]
-	remote   map[string]resource.Vector // estimates received from peers
 
 	stop    *vtime.Event
 	samples int64
@@ -204,13 +203,7 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 		alpha:         0.1,
 		degradeFactor: 0.9,
 		degradeFloor:  0.25,
-		history:       make(map[string][]sample),
-		ewma:          make(map[string]float64),
-		estimates:     make(map[string]resource.Vector),
-		lastSeen:      make(map[string]time.Duration),
-		lastGood:      make(map[string]float64),
-		degraded:      make(map[string]bool),
-		remote:        make(map[string]resource.Vector),
+		estimate:      resource.Vector{},
 		triggers:      vtime.NewNamedChan[Trigger](sim, 64, name+".triggers"),
 		inbox:         vtime.NewNamedChan[EstimateMsg](sim, 64, name+".inbox"),
 		stop:          vtime.NewEvent(sim, name+".stop"),
@@ -221,18 +214,22 @@ func New(sim *vtime.Sim, name string, opts ...Option) *Agent {
 	return a
 }
 
-// keyedProbe is a probe with its "component.kind" key, built once, and
-// its estimate when the armed region was last evaluated (NaN if it had
-// none).
-type keyedProbe struct {
+// slot is a probe and what the agent keeps of it.
+type slot struct {
 	Probe
-	key    string
-	judged float64
+	kind     resource.Kind
+	window   []sample      // the samples inside the history window
+	est      float64       // the estimate, also the EWMA state; valid once has
+	has      bool          // a sample has been taken
+	seen     time.Duration // instant of the last real sample
+	good     float64       // the last estimate backed by a real sample
+	degraded bool          // in degraded (stale-sample) mode
+	judged   float64       // est when the armed region was last evaluated (NaN if none)
 }
 
 // AddProbe registers a probe. Probes are sampled in registration order.
 func (a *Agent) AddProbe(p Probe) {
-	a.probes = append(a.probes, keyedProbe{p, p.Component() + "." + string(p.Kind()), math.NaN()})
+	a.probes = append(a.probes, slot{Probe: p, kind: p.Kind(), judged: math.NaN()})
 }
 
 // Triggers returns the channel on which region-exit notifications are
@@ -248,10 +245,11 @@ func (a *Agent) Inbox() *vtime.Chan[EstimateMsg] { return a.inbox }
 func (a *Agent) AddPeer(ch *vtime.Chan[EstimateMsg]) { a.peers = append(a.peers, ch) }
 
 // Arm sets the region in which the active configuration is valid: valid
-// reports whether a joint estimate (a Snapshot) lies inside it. The next
-// round evaluates it; later rounds evaluate it again only once some
-// estimate has moved by more than tolerance since, and keep the last
-// verdict otherwise. hysteresis consecutive rounds outside fire a
+// reports whether a joint estimate (what Snapshot returns) lies inside it.
+// It is handed the agent's own vector, so it must neither keep nor modify
+// it. The next round evaluates it; later rounds evaluate it again only
+// once some estimate has moved by more than tolerance since, and keep the
+// last verdict otherwise. hysteresis consecutive rounds outside fire a
 // trigger. Arm(nil) disarms the agent, as while a reconfiguration is in
 // flight.
 func (a *Agent) Arm(valid func(resource.Vector) bool) {
@@ -260,39 +258,10 @@ func (a *Agent) Arm(valid func(resource.Vector) bool) {
 	a.outside = 0
 }
 
-// Estimates returns the current smoothed estimates per component,
-// including estimates received from peers for components this agent does
-// not probe locally.
-func (a *Agent) Estimates() map[string]resource.Vector {
-	out := make(map[string]resource.Vector, len(a.estimates)+len(a.remote))
-	for c, v := range a.remote {
-		out[c] = v.Clone()
-	}
-	for c, v := range a.estimates {
-		merged, ok := out[c]
-		if !ok {
-			out[c] = v.Clone()
-			continue
-		}
-		for k, x := range v {
-			merged[k] = x
-		}
-	}
-	return out
-}
-
-// Snapshot flattens the estimates into a single resource vector, assuming
-// at most one probed component per resource kind (the shape the
-// performance database is indexed by: client CPU share, link bandwidth).
-func (a *Agent) Snapshot() resource.Vector {
-	out := resource.Vector{}
-	for _, v := range a.Estimates() {
-		for k, x := range v {
-			out[k] = x
-		}
-	}
-	return out
-}
+// Snapshot returns a copy of the joint estimate: one value per resource
+// kind (the shape the performance database is indexed by: client CPU
+// share, link bandwidth), including the kinds only peers have reported.
+func (a *Agent) Snapshot() resource.Vector { return a.estimate.Clone() }
 
 // SampleCount returns the number of sampling rounds completed.
 func (a *Agent) SampleCount() int64 { return a.samples }
@@ -318,50 +287,42 @@ func (a *Agent) RunOnce(now time.Duration) { a.round(now) }
 func (a *Agent) round(now time.Duration) {
 	a.samples++
 	for i := range a.probes {
-		pr := &a.probes[i]
-		key := pr.key
-		v, ok := pr.Sample(now)
+		s := &a.probes[i]
+		v, ok := s.Sample(now)
 		if !ok {
-			a.maybeDegrade(now, pr)
+			a.maybeDegrade(now, s)
 			continue
 		}
-		a.lastSeen[key] = now
-		delete(a.degraded, key)
-		var est float64
+		s.seen = now
+		s.degraded = false
+		est := v
 		if a.smoothing == EWMA {
-			if prev, ok := a.ewma[key]; ok {
-				est = a.alpha*v + (1-a.alpha)*prev
-			} else {
-				est = v
+			if s.has {
+				est = a.alpha*v + (1-a.alpha)*s.est
 			}
-			a.ewma[key] = est
 		} else {
-			h := append(a.history[key], sample{at: now, v: v})
+			h := append(s.window, sample{at: now, v: v})
 			// Discard samples older than the window.
 			cut := 0
 			for cut < len(h) && h[cut].at < now-a.window {
 				cut++
 			}
-			h = append(h[:0], h[cut:]...) // in place, so the window's array is reused
-			a.history[key] = h
-			est = mean(h)
+			s.window = append(h[:0], h[cut:]...) // in place, so the window's array is reused
+			est = mean(s.window)
 		}
-		comp := pr.Component()
-		if a.estimates[comp] == nil {
-			a.estimates[comp] = resource.Vector{}
-		}
-		a.lastGood[key] = est
-		a.record(pr, est)
+		s.good = est
+		a.record(s, est)
 	}
 	a.check(now)
 }
 
-// record publishes a probe's new estimate and asks for the armed region to
-// be evaluated again if it has moved by more than tolerance since the last
-// evaluation.
-func (a *Agent) record(pr *keyedProbe, est float64) {
-	a.estimates[pr.Component()][pr.Kind()] = est
-	if !(math.Abs(est-pr.judged) <= tolerance*math.Abs(pr.judged)) {
+// record publishes a probe's new estimate under its kind and asks for the
+// armed region to be evaluated again if it has moved by more than
+// tolerance since the last evaluation.
+func (a *Agent) record(s *slot, est float64) {
+	s.est, s.has = est, true
+	a.estimate[s.kind] = est
+	if !(math.Abs(est-s.judged) <= tolerance*math.Abs(s.judged)) {
 		a.recheck = true
 	}
 }
@@ -374,36 +335,32 @@ func (a *Agent) record(pr *keyedProbe, est float64) {
 // fault layer injects (partition, paused node, black-holed link) looks
 // like silence — and the armed region is judged on the decayed value so
 // the scheduler reconfigures instead of waiting on a dead probe.
-func (a *Agent) maybeDegrade(now time.Duration, pr *keyedProbe) {
-	if a.staleAfter <= 0 {
+//
+// The decayed value is the slot's estimate, so under EWMA it also seeds
+// the average and recovery does not snap back from the pre-outage level.
+func (a *Agent) maybeDegrade(now time.Duration, s *slot) {
+	if a.staleAfter <= 0 || !s.has || now-s.seen <= a.staleAfter {
 		return
 	}
-	key := pr.key
-	seen, sampled := a.lastSeen[key]
-	if !sampled || now-seen <= a.staleAfter {
-		return
-	}
-	comp := pr.Component()
-	est, ok := a.estimates[comp][pr.Kind()]
-	if !ok {
-		return
-	}
-	a.degraded[key] = true
-	est *= a.degradeFactor
-	if floor := a.degradeFloor * a.lastGood[key]; est < floor {
+	s.degraded = true
+	est := s.est * a.degradeFactor
+	if floor := a.degradeFloor * s.good; est < floor {
 		est = floor
 	}
-	if a.smoothing == EWMA {
-		// Seed the EWMA with the decayed value so recovery does not snap
-		// back from the pre-outage level.
-		a.ewma[key] = est
-	}
-	a.record(pr, est)
+	a.record(s, est)
 }
 
 // Degraded reports whether any probe is currently in degraded
 // (stale-sample) mode, and how many.
-func (a *Agent) Degraded() int { return len(a.degraded) }
+func (a *Agent) Degraded() int {
+	n := 0
+	for i := range a.probes {
+		if a.probes[i].degraded {
+			n++
+		}
+	}
+	return n
+}
 
 // check judges the round's estimates against the armed region: it
 // evaluates the region when asked to (recheck) and otherwise keeps the
@@ -415,14 +372,13 @@ func (a *Agent) check(now time.Duration) {
 	if a.recheck {
 		a.recheck = false
 		for i := range a.probes {
-			pr := &a.probes[i]
-			est, ok := a.estimates[pr.Component()][pr.Kind()]
-			if !ok {
-				est = math.NaN()
+			s := &a.probes[i]
+			s.judged = math.NaN()
+			if s.has {
+				s.judged = s.est
 			}
-			pr.judged = est
 		}
-		a.inside = a.valid(a.Snapshot())
+		a.inside = a.valid(a.estimate)
 	}
 	if a.inside {
 		a.outside = 0
@@ -451,16 +407,13 @@ func (a *Agent) restartAtChange() {
 		return
 	}
 	for i := range a.probes {
-		pr := &a.probes[i]
-		h := a.history[pr.key]
-		if len(h) == 0 || a.degraded[pr.key] {
+		s := &a.probes[i]
+		if len(s.window) == 0 || s.degraded {
 			continue
 		}
-		h = append(h[:0], h[max(0, len(h)-a.hysteresis):]...)
-		a.history[pr.key] = h
-		est := mean(h)
-		a.lastGood[pr.key] = est
-		a.record(pr, est)
+		s.window = append(s.window[:0], s.window[max(0, len(s.window)-a.hysteresis):]...)
+		s.good = mean(s.window)
+		a.record(s, s.good)
 	}
 }
 
@@ -477,15 +430,16 @@ func (a *Agent) pushToPeers(now time.Duration) {
 	if len(a.peers) == 0 {
 		return
 	}
-	msg := EstimateMsg{From: a.name, At: now, Estimates: a.Estimates()}
+	msg := EstimateMsg{From: a.name, At: now, Estimate: a.Snapshot()}
 	for _, peer := range a.peers {
 		peer.TrySend(msg)
 	}
 }
 
-// drainInbox takes in peer estimates. They are part of the joint estimate
+// drainInbox takes in peer estimates for the kinds no local probe has
+// measured (local observations win). They are part of the joint estimate
 // the armed region is judged on, so a peer's observation of a degraded
-// resource can trigger this agent's scheduler: each one received makes the
+// resource can trigger this agent's scheduler: each one taken in makes the
 // next round evaluate the region again.
 func (a *Agent) drainInbox() {
 	for {
@@ -493,12 +447,22 @@ func (a *Agent) drainInbox() {
 		if !ready || !ok {
 			return
 		}
-		for comp, v := range msg.Estimates {
-			if _, local := a.estimates[comp]; local {
-				continue // local observations win
+		for k, x := range msg.Estimate {
+			if a.measures(k) {
+				continue
 			}
-			a.remote[comp] = v.Clone()
+			a.estimate[k] = x
 			a.recheck = true
 		}
 	}
+}
+
+// measures reports whether a local probe holds an estimate of kind k.
+func (a *Agent) measures(k resource.Kind) bool {
+	for i := range a.probes {
+		if s := &a.probes[i]; s.kind == k && s.has {
+			return true
+		}
+	}
+	return false
 }

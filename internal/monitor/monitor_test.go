@@ -73,7 +73,7 @@ func TestAgentWindowedEstimate(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(100*time.Millisecond))
 	val := 0.8
-	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 		return val, true
 	}})
 	a.Start()
@@ -116,7 +116,7 @@ func TestAgentTriggersOnRangeViolation(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(50*time.Millisecond), WithHysteresis(3))
 	val := 0.9
-	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 		return val, true
 	}})
 	a.Arm(cpuWithin(0.7, 1.0))
@@ -155,7 +155,7 @@ func TestAgentHysteresisSuppressesBlips(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithWindow(10*time.Millisecond), WithHysteresis(5))
 	tick := 0
-	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 		tick++
 		if tick%7 == 0 { // a single-sample blip every 7 samples
 			return 0.1, true
@@ -179,7 +179,7 @@ func TestAgentHysteresisSuppressesBlips(t *testing.T) {
 func TestAgentRangeManagement(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithHysteresis(1), WithPeriod(10*time.Millisecond), WithWindow(10*time.Millisecond))
-	a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.2, true }})
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.2, true }})
 	a.Arm(cpuWithin(0.5, 1.0))
 	a.Arm(nil) // disarms
 	a.RunOnce(time.Millisecond)
@@ -205,7 +205,7 @@ func TestAgentRangeManagement(t *testing.T) {
 func TestRegionEvaluatedOnlyOnMovement(t *testing.T) {
 	a := New(vtime.NewSim(), "mon", WithHysteresis(3), WithWindow(time.Millisecond))
 	val := 0.8
-	a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return val, true }})
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return val, true }})
 	evals := 0
 	inside := cpuWithin(0.5, 1.0)
 	a.Arm(func(v resource.Vector) bool { evals++; return inside(v) })
@@ -237,11 +237,14 @@ func TestRegionEvaluatedOnlyOnMovement(t *testing.T) {
 }
 
 // A peer's estimate joins the agent's joint estimate and is judged at the
-// next round, though no local estimate moved.
+// next round, though no local estimate moved. It fills only the kinds no
+// local probe has measured: a peer's report of a kind a local probe
+// estimates is ignored, and a peer's value stands only until the local
+// probe's first sample of that kind replaces it.
 func TestPeerEstimateJoinsTheRegion(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "client-mon", WithPeriod(10*time.Millisecond), WithHysteresis(1))
-	a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.8, true }})
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.8, true }})
 	a.Arm(func(v resource.Vector) bool {
 		bw, ok := v[resource.Bandwidth]
 		return !ok || bw >= 100e3
@@ -252,7 +255,7 @@ func TestPeerEstimateJoinsTheRegion(t *testing.T) {
 	sim.Spawn("peer", func(p *vtime.Proc) {
 		p.Sleep(100 * time.Millisecond)
 		a.Inbox().TrySend(EstimateMsg{From: "server-mon", At: p.Now(),
-			Estimates: map[string]resource.Vector{"net": {resource.Bandwidth: 40e3}}})
+			Estimate: resource.Vector{resource.Bandwidth: 40e3}})
 		trig, fired, _ = a.Triggers().RecvTimeout(p, time.Second)
 		a.Stop()
 	})
@@ -265,25 +268,61 @@ func TestPeerEstimateJoinsTheRegion(t *testing.T) {
 	if trig.At > 120*time.Millisecond {
 		t.Fatalf("peer estimate judged at %v, want the round after it arrived", trig.At)
 	}
+
+	// A peer's report of a kind the local probe already estimates.
+	b := New(vtime.NewSim(), "client-mon", WithHysteresis(1))
+	b.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.8, true }})
+	b.Arm(cpuWithin(0.5, 1.0))
+	b.RunOnce(DefaultPeriod)
+	b.Inbox().TrySend(EstimateMsg{From: "server-mon", Estimate: resource.Vector{resource.CPU: 0.1}})
+	b.drainInbox()
+	if got := b.Snapshot()[resource.CPU]; got != 0.8 {
+		t.Fatalf("a peer's cpu=0.1 replaced the local estimate: cpu=%v", got)
+	}
+	b.RunOnce(2 * DefaultPeriod)
+	if tr, _, ready := b.Triggers().TryRecv(); ready {
+		t.Fatalf("a peer's report of a locally measured kind fired %v", tr)
+	}
+
+	// A peer's value for a kind the local probe has not sampled yet.
+	c := New(vtime.NewSim(), "client-mon")
+	bw, sampling := 200e3, false
+	c.AddProbe(&OracleProbe{K: resource.Bandwidth, Fn: func(time.Duration) (float64, bool) { return bw, sampling }})
+	c.RunOnce(DefaultPeriod)
+	c.Inbox().TrySend(EstimateMsg{From: "server-mon", Estimate: resource.Vector{resource.Bandwidth: 40e3}})
+	c.drainInbox()
+	c.RunOnce(2 * DefaultPeriod)
+	if got := c.Snapshot()[resource.Bandwidth]; got != 40e3 {
+		t.Fatalf("bandwidth %v before the local probe sampled, want the peer's 40000", got)
+	}
+	sampling = true
+	c.RunOnce(3 * DefaultPeriod)
+	if got := c.Snapshot()[resource.Bandwidth]; got != bw {
+		t.Fatalf("bandwidth %v after the local probe's first sample, want its %v", got, bw)
+	}
+	c.Inbox().TrySend(EstimateMsg{From: "server-mon", Estimate: resource.Vector{resource.Bandwidth: 40e3}})
+	c.drainInbox()
+	if got := c.Snapshot()[resource.Bandwidth]; got != bw {
+		t.Fatalf("a peer's bandwidth replaced the local estimate: %v", got)
+	}
 }
 
 func TestPeerEstimatePropagation(t *testing.T) {
 	sim := vtime.NewSim()
 	client := New(sim, "client-mon", WithPeriod(10*time.Millisecond), WithWindow(20*time.Millisecond), WithHysteresis(1))
 	server := New(sim, "server-mon", WithPeriod(10*time.Millisecond), WithWindow(20*time.Millisecond))
-	client.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.3, true }})
+	client.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) { return 0.3, true }})
 	client.Arm(cpuWithin(0.7, 1.0))
 	client.AddPeer(server.Inbox())
 	client.Start()
 	server.Start()
 	sim.Spawn("driver", func(p *vtime.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		est := server.Estimates()
-		v, ok := est["client"]
+		cpu, ok := server.Snapshot()[resource.CPU]
 		if !ok {
-			t.Error("server agent has no remote estimate for client")
-		} else if math.Abs(v[resource.CPU]-0.3) > 1e-9 {
-			t.Errorf("remote estimate %v", v[resource.CPU])
+			t.Error("server agent has no remote cpu estimate")
+		} else if math.Abs(cpu-0.3) > 1e-9 {
+			t.Errorf("remote estimate %v", cpu)
 		}
 		client.Stop()
 		server.Stop()
@@ -351,7 +390,7 @@ func TestEWMASmoothing(t *testing.T) {
 	sim := vtime.NewSim()
 	a := New(sim, "mon", WithPeriod(10*time.Millisecond), WithSmoothing(EWMA, 0.5))
 	val := 1.0
-	a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+	a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 		return val, true
 	}})
 	// First sample initializes the EWMA directly.
@@ -376,7 +415,7 @@ func TestSmoothingModesConvergeEqually(t *testing.T) {
 		sim := vtime.NewSim()
 		a := New(sim, "mon", WithPeriod(10*time.Millisecond),
 			WithWindow(100*time.Millisecond), WithSmoothing(mode, 0.2))
-		a.AddProbe(&OracleProbe{Comp: "c", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+		a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 			return 0.7, true
 		}})
 		a.Start()
@@ -398,7 +437,7 @@ func TestSmoothingModesConvergeEqually(t *testing.T) {
 func TestRoundAllocatesNothingPerProbe(t *testing.T) {
 	a := New(vtime.NewSim(), "m")
 	for _, k := range []resource.Kind{resource.CPU, resource.Bandwidth} {
-		a.AddProbe(&OracleProbe{Comp: "client", K: k, Fn: func(time.Duration) (float64, bool) { return 0.5, true }})
+		a.AddProbe(&OracleProbe{K: k, Fn: func(time.Duration) (float64, bool) { return 0.5, true }})
 	}
 	a.Arm(func(resource.Vector) bool { return true })
 	now := time.Duration(0)
@@ -414,6 +453,36 @@ func TestRoundAllocatesNothingPerProbe(t *testing.T) {
 	}
 }
 
+// A round that re-evaluates the armed region allocates nothing either: the
+// region is judged on the agent's own joint estimate, not on a copy.
+func TestRegionCheckAllocatesNothing(t *testing.T) {
+	a := New(vtime.NewSim(), "m", WithWindow(0))
+	tick := 0
+	for _, k := range []resource.Kind{resource.CPU, resource.Bandwidth} {
+		// Alternating 0.4 and 0.6 moves each estimate far beyond tolerance
+		// every round.
+		a.AddProbe(&OracleProbe{K: k, Fn: func(time.Duration) (float64, bool) {
+			return 0.4 + 0.2*float64(tick%2), true
+		}})
+	}
+	evals := 0
+	a.Arm(func(v resource.Vector) bool { evals++; return v[resource.CPU] > 0 })
+	now := time.Duration(0)
+	round := func() {
+		tick++
+		now += DefaultPeriod
+		a.RunOnce(now)
+	}
+	round() // the window (one sample wide) is full from here on
+	evals = 0
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocations per re-evaluating round, want 0", n)
+	}
+	if evals != 101 {
+		t.Fatalf("%d region evaluations over 101 rounds, want one a round", evals)
+	}
+}
+
 // TestJitterInsideRegionFiresNoTrigger: a CPU probe jittering ±5 %
 // around a level inside the armed region — close enough to its edge that
 // about a third of the single samples fall outside — fires no trigger,
@@ -425,7 +494,7 @@ func TestJitterInsideRegionFiresNoTrigger(t *testing.T) {
 		a := New(sim, "mon")
 		rng := prng.New(seed)
 		outside := 0
-		a.AddProbe(&OracleProbe{Comp: "client", K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
+		a.AddProbe(&OracleProbe{K: resource.CPU, Fn: func(time.Duration) (float64, bool) {
 			v := 0.51 * (1 + 0.05*(2*rng.Float64()-1))
 			if v < 0.5 {
 				outside++

@@ -14,19 +14,17 @@ import (
 // computation the paper's monitor performs. It never reads the sandbox's
 // configured share.
 type CPUProbe struct {
-	component  string
 	sb         *sandbox.Sandbox
 	lastCPU    time.Duration
 	lastActive time.Duration
 }
 
-// NewCPUProbe creates a CPU probe for a sandboxed component.
+// NewCPUProbe creates a CPU probe for a sandboxed component. The agent
+// keys estimates by resource kind, so component only names the probe where
+// it is wired.
 func NewCPUProbe(component string, sb *sandbox.Sandbox) *CPUProbe {
-	return &CPUProbe{component: component, sb: sb}
+	return &CPUProbe{sb: sb}
 }
-
-// Component implements Probe.
-func (p *CPUProbe) Component() string { return p.component }
 
 // Kind implements Probe.
 func (p *CPUProbe) Kind() resource.Kind { return resource.CPU }
@@ -47,20 +45,17 @@ func (p *CPUProbe) Sample(time.Duration) (float64, bool) {
 // spent blocked serializing them ("a message send incurs more delay than
 // would be expected").
 type BandwidthProbe struct {
-	component string
 	ep        *netem.Endpoint
 	lastBytes int64
 	lastBusy  time.Duration
 }
 
 // NewBandwidthProbe creates a bandwidth probe over an endpoint's outgoing
-// direction.
+// direction. As with NewCPUProbe, component only names the probe where it
+// is wired.
 func NewBandwidthProbe(component string, ep *netem.Endpoint) *BandwidthProbe {
-	return &BandwidthProbe{component: component, ep: ep}
+	return &BandwidthProbe{ep: ep}
 }
-
-// Component implements Probe.
-func (p *BandwidthProbe) Component() string { return p.component }
 
 // Kind implements Probe.
 func (p *BandwidthProbe) Kind() resource.Kind { return resource.Bandwidth }
@@ -81,13 +76,9 @@ func (p *BandwidthProbe) Sample(time.Duration) (float64, bool) {
 // used by the ablation benchmarks (reading ground truth instead of
 // estimating it) and a convenient stub in tests.
 type OracleProbe struct {
-	Comp string
-	K    resource.Kind
-	Fn   func(now time.Duration) (float64, bool)
+	K  resource.Kind
+	Fn func(now time.Duration) (float64, bool)
 }
-
-// Component implements Probe.
-func (p *OracleProbe) Component() string { return p.Comp }
 
 // Kind implements Probe.
 func (p *OracleProbe) Kind() resource.Kind { return p.K }
