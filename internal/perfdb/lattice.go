@@ -12,11 +12,11 @@ import (
 )
 
 // Lattice is the compiled read form of one configuration's profile: what
-// every model query runs on. It is built once from the profile's records —
-// lazily by DB, on first read and on every fold by perfstore — and never
-// changes afterwards, so any number of readers may share one; DB.Add and
-// DB.SetMode drop the profile's lattice and the next read compiles a new
-// one.
+// every model query runs on. Compile builds it once from the profile's
+// records — lazily for DB, on first read and on every fold for perfstore's
+// merged profile — and it never changes afterwards, so any number of
+// readers may share one; DB.Add and DB.SetMode drop the profile's lattice
+// and the next read compiles a new one.
 //
 // The compiled form answers exactly what walking the record map would:
 // the sample lattice is the sorted, approximately-deduplicated values seen
@@ -39,7 +39,7 @@ type Lattice struct {
 	absent []bool    // parallel to vals, set where a record lacks a metric; nil if none does
 
 	recs  []*Record       // in resource-key order: what Records returns
-	scale resource.Vector // per-kind axis span normalizing Nearest's distances
+	scale resource.Vector // per-kind axis span normalizing nearest's distances
 }
 
 // cell is one lattice point a record sits on.
@@ -48,31 +48,35 @@ type cell struct {
 	row int32 // the record's row in recs and vals
 }
 
-// compile builds the profile's lattice.
-func (p *configProfile) compile(mode PredictMode) *Lattice {
-	l := &Lattice{config: p.config, mode: mode}
-
-	keys := make([]string, 0, len(p.records))
-	for k := range p.records {
-		keys = append(keys, k)
+// Compile builds the lattice of one configuration's profile from its
+// records, which must be in canonical resource-key order with no key
+// repeated (the order Records returns). It is the one compile both the
+// offline database and perfstore's merged prior ∪ overlay run. The lattice
+// keeps recs and the records in it, which must not change afterwards. It is
+// nil when there are no records.
+func Compile(cfg spec.Config, mode PredictMode, recs []*Record) *Lattice {
+	if len(recs) == 0 {
+		return nil
 	}
-	sort.Strings(keys)
-	l.recs = make([]*Record, len(keys))
-	for i, k := range keys {
-		l.recs[i] = p.records[k]
-	}
+	l := &Lattice{config: cfg, mode: mode, recs: recs}
 
-	// Sample lattice: per kind, the values the records carry.
-	kinds := make([]resource.Kind, 0, len(p.dims))
-	for k := range p.dims {
-		kinds = append(kinds, k)
+	// Sample lattice: per kind any record carries, the values the records
+	// carry.
+	var kindBuf [4]resource.Kind
+	kinds := kindBuf[:0]
+	for _, rec := range recs {
+		for k := range rec.Resources {
+			if !slices.Contains(kinds, k) {
+				kinds = append(kinds, k)
+			}
+		}
 	}
 	slices.Sort(kinds)
 	axes := make([]resource.Axis, len(kinds))
-	pts := make([]float64, 0, len(kinds)*len(l.recs))
+	pts := make([]float64, 0, len(kinds)*len(recs))
 	for i, k := range kinds {
 		start := len(pts)
-		for _, rec := range l.recs {
+		for _, rec := range recs {
 			if v, ok := rec.Resources[k]; ok {
 				pts = append(pts, v)
 			}
@@ -260,15 +264,8 @@ func (l *Lattice) PredictInto(res resource.Vector, dst spec.Metrics) error {
 	return nil
 }
 
-// Nearest returns the record whose resource point is closest to res.
-func (l *Lattice) Nearest(res resource.Vector) (*Record, bool) {
-	row, ok := l.nearest(res)
-	if !ok {
-		return nil, false
-	}
-	return l.recs[row], true
-}
-
+// nearest returns the row of the record whose resource point is closest
+// to res; ok is false when none is (a NaN coordinate).
 func (l *Lattice) nearest(res resource.Vector) (row int, ok bool) {
 	bestD := math.Inf(1)
 	for i, rec := range l.recs {

@@ -49,7 +49,6 @@ type Model interface {
 // Record is one profiled sample: the quality metrics a configuration
 // achieved under specific resource conditions in the testbed.
 type Record struct {
-	Config    spec.Config
 	Resources resource.Vector
 	Metrics   spec.Metrics
 	Samples   int // number of runs averaged into Metrics
@@ -81,7 +80,6 @@ type DB struct {
 type configProfile struct {
 	config  spec.Config
 	records map[string]*Record // keyed by resource vector Key
-	dims    map[resource.Kind]bool
 
 	// compiled is the read form of records, built by the first query after
 	// a change. Concurrent readers may race to build it; each builds a
@@ -126,17 +124,10 @@ func (db *DB) Add(cfg spec.Config, res resource.Vector, m spec.Metrics) error {
 	key := cfg.Key()
 	p, ok := db.profiles[key]
 	if !ok {
-		p = &configProfile{
-			config:  cfg.Clone(),
-			records: make(map[string]*Record),
-			dims:    make(map[resource.Kind]bool),
-		}
+		p = &configProfile{config: cfg.Clone(), records: make(map[string]*Record)}
 		db.profiles[key] = p
 	}
 	p.compiled.Store(nil)
-	for k := range res {
-		p.dims[k] = true
-	}
 	rk := res.Key()
 	if rec, dup := p.records[rk]; dup {
 		// Incremental mean of each metric.
@@ -148,7 +139,6 @@ func (db *DB) Add(cfg spec.Config, res resource.Vector, m spec.Metrics) error {
 		return nil
 	}
 	p.records[rk] = &Record{
-		Config:    cfg.Clone(),
 		Resources: res.Clone(),
 		Metrics:   m.Clone(),
 		Samples:   1,
@@ -225,17 +215,17 @@ func (p *configProfile) lattice(mode PredictMode) *Lattice {
 	if l := p.compiled.Load(); l != nil {
 		return l
 	}
-	p.compiled.CompareAndSwap(nil, p.compile(mode))
-	return p.compiled.Load()
-}
-
-// Nearest returns the record whose resource point is closest to res.
-func (db *DB) Nearest(cfg spec.Config, res resource.Vector) (*Record, bool) {
-	l, err := db.lattice(cfg)
-	if err != nil {
-		return nil, false
+	keys := make([]string, 0, len(p.records))
+	for k := range p.records {
+		keys = append(keys, k)
 	}
-	return l.Nearest(res)
+	sort.Strings(keys)
+	recs := make([]*Record, len(keys))
+	for i, k := range keys {
+		recs[i] = p.records[k]
+	}
+	p.compiled.CompareAndSwap(nil, Compile(p.config, mode, recs))
+	return p.compiled.Load()
 }
 
 // Predict estimates the metrics cfg would achieve under resource

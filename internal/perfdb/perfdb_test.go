@@ -1,6 +1,7 @@
 package perfdb
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -187,15 +188,28 @@ func TestConfigsSorted(t *testing.T) {
 	}
 }
 
+// nearestRecord is the record the lattice's nearest-sample fallback
+// answers res with, or nil.
+func nearestRecord(l *Lattice, res resource.Vector) *Record {
+	row, ok := l.nearest(res)
+	if !ok {
+		return nil
+	}
+	return l.recs[row]
+}
+
 func TestNearest(t *testing.T) {
 	db := New(testApp())
 	db.Add(cfgN(1), res(0.2), spec.Metrics{"t": 2})
 	db.Add(cfgN(1), res(0.9), spec.Metrics{"t": 9})
-	rec, ok := db.Nearest(cfgN(1), res(0.3))
-	if !ok || rec.Metrics["t"] != 2 {
+	l, err := db.Lattice(cfgN(1).Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := nearestRecord(l, res(0.3)); rec == nil || rec.Metrics["t"] != 2 {
 		t.Fatalf("nearest %+v", rec)
 	}
-	if _, ok := db.Nearest(cfgN(3), res(0.3)); ok {
-		t.Fatal("nearest on empty profile")
+	if _, err := db.Lattice(cfgN(3).Key()); !errors.Is(err, ErrNoProfile) {
+		t.Fatalf("lattice of an empty profile: %v, want ErrNoProfile", err)
 	}
 }

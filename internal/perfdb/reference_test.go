@@ -32,8 +32,14 @@ func refRecords(p *configProfile) []*Record {
 }
 
 func refGrid(p *configProfile) *resource.Grid {
-	kinds := make([]resource.Kind, 0, len(p.dims))
-	for k := range p.dims {
+	dims := map[resource.Kind]bool{}
+	for _, rec := range p.records {
+		for k := range rec.Resources {
+			dims[k] = true
+		}
+	}
+	kinds := make([]resource.Kind, 0, len(dims))
+	for k := range dims {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
@@ -278,7 +284,7 @@ func randomQuery(rng *rand.Rand, axes []resource.Axis) resource.Vector {
 
 // TestLatticeMatchesReference is the differential test of the compiled
 // profile: over seeded random databases and queries, in both predict
-// modes, DB.Predict, Nearest and Records answer bit-for-bit what the
+// modes, DB.Predict, the lattice's nearest record and Records answer bit-for-bit what the
 // reference walk answers.
 func TestLatticeMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
@@ -309,7 +315,7 @@ func TestLatticeMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d mode %d query %s: PredictInto: %v", seed, mode, q, err)
 				}
 				wantRec, _ := refNearest(p, q)
-				if gotRec, _ := db.Nearest(cfgN(1), q); gotRec != wantRec {
+				if gotRec := nearestRecord(l, q); gotRec != wantRec {
 					t.Fatalf("seed %d query %s: nearest %v, reference %v", seed, q, gotRec, wantRec)
 				}
 			}

@@ -25,6 +25,11 @@
 //     (MergeSweep).
 //   - PerfStore keeps the compiled lattice (prior ∪ overlay) of each
 //     configuration it has read; a fold recompiles and republishes it.
+//     The overlay's records carry the same resource.Vector and
+//     spec.Metrics as perfdb's, so the merge is one pass over the prior
+//     lattice's records and the overlay's, both in resource-key order
+//     (the overlay's wins on an equal key), handed to perfdb.Compile —
+//     the same compile the offline database runs.
 //
 // PerfStore implements perfdb.Model, so the resource scheduler and the
 // core framework run unchanged over either the offline database or the

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tunable/internal/perfdb"
 )
 
 // FuzzWALRecover feeds arbitrary bytes to OpenWAL as the one file of a
@@ -14,7 +16,9 @@ import (
 // or it recovers a state that a reopen reproduces byte for byte, holds at
 // most one record per two input bytes (the allocation bound of this
 // decoder), files no records under an empty key (as log replay refuses
-// to), and whose every key either compiles to a lattice or errors.
+// to), and whose every key either compiles to a lattice or errors, over no
+// prior and over testPrior (so the fuzzer reaches the merge of prior and
+// overlay records, not only the overlay-only compile).
 func FuzzWALRecover(f *testing.F) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
@@ -47,6 +51,7 @@ func FuzzWALRecover(f *testing.F) {
 		snap.Bytes(),
 		[]byte(`{"version":1,"profiles":[null]}`),
 		[]byte(`{"version":1,"profiles":[{"config":"","version":1,"records":[{"resources":{"bandwidth":1},"metrics":{"time":1},"weight":1,"samples":1}]}]}`),
+		[]byte(repeatedKeySnapshot),
 	} {
 		f.Add(append([]byte{0}, file...))
 	}
@@ -77,13 +82,16 @@ func FuzzWALRecover(f *testing.F) {
 		if records > len(data)/2 {
 			t.Fatalf("recovered %d records from %d bytes", records, len(data))
 		}
-		ps, err := New(testApp(t), nil, s, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range s.Keys() {
-			if l, err := ps.Lattice(k); err == nil && l == nil {
-				t.Fatalf("key %q: neither a lattice nor an error", k)
+		app := testApp(t)
+		for _, prior := range []*perfdb.DB{nil, testPrior(t, app)} {
+			ps, err := New(app, prior, s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range s.Keys() {
+				if l, err := ps.Lattice(k); err == nil && l == nil {
+					t.Fatalf("key %q: neither a lattice nor an error", k)
+				}
 			}
 		}
 		var first bytes.Buffer

@@ -56,8 +56,8 @@ func MergeSweep(store *Store, sweep *perfdb.DB) (MergeStats, error) {
 				st.Merged++
 			} else {
 				p.Records = append(p.Records, profileRecord{
-					Resources: resourcesFrom(rec.Resources),
-					Metrics:   map[string]float64(rec.Metrics.Clone()),
+					Resources: rec.Resources.Clone(),
+					Metrics:   rec.Metrics.Clone(),
 					Weight:    w,
 					Samples:   int64(rec.Samples),
 				})
@@ -68,7 +68,6 @@ func MergeSweep(store *Store, sweep *perfdb.DB) (MergeStats, error) {
 		if !changed {
 			continue
 		}
-		p.normalize()
 		p.Version++
 		if err := store.Save(p); err != nil {
 			return st, fmt.Errorf("perfstore: merge save %s: %w", key, err)

@@ -1,6 +1,7 @@
 package perfstore
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -184,42 +185,55 @@ func (s *PerfStore) load(configKey string) *profile {
 // configuration: the prior's records wherever the overlay is silent, the
 // overlay's records where it speaks (override, not average), giving
 // Predict the full interpolation/nearest machinery over the merged
-// lattice. Compiling here, once per cold read or fold, keeps the warm read
-// path to a map lookup plus the lattice query, and hands concurrent readers
-// a finished, immutable lattice. It is nil when there are no records at all.
+// lattice. Both record lists are in resource-key order, so one linear pass
+// merges them, sharing the prior lattice's records and the overlay's maps
+// (the overlay is the caller's private copy). Compiling here, once per
+// cold read or fold, keeps the warm read path to a map lookup plus the
+// lattice query, and hands concurrent readers a finished, immutable
+// lattice. It is nil when there are no records at all.
 func (s *PerfStore) materialize(configKey string, overlay *profile) (*perfdb.Lattice, error) {
 	cfg, err := s.app.ParseConfigKey(configKey)
 	if err != nil {
 		return nil, fmt.Errorf("perfstore: materialize: %w", err)
 	}
-	db := perfdb.New(s.app)
+	mode := perfdb.Interpolate
+	var prior []*perfdb.Record
 	if s.prior != nil {
-		db.SetMode(s.prior.Mode())
+		mode, prior = s.prior.Mode(), s.prior.Records(cfg)
 	}
-	overlaid := make(map[string]bool, len(overlay.Records))
-	for i := range overlay.Records {
-		overlaid[overlay.Records[i].resKey()] = true
-	}
-	if s.prior != nil {
-		for _, rec := range s.prior.Records(cfg) {
-			if overlaid[rec.Resources.Key()] {
-				continue
-			}
-			if err := db.Add(cfg, rec.Resources, rec.Metrics); err != nil {
-				return nil, err
-			}
+	// What the store holds came from disk: refuse a record the model could
+	// not have produced.
+	if len(overlay.Records) > 0 {
+		if err := s.app.ValidateConfig(cfg); err != nil {
+			return nil, fmt.Errorf("perfstore: materialize: %w", err)
 		}
 	}
+	own := make([]perfdb.Record, len(overlay.Records))
+	recs := make([]*perfdb.Record, 0, len(prior)+len(overlay.Records))
+	var pbuf, obuf [96]byte
+	next := 0 // the first prior record not yet merged
 	for i := range overlay.Records {
 		r := &overlay.Records[i]
-		if err := db.Add(cfg, r.Vector(), metricsOf(r.Metrics)); err != nil {
-			return nil, err
+		for name := range r.Metrics {
+			if s.app.Metric(name) == nil {
+				return nil, fmt.Errorf("perfstore: materialize %s: unknown metric %q", configKey, name)
+			}
 		}
+		own[i] = perfdb.Record{Resources: r.Resources, Metrics: r.Metrics, Samples: int(r.Samples)}
+		key := r.Resources.AppendKey(obuf[:0])
+		for ; next < len(prior); next++ {
+			c := bytes.Compare(prior[next].Resources.AppendKey(pbuf[:0]), key)
+			if c > 0 {
+				break
+			}
+			if c < 0 {
+				recs = append(recs, prior[next])
+			} // equal: the overlay's record replaces the prior's
+		}
+		recs = append(recs, &own[i])
 	}
-	if db.Len() == 0 {
-		return nil, nil
-	}
-	return db.Lattice(cfg.Key())
+	recs = append(recs, prior[next:]...)
+	return perfdb.Compile(cfg, mode, recs), nil
 }
 
 // Predict implements perfdb.Model over the configuration's compiled
@@ -377,8 +391,8 @@ func (s *PerfStore) fold(sample *Sample) (float64, error) {
 
 // foldInto merges one observation into a profile at its resource point —
 // exponentially weighted refinement of an existing record, or a new
-// record extending the lattice — and returns the largest relative
-// movement it applied.
+// record extending the lattice, which keeps res (the caller's own copy) —
+// and returns the largest relative movement it applied.
 func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, alpha float64) float64 {
 	rk := res.Key()
 	if i := p.find(rk); i >= 0 {
@@ -402,8 +416,8 @@ func (s *PerfStore) foldInto(p *profile, res resource.Vector, obs spec.Metrics, 
 		return maxDelta
 	}
 	p.Records = append(p.Records, profileRecord{
-		Resources: resourcesFrom(res),
-		Metrics:   map[string]float64(obs.Clone()),
+		Resources: res,
+		Metrics:   obs.Clone(),
 		Weight:    1,
 		Samples:   1,
 	})

@@ -15,8 +15,8 @@ import (
 // the profiled prior at the same resource point; records at resource
 // points the prior never swept extend the lattice.
 type profileRecord struct {
-	Resources map[string]float64 `json:"resources"`
-	Metrics   map[string]float64 `json:"metrics"`
+	Resources resource.Vector `json:"resources"`
+	Metrics   spec.Metrics    `json:"metrics"`
 	// Weight is the effective sample mass behind Metrics under the EW
 	// update (w' = 1 + (1-α)·w): it saturates at 1/α and is what sweep
 	// merges weigh against.
@@ -24,20 +24,6 @@ type profileRecord struct {
 	// Samples counts live samples folded into this record.
 	Samples int64 `json:"samples"`
 }
-
-// Vector returns the record's resource point as a resource.Vector.
-func (r *profileRecord) Vector() resource.Vector {
-	v := make(resource.Vector, len(r.Resources))
-	for k, x := range r.Resources {
-		v[resource.Kind(k)] = x
-	}
-	return v
-}
-
-// resKey is the canonical map key of the record's resource point,
-// quantized identically to perfdb's record keys so overlay records line up
-// with prior records.
-func (r *profileRecord) resKey() string { return r.Vector().Key() }
 
 // profile is the persisted refined overlay for one configuration. It holds
 // only what live telemetry changed or added — the profiled prior shows
@@ -58,50 +44,69 @@ func (p *profile) Clone() *profile {
 	out := &profile{ConfigKey: p.ConfigKey, Version: p.Version}
 	out.Records = make([]profileRecord, len(p.Records))
 	for i, r := range p.Records {
-		nr := profileRecord{
-			Resources: make(map[string]float64, len(r.Resources)),
-			Metrics:   make(map[string]float64, len(r.Metrics)),
+		out.Records[i] = profileRecord{
+			Resources: r.Resources.Clone(),
+			Metrics:   r.Metrics.Clone(),
 			Weight:    r.Weight,
 			Samples:   r.Samples,
 		}
-		for k, v := range r.Resources {
-			nr.Resources[k] = v
-		}
-		for k, v := range r.Metrics {
-			nr.Metrics[k] = v
-		}
-		out.Records[i] = nr
 	}
 	return out
 }
 
 // find returns the index of the record at the given canonical resource
-// key, or -1.
+// key, or -1. Each record's key is rendered into one stack buffer.
 func (p *profile) find(resKey string) int {
+	var buf [96]byte
 	for i := range p.Records {
-		if p.Records[i].resKey() == resKey {
+		if string(p.Records[i].Resources.AppendKey(buf[:0])) == resKey {
 			return i
 		}
 	}
 	return -1
 }
 
-// normalize sorts records into canonical (resource key) order.
-func (p *profile) normalize() {
-	sort.Slice(p.Records, func(i, j int) bool {
-		return p.Records[i].resKey() < p.Records[j].resKey()
-	})
+// normalize sorts records into canonical (resource key) order and returns
+// their keys in that order; each key is built once.
+func (p *profile) normalize() []string {
+	keys := make([]string, len(p.Records))
+	for i := range p.Records {
+		keys[i] = p.Records[i].Resources.Key()
+	}
+	sort.Sort(byResKey{keys, p.Records})
+	return keys
 }
 
-// check rejects a decoded profile the store cannot hold: a JSON null, or
-// records with no configuration key to file them under. Snapshot and log
-// replay both pass through it.
+// byResKey sorts records by their precomputed resource keys.
+type byResKey struct {
+	keys []string
+	recs []profileRecord
+}
+
+func (b byResKey) Len() int           { return len(b.keys) }
+func (b byResKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byResKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.recs[i], b.recs[j] = b.recs[j], b.recs[i]
+}
+
+// check rejects a decoded profile the store cannot hold — a JSON null,
+// records with no configuration key to file them under, or two records at
+// one resource key (a fold refines only the first, and the lattice reads
+// their mean) — and leaves the records in canonical order. Snapshot and
+// log replay both pass through it.
 func (p *profile) check() error {
 	if p == nil {
 		return fmt.Errorf("perfstore: null profile")
 	}
 	if p.ConfigKey == "" && len(p.Records) > 0 {
 		return fmt.Errorf("perfstore: profile with records but no config key")
+	}
+	keys := p.normalize()
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("perfstore: profile %s holds two records at %s", p.ConfigKey, keys[i])
+		}
 	}
 	return nil
 }
@@ -116,24 +121,5 @@ func decodeProfile(b []byte) (*profile, error) {
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	p.normalize()
 	return p, nil
-}
-
-// metricsOf converts a record's metric map to spec.Metrics.
-func metricsOf(m map[string]float64) spec.Metrics {
-	out := make(spec.Metrics, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// resourcesFrom converts a resource.Vector to the profile's portable map.
-func resourcesFrom(v resource.Vector) map[string]float64 {
-	out := make(map[string]float64, len(v))
-	for k, x := range v {
-		out[string(k)] = x
-	}
-	return out
 }

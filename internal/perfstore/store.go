@@ -29,7 +29,6 @@ type Store struct {
 	cur      *os.File // active log segment; nil for a memory store
 	curSeq   int
 	curBytes int64
-	walBytes int64 // bytes across all live segments
 	closed   bool
 }
 
@@ -63,12 +62,15 @@ func (s *Store) keysLocked() []string {
 	return keys
 }
 
-// Save stores a copy of the profile (full replace under its ConfigKey).
-// On a log-backed store it appends a WAL record first, then rotates or
-// compacts when the bounds say so.
+// Save stores a copy of the profile (full replace under its ConfigKey),
+// refusing one that recovery would refuse. On a log-backed store it
+// appends a WAL record first, then rotates or compacts when the bounds say
+// so.
 func (s *Store) Save(p *profile) error {
 	c := p.Clone()
-	c.normalize()
+	if err := c.check(); err != nil {
+		return err
+	}
 	var rec []byte
 	if s.dir != "" {
 		var err error
@@ -86,7 +88,6 @@ func (s *Store) Save(p *profile) error {
 			return fmt.Errorf("perfstore: append: %w", err)
 		}
 		s.curBytes += int64(len(rec))
-		s.walBytes += int64(len(rec))
 	}
 	s.profiles[c.ConfigKey] = c
 	s.version++
@@ -94,14 +95,6 @@ func (s *Store) Save(p *profile) error {
 		return nil
 	}
 	return s.boundLogLocked()
-}
-
-// WalBytes reports the bytes held in live log segments (compaction resets
-// it, and a memory store holds none).
-func (s *Store) WalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walBytes
 }
 
 // Snapshot writes the canonical snapshot bytes of the current state —

@@ -148,7 +148,6 @@ func (s *Store) recover() error {
 			if err := p.check(); err != nil {
 				return fmt.Errorf("perfstore: snapshot %016x: %w", bestSnap, err)
 			}
-			p.normalize()
 			s.profiles[p.ConfigKey] = p
 		}
 		s.version = sf.Version
@@ -216,7 +215,6 @@ func (s *Store) replaySegment(seq int, last bool) error {
 			return fmt.Errorf("perfstore: truncate torn tail: %w", err)
 		}
 	}
-	s.walBytes += int64(off)
 	return nil
 }
 
@@ -324,7 +322,7 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("perfstore: compact: %w", err)
 	}
-	s.cur, s.curBytes, s.walBytes = nf, 0, 0
+	s.cur, s.curBytes = nf, 0
 	return nil
 }
 

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tunable/internal/resource"
+	"tunable/internal/spec"
 )
 
 func walProfile(key string, version uint64, bw, tm float64) *profile {
@@ -15,8 +18,8 @@ func walProfile(key string, version uint64, bw, tm float64) *profile {
 		ConfigKey: key,
 		Version:   version,
 		Records: []profileRecord{{
-			Resources: map[string]float64{"bandwidth": bw},
-			Metrics:   map[string]float64{"time": tm},
+			Resources: resource.Vector{resource.Bandwidth: bw},
+			Metrics:   spec.Metrics{"time": tm},
 			Weight:    1,
 			Samples:   1,
 		}},
@@ -151,6 +154,26 @@ func TestWALCorruptPayloadDropped(t *testing.T) {
 	}
 }
 
+// segmentBytes is the size of the live log segments in dir.
+func segmentBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), segPrefix) {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += info.Size()
+		}
+	}
+	return n
+}
+
 func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record rotates, and compaction triggers after 3
@@ -184,8 +207,8 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	if segs > 3 {
 		t.Fatalf("%d segments on disk after compaction, want <= 3", segs)
 	}
-	if w.WalBytes() == 0 && segs > 1 {
-		t.Fatal("WalBytes claims empty WAL with live segments")
+	if segmentBytes(t, dir) == 0 && segs > 1 {
+		t.Fatal("live segments hold no bytes")
 	}
 	version := w.version
 	w.Close()
@@ -220,14 +243,14 @@ func TestWALExplicitCompactEmptiesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.WalBytes() == 0 {
+	if segmentBytes(t, dir) == 0 {
 		t.Fatal("expected live WAL bytes before compaction")
 	}
 	if err := w.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.WalBytes(); got != 0 {
-		t.Fatalf("WalBytes after compact = %d, want 0", got)
+	if got := segmentBytes(t, dir); got != 0 {
+		t.Fatalf("segment bytes after compact = %d, want 0", got)
 	}
 	var snap bytes.Buffer
 	if err := w.Snapshot(&snap); err != nil {
@@ -258,3 +281,86 @@ func TestMemStoreIsolation(t *testing.T) {
 		t.Fatal("Load did not copy the profile")
 	}
 }
+
+// TestParentWALBytes pins the on-disk format against files an earlier
+// build wrote (testdata/parent.log, one log segment of a sweep merge and
+// live folds over two resource kinds; testdata/parent-snap.json, the
+// snapshot of the state it leaves): every log record decodes and
+// re-encodes to its own bytes, and the log replayed and the snapshot
+// reopened both snapshot back to parent-snap.json.
+func TestParentWALBytes(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("testdata", "parent.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join("testdata", "parent-snap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for off := 0; off < len(seg); records++ {
+		n := int(binary.LittleEndian.Uint32(seg[off:]))
+		rec := seg[off : off+walRecordHeader+n]
+		p, err := decodeProfile(rec[walRecordHeader:])
+		if err != nil {
+			t.Fatalf("record at offset %d: %v", off, err)
+		}
+		again, err := walRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, rec) {
+			t.Fatalf("record at offset %d re-encodes as\n%s\nnot\n%s", off, again[walRecordHeader:], rec[walRecordHeader:])
+		}
+		off += len(rec)
+	}
+	if records != 24 {
+		t.Fatalf("%d log records, want 24", records)
+	}
+	for name, file := range map[string][]byte{
+		"wal-00000001.log":           seg,
+		"snap-0000000000000018.json": snap,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenWAL(dir, WALOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out bytes.Buffer
+		if err := s.Snapshot(&out); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if !bytes.Equal(out.Bytes(), snap) {
+			t.Fatalf("%s recovers to\n%s\nnot\n%s", name, out.Bytes(), snap)
+		}
+	}
+}
+
+// TestRepeatedResourceKeyRefused: two records of one profile at resource
+// points that share a canonical key (50000 and 50000.0000001) make a state
+// no fold writes — the lattice would read their mean and a fold would
+// refine only the first — so recovery refuses the snapshot holding it,
+// and Save refuses the profile.
+func TestRepeatedResourceKeyRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.json"), []byte(repeatedKeySnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenWAL(dir, WALOptions{}); err == nil {
+		s.Close()
+		t.Fatal("recovered a profile holding two records at one resource key")
+	}
+	p := walProfile("codec=lzw,level=1", 1, 50e3, 10)
+	p.Records = append(p.Records, walProfile("", 0, 50e3*(1+2e-12), 30).Records...)
+	if err := NewMemStore().Save(p); err == nil {
+		t.Fatal("saved a profile holding two records at one resource key")
+	}
+}
+
+const repeatedKeySnapshot = `{"version":1,"profiles":[{"config":"codec=lzw,level=1","version":1,"records":[` +
+	`{"resources":{"bandwidth":50000},"metrics":{"time":10},"weight":1,"samples":1},` +
+	`{"resources":{"bandwidth":50000.0000001},"metrics":{"time":30},"weight":1,"samples":1}]}]}`

@@ -98,6 +98,16 @@ run_unit() {
 		-run '^(TestApplyDeltas|TestDeltaFrameDispatch|TestAgentRejoinsWhenForgotten|TestCoordinatorRefusesRetiredTags)$' \
 		./internal/cluster
 
+	# The live performance store publishes lattices compiled from records
+	# it shares with the prior's lattice while readers query them; its
+	# concurrent ingest, single-flight load, fold-while-predicting and
+	# refine-callback tests repeat under the race detector (a few seconds
+	# in all).
+	echo "== go test -race -count=20 $* -run <concurrent store> ./internal/perfstore (repeat gate)"
+	go test -race -count=20 -timeout 10m "$@" \
+		-run '^(TestConcurrentIngestAndPredict|TestSingleFlightLoad|TestPredictStableWhileFolding|TestOnRefineMayReadModel)$' \
+		./internal/perfstore
+
 	# The race detector slows the channel-heavy virtual-time experiments
 	# well past the default 10m per-package test timeout, so raise it;
 	# wall-clock cost is still dominated by internal/expt (skippable with
