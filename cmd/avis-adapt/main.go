@@ -45,7 +45,7 @@ func main() {
 	printEvents := func(evs []core.Event) {
 		if *events {
 			for _, ev := range evs {
-				fmt.Printf("  %-12v %-12s %s\n", ev.At, ev.Kind, ev.Detail)
+				fmt.Printf("  %-12v %-12s %s\n", ev.At, ev.Kind, ev.Detail())
 			}
 			fmt.Println()
 		}

@@ -7,18 +7,17 @@
 // arbitrate between them.
 //
 // Two applications are implemented: Video, a frame-rate-adaptive stream
-// (the motivating example from the paper's introduction), and
-// Foveal, the paper's active visualization session (internal/avis). The
-// Harness runs a seeded mix of both classes under admission control
-// (scheduler.Admission for host CPU, scheduler.Arbiter for cross-class
-// shares of the link pool), with per-class tuning agents re-planning each
-// session through the scheduler as contention and injected faults move
-// the resources underneath it.
+// (the motivating example from the paper's introduction), and Foveal, the
+// paper's active visualization session (internal/avis). RunMix runs a
+// seeded mix of both classes under admission control (scheduler.Admission
+// for host CPU, scheduler.Arbiter for cross-class shares of the link
+// pool). Each session decides through its own core.Framework over its
+// class's scheduler, which a retuner drives as contention and injected
+// faults move the resources underneath it.
 package apps
 
 import (
 	"fmt"
-	"time"
 
 	"tunable/internal/netem"
 	"tunable/internal/perfdb"
@@ -90,27 +89,6 @@ type Application interface {
 	// Verdict judges a finished session's metrics against the class's
 	// service objective.
 	Verdict(m spec.Metrics) QoS
-}
-
-// clientShare extracts the client-component CPU share from an
-// application's demand map (the share its tuning agent plans against).
-func clientShare(app Application) float64 {
-	if d, ok := app.Demand()["client"]; ok {
-		return d.Get(resource.CPU, 1.0)
-	}
-	return 1.0
-}
-
-// meanDuration is a shared helper for averaging per-round durations.
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
 }
 
 // validateMetrics checks that an application's Run returned exactly the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tunable/internal/core"
 	"tunable/internal/netem"
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
@@ -225,7 +226,9 @@ func TestDemandAllocatesNothing(t *testing.T) {
 // contention flag have not moved since its last plan is not planned again
 // — the retuner's plan selects nothing, allocates nothing and sends
 // nothing — while a moved link bandwidth or client share is planned
-// afresh. Both classes hold grants, so every plan goes through the
+// afresh. A plan sends only a choice that differs from the session's
+// target, so a first plan that keeps the default configuration sends
+// nothing. Both classes hold grants, so every plan goes through the
 // arbiter's clamp and is derated, and each one counts as a derated plan,
 // skipped or not.
 func TestReplanSkipsUnchangedInputs(t *testing.T) {
@@ -257,9 +260,13 @@ func TestReplanSkipsUnchangedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fw, err := core.New(sim, core.Config{Scheduler: sched, Steering: steer})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := &harness{sim: sim, arb: arb}
 	cr := &classRun{cfg: ClassConfig{App: app}, sched: sched}
-	s := &session{class: cr, link: netem.NewLink(sim, "data:video", 48e3), steer: steer, share: clientShare(app)}
+	s := &session{class: cr, link: netem.NewLink(sim, "data:video", 300e3), fw: fw, share: app.Demand()["client"].Get(resource.CPU, 1)}
 	sent := func() (n int) {
 		for {
 			if _, ok, ready := steer.Control().TryRecv(); !ok || !ready {
@@ -279,16 +286,16 @@ func TestReplanSkipsUnchangedInputs(t *testing.T) {
 	}
 
 	h.plan(s)
-	check("first plan", 1, 1)
+	check("first plan", 1, 0) // 300 kB/s keeps the default fps=15
 	if n := testing.AllocsPerRun(20, func() { h.plan(s) }); n != 0 {
 		t.Errorf("a plan with unchanged inputs allocates %v times, want 0", n)
 	}
 	check("unchanged inputs", 1, 0)
-	if err := s.link.SetBandwidth(300e3); err != nil {
+	if err := s.link.SetBandwidth(48e3); err != nil {
 		t.Fatal(err)
 	}
 	h.plan(s)
-	check("bandwidth moved", 2, 1) // 48 -> 300 kB/s affords a richer stream
+	check("bandwidth moved", 2, 1) // at 48 kB/s only best effort is feasible: fps=30
 	s.share /= 2
 	h.plan(s)
 	if got := selections(); got != 3 {

@@ -125,7 +125,7 @@ func ExampleVideo() {
 	}
 	fmt.Println("\nframework decision log:")
 	for _, e := range fw.Events() {
-		fmt.Printf("  [%6.2fs] %-11s %s\n", e.At.Seconds(), e.Kind, e.Detail)
+		fmt.Printf("  [%6.2fs] %-11s %s\n", e.At.Seconds(), e.Kind, e.Detail())
 	}
 	fmt.Printf("\nframework switches: %d, final config: %s\n",
 		steer.Switches(), steer.Current().Key())

@@ -200,17 +200,14 @@ func (f *Foveal) Run(p *vtime.Proc, env *SessionEnv) (spec.Metrics, error) {
 	// Aggregate per-image stats into the session's QoS metrics: worst
 	// transmit time (the deadline is per image), mean response time, and
 	// the resolution of the last image (where steering has settled).
-	var worstTransmit time.Duration
-	var responses []time.Duration
+	var worstTransmit, responses time.Duration
 	for _, st := range stats {
-		if st.TransmitTime > worstTransmit {
-			worstTransmit = st.TransmitTime
-		}
-		responses = append(responses, st.AvgResponse)
+		worstTransmit = max(worstTransmit, st.TransmitTime)
+		responses += st.AvgResponse
 	}
 	return spec.Metrics{
 		"transmit_time": worstTransmit.Seconds(),
-		"response_time": meanDuration(responses).Seconds(),
+		"response_time": (responses / time.Duration(len(stats))).Seconds(),
 		"resolution":    float64(stats[len(stats)-1].Level),
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"tunable/internal/core"
 	"tunable/internal/faults"
 	"tunable/internal/netem"
 	"tunable/internal/prng"
@@ -49,7 +50,7 @@ const (
 	hostSpeed = 450e6
 	// deratedMargin is the planning margin applied while classes contend.
 	deratedMargin = 0.2
-	// retunePeriod is how often the per-class tuning agents re-plan active
+	// retunePeriod is how often the retuner runs the decision pass of active
 	// sessions.
 	retunePeriod = 500 * time.Millisecond
 )
@@ -103,8 +104,9 @@ type MixReport struct {
 
 // classRun is one class's live state inside a run.
 type classRun struct {
-	cfg   ClassConfig
-	sched *scheduler.Scheduler
+	cfg     ClassConfig
+	sched   *scheduler.Scheduler
+	initial spec.Config // every session's steering agent starts in it
 
 	rejected int
 	failed   int
@@ -119,14 +121,11 @@ type classRun struct {
 // session is one admitted-or-not workload instance; the retuner walks
 // these in creation order, which is deterministic.
 type session struct {
-	id      string
-	class   *classRun
-	link    *netem.Link
-	env     *SessionEnv
-	steer   *steering.Agent
-	lastCfg spec.Config
-	share   float64
-	active  bool
+	id    string
+	class *classRun
+	link  *netem.Link
+	fw    *core.Framework // decides for the session while it runs; nil before and after
+	share float64         // the client CPU share the session plans against
 
 	// res is the vector the session plans with, kept between plans (nil
 	// before the first): the values it holds when a plan starts are the
@@ -147,7 +146,6 @@ type harness struct {
 	sessions  []*session
 	remaining int
 	contended bool
-	seq       int64
 }
 
 // RunMix executes one seeded mixed workload to completion in virtual time
@@ -207,6 +205,7 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 		h.classes = append(h.classes, &classRun{
 			cfg:      cc,
 			sched:    sched,
+			initial:  cc.App.DefaultConfig(),
 			observed: map[string][]float64{},
 			reasons:  map[string]int{},
 		})
@@ -222,7 +221,7 @@ func RunMix(cfg HarnessConfig) (*MixReport, error) {
 			id := fmt.Sprintf("%s:s-%04d", cr.cfg.App.Class(), i)
 			link := netem.NewLink(h.sim, "data:"+id, cr.cfg.App.LinkDemand())
 			links["data:"+id] = link
-			s := &session{id: id, class: cr, link: link, share: clientShare(cr.cfg.App)}
+			s := &session{id: id, class: cr, link: link, share: cr.cfg.App.Demand()["client"].Get(resource.CPU, 1)}
 			h.sessions = append(h.sessions, s)
 			h.remaining++
 			// Seeded jitter on top of the nominal gap keeps arrivals from
@@ -286,35 +285,27 @@ func (h *harness) runSession(p *vtime.Proc, s *session, arrive time.Duration, se
 	}
 	defer resv.Release()
 
-	client, ok := resv.Sandbox("client")
-	if !ok {
+	client, okc := resv.Sandbox("client")
+	server, oks := resv.Sandbox("server")
+	if !okc || !oks {
 		s.class.failed++
-		s.class.reasons["failed:no-client-sandbox"]++
-		return
-	}
-	server, ok := resv.Sandbox("server")
-	if !ok {
-		s.class.failed++
-		s.class.reasons["failed:no-server-sandbox"]++
+		s.class.reasons["failed:no-sandbox"]++
 		return
 	}
 
-	steer, err := steering.New(h.sim, app.Spec(), app.DefaultConfig())
+	steer, err := steering.New(h.sim, app.Spec(), s.class.initial)
+	if err == nil {
+		s.fw, err = core.New(h.sim, core.Config{Scheduler: s.class.sched, Steering: steer})
+	}
 	if err != nil {
 		s.class.failed++
 		s.class.reasons["failed:steering"]++
 		return
 	}
-	s.steer = steer
-	s.env = &SessionEnv{
-		Sim: h.sim, Link: s.link,
-		Client: client, Server: server,
-		Steer: steer, Seed: seed,
-	}
-	s.active = true
 	h.plan(s) // initial decision before the first transition point
-	m, err := app.Run(p, s.env)
-	s.active = false
+	env := &SessionEnv{Sim: h.sim, Link: s.link, Client: client, Server: server, Steer: steer, Seed: seed}
+	m, err := app.Run(p, env)
+	s.fw = nil
 	s.class.switches += steer.Switches()
 	if err == nil {
 		err = validateMetrics(app, m)
@@ -364,14 +355,13 @@ func (h *harness) place(demand map[string]resource.Vector) []scheduler.Placement
 	return pls
 }
 
-// plan runs one scheduling decision for the session and, if it changes the
-// configuration, pushes a control message for the session's steering agent
-// to apply at its next transition point. While classes contend the plan is
-// derated on top of the arbiter's guarantee clamp. The class's model is a
-// static database, so the decision is a function of the clamped vector and
-// the contention flag alone: when both equal the last plan's exactly, the
-// decision would be the last one, which was either infeasible or sent
-// already, and plan returns before selecting.
+// plan runs the session framework's decision pass at the link's bandwidth
+// and the client share, clamped by the arbiter, derated while classes
+// contend. The class's model is a static database, so the decision is a
+// function of the clamped vector and the contention flag alone: when both
+// equal the last plan's exactly, the decision would be the last one, which
+// was infeasible or is the session's target already, and plan returns
+// before selecting.
 func (h *harness) plan(s *session) {
 	first := s.res == nil
 	if first {
@@ -391,22 +381,11 @@ func (h *harness) plan(s *session) {
 		return
 	}
 	s.contended = contended
-	var d scheduler.Decision
-	var err error
+	margin := 0.0
 	if contended {
-		d, err = s.class.sched.SelectDerated(res, deratedMargin)
-	} else {
-		d, err = s.class.sched.Select(res)
+		margin = deratedMargin
 	}
-	if err != nil {
-		return // nothing feasible: hold the current configuration
-	}
-	if s.lastCfg != nil && d.Config.Equal(s.lastCfg) {
-		return
-	}
-	h.seq++
-	s.steer.Control().TrySend(steering.ControlMsg{Seq: h.seq, Config: d.Config, Reason: d.PrefName})
-	s.lastCfg = d.Config
+	_, _ = s.fw.Decide(res, margin) // nothing feasible: the session holds its configuration
 }
 
 // retune periodically re-plans every active session, in creation order,
@@ -416,7 +395,7 @@ func (h *harness) retune(p *vtime.Proc) {
 	for h.remaining > 0 {
 		p.Sleep(retunePeriod)
 		for _, s := range h.sessions {
-			if s.active {
+			if s.fw != nil {
 				h.plan(s)
 			}
 		}

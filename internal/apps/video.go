@@ -166,11 +166,10 @@ func (v *Video) profileRun(cfg spec.Config, res resource.Vector) (spec.Metrics, 
 // Run implements Application: an adaptive stream whose configuration
 // follows the steering agent.
 func (v *Video) Run(p *vtime.Proc, env *SessionEnv) (spec.Metrics, error) {
-	m := v.stream(p, env.Link, env.Client, env.Server, func(p *vtime.Proc) spec.Config {
+	return v.stream(p, env.Link, env.Client, env.Server, func(p *vtime.Proc) spec.Config {
 		cfg, _ := env.Steer.MaybeApply(p)
 		return cfg
-	})
-	return m, nil
+	}), nil
 }
 
 // stream pushes StreamSeconds of paced frames through the link, charging

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -263,11 +264,76 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sim, Config{Monitor: mon, Steering: steer}); err == nil {
 		t.Fatal("missing scheduler accepted")
 	}
-	if _, err := New(sim, Config{Scheduler: sched, Steering: steer}); err == nil {
-		t.Fatal("missing monitor accepted")
+	if _, err := New(sim, Config{Scheduler: sched, Monitor: mon}); err == nil {
+		t.Fatal("missing steering agent accepted")
+	}
+	// Without a monitor the framework decides only when Decide is called.
+	if _, err := New(sim, Config{Scheduler: sched, Steering: steer}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := New(sim, Config{Scheduler: sched, Monitor: mon, Steering: steer}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A refused switch must not silence the loop: the framework re-arms the
+// monitor around the configuration still active, so it proposes the switch
+// again and follows later resource changes.
+func TestRejectedSwitchKeepsLoopArmed(t *testing.T) {
+	r := buildRig(t)
+	vetoed := false
+	r.steer.SetVeto(func(cur, next spec.Config) bool {
+		if vetoed {
+			return true
+		}
+		vetoed = true
+		return false
+	})
+	if _, err := r.fw.SelectInitial(resource.Vector{resource.CPU: 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	r.fw.Start()
+	r.mon.Start()
+	r.appLoop(t, 100, 100*time.Millisecond)
+	r.sim.After(3*time.Second, func() { *r.truth = 0.4 })
+	r.sim.After(6*time.Second, func() { *r.truth = 1.0 })
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !vetoed || countEvents(r.fw, EventReject) != 1 {
+		t.Fatalf("the first switch was not refused once; events: %v", r.fw.Events())
+	}
+	if got, s := r.steer.Current()["n"].I, r.steer.Switches(); got != 3 || s < 2 {
+		t.Fatalf("final n=%d after %d switches, want n=3 after the drop's switch and the recovery's; events: %v",
+			got, s, r.fw.Events())
+	}
+}
+
+// A decision that returns to the active configuration while another
+// switch is in flight must cancel that switch, not let the stale one
+// apply at the next transition point.
+func TestReturnToActiveCancelsPendingSwitch(t *testing.T) {
+	r := buildRig(t)
+	if _, err := r.fw.SelectInitial(resource.Vector{resource.CPU: 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	r.fw.Start()
+	r.mon.Start()
+	r.appLoop(t, 3, 2*time.Second) // transition points at 2, 4 and 6 s
+	r.sim.After(2500*time.Millisecond, func() { *r.truth = 0.4 })
+	r.sim.After(2800*time.Millisecond, func() { *r.truth = 1.0 })
+	// The monitor is silent while a switch is in flight, so ask directly.
+	r.sim.After(3200*time.Millisecond, func() {
+		r.mon.Triggers().TrySend(monitor.Trigger{At: r.sim.Now(), Reason: "recheck"})
+	})
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if countEvents(r.fw, EventDecision) != 3 {
+		t.Fatalf("want the initial decision, the switch and its cancellation; events: %v", r.fw.Events())
+	}
+	if got, s := r.steer.Current()["n"].I, r.steer.Switches(); got != 3 || s != 0 {
+		t.Fatalf("final n=%d after %d switches, want n=3 and no switch; events: %v", got, s, r.fw.Events())
 	}
 }
 
@@ -282,6 +348,39 @@ func TestEventLog(t *testing.T) {
 	}
 	if countEvents(r.fw, EventDecision) != 1 {
 		t.Fatal("decision count")
+	}
+}
+
+// Decide sends a choice only when it differs from the target (the switch
+// in flight, else the active configuration), derates by its margin, and
+// logs an estimate of its own, not the caller's vector.
+func TestDecideSendsOnlyNewTargets(t *testing.T) {
+	r := buildRig(t) // n=3 active
+	res := resource.Vector{resource.CPU: 1.0}
+	decide := func(cpu, margin float64, wantSent bool) {
+		t.Helper()
+		res[resource.CPU] = cpu
+		if sent, err := r.fw.Decide(res, margin); err != nil || sent != wantSent {
+			t.Fatalf("Decide at cpu %v margin %v: sent %v, %v; want sent %v", cpu, margin, sent, err, wantSent)
+		}
+	}
+	decide(1.0, 0, false)   // n=3 is active
+	decide(0.4, 0, true)    // n=1
+	decide(0.4, 0, false)   // n=1 is in flight
+	decide(1.0, 0.4, true)  // plans at 0.6: n=2
+	decide(1.0, 0, true)    // back to n=3, cancelling n=2
+	res[resource.CPU] = 0.7 // the caller reuses its vector
+	var got []string
+	for _, e := range r.fw.Events() {
+		got = append(got, e.Detail()+" @ "+e.Estimate.String())
+	}
+	want := []string{
+		`n=3 -> n=1 (pref "deadline", predicted map[q:1 t:2.5]) @ cpu=0.4`,
+		`n=1 -> n=2 (pref "deadline", predicted map[q:2 t:3.3333333333333335]) @ cpu=1`, // predicted at the derated 0.6
+		`n=2 -> n=3 (pref "deadline", predicted map[q:3 t:3]) @ cpu=1`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tunable/internal/apps"
+	"tunable/internal/core"
 	"tunable/internal/monitor"
 	"tunable/internal/perfdb"
 	"tunable/internal/resource"
@@ -79,7 +80,7 @@ func TestArmedRegionIsTheDecisionRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fw, err := New(sim, Config{Scheduler: sched, Monitor: mon, Steering: steer})
+		fw, err := core.New(sim, core.Config{Scheduler: sched, Monitor: mon, Steering: steer})
 		if err != nil {
 			t.Fatal(err)
 		}

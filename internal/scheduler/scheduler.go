@@ -128,12 +128,13 @@ func (s *Scheduler) Select(res resource.Vector) (Decision, error) {
 }
 
 // SelectDerated derates every resource estimate by margin (0.2 plans
-// against 80% of each estimate) before selecting. The mix harness
-// (internal/apps) calls it instead of Select while classes contend for
-// the arbiter's pools, when a session's estimate is a share other classes
-// may claim: the conservative failure mode is a configuration that
-// underuses real resources, not one that overcommits imaginary ones. No
-// monitoring agent calls it. margin is clamped to [0, 1).
+// against 80% of each estimate) before selecting; margin 0 selects as
+// Select does. core.Framework's decision pass calls it, and the mix
+// harness (internal/apps) passes a margin while classes contend for the
+// arbiter's pools, when a session's estimate is a share other classes may
+// claim: the conservative failure mode is a configuration that underuses
+// real resources, not one that overcommits imaginary ones. The monitor's
+// own loop decides with margin 0. margin is clamped to [0, 1).
 func (s *Scheduler) SelectDerated(res resource.Vector, margin float64) (Decision, error) {
 	if margin < 0 {
 		margin = 0

@@ -38,6 +38,17 @@ run_lint() {
 	# rise, and every test-only name is kept for a stated reason.
 	echo "== surface ratchet (scripts/surface.txt)"
 	go run ./scripts/internal/surface -check scripts/surface.txt
+
+	# One decision pass: core.Framework.Decide is the only code that sends
+	# a steering agent a configuration switch, so exactly one non-test
+	# steering.ControlMsg literal exists.
+	echo "== one steering.ControlMsg{ site outside tests (internal/, cmd/)"
+	sites=$(grep -rn --include='*.go' --exclude='*_test.go' 'steering\.ControlMsg{' internal cmd | wc -l)
+	if [ "$sites" -ne 1 ]; then
+		echo "want exactly one non-test steering.ControlMsg{ literal (core.Framework.Decide), found $sites:" >&2
+		grep -rn --include='*.go' --exclude='*_test.go' 'steering\.ControlMsg{' internal cmd >&2 || true
+		exit 1
+	fi
 }
 
 run_unit() {
@@ -246,10 +257,11 @@ run_reach() {
 			echo "== reach: bench -workload $w"
 			q "$B/bench" -workload "$w" -seconds 1 -seed 1 -trace
 		done
-		echo "== reach: avis-figures, avis-adapt -exp all and 1d, avis-mix -chaos, avis-load, avis-chaos"
+		# -events prints the decision logs, which render only when read.
+		echo "== reach: avis-figures, avis-adapt -exp all and 1d -events, avis-mix -chaos, avis-load, avis-chaos"
 		q "$B/avis-figures"
-		q "$B/avis-adapt" -exp all
-		q "$B/avis-adapt" -exp 1d
+		q "$B/avis-adapt" -exp all -events
+		q "$B/avis-adapt" -exp 1d -events
 		q "$B/avis-mix" -seed 42 -video 4 -foveal 2 -chaos
 		q "$B/avis-load" -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 		q "$B/avis-chaos"
